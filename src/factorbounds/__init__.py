@@ -52,17 +52,13 @@ from .population import (
 )
 from .data import ObservedDataset, load_csv, save_csv
 from .estimate import (
-    ArmSummary,
     BoundsEstimate,
     ConfidenceInterval,
     WaldEstimate,
-    choose_profile_min,
-    endpoint_ses,
     estimate_bounds,
     im_critical_value,
     imbens_manski_ci,
     nu_hat_table,
-    summarize,
     wald_reference,
 )
 from .simulate import (

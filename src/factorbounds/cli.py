@@ -22,30 +22,26 @@ from pathlib import Path
 from . import oracle
 from . import population as popmod
 from .data import load_csv
-from .errors import AssumptionViolationError, FactorBoundsError, InvalidInputError
+from .errors import FactorBoundsError, InvalidInputError
 from .estimate import (
+    MAIN_METHODS,
     estimate_bounds,
     imbens_manski_ci,
-    parse_method,
-    parse_profile,
+    parse_request,
+    parse_target,
     wald_reference,
 )
 from .simulate import load_scenario, monte_carlo
 
-_DEFAULT_METHODS = ["adjusted", "simple", "exclusion"]
-
 
 def _split_methods(raw: list[str] | None) -> list[str]:
     if not raw:
-        return list(_DEFAULT_METHODS)
+        return list(MAIN_METHODS)
     methods: list[str] = []
     for chunk in raw:
         methods.extend(m.strip() for m in chunk.split(",") if m.strip())
     if not methods:
         raise InvalidInputError("empty method list")
-    for m in methods:
-        if not m.startswith("conservative"):
-            parse_method(m)
     return methods
 
 
@@ -82,11 +78,9 @@ def cmd_analyze(args) -> int:
     K = data.design.K
     factors = args.factor or list(range(1, K + 1))
     methods = _split_methods(args.method)
-    for m in methods:
-        if m.startswith("conservative"):
-            raise InvalidInputError(
-                "conservative bounds need the true complier share; use the oracle subcommand"
-            )
+    for k in factors:
+        for method in methods:
+            parse_target(data.design, k, method, args.profile)
     estimates = []
     for k in factors:
         for method in methods:
@@ -127,22 +121,6 @@ def cmd_analyze(args) -> int:
 # --- oracle --------------------------------------------------------------------
 
 
-def _interval_dict(iv: oracle.Interval, ctx, true_delta: float | None) -> dict:
-    return {
-        "center": iv.center,
-        "half_width_lower": iv.half_width_lower,
-        "half_width_upper": iv.half_width_upper,
-        "raw_lower": iv.raw_lower,
-        "raw_upper": iv.raw_upper,
-        "lower": iv.lower,
-        "upper": iv.upper,
-        "lower_clipped": iv.lower_clipped,
-        "upper_clipped": iv.upper_clipped,
-        "profile_context": list(ctx) if ctx is not None else None,
-        "true_delta": true_delta,
-    }
-
-
 def _oracle_factor_block(pop, k: int, methods: list[str], profile: str) -> tuple[dict, bool]:
     design = pop.design
     mono = popmod.check_conditional_monotonicity(pop, k)
@@ -181,7 +159,7 @@ def _oracle_factor_block(pop, k: int, methods: list[str], profile: str) -> tuple
     methods_out: dict = {}
     for method in methods:
         try:
-            methods_out[method] = _oracle_method(pop, k, method, profile)
+            methods_out[method] = oracle.method_report(pop, k, method, profile)
         except FactorBoundsError as e:
             methods_out[method] = {"error": f"{type(e).__name__}: {e}"}
             failed = True
@@ -189,59 +167,13 @@ def _oracle_factor_block(pop, k: int, methods: list[str], profile: str) -> tuple
     return block, failed
 
 
-def _resolve_oracle_profile(pop, k: int, profile: str):
-    policy, ctx = parse_profile(profile, pop.design.K - 1)
-    if policy == "declared":
-        return ctx
-    valid = popmod.check_least_compliant_profile(pop, k)
-    if not valid:
-        raise AssumptionViolationError(f"factor {k}: no uniformly least compliant context exists")
-    return valid[0]
-
-
-def _oracle_method(pop, k: int, method: str, profile: str) -> dict:
-    if method.startswith("conservative"):
-        _, _, tail = method.partition(":")
-        try:
-            t = float(tail)
-        except ValueError:
-            raise InvalidInputError(f"conservative method wants conservative:<share>, got {method!r}") from None
-        iv = oracle.conservative_bounds(pop, k, t)
-        return _interval_dict(iv, None, oracle.main_effect(pop, k)) | {"t": t}
-    kind, extra = parse_method(method)
-    if kind == "joint":
-        k2 = extra[0]
-        policy, ctx = parse_profile(profile, pop.design.K - 2)
-        if policy == "min":
-            valid = popmod.check_joint_least_compliant(pop, k, k2)
-            if not valid:
-                raise AssumptionViolationError(
-                    f"factors ({k}, {k2}): no uniformly least compliant joint context exists"
-                )
-            ctx = valid[0]
-        iv = oracle.joint_bounds(pop, k, k2, ctx)
-        return _interval_dict(iv, ctx, oracle.joint_interaction_effect(pop, k, k2))
-    ctx = _resolve_oracle_profile(pop, k, profile)
-    if kind == "adjusted":
-        iv = oracle.adjusted_bounds(pop, k, ctx)
-        truth = oracle.main_effect(pop, k)
-    elif kind == "simple":
-        iv = oracle.simple_bounds(pop, k, ctx)
-        truth = oracle.main_effect(pop, k)
-    elif kind == "exclusion":
-        iv = oracle.exclusion_bounds(pop, k, ctx)
-        truth = oracle.main_effect(pop, k)
-    else:
-        iv = oracle.interaction_bounds(pop, extra, k, ctx)
-        truth = oracle.interaction_effect(pop, extra, k)
-    return _interval_dict(iv, ctx, truth)
-
-
 def cmd_oracle(args) -> int:
     pop = popmod.load_population(args.input)
     K = pop.design.K
     factors = args.factor or list(range(1, K + 1))
     methods = _split_methods(args.method)
+    for method in methods:
+        parse_request(K, method, args.profile)
     blocks = []
     any_failed = False
     for k in factors:

@@ -42,128 +42,65 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-@dataclass(frozen=True)
-class ArmSummary:
-    """Sample moments for one arm; variances/covariances use n-1."""
+def _arm_rows(data: ObservedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(outcome, uptake) rows of every arm, canonical arm order.
 
-    arm: int
-    z: tuple[int, ...]
-    n: int
-    mean_y: float
-    mean_d: tuple[float, ...]
-    var_y: float
-    var_d: tuple[float, ...]
-    cov_yd: tuple[float, ...]
-    cov_dd: tuple[tuple[float, ...], ...]
-
-
-def summarize(data: ObservedDataset) -> tuple[ArmSummary, ...]:
-    out = []
-    for j in range(data.design.J):
-        mask = data.arm == j
-        n = int(mask.sum())
-        z = data.design.assignment(j)
-        if n < 2:
-            raise InsufficientDataError(f"arm {z!r} has {n} row(s); need at least 2")
-        y = data.outcome[mask]
-        d = data.uptake[mask].astype(np.float64)
-        my = float(y.mean())
-        md = d.mean(axis=0)
-        yc = y - my
-        dc = d - md
-        var_y = float(yc @ yc) / (n - 1)
-        var_d = (dc * dc).sum(axis=0) / (n - 1)
-        cov_yd = dc.T @ yc / (n - 1)
-        cov_dd = dc.T @ dc / (n - 1)
-        out.append(
-            ArmSummary(
-                arm=j,
-                z=z,
-                n=n,
-                mean_y=my,
-                mean_d=tuple(float(v) for v in md),
-                var_y=var_y,
-                var_d=tuple(float(v) for v in var_d),
-                cov_yd=tuple(float(v) for v in cov_yd),
-                cov_dd=tuple(tuple(float(v) for v in row) for row in cov_dd),
-            )
+    One stable sort groups the rows; each arm keeps its rows in their
+    original order, so per-arm means equal masked means bit for bit.
+    """
+    counts = data.arm_counts()
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        j = int(short[0])
+        raise InsufficientDataError(
+            f"arm {data.design.assignment(j)!r} has {int(counts[j])} row(s); need at least 2"
         )
-    return tuple(out)
+    order = np.argsort(data.arm, kind="stable")
+    edges = np.cumsum(counts)[:-1]
+    return list(zip(np.split(data.outcome[order], edges), np.split(data.uptake[order], edges)))
 
 
-def _arm_d_means(data: ObservedDataset, k: int) -> np.ndarray:
-    design = data.design
-    dbar = np.empty(design.J)
-    for j in range(design.J):
-        mask = data.arm == j
-        n = int(mask.sum())
-        if n < 2:
-            raise InsufficientDataError(
-                f"arm {design.assignment(j)!r} has {n} row(s); need at least 2"
-            )
-        dbar[j] = data.uptake[mask, k - 1].astype(np.float64).mean()
-    return dbar
+def _first_stage_table(
+    design: FactorialDesign, k: int, k2: int | None, dbar: np.ndarray
+) -> tuple[tuple[Context, ...], np.ndarray]:
+    """First stage per context, canonical order, from per-arm means.
+
+    dbar holds the mean of d_k per arm; for a joint partner k2 it holds the
+    mean of d_k*d_k2 and the first stage is the four-arm contrast.
+    """
+    if k2 is None:
+        contexts = tuple(dsg.contexts_for(design, k))
+        nu = np.empty(len(contexts))
+        for c_index in range(len(contexts)):
+            j_minus, j_plus = dsg.context_arms(design, k, c_index)
+            nu[c_index] = (dbar[j_plus] - dbar[j_minus]) / 2.0
+        return contexts, nu
+    contexts = tuple(dsg.joint_contexts_for(design, k, k2))
+    nu = np.empty(len(contexts))
+    for c_index in range(len(contexts)):
+        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(design, k, k2, c_index)
+        nu[c_index] = (dbar[j_pp] - dbar[j_mp] - dbar[j_pm] + dbar[j_mm]) / 4.0
+    return contexts, nu
 
 
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
     """Estimated first stage per context of factor k, canonical order."""
     dsg.validate_factor(data.design, k)
-    contexts = tuple(dsg.contexts_for(data.design, k))
-    dbar = _arm_d_means(data, k)
-    nu = np.empty(len(contexts))
-    for c_index in range(len(contexts)):
-        j_minus, j_plus = dsg.context_arms(data.design, k, c_index)
-        nu[c_index] = (dbar[j_plus] - dbar[j_minus]) / 2.0
-    return contexts, nu
-
-
-def choose_profile_min(data: ObservedDataset, k: int) -> tuple[Context, float]:
-    """Context minimizing the estimated first stage; ties break to the
-    lowest canonical index. The minimized value doubles as the plug-in
-    constant-complier share."""
-    contexts, nu = nu_hat_table(data, k)
-    i = int(np.argmin(nu))
-    return contexts[i], float(nu[i])
-
-
-def joint_nu_hat_table(
-    data: ObservedDataset, k: int, k2: int
-) -> tuple[tuple[Context, ...], np.ndarray]:
-    """Estimated joint first stage (four-arm contrast of the uptake product)."""
-    contexts = dsg.joint_contexts_for(data.design, k, k2)
-    prod = data.uptake[:, k - 1].astype(np.float64) * data.uptake[:, k2 - 1]
-    pbar = np.empty(data.design.J)
-    for j in range(data.design.J):
-        mask = data.arm == j
-        n = int(mask.sum())
-        if n < 2:
-            raise InsufficientDataError(
-                f"arm {data.design.assignment(j)!r} has {n} row(s); need at least 2"
-            )
-        pbar[j] = prod[mask].mean()
-    nu = np.empty(len(contexts))
-    for c_index in range(len(contexts)):
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(data.design, k, k2, c_index)
-        nu[c_index] = (pbar[j_pp] - pbar[j_mp] - pbar[j_pm] + pbar[j_mm]) / 4.0
-    return contexts, nu
-
-
-def choose_joint_profile_min(data: ObservedDataset, k: int, k2: int) -> tuple[Context, float]:
-    contexts, nu = joint_nu_hat_table(data, k, k2)
-    i = int(np.argmin(nu))
-    return contexts[i], float(nu[i])
+    dbar = _moment_vector(_arm_variable_blocks(data, k, "yd"))[1::2]
+    return _first_stage_table(data.design, k, None, dbar)
 
 
 # --- method / profile grammar ------------------------------------------------
 
-_MAIN_METHODS = ("adjusted", "simple", "exclusion")
+MAIN_METHODS = ("adjusted", "simple", "exclusion")
 
 
-def parse_method(method: str) -> tuple[str, tuple[int, ...]]:
-    """'adjusted' | 'simple' | 'exclusion' | 'interaction:1+2' | 'joint:2'
-    -> (kind, extra factors)."""
+def parse_method(method: str) -> tuple[str, tuple]:
+    """'adjusted' | 'simple' | 'exclusion' | 'interaction:1+2' | 'joint:2' |
+    'conservative:0.3' -> (kind, arguments); the arguments are the
+    interaction factors, the joint partner, or the complier-share floor."""
     s = method.strip()
-    if s in _MAIN_METHODS:
+    if s in MAIN_METHODS:
         return s, ()
     if ":" in s:
         head, tail = s.split(":", 1)
@@ -182,8 +119,16 @@ def parse_method(method: str) -> tuple[str, tuple[int, ...]]:
             except ValueError:
                 raise InvalidInputError(f"bad joint partner in {method!r}") from None
             return "joint", (k2,)
+        if head == "conservative":
+            try:
+                return "conservative", (float(tail),)
+            except ValueError:
+                raise InvalidInputError(
+                    f"conservative method wants conservative:<share>, got {method!r}"
+                ) from None
     raise InvalidInputError(
-        f"unknown method {method!r}; expected adjusted|simple|exclusion|interaction:<f+f..>|joint:<factor>"
+        f"unknown method {method!r}; expected adjusted|simple|exclusion|interaction:<f+f..>"
+        "|joint:<factor>|conservative:<share>"
     )
 
 
@@ -205,6 +150,43 @@ def parse_profile(profile: str, context_len: int) -> tuple[str, Context | None]:
             )
         return "declared", ctx
     raise InvalidInputError(f"unknown profile policy {profile!r}; expected min or declared:<levels>")
+
+
+def parse_request(K: int, method: str, profile) -> tuple[str, tuple, str, Context | None]:
+    """Method and profile grammar for a K-factor design.
+
+    profile is 'min', 'declared:<levels>', or a context tuple. Returns
+    (kind, arguments, policy, context); joint contexts leave out both
+    factors of the pair, so a declared joint profile lists K-2 levels.
+    """
+    kind, args = parse_method(method)
+    if not isinstance(profile, str):
+        return kind, args, "declared", tuple(profile)
+    policy, ctx = parse_profile(profile, K - (2 if kind == "joint" else 1))
+    return kind, args, policy, ctx
+
+
+def parse_target(
+    design: FactorialDesign, k: int, method: str, profile
+) -> tuple[str, tuple, str, Context | None]:
+    """Every check estimate_bounds makes before it reads data: the grammar,
+    the factors the method names, and that data can estimate the method."""
+    kind, args, policy, ctx = parse_request(design.K, method, profile)
+    if kind == "conservative":
+        raise InvalidInputError(
+            "conservative bounds need the true complier share; only the oracle computes them"
+        )
+    dsg.validate_factor(design, k)
+    if kind == "interaction":
+        if k not in args:
+            raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {args!r}")
+        for f in args:
+            dsg.validate_factor(design, f)
+    if kind == "joint":
+        dsg.validate_factor(design, args[0])
+        if args[0] == k:
+            raise InvalidFactorError("joint method needs a partner distinct from the anchor factor")
+    return kind, args, policy, ctx
 
 
 # --- linear-fractional endpoint machinery -------------------------------------
@@ -232,38 +214,30 @@ class LinearFractional:
 
 
 def _arm_variable_blocks(
-    data: ObservedDataset, k: int, kind: str, k2: int | None = None
+    data: ObservedDataset, k: int, layout: str, k2: int | None = None
 ) -> list[np.ndarray]:
     """Per-arm row-variable matrices behind the moment vector.
 
-    kind 'yd'  -> columns [y, d_k]
-    kind 'ydt' -> columns [y, d_k, t]; t is y*1(d_k=-1) in z_k=+1 arms and
-                  y*1(d_k=+1) in z_k=-1 arms (the observable noncomplier
-                  outcome totals used by the adjusted center)
-    kind 'yp'  -> columns [y, d_k*d_k2]
+    layout 'yd'  -> columns [y, d_k]
+    layout 'ydt' -> columns [y, d_k, t]; t is y*1(d_k=-1) in z_k=+1 arms and
+                    y*1(d_k=+1) in z_k=-1 arms (the observable noncomplier
+                    outcome totals used by the adjusted center)
+    layout 'yp'  -> columns [y, d_k*d_k2]
+    Column 1 is the uptake variable whose per-arm means give the first stage.
     """
-    design = data.design
-    g = dsg.main_effect_contrast(design, k).signs
+    g = dsg.main_effect_contrast(data.design, k).signs
     blocks = []
-    for j in range(design.J):
-        mask = data.arm == j
-        n = int(mask.sum())
-        if n < 2:
-            raise InsufficientDataError(
-                f"arm {design.assignment(j)!r} has {n} row(s); need at least 2"
-            )
-        y = data.outcome[mask]
-        dk = data.uptake[mask, k - 1].astype(np.float64)
-        if kind == "yd":
+    for j, (y, d) in enumerate(_arm_rows(data)):
+        dk = d[:, k - 1].astype(np.float64)
+        if layout == "yd":
             V = np.column_stack([y, dk])
-        elif kind == "ydt":
+        elif layout == "ydt":
             t = y * (dk == (-1.0 if g[j] > 0 else 1.0))
             V = np.column_stack([y, dk, t])
-        elif kind == "yp":
-            dk2 = data.uptake[mask, k2 - 1].astype(np.float64)
-            V = np.column_stack([y, dk * dk2])
+        elif layout == "yp":
+            V = np.column_stack([y, dk * d[:, k2 - 1]])
         else:  # pragma: no cover
-            raise ValueError(kind)
+            raise ValueError(layout)
         blocks.append(V)
     return blocks
 
@@ -287,6 +261,10 @@ def _se_from_gradient(grad: np.ndarray, covs: list[np.ndarray], p: int) -> float
         gj = grad[p * j : p * (j + 1)]
         total += float(gj @ C @ gj)
     return math.sqrt(max(total, 0.0))
+
+
+# moment layout (see _arm_variable_blocks) each method's endpoint maps read
+_LAYOUT = {"adjusted": "ydt", "joint": "yp"}
 
 
 @dataclass(frozen=True)
@@ -316,6 +294,7 @@ def endpoint_functions(
     """
     kind_name, extra = parse_method(method)
     dsg.validate_factor(design, k)
+    kind = _LAYOUT.get(kind_name, "yd")
     J = design.J
     m = J // 2
     g = dsg.main_effect_contrast(design, k).signs.astype(np.float64)
@@ -335,14 +314,13 @@ def endpoint_functions(
         half[1::p] = gf / 2.0
         half -= b
         return EndpointFunctions(
-            kind="yp",
+            kind=kind,
             p=p,
             center=LinearFractional(a_center, 0.0, b, 0.0),
             lower=LinearFractional(a_center - half, 0.0, b, 0.0),
             upper=LinearFractional(a_center + half, 0.0, b, 0.0),
         )
 
-    kind = "ydt" if kind_name == "adjusted" else "yd"
     p = 3 if kind == "ydt" else 2
     size = p * J
 
@@ -449,29 +427,6 @@ class BoundsEstimate:
         }
 
 
-def _resolve_profile(
-    data: ObservedDataset, k: int, kind: str, extra: tuple[int, ...], profile
-) -> tuple[str, Context, int, tuple[Context, ...], np.ndarray]:
-    """Returns (policy, context, context index, contexts, nu table)."""
-    if kind == "joint":
-        contexts, nu = joint_nu_hat_table(data, k, extra[0])
-    else:
-        contexts, nu = nu_hat_table(data, k)
-    if isinstance(profile, str):
-        policy, ctx = parse_profile(profile, len(contexts[0]))
-    else:
-        policy, ctx = "declared", tuple(profile)
-    if policy == "min":
-        i = int(np.argmin(nu))
-        ctx = contexts[i]
-    else:
-        try:
-            i = contexts.index(ctx)
-        except ValueError:
-            raise InvalidInputError(f"declared profile {ctx!r} is not a context of the design") from None
-    return policy, ctx, i, contexts, nu
-
-
 def estimate_bounds(
     data: ObservedDataset, k: int, method: str, *, profile="min"
 ) -> BoundsEstimate:
@@ -481,16 +436,19 @@ def estimate_bounds(
     interval is ordered then intersected with [-1, 1]; raw endpoints are the
     faithful plug-ins (a declared non-minimal profile can invert them).
     """
-    kind, extra = parse_method(method)
-    dsg.validate_factor(data.design, k)
-    if kind == "interaction" and k not in extra:
-        raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {extra!r}")
-    if kind == "joint":
-        k2 = extra[0]
-        dsg.validate_factor(data.design, k2)
-        if k2 == k:
-            raise InvalidFactorError("joint method needs a partner distinct from the anchor factor")
-    policy, ctx, c_index, contexts, nu = _resolve_profile(data, k, kind, extra, profile)
+    kind, args, policy, ctx = parse_target(data.design, k, method, profile)
+    k2 = args[0] if kind == "joint" else None
+    blocks = _arm_variable_blocks(data, k, _LAYOUT.get(kind, "yd"), k2)
+    mvec = _moment_vector(blocks)
+    p = blocks[0].shape[1]
+    contexts, nu = _first_stage_table(data.design, k, k2, mvec[1::p])
+    if policy == "min":
+        c_index = int(np.argmin(nu))
+        ctx = contexts[c_index]
+    elif ctx in contexts:
+        c_index = contexts.index(ctx)
+    else:
+        raise InvalidInputError(f"declared profile {ctx!r} is not a context of the design")
     nu_tilde = float(nu[c_index])
     if nu_tilde <= 0.0:
         table = {contexts[i]: float(nu[i]) for i in range(len(contexts))}
@@ -498,8 +456,6 @@ def estimate_bounds(
             f"factor {k}: estimated first stage at {ctx!r} is {nu_tilde}; table {table!r}"
         )
     funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
-    blocks = _arm_variable_blocks(data, k, funcs.kind, k2=extra[0] if kind == "joint" else None)
-    mvec = _moment_vector(blocks)
     covs = _moment_cov_blocks(blocks)
     center = funcs.center.value(mvec)
     raw_lower = funcs.lower.value(mvec)
@@ -524,11 +480,6 @@ def estimate_bounds(
         profile_policy=policy,
         profile_context=ctx,
     )
-
-
-def endpoint_ses(data: ObservedDataset, k: int, method: str, profile="min") -> tuple[float, float]:
-    est = estimate_bounds(data, k, method, profile=profile)
-    return est.se_lower, est.se_upper
 
 
 # --- Imbens-Manski confidence intervals ---------------------------------------

@@ -38,6 +38,7 @@ import numpy as np
 from . import design as dsg
 from . import population as popmod
 from .design import Context, FactorialDesign
+from .estimate import parse_method, parse_request
 from .errors import (
     AssumptionViolationError,
     InvalidFactorError,
@@ -389,3 +390,72 @@ def wald_ratio(pop: Population, k: int) -> float:
     if itt_d == 0.0:
         raise NoCompliersError(f"factor {k}: marginal uptake ITT is zero")
     return itt_y / itt_d
+
+
+# --- method table ---------------------------------------------------------------
+
+_MAIN_BOUNDS = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}
+
+
+def method_truth(pop: Population, k: int, method: str) -> float:
+    """The true effect a method's interval bounds."""
+    kind, args = parse_method(method)
+    if kind == "interaction":
+        return interaction_effect(pop, args, k)
+    if kind == "joint":
+        return joint_interaction_effect(pop, k, args[0])
+    return main_effect(pop, k)
+
+
+def method_interval(
+    pop: Population, k: int, method: str, profile="min"
+) -> tuple[Interval, Context | None]:
+    """Exact interval for a method and the profile it was taken at.
+
+    Under the min policy the profile is the first valid least-compliant
+    context (joint context for the joint method). The conservative method
+    takes no profile and returns None for it.
+    """
+    kind, args, policy, ctx = parse_request(pop.design.K, method, profile)
+    if kind == "conservative":
+        return conservative_bounds(pop, k, args[0]), None
+    if kind == "joint":
+        if policy == "min":
+            valid = popmod.check_joint_least_compliant(pop, k, args[0])
+            if not valid:
+                raise AssumptionViolationError(
+                    f"factors ({k}, {args[0]}): no uniformly least compliant joint context exists"
+                )
+            ctx = valid[0]
+        return joint_bounds(pop, k, args[0], ctx), ctx
+    if policy == "min":
+        valid = popmod.check_least_compliant_profile(pop, k)
+        if not valid:
+            raise AssumptionViolationError(f"factor {k}: no uniformly least compliant context exists")
+        ctx = valid[0]
+    if kind == "interaction":
+        return interaction_bounds(pop, args, k, ctx), ctx
+    return _MAIN_BOUNDS[kind](pop, k, ctx), ctx
+
+
+def method_report(pop: Population, k: int, method: str, profile="min") -> dict:
+    """JSON entry for one method: the interval, its profile and the true
+    effect; a conservative entry also echoes its share floor t."""
+    iv, ctx = method_interval(pop, k, method, profile)
+    out = {
+        "center": iv.center,
+        "half_width_lower": iv.half_width_lower,
+        "half_width_upper": iv.half_width_upper,
+        "raw_lower": iv.raw_lower,
+        "raw_upper": iv.raw_upper,
+        "lower": iv.lower,
+        "upper": iv.upper,
+        "lower_clipped": iv.lower_clipped,
+        "upper_clipped": iv.upper_clipped,
+        "profile_context": list(ctx) if ctx is not None else None,
+        "true_delta": method_truth(pop, k, method),
+    }
+    kind, args = parse_method(method)
+    if kind == "conservative":
+        out["t"] = args[0]
+    return out

@@ -42,14 +42,6 @@ ALWAYS_TAKER = 1
 NEVER_TAKER = 2
 DEFIER = 3
 
-LABEL_NAMES = {
-    COMPLIER: "complier",
-    ALWAYS_TAKER: "always_taker",
-    NEVER_TAKER: "never_taker",
-    DEFIER: "defier",
-}
-
-
 @dataclass(frozen=True)
 class Population:
     """Potential uptake and outcomes for N units over a 2^K design."""
@@ -111,9 +103,6 @@ class ComplianceProfile:
 
     def __post_init__(self) -> None:
         self.labels.setflags(write=False)
-
-    def label_name(self, unit: int, c_index: int) -> str:
-        return LABEL_NAMES[int(self.labels[unit, c_index])]
 
     def complier_mask(self) -> np.ndarray:
         """(N, C) boolean: complies with the factor at each context."""
@@ -358,7 +347,7 @@ def fixture_p4() -> Population:
     and one unit never taking. The outcome equals the factor-1 uptake
     indicator, so every effect is hand-checkable.
     """
-    design = enumerate_design(2)
+    design = dsg.enumerate_assignments(2)
     # canonical arms: (-1,-1), (+1,-1), (-1,+1), (+1,+1)
     d1 = np.array(
         [
@@ -373,10 +362,6 @@ def fixture_p4() -> Population:
     uptake = np.stack([d1, d2], axis=2)
     outcome = (d1.astype(np.float64) + 1.0) / 2.0
     return Population(design=design, uptake=uptake, outcome=outcome)
-
-
-def enumerate_design(K: int) -> FactorialDesign:
-    return dsg.enumerate_assignments(K)
 
 
 def to_dict(pop: Population) -> dict:

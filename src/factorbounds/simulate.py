@@ -269,6 +269,8 @@ class ScenarioConfig:
         object.__setattr__(self, "violate", tuple(self.violate))
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "targets", tuple(self.targets))
+        for t in self.targets:
+            est.parse_target(design, t.factor, t.method, t.profile)
 
     def resolved_arm_sizes(self) -> tuple[int, ...]:
         J = 1 << self.K
@@ -578,49 +580,6 @@ def census_dataset(pop: Population) -> ObservedDataset:
 # --- Monte Carlo ----------------------------------------------------------------
 
 
-def _target_truth(pop: Population, target: TargetSpec) -> float:
-    kind, extra = est.parse_method(target.method)
-    if kind in ("adjusted", "simple", "exclusion"):
-        return oracle.main_effect(pop, target.factor)
-    if kind == "interaction":
-        return oracle.interaction_effect(pop, extra, target.factor)
-    return oracle.joint_interaction_effect(pop, target.factor, extra[0])
-
-
-def _target_oracle_interval(pop: Population, target: TargetSpec):
-    """Oracle raw endpoints at the declared profile, or at a true least
-    compliant profile under the min policy. None when the method's
-    assumptions fail for this population."""
-    kind, extra = est.parse_method(target.method)
-    ctx_len = pop.design.K - (2 if kind == "joint" else 1)
-    policy, ctx = est.parse_profile(target.profile, ctx_len)
-    try:
-        if kind == "joint":
-            if policy == "min":
-                valid = popmod.check_joint_least_compliant(pop, target.factor, extra[0])
-                if not valid:
-                    return None
-                ctx = valid[0]
-            iv = oracle.joint_bounds(pop, target.factor, extra[0], ctx)
-        else:
-            if policy == "min":
-                valid = popmod.check_least_compliant_profile(pop, target.factor)
-                if not valid:
-                    return None
-                ctx = valid[0]
-            if kind == "adjusted":
-                iv = oracle.adjusted_bounds(pop, target.factor, ctx)
-            elif kind == "simple":
-                iv = oracle.simple_bounds(pop, target.factor, ctx)
-            elif kind == "exclusion":
-                iv = oracle.exclusion_bounds(pop, target.factor, ctx)
-            else:
-                iv = oracle.interaction_bounds(pop, extra, target.factor, ctx)
-    except FactorBoundsError:
-        return None
-    return iv.raw_lower, iv.raw_upper
-
-
 @dataclass(frozen=True)
 class TargetReport:
     label: str
@@ -725,6 +684,10 @@ def monte_carlo(
     tlist = tuple(targets) if targets is not None else config.targets
     if not tlist:
         raise InvalidInputError("no targets: pass some or set them in the scenario")
+    if targets is not None:  # the scenario's own targets were checked when it was built
+        design = enumerate_assignments(config.K)
+        for t in tlist:
+            est.parse_target(design, t.factor, t.method, t.profile)
     mode = config.population_mode
     if base_population is not None and mode == "fresh":
         raise InvalidInputError("base_population requires population_mode fixed or clone")
@@ -767,7 +730,7 @@ def monte_carlo(
         for t in tlist:
             a = acc[t]
             try:
-                truth = _target_truth(pop, t)
+                truth = oracle.method_truth(pop, t.factor, t.method)
                 estimate = est.estimate_bounds(data, t.factor, t.method, profile=t.profile)
                 ci = est.imbens_manski_ci(estimate, alpha=t.alpha)
             except FactorBoundsError as e:
@@ -784,13 +747,15 @@ def monte_carlo(
             a["hi"].append(estimate.raw_upper)
             a["se_lo"].append(estimate.se_lower)
             a["se_hi"].append(estimate.se_upper)
-            ref = _target_oracle_interval(pop, t)
-            if ref is not None:
-                a["d_lo"].append(estimate.raw_lower - ref[0])
-                a["d_hi"].append(estimate.raw_upper - ref[1])
-                a["err"].append(
-                    max(abs(estimate.raw_lower - ref[0]), abs(estimate.raw_upper - ref[1]))
-                )
+            try:  # the oracle reference exists only where the method's assumptions hold
+                ref, _ = oracle.method_interval(pop, t.factor, t.method, t.profile)
+            except FactorBoundsError:
+                continue
+            a["d_lo"].append(estimate.raw_lower - ref.raw_lower)
+            a["d_hi"].append(estimate.raw_upper - ref.raw_upper)
+            a["err"].append(
+                max(abs(estimate.raw_lower - ref.raw_lower), abs(estimate.raw_upper - ref.raw_upper))
+            )
 
     reports = []
     for t in tlist:

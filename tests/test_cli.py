@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from factorbounds.cli import main
 from factorbounds.data import save_csv
 from factorbounds.oracle import adjusted_bounds, exclusion_bounds
+from factorbounds.errors import InvalidInputError
 from factorbounds.population import Population, fixture_p4, save_population
 from factorbounds.simulate import (
     FactorSpec,
     OutcomeSpec,
     ScenarioConfig,
     TargetSpec,
+    load_scenario,
     save_scenario,
 )
 
@@ -214,6 +217,18 @@ def test_oracle_bad_conservative_share(capsys, p4_json):
     assert "InvalidShareError" in err
 
 
+@pytest.mark.parametrize(
+    "option", [["--profile", "smallest"], ["--method", "conservative:abc"]]
+)
+def test_oracle_option_errors_exit_2(capsys, p4_json, option):
+    # option syntax fails the whole command, as in analyze; only failures
+    # that depend on the population stay per method with exit 3
+    rc, out, err = run(capsys, ["oracle", str(p4_json), "--factor", "1", *option])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -276,6 +291,36 @@ def test_simulate_bad_scenario_json(capsys, tmp_path):
     path.write_text("{not json")
     rc, _, err = run(capsys, ["simulate", str(path), "-R", "2"])
     assert rc == 2
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        {"profile": "smallest"},
+        {"factor": 9},
+        {"factor": 1, "method": "interaction:2+3"},
+        {"factor": 1, "method": "joint:1"},
+        {"profile": "declared:1,1"},  # K=2 contexts have one level
+    ],
+)
+def test_simulate_rejects_bad_target_at_load(capsys, tmp_path, monkeypatch, target):
+    scenario = json.loads((SCENARIOS / "well_separated.json").read_text())
+    scenario["targets"][0].update(target)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(InvalidInputError):
+        load_scenario(path)
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("population generated for an invalid scenario")
+
+    monkeypatch.setattr("factorbounds.simulate.generate_population", no_generation)
+    rc, out, err = run(capsys, ["simulate", str(path), "-R", "3"])
+    assert rc == 2
+    assert out == "" and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------- plotdata

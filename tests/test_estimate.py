@@ -12,10 +12,10 @@ from factorbounds.errors import (
     WeakFirstStageError,
 )
 from factorbounds.estimate import (
+    _arm_rows,
     _arm_variable_blocks,
     _moment_cov_blocks,
     _moment_vector,
-    choose_profile_min,
     endpoint_functions,
     estimate_bounds,
     im_critical_value,
@@ -23,7 +23,6 @@ from factorbounds.estimate import (
     nu_hat_table,
     parse_method,
     parse_profile,
-    summarize,
     wald_reference,
 )
 from factorbounds.oracle import (
@@ -53,21 +52,6 @@ def small_dataset(rng, K=1, per_arm=6):
 # ------------------------------------------------------------- summaries
 
 
-def test_summarize_matches_numpy():
-    rng = np.random.default_rng(5)
-    data = small_dataset(rng, K=2, per_arm=9)
-    for s in summarize(data):
-        mask = data.arm == s.arm
-        y = data.outcome[mask]
-        d = data.uptake[mask].astype(float)
-        assert s.n == 9
-        assert abs(s.mean_y - y.mean()) < TOL
-        assert np.allclose(s.mean_d, d.mean(axis=0), atol=TOL)
-        assert abs(s.var_y - y.var(ddof=1)) < TOL
-        assert abs(s.cov_yd[0] - np.cov(d[:, 0], y, ddof=1)[0, 1]) < TOL
-        assert abs(s.cov_dd[0][1] - np.cov(d[:, 0], d[:, 1], ddof=1)[0, 1]) < TOL
-
-
 def test_summarize_needs_two_rows_per_arm():
     design = enumerate_assignments(1)
     data = ObservedDataset(
@@ -77,18 +61,18 @@ def test_summarize_needs_two_rows_per_arm():
         outcome=np.array([0.1, 0.2, 0.3]),
     )
     with pytest.raises(InsufficientDataError, match=r"\(1,\)"):
-        summarize(data)
+        estimate_bounds(data, 1, "exclusion")
 
 
 def test_nu_hat_and_min_profile(p4_census):
     contexts, nu = nu_hat_table(p4_census, 1)
     assert contexts == ((-1,), (1,))
     assert np.allclose(nu, [0.5, 0.75], atol=TOL)
-    ctx, val = choose_profile_min(p4_census, 1)
-    assert ctx == (-1,) and val == 0.5
+    est = estimate_bounds(p4_census, 1, "exclusion")
+    assert est.profile_context == (-1,) and est.nu_hat[0] == 0.5
     # exact tie: full compliance makes every context equal; first index wins
-    ctx2, val2 = choose_profile_min(p4_census, 2)
-    assert ctx2 == (-1,) and val2 == 1.0
+    est2 = estimate_bounds(p4_census, 2, "exclusion")
+    assert est2.profile_context == (-1,) and est2.nu_hat == (1.0, 1.0)
 
 
 # --------------------------------------------------------------- grammar
@@ -383,17 +367,27 @@ def test_to_dict_field_contract(p4_census):
 
 
 def test_moment_layout_mean_t_identity(p4_census):
+    # rows come out grouped by arm, each arm in its original row order, so
+    # per-arm values equal the masked ones exactly on shuffled data too
+    perm = np.random.default_rng(3).permutation(p4_census.n)
+    data = ObservedDataset(
+        design=p4_census.design,
+        arm=p4_census.arm[perm],
+        uptake=p4_census.uptake[perm],
+        outcome=p4_census.outcome[perm],
+    )
     # the auxiliary column equals the observable noncomplier outcome mass:
     # nonzero only where uptake disagrees with the assignment sign
-    blocks = _arm_variable_blocks(p4_census, 1, "ydt")
+    blocks = _arm_variable_blocks(data, 1, "ydt")
     mvec = _moment_vector(blocks)
-    design = p4_census.design
-    for j in range(design.J):
+    design = data.design
+    for j, (y, d) in enumerate(_arm_rows(data)):
+        mask = data.arm == j
+        assert np.array_equal(y, data.outcome[mask])
+        assert np.array_equal(d, data.uptake[mask])
         z = design.assignment(j)
-        mask = p4_census.arm == j
-        y = p4_census.outcome[mask]
-        d = p4_census.uptake[mask, 0]
-        want = (y * (d == (-1 if z[0] == 1 else 1))).mean()
+        want = (y * (d[:, 0] == (-1 if z[0] == 1 else 1))).mean()
         assert abs(mvec[3 * j + 2] - want) < TOL
+        assert np.array_equal(blocks[j][:, :2], np.column_stack([y, d[:, 0]]))
     covs = _moment_cov_blocks(blocks)
     assert len(covs) == design.J and covs[0].shape == (3, 3)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorbounds.design import enumerate_assignments, strip_factor
+from factorbounds.estimate import (
+    _arm_variable_blocks,
+    _moment_vector,
+    endpoint_functions,
+    estimate_bounds,
+)
 from factorbounds.errors import (
     AssumptionViolationError,
     InvalidFactorError,
@@ -19,10 +27,13 @@ from factorbounds.oracle import (
     joint_bounds,
     joint_interaction_effect,
     main_effect,
+    method_interval,
+    method_truth,
     simple_bounds,
     wald_ratio,
 )
 from factorbounds.population import Population, check_least_compliant_profile
+from factorbounds.simulate import census_dataset
 
 TOL = 1e-12
 
@@ -344,3 +355,48 @@ def test_interaction_anchor_must_be_member(p4):
         interaction_bounds(p4, (2,), 1, (-1,))
     with pytest.raises(InvalidFactorError):
         interaction_effect(p4, (2,), 1)
+
+
+# ------------------------------------------------------------- method table
+
+
+@given(
+    K=st.sampled_from([2, 3]),
+    N=st.integers(min_value=4, max_value=30),
+    upgrade=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_method_table_matches_census_estimator(K, N, upgrade, seed):
+    # with every unit observed in every arm the plug-in moments are the
+    # population moments, so each method's oracle interval is the estimate
+    pop = assumption_population(np.random.default_rng(seed), K, N, (1,) if upgrade else ())
+    data = census_dataset(pop)
+    factors = (1,) if upgrade else tuple(range(1, K + 1))  # weak exclusion holds here
+    for k in factors:
+        everything = "interaction:" + "+".join(map(str, range(1, K + 1)))
+        methods = ["adjusted", "simple", "exclusion", everything]
+        if not upgrade:  # cross exclusion for the joint pair
+            methods.append(f"joint:{k % K + 1}")
+        for method in methods:
+            iv, ctx = method_interval(pop, k, method)
+            est = estimate_bounds(data, k, method, profile=ctx)
+            assert est.profile_context == ctx
+            for a, b in (
+                (iv.center, est.center),
+                (iv.raw_lower, est.raw_lower),
+                (iv.raw_upper, est.raw_upper),
+                (iv.lower, est.clipped_lower),
+                (iv.upper, est.clipped_upper),
+            ):
+                assert abs(a - b) <= TOL, (method, k, a, b)
+            assert iv.raw_lower - TOL <= method_truth(pop, k, method) <= iv.raw_upper + TOL
+        rho = constant_complier_share(pop, k)
+        mvec = _moment_vector(_arm_variable_blocks(data, k, "yd"))
+        for t in (rho, 0.5 * rho):
+            iv, ctx = method_interval(pop, k, f"conservative:{t!r}")
+            assert ctx is None
+            funcs = endpoint_functions(pop.design, k, "exclusion", t_value=t)
+            pairs = ((iv.center, funcs.center), (iv.raw_lower, funcs.lower), (iv.raw_upper, funcs.upper))
+            for a, f in pairs:
+                assert abs(a - f.value(mvec)) <= TOL, (t, k, a, f.value(mvec))

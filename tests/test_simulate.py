@@ -90,6 +90,12 @@ def test_config_validation():
         FactorSpec(complier=0.5, always=0.6)
     with pytest.raises(InvalidInputError):
         OutcomeSpec(model="m3")
+    # targets get estimate_bounds' checks whether the scenario or the caller names them
+    oracle_only = (TargetSpec(factor=1, method="conservative:0.3"),)
+    with pytest.raises(InvalidInputError, match="oracle"):
+        basic_config(targets=oracle_only)
+    with pytest.raises(InvalidInputError, match="oracle"):
+        monte_carlo(basic_config(), 2, targets=oracle_only)
 
 
 def test_resolved_arm_sizes_near_equal():
