@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
-from .design import FactorialDesign, enumerate_assignments
+from .design import MAX_FACTORS, FactorialDesign, enumerate_assignments
 from .errors import InvalidInputError
 
 
@@ -64,6 +67,21 @@ class ObservedDataset:
     def arm_counts(self) -> np.ndarray:
         return np.bincount(self.arm, minlength=self.design.J)
 
+    @cached_property
+    def arm_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(outcome, uptake) rows of every arm, canonical arm order, as
+        read-only views; built once per dataset, whose arrays never change.
+
+        One stable sort groups the rows, so each arm keeps its rows in their
+        original order and per-arm means equal masked means bit for bit.
+        """
+        order = np.argsort(self.arm, kind="stable")
+        outcome, uptake = self.outcome[order], self.uptake[order]
+        for arr in (outcome, uptake):
+            arr.setflags(write=False)
+        edges = np.cumsum(self.arm_counts())[:-1]
+        return tuple(zip(np.split(outcome, edges), np.split(uptake, edges)))
+
     def assignment_rows(self) -> np.ndarray:
         """(n, K) matrix of assigned levels, one row per unit."""
         return self.design.levels[self.arm]
@@ -100,56 +118,134 @@ def _parse_level(token: str, line: int, col: str, binary_coding: bool) -> int:
     raise InvalidInputError(f"line {line}, column {col}: {v} is not -1/+1")
 
 
-def load_csv(
-    path,
-    *,
-    binary_coding: bool = False,
-    rescale: tuple[float, float] | None = None,
-) -> ObservedDataset:
+def _prefix_code(design: FactorialDesign, text: str, names: tuple[str, str]) -> int | None:
+    """Row code of a 'z1,...,zK,d1,...,dK' prefix: bit i is set when field
+    i+1 reads names[1], so the code is arm + J * uptake pattern. None unless
+    every field is exactly names[0] or names[1]."""
+    tokens = text.split(",")
+    if len(tokens) != 2 * design.K or not set(tokens) <= set(names):
+        return None
+    return sum(1 << i for i, tok in enumerate(tokens) if tok == names[1])
+
+
+def _load_canonical(
+    path, binary_coding: bool, rescale: tuple[float, float] | None
+) -> ObservedDataset | None:
+    """Array parse of a file in the form save_csv writes (any line ends; 0/1
+    levels under binary coding); None on anything else.
+
+    Reads blocks of about 1 MiB of lines, splits each line once at its last
+    comma, decodes each distinct z/d prefix once and converts y with float(),
+    so every row it accepts reads exactly as the row parser reads it. It
+    never raises on file content: whatever it does not accept (a header
+    other than the exact one, any other level token or field count, quotes,
+    blank lines, a line over the csv field limit, a y outside [0, 1], bytes
+    that are not UTF-8) is left to the row parser, which alone words the
+    errors.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = fh.readline().rstrip("\r\n").split(",")
+            K = len(header) // 2
+            if not 1 <= K <= MAX_FACTORS or header != expected_header(K):
+                return None
+            design = enumerate_assignments(K)
+            names = ("0", "1") if binary_coding else ("-1", "1")
+            limit = csv.field_size_limit()
+            table: dict[str, int] = {}
+            codes, outcomes = [], []
+            while lines := fh.readlines(1 << 20):
+                if max(map(len, lines)) > limit:
+                    return None
+                parts = list(map(str.rpartition, lines, repeat(",")))
+                prefixes = list(map(itemgetter(0), parts))
+                for text in set(prefixes).difference(table):
+                    code = _prefix_code(design, text, names)
+                    if code is None:
+                        return None
+                    table[text] = code
+                codes.append(np.fromiter(map(table.__getitem__, prefixes), np.int64, len(lines)))
+                ys = map(float, map(itemgetter(2), parts))
+                outcomes.append(np.fromiter(ys, np.float64, len(lines)))
+                del lines, parts, prefixes, ys  # free this block's strings before the next read
+        except ValueError:  # a y that float() refuses, or bytes that are not UTF-8
+            return None
+    if not codes:
+        return None
+    code = np.concatenate(codes)
+    y = np.concatenate(outcomes)
     if rescale is not None:
-        lo, hi = float(rescale[0]), float(rescale[1])
-        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
-            raise InvalidInputError(f"rescale range ({lo}, {hi}) must be finite with max > min")
+        lo, hi = rescale
+        y = (y - lo) / (hi - lo)
+    if not np.isfinite(y).all() or y.min() < 0.0 or y.max() > 1.0:
+        return None
+    return ObservedDataset(
+        design=design,
+        arm=code & (design.J - 1),
+        uptake=design.levels[code >> design.K],
+        outcome=y,
+        rescale=rescale,
+    )
+
+
+def _load_rows(path, binary_coding: bool, rescale: tuple[float, float] | None) -> ObservedDataset:
+    """The csv-module row parser: the reference for every input and the
+    only source of load errors, with their line and column."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file, no header") from None
-        K = _infer_k(header)
-        design = enumerate_assignments(K)
-        arms: list[int] = []
-        uptake_rows: list[list[int]] = []
-        outcomes: list[float] = []
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2 * K + 1:
-                raise InvalidInputError(
-                    f"line {line}: {len(row)} fields; expected {2 * K + 1}"
-                )
-            z = tuple(
-                _parse_level(row[k - 1], line, f"z{k}", binary_coding) for k in range(1, K + 1)
+            return _parse_rows(path, reader, binary_coding, rescale)
+        except UnicodeDecodeError as e:
+            raise InvalidInputError(
+                f"{path}: not UTF-8 text ({e.object[e.start:e.end]!r}: {e.reason})"
+            ) from None
+        except csv.Error as e:
+            raise InvalidInputError(f"{path}: line {reader.line_num}: {e}") from None
+
+
+def _parse_rows(
+    path, reader, binary_coding: bool, rescale: tuple[float, float] | None
+) -> ObservedDataset:
+    if rescale is not None:
+        lo, hi = rescale
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidInputError(f"{path}: empty file, no header") from None
+    K = _infer_k(header)
+    design = enumerate_assignments(K)
+    arms: list[int] = []
+    uptake_rows: list[list[int]] = []
+    outcomes: list[float] = []
+    for line, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2 * K + 1:
+            raise InvalidInputError(
+                f"line {line}: {len(row)} fields; expected {2 * K + 1}"
             )
-            d = [
-                _parse_level(row[K + k - 1], line, f"d{k}", binary_coding)
-                for k in range(1, K + 1)
-            ]
-            tok = row[2 * K].strip()
-            try:
-                y = float(tok)
-            except ValueError:
-                raise InvalidInputError(f"line {line}, column y: {tok!r} is not numeric") from None
-            if rescale is not None:
-                y = (y - lo) / (hi - lo)
-            if not np.isfinite(y) or y < 0.0 or y > 1.0:
-                raise InvalidInputError(
-                    f"line {line}, column y: value {y} outside [0, 1]"
-                    + (" after rescale" if rescale is not None else "")
-                )
-            arms.append(design.index(z))
-            uptake_rows.append(d)
-            outcomes.append(y)
+        z = tuple(
+            _parse_level(row[k - 1], line, f"z{k}", binary_coding) for k in range(1, K + 1)
+        )
+        d = [
+            _parse_level(row[K + k - 1], line, f"d{k}", binary_coding)
+            for k in range(1, K + 1)
+        ]
+        tok = row[2 * K].strip()
+        try:
+            y = float(tok)
+        except ValueError:
+            raise InvalidInputError(f"line {line}, column y: {tok!r} is not numeric") from None
+        if rescale is not None:
+            y = (y - lo) / (hi - lo)
+        if not np.isfinite(y) or y < 0.0 or y > 1.0:
+            raise InvalidInputError(
+                f"line {line}, column y: value {y} outside [0, 1]"
+                + (" after rescale" if rescale is not None else "")
+            )
+        arms.append(design.index(z))
+        uptake_rows.append(d)
+        outcomes.append(y)
     if not arms:
         raise InvalidInputError(f"{path}: no data rows")
     return ObservedDataset(
@@ -157,19 +253,40 @@ def load_csv(
         arm=np.asarray(arms, dtype=np.intp),
         uptake=np.asarray(uptake_rows, dtype=np.int8),
         outcome=np.asarray(outcomes, dtype=np.float64),
-        rescale=(lo, hi) if rescale is not None else None,
+        rescale=rescale,
     )
 
 
+def load_csv(
+    path,
+    *,
+    binary_coding: bool = False,
+    rescale: tuple[float, float] | None = None,
+) -> ObservedDataset:
+    """Read a CSV in the schema above. A file in save_csv's form takes the
+    array parse; any other file is read again by the row parser, which
+    gives the same dataset or the error with its line and column."""
+    if rescale is not None:
+        lo, hi = float(rescale[0]), float(rescale[1])
+        if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+            raise InvalidInputError(f"rescale range ({lo}, {hi}) must be finite with max > min")
+        rescale = (lo, hi)
+    data = _load_canonical(path, binary_coding, rescale)
+    return data if data is not None else _load_rows(path, binary_coding, rescale)
+
+
 def save_csv(data: ObservedDataset, path) -> None:
-    """Write in the load_csv schema with -1/+1 coding; floats via repr so a
-    reload reproduces them bit-exactly."""
-    K = data.design.K
-    zrows = data.assignment_rows()
+    """Write in the load_csv schema with -1/+1 coding and csv.writer's CRLF
+    line ends; floats via repr so a reload reproduces them bit-exactly."""
+    design = data.design
+    bits = (data.uptake == 1) @ (1 << np.arange(design.K, dtype=np.int64))
+    codes, row_code = np.unique(data.arm + design.J * bits, return_inverse=True)
+    levels = design.levels.tolist()
+    prefixes = [
+        ",".join(map(str, levels[code & (design.J - 1)] + levels[code >> design.K]))
+        for code in codes.tolist()
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(expected_header(K))
-        for i in range(data.n):
-            row = [int(v) for v in zrows[i]] + [int(v) for v in data.uptake[i]]
-            row.append(repr(float(data.outcome[i])))
-            writer.writerow(row)
+        fh.write(",".join(expected_header(design.K)) + "\r\n")
+        rows = map(prefixes.__getitem__, row_code.tolist())
+        fh.writelines(map("{},{!r}\r\n".format, rows, data.outcome.tolist()))

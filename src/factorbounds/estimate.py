@@ -32,6 +32,7 @@ from .errors import (
     InsufficientDataError,
     InvalidFactorError,
     InvalidInputError,
+    InvalidShareError,
     WeakFirstStageError,
 )
 
@@ -42,12 +43,9 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-def _arm_rows(data: ObservedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(outcome, uptake) rows of every arm, canonical arm order.
-
-    One stable sort groups the rows; each arm keeps its rows in their
-    original order, so per-arm means equal masked means bit for bit.
-    """
+def _arm_rows(data: ObservedDataset) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(outcome, uptake) rows of every arm, canonical arm order (the
+    dataset's own grouping); every arm needs at least two rows."""
     counts = data.arm_counts()
     short = np.flatnonzero(counts < 2)
     if short.size:
@@ -55,9 +53,7 @@ def _arm_rows(data: ObservedDataset) -> list[tuple[np.ndarray, np.ndarray]]:
         raise InsufficientDataError(
             f"arm {data.design.assignment(j)!r} has {int(counts[j])} row(s); need at least 2"
         )
-    order = np.argsort(data.arm, kind="stable")
-    edges = np.cumsum(counts)[:-1]
-    return list(zip(np.split(data.outcome[order], edges), np.split(data.uptake[order], edges)))
+    return data.arm_groups
 
 
 def _first_stage_table(
@@ -121,11 +117,16 @@ def parse_method(method: str) -> tuple[str, tuple]:
             return "joint", (k2,)
         if head == "conservative":
             try:
-                return "conservative", (float(tail),)
+                t = float(tail)
             except ValueError:
                 raise InvalidInputError(
                     f"conservative method wants conservative:<share>, got {method!r}"
                 ) from None
+            if not (math.isfinite(t) and t > 0.0):
+                raise InvalidShareError(
+                    f"complier-share floor must be positive and finite, got {method!r}"
+                )
+            return "conservative", (t,)
     raise InvalidInputError(
         f"unknown method {method!r}; expected adjusted|simple|exclusion|interaction:<f+f..>"
         "|joint:<factor>|conservative:<share>"

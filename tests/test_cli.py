@@ -96,6 +96,23 @@ def test_analyze_methods_split_and_validate(capsys, census_csv):
     assert rc == 2 and "oracle" in err
 
 
+def test_analyze_non_utf8_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"z1,d1,y\n-1,-1,0.25\n1,1,0.\xff5\n")
+    rc, out, err = run(capsys, ["analyze", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("field", ['"' + "5" * 140_000 + '"', "0.5" + " " * 140_000])
+def test_analyze_oversized_field_exits_2(capsys, tmp_path, field):
+    path = tmp_path / "huge.csv"
+    path.write_text("z1,d1,y\n-1,-1,0.25\n1,1," + field + "\n")
+    rc, out, err = run(capsys, ["analyze", str(path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{path}: line 3: field larger than field limit" in err
+
+
 def test_analyze_binary_and_rescale(capsys, tmp_path):
     path = tmp_path / "binary.csv"
     rows = ["z1,d1,y"]
@@ -218,7 +235,14 @@ def test_oracle_bad_conservative_share(capsys, p4_json):
 
 
 @pytest.mark.parametrize(
-    "option", [["--profile", "smallest"], ["--method", "conservative:abc"]]
+    "option",
+    [
+        ["--profile", "smallest"],
+        ["--method", "conservative:abc"],
+        ["--method", "conservative:0"],
+        ["--method", "conservative:-1"],
+        ["--method", "conservative:nan"],
+    ],
 )
 def test_oracle_option_errors_exit_2(capsys, p4_json, option):
     # option syntax fails the whole command, as in analyze; only failures

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factorbounds.data import ObservedDataset, expected_header, load_csv, save_csv
+from factorbounds.data import (
+    ObservedDataset,
+    _load_canonical,
+    _load_rows,
+    expected_header,
+    load_csv,
+    save_csv,
+)
+from factorbounds.design import enumerate_assignments
 from factorbounds.errors import InvalidInputError
 from factorbounds.simulate import census_dataset
 
@@ -111,3 +121,106 @@ def test_dataset_validation():
             uptake=np.array([[-1], [0]], dtype=np.int8),
             outcome=np.array([0.0, 1.0]),
         )
+
+
+# --- the array fast path against the csv-module row parser ---------------------
+
+MUTATIONS = (
+    "none", "lf", "cr", "token", "quote_y", "quote_header", "blank", "y_bad", "missing", "extra",
+)
+
+
+@st.composite
+def csv_cases(draw):
+    """A dataset, its save_csv text with one mutation, and the load options."""
+    K = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    rows = st.lists(st.integers(0, (1 << K) - 1), min_size=n, max_size=n)
+    arm = np.array(draw(rows), dtype=np.intp)
+    uptake = enumerate_assignments(K).levels[draw(rows)]
+    y = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    data = ObservedDataset(design=enumerate_assignments(K), arm=arm, uptake=uptake, outcome=y)
+    binary = draw(st.booleans())
+    rescale = draw(st.sampled_from([None, (0.0, 1.0), (-3.0, 7.0), (0.25, 0.75)]))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    return data, binary, rescale, mutation, draw(st.data())
+
+
+def _mutated_text(text, K, binary, mutation, draw):
+    header, *lines = text.split("\r\n")[:-1]
+    rows = [line.split(",") for line in lines]
+    if binary:
+        for row in rows:
+            row[: 2 * K] = ["0" if tok == "-1" else tok for tok in row[: 2 * K]]
+    i = draw(st.integers(0, len(rows) - 1))
+    if mutation == "token":
+        token = draw(st.sampled_from(["+1", " 1", "0", "2", "x"]))
+        rows[i][draw(st.integers(0, 2 * K - 1))] = token
+    elif mutation == "quote_y":
+        rows[i][-1] = f'"{rows[i][-1]}"'
+    elif mutation == "quote_header":
+        names = header.split(",")
+        c = draw(st.integers(0, len(names) - 1))
+        names[c] = f'"{names[c]}"'
+        header = ",".join(names)
+    elif mutation == "y_bad":
+        rows[i][-1] = draw(st.sampled_from(["nan", "1.5"]))
+    elif mutation == "missing":
+        del rows[i][draw(st.integers(0, 2 * K))]
+    elif mutation == "extra":
+        rows[i].insert(draw(st.integers(0, 2 * K + 1)), "1")
+    lines = [header] + [",".join(row) for row in rows]
+    if mutation == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = {"lf": "\n", "cr": "\r"}.get(mutation, "\r\n")
+    return end.join(lines) + end
+
+
+def _result(load, path, binary, rescale):
+    """Every array bit for bit and the rescale pair, or the error text."""
+    try:
+        data = load(path, binary, rescale)
+    except InvalidInputError as e:
+        return str(e)
+    return (
+        data.arm.tolist(),
+        data.uptake.tolist(),
+        data.outcome.view(np.int64).tolist(),
+        data.rescale,
+    )
+
+
+@given(case=csv_cases())
+@settings(max_examples=300, deadline=None)
+def test_fast_path_matches_row_parser(case, tmp_path_factory):
+    data, binary, rescale, mutation, draws = case
+    path = tmp_path_factory.mktemp("fast") / "data.csv"
+    save_csv(data, path)
+    text = _mutated_text(path.read_bytes().decode(), data.design.K, binary, mutation, draws.draw)
+    path.write_bytes(text.encode())
+    want = _result(_load_rows, path, binary, rescale)
+    got = _result(lambda p, b, r: load_csv(p, binary_coding=b, rescale=r), path, binary, rescale)
+    assert got == want
+    if mutation in ("none", "lf", "cr") and not isinstance(want, str):
+        assert _load_canonical(path, binary, rescale) is not None
+
+
+def test_error_line_and_column_in_large_file(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 45_000
+    data = ObservedDataset(
+        design=enumerate_assignments(2),
+        arm=rng.integers(0, 4, n),
+        uptake=rng.choice(np.array([-1, 1], dtype=np.int8), (n, 2)),
+        outcome=rng.random(n),
+    )
+    path = tmp_path / "large.csv"
+    save_csv(data, path)
+    lines = path.read_bytes().split(b"\r\n")
+    fields = lines[39_999].split(b",")  # line 40 000; the header is line 1
+    fields[3] = b"2"
+    lines[39_999] = b",".join(fields)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(InvalidInputError) as err:
+        load_csv(path)
+    assert str(err.value) == "line 40000, column d2: 2 is not -1/+1"

@@ -60,8 +60,24 @@ def test_summarize_needs_two_rows_per_arm():
         uptake=np.array([[-1], [-1], [1]], dtype=np.int8),
         outcome=np.array([0.1, 0.2, 0.3]),
     )
-    with pytest.raises(InsufficientDataError, match=r"\(1,\)"):
-        estimate_bounds(data, 1, "exclusion")
+    for _ in range(2):  # the check runs on every call, not only the first
+        with pytest.raises(InsufficientDataError, match=r"\(1,\)"):
+            estimate_bounds(data, 1, "exclusion")
+
+
+def test_dataset_grouped_once(p4_census, monkeypatch):
+    data = p4_census
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
+    estimate_bounds(data, 1, "exclusion")
+    groups = _arm_rows(data)
+    estimate_bounds(data, 2, "adjusted")
+    wald_reference(data, 1)
+    assert _arm_rows(data) is groups
+    assert len(sorts) == 1
+    for y, d in groups:
+        assert not y.flags.writeable and not d.flags.writeable
 
 
 def test_nu_hat_and_min_profile(p4_census):
