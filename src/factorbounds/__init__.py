@@ -9,7 +9,6 @@ from .design import (
 )
 from .errors import (
     AssumptionViolationError,
-    EmptyGroupError,
     FactorBoundsError,
     GenerationError,
     InsufficientDataError,

@@ -134,7 +134,7 @@ def _load_canonical(
     """Array parse of a file in the form save_csv writes (any line ends; 0/1
     levels under binary coding); None on anything else.
 
-    Reads blocks of about 1 MiB of lines, splits each line once at its last
+    Reads blocks of about 256 KiB of lines, splits each line once at its last
     comma, decodes each distinct z/d prefix once and converts y with float(),
     so every row it accepts reads exactly as the row parser reads it. It
     never raises on file content: whatever it does not accept (a header
@@ -154,7 +154,7 @@ def _load_canonical(
             limit = csv.field_size_limit()
             table: dict[str, int] = {}
             codes, outcomes = [], []
-            while lines := fh.readlines(1 << 20):
+            while lines := fh.readlines(1 << 18):
                 if max(map(len, lines)) > limit:
                     return None
                 parts = list(map(str.rpartition, lines, repeat(",")))

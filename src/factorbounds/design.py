@@ -78,10 +78,6 @@ class ContrastVector:
                 f"contrast for factors {self.factors} is unbalanced: {plus} plus, {minus} minus of {total}"
             )
 
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
 
 def enumerate_assignments(K: int) -> FactorialDesign:
     """Build the canonical 2^K design.
@@ -127,17 +123,6 @@ def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
     return ContrastVector(factors=fs, signs=signs)
 
 
-def set_factor(z: Assignment, k: int, level: int) -> Assignment:
-    """Copy of z with factor k forced to the given level."""
-    if not 1 <= k <= len(z):
-        raise InvalidFactorError(f"factor {k} outside 1..{len(z)}")
-    if level not in (-1, 1):
-        raise InvalidDesignError(f"level must be -1 or +1, got {level!r}")
-    out = list(z)
-    out[k - 1] = level
-    return tuple(out)
-
-
 def strip_factor(z: Assignment, k: int) -> Context:
     """Drop factor k's coordinate, leaving the context over the others."""
     if not 1 <= k <= len(z):
@@ -145,10 +130,31 @@ def strip_factor(z: Assignment, k: int) -> Context:
     return tuple(z[:k - 1]) + tuple(z[k:])
 
 
-def _insert_bit(c: int, pos: int, value: int) -> int:
-    low = c & ((1 << pos) - 1)
-    high = c >> pos
-    return low | (value << pos) | (high << (pos + 1))
+def _level_tuples(n: int) -> list[Context]:
+    """All -1/+1 tuples of length n; tuple c has +1 in place m when bit m of c is set."""
+    return [tuple(1 if (c >> m) & 1 else -1 for m in range(n)) for c in range(1 << n)]
+
+
+def _tuple_index(context: Context, length: int, what: str) -> int:
+    """Inverse of _level_tuples for one tuple of the given length."""
+    if len(context) != length:
+        raise InvalidFactorError(f"{what} {context!r} has length {len(context)}, expected {length}")
+    c = 0
+    for m, level in enumerate(context):
+        if level == 1:
+            c |= 1 << m
+        elif level != -1:
+            raise InvalidDesignError(f"context levels must be -1 or +1, got {context!r}")
+    return c
+
+
+def _arms_with_zero_bits(n_contexts: int, positions: list[int]) -> np.ndarray:
+    """Context indices 0..n_contexts-1 with a 0 bit inserted at each position
+    (ascending): the arm index of every context with those factors at -1."""
+    j = np.arange(n_contexts, dtype=np.intp)
+    for pos in positions:
+        j = ((j >> pos) << (pos + 1)) | (j & ((1 << pos) - 1))
+    return j
 
 
 def contexts_for(design: FactorialDesign, k: int) -> list[Context]:
@@ -158,87 +164,46 @@ def contexts_for(design: FactorialDesign, k: int) -> list[Context]:
     bit m-1 of c is set, mirroring the assignment enumeration.
     """
     validate_factor(design, k)
-    n = 1 << (design.K - 1)
-    out: list[Context] = []
-    for c in range(n):
-        ctx = []
-        for m in range(design.K - 1):
-            ctx.append(1 if (c >> m) & 1 else -1)
-        out.append(tuple(ctx))
-    return out
+    return _level_tuples(design.K - 1)
 
 
-def context_arms(design: FactorialDesign, k: int, c_index: int) -> tuple[int, int]:
-    """Arm indices (z_k=-1, z_k=+1) for context index c_index."""
+def context_arms(design: FactorialDesign, k: int) -> np.ndarray:
+    """(2, 2^(K-1)) intp arm indices: row 0 has z_k=-1, row 1 z_k=+1, and
+    column c is context index c."""
     validate_factor(design, k)
-    if not 0 <= c_index < (1 << (design.K - 1)):
-        raise InvalidDesignError(f"context index {c_index} outside range for K={design.K}")
-    pos = k - 1
-    return _insert_bit(c_index, pos, 0), _insert_bit(c_index, pos, 1)
+    j_minus = _arms_with_zero_bits(design.J // 2, [k - 1])
+    return np.stack([j_minus, j_minus | (1 << (k - 1))])
 
 
 def context_index(design: FactorialDesign, k: int, context: Context) -> int:
     """Canonical index of a context tuple over the factors other than k."""
     validate_factor(design, k)
-    if len(context) != design.K - 1:
-        raise InvalidFactorError(
-            f"context {context!r} has length {len(context)}, expected {design.K - 1}"
-        )
-    c = 0
-    for m, level in enumerate(context):
-        if level == 1:
-            c |= 1 << m
-        elif level != -1:
-            raise InvalidDesignError(f"context levels must be -1 or +1, got {context!r}")
-    return c
+    return _tuple_index(context, design.K - 1, "context")
 
 
-def joint_contexts_for(design: FactorialDesign, k: int, k2: int) -> list[Context]:
-    """Contexts over the factors other than k and k2, canonical order."""
+def _validate_pair(design: FactorialDesign, k: int, k2: int) -> None:
     validate_factor(design, k)
     validate_factor(design, k2)
     if k == k2:
         raise InvalidFactorError(f"joint contexts need two distinct factors, got {k} twice")
-    n = 1 << (design.K - 2) if design.K >= 2 else 0
-    out: list[Context] = []
-    for c in range(n):
-        ctx = []
-        for m in range(design.K - 2):
-            ctx.append(1 if (c >> m) & 1 else -1)
-        out.append(tuple(ctx))
-    return out
 
 
-def joint_context_arms(design: FactorialDesign, k: int, k2: int, c_index: int) -> tuple[int, int, int, int]:
-    """Arm indices for (z_k, z_k2) = (-,-), (+,-), (-,+), (+,+) at a joint context."""
-    validate_factor(design, k)
-    validate_factor(design, k2)
-    if k == k2:
-        raise InvalidFactorError("joint context arms need two distinct factors")
-    if design.K < 2 or not 0 <= c_index < (1 << (design.K - 2)):
-        raise InvalidDesignError(f"joint context index {c_index} invalid for K={design.K}")
-    p_low, p_high = sorted((k - 1, k2 - 1))
-    arms = []
-    for s2 in (0, 1):          # level of k2
-        for s1 in (0, 1):      # level of k, fastest
-            bits = {k - 1: s1, k2 - 1: s2}
-            j = _insert_bit(c_index, p_low, bits[p_low])
-            j = _insert_bit(j, p_high, bits[p_high])
-            arms.append(j)
-    return tuple(arms)  # type: ignore[return-value]
+def joint_contexts_for(design: FactorialDesign, k: int, k2: int) -> list[Context]:
+    """Contexts over the factors other than k and k2, canonical order."""
+    _validate_pair(design, k, k2)
+    return _level_tuples(design.K - 2)
+
+
+def joint_context_arms(design: FactorialDesign, k: int, k2: int) -> np.ndarray:
+    """(4, 2^(K-2)) intp arm indices with rows (z_k, z_k2) = (-,-), (+,-),
+    (-,+), (+,+); column c is joint context index c."""
+    _validate_pair(design, k, k2)
+    j_mm = _arms_with_zero_bits(design.J // 4, sorted((k - 1, k2 - 1)))
+    bit, bit2 = 1 << (k - 1), 1 << (k2 - 1)
+    return np.stack([j_mm, j_mm | bit, j_mm | bit2, j_mm | bit | bit2])
 
 
 def joint_context_index(design: FactorialDesign, k: int, k2: int, context: Context) -> int:
     if design.K < 2:
         raise InvalidDesignError("joint contexts need K >= 2")
-    if len(context) != design.K - 2:
-        raise InvalidFactorError(
-            f"joint context {context!r} has length {len(context)}, expected {design.K - 2}"
-        )
-    c = 0
-    for m, level in enumerate(context):
-        if level == 1:
-            c |= 1 << m
-        elif level != -1:
-            raise InvalidDesignError(f"context levels must be -1 or +1, got {context!r}")
-    return c
+    return _tuple_index(context, design.K - 2, "joint context")

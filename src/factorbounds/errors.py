@@ -43,9 +43,5 @@ class InsufficientDataError(FactorBoundsError):
     """An arm has too few rows to compute moments."""
 
 
-class EmptyGroupError(FactorBoundsError):
-    """A requested subgroup contains no units."""
-
-
 class GenerationError(FactorBoundsError):
     """Population generation could not satisfy the configured constraints."""

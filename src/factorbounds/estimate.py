@@ -65,18 +65,10 @@ def _first_stage_table(
     mean of d_k*d_k2 and the first stage is the four-arm contrast.
     """
     if k2 is None:
-        contexts = tuple(dsg.contexts_for(design, k))
-        nu = np.empty(len(contexts))
-        for c_index in range(len(contexts)):
-            j_minus, j_plus = dsg.context_arms(design, k, c_index)
-            nu[c_index] = (dbar[j_plus] - dbar[j_minus]) / 2.0
-        return contexts, nu
-    contexts = tuple(dsg.joint_contexts_for(design, k, k2))
-    nu = np.empty(len(contexts))
-    for c_index in range(len(contexts)):
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(design, k, k2, c_index)
-        nu[c_index] = (dbar[j_pp] - dbar[j_mp] - dbar[j_pm] + dbar[j_mm]) / 4.0
-    return contexts, nu
+        d_minus, d_plus = dbar[dsg.context_arms(design, k)]
+        return tuple(dsg.contexts_for(design, k)), (d_plus - d_minus) / 2.0
+    d_mm, d_pm, d_mp, d_pp = dbar[dsg.joint_context_arms(design, k, k2)]
+    return tuple(dsg.joint_contexts_for(design, k, k2)), (d_pp - d_mp - d_pm + d_mm) / 4.0
 
 
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
@@ -308,7 +300,7 @@ def endpoint_functions(
         a_center = np.zeros(size)
         a_center[0::p] = gf
         b = np.zeros(size)
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(design, k, k2, profile_index)
+        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(design, k, k2)[:, profile_index]
         for j, q in ((j_pp, 1.0), (j_mm, 1.0), (j_mp, -1.0), (j_pm, -1.0)):
             b[p * j + 1] += q * m / 4.0
         half = np.zeros(size)
@@ -330,7 +322,7 @@ def endpoint_functions(
     if t_value is not None:
         b0 = m * t_value
     else:
-        j_minus, j_plus = dsg.context_arms(design, k, profile_index)
+        j_minus, j_plus = dsg.context_arms(design, k)[:, profile_index]
         b[p * j_plus + 1] += m / 2.0
         b[p * j_minus + 1] -= m / 2.0
 

@@ -66,10 +66,6 @@ class Interval:
     def raw_width(self) -> float:
         return self.raw_upper - self.raw_lower
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 def _clip(x: float) -> float:
     return min(1.0, max(-1.0, x))
@@ -109,12 +105,9 @@ class ITTReport:
 def _nu_arrays(pop: Population, k: int) -> tuple[tuple[Context, ...], np.ndarray, np.ndarray, np.ndarray]:
     contexts = tuple(dsg.contexts_for(pop.design, k))
     dbar = pop.arm_uptake_means(k)
-    nu_plus = np.empty(len(contexts))
-    nu_minus = np.empty(len(contexts))
-    for c_index in range(len(contexts)):
-        j_minus, j_plus = dsg.context_arms(pop.design, k, c_index)
-        nu_plus[c_index] = (dbar[j_plus] + 1.0) / 2.0
-        nu_minus[c_index] = (dbar[j_minus] + 1.0) / 2.0
+    j_minus, j_plus = dsg.context_arms(pop.design, k)
+    nu_plus = (dbar[j_plus] + 1.0) / 2.0
+    nu_minus = (dbar[j_minus] + 1.0) / 2.0
     return contexts, nu_plus, nu_minus, nu_plus - nu_minus
 
 
@@ -130,9 +123,9 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     N = pop.N
     gamma: dict[Context, float] = {}
     components: dict[Context, tuple[float, float, float]] = {}
+    j_minus, j_plus = dsg.context_arms(pop.design, k)
     for c_index, ctx in enumerate(contexts):
-        j_minus, j_plus = dsg.context_arms(pop.design, k, c_index)
-        diff = pop.outcome[:, j_plus] - pop.outcome[:, j_minus]
+        diff = pop.outcome[:, j_plus[c_index]] - pop.outcome[:, j_minus[c_index]]
         cc_mask = complier[:, c_index] & ~constant
         cn_mask = ~complier[:, c_index]
         part_constant = float(diff[constant].sum()) / N
@@ -235,8 +228,8 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     d = pop.uptake[:, :, k - 1]
     never_term = 0.0
     always_term = 0.0
-    for c_index in range(m):
-        j_minus, j_plus = dsg.context_arms(pop.design, k, c_index)
+    arms = dsg.context_arms(pop.design, k)
+    for j_minus, j_plus in arms.T:
         never_term += float(np.mean(pop.outcome[:, j_plus] * (d[:, j_plus] == -1)))
         always_term += float(np.mean(pop.outcome[:, j_minus] * (d[:, j_minus] == 1)))
     S = float(nu.sum())
@@ -297,14 +290,9 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Inte
 
 
 def _joint_nu_array(pop: Population, k: int, k2: int) -> np.ndarray:
-    contexts = dsg.joint_contexts_for(pop.design, k, k2)
     prod = (pop.uptake[:, :, k - 1].astype(np.float64) * pop.uptake[:, :, k2 - 1])
-    pbar = prod.mean(axis=0)
-    nu_joint = np.empty(len(contexts))
-    for c_index in range(len(contexts)):
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2, c_index)
-        nu_joint[c_index] = (pbar[j_pp] - pbar[j_mp] - pbar[j_pm] + pbar[j_mm]) / 4.0
-    return nu_joint
+    p_mm, p_pm, p_mp, p_pp = prod.mean(axis=0)[dsg.joint_context_arms(pop.design, k, k2)]
+    return (p_pp - p_mp - p_pm + p_mm) / 4.0
 
 
 def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Interval:

@@ -31,7 +31,6 @@ from . import design as dsg
 from .design import Context, FactorialDesign
 from .errors import (
     AssumptionViolationError,
-    EmptyGroupError,
     InvalidFactorError,
     InvalidInputError,
     NoCompliersError,
@@ -41,6 +40,10 @@ COMPLIER = 0
 ALWAYS_TAKER = 1
 NEVER_TAKER = 2
 DEFIER = 3
+
+# compliance label by (uptake under z_k=-1, uptake under z_k=+1), levels mapped to 0/1
+_LABEL_TABLE = np.array([[NEVER_TAKER, COMPLIER], [DEFIER, ALWAYS_TAKER]], dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class Population:
@@ -113,21 +116,19 @@ class ComplianceProfile:
         return (self.labels == COMPLIER).all(axis=1)
 
 
+def _uptake_pair(pop: Population, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(N, C) uptake of factor k under z_k = -1 and under z_k = +1, one
+    column per context in canonical order."""
+    j_minus, j_plus = dsg.context_arms(pop.design, k)
+    d = pop.uptake[:, :, k - 1]
+    return d[:, j_minus], d[:, j_plus]
+
+
 def classify(pop: Population, k: int) -> ComplianceProfile:
     """Compliance type of every unit at every context of factor k."""
-    dsg.validate_factor(pop.design, k)
-    contexts = tuple(dsg.contexts_for(pop.design, k))
-    labels = np.empty((pop.N, len(contexts)), dtype=np.int8)
-    for c_index in range(len(contexts)):
-        j_minus, j_plus = dsg.context_arms(pop.design, k, c_index)
-        d_plus = pop.uptake[:, j_plus, k - 1]
-        d_minus = pop.uptake[:, j_minus, k - 1]
-        lab = np.full(pop.N, DEFIER, dtype=np.int8)
-        lab[(d_plus == 1) & (d_minus == -1)] = COMPLIER
-        lab[(d_plus == 1) & (d_minus == 1)] = ALWAYS_TAKER
-        lab[(d_plus == -1) & (d_minus == -1)] = NEVER_TAKER
-        labels[:, c_index] = lab
-    return ComplianceProfile(factor=k, contexts=contexts, labels=labels)
+    d_minus, d_plus = _uptake_pair(pop, k)
+    labels = _LABEL_TABLE[(d_minus + 1) >> 1, (d_plus + 1) >> 1]
+    return ComplianceProfile(factor=k, contexts=tuple(dsg.contexts_for(pop.design, k)), labels=labels)
 
 
 def check_conditional_monotonicity(pop: Population, k: int) -> list[tuple[int, Context]]:
@@ -140,16 +141,6 @@ def check_conditional_monotonicity(pop: Population, k: int) -> list[tuple[int, C
     return out
 
 
-def _uptake_shift(pop: Population, k: int) -> np.ndarray:
-    """(N, C) uptake response D(c,+) - D(c,-) of factor k, values in {-2, 0, 2}."""
-    contexts = dsg.contexts_for(pop.design, k)
-    shift = np.empty((pop.N, len(contexts)), dtype=np.int8)
-    for c_index in range(len(contexts)):
-        j_minus, j_plus = dsg.context_arms(pop.design, k, c_index)
-        shift[:, c_index] = pop.uptake[:, j_plus, k - 1] - pop.uptake[:, j_minus, k - 1]
-    return shift
-
-
 def check_least_compliant_profile(pop: Population, k: int) -> tuple[Context, ...]:
     """Contexts at which every unit's uptake response is weakly smallest.
 
@@ -158,7 +149,8 @@ def check_least_compliant_profile(pop: Population, k: int) -> tuple[Context, ...
     else, i.e. its column attains the row minimum for every unit.
     """
     contexts = dsg.contexts_for(pop.design, k)
-    shift = _uptake_shift(pop, k)
+    d_minus, d_plus = _uptake_pair(pop, k)
+    shift = d_plus - d_minus  # values in {-2, 0, 2}
     row_min = shift.min(axis=1, keepdims=True)
     valid = (shift == row_min).all(axis=0)
     return tuple(ctx for ctx, ok in zip(contexts, valid.tolist()) if ok)
@@ -172,25 +164,18 @@ def check_weak_treatment_exclusion(pop: Population, k: int) -> list[tuple[int, C
     differs between the two arms. Empty list means the check passes.
     """
     contexts = dsg.contexts_for(pop.design, k)
-    out: list[tuple[int, Context]] = []
-    for c_index, ctx in enumerate(contexts):
-        j_minus, j_plus = dsg.context_arms(pop.design, k, c_index)
-        unchanged_k = pop.uptake[:, j_plus, k - 1] == pop.uptake[:, j_minus, k - 1]
-        same_all = (pop.uptake[:, j_plus, :] == pop.uptake[:, j_minus, :]).all(axis=1)
-        for i in np.nonzero(unchanged_k & ~same_all)[0].tolist():
-            out.append((i, ctx))
-    return out
+    j_minus, j_plus = dsg.context_arms(pop.design, k)
+    moved = pop.uptake[:, j_plus, :] != pop.uptake[:, j_minus, :]  # (N, C, K)
+    hidden = ~moved[:, :, k - 1] & moved.any(axis=2)
+    ctxs, units = np.nonzero(hidden.T)  # context-major
+    return [(i, contexts[c]) for c, i in zip(ctxs.tolist(), units.tolist())]
 
 
 def _joint_uptake_shift(pop: Population, k: int, k2: int) -> np.ndarray:
     """(N, C) four-arm contrast of D_k * D_k2 over (z_k, z_k2), values in [-4, 4]."""
-    contexts = dsg.joint_contexts_for(pop.design, k, k2)
     prod = (pop.uptake[:, :, k - 1].astype(np.int16) * pop.uptake[:, :, k2 - 1])
-    shift = np.empty((pop.N, len(contexts)), dtype=np.int16)
-    for c_index in range(len(contexts)):
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2, c_index)
-        shift[:, c_index] = prod[:, j_pp] - prod[:, j_mp] - prod[:, j_pm] + prod[:, j_mm]
-    return shift
+    p_mm, p_pm, p_mp, p_pp = (prod[:, j] for j in dsg.joint_context_arms(pop.design, k, k2))
+    return p_pp - p_mp - p_pm + p_mm
 
 
 def check_joint_least_compliant(pop: Population, k: int, k2: int) -> tuple[Context, ...]:
@@ -214,20 +199,16 @@ def check_conditional_treatment_exclusion(pop: Population, k: int, k2: int) -> l
     if k == k2:
         raise InvalidFactorError("conditional exclusion needs two distinct factors")
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
-    out: list[tuple[int, int, Context]] = []
-    for c_index, ctx in enumerate(contexts):
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2, c_index)
-        # factor k's uptake must not depend on z_k2 (compare arms differing only in k2)
-        for j_lo, j_hi in ((j_mm, j_mp), (j_pm, j_pp)):
-            moved = pop.uptake[:, j_lo, k - 1] != pop.uptake[:, j_hi, k - 1]
-            for i in np.nonzero(moved)[0].tolist():
-                out.append((i, k, ctx))
-        # and symmetrically for k2's uptake against z_k
-        for j_lo, j_hi in ((j_mm, j_pm), (j_mp, j_pp)):
-            moved = pop.uptake[:, j_lo, k2 - 1] != pop.uptake[:, j_hi, k2 - 1]
-            for i in np.nonzero(moved)[0].tolist():
-                out.append((i, k2, ctx))
-    return out
+    j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2)
+    d, d2 = pop.uptake[:, :, k - 1], pop.uptake[:, :, k2 - 1]
+    # factor k's uptake must not depend on z_k2 (arms differing only in k2),
+    # and symmetrically for k2's uptake against z_k
+    pairs = ((k, d, j_mm, j_mp), (k, d, j_pm, j_pp), (k2, d2, j_mm, j_pm), (k2, d2, j_mp, j_pp))
+    moved = np.stack([u[:, lo] != u[:, hi] for _, u, lo, hi in pairs])  # (4, N, C)
+    ctxs, which, units = np.nonzero(moved.transpose(2, 0, 1))  # context, pair, unit
+    return [
+        (i, pairs[p][0], contexts[c]) for c, p, i in zip(ctxs.tolist(), which.tolist(), units.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -274,60 +255,19 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
     prof = classify(pop, k)
     complier = prof.complier_mask()
     constant = prof.constant_complier_mask()
-    N = pop.N
-    rho_cc: dict[Context, float] = {}
-    rho_cn: dict[Context, float] = {}
-    rho_a: dict[Context, float] = {}
-    rho_n: dict[Context, float] = {}
-    for c_index, ctx in enumerate(prof.contexts):
-        comp_here = complier[:, c_index]
-        rho_cc[ctx] = float(np.sum(comp_here & ~constant)) / N
-        rho_cn[ctx] = float(np.sum(~comp_here)) / N
-        rho_a[ctx] = float(np.sum(prof.labels[:, c_index] == ALWAYS_TAKER)) / N
-        rho_n[ctx] = float(np.sum(prof.labels[:, c_index] == NEVER_TAKER)) / N
+
+    def per_context(mask: np.ndarray) -> dict[Context, float]:
+        return dict(zip(prof.contexts, (mask.sum(axis=0) / pop.N).tolist()))
+
     return GroupShares(
         factor=k,
         tilde=tilde,
-        rho_constant=float(np.sum(constant)) / N,
-        rho_conditional_complier=rho_cc,
-        rho_conditional_noncomplier=rho_cn,
-        rho_always=rho_a,
-        rho_never=rho_n,
+        rho_constant=float(np.sum(constant)) / pop.N,
+        rho_conditional_complier=per_context(complier & ~constant[:, None]),
+        rho_conditional_noncomplier=per_context(~complier),
+        rho_always=per_context(prof.labels == ALWAYS_TAKER),
+        rho_never=per_context(prof.labels == NEVER_TAKER),
     )
-
-
-def _group_mask(pop: Population, k: int, group: str, context: Context | None) -> np.ndarray:
-    prof = classify(pop, k)
-    if group == "constant":
-        return prof.constant_complier_mask()
-    if context is None:
-        raise InvalidInputError(f"group {group!r} needs a context")
-    c_index = dsg.context_index(pop.design, k, context)
-    if group == "conditional_complier":
-        return prof.complier_mask()[:, c_index] & ~prof.constant_complier_mask()
-    if group == "conditional_noncomplier":
-        return ~prof.complier_mask()[:, c_index]
-    if group == "always_taker":
-        return prof.labels[:, c_index] == ALWAYS_TAKER
-    if group == "never_taker":
-        return prof.labels[:, c_index] == NEVER_TAKER
-    raise InvalidInputError(f"unknown group {group!r}")
-
-
-def subgroup_mean(pop: Population, k: int, group: str, z: tuple[int, ...],
-                  context: Context | None = None) -> float:
-    """Mean potential outcome of a compliance group under assignment z.
-
-    group is one of "constant", "conditional_complier",
-    "conditional_noncomplier", "always_taker", "never_taker"; all but
-    "constant" are relative to a context of factor k.
-    """
-    mask = _group_mask(pop, k, group, context)
-    if not mask.any():
-        where = "" if context is None else f" at context {context!r}"
-        raise EmptyGroupError(f"factor {k}: group {group!r}{where} is empty")
-    j = pop.design.index(tuple(z))
-    return float(pop.outcome[mask, j].mean())
 
 
 def constant_complier_count(pop: Population, k: int) -> int:

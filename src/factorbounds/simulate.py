@@ -112,12 +112,13 @@ class FactorSpec:
     @staticmethod
     def from_dict(d: dict) -> "FactorSpec":
         _check_keys(d, {"complier", "always", "upgrade", "depends_on", "worst"}, "factor spec")
+        worst = d.get("worst")
         return FactorSpec(
             complier=float(d["complier"]),
             always=float(d.get("always", 0.0)),
             upgrade=float(d.get("upgrade", 0.0)),
-            depends_on=tuple(int(v) for v in d.get("depends_on", ())),
-            worst=tuple(int(v) for v in d["worst"]) if d.get("worst") is not None else None,
+            depends_on=tuple(_integer(v, "depends_on entry") for v in d.get("depends_on", ())),
+            worst=tuple(_integer(v, "worst entry") for v in worst) if worst is not None else None,
         )
 
 
@@ -191,11 +192,18 @@ class TargetSpec:
     def from_dict(d: dict) -> "TargetSpec":
         _check_keys(d, {"factor", "method", "profile", "alpha"}, "target spec")
         return TargetSpec(
-            factor=int(d["factor"]),
+            factor=_integer(d["factor"], "target factor"),
             method=d.get("method", "exclusion"),
             profile=d.get("profile", "min"),
             alpha=float(d.get("alpha", 0.05)),
         )
+
+
+def _integer(value, name: str) -> int:
+    """A scenario's integer field; booleans and fractions are refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_keys(d: dict, allowed: set, what: str) -> None:
@@ -317,16 +325,20 @@ class ScenarioConfig:
             "scenario",
         )
         return ScenarioConfig(
-            K=int(d["K"]),
-            N=int(d["N"]),
+            K=_integer(d["K"], "K"),
+            N=_integer(d["N"], "N"),
             factors=tuple(FactorSpec.from_dict(f) for f in d["factors"]),
             outcome=OutcomeSpec.from_dict(d["outcome"]) if "outcome" in d else OutcomeSpec(),
-            seed=int(d["seed"]),
-            arm_sizes=tuple(int(v) for v in d["arm_sizes"]) if d.get("arm_sizes") is not None else None,
+            seed=_integer(d["seed"], "seed"),
+            arm_sizes=(
+                tuple(_integer(v, "arm_sizes entry") for v in d["arm_sizes"])
+                if d.get("arm_sizes") is not None
+                else None
+            ),
             require=tuple(d.get("require", ())),
             violate=tuple(d.get("violate", ())),
             population_mode=d.get("population_mode", "fresh"),
-            clone_factor=int(d.get("clone_factor", 1)),
+            clone_factor=_integer(d.get("clone_factor", 1), "clone_factor"),
             targets=tuple(TargetSpec.from_dict(t) for t in d.get("targets", ())),
         )
 
@@ -339,7 +351,10 @@ def load_scenario(path) -> ScenarioConfig:
             raise InvalidInputError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(d, dict):
         raise InvalidInputError(f"{path}: scenario file must hold a JSON object")
-    return ScenarioConfig.from_dict(d)
+    try:
+        return ScenarioConfig.from_dict(d)
+    except (TypeError, ValueError, KeyError) as e:
+        raise InvalidInputError(f"{path}: malformed scenario ({type(e).__name__}: {e})") from None
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -446,11 +461,9 @@ def _materialize_uptake(design: FactorialDesign, types: np.ndarray) -> np.ndarra
     N, K, _ = types.shape
     uptake = np.empty((N, design.J, K), dtype=np.int8)
     for k in range(1, K + 1):
-        for j in range(design.J):
-            z = design.assignment(j)
-            c = dsg.context_index(design, k, dsg.strip_factor(z, k))
-            lvl = (z[k - 1] + 1) // 2
-            uptake[:, j, k - 1] = _UPTAKE_TABLE[types[:, k - 1, c], lvl]
+        j_minus, j_plus = dsg.context_arms(design, k)
+        uptake[:, j_minus, k - 1] = _UPTAKE_TABLE[types[:, k - 1, :], 0]
+        uptake[:, j_plus, k - 1] = _UPTAKE_TABLE[types[:, k - 1, :], 1]
     return uptake
 
 

@@ -321,6 +321,29 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        {"factors": 3},
+        {"K": "two"},
+        {"seed": "x"},
+        {"outcome": {"alpha": [0.1]}},
+        {"N": 100.5},
+        {"seed": True},
+        {"clone_factor": 2.5},
+        {"arm_sizes": [500.5, 500, 500, 500]},
+    ],
+)
+def test_simulate_malformed_scenario_exits_2(capsys, tmp_path, change):
+    scenario = json.loads((SCENARIOS / "well_separated.json").read_text())
+    scenario.update(change)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    rc, _, err = run(capsys, ["simulate", str(path), "-R", "2"])
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "target",
     [
         {"profile": "smallest"},

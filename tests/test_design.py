@@ -15,7 +15,6 @@ from factorbounds.design import (
     joint_context_index,
     joint_contexts_for,
     main_effect_contrast,
-    set_factor,
     strip_factor,
 )
 from factorbounds.errors import InvalidDesignError, InvalidFactorError
@@ -56,7 +55,6 @@ def test_main_contrast_matches_levels():
         for j, z in enumerate(design.assignments()):
             assert g.signs[j] == z[k - 1]
         assert g.signs.sum() == 0
-        assert g.order == 1
 
 
 def test_interaction_is_product_of_mains():
@@ -91,14 +89,10 @@ def test_interaction_rejects_bad_factor_sets():
 
 def test_set_and_strip_factor():
     z = (-1, 1, -1)
-    assert set_factor(z, 1, 1) == (1, 1, -1)
-    assert set_factor(z, 3, 1) == (-1, 1, 1)
     assert strip_factor(z, 2) == (-1, -1)
     assert strip_factor((1,), 1) == ()
     with pytest.raises(InvalidFactorError):
         strip_factor(z, 4)
-    with pytest.raises(InvalidDesignError):
-        set_factor(z, 1, 0)
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
@@ -108,41 +102,41 @@ def test_context_arms_agree_with_tuple_reconstruction(K, data):
     k = data.draw(st.integers(min_value=1, max_value=K))
     contexts = contexts_for(design, k)
     assert len(contexts) == design.J // 2
-    c_index = data.draw(st.integers(min_value=0, max_value=len(contexts) - 1))
-    ctx = contexts[c_index]
-    j_minus, j_plus = context_arms(design, k, c_index)
-    assert strip_factor(design.assignment(j_minus), k) == ctx
-    assert strip_factor(design.assignment(j_plus), k) == ctx
-    assert design.assignment(j_minus)[k - 1] == -1
-    assert design.assignment(j_plus)[k - 1] == 1
-    assert context_index(design, k, ctx) == c_index
+    arms = context_arms(design, k)
+    assert arms.shape == (2, len(contexts)) and arms.dtype == np.intp
+    for c_index, ctx in enumerate(contexts):
+        j_minus, j_plus = (int(j) for j in arms[:, c_index])
+        assert strip_factor(design.assignment(j_minus), k) == ctx
+        assert strip_factor(design.assignment(j_plus), k) == ctx
+        assert design.assignment(j_minus)[k - 1] == -1
+        assert design.assignment(j_plus)[k - 1] == 1
+        assert context_index(design, k, ctx) == c_index
 
 
 def test_every_arm_appears_once_per_factor():
     design = enumerate_assignments(3)
     for k in (1, 2, 3):
-        seen = []
-        for c in range(design.J // 2):
-            seen.extend(context_arms(design, k, c))
-        assert sorted(seen) == list(range(design.J))
+        assert sorted(context_arms(design, k).ravel().tolist()) == list(range(design.J))
 
 
 def test_joint_context_arms_levels():
-    design = enumerate_assignments(3)
-    for k, k2 in [(1, 2), (1, 3), (2, 3), (3, 1)]:
-        contexts = joint_contexts_for(design, k, k2)
-        assert len(contexts) == design.J // 4
-        for c_index, ctx in enumerate(contexts):
-            arms = joint_context_arms(design, k, k2, c_index)
-            assert len(set(arms)) == 4
-            want = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
-            for arm, (lk, lk2) in zip(arms, want):
-                z = design.assignment(arm)
-                assert z[k - 1] == lk
-                assert z[k2 - 1] == lk2
-                rest = strip_factor(strip_factor(z, max(k, k2)), min(k, k2))
-                assert rest == ctx
-            assert joint_context_index(design, k, k2, ctx) == c_index
+    want = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
+    for K in (2, 3, 4, 5):
+        design = enumerate_assignments(K)
+        for k, k2 in itertools.permutations(range(1, K + 1), 2):
+            contexts = joint_contexts_for(design, k, k2)
+            assert len(contexts) == design.J // 4
+            arms = joint_context_arms(design, k, k2)
+            assert arms.shape == (4, len(contexts)) and arms.dtype == np.intp
+            assert sorted(arms.ravel().tolist()) == list(range(design.J))
+            for c_index, ctx in enumerate(contexts):
+                for arm, (lk, lk2) in zip(arms[:, c_index].tolist(), want):
+                    z = design.assignment(arm)
+                    assert z[k - 1] == lk
+                    assert z[k2 - 1] == lk2
+                    rest = strip_factor(strip_factor(z, max(k, k2)), min(k, k2))
+                    assert rest == ctx
+                assert joint_context_index(design, k, k2, ctx) == c_index
 
 
 def test_joint_contexts_reject_same_factor():

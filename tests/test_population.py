@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from factorbounds.design import enumerate_assignments, strip_factor
+from factorbounds.design import enumerate_assignments, joint_contexts_for, strip_factor
 from factorbounds.errors import AssumptionViolationError, InvalidInputError
 from factorbounds.population import (
     ALWAYS_TAKER,
@@ -24,7 +25,6 @@ from factorbounds.population import (
     require_least_compliant,
     require_monotonicity,
     save_population,
-    subgroup_mean,
 )
 
 from conftest import random_population
@@ -70,13 +70,13 @@ def test_monotonicity_check_lists_defiers():
         pop = random_population(rng, 2, 5)
         viol = check_conditional_monotonicity(pop, 1)
         prof = classify(pop, 1)
-        expected = [
+        expected = [  # unit-major
             (i, prof.contexts[c])
             for i in range(pop.N)
             for c in range(len(prof.contexts))
             if prof.labels[i, c] == DEFIER
         ]
-        assert sorted(viol) == sorted(expected)
+        assert viol == expected
 
 
 def test_least_compliant_profile_bruteforce():
@@ -111,8 +111,8 @@ def test_weak_exclusion_bruteforce():
         viol = check_weak_treatment_exclusion(pop, 1)
         expected = []
         prof = classify(pop, 1)
-        for i in range(pop.N):
-            for c_index, ctx in enumerate(prof.contexts):
+        for ctx in prof.contexts:  # context-major
+            for i in range(pop.N):
                 z_minus = None
                 z_plus = None
                 for z in design.assignments():
@@ -130,9 +130,44 @@ def test_weak_exclusion_bruteforce():
                 )
                 if moved:
                     expected.append((i, ctx))
-        assert sorted(viol) == sorted(expected)
+        assert viol == expected
         flagged += bool(expected)
     assert flagged > 20
+
+
+def test_conditional_exclusion_bruteforce_order():
+    # (unit, factor, joint context) triples, ordered by context, then the
+    # four arm pairs (k against z_k2 at z_k=-1 and +1, then k2 against z_k
+    # at z_k2=-1 and +1), then unit
+    rng = np.random.default_rng(19)
+    flagged = clean = 0
+    for _ in range(30):
+        pop = random_population(rng, 3, 3)
+        if rng.random() < 0.3:  # each unit complies with a fixed factor set: no cross moves
+            comply = rng.random((pop.N, 1, 3)) < 0.7
+            uptake = np.where(comply, pop.design.levels, -1).astype(np.int8)
+            pop = Population(design=pop.design, uptake=uptake, outcome=pop.outcome)
+        design = pop.design
+        for k, k2 in itertools.permutations((1, 2, 3), 2):
+            expected = []
+            for ctx in joint_contexts_for(design, k, k2):
+                arm = {}
+                for z in design.assignments():
+                    if strip_factor(strip_factor(z, max(k, k2)), min(k, k2)) == ctx:
+                        arm[(z[k - 1], z[k2 - 1])] = design.index(z)
+                for f, lo, hi in (
+                    (k, (-1, -1), (-1, 1)),
+                    (k, (1, -1), (1, 1)),
+                    (k2, (-1, -1), (1, -1)),
+                    (k2, (-1, 1), (1, 1)),
+                ):
+                    for i in range(pop.N):
+                        if pop.uptake[i, arm[lo], f - 1] != pop.uptake[i, arm[hi], f - 1]:
+                            expected.append((i, f, ctx))
+            assert check_conditional_treatment_exclusion(pop, k, k2) == expected
+            flagged += bool(expected)
+            clean += not expected
+    assert flagged > 20 and clean > 5
 
 
 def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
@@ -178,13 +213,6 @@ def test_p4_group_shares():
         for c in shares.rho_conditional_complier
     }
     assert all(abs(v - 1.0) < 1e-15 for v in total.values())
-
-
-def test_subgroup_mean_p4():
-    pop = fixture_p4()
-    # constant compliers are units 0 and 1; their mean outcome at (+1,+1) is 1.0
-    assert subgroup_mean(pop, 1, "constant", (1, 1)) == 1.0
-    assert subgroup_mean(pop, 1, "constant", (-1, -1)) == 0.0
 
 
 def test_require_helpers_raise():

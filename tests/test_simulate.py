@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from factorbounds.design import enumerate_assignments
 from factorbounds.errors import (
     GenerationError,
     InvalidDesignError,
     InvalidInputError,
 )
 from factorbounds.population import (
+    Population,
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
     check_joint_least_compliant,
@@ -24,6 +26,7 @@ from factorbounds.simulate import (
     OutcomeSpec,
     ScenarioConfig,
     TargetSpec,
+    _materialize_uptake,
     census_dataset,
     complete_randomization,
     config_hash,
@@ -140,6 +143,23 @@ def test_one_sided_monotone_by_construction():
         for k in (1, 2):
             if z[k - 1] == -1:
                 assert (pop.uptake[:, j, k - 1] == -1).all()
+
+
+def test_uptake_from_types_classifies_back():
+    # types -> uptake -> labels is the identity for every factor, all four codes
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(60):
+        K = int(rng.integers(1, 5))
+        N = int(rng.integers(1, 7))
+        design = enumerate_assignments(K)
+        types = rng.integers(0, 4, size=(N, K, design.J // 2)).astype(np.int8)
+        uptake = _materialize_uptake(design, types)
+        pop = Population(design=design, uptake=uptake, outcome=np.zeros((N, design.J)))
+        for k in range(1, K + 1):
+            assert np.array_equal(classify(pop, k).labels, types[:, k - 1, :])
+        seen.update(np.unique(types).tolist())
+    assert seen == {0, 1, 2, 3}
 
 
 def test_compliance_rates_close_to_spec():
