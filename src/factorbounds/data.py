@@ -82,6 +82,11 @@ class ObservedDataset:
         edges = np.cumsum(self.arm_counts())[:-1]
         return tuple(zip(np.split(outcome, edges), np.split(uptake, edges)))
 
+    @cached_property
+    def _moments(self) -> dict:
+        """estimate's arm moments per (factor, layout, partner), filled on first use."""
+        return {}
+
     def assignment_rows(self) -> np.ndarray:
         """(n, K) matrix of assigned levels, one row per unit."""
         return self.design.levels[self.arm]

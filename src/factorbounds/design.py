@@ -15,6 +15,7 @@ has exactly J/2 entries of each sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,20 +81,23 @@ class ContrastVector:
 
 
 def enumerate_assignments(K: int) -> FactorialDesign:
-    """Build the canonical 2^K design.
+    """The canonical 2^K design, built once per K.
 
     K must be between 1 and MAX_FACTORS; beyond that the dense enumeration
-    is no longer a sensible representation.
+    is no longer a sensible representation. K, like every factor number,
+    is checked before a cache is reached: lru_cache takes True == 1 == 1.0.
     """
     if not isinstance(K, int) or isinstance(K, bool):
         raise InvalidDesignError(f"K must be an integer, got {K!r}")
     if not 1 <= K <= MAX_FACTORS:
         raise InvalidDesignError(f"K must be in 1..{MAX_FACTORS}, got {K}")
-    J = 1 << K
-    j = np.arange(J, dtype=np.int64)
-    levels = np.empty((J, K), dtype=np.int8)
-    for k in range(K):
-        levels[:, k] = np.where((j >> k) & 1 == 1, 1, -1)
+    return _design(K)
+
+
+@lru_cache(maxsize=None)
+def _design(K: int) -> FactorialDesign:
+    bits = (np.arange(1 << K, dtype=np.int64)[:, None] >> np.arange(K)) & 1
+    levels = np.where(bits == 1, 1, -1).astype(np.int8)
     return FactorialDesign(K=K, levels=levels)
 
 
@@ -104,7 +108,12 @@ def validate_factor(design: FactorialDesign, k: int) -> None:
 
 def main_effect_contrast(design: FactorialDesign, k: int) -> ContrastVector:
     validate_factor(design, k)
-    return ContrastVector(factors=(k,), signs=design.levels[:, k - 1].copy())
+    return _main_effect_contrast(design.K, k)
+
+
+@lru_cache(maxsize=None)
+def _main_effect_contrast(K: int, k: int) -> ContrastVector:
+    return ContrastVector(factors=(k,), signs=_design(K).levels[:, k - 1].copy())
 
 
 def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
@@ -130,9 +139,10 @@ def strip_factor(z: Assignment, k: int) -> Context:
     return tuple(z[:k - 1]) + tuple(z[k:])
 
 
-def _level_tuples(n: int) -> list[Context]:
+@lru_cache(maxsize=None)
+def _level_tuples(n: int) -> tuple[Context, ...]:
     """All -1/+1 tuples of length n; tuple c has +1 in place m when bit m of c is set."""
-    return [tuple(1 if (c >> m) & 1 else -1 for m in range(n)) for c in range(1 << n)]
+    return tuple(tuple(1 if (c >> m) & 1 else -1 for m in range(n)) for c in range(1 << n))
 
 
 def _tuple_index(context: Context, length: int, what: str) -> int:
@@ -148,15 +158,6 @@ def _tuple_index(context: Context, length: int, what: str) -> int:
     return c
 
 
-def _arms_with_zero_bits(n_contexts: int, positions: list[int]) -> np.ndarray:
-    """Context indices 0..n_contexts-1 with a 0 bit inserted at each position
-    (ascending): the arm index of every context with those factors at -1."""
-    j = np.arange(n_contexts, dtype=np.intp)
-    for pos in positions:
-        j = ((j >> pos) << (pos + 1)) | (j & ((1 << pos) - 1))
-    return j
-
-
 def contexts_for(design: FactorialDesign, k: int) -> list[Context]:
     """All contexts over the factors other than k, in canonical order.
 
@@ -164,15 +165,27 @@ def contexts_for(design: FactorialDesign, k: int) -> list[Context]:
     bit m-1 of c is set, mirroring the assignment enumeration.
     """
     validate_factor(design, k)
-    return _level_tuples(design.K - 1)
+    return list(_level_tuples(design.K - 1))
 
 
 def context_arms(design: FactorialDesign, k: int) -> np.ndarray:
     """(2, 2^(K-1)) intp arm indices: row 0 has z_k=-1, row 1 z_k=+1, and
     column c is context index c."""
     validate_factor(design, k)
-    j_minus = _arms_with_zero_bits(design.J // 2, [k - 1])
-    return np.stack([j_minus, j_minus | (1 << (k - 1))])
+    return _context_arm_table(design.K, (k,))
+
+
+@lru_cache(maxsize=None)
+def _context_arm_table(K: int, ks: tuple[int, ...]) -> np.ndarray:
+    """Read-only arm indices: row r sets factor ks[i] to +1 when bit i of r
+    is set, the others of ks to -1; column c is context index c."""
+    base = np.arange(1 << (K - len(ks)), dtype=np.intp)
+    for pos in sorted(k - 1 for k in ks):  # insert a 0 bit at each position, ascending
+        base = ((base >> pos) << (pos + 1)) | (base & ((1 << pos) - 1))
+    rows = range(1 << len(ks))
+    arms = np.stack([base | sum(1 << (k - 1) for i, k in enumerate(ks) if r >> i & 1) for r in rows])
+    arms.setflags(write=False)
+    return arms
 
 
 def context_index(design: FactorialDesign, k: int, context: Context) -> int:
@@ -191,16 +204,14 @@ def _validate_pair(design: FactorialDesign, k: int, k2: int) -> None:
 def joint_contexts_for(design: FactorialDesign, k: int, k2: int) -> list[Context]:
     """Contexts over the factors other than k and k2, canonical order."""
     _validate_pair(design, k, k2)
-    return _level_tuples(design.K - 2)
+    return list(_level_tuples(design.K - 2))
 
 
 def joint_context_arms(design: FactorialDesign, k: int, k2: int) -> np.ndarray:
     """(4, 2^(K-2)) intp arm indices with rows (z_k, z_k2) = (-,-), (+,-),
     (-,+), (+,+); column c is joint context index c."""
     _validate_pair(design, k, k2)
-    j_mm = _arms_with_zero_bits(design.J // 4, sorted((k - 1, k2 - 1)))
-    bit, bit2 = 1 << (k - 1), 1 << (k2 - 1)
-    return np.stack([j_mm, j_mm | bit, j_mm | bit2, j_mm | bit | bit2])
+    return _context_arm_table(design.K, (k, k2))
 
 
 def joint_context_index(design: FactorialDesign, k: int, k2: int, context: Context) -> int:

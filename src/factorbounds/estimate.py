@@ -74,8 +74,7 @@ def _first_stage_table(
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
     """Estimated first stage per context of factor k, canonical order."""
     dsg.validate_factor(data.design, k)
-    dbar = _moment_vector(_arm_variable_blocks(data, k, "yd"))[1::2]
-    return _first_stage_table(data.design, k, None, dbar)
+    return _first_stage_table(data.design, k, None, _arm_moments(data, k, "yd")[0][1::2])
 
 
 # --- method / profile grammar ------------------------------------------------
@@ -246,6 +245,19 @@ def _moment_cov_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
         centered = V - V.mean(axis=0)
         covs.append((centered.T @ centered) / n / n)
     return covs
+
+
+def _arm_moments(data: ObservedDataset, k: int, layout: str, k2: int | None = None) -> tuple:
+    """(moment vector, covariance blocks, p) of one layout, built once per
+    dataset and read-only; callers validate k and k2 first."""
+    key = (k, layout, k2)
+    if key not in data._moments:
+        blocks = _arm_variable_blocks(data, k, layout, k2)
+        mvec, covs = _moment_vector(blocks), tuple(_moment_cov_blocks(blocks))
+        for arr in (mvec, *covs):
+            arr.setflags(write=False)
+        data._moments[key] = (mvec, covs, blocks[0].shape[1])
+    return data._moments[key]
 
 
 def _se_from_gradient(grad: np.ndarray, covs: list[np.ndarray], p: int) -> float:
@@ -431,9 +443,7 @@ def estimate_bounds(
     """
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
-    blocks = _arm_variable_blocks(data, k, _LAYOUT.get(kind, "yd"), k2)
-    mvec = _moment_vector(blocks)
-    p = blocks[0].shape[1]
+    mvec, covs, p = _arm_moments(data, k, _LAYOUT.get(kind, "yd"), k2)
     contexts, nu = _first_stage_table(data.design, k, k2, mvec[1::p])
     if policy == "min":
         c_index = int(np.argmin(nu))
@@ -449,7 +459,6 @@ def estimate_bounds(
             f"factor {k}: estimated first stage at {ctx!r} is {nu_tilde}; table {table!r}"
         )
     funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
-    covs = _moment_cov_blocks(blocks)
     center = funcs.center.value(mvec)
     raw_lower = funcs.lower.value(mvec)
     raw_upper = funcs.upper.value(mvec)
@@ -569,10 +578,8 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     b = np.zeros(size)
     b[1::p] = g
     func = LinearFractional(a, 0.0, b, 0.0)
-    blocks = _arm_variable_blocks(data, k, "yd")
-    mvec = _moment_vector(blocks)
+    mvec, covs, _ = _arm_moments(data, k, "yd")
     if func.denominator(mvec) == 0.0:
         raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
-    covs = _moment_cov_blocks(blocks)
     se = _se_from_gradient(func.gradient(mvec), covs, p)
     return WaldEstimate(factor=k, point=func.value(mvec), se=se)

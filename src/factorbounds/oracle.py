@@ -117,7 +117,7 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     three parts sum to gamma exactly)."""
     popmod.require_monotonicity(pop, k)
     contexts, nu_plus, nu_minus, nu = _nu_arrays(pop, k)
-    prof = popmod.classify(pop, k)
+    prof = pop.compliance(k)
     complier = prof.complier_mask()
     constant = prof.constant_complier_mask()
     N = pop.N
@@ -147,8 +147,7 @@ def itt_report(pop: Population, k: int) -> ITTReport:
 def main_effect(pop: Population, k: int) -> float:
     """Average over contexts of the constant-complier outcome contrast."""
     popmod.require_constant_compliers(pop, k)
-    prof = popmod.classify(pop, k)
-    constant = prof.constant_complier_mask()
+    constant = pop.compliance(k).constant_complier_mask()
     g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
     ybar_cc = pop.outcome[constant].mean(axis=0)
     m = 1 << (pop.design.K - 1)
@@ -161,8 +160,7 @@ def interaction_effect(pop: Population, factors, k: int) -> float:
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     popmod.require_constant_compliers(pop, k)
-    prof = popmod.classify(pop, k)
-    constant = prof.constant_complier_mask()
+    constant = pop.compliance(k).constant_complier_mask()
     g = dsg.interaction_contrast(pop.design, fs).signs.astype(np.float64)
     ybar_cc = pop.outcome[constant].mean(axis=0)
     m = 1 << (pop.design.K - 1)
@@ -170,9 +168,7 @@ def interaction_effect(pop: Population, factors, k: int) -> float:
 
 
 def _joint_constant_mask(pop: Population, k: int, k2: int) -> np.ndarray:
-    mask_k = popmod.classify(pop, k).constant_complier_mask()
-    mask_k2 = popmod.classify(pop, k2).constant_complier_mask()
-    return mask_k & mask_k2
+    return pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
 
 
 def joint_interaction_effect(pop: Population, k: int, k2: int) -> float:

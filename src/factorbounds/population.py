@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,17 @@ class Population:
             raise InvalidInputError("outcomes must lie in [0, 1]")
         self.uptake.setflags(write=False)
         self.outcome.setflags(write=False)
+
+    @cached_property
+    def _profiles(self) -> dict[int, "ComplianceProfile"]:
+        return {}
+
+    def compliance(self, k: int) -> "ComplianceProfile":
+        """classify(self, k), computed once per population and factor."""
+        dsg.validate_factor(self.design, k)
+        if k not in self._profiles:
+            self._profiles[k] = classify(self, k)
+        return self._profiles[k]
 
     @property
     def N(self) -> int:
@@ -133,7 +145,7 @@ def classify(pop: Population, k: int) -> ComplianceProfile:
 
 def check_conditional_monotonicity(pop: Population, k: int) -> list[tuple[int, Context]]:
     """Defier instances for factor k; empty list means the check passes."""
-    prof = classify(pop, k)
+    prof = pop.compliance(k)
     out: list[tuple[int, Context]] = []
     units, ctxs = np.nonzero(prof.labels == DEFIER)
     for i, c in zip(units.tolist(), ctxs.tolist()):
@@ -252,7 +264,7 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
     """Exact compliance-group shares, anchored at a validated profile."""
     require_monotonicity(pop, k)
     require_least_compliant(pop, k, tilde)
-    prof = classify(pop, k)
+    prof = pop.compliance(k)
     complier = prof.complier_mask()
     constant = prof.constant_complier_mask()
 
@@ -271,7 +283,7 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
 
 
 def constant_complier_count(pop: Population, k: int) -> int:
-    return int(np.sum(classify(pop, k).constant_complier_mask()))
+    return int(np.sum(pop.compliance(k).constant_complier_mask()))
 
 
 def require_constant_compliers(pop: Population, k: int) -> None:
@@ -319,9 +331,10 @@ def from_dict(payload: dict) -> Population:
     for key in ("K", "N", "uptake", "outcome"):
         if key not in payload:
             raise InvalidInputError(f"population payload missing field {key!r}")
-    K = payload["K"]
-    if not isinstance(K, int) or isinstance(K, bool):
-        raise InvalidInputError(f"K must be an integer, got {K!r}")
+    K, N = payload["K"], payload["N"]
+    for name, value in (("K", K), ("N", N)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     design = dsg.enumerate_assignments(K)
     try:
         uptake = np.asarray(payload["uptake"], dtype=np.int8)
@@ -330,10 +343,8 @@ def from_dict(payload: dict) -> Population:
         raise InvalidInputError(f"population arrays malformed: {exc}") from exc
     if uptake.ndim != 3:
         raise InvalidInputError(f"uptake must be N x J x K, got shape {uptake.shape}")
-    if uptake.shape[0] != payload["N"]:
-        raise InvalidInputError(
-            f"declared N={payload['N']} but uptake has {uptake.shape[0]} units"
-        )
+    if uptake.shape[0] != N:
+        raise InvalidInputError(f"declared N={N} but uptake has {uptake.shape[0]} units")
     return Population(design=design, uptake=uptake, outcome=outcome)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -114,9 +115,9 @@ class FactorSpec:
         _check_keys(d, {"complier", "always", "upgrade", "depends_on", "worst"}, "factor spec")
         worst = d.get("worst")
         return FactorSpec(
-            complier=float(d["complier"]),
-            always=float(d.get("always", 0.0)),
-            upgrade=float(d.get("upgrade", 0.0)),
+            complier=_number(d["complier"], "complier"),
+            always=_number(d.get("always", 0.0), "always"),
+            upgrade=_number(d.get("upgrade", 0.0), "upgrade"),
             depends_on=tuple(_integer(v, "depends_on entry") for v in d.get("depends_on", ())),
             worst=tuple(_integer(v, "worst entry") for v in worst) if worst is not None else None,
         )
@@ -161,9 +162,9 @@ class OutcomeSpec:
         _check_keys(d, {"model", "alpha", "beta", "eta"}, "outcome spec")
         return OutcomeSpec(
             model=d.get("model", "m1"),
-            alpha=tuple(d.get("alpha", (0.2, 0.4))),
-            beta=tuple(tuple(r) for r in d.get("beta", ())),
-            eta=tuple(d.get("eta", (0.0, 0.0))),
+            alpha=tuple(_number(v, "outcome alpha entry") for v in d.get("alpha", (0.2, 0.4))),
+            beta=tuple(tuple(_number(v, "outcome beta entry") for v in r) for r in d.get("beta", ())),
+            eta=tuple(_number(v, "outcome eta entry") for v in d.get("eta", (0.0, 0.0))),
         )
 
 
@@ -195,7 +196,7 @@ class TargetSpec:
             factor=_integer(d["factor"], "target factor"),
             method=d.get("method", "exclusion"),
             profile=d.get("profile", "min"),
-            alpha=float(d.get("alpha", 0.05)),
+            alpha=_number(d.get("alpha", 0.05), "target alpha"),
         )
 
 
@@ -204,6 +205,14 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, name: str) -> float:
+    """A scenario's real-valued field; booleans, strings and non-finite values are refused."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # an exact test: no float() overflow
+        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _check_keys(d: dict, allowed: set, what: str) -> None:
@@ -503,10 +512,8 @@ def _token_passes(pop: Population, name: str, ks: tuple[int, ...]) -> bool:
     if name == "first_stage":
         return popmod.constant_complier_count(pop, ks[0]) > 0
     if name == "joint_first_stage":
-        mask = popmod.classify(pop, ks[0]).constant_complier_mask() & popmod.classify(
-            pop, ks[1]
-        ).constant_complier_mask()
-        return bool(mask.any())
+        a, b = (pop.compliance(f).constant_complier_mask() for f in ks)
+        return bool((a & b).any())
     raise InvalidInputError(name)  # pragma: no cover
 
 

@@ -253,6 +253,17 @@ def test_oracle_option_errors_exit_2(capsys, p4_json, option):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("change", [{"N": "4"}, {"N": 4.0}, {"N": True}, {"K": 2.0}])
+def test_oracle_malformed_population_exits_2(capsys, tmp_path, p4_json, change):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(json.loads(p4_json.read_text()), **change)))
+    rc, out, err = run(capsys, ["oracle", str(path)])
+    assert rc == 2
+    assert out == ""
+    name, value = next(iter(change.items()))
+    assert err.startswith(f"error: {name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -318,6 +329,7 @@ def test_simulate_bad_scenario_json(capsys, tmp_path):
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+WELL_SEPARATED = json.loads((SCENARIOS / "well_separated.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -331,6 +343,12 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
         {"seed": True},
         {"clone_factor": 2.5},
         {"arm_sizes": [500.5, 500, 500, 500]},
+        {"factors": [dict(WELL_SEPARATED["factors"][0], complier=True), WELL_SEPARATED["factors"][1]]},
+        {"factors": [dict(WELL_SEPARATED["factors"][0], complier="0.5"), WELL_SEPARATED["factors"][1]]},
+        {"factors": [WELL_SEPARATED["factors"][0], dict(WELL_SEPARATED["factors"][1], upgrade=float("nan"))]},
+        {"outcome": {"alpha": [False, True]}},
+        {"outcome": dict(WELL_SEPARATED["outcome"], beta=[["0.2", 0.4], [0.2, 0.35]])},
+        {"targets": [dict(WELL_SEPARATED["targets"][0], alpha=True)]},
     ],
 )
 def test_simulate_malformed_scenario_exits_2(capsys, tmp_path, change):

@@ -144,3 +144,34 @@ def test_joint_contexts_reject_same_factor():
     with pytest.raises(InvalidFactorError):
         joint_contexts_for(design, 1, 1)
     assert joint_contexts_for(design, 1, 2) == [()]
+
+
+def test_cached_tables_refuse_bool_and_float_keys():
+    # lru_cache takes True == 1 == 1.0 as one key, so validation must come first
+    assert enumerate_assignments(1).K == 1
+    for bad in (True, 1.0):
+        with pytest.raises(InvalidDesignError):
+            enumerate_assignments(bad)
+    design = enumerate_assignments(2)
+    context_arms(design, 1)
+    joint_context_arms(design, 1, 2)
+    with pytest.raises(InvalidFactorError):
+        context_arms(design, True)
+    with pytest.raises(InvalidFactorError):
+        joint_context_arms(design, 1, 2.0)
+    with pytest.raises(InvalidFactorError):
+        main_effect_contrast(design, True)
+    assert enumerate_assignments(3) is enumerate_assignments(3)
+
+
+def test_cached_tables_are_read_only():
+    design = enumerate_assignments(3)
+    assert context_arms(design, 2) is context_arms(design, 2)
+    for arms in (context_arms(design, 2), joint_context_arms(design, 1, 3)):
+        with pytest.raises(ValueError):
+            arms[0, 0] = 7
+    with pytest.raises(ValueError):
+        main_effect_contrast(design, 1).signs[0] = 1
+    contexts = contexts_for(design, 1)
+    contexts.clear()  # a fresh list each call; the cached table is untouched
+    assert len(contexts_for(design, 1)) == 4

@@ -11,7 +11,9 @@ from factorbounds.errors import (
     InvalidInputError,
     WeakFirstStageError,
 )
+from factorbounds import estimate
 from factorbounds.estimate import (
+    _arm_moments,
     _arm_rows,
     _arm_variable_blocks,
     _moment_cov_blocks,
@@ -78,6 +80,38 @@ def test_dataset_grouped_once(p4_census, monkeypatch):
     assert len(sorts) == 1
     for y, d in groups:
         assert not y.flags.writeable and not d.flags.writeable
+
+
+def test_arm_moments_built_once_and_read_only(p4_census):
+    estimate_bounds(p4_census, 1, "exclusion")
+    mvec, covs, p = _arm_moments(p4_census, 1, "yd")
+    wald_reference(p4_census, 1)
+    assert _arm_moments(p4_census, 1, "yd")[0] is mvec and p == 2
+    with pytest.raises(ValueError):
+        mvec[0] = 0.5
+    for C in covs:
+        with pytest.raises(ValueError):
+            C[0, 0] = 0.5
+
+
+def test_analyze_loop_builds_each_layout_once(monkeypatch):
+    # K=5, every arm with 8 rows, uptake following assignment except ~10% flips
+    rng = np.random.default_rng(5)
+    design = enumerate_assignments(5)
+    arm = np.repeat(np.arange(design.J), 8)
+    flip = rng.random((arm.size, 5)) < 0.1
+    uptake = np.where(flip, -1, 1) * design.levels[arm]
+    data = ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=rng.random(arm.size))
+    builds = []
+    blocks_ = estimate._arm_variable_blocks
+    monkeypatch.setattr(
+        estimate, "_arm_variable_blocks", lambda *a: builds.append(a[1:3]) or blocks_(*a)
+    )
+    for k in range(1, 6):
+        for method in ("adjusted", "simple", "exclusion"):
+            estimate_bounds(data, k, method)
+        wald_reference(data, k)
+    assert sorted(builds) == sorted((k, layout) for k in range(1, 6) for layout in ("yd", "ydt"))
 
 
 def test_nu_hat_and_min_profile(p4_census):

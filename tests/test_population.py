@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from factorbounds.design import enumerate_assignments, joint_contexts_for, strip_factor
-from factorbounds.errors import AssumptionViolationError, InvalidInputError
+from factorbounds.errors import AssumptionViolationError, InvalidFactorError, InvalidInputError
 from factorbounds.population import (
     ALWAYS_TAKER,
     COMPLIER,
@@ -240,6 +240,18 @@ def test_population_validation():
     pop = Population(design=design, uptake=good_up, outcome=good_out)
     with pytest.raises(ValueError):
         pop.uptake[0, 0, 0] = -1  # arrays are frozen
+
+
+def test_compliance_profile_computed_once_and_read_only():
+    pop = fixture_p4()
+    prof = pop.compliance(1)
+    assert pop.compliance(1) is prof
+    assert np.array_equal(prof.labels, classify(pop, 1).labels)
+    with pytest.raises(ValueError):
+        prof.labels[0, 0] = DEFIER
+    with pytest.raises(InvalidFactorError):
+        pop.compliance(True)  # not the cached factor-1 profile
+    assert pop.clone(2).compliance(1) is not prof
 
 
 def test_clone_preserves_means():

@@ -424,3 +424,41 @@ def test_shipped_scenarios_load_and_run():
         config = load_scenario(root / name)
         pop = generate_population(config)
         assert pop.N == config.N
+
+
+def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
+    import pathlib
+
+    from factorbounds import population as popmod
+
+    config = load_scenario(pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "well_separated.json")
+    calls = []
+    classify_ = popmod.classify
+    monkeypatch.setattr(popmod, "classify", lambda pop, k: calls.append(k) or classify_(pop, k))
+    report = monte_carlo(config, R=5)
+    assert all(t.n_ok == 5 for t in report.targets)
+    assert 0 < len(calls) <= 2 * 5  # one fresh population per replication, K=2
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("factors", 0, "complier"), True),
+        (("factors", 1, "always"), "0.1"),
+        (("factors", 0, "upgrade"), float("nan")),
+        (("outcome", "alpha", 1), False),
+        (("outcome", "beta", 0, 0), "0.2"),
+        (("outcome", "eta", 0), float("inf")),
+        (("targets", 0, "alpha"), True),
+    ],
+)
+def test_number_fields_refuse_bools_strings_nonfinite(path, value):
+    outcome = OutcomeSpec(beta=((0.1, 0.2), (0.3, 0.4)))
+    d = basic_config(outcome=outcome, targets=(TargetSpec(factor=1),)).to_dict()
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    field = next(key for key in reversed(path) if isinstance(key, str))
+    with pytest.raises(InvalidInputError, match=f"{field} .*must be a finite number"):
+        ScenarioConfig.from_dict(d)
