@@ -237,40 +237,46 @@ def cmd_simulate(args) -> int:
 # --- plotdata ---------------------------------------------------------------------
 
 
+def _plot_rows(path: str) -> tuple[int, list[list[str]]]:
+    """K and the CSV rows of one analysis report; every field is read before
+    anything is written."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rep = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise InvalidInputError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(rep, dict) or rep.get("schema") != "factorbounds-analysis-v1":
+        raise InvalidInputError(f"{path}: not an analysis report")
+    stem = Path(path).stem
+    try:
+        K = rep["K"]
+        wald_by_factor = {w["factor"]: w["point"] for w in rep.get("wald", [])}
+        rows = []
+        for e in rep["estimates"]:
+            point = wald_by_factor.get(e["factor"])
+            values = (e["clipped_lower"], e["clipped_upper"], e["ci_lower"], e["ci_upper"], point)
+            label = f"{stem}/factor{e['factor']}:{e['method']}"
+            rows.append([label] + ["" if v is None else repr(float(v)) for v in values])
+    except KeyError as e:
+        raise InvalidInputError(f"{path}: analysis report has no field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"{path}: malformed analysis report ({e})") from None
+    if not isinstance(K, int) or isinstance(K, bool):
+        raise InvalidInputError(f"{path}: K must be an integer, got {K!r}")
+    return K, rows
+
+
 def cmd_plotdata(args) -> int:
-    reports = []
-    for path in args.reports:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                rep = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InvalidInputError(f"{path}: invalid JSON ({e})") from None
-        if not isinstance(rep, dict) or rep.get("schema") != "factorbounds-analysis-v1":
-            raise InvalidInputError(f"{path}: not an analysis report")
-        reports.append((Path(path).stem, rep))
-    ks = {rep["K"] for _, rep in reports}
+    reports = [_plot_rows(path) for path in args.reports]
+    ks = {K for K, _ in reports}
     if len(ks) > 1:
         raise InvalidInputError(f"reports mix designs with K in {sorted(ks)}; cannot combine")
-    rows = []
-    for stem, rep in reports:
-        wald_by_factor = {w["factor"]: w["point"] for w in rep.get("wald", [])}
-        for e in rep["estimates"]:
-            rows.append(
-                (
-                    f"{stem}/factor{e['factor']}:{e['method']}",
-                    e["clipped_lower"],
-                    e["clipped_upper"],
-                    e["ci_lower"],
-                    e["ci_upper"],
-                    wald_by_factor.get(e["factor"]),
-                )
-            )
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["label", "lower", "upper", "ci_lower", "ci_upper", "point"])
-        for label, *vals in rows:
-            writer.writerow([label] + ["" if v is None else repr(float(v)) for v in vals])
+        for _, rows in reports:
+            writer.writerows(rows)
     finally:
         if args.out:
             out.close()

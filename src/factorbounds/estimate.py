@@ -20,7 +20,7 @@ intervals it tends to the one-sided value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -385,6 +385,20 @@ def endpoint_functions(
 # --- estimates ----------------------------------------------------------------
 
 
+def record_to_dict(record) -> dict:
+    """A dataclass record as JSON-ready data: nested records become dicts and
+    tuples become lists. Every report and scenario record serializes this way."""
+    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
+
+
+def _plain(value):
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return record_to_dict(value) if is_dataclass(value) else value
+
+
 @dataclass(frozen=True)
 class BoundsEstimate:
     method: str
@@ -409,27 +423,7 @@ class BoundsEstimate:
     def with_ci(self, ci: "ConfidenceInterval") -> "BoundsEstimate":
         return replace(self, ci_level=ci.level, ci_lower=ci.lower, ci_upper=ci.upper)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "factor": self.factor,
-            "contexts": [list(c) for c in self.contexts],
-            "nu_hat": list(self.nu_hat),
-            "center": self.center,
-            "half_width_lower": self.half_width_lower,
-            "half_width_upper": self.half_width_upper,
-            "raw_lower": self.raw_lower,
-            "raw_upper": self.raw_upper,
-            "clipped_lower": self.clipped_lower,
-            "clipped_upper": self.clipped_upper,
-            "se_lower": self.se_lower,
-            "se_upper": self.se_upper,
-            "ci_level": self.ci_level,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "profile_policy": self.profile_policy,
-            "profile_context": list(self.profile_context),
-        }
+    to_dict = record_to_dict
 
 
 def estimate_bounds(
@@ -562,8 +556,7 @@ class WaldEstimate:
     se: float
     label: str = "requires strong treatment exclusion"
 
-    def to_dict(self) -> dict:
-        return {"factor": self.factor, "point": self.point, "se": self.se, "label": self.label}
+    to_dict = record_to_dict
 
 
 def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:

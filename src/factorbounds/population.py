@@ -325,6 +325,20 @@ def to_dict(pop: Population) -> dict:
     }
 
 
+def _payload_array(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """A nested JSON list as an array, checked before any cast: numpy's
+    inferred dtype kind must be in kinds, and no entry may be a boolean,
+    which numpy would read as 0 or 1 among numbers."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise InvalidInputError(f"population arrays malformed: {exc}") from exc
+    entry_types = np.frompyfunc(type, 1, 1)(np.asarray(values, dtype=object))
+    if arr.dtype.kind not in kinds or np.any(entry_types == bool):
+        raise InvalidInputError(f"{name} entries must be {what}, not booleans, strings or nulls")
+    return arr
+
+
 def from_dict(payload: dict) -> Population:
     if not isinstance(payload, dict):
         raise InvalidInputError("population payload must be a JSON object")
@@ -336,11 +350,11 @@ def from_dict(payload: dict) -> Population:
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     design = dsg.enumerate_assignments(K)
-    try:
-        uptake = np.asarray(payload["uptake"], dtype=np.int8)
-        outcome = np.asarray(payload["outcome"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"population arrays malformed: {exc}") from exc
+    uptake = _payload_array(payload["uptake"], "uptake", "iu", "integers")
+    outcome = _payload_array(payload["outcome"], "outcome", "iuf", "numbers")
+    if not np.isin(uptake, (-1, 1)).all():  # before the int8 cast, which would wrap 255 to -1
+        raise InvalidInputError("uptake entries must be -1 or +1")
+    uptake, outcome = uptake.astype(np.int8), outcome.astype(np.float64)
     if uptake.ndim != 3:
         raise InvalidInputError(f"uptake must be N x J x K, got shape {uptake.shape}")
     if uptake.shape[0] != N:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -64,8 +65,113 @@ _REQUIRE_TOKENS = (
 _VIOLATE_TOKENS = ("monotone", "profile", "exclusion", "cross_exclusion", "joint_profile")
 
 
+# --- scenario records -----------------------------------------------------------
+
+
+def _integer(value, path: str) -> int:
+    """Booleans, strings and fractions are refused, not truncated."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise InvalidInputError(f"{path} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, path: str) -> float:
+    """Booleans, strings and non-finite values are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # an exact test: no float() overflow
+        raise InvalidInputError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _list(item):
+    """A JSON list, stored as a tuple; entry i is converted by item at path[i]."""
+
+    def convert(value, path: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidInputError(f"{path} must be a list, got {value!r}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return convert
+
+
+def _optional(convert):
+    return lambda value, path: None if value is None else convert(value, path)
+
+
+def _record(cls):
+    return lambda value, path: value if isinstance(value, cls) else cls.from_dict(value, path)
+
+
+def _within(convert, ok, bound: str):
+    """convert, then refuse a converted value v unless ok(v); bound says which values pass."""
+
+    def checked(value, path: str):
+        v = convert(value, path)
+        if not ok(v):
+            raise InvalidInputError(f"{path} must be {bound}, got {v!r}")
+        return v
+
+    return checked
+
+
+_probability = _within(_number, lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
+_level = _within(_integer, lambda v: v in (-1, 1), "-1 or +1")
+_range = _within(
+    _list(_number), lambda r: len(r) == 2 and r[0] <= r[1], "a [lo, hi] range with hi >= lo"
+)
+
+
+class _Record:
+    """A scenario record: a frozen dataclass whose _FIELDS table maps each JSON
+    field to a converter, and whose defaults are the JSON defaults.
+
+    A converter takes (value, path), returns the value in its stored form,
+    and names the path (factors[0].complier, outcome.beta[1][0]) when it
+    refuses the value. from_dict and __post_init__ run the same table, so a
+    file and a record built in Python are checked alike; subclasses add only
+    cross-field checks.
+    """
+
+    _FIELDS: dict  # field name -> converter
+
+    def __post_init__(self) -> None:
+        for name, convert in self._FIELDS.items():
+            object.__setattr__(self, name, convert(getattr(self, name), name))
+
+    to_dict = est.record_to_dict
+
+    @classmethod
+    def from_dict(cls, d, path: str = ""):
+        """Build the record from parsed JSON found at path ("" for a whole file)."""
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"{path or 'scenario'} must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - set(cls._FIELDS))
+        if unknown:
+            raise InvalidInputError(f"{path or 'scenario'} has unknown keys {unknown!r}")
+        values = {}
+        for f in fields(cls):
+            where = f"{path}.{f.name}" if path else f.name
+            if f.name in d:
+                values[f.name] = cls._FIELDS[f.name](d[f.name], where)
+            elif f.default is MISSING:
+                raise InvalidInputError(f"{where} is required")
+        try:
+            return cls(**values)
+        except InvalidInputError as e:  # a cross-field check: say which record failed it
+            if not path:
+                raise
+            raise type(e)(f"{path}: {e}") from None
+
+
 @dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(_Record):
     """Compliance distribution for one factor.
 
     complier/always/never probabilities apply at the worst pattern of the
@@ -81,50 +187,30 @@ class FactorSpec:
     depends_on: tuple[int, ...] = ()
     worst: tuple[int, ...] | None = None
 
+    _FIELDS = {
+        "complier": _probability,
+        "always": _probability,
+        "upgrade": _probability,
+        "depends_on": _list(_integer),
+        "worst": _optional(_list(_level)),
+    }
+
     def __post_init__(self) -> None:
-        if not (0.0 <= self.complier <= 1.0 and 0.0 <= self.always <= 1.0):
-            raise InvalidInputError("type probabilities must lie in [0, 1]")
+        super().__post_init__()
         if self.complier + self.always > 1.0 + 1e-12:
             raise InvalidInputError("complier + always-taker probability exceeds 1")
-        if not (0.0 <= self.upgrade <= 1.0):
-            raise InvalidInputError("upgrade probability must lie in [0, 1]")
-        dep = tuple(self.depends_on)
+        dep = self.depends_on
         if len(set(dep)) != len(dep) or dep != tuple(sorted(dep)):
             raise InvalidInputError("depends_on must be sorted and duplicate-free")
-        object.__setattr__(self, "depends_on", dep)
-        if self.worst is not None:
-            w = tuple(self.worst)
-            if len(w) != len(dep) or any(v not in (-1, 1) for v in w):
-                raise InvalidInputError("worst pattern must give one -1/+1 level per depends_on factor")
-            object.__setattr__(self, "worst", w)
+        if self.worst is not None and len(self.worst) != len(dep):
+            raise InvalidInputError("worst pattern must give one -1/+1 level per depends_on factor")
 
     def worst_pattern(self) -> tuple[int, ...]:
         return self.worst if self.worst is not None else tuple(-1 for _ in self.depends_on)
 
-    def to_dict(self) -> dict:
-        return {
-            "complier": self.complier,
-            "always": self.always,
-            "upgrade": self.upgrade,
-            "depends_on": list(self.depends_on),
-            "worst": list(self.worst) if self.worst is not None else None,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FactorSpec":
-        _check_keys(d, {"complier", "always", "upgrade", "depends_on", "worst"}, "factor spec")
-        worst = d.get("worst")
-        return FactorSpec(
-            complier=_number(d["complier"], "complier"),
-            always=_number(d.get("always", 0.0), "always"),
-            upgrade=_number(d.get("upgrade", 0.0), "upgrade"),
-            depends_on=tuple(_integer(v, "depends_on entry") for v in d.get("depends_on", ())),
-            worst=tuple(_integer(v, "worst entry") for v in worst) if worst is not None else None,
-        )
-
 
 @dataclass(frozen=True)
-class OutcomeSpec:
+class OutcomeSpec(_Record):
     """Outcome model. m1: per-unit clamped linear index in the 0/1 uptake
     indicators (plus optional pairwise products); m2 thresholds the m1 value
     against a per-unit uniform cut for binary outcomes."""
@@ -134,91 +220,34 @@ class OutcomeSpec:
     beta: tuple[tuple[float, float], ...] = ()
     eta: tuple[float, float] = (0.0, 0.0)
 
-    def __post_init__(self) -> None:
-        if self.model not in ("m1", "m2"):
-            raise InvalidInputError(f"unknown outcome model {self.model!r}; expected m1 or m2")
-        for name, rng_ in (("alpha", self.alpha), ("eta", self.eta), *(
-            (f"beta[{i}]", r) for i, r in enumerate(self.beta)
-        )):
-            lo, hi = rng_
-            if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-                raise InvalidInputError(f"{name} range ({lo}, {hi}) must be finite with max >= min")
-        object.__setattr__(self, "alpha", tuple(map(float, self.alpha)))
-        object.__setattr__(self, "eta", tuple(map(float, self.eta)))
-        object.__setattr__(
-            self, "beta", tuple(tuple(map(float, r)) for r in self.beta)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "alpha": list(self.alpha),
-            "beta": [list(r) for r in self.beta],
-            "eta": list(self.eta),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "OutcomeSpec":
-        _check_keys(d, {"model", "alpha", "beta", "eta"}, "outcome spec")
-        return OutcomeSpec(
-            model=d.get("model", "m1"),
-            alpha=tuple(_number(v, "outcome alpha entry") for v in d.get("alpha", (0.2, 0.4))),
-            beta=tuple(tuple(_number(v, "outcome beta entry") for v in r) for r in d.get("beta", ())),
-            eta=tuple(_number(v, "outcome eta entry") for v in d.get("eta", (0.0, 0.0))),
-        )
+    _FIELDS = {
+        "model": _within(_string, lambda m: m in ("m1", "m2"), "m1 or m2"),
+        "alpha": _range,
+        "beta": _list(_range),
+        "eta": _range,
+    }
 
 
 @dataclass(frozen=True)
-class TargetSpec:
-    """One (factor, method, profile policy) combination to track in a study."""
+class TargetSpec(_Record):
+    """One (factor, method, profile policy) combination to track in a study;
+    ScenarioConfig and monte_carlo check it with estimate.parse_target."""
 
     factor: int
     method: str = "exclusion"
     profile: str = "min"
     alpha: float = 0.05
 
-    def __post_init__(self) -> None:
-        est.parse_method(self.method)
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha!r}")
+    _FIELDS = {
+        "factor": _integer,
+        "method": _string,
+        "profile": _string,
+        "alpha": _within(_number, lambda a: 0.0 < a < 1.0, "in (0, 1)"),
+    }
 
     @property
     def label(self) -> str:
         return f"factor{self.factor}:{self.method}[{self.profile}]"
-
-    def to_dict(self) -> dict:
-        return {"factor": self.factor, "method": self.method, "profile": self.profile, "alpha": self.alpha}
-
-    @staticmethod
-    def from_dict(d: dict) -> "TargetSpec":
-        _check_keys(d, {"factor", "method", "profile", "alpha"}, "target spec")
-        return TargetSpec(
-            factor=_integer(d["factor"], "target factor"),
-            method=d.get("method", "exclusion"),
-            profile=d.get("profile", "min"),
-            alpha=_number(d.get("alpha", 0.05), "target alpha"),
-        )
-
-
-def _integer(value, name: str) -> int:
-    """A scenario's integer field; booleans and fractions are refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, name: str) -> float:
-    """A scenario's real-valued field; booleans, strings and non-finite values are refused."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (real and abs(value) <= sys.float_info.max):  # an exact test: no float() overflow
-        raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _check_keys(d: dict, allowed: set, what: str) -> None:
-    extra = set(d) - allowed
-    if extra:
-        raise InvalidInputError(f"unknown {what} keys: {sorted(extra)!r}")
 
 
 def _parse_token(token: str, K: int, allowed: tuple[str, ...]) -> tuple[str, tuple[int, ...]]:
@@ -235,12 +264,12 @@ def _parse_token(token: str, K: int, allowed: tuple[str, ...]) -> tuple[str, tup
     return name, ks
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig(_Record):
     K: int
     N: int
     factors: tuple[FactorSpec, ...]
-    outcome: OutcomeSpec
+    outcome: OutcomeSpec = OutcomeSpec()
     seed: int
     arm_sizes: tuple[int, ...] | None = None
     require: tuple[str, ...] = ()
@@ -249,10 +278,25 @@ class ScenarioConfig:
     clone_factor: int = 1
     targets: tuple[TargetSpec, ...] = ()
 
+    _FIELDS = {
+        "K": _integer,
+        "N": _within(_integer, lambda n: n >= 1, ">= 1"),
+        "factors": _list(_record(FactorSpec)),
+        "outcome": _record(OutcomeSpec),
+        "seed": _within(_integer, lambda n: n >= 0, ">= 0"),
+        "arm_sizes": _optional(_list(_integer)),
+        "require": _list(_string),
+        "violate": _list(_string),
+        "population_mode": _within(
+            _string, lambda m: m in ("fresh", "fixed", "clone"), "fresh, fixed or clone"
+        ),
+        "clone_factor": _within(_integer, lambda n: n >= 1, ">= 1"),
+        "targets": _list(_record(TargetSpec)),
+    }
+
     def __post_init__(self) -> None:
+        super().__post_init__()
         design = enumerate_assignments(self.K)  # validates K
-        if self.N < 1:
-            raise InvalidInputError(f"N must be positive, got {self.N}")
         if len(self.factors) != self.K:
             raise InvalidInputError(f"{len(self.factors)} factor specs for K={self.K}")
         for k, spec in enumerate(self.factors, start=1):
@@ -263,29 +307,18 @@ class ScenarioConfig:
                     )
         if self.outcome.beta and len(self.outcome.beta) != self.K:
             raise InvalidInputError("outcome beta needs one range per factor")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be a nonnegative integer")
         if self.arm_sizes is not None:
-            sizes = tuple(int(v) for v in self.arm_sizes)
+            sizes = self.arm_sizes
             if len(sizes) != design.J:
                 raise InvalidDesignError(f"{len(sizes)} arm sizes for J={design.J}")
             if sum(sizes) != self.N:
                 raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={self.N}")
             if min(sizes) < 2:
                 raise InvalidDesignError("every arm needs at least 2 units")
-            object.__setattr__(self, "arm_sizes", sizes)
-        if self.population_mode not in ("fresh", "fixed", "clone"):
-            raise InvalidInputError(f"unknown population_mode {self.population_mode!r}")
-        if self.clone_factor < 1:
-            raise InvalidInputError("clone_factor must be >= 1")
         for token in self.require:
             _parse_token(token, self.K, _REQUIRE_TOKENS)
         for token in self.violate:
             _parse_token(token, self.K, _VIOLATE_TOKENS)
-        object.__setattr__(self, "require", tuple(self.require))
-        object.__setattr__(self, "violate", tuple(self.violate))
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "targets", tuple(self.targets))
         for t in self.targets:
             est.parse_target(design, t.factor, t.method, t.profile)
 
@@ -299,58 +332,6 @@ class ScenarioConfig:
             raise InvalidDesignError(f"N={self.N} cannot give every one of {J} arms 2 units")
         return sizes
 
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "N": self.N,
-            "factors": [f.to_dict() for f in self.factors],
-            "outcome": self.outcome.to_dict(),
-            "seed": self.seed,
-            "arm_sizes": list(self.arm_sizes) if self.arm_sizes is not None else None,
-            "require": list(self.require),
-            "violate": list(self.violate),
-            "population_mode": self.population_mode,
-            "clone_factor": self.clone_factor,
-            "targets": [t.to_dict() for t in self.targets],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScenarioConfig":
-        _check_keys(
-            d,
-            {
-                "K",
-                "N",
-                "factors",
-                "outcome",
-                "seed",
-                "arm_sizes",
-                "require",
-                "violate",
-                "population_mode",
-                "clone_factor",
-                "targets",
-            },
-            "scenario",
-        )
-        return ScenarioConfig(
-            K=_integer(d["K"], "K"),
-            N=_integer(d["N"], "N"),
-            factors=tuple(FactorSpec.from_dict(f) for f in d["factors"]),
-            outcome=OutcomeSpec.from_dict(d["outcome"]) if "outcome" in d else OutcomeSpec(),
-            seed=_integer(d["seed"], "seed"),
-            arm_sizes=(
-                tuple(_integer(v, "arm_sizes entry") for v in d["arm_sizes"])
-                if d.get("arm_sizes") is not None
-                else None
-            ),
-            require=tuple(d.get("require", ())),
-            violate=tuple(d.get("violate", ())),
-            population_mode=d.get("population_mode", "fresh"),
-            clone_factor=_integer(d.get("clone_factor", 1), "clone_factor"),
-            targets=tuple(TargetSpec.from_dict(t) for t in d.get("targets", ())),
-        )
-
 
 def load_scenario(path) -> ScenarioConfig:
     with open(path, encoding="utf-8") as fh:
@@ -358,12 +339,7 @@ def load_scenario(path) -> ScenarioConfig:
             d = json.load(fh)
         except json.JSONDecodeError as e:
             raise InvalidInputError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(d, dict):
-        raise InvalidInputError(f"{path}: scenario file must hold a JSON object")
-    try:
-        return ScenarioConfig.from_dict(d)
-    except (TypeError, ValueError, KeyError) as e:
-        raise InvalidInputError(f"{path}: malformed scenario ({type(e).__name__}: {e})") from None
+    return ScenarioConfig.from_dict(d)
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
@@ -626,36 +602,7 @@ class TargetReport:
     endpoint_err_mean: float | None
     endpoint_err_p95: float | None
 
-    def to_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "target": self.target.to_dict(),
-            "n_reps": self.n_reps,
-            "n_ok": self.n_ok,
-            "n_oracle": self.n_oracle,
-            "failures": dict(sorted(self.failures.items())),
-        }
-        for name in (
-            "truth_mean",
-            "coverage_bounds",
-            "coverage_bounds_mcse",
-            "coverage_ci",
-            "coverage_ci_mcse",
-            "mean_width",
-            "mean_raw_width",
-            "mean_lower",
-            "mean_upper",
-            "bias_lower",
-            "bias_upper",
-            "sd_lower",
-            "sd_upper",
-            "mean_se_lower",
-            "mean_se_upper",
-            "endpoint_err_mean",
-            "endpoint_err_p95",
-        ):
-            d[name] = getattr(self, name)
-        return d
+    to_dict = est.record_to_dict
 
 
 @dataclass(frozen=True)
@@ -667,10 +614,8 @@ class CoverageReport:
     def to_dict(self) -> dict:
         return {
             "schema": "factorbounds-coverage-v1",
-            "config": self.config.to_dict(),
             "config_hash": config_hash(self.config),
-            "replications": self.replications,
-            "targets": [t.to_dict() for t in self.targets],
+            **est.record_to_dict(self),
         }
 
     def to_json(self) -> str:

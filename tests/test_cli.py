@@ -332,33 +332,76 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 WELL_SEPARATED = json.loads((SCENARIOS / "well_separated.json").read_text())
 
 
+F0, F1 = WELL_SEPARATED["factors"]
+T0 = WELL_SEPARATED["targets"][0]
+# (change to well_separated.json, the field path its error message starts with)
+MALFORMED_SCENARIOS = [
+    ({"factors": 3}, "factors"),
+    ({"K": "two"}, "K"),
+    ({"seed": "x"}, "seed"),
+    ({"outcome": {"alpha": [0.1]}}, "outcome.alpha"),
+    ({"N": 100.5}, "N"),
+    ({"seed": True}, "seed"),
+    ({"clone_factor": 2.5}, "clone_factor"),
+    ({"arm_sizes": [500.5, 500, 500, 500]}, "arm_sizes[0]"),
+    ({"factors": [dict(F0, complier=True), F1]}, "factors[0].complier"),
+    ({"factors": [dict(F0, complier="0.5"), F1]}, "factors[0].complier"),
+    ({"factors": [F0, dict(F1, upgrade=float("nan"))]}, "factors[1].upgrade"),
+    ({"outcome": {"alpha": [False, True]}}, "outcome.alpha[0]"),
+    ({"outcome": dict(WELL_SEPARATED["outcome"], beta=[["0.2", 0.4], [0.2, 0.35]])}, "outcome.beta[0][0]"),
+    ({"targets": [dict(T0, alpha=True)]}, "targets[0].alpha"),
+    ({"K": "2"}, "K"),
+    ({"seed": "7"}, "seed"),
+    ({"targets": [dict(T0, factor="1")]}, "targets[0].factor"),
+    ({"factors": [dict(F0, worst=["-1"]), F1]}, "factors[0].worst[0]"),
+    ({"factors": [dict(F0, depends_on="2"), F1]}, "factors[0].depends_on"),
+    ({"targets": [dict(T0, method=5)]}, "targets[0].method"),
+    ({"require": [1]}, "require[0]"),
+    ({"require": "monotone:1"}, "require"),
+    ({"factors": {"complier": 0.5}}, "factors"),
+    ({"outcome": None}, "outcome"),
+    ({"factors": [F0, {k: v for k, v in F1.items() if k != "complier"}]}, "factors[1].complier"),
+]
+
+
 @pytest.mark.parametrize(
-    "change",
-    [
-        {"factors": 3},
-        {"K": "two"},
-        {"seed": "x"},
-        {"outcome": {"alpha": [0.1]}},
-        {"N": 100.5},
-        {"seed": True},
-        {"clone_factor": 2.5},
-        {"arm_sizes": [500.5, 500, 500, 500]},
-        {"factors": [dict(WELL_SEPARATED["factors"][0], complier=True), WELL_SEPARATED["factors"][1]]},
-        {"factors": [dict(WELL_SEPARATED["factors"][0], complier="0.5"), WELL_SEPARATED["factors"][1]]},
-        {"factors": [WELL_SEPARATED["factors"][0], dict(WELL_SEPARATED["factors"][1], upgrade=float("nan"))]},
-        {"outcome": {"alpha": [False, True]}},
-        {"outcome": dict(WELL_SEPARATED["outcome"], beta=[["0.2", 0.4], [0.2, 0.35]])},
-        {"targets": [dict(WELL_SEPARATED["targets"][0], alpha=True)]},
-    ],
+    "change, path", MALFORMED_SCENARIOS, ids=[f"change{i}" for i in range(len(MALFORMED_SCENARIOS))]
 )
-def test_simulate_malformed_scenario_exits_2(capsys, tmp_path, change):
+def test_simulate_malformed_scenario_exits_2(capsys, tmp_path, change, path):
     scenario = json.loads((SCENARIOS / "well_separated.json").read_text())
     scenario.update(change)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    rc, _, err = run(capsys, ["simulate", str(scenario_path), "-R", "2"])
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path} "), err
+
+
+NUMERIC_FIELDS = [
+    ("K",), ("N",), ("seed",), ("clone_factor",), ("arm_sizes", 0),
+    ("factors", 0, "complier"), ("factors", 0, "always"), ("factors", 0, "upgrade"),
+    ("factors", 0, "depends_on", 0), ("factors", 0, "worst", 0),
+    ("outcome", "alpha", 0), ("outcome", "beta", 1, 0), ("outcome", "eta", 1),
+    ("targets", 0, "factor"), ("targets", 0, "alpha"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.5", float("nan")], ids=["bool", "string", "nan"])
+@pytest.mark.parametrize("field", NUMERIC_FIELDS, ids=lambda keys: "-".join(map(str, keys)))
+def test_simulate_numeric_fields_refuse_bool_string_nan(capsys, tmp_path, field, value):
+    scenario = json.loads((SCENARIOS / "appc_like.json").read_text())  # the one with arm_sizes
+    node = scenario
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    rc, _, err = run(capsys, ["simulate", str(path), "-R", "2"])
+    rc, out, err = run(capsys, ["simulate", str(path), "-R", "2"])
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in field)[1:]
     assert rc == 2
-    assert err.startswith("error:")
+    assert out == ""
+    assert err.startswith(f"error: {where} must be "), err
 
 
 @pytest.mark.parametrize(
@@ -437,6 +480,28 @@ def test_plotdata_rejects_wrong_schema(capsys, tmp_path):
     path.write_text(json.dumps({"schema": "factorbounds-coverage-v1"}))
     rc, _, err = run(capsys, ["plotdata", str(path)])
     assert rc == 2 and "not an analysis report" in err
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        lambda rep: rep.pop("K"),
+        lambda rep: rep["estimates"][0].pop("method"),
+        lambda rep: rep.update(K=[2]),
+    ],
+    ids=["no_K", "estimate_without_method", "K_list"],
+)
+def test_plotdata_malformed_report_exits_2(capsys, census_csv, tmp_path, breakage):
+    path = tmp_path / "report.json"
+    rc, _, _ = run(capsys, ["analyze", str(census_csv), "--method", "simple", "--out", str(path)])
+    assert rc == 0
+    report = json.loads(path.read_text())
+    breakage(report)
+    path.write_text(json.dumps(report))
+    rc, out, err = run(capsys, ["plotdata", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: "), err
 
 
 def test_plotdata_rejects_mixed_k(capsys, tmp_path, census_csv):

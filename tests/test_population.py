@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from factorbounds.population import (
     classify,
     constant_complier_count,
     fixture_p4,
+    from_dict,
     group_shares,
     load_population,
     require_least_compliant,
     require_monotonicity,
     save_population,
+    to_dict,
 )
 
 from conftest import random_population
@@ -275,3 +278,24 @@ def test_population_io_roundtrip(tmp_path):
     assert np.array_equal(back.outcome, pop.outcome)
     payload = json.loads(path.read_text())
     assert set(payload) == {"K", "N", "uptake", "outcome"}
+
+
+@pytest.mark.parametrize(
+    "array, value, message",
+    [
+        ("uptake", 300, "uptake entries must be -1 or +1"),
+        ("uptake", 255, "uptake entries must be -1 or +1"),  # int8 would wrap it to -1
+        ("uptake", -1.5, "uptake entries must be integers"),
+        ("uptake", True, "uptake entries must be integers"),
+        ("outcome", True, "outcome entries must be numbers"),
+        ("outcome", "0.5", "outcome entries must be numbers"),
+        ("outcome", None, "outcome entries must be numbers"),
+    ],
+    ids=["uptake_300", "uptake_255", "uptake_fraction", "uptake_true", "outcome_true", "outcome_string", "outcome_null"],
+)
+def test_from_dict_refuses_mistyped_entries_before_casting(array, value, message):
+    payload = json.loads(json.dumps(to_dict(fixture_p4())))
+    entry = payload[array][1]
+    entry[0] = value if array == "outcome" else [value, entry[0][1]]
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        from_dict(payload)

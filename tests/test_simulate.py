@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -409,7 +411,7 @@ def test_monte_carlo_schema():
 # ------------------------------------------------------------ shipped files
 
 
-def test_shipped_scenarios_load_and_run():
+def test_shipped_scenarios_load_and_run(tmp_path):
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -424,6 +426,8 @@ def test_shipped_scenarios_load_and_run():
         config = load_scenario(root / name)
         pop = generate_population(config)
         assert pop.N == config.N
+        save_scenario(config, tmp_path / name)  # the shipped files are in saved form
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
 
 
 def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
@@ -459,6 +463,20 @@ def test_number_fields_refuse_bools_strings_nonfinite(path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    field = next(key for key in reversed(path) if isinstance(key, str))
-    with pytest.raises(InvalidInputError, match=f"{field} .*must be a finite number"):
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+    with pytest.raises(InvalidInputError, match=re.escape(where) + " must be a finite number"):
         ScenarioConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("record", [FactorSpec, OutcomeSpec, TargetSpec, ScenarioConfig])
+def test_field_table_lists_every_field(record):
+    assert list(record._FIELDS) == [f.name for f in dataclasses.fields(record)]
+
+
+def test_nested_cross_field_error_names_the_record():
+    d = basic_config().to_dict()
+    d["factors"][1]["always"] = 0.5  # complier 0.9 + always 0.5 > 1
+    with pytest.raises(InvalidInputError, match=r"^factors\[1\]: complier \+ always"):
+        ScenarioConfig.from_dict(d)
+    with pytest.raises(InvalidInputError, match=r"^complier \+ always"):
+        FactorSpec(complier=0.9, always=0.5)
