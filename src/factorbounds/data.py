@@ -36,8 +36,8 @@ class ObservedDataset:
     rescale: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        arm = np.ascontiguousarray(np.asarray(self.arm, dtype=np.intp))
-        uptake = np.ascontiguousarray(np.asarray(self.uptake, dtype=np.int8))
+        # values are checked before the casts, which would turn uptake 255 into -1 and arm 0.7 into 0
+        arm, uptake = np.asarray(self.arm), np.asarray(self.uptake)
         outcome = np.ascontiguousarray(np.asarray(self.outcome, dtype=np.float64))
         if arm.ndim != 1 or arm.shape[0] == 0:
             raise InvalidInputError("dataset needs a nonempty 1-d arm index array")
@@ -48,10 +48,14 @@ class ObservedDataset:
             )
         if outcome.shape != (n,):
             raise InvalidInputError(f"outcome shape {outcome.shape} does not match (n={n},)")
+        if arm.dtype.kind not in "iu":
+            raise InvalidInputError(f"arm indices must be integers, got dtype {arm.dtype}")
         if arm.min() < 0 or arm.max() >= self.design.J:
             raise InvalidInputError("arm indices out of range for the design")
-        if not np.isin(uptake, (-1, 1)).all():
+        if not ((uptake == 1) | (uptake == -1)).all():
             raise InvalidInputError("uptake entries must be -1 or +1")
+        arm = np.ascontiguousarray(arm, dtype=np.intp)
+        uptake = np.ascontiguousarray(uptake, dtype=np.int8)
         if not np.isfinite(outcome).all() or outcome.min() < 0.0 or outcome.max() > 1.0:
             raise InvalidInputError("outcomes must lie in [0, 1]")
         for arr in (arm, uptake, outcome):

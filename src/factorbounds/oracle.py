@@ -45,7 +45,7 @@ from .errors import (
     InvalidShareError,
     NoCompliersError,
 )
-from .population import Population
+from .population import Population, _memoized
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ class ITTReport:
     nu: dict[Context, float]
 
 
+@_memoized
 def _nu_arrays(pop: Population, k: int) -> tuple[tuple[Context, ...], np.ndarray, np.ndarray, np.ndarray]:
     contexts = tuple(dsg.contexts_for(pop.design, k))
     dbar = pop.arm_uptake_means(k)
@@ -144,14 +145,17 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     )
 
 
+def _contrast_among(pop: Population, mask: np.ndarray, contrast) -> float:
+    """g^T Ybar over the units in mask, per context (divided by 2^{K-1})."""
+    g = contrast.signs.astype(np.float64)
+    return float(g @ pop.outcome[mask].mean(axis=0)) / (1 << (pop.design.K - 1))
+
+
 def main_effect(pop: Population, k: int) -> float:
     """Average over contexts of the constant-complier outcome contrast."""
     popmod.require_constant_compliers(pop, k)
     constant = pop.compliance(k).constant_complier_mask()
-    g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
-    ybar_cc = pop.outcome[constant].mean(axis=0)
-    m = 1 << (pop.design.K - 1)
-    return float(g @ ybar_cc) / m
+    return _contrast_among(pop, constant, dsg.main_effect_contrast(pop.design, k))
 
 
 def interaction_effect(pop: Population, factors, k: int) -> float:
@@ -161,27 +165,17 @@ def interaction_effect(pop: Population, factors, k: int) -> float:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     popmod.require_constant_compliers(pop, k)
     constant = pop.compliance(k).constant_complier_mask()
-    g = dsg.interaction_contrast(pop.design, fs).signs.astype(np.float64)
-    ybar_cc = pop.outcome[constant].mean(axis=0)
-    m = 1 << (pop.design.K - 1)
-    return float(g @ ybar_cc) / m
-
-
-def _joint_constant_mask(pop: Population, k: int, k2: int) -> np.ndarray:
-    return pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
+    return _contrast_among(pop, constant, dsg.interaction_contrast(pop.design, fs))
 
 
 def joint_interaction_effect(pop: Population, k: int, k2: int) -> float:
     """Two-factor interaction among units complying with both everywhere."""
     if k == k2:
         raise InvalidFactorError("joint interaction needs two distinct factors")
-    mask = _joint_constant_mask(pop, k, k2)
+    mask = pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
     if not mask.any():
         raise NoCompliersError(f"no joint constant compliers for factors ({k}, {k2})")
-    g = dsg.interaction_contrast(pop.design, (k, k2)).signs.astype(np.float64)
-    ybar = pop.outcome[mask].mean(axis=0)
-    m = 1 << (pop.design.K - 1)
-    return float(g @ ybar) / m
+    return _contrast_among(pop, mask, dsg.interaction_contrast(pop.design, (k, k2)))
 
 
 def _resolve_tilde(pop: Population, k: int, tilde: Context) -> tuple[int, float]:
@@ -241,8 +235,7 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context) -> Interval:
 def simple_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     """Wald-style center with the coarse half-width (1 - nu(tilde)) / nu(tilde)."""
     _, nu_tilde = _resolve_tilde(pop, k, tilde)
-    contexts, _, _, _ = _nu_arrays(pop, k)
-    m = len(contexts)
+    m = 1 << (pop.design.K - 1)
     ybar = pop.arm_outcome_means()
     g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
     center = float(g @ ybar) / (m * nu_tilde)
@@ -250,18 +243,21 @@ def simple_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     return _make_interval(center, half, half)
 
 
+def _exclusion_interval(pop: Population, k: int, contrast, t: float) -> Interval:
+    """Symmetric interval for g^T Ybar / (m t), half-width (sum of nu(c) - m t) / (m t)."""
+    _, _, _, nu = _nu_arrays(pop, k)
+    m = len(nu)
+    g = contrast.signs.astype(np.float64)
+    denom = m * t
+    half = (float(nu.sum()) - m * t) / denom
+    return _make_interval(float(g @ pop.arm_outcome_means()) / denom, half, half)
+
+
 def exclusion_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     """Symmetric main-effect bounds under uptake-exclusion for noncompliers."""
     _require_weak_exclusion(pop, k)
     _, nu_tilde = _resolve_tilde(pop, k, tilde)
-    contexts, _, _, nu = _nu_arrays(pop, k)
-    m = len(contexts)
-    ybar = pop.arm_outcome_means()
-    g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
-    denom = m * nu_tilde
-    center = float(g @ ybar) / denom
-    half = (float(nu.sum()) - m * nu_tilde) / denom
-    return _make_interval(center, half, half)
+    return _exclusion_interval(pop, k, dsg.main_effect_contrast(pop.design, k), nu_tilde)
 
 
 def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Interval:
@@ -275,20 +271,13 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Inte
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     _require_weak_exclusion(pop, k)
     _, nu_tilde = _resolve_tilde(pop, k, tilde)
-    contexts, _, _, nu = _nu_arrays(pop, k)
-    m = len(contexts)
-    ybar = pop.arm_outcome_means()
-    g = dsg.interaction_contrast(pop.design, fs).signs.astype(np.float64)
-    denom = m * nu_tilde
-    center = float(g @ ybar) / denom
-    half = (float(nu.sum()) - m * nu_tilde) / denom
-    return _make_interval(center, half, half)
+    return _exclusion_interval(pop, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
 
 
-def _joint_nu_array(pop: Population, k: int, k2: int) -> np.ndarray:
-    prod = (pop.uptake[:, :, k - 1].astype(np.float64) * pop.uptake[:, :, k2 - 1])
-    p_mm, p_pm, p_mp, p_pp = prod.mean(axis=0)[dsg.joint_context_arms(pop.design, k, k2)]
-    return (p_pp - p_mp - p_pm + p_mm) / 4.0
+@_memoized
+def _joint_uptake_means(pop: Population, k: int, k2: int) -> np.ndarray:
+    """Population mean of the uptake product D_k * D_k2 per arm, length J."""
+    return (pop.uptake[:, :, k - 1].astype(np.float64) * pop.uptake[:, :, k2 - 1]).mean(axis=0)
 
 
 def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Interval:
@@ -317,9 +306,10 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Inte
         raise AssumptionViolationError(
             f"factors ({k}, {k2}): {tilde_joint!r} is not a joint least-compliant profile; valid set {valid!r}"
         )
-    nu_joint = _joint_nu_array(pop, k, k2)
-    t_index = dsg.joint_context_index(pop.design, k, k2, tilde_joint)
-    nu_tilde = float(nu_joint[t_index])
+    pbar = _joint_uptake_means(pop, k, k2)  # the first stage is its four-arm contrast
+    p_mm, p_pm, p_mp, p_pp = pbar[dsg.joint_context_arms(pop.design, k, k2)]
+    nu_joint = (p_pp - p_mp - p_pm + p_mm) / 4.0
+    nu_tilde = float(nu_joint[dsg.joint_context_index(pop.design, k, k2, tilde_joint)])
     if nu_tilde <= 0.0:
         raise NoCompliersError(
             f"factors ({k}, {k2}): joint first stage at {tilde_joint!r} is {nu_tilde}"
@@ -327,8 +317,6 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Inte
     m = 1 << (pop.design.K - 1)
     g = dsg.interaction_contrast(pop.design, (k, k2)).signs.astype(np.float64)
     ybar = pop.arm_outcome_means()
-    prod = (pop.uptake[:, :, k - 1].astype(np.float64) * pop.uptake[:, :, k2 - 1])
-    pbar = prod.mean(axis=0)
     center = float(g @ ybar) / (m * nu_tilde)
     half = (float(g @ pbar) / (2 * m) - nu_tilde) / nu_tilde
     return _make_interval(center, half, half)
@@ -355,14 +343,7 @@ def conservative_bounds(pop: Population, k: int, t: float) -> Interval:
         raise InvalidShareError(
             f"floor t={t} exceeds the constant-complier share {rho}"
         )
-    contexts, _, _, nu = _nu_arrays(pop, k)
-    m = len(contexts)
-    ybar = pop.arm_outcome_means()
-    g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
-    denom = m * t
-    center = float(g @ ybar) / denom
-    half = (float(nu.sum()) - m * t) / denom
-    return _make_interval(center, half, half)
+    return _exclusion_interval(pop, k, dsg.main_effect_contrast(pop.design, k), t)
 
 
 def wald_ratio(pop: Population, k: int) -> float:
@@ -378,9 +359,8 @@ def wald_ratio(pop: Population, k: int) -> float:
 
 # --- method table ---------------------------------------------------------------
 
-_MAIN_BOUNDS = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}
 
-
+@_memoized
 def method_truth(pop: Population, k: int, method: str) -> float:
     """The true effect a method's interval bounds."""
     kind, args = parse_method(method)
@@ -391,6 +371,7 @@ def method_truth(pop: Population, k: int, method: str) -> float:
     return main_effect(pop, k)
 
 
+@_memoized
 def method_interval(
     pop: Population, k: int, method: str, profile="min"
 ) -> tuple[Interval, Context | None]:
@@ -419,7 +400,9 @@ def method_interval(
         ctx = valid[0]
     if kind == "interaction":
         return interaction_bounds(pop, args, k, ctx), ctx
-    return _MAIN_BOUNDS[kind](pop, k, ctx), ctx
+    # looked up per call, so a wrapper installed on the module attribute sees it
+    bounds = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}[kind]
+    return bounds(pop, k, ctx), ctx
 
 
 def method_report(pop: Population, k: int, method: str, profile="min") -> dict:

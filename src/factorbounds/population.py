@@ -22,6 +22,7 @@ no defiers).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,35 @@ DEFIER = 3
 _LABEL_TABLE = np.array([[NEVER_TAKER, COMPLIER], [DEFIER, ALWAYS_TAKER]], dtype=np.int8)
 
 
+def _typed(value):
+    """value with every entry's type beside it, so True never matches 1 in a memo key."""
+    return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
+
+
+def _memoized(fn):
+    """fn(pop, ...) computed once per population and typed arguments, kept in
+    pop._memo (a Population's arrays never change). A call that raises stores
+    nothing and an unhashable argument is computed uncached; arrays come back
+    read-only and lists as fresh copies (a None result counts as a miss)."""
+
+    @functools.wraps(fn)
+    def wrapper(pop, *args, **kwargs):
+        compute = wrapper.__wrapped__  # read per call, like a module attribute
+        key = (wrapper, _typed((args, tuple(sorted(kwargs.items())))))
+        try:
+            value = pop._memo.get(key)
+        except TypeError:  # an unhashable argument, such as a list profile
+            return compute(pop, *args, **kwargs)
+        if value is None:
+            value = pop._memo[key] = compute(pop, *args, **kwargs)
+            for arr in value if type(value) is tuple else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+        return list(value) if type(value) is list else value
+
+    return wrapper
+
+
 @dataclass(frozen=True)
 class Population:
     """Potential uptake and outcomes for N units over a 2^K design."""
@@ -66,7 +96,7 @@ class Population:
             )
         if self.uptake.shape[0] < 1:
             raise InvalidInputError("population needs at least one unit")
-        if not np.isin(self.uptake, (-1, 1)).all():
+        if not ((self.uptake == 1) | (self.uptake == -1)).all():
             raise InvalidInputError("uptake entries must be -1 or +1")
         if not np.isfinite(self.outcome).all():
             raise InvalidInputError("outcomes must be finite")
@@ -76,24 +106,26 @@ class Population:
         self.outcome.setflags(write=False)
 
     @cached_property
-    def _profiles(self) -> dict[int, "ComplianceProfile"]:
+    def _memo(self) -> dict:
+        """Results of the _memoized functions of this population, filled on first use."""
         return {}
 
+    @_memoized
     def compliance(self, k: int) -> "ComplianceProfile":
         """classify(self, k), computed once per population and factor."""
         dsg.validate_factor(self.design, k)
-        if k not in self._profiles:
-            self._profiles[k] = classify(self, k)
-        return self._profiles[k]
+        return classify(self, k)
 
     @property
     def N(self) -> int:
         return int(self.uptake.shape[0])
 
+    @_memoized
     def arm_outcome_means(self) -> np.ndarray:
         """Population mean outcome per arm, length J."""
         return self.outcome.mean(axis=0)
 
+    @_memoized
     def arm_uptake_means(self, k: int) -> np.ndarray:
         """Population mean uptake of factor k per arm, length J."""
         dsg.validate_factor(self.design, k)
@@ -143,6 +175,7 @@ def classify(pop: Population, k: int) -> ComplianceProfile:
     return ComplianceProfile(factor=k, contexts=tuple(dsg.contexts_for(pop.design, k)), labels=labels)
 
 
+@_memoized
 def check_conditional_monotonicity(pop: Population, k: int) -> list[tuple[int, Context]]:
     """Defier instances for factor k; empty list means the check passes."""
     prof = pop.compliance(k)
@@ -153,6 +186,7 @@ def check_conditional_monotonicity(pop: Population, k: int) -> list[tuple[int, C
     return out
 
 
+@_memoized
 def check_least_compliant_profile(pop: Population, k: int) -> tuple[Context, ...]:
     """Contexts at which every unit's uptake response is weakly smallest.
 
@@ -168,6 +202,7 @@ def check_least_compliant_profile(pop: Population, k: int) -> tuple[Context, ...
     return tuple(ctx for ctx, ok in zip(contexts, valid.tolist()) if ok)
 
 
+@_memoized
 def check_weak_treatment_exclusion(pop: Population, k: int) -> list[tuple[int, Context]]:
     """Units whose untouched factor-k uptake hides a shift elsewhere.
 
@@ -190,6 +225,7 @@ def _joint_uptake_shift(pop: Population, k: int, k2: int) -> np.ndarray:
     return p_pp - p_mp - p_pm + p_mm
 
 
+@_memoized
 def check_joint_least_compliant(pop: Population, k: int, k2: int) -> tuple[Context, ...]:
     """Joint contexts where every unit's two-factor uptake response is smallest."""
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
@@ -199,6 +235,7 @@ def check_joint_least_compliant(pop: Population, k: int, k2: int) -> tuple[Conte
     return tuple(ctx for ctx, ok in zip(contexts, valid.tolist()) if ok)
 
 
+@_memoized
 def check_conditional_treatment_exclusion(pop: Population, k: int, k2: int) -> list[tuple[int, int, Context]]:
     """Cross-dependence of uptake between two factors.
 
@@ -352,7 +389,7 @@ def from_dict(payload: dict) -> Population:
     design = dsg.enumerate_assignments(K)
     uptake = _payload_array(payload["uptake"], "uptake", "iu", "integers")
     outcome = _payload_array(payload["outcome"], "outcome", "iuf", "numbers")
-    if not np.isin(uptake, (-1, 1)).all():  # before the int8 cast, which would wrap 255 to -1
+    if not ((uptake == 1) | (uptake == -1)).all():  # before the int8 cast, which would wrap 255 to -1
         raise InvalidInputError("uptake entries must be -1 or +1")
     uptake, outcome = uptake.astype(np.int8), outcome.astype(np.float64)
     if uptake.ndim != 3:

@@ -32,6 +32,15 @@ def random_population(rng, K, N):
     return Population(design=design, uptake=uptake, outcome=outcome)
 
 
+def count_computations(monkeypatch, memoized):
+    """Record the arguments of every call that reaches the function a memo
+    wrapper computes with (its __wrapped__), past the memo."""
+    calls = []
+    compute = memoized.__wrapped__
+    monkeypatch.setattr(memoized, "__wrapped__", lambda pop, *a, **kw: calls.append(a) or compute(pop, *a, **kw))
+    return calls
+
+
 @pytest.fixture
 def p4():
     return fixture_p4()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,23 @@ def test_census_dataset_means_match_population(p4):
         assert data.outcome[rows].mean() == p4.arm_outcome_means()[j]
         for k in (1, 2):
             assert data.uptake[rows, k - 1].mean() == p4.arm_uptake_means(k)[j]
+
+
+@pytest.mark.parametrize(
+    "arm, uptake, message",
+    [
+        ([0, 1], [[255], [1]], "uptake entries must be -1 or +1"),  # int8 would wrap it to -1
+        ([0, 1], [[300], [1]], "uptake entries must be -1 or +1"),  # int8 would overflow
+        ([0, 1], [[1.5], [1]], "uptake entries must be -1 or +1"),  # int8 would truncate it to 1
+        ([0.7, 1], [[1], [1]], "arm indices must be integers"),  # intp would truncate it to 0
+    ],
+    ids=["uptake_255", "uptake_300", "uptake_fraction", "arm_fraction"],
+)
+def test_dataset_checks_values_before_casting(arm, uptake, message):
+    from factorbounds.design import enumerate_assignments
+
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        ObservedDataset(design=enumerate_assignments(1), arm=arm, uptake=uptake, outcome=[0.0, 1.0])
 
 
 def test_dataset_validation():

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +14,11 @@ from factorbounds.estimate import (
     endpoint_functions,
     estimate_bounds,
 )
+from factorbounds import oracle
+from factorbounds import population as popmod
 from factorbounds.errors import (
     AssumptionViolationError,
+    FactorBoundsError,
     InvalidFactorError,
     InvalidShareError,
     NoCompliersError,
@@ -32,8 +39,10 @@ from factorbounds.oracle import (
     simple_bounds,
     wald_ratio,
 )
-from factorbounds.population import Population, check_least_compliant_profile
+from factorbounds.population import Population, check_least_compliant_profile, fixture_p4
 from factorbounds.simulate import census_dataset
+
+from conftest import count_computations, random_population
 
 TOL = 1e-12
 
@@ -400,3 +409,139 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
             pairs = ((iv.center, funcs.center), (iv.raw_lower, funcs.lower), (iv.raw_upper, funcs.upper))
             for a, f in pairs:
                 assert abs(a - f.value(mvec)) <= TOL, (t, k, a, f.value(mvec))
+
+
+# ------------------------------------------------- the per-population memo
+
+
+ORACLE_MEMOIZED = [
+    (oracle._nu_arrays, (1,)),
+    (oracle._joint_uptake_means, (1, 2)),
+    (method_truth, (1, "adjusted")),
+    (method_truth, (1, "joint:2")),
+    (method_interval, (1, "exclusion")),
+    (method_interval, (2, "interaction:1+2", "min")),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", ORACLE_MEMOIZED, ids=[f"{fn.__name__}-{'-'.join(map(str, args))}" for fn, args in ORACLE_MEMOIZED]
+)
+def test_oracle_memo_computes_once_per_population_and_arguments(monkeypatch, fn, args):
+    calls = count_computations(monkeypatch, fn)
+    pop = fixture_p4()
+    first = fn(pop, *args)
+    assert fn(pop, *args) is first
+    assert calls == [args]
+    fn(fixture_p4(), *args)
+    assert calls == [args, args]
+
+
+def test_oracle_memo_keys_carry_types_and_refuse_writes(p4):
+    for fn, args in ((oracle._nu_arrays, ()), (method_truth, ("adjusted",)), (method_interval, ("exclusion",))):
+        fn(p4, 1, *args)
+        with pytest.raises(InvalidFactorError):
+            fn(p4, True, *args)
+    _, nu_plus, nu_minus, nu = oracle._nu_arrays(p4, 1)
+    for arr in (nu_plus, nu_minus, nu, oracle._joint_uptake_means(p4, 1, 2)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_method_interval_takes_list_and_keyword_profiles(p4):
+    want = method_interval(p4, 1, "exclusion", (-1,))
+    assert method_interval(p4, 1, "exclusion", [-1]) == want  # a list is computed uncached
+    assert method_interval(p4, 1, "exclusion", profile=[-1]) == want
+    assert method_interval(p4, 1, "exclusion", profile="min") == want
+    assert method_interval(p4, 1, method="exclusion") == want
+    with pytest.raises(AssumptionViolationError):
+        method_interval(p4, 1, "exclusion", profile=[1])
+
+
+def test_oracle_memo_stores_nothing_for_a_raising_call(monkeypatch, p4):
+    calls = count_computations(monkeypatch, method_interval)
+    for _ in range(2):
+        with pytest.raises(AssumptionViolationError):
+            method_interval(p4, 1, "adjusted", (1,))
+    assert len(calls) == 2
+
+
+def test_memo_does_not_keep_a_dropped_population_alive():
+    pop = assumption_population(np.random.default_rng(31), 3, 10)
+    for method in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2", "conservative:0.01"):
+        for call in (method_truth, method_interval):
+            try:
+                call(pop, 1, method)
+            except FactorBoundsError:
+                pass
+    assert pop._memo  # something was kept on the population itself
+    ref = weakref.ref(pop)
+    del pop
+    gc.collect()
+    assert ref() is None
+
+
+def _canonical(value):
+    """A comparison key equal only for bit-identical results."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__, tuple(map(_canonical, value)))
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, _canonical(dataclasses.astuple(value)))
+    return value
+
+
+MEMO_CALLS = [
+    lambda pop, k, k2: pop.compliance(k),
+    lambda pop, k, k2: pop.arm_outcome_means(),
+    lambda pop, k, k2: pop.arm_uptake_means(k),
+    lambda pop, k, k2: popmod.check_conditional_monotonicity(pop, k),
+    lambda pop, k, k2: popmod.check_least_compliant_profile(pop, k),
+    lambda pop, k, k2: popmod.check_weak_treatment_exclusion(pop, k),
+    lambda pop, k, k2: popmod.check_joint_least_compliant(pop, k, k2),
+    lambda pop, k, k2: popmod.check_conditional_treatment_exclusion(pop, k, k2),
+    lambda pop, k, k2: oracle._nu_arrays(pop, k),
+    lambda pop, k, k2: main_effect(pop, k),
+    lambda pop, k, k2: interaction_effect(pop, (1, 2), k),
+    lambda pop, k, k2: joint_interaction_effect(pop, k, k2),
+    lambda pop, k, k2: method_truth(pop, k, "adjusted"),
+    lambda pop, k, k2: method_truth(pop, k, "interaction:1+2"),
+    lambda pop, k, k2: method_truth(pop, k, f"joint:{k2}"),
+    lambda pop, k, k2: method_interval(pop, k, "adjusted"),
+    lambda pop, k, k2: method_interval(pop, k, "simple", profile=(-1,) * (pop.design.K - 1)),
+    lambda pop, k, k2: method_interval(pop, k, "exclusion", "min"),
+    lambda pop, k, k2: method_interval(pop, k, "interaction:1+2"),
+    lambda pop, k, k2: method_interval(pop, k, f"joint:{k2}"),
+    lambda pop, k, k2: method_interval(pop, k, "conservative:0.05"),
+    lambda pop, k, k2: itt_report(pop, k),
+]
+
+
+def _result(call, pop, k, k2):
+    try:
+        return _canonical(call(pop, k, k2))
+    except FactorBoundsError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    K=st.sampled_from([2, 3]),
+    constrained=st.booleans(),
+    calls=st.lists(
+        st.tuples(st.integers(0, len(MEMO_CALLS) - 1), st.integers(1, 3), st.integers(1, 3)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_memo_results_match_a_fresh_population_in_any_call_order(seed, K, constrained, calls):
+    rng = np.random.default_rng(seed)
+    pop = assumption_population(rng, K, 12) if constrained else random_population(rng, K, 12)
+    for index, k, k2 in calls:
+        k, k2 = min(k, K), min(k2, K)
+        fresh = Population(design=pop.design, uptake=pop.uptake.copy(), outcome=pop.outcome.copy())
+        assert _result(MEMO_CALLS[index], pop, k, k2) == _result(MEMO_CALLS[index], fresh, k, k2)

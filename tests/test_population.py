@@ -30,7 +30,7 @@ from factorbounds.population import (
     to_dict,
 )
 
-from conftest import random_population
+from conftest import count_computations, random_population
 
 
 def bf_label(pop, unit, k, ctx):
@@ -299,3 +299,70 @@ def test_from_dict_refuses_mistyped_entries_before_casting(array, value, message
     entry[0] = value if array == "outcome" else [value, entry[0][1]]
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         from_dict(payload)
+
+
+# ------------------------------------------------- the per-population memo
+
+
+MEMOIZED = [
+    (Population.compliance, (1,)),
+    (Population.arm_outcome_means, ()),
+    (Population.arm_uptake_means, (2,)),
+    (check_conditional_monotonicity, (1,)),
+    (check_least_compliant_profile, (1,)),
+    (check_weak_treatment_exclusion, (2,)),
+    (check_joint_least_compliant, (1, 2)),
+    (check_conditional_treatment_exclusion, (1, 2)),
+]
+
+
+@pytest.mark.parametrize("fn, args", MEMOIZED, ids=[fn.__name__ for fn, _ in MEMOIZED])
+def test_memoized_functions_compute_once_per_population_and_arguments(monkeypatch, fn, args):
+    calls = count_computations(monkeypatch, fn)
+    pop = fixture_p4()
+    first = fn(pop, *args)
+    again = fn(pop, *args)
+    assert again is first or again == first
+    assert calls == [args]
+    fn(fixture_p4(), *args)  # another population computes its own
+    assert calls == [args, args]
+    if args:  # and another factor is another entry
+        fn(pop, *(3 - a for a in args))
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [entry for entry in MEMOIZED if entry[1]],
+    ids=[fn.__name__ for fn, args in MEMOIZED if args],
+)
+def test_memo_keys_carry_argument_types(fn, args):
+    pop = fixture_p4()
+    fn(pop, *args)
+    with pytest.raises(InvalidFactorError):  # True is not the cached factor 1
+        fn(pop, True, *args[1:])
+
+
+def test_memo_stores_nothing_for_a_raising_call(monkeypatch):
+    calls = count_computations(monkeypatch, check_conditional_treatment_exclusion)
+    pop = fixture_p4()
+    for _ in range(2):
+        with pytest.raises(InvalidFactorError):
+            check_conditional_treatment_exclusion(pop, 1, 1)
+    assert len(calls) == 2
+
+
+def test_memo_hands_out_read_only_arrays_and_fresh_lists():
+    pop = fixture_p4()
+    for arr in (pop.arm_outcome_means(), pop.arm_uptake_means(1)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    passed = check_weak_treatment_exclusion(pop, 1)
+    passed.append((0, (-1,)))
+    assert check_weak_treatment_exclusion(pop, 1) == []
+    defiers = random_population(np.random.default_rng(2), 2, 20)
+    found = check_conditional_monotonicity(defiers, 1)
+    assert found
+    want = list(found)
+    found.clear()
+    assert check_conditional_monotonicity(defiers, 1) == want

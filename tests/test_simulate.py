@@ -444,6 +444,25 @@ def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
     assert 0 < len(calls) <= 2 * 5  # one fresh population per replication, K=2
 
 
+def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
+    # one population serves every replication, so each target's truth and
+    # oracle interval are computed once, not once per replication
+    import pathlib
+
+    from factorbounds import oracle
+
+    config = load_scenario(pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "clone_scaling.json")
+    assert config.population_mode == "clone"
+    assert [(t.factor, t.method) for t in config.targets] == [(1, "exclusion"), (1, "adjusted")]
+    calls = []
+    for name in ("main_effect", "exclusion_bounds", "adjusted_bounds"):
+        compute = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, _f=compute, _n=name: calls.append(_n) or _f(*a))
+    report = monte_carlo(config, R=5)
+    assert all(t.n_ok == 5 and t.n_oracle == 5 for t in report.targets)
+    assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect", "main_effect"]
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
