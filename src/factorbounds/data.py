@@ -36,9 +36,9 @@ class ObservedDataset:
     rescale: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        # values are checked before the casts, which would turn uptake 255 into -1 and arm 0.7 into 0
-        arm, uptake = np.asarray(self.arm), np.asarray(self.uptake)
-        outcome = np.ascontiguousarray(np.asarray(self.outcome, dtype=np.float64))
+        # values are checked before the casts, which would turn uptake 255 into -1, arm 0.7 into 0
+        # and outcome '0.5' into 0.5
+        arm, uptake, outcome = map(np.asarray, (self.arm, self.uptake, self.outcome))
         if arm.ndim != 1 or arm.shape[0] == 0:
             raise InvalidInputError("dataset needs a nonempty 1-d arm index array")
         n = arm.shape[0]
@@ -54,8 +54,11 @@ class ObservedDataset:
             raise InvalidInputError("arm indices out of range for the design")
         if not ((uptake == 1) | (uptake == -1)).all():
             raise InvalidInputError("uptake entries must be -1 or +1")
+        if outcome.dtype.kind not in "iuf":
+            raise InvalidInputError(f"outcome entries must be numbers, got dtype {outcome.dtype}")
         arm = np.ascontiguousarray(arm, dtype=np.intp)
         uptake = np.ascontiguousarray(uptake, dtype=np.int8)
+        outcome = np.ascontiguousarray(outcome, dtype=np.float64)
         if not np.isfinite(outcome).all() or outcome.min() < 0.0 or outcome.max() > 1.0:
             raise InvalidInputError("outcomes must lie in [0, 1]")
         for arr in (arm, uptake, outcome):
@@ -72,23 +75,8 @@ class ObservedDataset:
         return np.bincount(self.arm, minlength=self.design.J)
 
     @cached_property
-    def arm_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(outcome, uptake) rows of every arm, canonical arm order, as
-        read-only views; built once per dataset, whose arrays never change.
-
-        One stable sort groups the rows, so each arm keeps its rows in their
-        original order and per-arm means equal masked means bit for bit.
-        """
-        order = np.argsort(self.arm, kind="stable")
-        outcome, uptake = self.outcome[order], self.uptake[order]
-        for arr in (outcome, uptake):
-            arr.setflags(write=False)
-        edges = np.cumsum(self.arm_counts())[:-1]
-        return tuple(zip(np.split(outcome, edges), np.split(uptake, edges)))
-
-    @cached_property
     def _moments(self) -> dict:
-        """estimate's arm moments per (factor, layout, partner), filled on first use."""
+        """estimate's arm moments per (factor, joint partner), filled on first use."""
         return {}
 
     def assignment_rows(self) -> np.ndarray:

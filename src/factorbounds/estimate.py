@@ -6,7 +6,9 @@ the adjusted method an extra noncomplier-outcome mean; for the joint method
 the mean of the uptake product). That single representation gives one code
 path for values and one for analytic delta-method gradients; arms are
 independent, so the moment covariance is block diagonal with each block a
-1/n-normalized central second-moment matrix divided by the arm size.
+1/n-normalized central second-moment matrix divided by the arm size. One
+pass of per-arm sums over a dataset's rows gives every mean and block of a
+factor, for every layout at once.
 
 Confidence intervals for the partially identified effect use a critical
 value between the one-sided and two-sided normal quantiles, solving
@@ -43,19 +45,6 @@ def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
-def _arm_rows(data: ObservedDataset) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(outcome, uptake) rows of every arm, canonical arm order (the
-    dataset's own grouping); every arm needs at least two rows."""
-    counts = data.arm_counts()
-    short = np.flatnonzero(counts < 2)
-    if short.size:
-        j = int(short[0])
-        raise InsufficientDataError(
-            f"arm {data.design.assignment(j)!r} has {int(counts[j])} row(s); need at least 2"
-        )
-    return data.arm_groups
-
-
 def _first_stage_table(
     design: FactorialDesign, k: int, k2: int | None, dbar: np.ndarray
 ) -> tuple[tuple[Context, ...], np.ndarray]:
@@ -74,7 +63,7 @@ def _first_stage_table(
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
     """Estimated first stage per context of factor k, canonical order."""
     dsg.validate_factor(data.design, k)
-    return _first_stage_table(data.design, k, None, _arm_moments(data, k, "yd")[0][1::2])
+    return _first_stage_table(data.design, k, None, _arm_moments(data, k)[0][:, 1])
 
 
 # --- method / profile grammar ------------------------------------------------
@@ -205,70 +194,65 @@ class LinearFractional:
         return self.a / den - (num / den**2) * self.b
 
 
-def _arm_variable_blocks(
-    data: ObservedDataset, k: int, layout: str, k2: int | None = None
-) -> list[np.ndarray]:
-    """Per-arm row-variable matrices behind the moment vector.
-
-    layout 'yd'  -> columns [y, d_k]
-    layout 'ydt' -> columns [y, d_k, t]; t is y*1(d_k=-1) in z_k=+1 arms and
-                    y*1(d_k=+1) in z_k=-1 arms (the observable noncomplier
-                    outcome totals used by the adjusted center)
-    layout 'yp'  -> columns [y, d_k*d_k2]
-    Column 1 is the uptake variable whose per-arm means give the first stage.
-    """
-    g = dsg.main_effect_contrast(data.design, k).signs
-    blocks = []
-    for j, (y, d) in enumerate(_arm_rows(data)):
-        dk = d[:, k - 1].astype(np.float64)
-        if layout == "yd":
-            V = np.column_stack([y, dk])
-        elif layout == "ydt":
-            t = y * (dk == (-1.0 if g[j] > 0 else 1.0))
-            V = np.column_stack([y, dk, t])
-        elif layout == "yp":
-            V = np.column_stack([y, dk * d[:, k2 - 1]])
-        else:  # pragma: no cover
-            raise ValueError(layout)
-        blocks.append(V)
-    return blocks
-
-
-def _moment_vector(blocks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([V.mean(axis=0) for V in blocks])
-
-
-def _moment_cov_blocks(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    covs = []
-    for V in blocks:
-        n = V.shape[0]
-        centered = V - V.mean(axis=0)
-        covs.append((centered.T @ centered) / n / n)
-    return covs
-
-
-def _arm_moments(data: ObservedDataset, k: int, layout: str, k2: int | None = None) -> tuple:
-    """(moment vector, covariance blocks, p) of one layout, built once per
-    dataset and read-only; callers validate k and k2 first."""
-    key = (k, layout, k2)
+def _arm_moments(data: ObservedDataset, k: int, k2: int | None = None) -> tuple:
+    """_build_arm_moments(data, k, k2), built once per dataset and factor
+    (and joint partner); callers validate k and k2 first."""
+    key = (k, k2)
     if key not in data._moments:
-        blocks = _arm_variable_blocks(data, k, layout, k2)
-        mvec, covs = _moment_vector(blocks), tuple(_moment_cov_blocks(blocks))
-        for arr in (mvec, *covs):
-            arr.setflags(write=False)
-        data._moments[key] = (mvec, covs, blocks[0].shape[1])
+        data._moments[key] = _build_arm_moments(data, k, k2)
     return data._moments[key]
 
 
-def _se_from_gradient(grad: np.ndarray, covs: list[np.ndarray], p: int) -> float:
-    total = 0.0
-    for j, C in enumerate(covs):
-        gj = grad[p * j : p * (j + 1)]
-        total += float(gj @ C @ gj)
-    return math.sqrt(max(total, 0.0))
+def _build_arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
+    """Read-only (means, covariance blocks) of factor k's row columns per
+    arm, shapes (J, p) and (J, p, p); every arm needs at least two rows.
+
+    Without a partner the columns are [y, d_k, t]: t = y*1(d_k = -z_k) is
+    the observable noncomplier outcome, nonzero where uptake disagrees with
+    the arm's level z_k (the adjusted center uses it). The 'ydt' layout
+    reads all three columns, the 'yd' layout the first two. With a joint
+    partner k2 the columns are [y, d_k*d_k2], the 'yp' layout. Column 1
+    gives the first stage.
+
+    Every sum is one bincount over the rows in their original order, so a
+    mean is the sequential sum a masked per-arm mean takes, bit for bit.
+    """
+    counts = data.arm_counts()
+    short = np.flatnonzero(counts < 2)
+    if short.size:
+        j = int(short[0])
+        raise InsufficientDataError(
+            f"arm {data.design.assignment(j)!r} has {int(counts[j])} row(s); need at least 2"
+        )
+    arm, y, dk = data.arm, data.outcome, data.uptake[:, k - 1]
+    if k2 is None:
+        g = dsg.main_effect_contrast(data.design, k).signs
+        cols = [y.copy(), dk.astype(np.float64), y * (dk == -g[arm])]
+    else:
+        cols = [y.copy(), (dk * data.uptake[:, k2 - 1]).astype(np.float64)]
+
+    def arm_sums(w: np.ndarray) -> np.ndarray:
+        return np.bincount(arm, weights=w, minlength=data.design.J)
+
+    means = np.column_stack([arm_sums(c) for c in cols]) / counts[:, None]
+    for c, mu in zip(cols, means.T):
+        c -= mu[arm]  # centered in place, so a build holds p row columns at a time
+    cov = np.empty(means.shape + means.shape[1:])
+    for a, ca in enumerate(cols):
+        for b in range(a + 1):
+            cov[:, a, b] = cov[:, b, a] = arm_sums(ca * cols[b]) / counts / counts
+    for arr in (means, cov):
+        arr.setflags(write=False)
+    return means, cov
 
 
-# moment layout (see _arm_variable_blocks) each method's endpoint maps read
+def _se_from_gradient(grad: np.ndarray, cov: np.ndarray) -> float:
+    """Delta-method SE of the stacked arm moments: sqrt(sum_j g_j' C_j g_j)."""
+    G = grad.reshape(cov.shape[:2])
+    return math.sqrt(max(float(np.einsum("jp,jpq,jq->", G, cov, G)), 0.0))
+
+
+# moment layout (see _build_arm_moments) each method's endpoint maps read
 _LAYOUT = {"adjusted": "ydt", "joint": "yp"}
 
 
@@ -437,8 +421,8 @@ def estimate_bounds(
     """
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
-    mvec, covs, p = _arm_moments(data, k, _LAYOUT.get(kind, "yd"), k2)
-    contexts, nu = _first_stage_table(data.design, k, k2, mvec[1::p])
+    means, cov = _arm_moments(data, k, k2)
+    contexts, nu = _first_stage_table(data.design, k, k2, means[:, 1])
     if policy == "min":
         c_index = int(np.argmin(nu))
         ctx = contexts[c_index]
@@ -453,11 +437,12 @@ def estimate_bounds(
             f"factor {k}: estimated first stage at {ctx!r} is {nu_tilde}; table {table!r}"
         )
     funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
+    mvec, cov = means[:, : funcs.p].ravel(), cov[:, : funcs.p, : funcs.p]
     center = funcs.center.value(mvec)
     raw_lower = funcs.lower.value(mvec)
     raw_upper = funcs.upper.value(mvec)
-    se_lower = _se_from_gradient(funcs.lower.gradient(mvec), covs, funcs.p)
-    se_upper = _se_from_gradient(funcs.upper.gradient(mvec), covs, funcs.p)
+    se_lower = _se_from_gradient(funcs.lower.gradient(mvec), cov)
+    se_upper = _se_from_gradient(funcs.upper.gradient(mvec), cov)
     lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)
     return BoundsEstimate(
         method=method,
@@ -571,8 +556,9 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     b = np.zeros(size)
     b[1::p] = g
     func = LinearFractional(a, 0.0, b, 0.0)
-    mvec, covs, _ = _arm_moments(data, k, "yd")
+    means, cov = _arm_moments(data, k)
+    mvec = means[:, :p].ravel()
     if func.denominator(mvec) == 0.0:
         raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
-    se = _se_from_gradient(func.gradient(mvec), covs, p)
+    se = _se_from_gradient(func.gradient(mvec), cov[:, :p, :p])
     return WaldEstimate(factor=k, point=func.value(mvec), se=se)

@@ -96,6 +96,8 @@ class Population:
             )
         if self.uptake.shape[0] < 1:
             raise InvalidInputError("population needs at least one unit")
+        if self.uptake.dtype.kind not in "iu":
+            raise InvalidInputError(f"uptake entries must be integers, got dtype {self.uptake.dtype}")
         if not ((self.uptake == 1) | (self.uptake == -1)).all():
             raise InvalidInputError("uptake entries must be -1 or +1")
         if not np.isfinite(self.outcome).all():

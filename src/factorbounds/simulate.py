@@ -554,12 +554,12 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     alloc = np.asarray(allocation, dtype=np.intp)
     if alloc.shape != (pop.N,):
         raise InvalidInputError(f"allocation shape {alloc.shape} does not cover N={pop.N} units")
-    idx = np.arange(pop.N)
+    rows = np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc  # unit i's row i*J + arm
     return ObservedDataset(
         design=pop.design,
         arm=alloc,
-        uptake=pop.uptake[idx, alloc, :],
-        outcome=pop.outcome[idx, alloc],
+        uptake=pop.uptake.reshape(-1, pop.design.K)[rows],
+        outcome=pop.outcome.reshape(-1)[rows],
     )
 
 

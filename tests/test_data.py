@@ -122,6 +122,22 @@ def test_dataset_checks_values_before_casting(arm, uptake, message):
         ObservedDataset(design=enumerate_assignments(1), arm=arm, uptake=uptake, outcome=[0.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "outcome, dtype",
+    [(["0.5", True], "<U5"), ([True, False], "bool"), ([None, 0.5], "object")],
+    ids=["string", "boolean", "object"],
+)
+def test_dataset_refuses_non_numeric_outcomes(outcome, dtype):
+    from factorbounds.design import enumerate_assignments
+
+    design = enumerate_assignments(1)
+    message = f"outcome entries must be numbers, got dtype {dtype}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        ObservedDataset(design=design, arm=[0, 1], uptake=[[1], [1]], outcome=outcome)
+    data = ObservedDataset(design=design, arm=[0, 1], uptake=[[1], [1]], outcome=[0, 1])
+    assert data.outcome.dtype == np.float64 and data.outcome.tolist() == [0.0, 1.0]
+
+
 def test_dataset_validation():
     from factorbounds.design import enumerate_assignments
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorbounds.data import ObservedDataset
 from factorbounds.design import enumerate_assignments
@@ -14,10 +16,7 @@ from factorbounds.errors import (
 from factorbounds import estimate
 from factorbounds.estimate import (
     _arm_moments,
-    _arm_rows,
-    _arm_variable_blocks,
-    _moment_cov_blocks,
-    _moment_vector,
+    _se_from_gradient,
     endpoint_functions,
     estimate_bounds,
     im_critical_value,
@@ -67,31 +66,28 @@ def test_summarize_needs_two_rows_per_arm():
             estimate_bounds(data, 1, "exclusion")
 
 
-def test_dataset_grouped_once(p4_census, monkeypatch):
-    data = p4_census
+def test_moments_built_without_sorting(p4_census, monkeypatch):
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda *a, **kw: sorts.append(1) or argsort(*a, **kw))
-    estimate_bounds(data, 1, "exclusion")
-    groups = _arm_rows(data)
-    estimate_bounds(data, 2, "adjusted")
-    wald_reference(data, 1)
-    assert _arm_rows(data) is groups
-    assert len(sorts) == 1
-    for y, d in groups:
-        assert not y.flags.writeable and not d.flags.writeable
+    estimate_bounds(p4_census, 1, "exclusion")
+    estimate_bounds(p4_census, 2, "adjusted")
+    estimate_bounds(p4_census, 1, "joint:2")
+    wald_reference(p4_census, 1)
+    nu_hat_table(p4_census, 2)
+    assert sorts == []
 
 
 def test_arm_moments_built_once_and_read_only(p4_census):
     estimate_bounds(p4_census, 1, "exclusion")
-    mvec, covs, p = _arm_moments(p4_census, 1, "yd")
+    means, cov = _arm_moments(p4_census, 1)
     wald_reference(p4_census, 1)
-    assert _arm_moments(p4_census, 1, "yd")[0] is mvec and p == 2
-    with pytest.raises(ValueError):
-        mvec[0] = 0.5
-    for C in covs:
+    estimate_bounds(p4_census, 1, "adjusted")
+    assert _arm_moments(p4_census, 1)[0] is means
+    assert means.shape == (4, 3) and cov.shape == (4, 3, 3)
+    for arr in (means, cov):
         with pytest.raises(ValueError):
-            C[0, 0] = 0.5
+            arr[0, 0] = 0.5
 
 
 def test_analyze_loop_builds_each_layout_once(monkeypatch):
@@ -103,15 +99,19 @@ def test_analyze_loop_builds_each_layout_once(monkeypatch):
     uptake = np.where(flip, -1, 1) * design.levels[arm]
     data = ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=rng.random(arm.size))
     builds = []
-    blocks_ = estimate._arm_variable_blocks
+    build = estimate._build_arm_moments
     monkeypatch.setattr(
-        estimate, "_arm_variable_blocks", lambda *a: builds.append(a[1:3]) or blocks_(*a)
+        estimate, "_build_arm_moments", lambda *a: builds.append(a[1:]) or build(*a)
     )
     for k in range(1, 6):
         for method in ("adjusted", "simple", "exclusion"):
             estimate_bounds(data, k, method)
         wald_reference(data, k)
-    assert sorted(builds) == sorted((k, layout) for k in range(1, 6) for layout in ("yd", "ydt"))
+    # every layout of a factor reads the one build of that factor
+    assert builds == [(k, None) for k in range(1, 6)]
+    estimate_bounds(data, 1, "joint:2")
+    estimate_bounds(data, 1, "joint:2", profile="declared:-1,-1,-1")
+    assert builds[5:] == [(1, 2)]
 
 
 def test_nu_hat_and_min_profile(p4_census):
@@ -417,8 +417,8 @@ def test_to_dict_field_contract(p4_census):
 
 
 def test_moment_layout_mean_t_identity(p4_census):
-    # rows come out grouped by arm, each arm in its original row order, so
-    # per-arm values equal the masked ones exactly on shuffled data too
+    # sums run over the rows in their original order, so per-arm values
+    # equal the masked ones exactly on shuffled data too
     perm = np.random.default_rng(3).permutation(p4_census.n)
     data = ObservedDataset(
         design=p4_census.design,
@@ -428,16 +428,60 @@ def test_moment_layout_mean_t_identity(p4_census):
     )
     # the auxiliary column equals the observable noncomplier outcome mass:
     # nonzero only where uptake disagrees with the assignment sign
-    blocks = _arm_variable_blocks(data, 1, "ydt")
-    mvec = _moment_vector(blocks)
+    means, cov = _arm_moments(data, 1)
     design = data.design
-    for j, (y, d) in enumerate(_arm_rows(data)):
+    for j in range(design.J):
         mask = data.arm == j
-        assert np.array_equal(y, data.outcome[mask])
-        assert np.array_equal(d, data.uptake[mask])
+        y, d = data.outcome[mask], data.uptake[mask]
         z = design.assignment(j)
         want = (y * (d[:, 0] == (-1 if z[0] == 1 else 1))).mean()
-        assert abs(mvec[3 * j + 2] - want) < TOL
-        assert np.array_equal(blocks[j][:, :2], np.column_stack([y, d[:, 0]]))
-    covs = _moment_cov_blocks(blocks)
-    assert len(covs) == design.J and covs[0].shape == (3, 3)
+        assert abs(means[j, 2] - want) < TOL
+        assert np.array_equal(means[j, :2], np.column_stack([y, d[:, 0]]).mean(axis=0))
+    assert cov.shape == (design.J, 3, 3)
+
+
+def _reference_columns(data, k, k2):
+    """The row columns of a layout, built directly from their definition."""
+    y = data.outcome
+    dk = data.uptake[:, k - 1].astype(np.float64)
+    if k2 is not None:
+        return [y, dk * data.uptake[:, k2 - 1]]
+    z = data.design.levels[data.arm, k - 1]
+    return [y, dk, y * (dk == -z)]
+
+
+@given(
+    K=st.integers(min_value=1, max_value=4),
+    max_rows=st.integers(min_value=2, max_value=12),
+    binary=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_arm_moments_match_masked_reference(K, max_rows, binary, seed):
+    # every arm holds 2..max_rows rows in shuffled order; 0/1 or fractional y
+    rng = np.random.default_rng(seed)
+    design = enumerate_assignments(K)
+    arm = rng.permutation(np.repeat(np.arange(design.J), rng.integers(2, max_rows + 1, design.J)))
+    uptake = rng.choice(np.array([-1, 1], dtype=np.int8), size=(arm.size, K))
+    outcome = rng.integers(0, 2, arm.size).astype(np.float64) if binary else rng.random(arm.size)
+    data = ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=outcome)
+    builds = [(k, None, p) for k in range(1, K + 1) for p in (2, 3)]  # 'yd', 'ydt'
+    builds += [(k, k2, 2) for k in range(1, K + 1) for k2 in range(1, K + 1) if k2 != k]  # 'yp'
+    for k, k2, p in builds:
+        means, cov = _arm_moments(data, k, k2)
+        V = np.column_stack(_reference_columns(data, k, k2)[:p])
+        blocks = []
+        for j in range(design.J):
+            rows = V[arm == j]
+            assert np.array_equal(means[j, :p], rows.mean(axis=0))
+            c = rows - rows.mean(axis=0)
+            n = rows.shape[0]
+            blocks.append((c.T @ c) / n / n)
+            scale = (np.abs(c).T @ np.abs(c)) / n / n  # what the sums' rounding scales with
+            assert np.all(np.abs(cov[j, :p, :p] - blocks[-1]) <= 1e-13 * scale)
+        grad = rng.uniform(-3.0, 3.0, design.J * p)
+        loop = 0.0  # reference: g_j' C_j g_j summed block by block
+        for j, C in enumerate(blocks):
+            gj = grad[p * j : p * (j + 1)]
+            loop += float(gj @ C @ gj)
+        assert abs(_se_from_gradient(grad, cov[:, :p, :p]) - math.sqrt(max(loop, 0.0))) <= 1e-12

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from factorbounds.design import enumerate_assignments, strip_factor
 from factorbounds.estimate import (
-    _arm_variable_blocks,
-    _moment_vector,
+    _arm_moments,
     endpoint_functions,
     estimate_bounds,
 )
@@ -401,7 +400,7 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
                 assert abs(a - b) <= TOL, (method, k, a, b)
             assert iv.raw_lower - TOL <= method_truth(pop, k, method) <= iv.raw_upper + TOL
         rho = constant_complier_share(pop, k)
-        mvec = _moment_vector(_arm_variable_blocks(data, k, "yd"))
+        mvec = _arm_moments(data, k)[0][:, :2].ravel()
         for t in (rho, 0.5 * rho):
             iv, ctx = method_interval(pop, k, f"conservative:{t!r}")
             assert ctx is None

@@ -245,6 +245,15 @@ def test_population_validation():
         pop.uptake[0, 0, 0] = -1  # arrays are frozen
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_population_refuses_non_integer_uptake(dtype):
+    p = fixture_p4()
+    uptake = p.uptake.astype(dtype)
+    message = f"uptake entries must be integers, got dtype {uptake.dtype}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        Population(design=p.design, uptake=uptake, outcome=p.outcome.copy())
+
+
 def test_compliance_profile_computed_once_and_read_only():
     pop = fixture_p4()
     prof = pop.compliance(1)

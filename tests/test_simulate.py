@@ -39,6 +39,8 @@ from factorbounds.simulate import (
     save_scenario,
 )
 
+from conftest import random_population
+
 
 def basic_config(**over):
     kw = dict(
@@ -286,6 +288,17 @@ def test_observe_reads_assigned_rows():
         assert tuple(data.assignment_rows()[i]) == pop.design.assignment(j)
     with pytest.raises(InvalidInputError):
         observe(pop, np.array([0, 1, 2], dtype=np.intp))
+
+
+def test_observe_equals_fancy_index_read_off():
+    pop = random_population(np.random.default_rng(11), 3, 40)
+    alloc = complete_randomization(40, (5,) * 8, 12)
+    data = observe(pop, alloc)
+    idx = np.arange(pop.N)
+    assert np.array_equal(data.arm, alloc)
+    assert np.array_equal(data.uptake, pop.uptake[idx, alloc, :])
+    assert data.uptake.dtype == np.int8
+    assert data.outcome.tobytes() == pop.outcome[idx, alloc].tobytes()
 
 
 def test_arm_means_unbiased_over_allocations():
