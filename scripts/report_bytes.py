@@ -1,0 +1,172 @@
+"""Compare the command-line output of two source trees byte for byte.
+
+Usage:
+
+    python3 scripts/report_bytes.py --parent <tree> [--change <tree>]
+
+Each tree is a checkout of this repository; ``--change`` defaults to the
+checkout holding this script. The generated inputs are written once into a
+temporary directory, by the generators of this checkout's
+``benchmark/inputs.py``: the 50k-row K=5 analyze CSV, the K=6 ``mc_wide``
+scenarios for seeds 1-3 and ``clone_scaling`` at clone factor 1000. Every
+command of ``commands()`` then runs in both trees, as a subprocess with
+``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
+scenarios and ``data/`` files are each tree's own), BLAS on one thread and
+``FB_SEED`` unset.
+
+For every command the exit code, stderr and stdout must be identical. When
+stdout differs and both sides are JSON, each differing field is printed
+with its path and the absolute difference of numbers; otherwise the first
+differing lines are shown. The exit status is 0 when every output is
+identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+MISSING = "<missing>"
+SHOWN = 20  # differences printed per command
+ANALYZE_METHODS = "adjusted,simple,exclusion,interaction:1+2,joint:2"
+
+
+def _load_inputs():
+    """benchmark/inputs.py of this checkout, imported without changing it."""
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", ROOT / "benchmark" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(out: Path) -> dict[str, Path]:
+    """Write the generated inputs into out; returns their paths by name."""
+    inputs = _load_inputs()
+    paths = {}
+    K = 5
+    arm, uptake, outcome = inputs.analyze_rows(1, 50_000, K)
+    header = [f"z{k}" for k in range(1, K + 1)] + [f"d{k}" for k in range(1, K + 1)] + ["y"]
+    z = ((arm[:, None] >> np.arange(K)) & 1) * 2 - 1  # the design's levels of each arm
+    lines = [",".join(header)]
+    for zs, ds, y in zip(z.tolist(), uptake.tolist(), outcome.tolist()):
+        lines.append(",".join(map(str, zs + ds)) + f",{y!r}")
+    paths["k5.csv"] = out / "k5.csv"
+    paths["k5.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    scenarios = {f"wide_seed{s}.json": inputs.wide_scenario(s, 6, 8000) for s in (1, 2, 3)}
+    scenarios["clone1000.json"] = inputs.clone_scenario(ROOT / "scenarios" / "clone_scaling.json", 1000)
+    for name, scenario in scenarios.items():
+        paths[name] = out / name
+        paths[name].write_text(json.dumps(scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return paths
+
+
+def commands(paths: dict[str, Path]) -> list[list[str]]:
+    """The CLI argument lists compared; shipped files are relative to the tree."""
+    shipped = ("appc_like", "clone_scaling", "full_compliance", "well_separated")
+    return [
+        *(["simulate", f"scenarios/{name}.json", "-R", "30"] for name in shipped),
+        *(["simulate", str(paths[f"wide_seed{s}.json"]), "-R", "2"] for s in (1, 2, 3)),
+        ["simulate", str(paths["clone1000.json"]), "-R", "3"],
+        ["oracle", "data/p4_population.json"],
+        ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],
+        ["oracle", "data/p4_defier.json"],
+        ["analyze", "data/p4_census.csv"],
+        ["analyze", "data/p4_census_binary.csv", "--binary-coding"],
+        ["analyze", "data/p4_census_binary.csv"],  # -1/+1 expected: the error path
+        ["analyze", "data/p4_defier_census.csv"],
+        ["analyze", str(paths["k5.csv"])],
+        ["analyze", str(paths["k5.csv"]), "--factor", "1", "--method", ANALYZE_METHODS],
+    ]
+
+
+def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("FB_SEED", None)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "factorbounds.cli", *argv], cwd=tree, env=env, capture_output=True, text=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def json_diff(parent, change, path: str = "$") -> list[tuple[str, object, object, float | None]]:
+    """Every field where two JSON documents differ, as (path, parent value,
+    change value, absolute difference of two numbers or None). Values differ
+    when their types or reprs do, so -0.0 against 0.0 and 1 against 1.0 count."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        found = []
+        for key in sorted(parent.keys() | change.keys()):
+            sub = f"{path}.{key}"
+            if key not in change:
+                found.append((sub, parent[key], MISSING, None))
+            elif key not in parent:
+                found.append((sub, MISSING, change[key], None))
+            else:
+                found += json_diff(parent[key], change[key], sub)
+        return found
+    if isinstance(parent, list) and isinstance(change, list) and len(parent) == len(change):
+        return [d for i, pair in enumerate(zip(parent, change)) for d in json_diff(*pair, f"{path}[{i}]")]
+    if type(parent) is type(change) and repr(parent) == repr(change):
+        return []
+    gap = abs(parent - change) if _number(parent) and _number(change) else None
+    return [(path, parent, change, gap)]
+
+
+def describe(name: str, parent: str, change: str) -> list[str]:
+    """Lines that show how one output stream differs."""
+    try:
+        found = json_diff(json.loads(parent), json.loads(change))
+    except ValueError:  # not JSON on both sides: show the text
+        lines = list(difflib.unified_diff(parent.splitlines(), change.splitlines(), "parent", "change", lineterm=""))
+        return [f"  {name}:"] + [f"    {line}" for line in lines[:SHOWN]]
+    out = [f"  {name}: {len(found)} JSON field(s) differ"]
+    for path, p, c, gap in found[:SHOWN]:
+        out.append(f"    {path}: parent {p!r} change {c!r}" + ("" if gap is None else f" |diff| {gap:.3g}"))
+    if len(found) > SHOWN:
+        out.append(f"    ... {len(found) - SHOWN} more")
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="the parent's source tree")
+    parser.add_argument("--change", type=Path, default=ROOT, help="the change's source tree (default this one)")
+    args = parser.parse_args(argv)
+    parent, change = args.parent.resolve(), args.change.resolve()
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="report_bytes-") as tmp:
+        for cmd in commands(write_inputs(Path(tmp))):
+            label = " ".join(Path(a).name if a.startswith(tmp) else a for a in cmd)
+            (p_code, p_out, p_err), (c_code, c_out, c_err) = run(parent, cmd), run(change, cmd)
+            lines = []
+            if p_code != c_code:
+                lines.append(f"  exit code: parent {p_code} change {c_code}")
+            if p_err != c_err:
+                lines += describe("stderr", p_err, c_err)
+            if p_out != c_out:
+                lines += describe("stdout", p_out, c_out)
+            print(("DIFF  " if lines else "same  ") + f"{label}  (exit {c_code})")
+            for line in lines:
+                print(line)
+            differing += bool(lines)
+    print(f"{differing} command(s) differ" if differing else "every output is identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

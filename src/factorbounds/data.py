@@ -36,8 +36,8 @@ class ObservedDataset:
     rescale: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        # values are checked before the casts, which would turn uptake 255 into -1, arm 0.7 into 0
-        # and outcome '0.5' into 0.5
+        # values are checked before the casts, which would turn uptake 255 into -1, arm 0.7 into 0,
+        # outcome '0.5' into 0.5 and a boolean True into 1
         arm, uptake, outcome = map(np.asarray, (self.arm, self.uptake, self.outcome))
         if arm.ndim != 1 or arm.shape[0] == 0:
             raise InvalidInputError("dataset needs a nonempty 1-d arm index array")
@@ -52,7 +52,7 @@ class ObservedDataset:
             raise InvalidInputError(f"arm indices must be integers, got dtype {arm.dtype}")
         if arm.min() < 0 or arm.max() >= self.design.J:
             raise InvalidInputError("arm indices out of range for the design")
-        if not ((uptake == 1) | (uptake == -1)).all():
+        if uptake.dtype.kind == "b" or not ((uptake == 1) | (uptake == -1)).all():
             raise InvalidInputError("uptake entries must be -1 or +1")
         if outcome.dtype.kind not in "iuf":
             raise InvalidInputError(f"outcome entries must be numbers, got dtype {outcome.dtype}")
@@ -75,8 +75,8 @@ class ObservedDataset:
         return np.bincount(self.arm, minlength=self.design.J)
 
     @cached_property
-    def _moments(self) -> dict:
-        """estimate's arm moments per (factor, joint partner), filled on first use."""
+    def _memo(self) -> dict:
+        """Results of the _memoized functions (estimate's arm moments), filled on first use."""
         return {}
 
     def assignment_rows(self) -> np.ndarray:

@@ -3,12 +3,14 @@
 Every interval endpoint shipped here is a linear-fractional function of the
 stacked vector of per-arm sample means (outcome mean, uptake mean, and for
 the adjusted method an extra noncomplier-outcome mean; for the joint method
-the mean of the uptake product). That single representation gives one code
-path for values and one for analytic delta-method gradients; arms are
-independent, so the moment covariance is block diagonal with each block a
-1/n-normalized central second-moment matrix divided by the arm size. One
-pass of per-arm sums over a dataset's rows gives every mean and block of a
-factor, for every layout at once.
+the mean of the uptake product), and every method builds it by one rule:
+an outcome contrast plus or minus a half-width, over m times the first
+stage at the profile (endpoint_functions). That gives one code path for
+values and one for analytic delta-method gradients; arms are independent,
+so the moment covariance is block diagonal with each block a 1/n-normalized
+central second-moment matrix divided by the arm size. One pass of per-arm
+sums over a dataset's rows gives every mean and block of a factor, for
+every layout at once, kept on the dataset's memo.
 
 Confidence intervals for the partially identified effect use a critical
 value between the one-sided and two-sided normal quantiles, solving
@@ -37,6 +39,7 @@ from .errors import (
     InvalidShareError,
     WeakFirstStageError,
 )
+from .population import _memoized
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -63,7 +66,7 @@ def _first_stage_table(
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
     """Estimated first stage per context of factor k, canonical order."""
     dsg.validate_factor(data.design, k)
-    return _first_stage_table(data.design, k, None, _arm_moments(data, k)[0][:, 1])
+    return _first_stage_table(data.design, k, None, _arm_moments(data, k, None)[0][:, 1])
 
 
 # --- method / profile grammar ------------------------------------------------
@@ -194,18 +197,12 @@ class LinearFractional:
         return self.a / den - (num / den**2) * self.b
 
 
-def _arm_moments(data: ObservedDataset, k: int, k2: int | None = None) -> tuple:
-    """_build_arm_moments(data, k, k2), built once per dataset and factor
-    (and joint partner); callers validate k and k2 first."""
-    key = (k, k2)
-    if key not in data._moments:
-        data._moments[key] = _build_arm_moments(data, k, k2)
-    return data._moments[key]
-
-
-def _build_arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
+@_memoized
+def _arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
     """Read-only (means, covariance blocks) of factor k's row columns per
-    arm, shapes (J, p) and (J, p, p); every arm needs at least two rows.
+    arm, shapes (J, p) and (J, p, p), built once per dataset and factor (and
+    joint partner); every arm needs at least two rows, and callers validate
+    k and k2 first.
 
     Without a partner the columns are [y, d_k, t]: t = y*1(d_k = -z_k) is
     the observable noncomplier outcome, nonzero where uptake disagrees with
@@ -241,8 +238,6 @@ def _build_arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
     for a, ca in enumerate(cols):
         for b in range(a + 1):
             cov[:, a, b] = cov[:, b, a] = arm_sums(ca * cols[b]) / counts / counts
-    for arr in (means, cov):
-        arr.setflags(write=False)
     return means, cov
 
 
@@ -252,15 +247,10 @@ def _se_from_gradient(grad: np.ndarray, cov: np.ndarray) -> float:
     return math.sqrt(max(float(np.einsum("jp,jpq,jq->", G, cov, G)), 0.0))
 
 
-# moment layout (see _build_arm_moments) each method's endpoint maps read
-_LAYOUT = {"adjusted": "ydt", "joint": "yp"}
-
-
 @dataclass(frozen=True)
 class EndpointFunctions:
-    """center/lower/upper endpoint maps plus the moment layout they expect."""
+    """center/lower/upper endpoint maps over the moment vector means[:, :p].ravel()."""
 
-    kind: str
     p: int
     center: LinearFractional
     lower: LinearFractional
@@ -275,94 +265,67 @@ def endpoint_functions(
     profile_index: int | None = None,
     t_value: float | None = None,
 ) -> EndpointFunctions:
-    """Build the endpoint maps for a method over the arm-moment vector.
+    """Endpoint maps of a method over the arm-moment vector, by one rule.
 
-    profile_index names the chosen context (joint context for the joint
-    method); t_value replaces the plug-in first stage for the conservative
-    variant (then profile_index is unused).
+    The center is C/D, an outcome contrast C over D = m*nu, m = J/2 times
+    the first stage at the profile. A half-width triple (h_lo, h_up, h0)
+    on the first-stage column gives H = h.m + h0 - D, and the ends are
+    (C - H_lo)/D and (C + H_up)/D. With g factor k's main-effect contrast
+    (the pair's interaction contrast for joint) and s the interaction's:
+
+        simple       C = g.y          (0, 0, m)
+        adjusted     C = g.y - g.t    (g/2 + 1(g<0)/2, g/2 - 1(g>0)/2, m/2)
+        exclusion    C = g.y          (g/2, g/2, 0)
+        interaction  C = s.y          (g/2, g/2, 0)
+        joint        C = g.y          (g/2, g/2, 0)
+
+    D reads the profile's two arms (a joint profile's four), each signed
+    by g; t_value replaces D by the constant m*t (the conservative variant;
+    profile_index unused). Coefficients are (J, p) tables like the moment
+    table, raveled at the end.
     """
-    kind_name, extra = parse_method(method)
+    kind, extra = parse_method(method)
     dsg.validate_factor(design, k)
-    kind = _LAYOUT.get(kind_name, "yd")
-    J = design.J
-    m = J // 2
-    g = dsg.main_effect_contrast(design, k).signs.astype(np.float64)
+    J, m = design.J, design.J // 2
+    p = 3 if kind == "adjusted" else 2
+    pair = (k, *extra) if kind == "joint" else None
+    g = (dsg.interaction_contrast(design, pair) if pair else dsg.main_effect_contrast(design, k)).signs
 
-    if kind_name == "joint":
-        (k2,) = extra
-        gf = dsg.interaction_contrast(design, (k, k2)).signs.astype(np.float64)
-        p = 2
-        size = p * J
-        a_center = np.zeros(size)
-        a_center[0::p] = gf
-        b = np.zeros(size)
-        j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(design, k, k2)[:, profile_index]
-        for j, q in ((j_pp, 1.0), (j_mm, 1.0), (j_mp, -1.0), (j_pm, -1.0)):
-            b[p * j + 1] += q * m / 4.0
-        half = np.zeros(size)
-        half[1::p] = gf / 2.0
-        half -= b
-        return EndpointFunctions(
-            kind=kind,
-            p=p,
-            center=LinearFractional(a_center, 0.0, b, 0.0),
-            lower=LinearFractional(a_center - half, 0.0, b, 0.0),
-            upper=LinearFractional(a_center + half, 0.0, b, 0.0),
-        )
-
-    p = 3 if kind == "ydt" else 2
-    size = p * J
-
-    b = np.zeros(size)
-    b0 = 0.0
-    if t_value is not None:
+    num, den, b0 = np.zeros((J, p)), np.zeros((J, p)), 0.0
+    num[:, 0] = dsg.interaction_contrast(design, extra).signs if kind == "interaction" else g
+    if kind == "adjusted":
+        num[:, 2] = -g
+    if kind == "joint":
+        arms = dsg.joint_context_arms(design, *pair)[:, profile_index]
+        den[arms, 1] = g[arms] * (m / 4.0)
+    elif t_value is not None:
         b0 = m * t_value
     else:
         j_minus, j_plus = dsg.context_arms(design, k)[:, profile_index]
-        b[p * j_plus + 1] += m / 2.0
-        b[p * j_minus + 1] -= m / 2.0
+        den[j_plus, 1], den[j_minus, 1] = m / 2.0, -m / 2.0
+    a, b = num.ravel(), den.ravel()
 
-    if kind_name == "interaction":
-        gnum = dsg.interaction_contrast(design, extra).signs.astype(np.float64)
+    def half(h):  # H = h.m + h0 - D without its constant h0 - b0
+        H = np.zeros((J, p))
+        H[:, 1] = h
+        H -= den
+        return H.ravel()
+
+    if kind == "simple":
+        H_lo = H_up = -b  # h = 0
+        h0 = float(m)
+    elif kind == "adjusted":  # g = +-1, so the h pair is (1(g>0)/2, -1(g<0)/2)
+        H_lo, H_up = half((g > 0) / 2.0), half((g < 0) / -2.0)
+        h0 = m / 2.0
     else:
-        gnum = g
-    a_center = np.zeros(size)
-    a_center[0::p] = gnum
-    if kind_name == "adjusted":
-        a_center[2::p] = -g
-
-    if kind_name == "simple":
-        # half = (1 - nu) / nu, numerator m - m*nu
-        half_lo = np.zeros(size)
-        half_lo -= b
-        h0_lo = float(m) - b0
-        half_up, h0_up = half_lo, h0_lo
-    elif kind_name == "adjusted":
-        # lower: S + A - m*nu; upper: S + B - m*nu
-        s_vec = np.zeros(size)
-        s_vec[1::p] = g / 2.0
-        a_vec = np.zeros(size)
-        a_vec[1::p] = (g < 0).astype(np.float64) / 2.0
-        b_vec = np.zeros(size)
-        b_vec[1::p] = (g > 0).astype(np.float64) / -2.0
-        half_lo = s_vec + a_vec - b
-        h0_lo = m / 2.0 - b0
-        half_up = s_vec + b_vec - b
-        h0_up = m / 2.0 - b0
-    else:
-        # exclusion / interaction / conservative-style: S - m*nu (or S - m*t)
-        s_vec = np.zeros(size)
-        s_vec[1::p] = g / 2.0
-        half_lo = s_vec - b
-        h0_lo = -b0
-        half_up, h0_up = half_lo, h0_lo
-
+        H_lo = H_up = half(g / 2.0)
+        h0 = -0.0  # so the constant h0 - b0 is -b0, sign of zero included
+    c0 = h0 - b0
     return EndpointFunctions(
-        kind=kind,
         p=p,
-        center=LinearFractional(a_center, 0.0, b, b0),
-        lower=LinearFractional(a_center - half_lo, -h0_lo, b, b0),
-        upper=LinearFractional(a_center + half_up, h0_up, b, b0),
+        center=LinearFractional(a, 0.0, b, b0),
+        lower=LinearFractional(a - H_lo, -c0, b, b0),
+        upper=LinearFractional(a + H_up, c0, b, b0),
     )
 
 
@@ -438,11 +401,8 @@ def estimate_bounds(
         )
     funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
     mvec, cov = means[:, : funcs.p].ravel(), cov[:, : funcs.p, : funcs.p]
-    center = funcs.center.value(mvec)
-    raw_lower = funcs.lower.value(mvec)
-    raw_upper = funcs.upper.value(mvec)
-    se_lower = _se_from_gradient(funcs.lower.gradient(mvec), cov)
-    se_upper = _se_from_gradient(funcs.upper.gradient(mvec), cov)
+    center, raw_lower, raw_upper = (f.value(mvec) for f in (funcs.center, funcs.lower, funcs.upper))
+    se_lower, se_upper = (_se_from_gradient(f.gradient(mvec), cov) for f in (funcs.lower, funcs.upper))
     lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)
     return BoundsEstimate(
         method=method,
@@ -547,18 +507,13 @@ class WaldEstimate:
 def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     """Ratio of the marginal outcome ITT to the marginal uptake ITT."""
     dsg.validate_factor(data.design, k)
-    design = data.design
-    g = dsg.main_effect_contrast(design, k).signs.astype(np.float64)
-    p = 2
-    size = p * design.J
-    a = np.zeros(size)
-    a[0::p] = 2.0 * g
-    b = np.zeros(size)
-    b[1::p] = g
-    func = LinearFractional(a, 0.0, b, 0.0)
-    means, cov = _arm_moments(data, k)
-    mvec = means[:, :p].ravel()
+    g = dsg.main_effect_contrast(data.design, k).signs
+    num, den = np.zeros((data.design.J, 2)), np.zeros((data.design.J, 2))
+    num[:, 0], den[:, 1] = 2.0 * g, g
+    func = LinearFractional(num.ravel(), 0.0, den.ravel(), 0.0)
+    means, cov = _arm_moments(data, k, None)
+    mvec = means[:, :2].ravel()
     if func.denominator(mvec) == 0.0:
         raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
-    se = _se_from_gradient(func.gradient(mvec), cov[:, :p, :p])
+    se = _se_from_gradient(func.gradient(mvec), cov[:, :2, :2])
     return WaldEstimate(factor=k, point=func.value(mvec), se=se)

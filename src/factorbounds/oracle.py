@@ -38,7 +38,7 @@ import numpy as np
 from . import design as dsg
 from . import population as popmod
 from .design import Context, FactorialDesign
-from .estimate import parse_method, parse_request
+from .estimate import parse_method, parse_request, record_to_dict
 from .errors import (
     AssumptionViolationError,
     InvalidFactorError,
@@ -409,20 +409,10 @@ def method_report(pop: Population, k: int, method: str, profile="min") -> dict:
     """JSON entry for one method: the interval, its profile and the true
     effect; a conservative entry also echoes its share floor t."""
     iv, ctx = method_interval(pop, k, method, profile)
-    out = {
-        "center": iv.center,
-        "half_width_lower": iv.half_width_lower,
-        "half_width_upper": iv.half_width_upper,
-        "raw_lower": iv.raw_lower,
-        "raw_upper": iv.raw_upper,
-        "lower": iv.lower,
-        "upper": iv.upper,
-        "lower_clipped": iv.lower_clipped,
-        "upper_clipped": iv.upper_clipped,
+    kind, args = parse_method(method)
+    return {
+        **record_to_dict(iv),
         "profile_context": list(ctx) if ctx is not None else None,
         "true_delta": method_truth(pop, k, method),
+        **({"t": args[0]} if kind == "conservative" else {}),
     }
-    kind, args = parse_method(method)
-    if kind == "conservative":
-        out["t"] = args[0]
-    return out

@@ -53,21 +53,22 @@ def _typed(value):
 
 
 def _memoized(fn):
-    """fn(pop, ...) computed once per population and typed arguments, kept in
-    pop._memo (a Population's arrays never change). A call that raises stores
-    nothing and an unhashable argument is computed uncached; arrays come back
-    read-only and lists as fresh copies (a None result counts as a miss)."""
+    """fn(owner, ...) computed once per owner and typed arguments, kept in
+    owner._memo; the owner is a Population or an ObservedDataset, whose
+    arrays never change. A call that raises stores nothing and an unhashable
+    argument is computed uncached; arrays come back read-only and lists as
+    fresh copies (a None result counts as a miss)."""
 
     @functools.wraps(fn)
-    def wrapper(pop, *args, **kwargs):
+    def wrapper(owner, *args, **kwargs):
         compute = wrapper.__wrapped__  # read per call, like a module attribute
         key = (wrapper, _typed((args, tuple(sorted(kwargs.items())))))
         try:
-            value = pop._memo.get(key)
+            value = owner._memo.get(key)
         except TypeError:  # an unhashable argument, such as a list profile
-            return compute(pop, *args, **kwargs)
+            return compute(owner, *args, **kwargs)
         if value is None:
-            value = pop._memo[key] = compute(pop, *args, **kwargs)
+            value = owner._memo[key] = compute(owner, *args, **kwargs)
             for arr in value if type(value) is tuple else (value,):
                 if isinstance(arr, np.ndarray):
                     arr.setflags(write=False)
@@ -100,12 +101,16 @@ class Population:
             raise InvalidInputError(f"uptake entries must be integers, got dtype {self.uptake.dtype}")
         if not ((self.uptake == 1) | (self.uptake == -1)).all():
             raise InvalidInputError("uptake entries must be -1 or +1")
-        if not np.isfinite(self.outcome).all():
+        if self.outcome.dtype.kind not in "iuf":
+            raise InvalidInputError(f"outcome entries must be numbers, got dtype {self.outcome.dtype}")
+        outcome = np.asarray(self.outcome, dtype=np.float64)
+        if not np.isfinite(outcome).all():
             raise InvalidInputError("outcomes must be finite")
-        if self.outcome.min() < 0.0 or self.outcome.max() > 1.0:
+        if outcome.min() < 0.0 or outcome.max() > 1.0:
             raise InvalidInputError("outcomes must lie in [0, 1]")
         self.uptake.setflags(write=False)
-        self.outcome.setflags(write=False)
+        outcome.setflags(write=False)
+        object.__setattr__(self, "outcome", outcome)
 
     @cached_property
     def _memo(self) -> dict:

@@ -111,9 +111,10 @@ def test_census_dataset_means_match_population(p4):
         ([0, 1], [[255], [1]], "uptake entries must be -1 or +1"),  # int8 would wrap it to -1
         ([0, 1], [[300], [1]], "uptake entries must be -1 or +1"),  # int8 would overflow
         ([0, 1], [[1.5], [1]], "uptake entries must be -1 or +1"),  # int8 would truncate it to 1
+        ([0, 1], [[True], [True]], "uptake entries must be -1 or +1"),  # int8 would take True as 1
         ([0.7, 1], [[1], [1]], "arm indices must be integers"),  # intp would truncate it to 0
     ],
-    ids=["uptake_255", "uptake_300", "uptake_fraction", "arm_fraction"],
+    ids=["uptake_255", "uptake_300", "uptake_fraction", "uptake_boolean", "arm_fraction"],
 )
 def test_dataset_checks_values_before_casting(arm, uptake, message):
     from factorbounds.design import enumerate_assignments

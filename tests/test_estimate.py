@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,8 @@ from factorbounds.oracle import (
     simple_bounds,
 )
 from factorbounds.simulate import census_dataset
+
+from conftest import count_computations
 
 TOL = 1e-12
 
@@ -80,10 +83,10 @@ def test_moments_built_without_sorting(p4_census, monkeypatch):
 
 def test_arm_moments_built_once_and_read_only(p4_census):
     estimate_bounds(p4_census, 1, "exclusion")
-    means, cov = _arm_moments(p4_census, 1)
+    means, cov = _arm_moments(p4_census, 1, None)
     wald_reference(p4_census, 1)
     estimate_bounds(p4_census, 1, "adjusted")
-    assert _arm_moments(p4_census, 1)[0] is means
+    assert _arm_moments(p4_census, 1, None)[0] is means
     assert means.shape == (4, 3) and cov.shape == (4, 3, 3)
     for arr in (means, cov):
         with pytest.raises(ValueError):
@@ -98,11 +101,7 @@ def test_analyze_loop_builds_each_layout_once(monkeypatch):
     flip = rng.random((arm.size, 5)) < 0.1
     uptake = np.where(flip, -1, 1) * design.levels[arm]
     data = ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=rng.random(arm.size))
-    builds = []
-    build = estimate._build_arm_moments
-    monkeypatch.setattr(
-        estimate, "_build_arm_moments", lambda *a: builds.append(a[1:]) or build(*a)
-    )
+    builds = count_computations(monkeypatch, estimate._arm_moments)
     for k in range(1, 6):
         for method in ("adjusted", "simple", "exclusion"):
             estimate_bounds(data, k, method)
@@ -247,6 +246,66 @@ def test_gradients_match_finite_differences():
                 err = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
                 worst = max(worst, err)
     assert worst < 1e-8
+
+
+# (K, k, method, profile_index or t_value) -> center, lower and upper values
+# as float.hex at _pinned_moments(K), and a digest of their gradients
+ENDPOINT_PINS = {
+    (2, 1, "adjusted", 0): ("-0x1.4e14715dccbfep+1", "-0x1.2a43df2c7ed52p+2", "0x1.1b7fa83b134d6p+0", "ade79f51e8a66c35"),
+    (2, 1, "adjusted", 1): ("0x1.4345d4b772187p+1", "0x1.9e8bd978483cdp+2", "-0x1.8505f4d2ee807p+1", "15e5dc9f2e6886d5"),
+    (2, 1, "simple", 0): ("-0x1.557cf8a97aac6p+1", "-0x1.2e7a10e6777e8p+3", "0x1.077729237450ap+2", "3b9f3efc63c469ad"),
+    (2, 1, "simple", 1): ("0x1.4a71024fa5cf3p+1", "0x1.63a82aadf39b0p+3", "-0x1.7cdf530c4166cp+2", "c18c843347138655"),
+    (2, 1, "exclusion", 0): ("-0x1.557cf8a97aac6p+1", "-0x1.a6b2805f3d5fap+0", "-0x1.d7a0b12356a8fp+1", "30cf65d6eccc63a6"),
+    (2, 1, "exclusion", 1): ("0x1.4a71024fa5cf3p+1", "0x1.c85f01aafc2cdp+1", "0x1.990605e89ee2fp+0", "f178e924b86d2af8"),
+    (2, 1, "interaction:1+2", 0): ("-0x1.7a3c30bfc99bdp+1", "-0x1.f030f08bdb3e7p+0", "-0x1.fc5fe939a5985p+1", "584833f1d8ba791c"),
+    (2, 1, "interaction:1+2", 1): ("0x1.6dffea7ef09b1p+1", "0x1.ebede9da46f8bp+1", "0x1.e023d647347abp+0", "2f22fbf7daac7bbf"),
+    (2, 1, "joint:2", 0): ("0x1.74044e31472f8p+1", "0x1.74044e31472f8p+1", "0x1.74044e31472f8p+1", "f8e53d8bbd19f17d"),
+    (2, 1, "exclusion", 0.4): ("-0x1.b6acfb033a1efp-1", "0x1.304a7c4b6f633p-3", "-0x1.dcb64a8ca80b6p+0", "85f5e515912c0efa"),
+    (3, 2, "adjusted", 0): ("-0x1.ee37f7c41d013p-1", "0x1.edea5179e0eb4p+0", "-0x1.c279109706db0p+1", "ef024857a77f1305"),
+    (3, 2, "adjusted", 1): ("0x1.a4fe92ebb797bp-1", "0x1.aaad3f66c23f6p-3", "0x1.2563c015c82d3p+0", "f9fcb492e2eac7a8"),
+    (3, 2, "adjusted", 2): ("0x1.142db0acfe582p+0", "-0x1.3ce4b141964b3p-5", "0x1.d0d0b27a1e435p+0", "dcd4e758ab208441"),
+    (3, 2, "adjusted", 3): ("0x1.cb4797c541e64p-1", "0x1.173bcece0d9ccp-3", "0x1.5759e455d3542p+0", "3c8721acb8841cd0"),
+    (3, 2, "simple", 0): ("-0x1.b51c4f92b7f3dp-1", "0x1.87855ae09645ap+1", "-0x1.3109c154f91fcp+2", "5e178a5c4d662605"),
+    (3, 2, "simple", 1): ("0x1.7458fce57e3b6p-1", "-0x1.81e8b4a139d4ap-1", "0x1.1aa6ab9b0d92ep+1", "ed7cf0d297d01fac"),
+    (3, 2, "simple", 2): ("0x1.e887e9a378618p-1", "-0x1.4d0a983c42c5fp+0", "0x1.9ac940efdd93cp+1", "f67c565b3c7dedf3"),
+    (3, 2, "simple", 3): ("0x1.96357a5124735p-1", "-0x1.d39099a60dbc3p-1", "0x1.3ffee39215a8cp+1", "ae22a2555aac2d3b"),
+    (3, 2, "exclusion", 0): ("-0x1.b51c4f92b7f3dp-1", "0x1.5d6adaa814443p-1", "-0x1.31e8de73610b0p+1", "ca320b3c9e379dee"),
+    (3, 2, "exclusion", 1): ("0x1.7458fce57e3b6p-1", "0x1.453f3f0d2b407p+0", "0x1.78cdeec297d72p-3", "a0c76ce530733358"),
+    (3, 2, "exclusion", 2): ("0x1.e887e9a378618p-1", "0x1.5adaa9db9031fp+0", "0x1.1b5a7f8fd05f2p-1", "200336642dc444ce"),
+    (3, 2, "exclusion", 3): ("0x1.96357a5124735p-1", "0x1.4b8b5ca819b11p+0", "0x1.2aa876a42b092p-2", "814084dd6818a144"),
+    (3, 2, "interaction:1+2+3", 0): ("0x1.ad84dc9faf4f9p-3", "0x1.bef430b15c05fp+0", "-0x1.5392f98970321p+0", "346c21170b4487fd"),
+    (3, 2, "interaction:1+2+3", 1): ("-0x1.6de17bb74dc0cp-3", "0x1.755a448e09aacp-2", "-0x1.719de022abb5dp-1", "581843dadd357653"),
+    (3, 2, "interaction:1+2+3", 2): ("-0x1.e00bd7a61f414p-3", "0x1.54a9d0a880c84p-3", "-0x1.45305ffd2fd2bp-1", "7cfb03b929cf0d53"),
+    (3, 2, "interaction:1+2+3", 3): ("-0x1.8f276beece9dcp-3", "0x1.3a2ec806b68eap-2", "-0x1.64ab19fac2962p-1", "7231ba34fbec7042"),
+    (3, 2, "joint:3", 0): ("-0x1.759cee06170eep-1", "-0x1.a190bd1915ebbp-3", "-0x1.416ad662f4517p+0", "c6fd944caf08e855"),
+    (3, 2, "joint:3", 1): ("0x1.c41f519413b0dp+3", "0x1.84f56093ad08ep+4", "0x1.f94f8803353fep+1", "7c4b95fabd50d62e"),
+    (3, 2, "exclusion", 0.4): ("0x1.7734237cf7b39p-1", "0x1.45c738b3326a5p+0", "0x1.8b67564e2a4a2p-3", "1fd946f7485ca052"),
+}
+
+
+def _pinned_moments(K):
+    """A seeded (J, 3) table of arm moments: y, d and t means."""
+    J = 2**K
+    rng = np.random.default_rng(K)
+    return np.column_stack([rng.random(J), rng.uniform(-1.0, 1.0, J), rng.random(J) / 2])
+
+
+def _hex_digest(arrays):
+    text = " ".join(float.hex(float(v)) for a in arrays for v in a)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_endpoint_maps_pinned_bit_for_bit():
+    drifted = []
+    for (K, k, method, arg), want in ENDPOINT_PINS.items():
+        option = {"t_value": arg} if isinstance(arg, float) else {"profile_index": arg}
+        funcs = endpoint_functions(enumerate_assignments(K), k, method, **option)
+        m = _pinned_moments(K)[:, : funcs.p].ravel()
+        maps = (funcs.center, funcs.lower, funcs.upper)
+        got = tuple(f.value(m).hex() for f in maps) + (_hex_digest(f.gradient(m) for f in maps),)
+        if got != want:
+            drifted.append(((K, k, method, arg), got))
+    assert drifted == []
 
 
 def test_duplicating_rows_scales_ses_by_sqrt2(p4_census):
@@ -428,7 +487,7 @@ def test_moment_layout_mean_t_identity(p4_census):
     )
     # the auxiliary column equals the observable noncomplier outcome mass:
     # nonzero only where uptake disagrees with the assignment sign
-    means, cov = _arm_moments(data, 1)
+    means, cov = _arm_moments(data, 1, None)
     design = data.design
     for j in range(design.J):
         mask = data.arm == j

@@ -400,7 +400,7 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
                 assert abs(a - b) <= TOL, (method, k, a, b)
             assert iv.raw_lower - TOL <= method_truth(pop, k, method) <= iv.raw_upper + TOL
         rho = constant_complier_share(pop, k)
-        mvec = _arm_moments(data, k)[0][:, :2].ravel()
+        mvec = _arm_moments(data, k, None)[0][:, :2].ravel()
         for t in (rho, 0.5 * rho):
             iv, ctx = method_interval(pop, k, f"conservative:{t!r}")
             assert ctx is None

@@ -254,6 +254,23 @@ def test_population_refuses_non_integer_uptake(dtype):
         Population(design=p.design, uptake=uptake, outcome=p.outcome.copy())
 
 
+@pytest.mark.parametrize("dtype", [np.bool_, np.str_, object])
+def test_population_refuses_non_numeric_outcome(dtype):
+    p = fixture_p4()
+    outcome = p.outcome.astype(dtype)
+    message = f"outcome entries must be numbers, got dtype {outcome.dtype}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        Population(design=p.design, uptake=p.uptake.copy(), outcome=outcome)
+
+
+def test_population_stores_float64_outcome():
+    p = fixture_p4()
+    pop = Population(design=p.design, uptake=p.uptake.copy(), outcome=p.outcome.astype(np.float32))
+    assert pop.outcome.dtype == np.float64 and not pop.outcome.flags.writeable
+    assert pop.arm_outcome_means().dtype == np.float64
+    assert np.array_equal(pop.arm_outcome_means(), p.arm_outcome_means())
+
+
 def test_compliance_profile_computed_once_and_read_only():
     pop = fixture_p4()
     prof = pop.compliance(1)

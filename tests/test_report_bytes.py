@@ -1,0 +1,29 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("report_bytes", ROOT / "scripts" / "report_bytes.py")
+report_bytes = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_bytes)
+
+DOC = {"method": "exclusion", "bounds": {"lower": -0.25, "upper": [0.5, 0.75]}, "n": 3, "ok": True}
+
+
+def test_equal_documents_have_no_difference():
+    assert report_bytes.json_diff(DOC, {**DOC, "bounds": {"upper": [0.5, 0.75], "lower": -0.25}}) == []
+
+
+def test_a_moved_nested_float_reports_its_path_and_distance():
+    moved = {**DOC, "bounds": {"lower": -0.25, "upper": [0.5, 0.75 + 2**-40]}}
+    assert report_bytes.json_diff(DOC, moved) == [("$.bounds.upper[1]", 0.75, 0.75 + 2**-40, 2**-40)]
+
+
+def test_a_missing_key_is_reported_on_its_side():
+    missing = {k: v for k, v in DOC.items() if k != "n"}
+    assert report_bytes.json_diff(DOC, missing) == [("$.n", 3, report_bytes.MISSING, None)]
+    assert report_bytes.json_diff(missing, DOC) == [("$.n", report_bytes.MISSING, 3, None)]
+
+
+def test_type_and_sign_of_zero_count_as_differences():
+    found = report_bytes.json_diff([0.0, 1, True], [-0.0, 1.0, 1])
+    assert found == [("$[0]", 0.0, -0.0, 0.0), ("$[1]", 1, 1.0, 0.0), ("$[2]", True, 1, None)]
