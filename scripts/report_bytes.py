@@ -8,7 +8,9 @@ Each tree is a checkout of this repository; ``--change`` defaults to the
 checkout holding this script. The generated inputs are written once into a
 temporary directory, by the generators of this checkout's
 ``benchmark/inputs.py``: the 50k-row K=5 analyze CSV, the K=6 ``mc_wide``
-scenarios for seeds 1-3 and ``clone_scaling`` at clone factor 1000. Every
+scenarios for seeds 1-3, an ``m2`` (binary outcome) variant of the seed-1
+one and ``clone_scaling`` at clone factor 1000. A K=3 scenario in the
+shipped files' form, written here, adds a ``violate`` token. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -49,6 +51,42 @@ def _load_inputs():
     return module
 
 
+def scenarios() -> dict[str, dict]:
+    """The generated scenarios by file name."""
+    inputs = _load_inputs()
+    found = {f"wide_seed{s}.json": inputs.wide_scenario(s, 6, 8000) for s in (1, 2, 3)}
+    wide = found["wide_seed1.json"]
+    found["wide_m2.json"] = {**wide, "outcome": {**wide["outcome"], "model": "m2"}}
+    found["clone1000.json"] = inputs.clone_scenario(ROOT / "scenarios" / "clone_scaling.json", 1000)
+    found["k3_violate_exclusion.json"] = violating_scenario()
+    return found
+
+
+def violating_scenario() -> dict:
+    """A K=3 fresh scenario whose factor 1 breaks weak treatment exclusion:
+    its exclusion target has no oracle reference, the adjusted one does."""
+    factor = {"always": 0.0, "complier": 0.8, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 3,
+        "N": 1600,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [
+            {"always": 0.1, "complier": 0.55, "depends_on": [2], "upgrade": 0.4, "worst": [-1]},
+            factor,
+            {**factor, "complier": 0.7},
+        ],
+        "outcome": {"alpha": [0.05, 0.15], "beta": [[0.2, 0.3]] * 3, "eta": [-0.05, 0.05], "model": "m1"},
+        "population_mode": "fresh",
+        "require": ["monotone:1", "profile:1", "first_stage:1"],
+        "seed": 20261018,
+        "targets": [
+            {"alpha": 0.05, "factor": 1, "method": m, "profile": "min"} for m in ("exclusion", "adjusted")
+        ],
+        "violate": ["exclusion:1"],
+    }
+
+
 def write_inputs(out: Path) -> dict[str, Path]:
     """Write the generated inputs into out; returns their paths by name."""
     inputs = _load_inputs()
@@ -62,9 +100,7 @@ def write_inputs(out: Path) -> dict[str, Path]:
         lines.append(",".join(map(str, zs + ds)) + f",{y!r}")
     paths["k5.csv"] = out / "k5.csv"
     paths["k5.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    scenarios = {f"wide_seed{s}.json": inputs.wide_scenario(s, 6, 8000) for s in (1, 2, 3)}
-    scenarios["clone1000.json"] = inputs.clone_scenario(ROOT / "scenarios" / "clone_scaling.json", 1000)
-    for name, scenario in scenarios.items():
+    for name, scenario in scenarios().items():
         paths[name] = out / name
         paths[name].write_text(json.dumps(scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return paths
@@ -76,6 +112,8 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
     return [
         *(["simulate", f"scenarios/{name}.json", "-R", "30"] for name in shipped),
         *(["simulate", str(paths[f"wide_seed{s}.json"]), "-R", "2"] for s in (1, 2, 3)),
+        ["simulate", str(paths["wide_m2.json"]), "-R", "2"],
+        ["simulate", str(paths["k3_violate_exclusion.json"]), "-R", "30"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
         ["oracle", "data/p4_population.json"],
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],

@@ -18,6 +18,7 @@ import numpy as np
 
 from .design import MAX_FACTORS, FactorialDesign, enumerate_assignments
 from .errors import InvalidInputError
+from .population import frozen, read_only
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,9 @@ class ObservedDataset:
             raise InvalidInputError("uptake entries must be -1 or +1")
         if outcome.dtype.kind not in "iuf":
             raise InvalidInputError(f"outcome entries must be numbers, got dtype {outcome.dtype}")
-        arm = np.ascontiguousarray(arm, dtype=np.intp)
-        uptake = np.ascontiguousarray(uptake, dtype=np.int8)
-        outcome = np.ascontiguousarray(outcome, dtype=np.float64)
+        arm, uptake, outcome = read_only(arm, np.intp), read_only(uptake, np.int8), read_only(outcome, np.float64)
         if not np.isfinite(outcome).all() or outcome.min() < 0.0 or outcome.max() > 1.0:
             raise InvalidInputError("outcomes must lie in [0, 1]")
-        for arr in (arm, uptake, outcome):
-            arr.setflags(write=False)
         object.__setattr__(self, "arm", arm)
         object.__setattr__(self, "uptake", uptake)
         object.__setattr__(self, "outcome", outcome)
@@ -176,13 +173,8 @@ def _load_canonical(
         y = (y - lo) / (hi - lo)
     if not np.isfinite(y).all() or y.min() < 0.0 or y.max() > 1.0:
         return None
-    return ObservedDataset(
-        design=design,
-        arm=code & (design.J - 1),
-        uptake=design.levels[code >> design.K],
-        outcome=y,
-        rescale=rescale,
-    )
+    arm, uptake, y = frozen(code & (design.J - 1), design.levels[code >> design.K], y)
+    return ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=y, rescale=rescale)
 
 
 def _load_rows(path, binary_coding: bool, rescale: tuple[float, float] | None) -> ObservedDataset:
@@ -245,13 +237,10 @@ def _parse_rows(
         outcomes.append(y)
     if not arms:
         raise InvalidInputError(f"{path}: no data rows")
-    return ObservedDataset(
-        design=design,
-        arm=np.asarray(arms, dtype=np.intp),
-        uptake=np.asarray(uptake_rows, dtype=np.int8),
-        outcome=np.asarray(outcomes, dtype=np.float64),
-        rescale=rescale,
+    arm, uptake, outcome = frozen(
+        np.asarray(arms, dtype=np.intp), np.asarray(uptake_rows, dtype=np.int8), np.asarray(outcomes, dtype=np.float64)
     )
+    return ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=outcome, rescale=rescale)
 
 
 def load_csv(

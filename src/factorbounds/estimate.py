@@ -280,12 +280,14 @@ def endpoint_functions(
         joint        C = g.y          (g/2, g/2, 0)
 
     D reads the profile's two arms (a joint profile's four), each signed
-    by g; t_value replaces D by the constant m*t (the conservative variant;
-    profile_index unused). Coefficients are (J, p) tables like the moment
-    table, raveled at the end.
+    by g; t_value replaces D by the constant m*t (the conservative variant).
+    Exactly one of profile_index and t_value must be given. Coefficients
+    are (J, p) tables like the moment table, raveled at the end.
     """
     kind, extra = parse_method(method)
     dsg.validate_factor(design, k)
+    if (profile_index is None) == (t_value is None):
+        raise InvalidInputError("endpoint maps need exactly one of profile_index and t_value")
     J, m = design.J, design.J // 2
     p = 3 if kind == "adjusted" else 2
     pair = (k, *extra) if kind == "joint" else None
@@ -295,11 +297,11 @@ def endpoint_functions(
     num[:, 0] = dsg.interaction_contrast(design, extra).signs if kind == "interaction" else g
     if kind == "adjusted":
         num[:, 2] = -g
-    if kind == "joint":
+    if t_value is not None:
+        b0 = m * t_value
+    elif kind == "joint":
         arms = dsg.joint_context_arms(design, *pair)[:, profile_index]
         den[arms, 1] = g[arms] * (m / 4.0)
-    elif t_value is not None:
-        b0 = m * t_value
     else:
         j_minus, j_plus = dsg.context_arms(design, k)[:, profile_index]
         den[j_plus, 1], den[j_minus, 1] = m / 2.0, -m / 2.0

@@ -2,8 +2,9 @@
 
 A population stores, for each of N units, the uptake vector D_i(z) in
 {-1, +1}^K and the outcome Y_i(z) in [0, 1] for every assignment z of a
-2^K design. Outcomes are indexed by assignment alone, so exclusion of
-assignment-side effects is built into the representation.
+2^K design. Outcomes are indexed by assignment, so Y may depend on z other
+than through D (equal uptake vectors, different outcomes in two arms); no
+check here looks for that. simulate draws Y as a function of uptake.
 
 For one factor k, a unit's behaviour at a context z_{-k} (the levels of
 the other factors) is classified by comparing its uptake of k under
@@ -45,6 +46,22 @@ DEFIER = 3
 
 # compliance label by (uptake under z_k=-1, uptake under z_k=+1), levels mapped to 0/1
 _LABEL_TABLE = np.array([[NEVER_TAKER, COMPLIER], [DEFIER, ALWAYS_TAKER]], dtype=np.int8)
+
+
+def read_only(value, dtype) -> np.ndarray:
+    """value as a read-only C-contiguous dtype array no caller can write
+    through: such an array is kept, anything else (a writable one too) copied."""
+    arr = np.asarray(value)
+    arr = np.array(arr, dtype=dtype, order="C", copy=True if arr.flags.writeable else None)
+    arr.setflags(write=False)
+    return arr
+
+
+def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fresh arrays set read-only, so the constructor they go to need not copy them."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _typed(value):
@@ -103,13 +120,12 @@ class Population:
             raise InvalidInputError("uptake entries must be -1 or +1")
         if self.outcome.dtype.kind not in "iuf":
             raise InvalidInputError(f"outcome entries must be numbers, got dtype {self.outcome.dtype}")
-        outcome = np.asarray(self.outcome, dtype=np.float64)
+        outcome = read_only(self.outcome, np.float64)
         if not np.isfinite(outcome).all():
             raise InvalidInputError("outcomes must be finite")
         if outcome.min() < 0.0 or outcome.max() > 1.0:
             raise InvalidInputError("outcomes must lie in [0, 1]")
-        self.uptake.setflags(write=False)
-        outcome.setflags(write=False)
+        object.__setattr__(self, "uptake", read_only(self.uptake, self.uptake.dtype))
         object.__setattr__(self, "outcome", outcome)
 
     @cached_property
@@ -128,6 +144,16 @@ class Population:
         return int(self.uptake.shape[0])
 
     @_memoized
+    def uptake_pattern(self) -> np.ndarray:
+        """(N, J) uptake as bits: bit k-1 is set where D_k = +1; uint8 for
+        K <= 8, uint16 above."""
+        on = (self.uptake > 0).astype(np.uint8 if self.design.K <= 8 else np.uint16)
+        pattern = on[:, :, 0].copy()
+        for k in range(1, self.design.K):
+            pattern |= on[:, :, k] << k
+        return pattern
+
+    @_memoized
     def arm_outcome_means(self) -> np.ndarray:
         """Population mean outcome per arm, length J."""
         return self.outcome.mean(axis=0)
@@ -142,8 +168,7 @@ class Population:
         """Stack `factor` copies of every unit; all population means persist."""
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
             raise InvalidInputError(f"clone factor must be a positive integer, got {factor!r}")
-        up = np.tile(self.uptake, (factor, 1, 1)).astype(np.int8)
-        out = np.tile(self.outcome, (factor, 1))
+        up, out = frozen(np.tile(self.uptake, (factor, 1, 1)).astype(np.int8), np.tile(self.outcome, (factor, 1)))
         return Population(design=self.design, uptake=up, outcome=out)
 
 
@@ -219,8 +244,9 @@ def check_weak_treatment_exclusion(pop: Population, k: int) -> list[tuple[int, C
     """
     contexts = dsg.contexts_for(pop.design, k)
     j_minus, j_plus = dsg.context_arms(pop.design, k)
-    moved = pop.uptake[:, j_plus, :] != pop.uptake[:, j_minus, :]  # (N, C, K)
-    hidden = ~moved[:, :, k - 1] & moved.any(axis=2)
+    pat = pop.uptake_pattern()
+    moved = pat[:, j_plus] ^ pat[:, j_minus]  # (N, C): the factors whose uptake differs
+    hidden = ((moved & (1 << (k - 1))) == 0) & (moved != 0)
     ctxs, units = np.nonzero(hidden.T)  # context-major
     return [(i, contexts[c]) for c, i in zip(ctxs.tolist(), units.tolist())]
 
@@ -256,11 +282,11 @@ def check_conditional_treatment_exclusion(pop: Population, k: int, k2: int) -> l
         raise InvalidFactorError("conditional exclusion needs two distinct factors")
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
     j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2)
-    d, d2 = pop.uptake[:, :, k - 1], pop.uptake[:, :, k2 - 1]
+    pat = pop.uptake_pattern()
     # factor k's uptake must not depend on z_k2 (arms differing only in k2),
     # and symmetrically for k2's uptake against z_k
-    pairs = ((k, d, j_mm, j_mp), (k, d, j_pm, j_pp), (k2, d2, j_mm, j_pm), (k2, d2, j_mp, j_pp))
-    moved = np.stack([u[:, lo] != u[:, hi] for _, u, lo, hi in pairs])  # (4, N, C)
+    pairs = ((k, j_mm, j_mp), (k, j_pm, j_pp), (k2, j_mm, j_pm), (k2, j_mp, j_pp))
+    moved = np.stack([(pat[:, lo] ^ pat[:, hi]) & (1 << (f - 1)) != 0 for f, lo, hi in pairs])  # (4, N, C)
     ctxs, which, units = np.nonzero(moved.transpose(2, 0, 1))  # context, pair, unit
     return [
         (i, pairs[p][0], contexts[c]) for c, p, i in zip(ctxs.tolist(), which.tolist(), units.tolist())
@@ -398,7 +424,7 @@ def from_dict(payload: dict) -> Population:
     outcome = _payload_array(payload["outcome"], "outcome", "iuf", "numbers")
     if not ((uptake == 1) | (uptake == -1)).all():  # before the int8 cast, which would wrap 255 to -1
         raise InvalidInputError("uptake entries must be -1 or +1")
-    uptake, outcome = uptake.astype(np.int8), outcome.astype(np.float64)
+    uptake, outcome = frozen(uptake.astype(np.int8), outcome.astype(np.float64))
     if uptake.ndim != 3:
         raise InvalidInputError(f"uptake must be N x J x K, got shape {uptake.shape}")
     if uptake.shape[0] != N:

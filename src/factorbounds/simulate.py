@@ -443,12 +443,17 @@ def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np
 
 
 def _materialize_uptake(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
-    N, K, _ = types.shape
+    """(N, J, K) uptake from the (N, K, C) types. Arm j has the bits (hi, z_k, lo)
+    and its context the bits (hi, lo), lo the k-1 bits below factor k, so factor
+    k's plane is its types looked up at z_k = -1 and +1, interleaved in place."""
+    N, K, C = types.shape
     uptake = np.empty((N, design.J, K), dtype=np.int8)
     for k in range(1, K + 1):
-        j_minus, j_plus = dsg.context_arms(design, k)
-        uptake[:, j_minus, k - 1] = _UPTAKE_TABLE[types[:, k - 1, :], 0]
-        uptake[:, j_plus, k - 1] = _UPTAKE_TABLE[types[:, k - 1, :], 1]
+        lo = 1 << (k - 1)
+        t = types[:, k - 1, :].astype(np.intp).reshape(N, C // lo, 1, lo)
+        plane = uptake[:, :, k - 1].reshape(N, C // lo, 2, lo)  # a view: (hi, z_k, lo)
+        plane[:, :, :1] = _UPTAKE_TABLE[:, 0].take(t)
+        plane[:, :, 1:] = _UPTAKE_TABLE[:, 1].take(t)
     return uptake
 
 
@@ -456,17 +461,27 @@ def _draw_outcomes(
     config: ScenarioConfig, design: FactorialDesign, uptake: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     spec = config.outcome
-    N, K = config.N, config.K
+    N, K, J = config.N, config.K, design.J
     alpha = rng.uniform(spec.alpha[0], spec.alpha[1], N)
     beta_ranges = spec.beta if spec.beta else tuple((0.2, 0.4) for _ in range(K))
     beta = np.column_stack([rng.uniform(lo, hi, N) for lo, hi in beta_ranges])
     pairs = list(combinations(range(1, K + 1), 2))
     eta = np.column_stack([rng.uniform(spec.eta[0], spec.eta[1], N) for _ in pairs]) if pairs else None
-    u = (uptake.astype(np.float64) + 1.0) / 2.0  # (N, J, K) 0/1 indicators
-    lin = alpha[:, None] + np.einsum("nk,njk->nj", beta, u)
+    lin = alpha[:, None] + np.einsum("nk,njk->nj", beta, (uptake > 0).astype(np.float64))
     if pairs:
-        for idx, (a, b) in enumerate(pairs):
-            lin += eta[:, idx][:, None] * u[:, :, a - 1] * u[:, :, b - 1]
+        # with u in {0, 1}, eta * u_a * u_b is bit for bit eta times the mask "both
+        # on"; it is added pair by pair, in blocks of 2^15 (unit, arm) cells
+        on = np.empty((K, N, J), dtype=bool)
+        np.greater(uptake.transpose(2, 0, 1), 0, out=on)
+        rows = min(N, max(1, (1 << 15) // J))
+        both, term = np.empty((rows, J), dtype=bool), np.empty((rows, J))
+        for start in range(0, N, rows):
+            units = slice(start, start + rows)
+            n = min(rows, N - start)
+            for idx, (a, b) in enumerate(pairs):
+                np.logical_and(on[a - 1, units], on[b - 1, units], out=both[:n])
+                np.multiply(eta[units, idx, None], both[:n], out=term[:n])
+                lin[units] += term[:n]
     y = np.clip(lin, 0.0, 1.0)
     if spec.model == "m2":
         tau = rng.uniform(0.0, 1.0, N)
@@ -509,7 +524,7 @@ def generate_population(config: ScenarioConfig, rep: int = 0) -> Population:
         types = _draw_types(config, design, rng)
         _apply_violations(config, design, types)
         uptake = _materialize_uptake(design, types)
-        outcome = _draw_outcomes(config, design, uptake, rng)
+        uptake, outcome = popmod.frozen(uptake, _draw_outcomes(config, design, uptake, rng))
         pop = Population(design=design, uptake=uptake, outcome=outcome)
         misses = []
         for token in config.require:
@@ -555,12 +570,8 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     if alloc.shape != (pop.N,):
         raise InvalidInputError(f"allocation shape {alloc.shape} does not cover N={pop.N} units")
     rows = np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc  # unit i's row i*J + arm
-    return ObservedDataset(
-        design=pop.design,
-        arm=alloc,
-        uptake=pop.uptake.reshape(-1, pop.design.K)[rows],
-        outcome=pop.outcome.reshape(-1)[rows],
-    )
+    uptake, outcome = popmod.frozen(pop.uptake.reshape(-1, pop.design.K)[rows], pop.outcome.reshape(-1)[rows])
+    return ObservedDataset(design=pop.design, arm=alloc, uptake=uptake, outcome=outcome)
 
 
 def census_dataset(pop: Population) -> ObservedDataset:
@@ -570,6 +581,7 @@ def census_dataset(pop: Population) -> ObservedDataset:
     arm = np.repeat(np.arange(J, dtype=np.intp), pop.N)
     uptake = np.concatenate([pop.uptake[:, j, :] for j in range(J)])
     outcome = np.concatenate([pop.outcome[:, j] for j in range(J)])
+    popmod.frozen(arm, uptake, outcome)
     return ObservedDataset(design=pop.design, arm=arm, uptake=uptake, outcome=outcome)
 
 
@@ -690,7 +702,7 @@ def monte_carlo(
 
     for rep in range(R):
         pop = base if base is not None else generate_population(config, rep=rep)
-        alloc = complete_randomization(pop.N, sizes, np.random.SeedSequence([config.seed, 1, rep]))
+        (alloc,) = popmod.frozen(complete_randomization(pop.N, sizes, np.random.SeedSequence([config.seed, 1, rep])))
         data = observe(pop, alloc)
         for t in tlist:
             a = acc[t]

@@ -283,6 +283,14 @@ ENDPOINT_PINS = {
 }
 
 
+@pytest.mark.parametrize("method", ["exclusion", "simple", "joint:2"])
+def test_endpoint_maps_need_exactly_one_of_profile_and_t_value(method):
+    design = enumerate_assignments(3)
+    for option in ({}, {"profile_index": 0, "t_value": 0.4}):
+        with pytest.raises(InvalidInputError, match="exactly one of profile_index and t_value"):
+            endpoint_functions(design, 1, method, **option)
+
+
 def _pinned_moments(K):
     """A seeded (J, 3) table of arm moments: y, d and t means."""
     J = 2**K

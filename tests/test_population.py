@@ -5,7 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from factorbounds.design import enumerate_assignments, joint_contexts_for, strip_factor
+from factorbounds.data import ObservedDataset
+from factorbounds.design import (
+    context_arms,
+    contexts_for,
+    enumerate_assignments,
+    joint_context_arms,
+    joint_contexts_for,
+    strip_factor,
+)
 from factorbounds.errors import AssumptionViolationError, InvalidFactorError, InvalidInputError
 from factorbounds.population import (
     ALWAYS_TAKER,
@@ -29,6 +37,7 @@ from factorbounds.population import (
     save_population,
     to_dict,
 )
+from factorbounds.simulate import FactorSpec, ScenarioConfig, generate_population
 
 from conftest import count_computations, random_population
 
@@ -173,6 +182,72 @@ def test_conditional_exclusion_bruteforce_order():
     assert flagged > 20 and clean > 5
 
 
+def test_uptake_pattern_matches_bruteforce_bits():
+    # uint8 holds K <= 8 factors, uint16 the rest: K=8 and K=9 sit on either side
+    rng = np.random.default_rng(23)
+    for K in range(1, 10):
+        pop = random_population(rng, K, 3)
+        pattern = pop.uptake_pattern()
+        assert pattern.dtype == (np.uint8 if K <= 8 else np.uint16)
+        assert pattern.shape == (3, pop.design.J)
+        want = [
+            [sum(1 << k for k in range(K) if pop.uptake[i, j, k] == 1) for j in range(pop.design.J)]
+            for i in range(3)
+        ]
+        assert pattern.tolist() == want
+
+
+def reference_weak_exclusion(pop, k):
+    """The (N, C, K) formulation: compare the whole uptake vector across the two arms."""
+    contexts = contexts_for(pop.design, k)
+    j_minus, j_plus = context_arms(pop.design, k)
+    moved = pop.uptake[:, j_plus, :] != pop.uptake[:, j_minus, :]
+    hidden = ~moved[:, :, k - 1] & moved.any(axis=2)
+    ctxs, units = np.nonzero(hidden.T)
+    return [(i, contexts[c]) for c, i in zip(ctxs.tolist(), units.tolist())]
+
+
+def reference_conditional_exclusion(pop, k, k2):
+    """Four (N, C) comparisons of one factor's uptake column across an arm pair."""
+    contexts = joint_contexts_for(pop.design, k, k2)
+    j_mm, j_pm, j_mp, j_pp = joint_context_arms(pop.design, k, k2)
+    d, d2 = pop.uptake[:, :, k - 1], pop.uptake[:, :, k2 - 1]
+    pairs = ((k, d, j_mm, j_mp), (k, d, j_pm, j_pp), (k2, d2, j_mm, j_pm), (k2, d2, j_mp, j_pp))
+    moved = np.stack([u[:, lo] != u[:, hi] for _, u, lo, hi in pairs])
+    ctxs, which, units = np.nonzero(moved.transpose(2, 0, 1))
+    return [(i, pairs[p][0], contexts[c]) for c, p, i in zip(ctxs.tolist(), which.tolist(), units.tolist())]
+
+
+def _violating_populations():
+    """Generated K=3 and K=4 populations, one per violate token and factor choice."""
+    for K, seed in ((3, 5), (4, 6)):
+        factors = tuple(FactorSpec(complier=0.7, always=0.1) for _ in range(K))
+        tokens = [f"{name}:{k}" for name in ("monotone", "profile", "exclusion") for k in (1, K)]
+        tokens += [f"{name}:1,{K}" for name in ("cross_exclusion", "joint_profile")] + [None]
+        for token in tokens:
+            violate = (token,) if token else ()
+            yield generate_population(ScenarioConfig(K=K, N=12, factors=factors, seed=seed, violate=violate))
+
+
+def test_exclusion_checks_match_the_uptake_vector_formulation():
+    rng = np.random.default_rng(29)
+    pops = [random_population(rng, K, 6) for K in (2, 3, 4, 5) for _ in range(5)]
+    pops.append(random_population(rng, 9, 2))  # a uint16 pattern
+    pops += list(_violating_populations())
+    weak = cond = 0
+    for pop in pops:
+        K = pop.design.K
+        for k in range(1, K + 1):
+            want = reference_weak_exclusion(pop, k)
+            assert check_weak_treatment_exclusion(pop, k) == want
+            weak += bool(want)
+        for k, k2 in itertools.permutations(range(1, K + 1), 2):
+            want = reference_conditional_exclusion(pop, k, k2)
+            assert check_conditional_treatment_exclusion(pop, k, k2) == want
+            cond += not want
+    assert weak > 50 and cond > 20  # both checks met populations that fail and that pass
+
+
 def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
     # in the joint fixture unit 1 switches factor-1 uptake with z3, not z2
     assert check_conditional_treatment_exclusion(k3_joint_pop, 1, 2) == []
@@ -269,6 +344,26 @@ def test_population_stores_float64_outcome():
     assert pop.outcome.dtype == np.float64 and not pop.outcome.flags.writeable
     assert pop.arm_outcome_means().dtype == np.float64
     assert np.array_equal(pop.arm_outcome_means(), p.arm_outcome_means())
+
+
+def test_caller_arrays_stay_writable_and_apart_from_the_population():
+    pop = fixture_p4()
+    u, o = np.array(pop.uptake), np.array(pop.outcome)
+    copy = Population(design=pop.design, uptake=u, outcome=o)
+    u[0, 0, 0] = 1
+    o[0, 0] = 0.5
+    assert copy.uptake[0, 0, 0] == -1 and copy.outcome[0, 0] == 0.0
+    assert not copy.uptake.flags.writeable and not copy.outcome.flags.writeable
+    arm, d, y = np.array([0, 1, 2, 3]), np.ones((4, 2), dtype=np.int8), np.full(4, 0.25)
+    data = ObservedDataset(design=pop.design, arm=arm, uptake=d, outcome=y)
+    arm[0], d[0, 0], y[0] = 3, -1, 1.0
+    assert (data.arm[0], data.uptake[0, 0], data.outcome[0]) == (0, 1, 0.25)
+
+
+def test_read_only_arrays_are_stored_without_a_copy():
+    pop = fixture_p4()
+    again = Population(design=pop.design, uptake=pop.uptake, outcome=pop.outcome)
+    assert again.uptake is pop.uptake and again.outcome is pop.outcome
 
 
 def test_compliance_profile_computed_once_and_read_only():

@@ -27,3 +27,16 @@ def test_a_missing_key_is_reported_on_its_side():
 def test_type_and_sign_of_zero_count_as_differences():
     found = report_bytes.json_diff([0.0, 1, True], [-0.0, 1.0, 1])
     assert found == [("$[0]", 0.0, -0.0, 0.0), ("$[1]", 1, 1.0, 0.0), ("$[2]", True, 1, None)]
+
+
+def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
+    from factorbounds.simulate import ScenarioConfig
+
+    written = report_bytes.scenarios()
+    wide = ScenarioConfig.from_dict(written["wide_m2.json"])
+    assert (wide.K, wide.outcome.model) == (6, "m2")
+    violating = ScenarioConfig.from_dict(written["k3_violate_exclusion.json"])
+    assert (violating.K, violating.violate) == (3, ("exclusion:1",))
+    paths = {name: Path(name) for name in [*written, "k5.csv"]}
+    simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
+    assert {"wide_m2.json", "k3_violate_exclusion.json"} <= simulated

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import re
@@ -123,6 +124,58 @@ def test_generation_deterministic():
     assert np.array_equal(a.uptake, b.uptake)
     assert np.array_equal(a.outcome, b.outcome)
     assert not np.array_equal(a.uptake, c.uptake) or not np.array_equal(a.outcome, c.outcome)
+
+
+# sha256 of uptake.tobytes() + outcome.tobytes() for reps 0 and 1, taken
+# before the generation kernels were rewritten; any change of an RNG draw,
+# its order or a floating-point step shows here
+GENERATION_PINS = {
+    "K5_m1_eta": (
+        "60fc7bc8c184e0a145920151dfe61621e007e2b034aa630d3875b8f040884d1b",
+        "1c84f85f0d8de4fc09efc2e45abece1165d0ea8fdc73fe8bf891021f2bcb5bf8",
+    ),
+    "K3_m2_violate": (
+        "bef36931d5dfbf4e74a90b1036eaea682371473ee4f509ada5762af0f4a13d80",
+        "842b55f90c0a883c84fd2d3f303d8943107f7bcaf6b06d69fa30416189a41481",
+    ),
+}
+
+
+def _pinned_configs():
+    yield "K5_m1_eta", ScenarioConfig(
+        K=5,
+        N=300,
+        seed=11,
+        factors=(
+            FactorSpec(complier=0.6, always=0.1, upgrade=0.5, depends_on=(2, 4)),
+            FactorSpec(complier=0.7),
+            FactorSpec(complier=0.5, always=0.2, upgrade=0.3, depends_on=(5,), worst=(1,)),
+            FactorSpec(complier=0.8, always=0.05),
+            FactorSpec(complier=0.65),
+        ),
+        outcome=OutcomeSpec(model="m1", alpha=(0.0, 0.2), beta=((0.05, 0.15),) * 5, eta=(0.01, 0.08)),
+    )
+    yield "K3_m2_violate", ScenarioConfig(
+        K=3,
+        N=200,
+        seed=5,
+        factors=(
+            FactorSpec(complier=0.6, upgrade=0.4, depends_on=(2,)),
+            FactorSpec(complier=0.75),
+            FactorSpec(complier=0.7, always=0.1),
+        ),
+        outcome=OutcomeSpec(model="m2", alpha=(0.1, 0.3), beta=((0.1, 0.3),) * 3, eta=(-0.1, 0.1)),
+        require=("monotone:1", "first_stage:1"),
+        violate=("exclusion:1",),
+    )
+
+
+def test_generation_pinned_bit_for_bit():
+    got = {}
+    for name, config in _pinned_configs():
+        pops = [generate_population(config, rep=rep) for rep in (0, 1)]
+        got[name] = tuple(hashlib.sha256(p.uptake.tobytes() + p.outcome.tobytes()).hexdigest() for p in pops)
+    assert got == GENERATION_PINS
 
 
 def test_generation_honors_requires():
