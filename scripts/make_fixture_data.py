@@ -18,6 +18,11 @@ from factorbounds.population import fixture_p4, save_population
 from factorbounds.simulate import census_dataset
 
 
+def assignment_rows(data: ObservedDataset) -> np.ndarray:
+    """(n, K) matrix of assigned levels, one row per unit."""
+    return data.design.levels[data.arm]
+
+
 def main() -> None:
     out = pathlib.Path(__file__).resolve().parents[1] / "data"
     out.mkdir(exist_ok=True)
@@ -38,7 +43,7 @@ def main() -> None:
     # a binary-coded copy of the census file, for exercising --binary-coding
     rows = []
     header = "z1,z2,d1,d2,y"
-    z = data.assignment_rows()
+    z = assignment_rows(data)
     for i in range(data.n):
         cells = [(z[i, k] + 1) // 2 for k in range(2)]
         cells += [(data.uptake[i, k] + 1) // 2 for k in range(2)]

@@ -9,8 +9,10 @@ checkout holding this script. The generated inputs are written once into a
 temporary directory, by the generators of this checkout's
 ``benchmark/inputs.py``: the 50k-row K=5 analyze CSV, the K=6 ``mc_wide``
 scenarios for seeds 1-3, an ``m2`` (binary outcome) variant of the seed-1
-one and ``clone_scaling`` at clone factor 1000. A K=3 scenario in the
-shipped files' form, written here, adds a ``violate`` token. Every
+one and ``clone_scaling`` at clone factor 1000. Two scenarios in the
+shipped files' form are written here: a K=3 one adds a ``violate`` token,
+and a small-N K=2 one has generation retries, replications whose estimate
+fails and skipped oracle references. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -59,6 +61,7 @@ def scenarios() -> dict[str, dict]:
     found["wide_m2.json"] = {**wide, "outcome": {**wide["outcome"], "model": "m2"}}
     found["clone1000.json"] = inputs.clone_scenario(ROOT / "scenarios" / "clone_scaling.json", 1000)
     found["k3_violate_exclusion.json"] = violating_scenario()
+    found["k2_retry_weak.json"] = retry_scenario()
     return found
 
 
@@ -84,6 +87,29 @@ def violating_scenario() -> dict:
             {"alpha": 0.05, "factor": 1, "method": m, "profile": "min"} for m in ("exclusion", "adjusted")
         ],
         "violate": ["exclusion:1"],
+    }
+
+
+def retry_scenario() -> dict:
+    """A K=2 fresh scenario at N=24 whose rare constant compliers of factor 1
+    make some replications redraw their population, whose weak first stage
+    fails about half the estimates (WeakFirstStageError), and whose factor 2
+    responds to z1, so most exclusion targets have no oracle reference."""
+    return {
+        "K": 2,
+        "N": 24,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [
+            {"always": 0.0, "complier": 0.1, "depends_on": [2], "upgrade": 0.5, "worst": [-1]},
+            {"always": 0.1, "complier": 0.6, "depends_on": [1], "upgrade": 0.5, "worst": [-1]},
+        ],
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.2, 0.4], [0.1, 0.2]], "eta": [0.0, 0.0], "model": "m2"},
+        "population_mode": "fresh",
+        "require": ["monotone:1", "profile:1", "first_stage:1"],
+        "seed": 1,
+        "targets": [{"alpha": 0.05, "factor": 1, "method": m, "profile": "min"} for m in ("exclusion", "adjusted")],
+        "violate": [],
     }
 
 
@@ -114,6 +140,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         *(["simulate", str(paths[f"wide_seed{s}.json"]), "-R", "2"] for s in (1, 2, 3)),
         ["simulate", str(paths["wide_m2.json"]), "-R", "2"],
         ["simulate", str(paths["k3_violate_exclusion.json"]), "-R", "30"],
+        ["simulate", str(paths["k2_retry_weak.json"]), "-R", "40"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
         ["oracle", "data/p4_population.json"],
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],

@@ -76,10 +76,6 @@ class ObservedDataset:
         """Results of the _memoized functions (estimate's arm moments), filled on first use."""
         return {}
 
-    def assignment_rows(self) -> np.ndarray:
-        """(n, K) matrix of assigned levels, one row per unit."""
-        return self.design.levels[self.arm]
-
 
 def expected_header(K: int) -> list[str]:
     return [f"z{k}" for k in range(1, K + 1)] + [f"d{k}" for k in range(1, K + 1)] + ["y"]

@@ -132,13 +132,6 @@ def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
     return ContrastVector(factors=fs, signs=signs)
 
 
-def strip_factor(z: Assignment, k: int) -> Context:
-    """Drop factor k's coordinate, leaving the context over the others."""
-    if not 1 <= k <= len(z):
-        raise InvalidFactorError(f"factor {k} outside 1..{len(z)}")
-    return tuple(z[:k - 1]) + tuple(z[k:])
-
-
 @lru_cache(maxsize=None)
 def _level_tuples(n: int) -> tuple[Context, ...]:
     """All -1/+1 tuples of length n; tuple c has +1 in place m when bit m of c is set."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import lru_cache
 from statistics import NormalDist
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     InvalidShareError,
     WeakFirstStageError,
 )
-from .population import _memoized
+from .population import _memoized, frozen
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -53,20 +54,21 @@ def _first_stage_table(
 ) -> tuple[tuple[Context, ...], np.ndarray]:
     """First stage per context, canonical order, from per-arm means.
 
-    dbar holds the mean of d_k per arm; for a joint partner k2 it holds the
-    mean of d_k*d_k2 and the first stage is the four-arm contrast.
+    dbar holds the mean of d_k per arm (last axis; leading axes stack
+    datasets); for a joint partner k2 it holds the mean of d_k*d_k2 and the
+    first stage is the four-arm contrast.
     """
     if k2 is None:
-        d_minus, d_plus = dbar[dsg.context_arms(design, k)]
+        d_minus, d_plus = np.moveaxis(dbar[..., dsg.context_arms(design, k)], -2, 0)
         return tuple(dsg.contexts_for(design, k)), (d_plus - d_minus) / 2.0
-    d_mm, d_pm, d_mp, d_pp = dbar[dsg.joint_context_arms(design, k, k2)]
+    d_mm, d_pm, d_mp, d_pp = np.moveaxis(dbar[..., dsg.joint_context_arms(design, k, k2)], -2, 0)
     return tuple(dsg.joint_contexts_for(design, k, k2)), (d_pp - d_mp - d_pm + d_mm) / 4.0
 
 
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
     """Estimated first stage per context of factor k, canonical order."""
     dsg.validate_factor(data.design, k)
-    return _first_stage_table(data.design, k, None, _arm_moments(data, k, None)[0][:, 1])
+    return _first_stage_table(data.design, k, None, _arm_moments(data, k, None, 1)[0][0, :, 1])
 
 
 # --- method / profile grammar ------------------------------------------------
@@ -198,11 +200,12 @@ class LinearFractional:
 
 
 @_memoized
-def _arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
+def _arm_moments(data: ObservedDataset, k: int, k2: int | None, R: int) -> tuple:
     """Read-only (means, covariance blocks) of factor k's row columns per
-    arm, shapes (J, p) and (J, p, p), built once per dataset and factor (and
-    joint partner); every arm needs at least two rows, and callers validate
-    k and k2 first.
+    arm, shapes (R, J, p) and (R, J, p, p), for the R datasets whose rows
+    are data's R equal blocks, built once per dataset and factor (and joint
+    partner); every arm of every dataset needs at least two rows, and
+    callers validate k and k2 first.
 
     Without a partner the columns are [y, d_k, t]: t = y*1(d_k = -z_k) is
     the observable noncomplier outcome, nonzero where uptake disagrees with
@@ -211,15 +214,18 @@ def _arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
     partner k2 the columns are [y, d_k*d_k2], the 'yp' layout. Column 1
     gives the first stage.
 
-    Every sum is one bincount over the rows in their original order, so a
-    mean is the sequential sum a masked per-arm mean takes, bit for bit.
+    Every sum is one bincount over the rows in their original order, binned
+    by rep*J + arm, so a mean is the sequential sum a masked per-arm mean of
+    one dataset takes, bit for bit.
     """
-    counts = data.arm_counts()
+    J = data.design.J
+    group = data.arm if R == 1 else np.repeat(np.arange(0, R * J, J), data.n // R) + data.arm  # rep*J + arm
+    counts = np.bincount(group, minlength=R * J)
     short = np.flatnonzero(counts < 2)
     if short.size:
         j = int(short[0])
         raise InsufficientDataError(
-            f"arm {data.design.assignment(j)!r} has {int(counts[j])} row(s); need at least 2"
+            f"arm {data.design.assignment(j % J)!r} has {int(counts[j])} row(s); need at least 2"
         )
     arm, y, dk = data.arm, data.outcome, data.uptake[:, k - 1]
     if k2 is None:
@@ -229,16 +235,17 @@ def _arm_moments(data: ObservedDataset, k: int, k2: int | None) -> tuple:
         cols = [y.copy(), (dk * data.uptake[:, k2 - 1]).astype(np.float64)]
 
     def arm_sums(w: np.ndarray) -> np.ndarray:
-        return np.bincount(arm, weights=w, minlength=data.design.J)
+        return np.bincount(group, weights=w, minlength=R * J)
 
     means = np.column_stack([arm_sums(c) for c in cols]) / counts[:, None]
     for c, mu in zip(cols, means.T):
-        c -= mu[arm]  # centered in place, so a build holds p row columns at a time
+        c -= mu[group]  # centered in place, so a build holds p row columns at a time
     cov = np.empty(means.shape + means.shape[1:])
     for a, ca in enumerate(cols):
         for b in range(a + 1):
             cov[:, a, b] = cov[:, b, a] = arm_sums(ca * cols[b]) / counts / counts
-    return means, cov
+    p = len(cols)
+    return means.reshape(R, J, p), cov.reshape(R, J, p, p)
 
 
 def _se_from_gradient(grad: np.ndarray, cov: np.ndarray) -> float:
@@ -282,12 +289,20 @@ def endpoint_functions(
     D reads the profile's two arms (a joint profile's four), each signed
     by g; t_value replaces D by the constant m*t (the conservative variant).
     Exactly one of profile_index and t_value must be given. Coefficients
-    are (J, p) tables like the moment table, raveled at the end.
+    are (J, p) tables like the moment table, raveled at the end; the maps
+    are built once per design, factor, method and profile, and read-only.
     """
-    kind, extra = parse_method(method)
+    parse_method(method)
     dsg.validate_factor(design, k)
     if (profile_index is None) == (t_value is None):
         raise InvalidInputError("endpoint maps need exactly one of profile_index and t_value")
+    return _endpoint_functions(design.K, k, method, profile_index, t_value)
+
+
+@lru_cache(maxsize=256)
+def _endpoint_functions(K: int, k: int, method: str, profile_index: int | None, t_value: float | None):
+    kind, extra = parse_method(method)
+    design = dsg.enumerate_assignments(K)
     J, m = design.J, design.J // 2
     p = 3 if kind == "adjusted" else 2
     pair = (k, *extra) if kind == "joint" else None
@@ -323,11 +338,13 @@ def endpoint_functions(
         H_lo = H_up = half(g / 2.0)
         h0 = -0.0  # so the constant h0 - b0 is -b0, sign of zero included
     c0 = h0 - b0
+    a_lo, a_up = a - H_lo, a + H_up
+    frozen(a, b, a_lo, a_up)
     return EndpointFunctions(
         p=p,
         center=LinearFractional(a, 0.0, b, b0),
-        lower=LinearFractional(a - H_lo, -c0, b, b0),
-        upper=LinearFractional(a + H_up, c0, b, b0),
+        lower=LinearFractional(a_lo, -c0, b, b0),
+        upper=LinearFractional(a_up, c0, b, b0),
     )
 
 
@@ -384,45 +401,60 @@ def estimate_bounds(
     interval is ordered then intersected with [-1, 1]; raw endpoints are the
     faithful plug-ins (a declared non-minimal profile can invert them).
     """
+    (estimate,) = estimate_stack(data, 1, k, method, profile)
+    if isinstance(estimate, WeakFirstStageError):
+        raise estimate
+    return estimate
+
+
+def estimate_stack(
+    data: ObservedDataset, R: int, k: int, method: str, profile="min"
+) -> list[BoundsEstimate | WeakFirstStageError]:
+    """estimate_bounds for the R datasets that are data's R equal row blocks:
+    per dataset the estimate, or the WeakFirstStageError it raises. One
+    moment pass serves the stack; values and SEs stay scalar per dataset."""
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
-    means, cov = _arm_moments(data, k, k2)
-    contexts, nu = _first_stage_table(data.design, k, k2, means[:, 1])
+    means, cov = _arm_moments(data, k, k2, R)
+    contexts, nu = _first_stage_table(data.design, k, k2, means[:, :, 1])
     if policy == "min":
-        c_index = int(np.argmin(nu))
-        ctx = contexts[c_index]
+        indexes = np.argmin(nu, axis=1).tolist()
     elif ctx in contexts:
-        c_index = contexts.index(ctx)
+        indexes = [contexts.index(ctx)] * R
     else:
         raise InvalidInputError(f"declared profile {ctx!r} is not a context of the design")
-    nu_tilde = float(nu[c_index])
-    if nu_tilde <= 0.0:
-        table = {contexts[i]: float(nu[i]) for i in range(len(contexts))}
-        raise WeakFirstStageError(
-            f"factor {k}: estimated first stage at {ctx!r} is {nu_tilde}; table {table!r}"
-        )
-    funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
-    mvec, cov = means[:, : funcs.p].ravel(), cov[:, : funcs.p, : funcs.p]
-    center, raw_lower, raw_upper = (f.value(mvec) for f in (funcs.center, funcs.lower, funcs.upper))
-    se_lower, se_upper = (_se_from_gradient(f.gradient(mvec), cov) for f in (funcs.lower, funcs.upper))
-    lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)
-    return BoundsEstimate(
-        method=method,
-        factor=k,
-        contexts=contexts,
-        nu_hat=tuple(float(v) for v in nu),
-        center=center,
-        half_width_lower=center - raw_lower,
-        half_width_upper=raw_upper - center,
-        raw_lower=raw_lower,
-        raw_upper=raw_upper,
-        clipped_lower=min(1.0, max(-1.0, lo)),
-        clipped_upper=min(1.0, max(-1.0, hi)),
-        se_lower=se_lower,
-        se_upper=se_upper,
-        profile_policy=policy,
-        profile_context=ctx,
-    )
+    out: list[BoundsEstimate | WeakFirstStageError] = []
+    for r, c_index in enumerate(indexes):
+        ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()
+        if nu_r[c_index] <= 0.0:
+            table = dict(zip(contexts, nu_r))
+            out.append(WeakFirstStageError(
+                f"factor {k}: estimated first stage at {ctx_r!r} is {nu_r[c_index]}; table {table!r}"
+            ))
+            continue
+        funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
+        mvec, cov_r = means[r, :, : funcs.p].ravel(), cov[r, :, : funcs.p, : funcs.p]
+        center, raw_lower, raw_upper = (f.value(mvec) for f in (funcs.center, funcs.lower, funcs.upper))
+        se_lower, se_upper = (_se_from_gradient(f.gradient(mvec), cov_r) for f in (funcs.lower, funcs.upper))
+        lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)
+        out.append(BoundsEstimate(
+            method=method,
+            factor=k,
+            contexts=contexts,
+            nu_hat=tuple(nu_r),
+            center=center,
+            half_width_lower=center - raw_lower,
+            half_width_upper=raw_upper - center,
+            raw_lower=raw_lower,
+            raw_upper=raw_upper,
+            clipped_lower=min(1.0, max(-1.0, lo)),
+            clipped_upper=min(1.0, max(-1.0, hi)),
+            se_lower=se_lower,
+            se_upper=se_upper,
+            profile_policy=policy,
+            profile_context=ctx_r,
+        ))
+    return out
 
 
 # --- Imbens-Manski confidence intervals ---------------------------------------
@@ -513,9 +545,9 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     num, den = np.zeros((data.design.J, 2)), np.zeros((data.design.J, 2))
     num[:, 0], den[:, 1] = 2.0 * g, g
     func = LinearFractional(num.ravel(), 0.0, den.ravel(), 0.0)
-    means, cov = _arm_moments(data, k, None)
-    mvec = means[:, :2].ravel()
+    means, cov = _arm_moments(data, k, None, 1)
+    mvec = means[0, :, :2].ravel()
     if func.denominator(mvec) == 0.0:
         raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
-    se = _se_from_gradient(func.gradient(mvec), cov[:, :2, :2])
+    se = _se_from_gradient(func.gradient(mvec), cov[0, :, :2, :2])
     return WaldEstimate(factor=k, point=func.value(mvec), se=se)

@@ -62,10 +62,6 @@ class Interval:
     lower_clipped: bool
     upper_clipped: bool
 
-    @property
-    def raw_width(self) -> float:
-        return self.raw_upper - self.raw_lower
-
 
 def _clip(x: float) -> float:
     return min(1.0, max(-1.0, x))
@@ -360,10 +356,15 @@ def wald_ratio(pop: Population, k: int) -> float:
 # --- method table ---------------------------------------------------------------
 
 
-@_memoized
 def method_truth(pop: Population, k: int, method: str) -> float:
-    """The true effect a method's interval bounds."""
+    """The true effect a method's interval bounds, computed once per
+    population, factor and contrast: the main methods share one."""
     kind, args = parse_method(method)
+    return _truth(pop, k, *((kind, args) if kind in ("interaction", "joint") else ("main", ())))
+
+
+@_memoized
+def _truth(pop: Population, k: int, kind: str, args: tuple) -> float:
     if kind == "interaction":
         return interaction_effect(pop, args, k)
     if kind == "joint":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -50,9 +50,13 @@ _LABEL_TABLE = np.array([[NEVER_TAKER, COMPLIER], [DEFIER, ALWAYS_TAKER]], dtype
 
 def read_only(value, dtype) -> np.ndarray:
     """value as a read-only C-contiguous dtype array no caller can write
-    through: such an array is kept, anything else (a writable one too) copied."""
-    arr = np.asarray(value)
-    arr = np.array(arr, dtype=dtype, order="C", copy=True if arr.flags.writeable else None)
+    through: one that is read-only down to the array owning its memory is
+    kept, anything else (a writable array, or a view of one) copied."""
+    arr = base = np.asarray(value)
+    while isinstance(base, np.ndarray) and not base.flags.writeable and base.base is not None:
+        base = base.base
+    shared = not isinstance(base, np.ndarray) or base.flags.writeable
+    arr = np.array(arr, dtype=dtype, order="C", copy=True if shared else None)
     arr.setflags(write=False)
     return arr
 
@@ -69,6 +73,14 @@ def _typed(value):
     return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
 
 
+def _memo_key(fn, args: tuple, kwargs: dict) -> tuple:
+    """fn with its typed arguments; flat positional arguments, the common
+    case, carry their types in one tuple beside them."""
+    if kwargs or tuple in map(type, args):
+        return (fn, _typed((args, tuple(sorted(kwargs.items())))))
+    return (fn, args, tuple(map(type, args)))
+
+
 def _memoized(fn):
     """fn(owner, ...) computed once per owner and typed arguments, kept in
     owner._memo; the owner is a Population or an ObservedDataset, whose
@@ -79,7 +91,7 @@ def _memoized(fn):
     @functools.wraps(fn)
     def wrapper(owner, *args, **kwargs):
         compute = wrapper.__wrapped__  # read per call, like a module attribute
-        key = (wrapper, _typed((args, tuple(sorted(kwargs.items())))))
+        key = _memo_key(wrapper, args, kwargs)
         try:
             value = owner._memo.get(key)
         except TypeError:  # an unhashable argument, such as a list profile
@@ -92,6 +104,12 @@ def _memoized(fn):
         return list(value) if type(value) is list else value
 
     return wrapper
+
+
+def _seed_memo(owner, memoized, args: tuple, value) -> None:
+    """Store value as the result of memoized(owner, *args), for a result
+    already computed elsewhere (for a stack of populations at once)."""
+    owner._memo[_memo_key(memoized, args, {})] = value
 
 
 @dataclass(frozen=True)
@@ -146,12 +164,13 @@ class Population:
     @_memoized
     def uptake_pattern(self) -> np.ndarray:
         """(N, J) uptake as bits: bit k-1 is set where D_k = +1; uint8 for
-        K <= 8, uint16 above."""
+        K <= 8, uint16 above. Stored arm-major: the rows of .T, one per arm,
+        are contiguous over the units, and the checks read them."""
         on = (self.uptake > 0).astype(np.uint8 if self.design.K <= 8 else np.uint16)
         pattern = on[:, :, 0].copy()
         for k in range(1, self.design.K):
             pattern |= on[:, :, k] << k
-        return pattern
+        return np.ascontiguousarray(pattern.T).T
 
     @_memoized
     def arm_outcome_means(self) -> np.ndarray:
@@ -168,8 +187,26 @@ class Population:
         """Stack `factor` copies of every unit; all population means persist."""
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
             raise InvalidInputError(f"clone factor must be a positive integer, got {factor!r}")
-        up, out = frozen(np.tile(self.uptake, (factor, 1, 1)).astype(np.int8), np.tile(self.outcome, (factor, 1)))
+        up, out = frozen(
+            np.concatenate([self.uptake] * factor).astype(np.int8, copy=False), np.concatenate([self.outcome] * factor)
+        )
         return Population(design=self.design, uptake=up, outcome=out)
+
+    def split(self, R: int) -> tuple["Population", ...]:
+        """The R equal blocks of units as populations of their own, read-only
+        views of this one; the compliance labels and uptake pattern already
+        computed here go onto each block's memo."""
+        n = self.N // R
+        split_by_rows = (Population.compliance, Population.uptake_pattern)
+        carried = [(key, v) for key, v in self._memo.items() if key[0] in split_by_rows]
+        parts = []
+        for rows in (slice(r * n, r * n + n) for r in range(R)):
+            part = object.__new__(Population)  # a block of a checked population needs no second check
+            part.__dict__.update(design=self.design, uptake=self.uptake[rows], outcome=self.outcome[rows])
+            for key, v in carried:
+                part._memo[key] = v[rows] if isinstance(v, np.ndarray) else replace(v, labels=v.labels[rows])
+            parts.append(part)
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -192,34 +229,62 @@ class ComplianceProfile:
         return (self.labels == COMPLIER).all(axis=1)
 
 
-def _uptake_pair(pop: Population, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(N, C) uptake of factor k under z_k = -1 and under z_k = +1, one
-    column per context in canonical order."""
-    j_minus, j_plus = dsg.context_arms(pop.design, k)
-    d = pop.uptake[:, :, k - 1]
-    return d[:, j_minus], d[:, j_plus]
+def _factor_bits(pop: Population, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, N) 0/1 uptake of factor k under z_k = -1 and under z_k = +1, one
+    row per context in canonical order, read off the packed pattern: arm
+    j has the bits (hi, z_k, lo) and its context the bits (hi, lo)."""
+    on = pop.uptake_pattern().T >> (k - 1)
+    on &= 1
+    on = on.reshape(-1, 2, 1 << (k - 1), pop.N)
+    return on[:, 0].reshape(-1, pop.N), on[:, 1].reshape(-1, pop.N)
 
 
 def classify(pop: Population, k: int) -> ComplianceProfile:
-    """Compliance type of every unit at every context of factor k."""
-    d_minus, d_plus = _uptake_pair(pop, k)
-    labels = _LABEL_TABLE[(d_minus + 1) >> 1, (d_plus + 1) >> 1]
-    return ComplianceProfile(factor=k, contexts=tuple(dsg.contexts_for(pop.design, k)), labels=labels)
+    """Compliance type of every unit at every context of factor k; the
+    labels are stored context-major, so per-unit reductions run along N."""
+    contexts = tuple(dsg.contexts_for(pop.design, k))
+    minus, plus = _factor_bits(pop, k)
+    return ComplianceProfile(factor=k, contexts=contexts, labels=_LABEL_TABLE.take((minus << 1) | plus).T)
 
 
-@_memoized
-def check_conditional_monotonicity(pop: Population, k: int) -> list[tuple[int, Context]]:
+def _stacked_check(stacked):
+    """The memoized check of one population, written in its stacked form:
+    stacked(pop, R, *args) answers for a population of R equal blocks of
+    units (R populations stacked) with one value per block, and the check
+    is its R=1 call. simulate runs check.stacked on its generation chunks.
+    Masks are unit-last, (..., N), so every reduction runs along N."""
+
+    def check(pop: Population, *args):
+        return stacked(pop, 1, *args)[0]
+
+    check.__name__ = check.__qualname__ = stacked.__name__
+    check.__doc__, check.stacked = stacked.__doc__, stacked
+    return _memoized(check)
+
+
+def _per_block(mask: np.ndarray, R: int, found) -> list:
+    """found(block) for each of the R equal unit blocks of a unit-last mask that has an entry set, [] for the others."""
+    n = mask.shape[-1] // R
+    hits = mask.reshape(-1, R, n).any(axis=2).any(axis=0).tolist()
+    return [found(mask[..., r * n : r * n + n]) if hit else [] for r, hit in enumerate(hits)]
+
+
+def _valid_contexts(contexts, shift: np.ndarray, R: int) -> list[tuple[Context, ...]]:
+    """Per block: the contexts whose (C, N) shift row attains every unit's minimum over contexts."""
+    valid = (shift == shift.min(axis=0)).reshape(shift.shape[0], R, -1).all(axis=2).T
+    return [tuple(ctx for ctx, ok in zip(contexts, row) if ok) for row in valid.tolist()]
+
+
+@_stacked_check
+def check_conditional_monotonicity(pop: Population, R: int, k: int) -> list[list[tuple[int, Context]]]:
     """Defier instances for factor k; empty list means the check passes."""
     prof = pop.compliance(k)
-    out: list[tuple[int, Context]] = []
-    units, ctxs = np.nonzero(prof.labels == DEFIER)
-    for i, c in zip(units.tolist(), ctxs.tolist()):
-        out.append((i, prof.contexts[c]))
-    return out
+    found = lambda b: [(i, prof.contexts[c]) for i, c in zip(*(a.tolist() for a in np.nonzero(b.T)))]
+    return _per_block(prof.labels.T == DEFIER, R, found)
 
 
-@_memoized
-def check_least_compliant_profile(pop: Population, k: int) -> tuple[Context, ...]:
+@_stacked_check
+def check_least_compliant_profile(pop: Population, R: int, k: int) -> list[tuple[Context, ...]]:
     """Contexts at which every unit's uptake response is weakly smallest.
 
     Returns the (possibly empty) tuple of valid least-compliant contexts in
@@ -227,15 +292,12 @@ def check_least_compliant_profile(pop: Population, k: int) -> tuple[Context, ...
     else, i.e. its column attains the row minimum for every unit.
     """
     contexts = dsg.contexts_for(pop.design, k)
-    d_minus, d_plus = _uptake_pair(pop, k)
-    shift = d_plus - d_minus  # values in {-2, 0, 2}
-    row_min = shift.min(axis=1, keepdims=True)
-    valid = (shift == row_min).all(axis=0)
-    return tuple(ctx for ctx, ok in zip(contexts, valid.tolist()) if ok)
+    minus, plus = _factor_bits(pop, k)
+    return _valid_contexts(contexts, plus.astype(np.int8) - minus.astype(np.int8), R)
 
 
-@_memoized
-def check_weak_treatment_exclusion(pop: Population, k: int) -> list[tuple[int, Context]]:
+@_stacked_check
+def check_weak_treatment_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[int, Context]]]:
     """Units whose untouched factor-k uptake hides a shift elsewhere.
 
     For each context, looks at units whose uptake of k is the same under
@@ -244,32 +306,27 @@ def check_weak_treatment_exclusion(pop: Population, k: int) -> list[tuple[int, C
     """
     contexts = dsg.contexts_for(pop.design, k)
     j_minus, j_plus = dsg.context_arms(pop.design, k)
-    pat = pop.uptake_pattern()
-    moved = pat[:, j_plus] ^ pat[:, j_minus]  # (N, C): the factors whose uptake differs
+    pat = pop.uptake_pattern().T
+    moved = pat[j_plus] ^ pat[j_minus]  # (C, N): the factors whose uptake differs
     hidden = ((moved & (1 << (k - 1))) == 0) & (moved != 0)
-    ctxs, units = np.nonzero(hidden.T)  # context-major
-    return [(i, contexts[c]) for c, i in zip(ctxs.tolist(), units.tolist())]
+    found = lambda b: [(i, contexts[c]) for c, i in zip(*(a.tolist() for a in np.nonzero(b)))]  # context-major
+    return _per_block(hidden, R, found)
 
 
-def _joint_uptake_shift(pop: Population, k: int, k2: int) -> np.ndarray:
-    """(N, C) four-arm contrast of D_k * D_k2 over (z_k, z_k2), values in [-4, 4]."""
-    prod = (pop.uptake[:, :, k - 1].astype(np.int16) * pop.uptake[:, :, k2 - 1])
-    p_mm, p_pm, p_mp, p_pp = (prod[:, j] for j in dsg.joint_context_arms(pop.design, k, k2))
-    return p_pp - p_mp - p_pm + p_mm
-
-
-@_memoized
-def check_joint_least_compliant(pop: Population, k: int, k2: int) -> tuple[Context, ...]:
+@_stacked_check
+def check_joint_least_compliant(pop: Population, R: int, k: int, k2: int) -> list[tuple[Context, ...]]:
     """Joint contexts where every unit's two-factor uptake response is smallest."""
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
-    shift = _joint_uptake_shift(pop, k, k2)
-    row_min = shift.min(axis=1, keepdims=True)
-    valid = (shift == row_min).all(axis=0)
-    return tuple(ctx for ctx, ok in zip(contexts, valid.tolist()) if ok)
+    pat = pop.uptake_pattern().T
+    prod = 1 - 2 * (((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1).astype(np.int8)  # (J, N) D_k * D_k2
+    p_mm, p_pm, p_mp, p_pp = (prod[j] for j in dsg.joint_context_arms(pop.design, k, k2))
+    return _valid_contexts(contexts, p_pp - p_mp - p_pm + p_mm, R)
 
 
-@_memoized
-def check_conditional_treatment_exclusion(pop: Population, k: int, k2: int) -> list[tuple[int, int, Context]]:
+@_stacked_check
+def check_conditional_treatment_exclusion(
+    pop: Population, R: int, k: int, k2: int
+) -> list[list[tuple[int, int, Context]]]:
     """Cross-dependence of uptake between two factors.
 
     Reports (unit, factor, joint context) triples where the unit's uptake of
@@ -282,15 +339,22 @@ def check_conditional_treatment_exclusion(pop: Population, k: int, k2: int) -> l
         raise InvalidFactorError("conditional exclusion needs two distinct factors")
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
     j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2)
-    pat = pop.uptake_pattern()
+    pat = pop.uptake_pattern().T
     # factor k's uptake must not depend on z_k2 (arms differing only in k2),
     # and symmetrically for k2's uptake against z_k
     pairs = ((k, j_mm, j_mp), (k, j_pm, j_pp), (k2, j_mm, j_pm), (k2, j_mp, j_pp))
-    moved = np.stack([(pat[:, lo] ^ pat[:, hi]) & (1 << (f - 1)) != 0 for f, lo, hi in pairs])  # (4, N, C)
-    ctxs, which, units = np.nonzero(moved.transpose(2, 0, 1))  # context, pair, unit
-    return [
-        (i, pairs[p][0], contexts[c]) for c, p, i in zip(ctxs.tolist(), which.tolist(), units.tolist())
+    moved = np.stack([(pat[lo] ^ pat[hi]) & (1 << (f - 1)) != 0 for f, lo, hi in pairs], axis=1)  # (C, 4, N)
+    found = lambda b: [  # context, pair, unit
+        (i, pairs[p][0], contexts[c]) for c, p, i in zip(*(a.tolist() for a in np.nonzero(b)))
     ]
+    return _per_block(moved, R, found)
+
+
+@_stacked_check
+def constant_complier_count(pop: Population, R: int, *ks: int) -> list[int]:
+    """Units complying with every factor of ks at every context."""
+    mask = np.logical_and.reduce([pop.compliance(k).constant_complier_mask() for k in ks])
+    return mask.reshape(R, -1).sum(axis=1).tolist()
 
 
 @dataclass(frozen=True)
@@ -350,10 +414,6 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
         rho_always=per_context(prof.labels == ALWAYS_TAKER),
         rho_never=per_context(prof.labels == NEVER_TAKER),
     )
-
-
-def constant_complier_count(pop: Population, k: int) -> int:
-    return int(np.sum(pop.compliance(k).constant_complier_mask()))
 
 
 def require_constant_compliers(pop: Population, k: int) -> None:

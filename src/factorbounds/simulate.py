@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import operator
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -361,24 +362,25 @@ def _pattern_columns(design: FactorialDesign, k: int, dep: tuple[int, ...]):
 
     Yields (pattern, column indices) in lexicographic pattern order.
     """
-    others = [f for f in range(1, design.K + 1) if f != k]
-    pos = [others.index(f) for f in dep]
-    contexts = dsg.contexts_for(design, k)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for c_index, ctx in enumerate(contexts):
-        pat = tuple(ctx[p] for p in pos)
-        groups.setdefault(pat, []).append(c_index)
-    for pat in sorted(groups):
-        yield pat, groups[pat]
+    levels = design.levels[dsg.context_arms(design, k)[0]][:, [f - 1 for f in dep]]  # (C, len(dep))
+    patterns, group = np.unique(levels, axis=0, return_inverse=True)
+    for i, pat in enumerate(patterns.tolist()):
+        yield tuple(pat), np.flatnonzero(group.ravel() == i).tolist()
 
 
-def _draw_types(config: ScenarioConfig, design: FactorialDesign, rng: np.random.Generator) -> np.ndarray:
+def _draws(rngs: list[np.random.Generator], draw) -> np.ndarray:
+    """draw(rng) from each replication's generator, stacked replication by replication."""
+    return np.concatenate([draw(rng) for rng in rngs])
+
+
+def _draw_types(config: ScenarioConfig, design: FactorialDesign, rngs: list) -> np.ndarray:
+    """(R*N, K, C) types of R replications, each from its own generator."""
     N, K = config.N, config.K
     C = 1 << (K - 1)
-    types = np.empty((N, K, C), dtype=np.int8)
+    types = np.empty((len(rngs) * N, K, C), dtype=np.int8)
     for k in range(1, K + 1):
         spec = config.factors[k - 1]
-        u = rng.random(N)
+        u = _draws(rngs, lambda rng: rng.random(N))
         base = np.where(
             u < spec.complier, COMPLIER, np.where(u < spec.complier + spec.always, ALWAYS_TAKER, NEVER_TAKER)
         ).astype(np.int8)
@@ -389,43 +391,44 @@ def _draw_types(config: ScenarioConfig, design: FactorialDesign, rng: np.random.
             for pat, cols in _pattern_columns(design, k, spec.depends_on):
                 if pat == worst:
                     continue
-                up = (rng.random(N) < spec.upgrade) & noncomplier
+                up = (_draws(rngs, lambda rng: rng.random(N)) < spec.upgrade) & noncomplier
                 if up.any():
                     types[np.ix_(up, [k - 1], cols)] = COMPLIER
     return types
 
 
 def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np.ndarray) -> None:
+    """The violate tokens' surgeries on units 0 and 1 of every replication in the (R*N, K, C) types."""
     K, N = config.K, config.N
     C = types.shape[2]
-    others_of = {k: [f for f in range(1, K + 1) if f != k] for k in range(1, K + 1)}
+    types = types.reshape(-1, N, K, C)  # a view: (replication, unit, factor, context)
+
+    def gated(kk: int, by: int, want: int) -> np.ndarray:  # per factor-kk context: complier where z_by == want
+        return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1] == want, COMPLIER, NEVER_TAKER)
+
     for token in config.violate:
         name, ks = _parse_token(token, K, _VIOLATE_TOKENS)
         if name == "monotone":
             (k,) = ks
-            types[0, k - 1, 0] = DEFIER
+            types[:, 0, k - 1, 0] = DEFIER
         elif name == "profile":
             (k,) = ks
             if C < 2 or N < 2:
                 raise GenerationError(f"{token}: needs K >= 2 and N >= 2 (no second context or unit)")
-            types[0, k - 1, :] = NEVER_TAKER
-            types[0, k - 1, 0] = COMPLIER
-            types[1, k - 1, :] = COMPLIER
-            types[1, k - 1, 0] = NEVER_TAKER
+            types[:, 0, k - 1, :] = NEVER_TAKER
+            types[:, 0, k - 1, 0] = COMPLIER
+            types[:, 1, k - 1, :] = COMPLIER
+            types[:, 1, k - 1, 0] = NEVER_TAKER
         elif name == "exclusion":
             (k,) = ks
             if K < 2:
                 raise GenerationError(f"{token}: needs a second factor")
             k2 = 1 if k != 1 else 2
-            types[0, k - 1, :] = NEVER_TAKER
-            pos = others_of[k2].index(k)
-            for c_index, ctx in enumerate(dsg.contexts_for(design, k2)):
-                types[0, k2 - 1, c_index] = COMPLIER if ctx[pos] == 1 else NEVER_TAKER
+            types[:, 0, k - 1, :] = NEVER_TAKER
+            types[:, 0, k2 - 1, :] = gated(k2, k, 1)
         elif name == "cross_exclusion":
             k, k2 = ks
-            pos = others_of[k].index(k2)
-            for c_index, ctx in enumerate(dsg.contexts_for(design, k)):
-                types[0, k - 1, c_index] = COMPLIER if ctx[pos] == 1 else NEVER_TAKER
+            types[:, 0, k - 1, :] = gated(k, k2, 1)
         elif name == "joint_profile":
             k, k2 = ks
             if K < 3:
@@ -435,11 +438,7 @@ def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np
             k3 = min(f for f in range(1, K + 1) if f not in (k, k2))
             for unit, want in ((0, -1), (1, 1)):
                 for kk in (k, k2):
-                    pos = others_of[kk].index(k3)
-                    for c_index, ctx in enumerate(dsg.contexts_for(design, kk)):
-                        types[unit, kk - 1, c_index] = (
-                            COMPLIER if ctx[pos] == want else NEVER_TAKER
-                        )
+                    types[:, unit, kk - 1, :] = gated(kk, k3, want)
 
 
 def _materialize_uptake(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
@@ -457,90 +456,101 @@ def _materialize_uptake(design: FactorialDesign, types: np.ndarray) -> np.ndarra
     return uptake
 
 
-def _draw_outcomes(
-    config: ScenarioConfig, design: FactorialDesign, uptake: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, uptake: np.ndarray, rngs: list) -> np.ndarray:
+    """(R*N, J) outcomes of the R replications stacked in uptake, each drawn from its own generator."""
     spec = config.outcome
-    N, K, J = config.N, config.K, design.J
-    alpha = rng.uniform(spec.alpha[0], spec.alpha[1], N)
+    n, K, J = config.N, config.K, design.J
+    N = uptake.shape[0]
+    alpha = _draws(rngs, lambda rng: rng.uniform(spec.alpha[0], spec.alpha[1], n))
     beta_ranges = spec.beta if spec.beta else tuple((0.2, 0.4) for _ in range(K))
-    beta = np.column_stack([rng.uniform(lo, hi, N) for lo, hi in beta_ranges])
+    beta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(lo, hi, n)) for lo, hi in beta_ranges])
     pairs = list(combinations(range(1, K + 1), 2))
-    eta = np.column_stack([rng.uniform(spec.eta[0], spec.eta[1], N) for _ in pairs]) if pairs else None
-    lin = alpha[:, None] + np.einsum("nk,njk->nj", beta, (uptake > 0).astype(np.float64))
     if pairs:
-        # with u in {0, 1}, eta * u_a * u_b is bit for bit eta times the mask "both
-        # on"; it is added pair by pair, in blocks of 2^15 (unit, arm) cells
+        eta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(spec.eta[0], spec.eta[1], n)) for _ in pairs])
         on = np.empty((K, N, J), dtype=bool)
         np.greater(uptake.transpose(2, 0, 1), 0, out=on)
-        rows = min(N, max(1, (1 << 15) // J))
-        both, term = np.empty((rows, J), dtype=bool), np.empty((rows, J))
-        for start in range(0, N, rows):
-            units = slice(start, start + rows)
-            n = min(rows, N - start)
-            for idx, (a, b) in enumerate(pairs):
-                np.logical_and(on[a - 1, units], on[b - 1, units], out=both[:n])
-                np.multiply(eta[units, idx, None], both[:n], out=term[:n])
-                lin[units] += term[:n]
-    y = np.clip(lin, 0.0, 1.0)
+    # with u in {0, 1}, eta * u_a * u_b is bit for bit eta times the mask "both
+    # on"; the einsum and the pair terms run in blocks of 2^13 (unit, arm) cells
+    lin = np.empty((N, J))
+    rows = min(N, max(1, (1 << 13) // J))
+    both, term = np.empty((rows, J), dtype=bool), np.empty((rows, J))
+    for start in range(0, N, rows):
+        units = slice(start, start + rows)
+        n_units = min(rows, N - start)
+        np.einsum("nk,njk->nj", beta[units], (uptake[units] > 0).astype(np.float64), out=lin[units])
+        lin[units] += alpha[units, None]  # alpha + sum, bit for bit: addition commutes
+        for idx, (a, b) in enumerate(pairs):
+            np.logical_and(on[a - 1, units], on[b - 1, units], out=both[:n_units])
+            np.multiply(eta[units, idx, None], both[:n_units], out=term[:n_units])
+            lin[units] += term[:n_units]
+    y = np.clip(lin, 0.0, 1.0, out=lin)
     if spec.model == "m2":
-        tau = rng.uniform(0.0, 1.0, N)
+        tau = _draws(rngs, lambda rng: rng.uniform(0.0, 1.0, n))
         y = (y >= tau[:, None]).astype(np.float64)
     return y
 
 
-def _token_passes(pop: Population, name: str, ks: tuple[int, ...]) -> bool:
-    if name == "monotone":
-        return not popmod.check_conditional_monotonicity(pop, ks[0])
-    if name == "profile":
-        return bool(popmod.check_least_compliant_profile(pop, ks[0]))
-    if name == "exclusion":
-        return not popmod.check_weak_treatment_exclusion(pop, ks[0])
-    if name == "cross_exclusion":
-        return not popmod.check_conditional_treatment_exclusion(pop, ks[0], ks[1])
-    if name == "joint_profile":
-        return bool(popmod.check_joint_least_compliant(pop, ks[0], ks[1]))
-    if name == "first_stage":
-        return popmod.constant_complier_count(pop, ks[0]) > 0
-    if name == "joint_first_stage":
-        a, b = (pop.compliance(f).constant_complier_mask() for f in ks)
-        return bool((a & b).any())
-    raise InvalidInputError(name)  # pragma: no cover
-
-
+# require/violate token -> (the population check it reads, whether a check value passes)
+_TOKEN_CHECKS = {
+    "monotone": (popmod.check_conditional_monotonicity, operator.not_),
+    "profile": (popmod.check_least_compliant_profile, bool),
+    "exclusion": (popmod.check_weak_treatment_exclusion, operator.not_),
+    "cross_exclusion": (popmod.check_conditional_treatment_exclusion, operator.not_),
+    "joint_profile": (popmod.check_joint_least_compliant, bool),
+    "first_stage": (popmod.constant_complier_count, bool),
+    "joint_first_stage": (popmod.constant_complier_count, bool),
+}
 _RETRY_CAP = 100
+_CHUNK_CELLS = 1 << 15  # (unit, arm) cells per chunk of replications: a float64 array over them is 256 KiB
+
+
+def _generate(config: ScenarioConfig, reps) -> tuple[Population, tuple[Population, ...]]:
+    """The populations of replications reps, stacked as one population, and
+    each as a view of the stack it was drawn in. Replication rep draws
+    attempt a from its own substream [seed, 0, rep, a]; the require/violate
+    tokens run on the stack, their results go onto each replication's memo,
+    and only the replications that missed draw again, up to 100 attempts."""
+    design = enumerate_assignments(config.K)
+    tokens = [(f"require {t}", True, *_parse_token(t, config.K, _REQUIRE_TOKENS)) for t in config.require]
+    tokens += [
+        (f"violate {t} (check still passes)", False, *_parse_token(t, config.K, _VIOLATE_TOKENS))
+        for t in config.violate
+    ]
+    found, todo = {}, list(reps)
+    for attempt in range(_RETRY_CAP):
+        rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, rep, attempt])) for rep in todo]
+        types = _draw_types(config, design, rngs)
+        _apply_violations(config, design, types)
+        uptake = _materialize_uptake(design, types)
+        uptake, outcome = popmod.frozen(uptake, _draw_outcomes(config, design, uptake, rngs))
+        stack = Population(design=design, uptake=uptake, outcome=outcome)
+        values = [_TOKEN_CHECKS[name][0].stacked(stack, len(todo), *ks) for _, _, name, ks in tokens]
+        parts = stack.split(len(todo))  # after the checks, so their labels and pattern carry over
+        misses = [[] for _ in todo]
+        for (label, want, name, ks), per_rep in zip(tokens, values):
+            check, passes = _TOKEN_CHECKS[name]
+            for part, value, missed in zip(parts, per_rep, misses):
+                popmod._seed_memo(part, check, ks, value)
+                if passes(value) != want:
+                    missed.append(label)
+        if attempt == 0 and not any(misses):
+            return stack, parts
+        found.update((rep, part) for rep, part, missed in zip(todo, parts, misses) if not missed)
+        todo, last_miss = [rep for rep, missed in zip(todo, misses) if missed], [m for m in misses if m]
+        if not todo:
+            pops = tuple(found[rep] for rep in reps)
+            up, out = popmod.frozen(np.concatenate([p.uptake for p in pops]), np.concatenate([p.outcome for p in pops]))
+            return Population(design=design, uptake=up, outcome=out), pops
+    raise GenerationError(
+        f"no draw satisfied the toggles after {_RETRY_CAP} attempts; last miss: {'; '.join(last_miss[0])}"
+    )
 
 
 def generate_population(config: ScenarioConfig, rep: int = 0) -> Population:
-    """Draw a population honoring the config's require/violate toggles.
-
-    Deterministic given (config.seed, rep). Stochastic requirements get up
-    to 100 fresh draws; a config whose toggles can never hold fails loudly.
-    """
-    design = enumerate_assignments(config.K)
-    last_miss = ""
-    for attempt in range(_RETRY_CAP):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, rep, attempt]))
-        types = _draw_types(config, design, rng)
-        _apply_violations(config, design, types)
-        uptake = _materialize_uptake(design, types)
-        uptake, outcome = popmod.frozen(uptake, _draw_outcomes(config, design, uptake, rng))
-        pop = Population(design=design, uptake=uptake, outcome=outcome)
-        misses = []
-        for token in config.require:
-            name, ks = _parse_token(token, config.K, _REQUIRE_TOKENS)
-            if not _token_passes(pop, name, ks):
-                misses.append(f"require {token}")
-        for token in config.violate:
-            name, ks = _parse_token(token, config.K, _VIOLATE_TOKENS)
-            if _token_passes(pop, name, ks):
-                misses.append(f"violate {token} (check still passes)")
-        if not misses:
-            return pop
-        last_miss = "; ".join(misses)
-    raise GenerationError(
-        f"no draw satisfied the toggles after {_RETRY_CAP} attempts; last miss: {last_miss}"
-    )
+    """Draw a population honoring the config's require/violate toggles,
+    deterministic given (config.seed, rep): the one-replication call of the
+    generation monte_carlo runs in chunks. Toggles that can never hold fail loudly."""
+    return _generate(config, [rep])[1][0]
 
 
 def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
@@ -555,23 +565,21 @@ def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
     if min(sizes) < 2:
         raise InvalidDesignError("every arm needs at least 2 units")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    perm = rng.permutation(N)
     arm = np.empty(N, dtype=np.intp)
-    start = 0
-    for j, nz in enumerate(sizes):
-        arm[perm[start : start + nz]] = j
-        start += nz
+    arm[rng.permutation(N)] = np.repeat(np.arange(len(sizes)), sizes)  # the units at positions of arm j's run get j
     return arm
 
 
 def observe(pop: Population, allocation) -> ObservedDataset:
-    """Read off each unit's realized row under its assigned arm."""
+    """Read off each unit's realized row under its assigned arm. An (R, N)
+    allocation holds R allocations of the same units and gives R*N rows,
+    allocation by allocation."""
     alloc = np.asarray(allocation, dtype=np.intp)
-    if alloc.shape != (pop.N,):
+    if alloc.ndim not in (1, 2) or alloc.shape[-1] != pop.N:
         raise InvalidInputError(f"allocation shape {alloc.shape} does not cover N={pop.N} units")
-    rows = np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc  # unit i's row i*J + arm
+    rows = (np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc).reshape(-1)  # unit i's row i*J + arm
     uptake, outcome = popmod.frozen(pop.uptake.reshape(-1, pop.design.K)[rows], pop.outcome.reshape(-1)[rows])
-    return ObservedDataset(design=pop.design, arm=alloc, uptake=uptake, outcome=outcome)
+    return ObservedDataset(design=pop.design, arm=alloc.reshape(-1), uptake=uptake, outcome=outcome)
 
 
 def census_dataset(pop: Population) -> ObservedDataset:
@@ -638,8 +646,81 @@ def _prop_mcse(p: float, n: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / n)) if n > 0 else float("nan")
 
 
-def _mean_or_none(xs: list) -> float | None:
-    return float(np.mean(xs)) if xs else None
+def _mean_or_none(xs: np.ndarray) -> float | None:
+    return float(np.mean(xs)) if xs.size else None
+
+
+def _target_report(t: TargetSpec, R: int, rows: list) -> TargetReport:
+    """One target's report from its replications' tallies, each an error
+    name or the row of floats _run_chunk records."""
+    ok = [row for row in rows if not isinstance(row, str)]
+    n_ok = len(ok)
+    truth, lo_c, hi_c, lo, hi, se_lo, se_hi, ci_lo, ci_hi, ref_lo, ref_hi = np.array(ok).reshape(n_ok, 11).T.copy()
+    has_ref = ~np.isnan(ref_lo)
+    d_lo, d_hi = (lo - ref_lo)[has_ref], (hi - ref_hi)[has_ref]
+    err = np.maximum(np.abs(d_lo), np.abs(d_hi))
+    cov_b = int(np.sum((lo_c <= truth) & (truth <= hi_c))) / n_ok if n_ok else None
+    cov_ci = int(np.sum((ci_lo <= truth) & (truth <= ci_hi))) / n_ok if n_ok else None
+    return TargetReport(
+        label=t.label,
+        target=t,
+        n_reps=R,
+        n_ok=n_ok,
+        n_oracle=int(np.sum(has_ref)),
+        failures=dict(Counter(row for row in rows if isinstance(row, str))),
+        truth_mean=_mean_or_none(truth),
+        coverage_bounds=cov_b,
+        coverage_bounds_mcse=_prop_mcse(cov_b, n_ok) if n_ok else None,
+        coverage_ci=cov_ci,
+        coverage_ci_mcse=_prop_mcse(cov_ci, n_ok) if n_ok else None,
+        mean_width=_mean_or_none(hi_c - lo_c),
+        mean_raw_width=_mean_or_none(hi - lo),
+        mean_lower=_mean_or_none(lo),
+        mean_upper=_mean_or_none(hi),
+        bias_lower=_mean_or_none(d_lo),
+        bias_upper=_mean_or_none(d_hi),
+        sd_lower=float(np.std(lo, ddof=1)) if n_ok >= 2 else None,
+        sd_upper=float(np.std(hi, ddof=1)) if n_ok >= 2 else None,
+        mean_se_lower=_mean_or_none(se_lo),
+        mean_se_upper=_mean_or_none(se_hi),
+        endpoint_err_mean=_mean_or_none(err),
+        endpoint_err_p95=float(np.percentile(err, 95)) if err.size else None,
+    )
+
+
+def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, sizes, tlist: tuple, acc: dict) -> None:
+    """Replications reps of monte_carlo: one generation, observation and
+    estimation pass for the chunk, then per replication, in order, the
+    oracle and the CI; each target's tallies go onto acc[target]."""
+    stack, pops = _generate(config, reps) if base is None else (base, (base,) * len(reps))
+    (alloc,) = popmod.frozen(
+        np.stack([complete_randomization(pops[0].N, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps])
+    )
+    data = observe(stack, alloc.reshape(-1, stack.N))
+    estimates = {}
+    for t in tlist:
+        try:
+            estimates[t] = est.estimate_stack(data, len(reps), t.factor, t.method, t.profile)
+        except FactorBoundsError as e:  # one error for the whole chunk, such as a short arm
+            estimates[t] = [e] * len(reps)
+    for r, pop in enumerate(pops):
+        for t in tlist:
+            try:
+                truth = oracle.method_truth(pop, t.factor, t.method)
+                e = estimates[t][r]
+                if isinstance(e, FactorBoundsError):
+                    raise e
+                ci = est.imbens_manski_ci(e, alpha=t.alpha)
+            except FactorBoundsError as error:
+                acc[t].append(type(error).__name__)
+                continue
+            try:  # the oracle reference exists only where the method's assumptions hold; NaN where skipped
+                ref = oracle.method_interval(pop, t.factor, t.method, t.profile)[0]
+                ref_ends = (ref.raw_lower, ref.raw_upper)
+            except FactorBoundsError:
+                ref_ends = (np.nan, np.nan)
+            ends = (e.clipped_lower, e.clipped_upper, e.raw_lower, e.raw_upper, e.se_lower, e.se_upper)
+            acc[t].append((truth, *ends, ci.lower, ci.upper, *ref_ends))
 
 
 def monte_carlo(
@@ -681,90 +762,12 @@ def monte_carlo(
     if mode == "clone":
         sizes = tuple(s * config.clone_factor for s in sizes)
 
-    acc = {
-        t: {
-            "cover_b": 0,
-            "cover_ci": 0,
-            "failures": Counter(),
-            "truth": [],
-            "width": [],
-            "raw_width": [],
-            "lo": [],
-            "hi": [],
-            "se_lo": [],
-            "se_hi": [],
-            "d_lo": [],
-            "d_hi": [],
-            "err": [],
-        }
-        for t in tlist
-    }
+    acc = {t: [] for t in tlist}
+    # replications run in chunks of about _CHUNK_CELLS (unit, arm) cells, one
+    # chunk alive at a time
+    units = base.N if base is not None else config.N
+    chunk = max(1, _CHUNK_CELLS // (units * (1 << config.K)))
+    for first in range(0, R, chunk):
+        _run_chunk(config, range(first, min(R, first + chunk)), base, sizes, tlist, acc)
 
-    for rep in range(R):
-        pop = base if base is not None else generate_population(config, rep=rep)
-        (alloc,) = popmod.frozen(complete_randomization(pop.N, sizes, np.random.SeedSequence([config.seed, 1, rep])))
-        data = observe(pop, alloc)
-        for t in tlist:
-            a = acc[t]
-            try:
-                truth = oracle.method_truth(pop, t.factor, t.method)
-                estimate = est.estimate_bounds(data, t.factor, t.method, profile=t.profile)
-                ci = est.imbens_manski_ci(estimate, alpha=t.alpha)
-            except FactorBoundsError as e:
-                a["failures"][type(e).__name__] += 1
-                continue
-            a["truth"].append(truth)
-            if estimate.clipped_lower <= truth <= estimate.clipped_upper:
-                a["cover_b"] += 1
-            if ci.lower <= truth <= ci.upper:
-                a["cover_ci"] += 1
-            a["width"].append(estimate.clipped_upper - estimate.clipped_lower)
-            a["raw_width"].append(estimate.raw_upper - estimate.raw_lower)
-            a["lo"].append(estimate.raw_lower)
-            a["hi"].append(estimate.raw_upper)
-            a["se_lo"].append(estimate.se_lower)
-            a["se_hi"].append(estimate.se_upper)
-            try:  # the oracle reference exists only where the method's assumptions hold
-                ref, _ = oracle.method_interval(pop, t.factor, t.method, t.profile)
-            except FactorBoundsError:
-                continue
-            a["d_lo"].append(estimate.raw_lower - ref.raw_lower)
-            a["d_hi"].append(estimate.raw_upper - ref.raw_upper)
-            a["err"].append(
-                max(abs(estimate.raw_lower - ref.raw_lower), abs(estimate.raw_upper - ref.raw_upper))
-            )
-
-    reports = []
-    for t in tlist:
-        a = acc[t]
-        n_ok = len(a["truth"])
-        cov_b = a["cover_b"] / n_ok if n_ok else None
-        cov_ci = a["cover_ci"] / n_ok if n_ok else None
-        reports.append(
-            TargetReport(
-                label=t.label,
-                target=t,
-                n_reps=R,
-                n_ok=n_ok,
-                n_oracle=len(a["err"]),
-                failures=dict(a["failures"]),
-                truth_mean=_mean_or_none(a["truth"]),
-                coverage_bounds=cov_b,
-                coverage_bounds_mcse=_prop_mcse(cov_b, n_ok) if n_ok else None,
-                coverage_ci=cov_ci,
-                coverage_ci_mcse=_prop_mcse(cov_ci, n_ok) if n_ok else None,
-                mean_width=_mean_or_none(a["width"]),
-                mean_raw_width=_mean_or_none(a["raw_width"]),
-                mean_lower=_mean_or_none(a["lo"]),
-                mean_upper=_mean_or_none(a["hi"]),
-                bias_lower=_mean_or_none(a["d_lo"]),
-                bias_upper=_mean_or_none(a["d_hi"]),
-                sd_lower=float(np.std(a["lo"], ddof=1)) if n_ok >= 2 else None,
-                sd_upper=float(np.std(a["hi"], ddof=1)) if n_ok >= 2 else None,
-                mean_se_lower=_mean_or_none(a["se_lo"]),
-                mean_se_upper=_mean_or_none(a["se_hi"]),
-                endpoint_err_mean=_mean_or_none(a["err"]),
-                endpoint_err_p95=float(np.percentile(a["err"], 95)) if a["err"] else None,
-            )
-        )
-    return CoverageReport(config=config, replications=R, targets=tuple(reports))
+    return CoverageReport(config=config, replications=R, targets=tuple(_target_report(t, R, acc[t]) for t in tlist))

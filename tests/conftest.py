@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from factorbounds.design import enumerate_assignments
+from factorbounds.errors import InvalidFactorError
 from factorbounds.population import Population, fixture_p4
 from factorbounds.simulate import census_dataset
+
+
+def strip_factor(z, k):
+    """Drop factor k's coordinate of an assignment, leaving the context over the others."""
+    if not 1 <= k <= len(z):
+        raise InvalidFactorError(f"factor {k} outside 1..{len(z)}")
+    return tuple(z[:k - 1]) + tuple(z[k:])
 
 
 def build_population(K, uptake_rules, outcome_fn):

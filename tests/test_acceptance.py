@@ -15,7 +15,7 @@ import pytest
 
 from factorbounds import estimate as est
 from factorbounds.cli import main as cli_main
-from factorbounds.design import context_index, enumerate_assignments, strip_factor
+from factorbounds.design import context_index, enumerate_assignments
 from factorbounds.oracle import (
     adjusted_bounds,
     conservative_bounds,
@@ -32,6 +32,8 @@ from factorbounds.oracle import (
 )
 from factorbounds.population import Population
 from factorbounds.simulate import load_scenario, monte_carlo
+
+from conftest import strip_factor
 
 TOL = 1e-12
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -128,8 +130,8 @@ def sweep():
                         out["cover_bad"] += 1
                 out["nest"] += 1
                 if not (
-                    exc.raw_width <= adj.raw_width + TOL
-                    and adj.raw_width <= sim.raw_width + TOL
+                    exc.raw_upper - exc.raw_lower <= adj.raw_upper - adj.raw_lower + TOL
+                    and adj.raw_upper - adj.raw_lower <= sim.raw_upper - sim.raw_lower + TOL
                 ):
                     out["nest_bad"] += 1
                 rho = constant_complier_share(pop, k)

@@ -76,7 +76,7 @@ def test_binary_coding(tmp_path):
     path = tmp_path / "binary.csv"
     path.write_text("z1,d1,y\n0,0,0.25\n1,1,0.75\n")
     data = load_csv(path, binary_coding=True)
-    assert data.assignment_rows().tolist() == [[-1], [1]]
+    assert data.design.levels[data.arm].tolist() == [[-1], [1]]
     assert data.uptake.tolist() == [[-1], [1]]
     # without the flag, 0 is not a level
     with pytest.raises(InvalidInputError):

@@ -15,9 +15,10 @@ from factorbounds.design import (
     joint_context_index,
     joint_contexts_for,
     main_effect_contrast,
-    strip_factor,
 )
 from factorbounds.errors import InvalidDesignError, InvalidFactorError
+
+from conftest import strip_factor
 
 
 def test_canonical_order_k2():

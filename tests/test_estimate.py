@@ -83,14 +83,14 @@ def test_moments_built_without_sorting(p4_census, monkeypatch):
 
 def test_arm_moments_built_once_and_read_only(p4_census):
     estimate_bounds(p4_census, 1, "exclusion")
-    means, cov = _arm_moments(p4_census, 1, None)
+    means, cov = _arm_moments(p4_census, 1, None, 1)
     wald_reference(p4_census, 1)
     estimate_bounds(p4_census, 1, "adjusted")
-    assert _arm_moments(p4_census, 1, None)[0] is means
-    assert means.shape == (4, 3) and cov.shape == (4, 3, 3)
+    assert _arm_moments(p4_census, 1, None, 1)[0] is means
+    assert means.shape == (1, 4, 3) and cov.shape == (1, 4, 3, 3)
     for arr in (means, cov):
         with pytest.raises(ValueError):
-            arr[0, 0] = 0.5
+            arr[0, 0, 0] = 0.5
 
 
 def test_analyze_loop_builds_each_layout_once(monkeypatch):
@@ -107,10 +107,10 @@ def test_analyze_loop_builds_each_layout_once(monkeypatch):
             estimate_bounds(data, k, method)
         wald_reference(data, k)
     # every layout of a factor reads the one build of that factor
-    assert builds == [(k, None) for k in range(1, 6)]
+    assert builds == [(k, None, 1) for k in range(1, 6)]
     estimate_bounds(data, 1, "joint:2")
     estimate_bounds(data, 1, "joint:2", profile="declared:-1,-1,-1")
-    assert builds[5:] == [(1, 2)]
+    assert builds[5:] == [(1, 2, 1)]
 
 
 def test_nu_hat_and_min_profile(p4_census):
@@ -495,7 +495,7 @@ def test_moment_layout_mean_t_identity(p4_census):
     )
     # the auxiliary column equals the observable noncomplier outcome mass:
     # nonzero only where uptake disagrees with the assignment sign
-    means, cov = _arm_moments(data, 1, None)
+    (means,), (cov,) = _arm_moments(data, 1, None, 1)
     design = data.design
     for j in range(design.J):
         mask = data.arm == j
@@ -535,7 +535,7 @@ def test_arm_moments_match_masked_reference(K, max_rows, binary, seed):
     builds = [(k, None, p) for k in range(1, K + 1) for p in (2, 3)]  # 'yd', 'ydt'
     builds += [(k, k2, 2) for k in range(1, K + 1) for k2 in range(1, K + 1) if k2 != k]  # 'yp'
     for k, k2, p in builds:
-        means, cov = _arm_moments(data, k, k2)
+        (means,), (cov,) = _arm_moments(data, k, k2, 1)
         V = np.column_stack(_reference_columns(data, k, k2)[:p])
         blocks = []
         for j in range(design.J):

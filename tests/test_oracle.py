@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorbounds.design import enumerate_assignments, strip_factor
+from factorbounds.design import enumerate_assignments
 from factorbounds.estimate import (
     _arm_moments,
     endpoint_functions,
@@ -41,7 +41,7 @@ from factorbounds.oracle import (
 from factorbounds.population import Population, check_least_compliant_profile, fixture_p4
 from factorbounds.simulate import census_dataset
 
-from conftest import count_computations, random_population
+from conftest import count_computations, random_population, strip_factor
 
 TOL = 1e-12
 
@@ -254,8 +254,8 @@ def test_coverage_and_nesting_sweep():
             assert iv.lower >= -1.0 and iv.upper <= 1.0
             assert iv.raw_lower <= iv.center <= iv.raw_upper
         # raw width ordering, zero tolerance
-        assert iv_exc.raw_width <= iv_adj.raw_width + TOL
-        assert iv_adj.raw_width <= iv_sim.raw_width + TOL
+        assert iv_exc.raw_upper - iv_exc.raw_lower <= iv_adj.raw_upper - iv_adj.raw_lower + TOL
+        assert iv_adj.raw_upper - iv_adj.raw_lower <= iv_sim.raw_upper - iv_sim.raw_lower + TOL
         # conservative plug-ins below the true share only widen
         rho = constant_complier_share(pop, 1)
         assert rho > 0.0
@@ -400,7 +400,7 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
                 assert abs(a - b) <= TOL, (method, k, a, b)
             assert iv.raw_lower - TOL <= method_truth(pop, k, method) <= iv.raw_upper + TOL
         rho = constant_complier_share(pop, k)
-        mvec = _arm_moments(data, k, None)[0][:, :2].ravel()
+        mvec = _arm_moments(data, k, None, 1)[0][0, :, :2].ravel()
         for t in (rho, 0.5 * rho):
             iv, ctx = method_interval(pop, k, f"conservative:{t!r}")
             assert ctx is None
@@ -416,8 +416,8 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
 ORACLE_MEMOIZED = [
     (oracle._nu_arrays, (1,)),
     (oracle._joint_uptake_means, (1, 2)),
-    (method_truth, (1, "adjusted")),
-    (method_truth, (1, "joint:2")),
+    (oracle._truth, (1, "main", ())),
+    (oracle._truth, (1, "joint", (2,))),
     (method_interval, (1, "exclusion")),
     (method_interval, (2, "interaction:1+2", "min")),
 ]

@@ -12,7 +12,6 @@ from factorbounds.design import (
     enumerate_assignments,
     joint_context_arms,
     joint_contexts_for,
-    strip_factor,
 )
 from factorbounds.errors import AssumptionViolationError, InvalidFactorError, InvalidInputError
 from factorbounds.population import (
@@ -39,7 +38,7 @@ from factorbounds.population import (
 )
 from factorbounds.simulate import FactorSpec, ScenarioConfig, generate_population
 
-from conftest import count_computations, random_population
+from conftest import count_computations, random_population, strip_factor
 
 
 def bf_label(pop, unit, k, ctx):
@@ -248,6 +247,57 @@ def test_exclusion_checks_match_the_uptake_vector_formulation():
     assert weak > 50 and cond > 20  # both checks met populations that fail and that pass
 
 
+def reference_labels_and_shift(pop, k):
+    """Labels and least-compliant shift read off the strided (N, C) uptake columns of factor k."""
+    j_minus, j_plus = context_arms(pop.design, k)
+    d = pop.uptake[:, :, k - 1]
+    table = np.array([[NEVER_TAKER, COMPLIER], [DEFIER, ALWAYS_TAKER]], dtype=np.int8)
+    return table[(d[:, j_minus] + 1) >> 1, (d[:, j_plus] + 1) >> 1], d[:, j_plus] - d[:, j_minus]
+
+
+def test_labels_and_profiles_from_the_pattern_match_the_uptake_columns():
+    rng = np.random.default_rng(31)
+    for K in range(1, 10):
+        for N in (1, 5):
+            pop = random_population(rng, K, N)
+            for k in range(1, K + 1):
+                labels, shift = reference_labels_and_shift(pop, k)
+                assert np.array_equal(classify(pop, k).labels, labels)
+                valid = (shift == shift.min(axis=1, keepdims=True)).all(axis=0)
+                want = tuple(ctx for ctx, ok in zip(contexts_for(pop.design, k), valid) if ok)
+                assert check_least_compliant_profile(pop, k) == want
+
+
+def test_stacked_checks_answer_per_block_as_the_scalar_checks():
+    rng = np.random.default_rng(37)
+    for K in (1, 2, 3, 4):
+        parts = [random_population(rng, K, 3) for _ in range(4)]
+        factors = (FactorSpec(complier=0.8),) * K
+        parts += [generate_population(ScenarioConfig(K=K, N=3, factors=factors, seed=s)) for s in range(3)]
+        stack = Population(
+            design=parts[0].design,
+            uptake=np.concatenate([p.uptake for p in parts]),
+            outcome=np.concatenate([p.outcome for p in parts]),
+        )
+        single = [(k,) for k in range(1, K + 1)]
+        pairs = list(itertools.permutations(range(1, K + 1), 2))
+        checks = [
+            (check_conditional_monotonicity, single),
+            (check_least_compliant_profile, single),
+            (check_weak_treatment_exclusion, single),
+            (check_conditional_treatment_exclusion, pairs),
+            (check_joint_least_compliant, pairs),
+            (constant_complier_count, single + pairs),
+        ]
+        for check, arguments in checks:
+            for a in arguments:
+                want = [check(Population(design=p.design, uptake=p.uptake, outcome=p.outcome), *a) for p in parts]
+                assert check.stacked(stack, len(parts), *a) == want, (check.__name__, a)
+        for part, block in zip(parts, stack.split(len(parts))):
+            assert np.shares_memory(block.uptake, stack.uptake) and not block.uptake.flags.writeable
+            assert np.array_equal(block.uptake, part.uptake) and np.array_equal(block.outcome, part.outcome)
+
+
 def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
     # in the joint fixture unit 1 switches factor-1 uptake with z3, not z2
     assert check_conditional_treatment_exclusion(k3_joint_pop, 1, 2) == []
@@ -358,6 +408,19 @@ def test_caller_arrays_stay_writable_and_apart_from_the_population():
     data = ObservedDataset(design=pop.design, arm=arm, uptake=d, outcome=y)
     arm[0], d[0, 0], y[0] = 3, -1, 1.0
     assert (data.arm[0], data.uptake[0, 0], data.outcome[0]) == (0, 1, 0.25)
+
+
+def test_read_only_view_of_writable_memory_is_copied():
+    pop = fixture_p4()
+    u = np.array(pop.uptake)
+    v = u.view()
+    v.setflags(write=False)
+    q = Population(design=pop.design, uptake=v, outcome=pop.outcome)
+    u[0, 0, 0] = 1  # the caller still writes the memory under its read-only view
+    assert q.uptake[0, 0, 0] == -1 and not np.shares_memory(q.uptake, u)
+    clone = pop.clone(3)  # the package's own arrays are kept: owned and frozen
+    assert clone.uptake.base is None and clone.outcome.base is None
+    assert Population(design=pop.design, uptake=clone.uptake, outcome=clone.outcome).uptake is clone.uptake
 
 
 def test_read_only_arrays_are_stored_without_a_copy():

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from factorbounds import simulate
 from factorbounds.design import enumerate_assignments
 from factorbounds.errors import (
     GenerationError,
@@ -178,6 +179,20 @@ def test_generation_pinned_bit_for_bit():
     assert got == GENERATION_PINS
 
 
+def test_stacked_generation_equals_one_replication_at_a_time():
+    # replications drawn together, some of them again after a miss, give the
+    # populations generate_population draws alone, as views of read-only stacks
+    config = basic_config(N=12, factors=(FactorSpec(complier=0.15), FactorSpec(complier=0.9)))
+    stack, pops = simulate._generate(config, range(3, 40))
+    assert stack.N == 37 * 12
+    for rep, pop in zip(range(3, 40), pops):
+        alone = generate_population(config, rep=rep)
+        assert np.array_equal(pop.uptake, alone.uptake) and np.array_equal(pop.outcome, alone.outcome)
+        assert pop.uptake.base is not None and not pop.uptake.base.flags.writeable
+        assert check_least_compliant_profile(pop, 1) == check_least_compliant_profile(alone, 1)
+    assert np.array_equal(stack.uptake, np.concatenate([p.uptake for p in pops]))
+
+
 def test_generation_honors_requires():
     config = basic_config()
     for rep in range(30):
@@ -338,7 +353,7 @@ def test_observe_reads_assigned_rows():
         j = alloc[i]
         assert np.array_equal(data.uptake[i], pop.uptake[i, j, :])
         assert data.outcome[i] == pop.outcome[i, j]
-        assert tuple(data.assignment_rows()[i]) == pop.design.assignment(j)
+        assert data.arm[i] == j
     with pytest.raises(InvalidInputError):
         observe(pop, np.array([0, 1, 2], dtype=np.intp))
 
@@ -511,8 +526,9 @@ def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
 
 
 def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
-    # one population serves every replication, so each target's truth and
-    # oracle interval are computed once, not once per replication
+    # one population serves every replication, so each target's oracle
+    # interval is computed once, not once per replication, and the two
+    # main-effect targets share one truth
     import pathlib
 
     from factorbounds import oracle
@@ -526,7 +542,26 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
         monkeypatch.setattr(oracle, name, lambda *a, _f=compute, _n=name: calls.append(_n) or _f(*a))
     report = monte_carlo(config, R=5)
     assert all(t.n_ok == 5 and t.n_oracle == 5 for t in report.targets)
-    assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect", "main_effect"]
+    assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect"]
+
+
+def test_retry_scenario_report_pinned():
+    # report_bytes' small-N scenario: generation retries, replications whose
+    # estimate fails with WeakFirstStageError and skipped oracle references;
+    # sha256 of its report taken when every replication still ran alone
+    import importlib.util
+    import pathlib
+
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "report_bytes.py"
+    spec = importlib.util.spec_from_file_location("report_bytes", script)
+    report_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_bytes)
+    report = monte_carlo(ScenarioConfig.from_dict(report_bytes.retry_scenario()), 40)
+    exclusion, adjusted = report.targets
+    assert exclusion.failures == {"WeakFirstStageError": 21} and exclusion.n_oracle < exclusion.n_ok
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "4b39e9ea7d70e90985a332538368a1e79c3df93a7cdf3b90788272597cd117f7"
+    )
 
 
 @pytest.mark.parametrize(
