@@ -12,7 +12,8 @@ scenarios for seeds 1-3, an ``m2`` (binary outcome) variant of the seed-1
 one and ``clone_scaling`` at clone factor 1000. Two scenarios in the
 shipped files' form are written here: a K=3 one adds a ``violate`` token,
 and a small-N K=2 one has generation retries, replications whose estimate
-fails and skipped oracle references. Every
+fails and skipped oracle references, and a small-N K=9 one with negative
+pair terms takes generation through the uint16 uptake pattern. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -62,6 +63,7 @@ def scenarios() -> dict[str, dict]:
     found["clone1000.json"] = inputs.clone_scenario(ROOT / "scenarios" / "clone_scaling.json", 1000)
     found["k3_violate_exclusion.json"] = violating_scenario()
     found["k2_retry_weak.json"] = retry_scenario()
+    found["k9_negative_eta.json"] = k9_scenario()
     return found
 
 
@@ -113,6 +115,31 @@ def retry_scenario() -> dict:
     }
 
 
+def k9_scenario() -> dict:
+    """A K=9 fresh scenario at N=1100, about two units per arm: its uptake
+    pattern is uint16, its 36 pair terms reach bit 8 and can be negative.
+    Factor 2 complies fully, so its estimates survive the thin arms."""
+    factor = {"always": 0.05, "complier": 0.6, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 9,
+        "N": 1100,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [
+            {**factor, "depends_on": [9], "upgrade": 0.5},
+            {**factor, "always": 0.0, "complier": 1.0},
+            *({**factor, "complier": 0.55 + 0.05 * k} for k in range(6)),
+            {**factor, "always": 0.0, "depends_on": [1, 8], "upgrade": 0.4, "worst": [1, -1]},
+        ],
+        "outcome": {"alpha": [0.2, 0.4], "beta": [[0.0, 0.1]] * 9, "eta": [-0.06, 0.04], "model": "m1"},
+        "population_mode": "fresh",
+        "require": [],
+        "seed": 20261018,
+        "targets": [{"alpha": 0.05, "factor": 2, "method": m, "profile": "min"} for m in ("exclusion", "adjusted")],
+        "violate": [],
+    }
+
+
 def write_inputs(out: Path) -> dict[str, Path]:
     """Write the generated inputs into out; returns their paths by name."""
     inputs = _load_inputs()
@@ -141,6 +168,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["simulate", str(paths["wide_m2.json"]), "-R", "2"],
         ["simulate", str(paths["k3_violate_exclusion.json"]), "-R", "30"],
         ["simulate", str(paths["k2_retry_weak.json"]), "-R", "40"],
+        ["simulate", str(paths["k9_negative_eta.json"]), "-R", "2"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
         ["oracle", "data/p4_population.json"],
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],

@@ -134,7 +134,6 @@ def _oracle_factor_block(pop, k: int, methods: list[str], profile: str) -> tuple
             "exclusion": {"passes": not mono and not excl, "violations": [list(v) for v in excl[:10]]},
         },
     }
-    failed = False
     if not mono:
         itt = oracle.itt_report(pop, k)
         block["itt"] = {
@@ -162,9 +161,8 @@ def _oracle_factor_block(pop, k: int, methods: list[str], profile: str) -> tuple
             methods_out[method] = oracle.method_report(pop, k, method, profile)
         except FactorBoundsError as e:
             methods_out[method] = {"error": f"{type(e).__name__}: {e}"}
-            failed = True
     block["methods"] = methods_out
-    return block, failed
+    return block, any("error" in entry for entry in methods_out.values())
 
 
 def cmd_oracle(args) -> int:
@@ -174,21 +172,16 @@ def cmd_oracle(args) -> int:
     methods = _split_methods(args.method)
     for method in methods:
         parse_request(K, method, args.profile)
-    blocks = []
-    any_failed = False
-    for k in factors:
-        block, failed = _oracle_factor_block(pop, k, methods, args.profile)
-        blocks.append(block)
-        any_failed = any_failed or failed
+    blocks, failed = zip(*(_oracle_factor_block(pop, k, methods, args.profile) for k in factors))
     report = {
         "schema": "factorbounds-oracle-v1",
         "K": K,
         "N": pop.N,
         "profile": args.profile,
-        "factors": blocks,
+        "factors": list(blocks),
     }
     _dump_json(report, args.out)
-    return 3 if any_failed else 0
+    return 3 if any(failed) else 0
 
 
 # --- simulate --------------------------------------------------------------------

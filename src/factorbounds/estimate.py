@@ -426,14 +426,15 @@ def estimate_stack(
     out: list[BoundsEstimate | WeakFirstStageError] = []
     for r, c_index in enumerate(indexes):
         ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()
-        if nu_r[c_index] <= 0.0:
-            table = dict(zip(contexts, nu_r))
-            out.append(WeakFirstStageError(
-                f"factor {k}: estimated first stage at {ctx_r!r} is {nu_r[c_index]}; table {table!r}"
-            ))
-            continue
         funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
         mvec, cov_r = means[r, :, : funcs.p].ravel(), cov[r, :, : funcs.p, : funcs.p]
+        den = funcs.center.denominator(mvec)  # nu summed in another order: 0.0 where rounding left nu > 0
+        if nu_r[c_index] <= 0.0 or den <= 0.0:
+            why = f"{nu_r[c_index]}" + ("" if nu_r[c_index] <= 0.0 else f" (endpoint denominator {den})")
+            out.append(WeakFirstStageError(
+                f"factor {k}: estimated first stage at {ctx_r!r} is {why}; table {dict(zip(contexts, nu_r))!r}"
+            ))
+            continue
         center, raw_lower, raw_upper = (f.value(mvec) for f in (funcs.center, funcs.lower, funcs.upper))
         se_lower, se_upper = (_se_from_gradient(f.gradient(mvec), cov_r) for f in (funcs.lower, funcs.upper))
         lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)

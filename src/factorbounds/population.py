@@ -68,6 +68,17 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def pack_uptake(uptake: np.ndarray) -> np.ndarray:
+    """(N, J) bits of (N, J, K) uptake, bit k-1 set where D_k = +1, uint8 for
+    K <= 8 and uint16 above, ORed in plane by plane. Stored arm-major: the
+    rows of .T, one per arm, are contiguous over the units for the checks."""
+    K = uptake.shape[2]
+    pattern = (uptake[:, :, 0] > 0).astype(np.uint8 if K <= 8 else np.uint16)
+    for k in range(1, K):
+        pattern |= np.left_shift(uptake[:, :, k] > 0, k, dtype=pattern.dtype)
+    return np.ascontiguousarray(pattern.T).T
+
+
 def _typed(value):
     """value with every entry's type beside it, so True never matches 1 in a memo key."""
     return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
@@ -163,14 +174,8 @@ class Population:
 
     @_memoized
     def uptake_pattern(self) -> np.ndarray:
-        """(N, J) uptake as bits: bit k-1 is set where D_k = +1; uint8 for
-        K <= 8, uint16 above. Stored arm-major: the rows of .T, one per arm,
-        are contiguous over the units, and the checks read them."""
-        on = (self.uptake > 0).astype(np.uint8 if self.design.K <= 8 else np.uint16)
-        pattern = on[:, :, 0].copy()
-        for k in range(1, self.design.K):
-            pattern |= on[:, :, k] << k
-        return np.ascontiguousarray(pattern.T).T
+        """pack_uptake(self.uptake); generation seeds it, and split hands each block its rows."""
+        return pack_uptake(self.uptake)
 
     @_memoized
     def arm_outcome_means(self) -> np.ndarray:

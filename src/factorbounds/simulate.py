@@ -456,33 +456,32 @@ def _materialize_uptake(design: FactorialDesign, types: np.ndarray) -> np.ndarra
     return uptake
 
 
-def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, uptake: np.ndarray, rngs: list) -> np.ndarray:
-    """(R*N, J) outcomes of the R replications stacked in uptake, each drawn from its own generator."""
+def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.ndarray, rngs: list) -> np.ndarray:
+    """(R*N, J) outcomes of the R replications stacked in the packed uptake
+    pattern, each drawn from its own generator. An outcome depends on the arm
+    only through the pattern, so blocks of up to 2^15 (pattern, unit) cells
+    tabulate each unit's index over the J patterns and gather it through the
+    pattern: every cell takes the float steps of the cellwise formula."""
     spec = config.outcome
     n, K, J = config.N, config.K, design.J
-    N = uptake.shape[0]
+    N = pattern.shape[0]
     alpha = _draws(rngs, lambda rng: rng.uniform(spec.alpha[0], spec.alpha[1], n))
     beta_ranges = spec.beta if spec.beta else tuple((0.2, 0.4) for _ in range(K))
     beta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(lo, hi, n)) for lo, hi in beta_ranges])
-    pairs = list(combinations(range(1, K + 1), 2))
-    if pairs:
-        eta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(spec.eta[0], spec.eta[1], n)) for _ in pairs])
-        on = np.empty((K, N, J), dtype=bool)
-        np.greater(uptake.transpose(2, 0, 1), 0, out=on)
-    # with u in {0, 1}, eta * u_a * u_b is bit for bit eta times the mask "both
-    # on"; the einsum and the pair terms run in blocks of 2^13 (unit, arm) cells
+    bits = (np.arange(J)[:, None] >> np.arange(K) & 1).astype(np.float64)  # (pattern, factor)
+    both = [np.flatnonzero(bits[:, a] * bits[:, b]) for a, b in combinations(range(K), 2)]
+    if both:
+        eta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(spec.eta[0], spec.eta[1], n)) for _ in both])
     lin = np.empty((N, J))
-    rows = min(N, max(1, (1 << 13) // J))
-    both, term = np.empty((rows, J), dtype=bool), np.empty((rows, J))
+    rows = max(1, min(1 << 15, N * J // 4) // J)  # a block's table, index and gather stay under lin's size
     for start in range(0, N, rows):
         units = slice(start, start + rows)
-        n_units = min(rows, N - start)
-        np.einsum("nk,njk->nj", beta[units], (uptake[units] > 0).astype(np.float64), out=lin[units])
-        lin[units] += alpha[units, None]  # alpha + sum, bit for bit: addition commutes
-        for idx, (a, b) in enumerate(pairs):
-            np.logical_and(on[a - 1, units], on[b - 1, units], out=both[:n_units])
-            np.multiply(eta[units, idx, None], both[:n_units], out=term[:n_units])
-            lin[units] += term[:n_units]
+        table = np.einsum("nk,pk->pn", beta[units], bits)  # not matmul: BLAS sums in another order
+        table += alpha[units]
+        for idx, patterns in enumerate(both):
+            table[patterns] += eta[units, idx]  # the cellwise formula added an exact 0.0 elsewhere
+        n_units = table.shape[1]  # table[p, i] sits at p * n_units + i
+        lin[units] = table.ravel().take(pattern[units].astype(np.intp) * n_units + np.arange(n_units)[:, None])
     y = np.clip(lin, 0.0, 1.0, out=lin)
     if spec.model == "m2":
         tau = _draws(rngs, lambda rng: rng.uniform(0.0, 1.0, n))
@@ -522,8 +521,10 @@ def _generate(config: ScenarioConfig, reps) -> tuple[Population, tuple[Populatio
         types = _draw_types(config, design, rngs)
         _apply_violations(config, design, types)
         uptake = _materialize_uptake(design, types)
-        uptake, outcome = popmod.frozen(uptake, _draw_outcomes(config, design, uptake, rngs))
+        pattern = popmod.pack_uptake(uptake)
+        uptake, outcome, _ = popmod.frozen(uptake, _draw_outcomes(config, design, pattern, rngs), pattern)
         stack = Population(design=design, uptake=uptake, outcome=outcome)
+        popmod._seed_memo(stack, Population.uptake_pattern, (), pattern)
         values = [_TOKEN_CHECKS[name][0].stacked(stack, len(todo), *ks) for _, _, name, ks in tokens]
         parts = stack.split(len(todo))  # after the checks, so their labels and pattern carry over
         misses = [[] for _ in todo]

@@ -37,6 +37,8 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     assert (wide.K, wide.outcome.model) == (6, "m2")
     violating = ScenarioConfig.from_dict(written["k3_violate_exclusion.json"])
     assert (violating.K, violating.violate) == (3, ("exclusion:1",))
+    k9 = ScenarioConfig.from_dict(written["k9_negative_eta.json"])
+    assert (k9.K, k9.population_mode) == (9, "fresh") and k9.outcome.eta[0] < 0
     paths = {name: Path(name) for name in [*written, "k5.csv"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
-    assert {"wide_m2.json", "k3_violate_exclusion.json"} <= simulated
+    assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json"} <= simulated

@@ -7,13 +7,16 @@ import re
 import numpy as np
 import pytest
 
+from factorbounds import population as popmod
 from factorbounds import simulate
 from factorbounds.design import enumerate_assignments
 from factorbounds.errors import (
     GenerationError,
     InvalidDesignError,
     InvalidInputError,
+    WeakFirstStageError,
 )
+from factorbounds.estimate import estimate_bounds
 from factorbounds.population import (
     Population,
     check_conditional_monotonicity,
@@ -139,6 +142,15 @@ GENERATION_PINS = {
         "bef36931d5dfbf4e74a90b1036eaea682371473ee4f509ada5762af0f4a13d80",
         "842b55f90c0a883c84fd2d3f303d8943107f7bcaf6b06d69fa30416189a41481",
     ),
+    # taken before outcomes were gathered through the uptake pattern
+    "K9_m1_negative_eta": (
+        "d020bd37de2ffb039c1a839e1314077bea1097f28b28f92352f21830c7741810",
+        "376beb9c5fa941cc207e40d1dff53218060197eb27cd13d7e1c47a9b7f818124",
+    ),
+    "K1_m2": (
+        "129a4af5cf4a32a65cd7afcd2147371c7d25727b8c0ff179e163df1d545fb296",
+        "9726b31b49b539d6489e10e7e1176f6012db5c10fc123e63bb7fd2cc96577a54",
+    ),
 }
 
 
@@ -169,6 +181,26 @@ def _pinned_configs():
         require=("monotone:1", "first_stage:1"),
         violate=("exclusion:1",),
     )
+    # a uint16 pattern, pairs across bit 8 and negative pair terms
+    yield "K9_m1_negative_eta", ScenarioConfig(
+        K=9,
+        N=24,
+        seed=17,
+        factors=(
+            FactorSpec(complier=0.6, always=0.1, upgrade=0.5, depends_on=(9,)),
+            *(FactorSpec(complier=0.5 + 0.05 * k, always=0.05) for k in range(7)),
+            FactorSpec(complier=0.55, upgrade=0.4, depends_on=(1, 8), worst=(1, -1)),
+        ),
+        outcome=OutcomeSpec(model="m1", alpha=(0.2, 0.4), beta=((0.0, 0.1),) * 9, eta=(-0.06, 0.04)),
+    )
+    yield "K1_m2", ScenarioConfig(  # no pairs: no eta draws
+        K=1,
+        N=30,
+        seed=3,
+        factors=(FactorSpec(complier=0.6, always=0.1),),
+        outcome=OutcomeSpec(model="m2", alpha=(0.1, 0.3), beta=((0.3, 0.5),), eta=(-0.1, 0.1)),
+        require=("first_stage:1",),
+    )
 
 
 def test_generation_pinned_bit_for_bit():
@@ -191,6 +223,64 @@ def test_stacked_generation_equals_one_replication_at_a_time():
         assert pop.uptake.base is not None and not pop.uptake.base.flags.writeable
         assert check_least_compliant_profile(pop, 1) == check_least_compliant_profile(alone, 1)
     assert np.array_equal(stack.uptake, np.concatenate([p.uptake for p in pops]))
+
+
+def _elementwise_outcomes(config, uptake, rngs):
+    """The outcome formula cell by cell over (unit, arm) on the (R*N, J, K)
+    uptake, as generation computed it before the pattern tables: the same
+    draws from each replication's generator, the same float steps in order."""
+    spec, n, K = config.outcome, config.N, config.K
+    draws = lambda lo, hi: np.concatenate([rng.uniform(lo, hi, n) for rng in rngs])
+    alpha = draws(*spec.alpha)
+    beta = np.column_stack([draws(lo, hi) for lo, hi in spec.beta])
+    pairs = list(itertools.combinations(range(K), 2))
+    eta = np.column_stack([draws(*spec.eta) for _ in pairs]) if pairs else None
+    on = (uptake > 0).astype(np.float64)
+    lin = np.einsum("nk,njk->nj", beta, on)
+    lin += alpha[:, None]
+    for idx, (a, b) in enumerate(pairs):
+        lin += eta[:, idx, None] * ((uptake[:, :, a] > 0) & (uptake[:, :, b] > 0))
+    y = np.clip(lin, 0.0, 1.0)
+    if spec.model == "m2":
+        y = (y >= draws(0.0, 1.0)[:, None]).astype(np.float64)
+    return y
+
+
+@pytest.mark.parametrize("model", ["m1", "m2"])
+@pytest.mark.parametrize("K", range(1, 10))
+def test_pattern_outcome_tables_equal_elementwise_formula(K, model):
+    # three replications of N units fill about ten blocks of 2^15 (pattern,
+    # unit) cells, the last one partial; random uptake reaches every pattern
+    J, R = 1 << K, 3
+    N = (1 << 17) // J * 5 // 6 + 1
+    config = ScenarioConfig(
+        K=K,
+        N=N,
+        seed=0,
+        factors=(FactorSpec(complier=0.5),) * K,
+        outcome=OutcomeSpec(model=model, alpha=(-0.1, 0.3), beta=((-0.2, 0.3),) * K, eta=(-0.15, 0.1)),
+    )
+    uptake = np.where(np.random.default_rng(K).random((R * N, J, K)) < 0.5, -1, 1).astype(np.int8)
+    rngs = lambda: [np.random.default_rng([K, rep]) for rep in range(R)]
+    got = simulate._draw_outcomes(config, enumerate_assignments(K), popmod.pack_uptake(uptake), rngs())
+    assert got.tobytes() == _elementwise_outcomes(config, uptake, rngs()).tobytes()
+
+
+def test_generation_seeds_the_packed_pattern():
+    # the stack, its split parts and a replication redrawn after a miss all
+    # carry the pattern generation packed, equal to a fresh pack of the uptake
+    def seeded(pop):
+        assert any(key[0] is Population.uptake_pattern for key in pop._memo)
+        assert np.array_equal(pop.uptake_pattern(), popmod.pack_uptake(pop.uptake))
+
+    stack, parts = simulate._generate(basic_config(N=12, require=()), range(4))
+    for pop in (stack, *parts):
+        seeded(pop)
+    config = basic_config(N=12, factors=(FactorSpec(complier=0.15), FactorSpec(complier=0.9)))
+    _, pops = simulate._generate(config, range(3, 40))
+    assert len({id(p.uptake.base) for p in pops}) > 1  # some replications come from a later attempt
+    for pop in pops:
+        seeded(pop)
 
 
 def test_generation_honors_requires():
@@ -562,6 +652,34 @@ def test_retry_scenario_report_pinned():
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
         "4b39e9ea7d70e90985a332538368a1e79c3df93a7cdf3b90788272597cd117f7"
     )
+
+
+def test_joint_zero_denominator_is_a_weak_first_stage():
+    # the joint first-stage table leaves nu = 2.8e-17 at the chosen profile
+    # of replications 0 and 24 while the endpoint maps' denominator, summed
+    # in another order, is exactly 0.0: a weak first stage, not a division by zero
+    config = ScenarioConfig(
+        K=5,
+        N=400,
+        seed=7,
+        population_mode="clone",
+        factors=(
+            FactorSpec(complier=0.494, always=0.015, upgrade=0.46, depends_on=(2,), worst=(-1,)),
+            FactorSpec(complier=0.343, always=0.054),
+            FactorSpec(complier=0.519, always=0.006),
+            FactorSpec(complier=0.604, always=0.004),
+            FactorSpec(complier=0.56, always=0.007),
+        ),
+        outcome=OutcomeSpec(model="m2", alpha=(0.05, 0.3), beta=((0.1, 0.2),) * 5, eta=(0.0, 0.05)),
+        require=("monotone:1", "first_stage:1", "profile:1", "joint_profile:1,2"),
+        targets=(TargetSpec(factor=1, method="joint:2", profile="min"),),
+    )
+    (target,) = monte_carlo(config, 37).targets
+    assert target.failures == {"WeakFirstStageError": 25} and target.n_ok == 12
+    pop = generate_population(config)
+    alloc = complete_randomization(pop.N, config.resolved_arm_sizes(), np.random.SeedSequence([7, 1, 0]))
+    with pytest.raises(WeakFirstStageError, match=r"is 2\.7755575615628914e-17 \(endpoint denominator 0\.0\)"):
+        estimate_bounds(observe(pop, alloc), 1, "joint:2")
 
 
 @pytest.mark.parametrize(
