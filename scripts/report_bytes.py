@@ -13,7 +13,10 @@ one and ``clone_scaling`` at clone factor 1000. Two scenarios in the
 shipped files' form are written here: a K=3 one adds a ``violate`` token,
 and a small-N K=2 one has generation retries, replications whose estimate
 fails and skipped oracle references, and a small-N K=9 one with negative
-pair terms takes generation through the uint16 uptake pattern. Every
+pair terms takes generation through the uint16 uptake pattern. One K=4
+population with always-takers, never-takers and conditional compliers is
+generated and saved by this checkout's ``save_population(generate_population(...))``
+and read by ``oracle`` with every method. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -140,6 +143,32 @@ def k9_scenario() -> dict:
     }
 
 
+def population_scenario() -> dict:
+    """A K=4 scenario whose population has always-takers, never-takers and
+    conditional compliers of factors 1 and 2. Factors 1 and 2 depend only on
+    factors 3 and 4, so the checks behind exclusion, interaction:1+2 and
+    joint:2 pass for factor 1 and the oracle reports every interval."""
+    factor = {"always": 0.1, "complier": 0.7, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 4,
+        "N": 400,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [
+            {"always": 0.15, "complier": 0.5, "depends_on": [3], "upgrade": 0.5, "worst": [-1]},
+            {"always": 0.1, "complier": 0.55, "depends_on": [4], "upgrade": 0.4, "worst": [1]},
+            factor,
+            {**factor, "complier": 0.8},
+        ],
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.1, 0.2]] * 4, "eta": [-0.05, 0.05], "model": "m1"},
+        "population_mode": "fixed",
+        "require": ["monotone:1", "profile:1", "first_stage:1"],
+        "seed": 20261018,
+        "targets": [],
+        "violate": [],
+    }
+
+
 def write_inputs(out: Path) -> dict[str, Path]:
     """Write the generated inputs into out; returns their paths by name."""
     inputs = _load_inputs()
@@ -156,6 +185,11 @@ def write_inputs(out: Path) -> dict[str, Path]:
     for name, scenario in scenarios().items():
         paths[name] = out / name
         paths[name].write_text(json.dumps(scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    from factorbounds import population, simulate  # this checkout's: benchmark/inputs.py put its src/ on the path
+
+    paths["k4_population.json"] = out / "k4_population.json"
+    config = simulate.ScenarioConfig.from_dict(population_scenario())
+    population.save_population(simulate.generate_population(config), paths["k4_population.json"])
     return paths
 
 
@@ -173,6 +207,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["oracle", "data/p4_population.json"],
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],
         ["oracle", "data/p4_defier.json"],
+        ["oracle", str(paths["k4_population.json"]), "--method", ANALYZE_METHODS + ",conservative:0.05"],
         ["analyze", "data/p4_census.csv"],
         ["analyze", "data/p4_census_binary.csv", "--binary-coding"],
         ["analyze", "data/p4_census_binary.csv"],  # -1/+1 expected: the error path

@@ -211,13 +211,11 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     ybar = pop.arm_outcome_means()
     g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
     gamma_sum = float(g @ ybar)
-    d = pop.uptake[:, :, k - 1]
-    never_term = 0.0
-    always_term = 0.0
-    arms = dsg.context_arms(pop.design, k)
-    for j_minus, j_plus in arms.T:
-        never_term += float(np.mean(pop.outcome[:, j_plus] * (d[:, j_plus] == -1)))
-        always_term += float(np.mean(pop.outcome[:, j_minus] * (d[:, j_minus] == 1)))
+    j_minus, j_plus = dsg.context_arms(pop.design, k)
+    pat, y, bit = pop.pattern.T, pop.outcome.T, 1 << (k - 1)
+    # per context a mean over the units, then summed context by context in order
+    never_term = float(np.add.accumulate((y[j_plus] * ((pat[j_plus] & bit) == 0)).mean(axis=1))[-1])
+    always_term = float(np.add.accumulate((y[j_minus] * ((pat[j_minus] & bit) != 0)).mean(axis=1))[-1])
     S = float(nu.sum())
     A = float(nu_minus.sum())
     B = float(np.sum(1.0 - nu_plus))
@@ -273,7 +271,8 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Inte
 @_memoized
 def _joint_uptake_means(pop: Population, k: int, k2: int) -> np.ndarray:
     """Population mean of the uptake product D_k * D_k2 per arm, length J."""
-    return (pop.uptake[:, :, k - 1].astype(np.float64) * pop.uptake[:, :, k2 - 1]).mean(axis=0)
+    pat = pop.pattern.T  # below, per arm: the units with D_k != D_k2
+    return (pop.N - 2 * np.count_nonzero(((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1, axis=1)) / pop.N
 
 
 def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Interval:

@@ -2,9 +2,11 @@
 
 A population stores, for each of N units, the uptake vector D_i(z) in
 {-1, +1}^K and the outcome Y_i(z) in [0, 1] for every assignment z of a
-2^K design. Outcomes are indexed by assignment, so Y may depend on z other
-than through D (equal uptake vectors, different outcomes in two arms); no
-check here looks for that. simulate draws Y as a function of uptake.
+2^K design. Uptake is stored as one (N, J) bit pattern (pack_uptake),
+which every check reads; the (N, J, K) array is unpacked only on request.
+Outcomes are indexed by assignment, so Y may depend on z other than
+through D (equal uptake vectors, different outcomes in two arms); no check
+here looks for that. simulate draws Y as a function of uptake.
 
 For one factor k, a unit's behaviour at a context z_{-k} (the levels of
 the other factors) is classified by comparing its uptake of k under
@@ -68,15 +70,37 @@ def frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def pattern_dtype(K: int) -> type:
+    """The unsigned integer type of a packed uptake pattern of K factors."""
+    return np.uint8 if K <= 8 else np.uint16
+
+
 def pack_uptake(uptake: np.ndarray) -> np.ndarray:
-    """(N, J) bits of (N, J, K) uptake, bit k-1 set where D_k = +1, uint8 for
-    K <= 8 and uint16 above, ORed in plane by plane. Stored arm-major: the
-    rows of .T, one per arm, are contiguous over the units for the checks."""
+    """(N, J) bits of (N, J, K) uptake, bit k-1 set where D_k = +1, ORed in
+    plane by plane. Stored arm-major: the rows of .T, one per arm, are
+    contiguous over the units for the checks."""
     K = uptake.shape[2]
-    pattern = (uptake[:, :, 0] > 0).astype(np.uint8 if K <= 8 else np.uint16)
+    pattern = (uptake[:, :, 0] > 0).astype(pattern_dtype(K))
     for k in range(1, K):
         pattern |= np.left_shift(uptake[:, :, k] > 0, k, dtype=pattern.dtype)
     return np.ascontiguousarray(pattern.T).T
+
+
+MEMORY_BUDGET = 4 << 30  # bytes a population may take by require_memory's estimate
+
+
+def require_memory(N: int, K: int) -> None:
+    """Refuse a population of N units over 2^K arms whose estimated size
+    exceeds MEMORY_BUDGET, before any array of it is built. Each (unit,
+    arm) cell costs its float64 outcome, its uint8/uint16 pattern entry,
+    K/2 bytes of generation's (K, 2^(K-1), N) int8 types and the m2
+    model's thresholded copy (a bool and a float64)."""
+    need = (N << K) * (8 + np.dtype(pattern_dtype(K)).itemsize + K / 2 + 9)
+    if need > MEMORY_BUDGET:
+        raise InvalidInputError(
+            f"a population of N={N} units over 2^{K} arms needs about {need / 2**30:.1f} GiB,"
+            f" over the {MEMORY_BUDGET / 2**30:.0f} GiB budget"
+        )
 
 
 def _typed(value):
@@ -123,39 +147,55 @@ def _seed_memo(owner, memoized, args: tuple, value) -> None:
     owner._memo[_memo_key(memoized, args, {})] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Population:
-    """Potential uptake and outcomes for N units over a 2^K design."""
+    """Potential uptake and outcomes for N units over a 2^K design, stored read-only as the
+    packed uptake pattern and the outcomes, finite and in [0, 1]. The constructor checks and
+    packs (N, J, K) uptake of -1/+1; from_pattern takes the pattern itself."""
 
     design: FactorialDesign
-    uptake: np.ndarray   # (N, J, K) int8 in {-1, +1}
+    pattern: np.ndarray  # (N, J) pack_uptake bits, rows of .T contiguous
     outcome: np.ndarray  # (N, J) float64 in [0, 1]
 
-    def __post_init__(self) -> None:
-        J, K = self.design.J, self.design.K
-        if self.uptake.ndim != 3 or self.uptake.shape[1:] != (J, K):
-            raise InvalidInputError(
-                f"uptake shape {self.uptake.shape} does not match (N, {J}, {K})"
-            )
-        if self.outcome.shape != self.uptake.shape[:2]:
-            raise InvalidInputError(
-                f"outcome shape {self.outcome.shape} does not match uptake {self.uptake.shape[:2]}"
-            )
-        if self.uptake.shape[0] < 1:
-            raise InvalidInputError("population needs at least one unit")
-        if self.uptake.dtype.kind not in "iu":
-            raise InvalidInputError(f"uptake entries must be integers, got dtype {self.uptake.dtype}")
-        if not ((self.uptake == 1) | (self.uptake == -1)).all():
+    def __init__(self, design: FactorialDesign, uptake: np.ndarray, outcome: np.ndarray) -> None:
+        if uptake.ndim != 3 or uptake.shape[1:] != (design.J, design.K):
+            raise InvalidInputError(f"uptake shape {uptake.shape} does not match (N, {design.J}, {design.K})")
+        if uptake.dtype.kind not in "iu":
+            raise InvalidInputError(f"uptake entries must be integers, got dtype {uptake.dtype}")
+        if not ((uptake == 1) | (uptake == -1)).all():  # before the int8 cast, which would wrap 255 to -1
             raise InvalidInputError("uptake entries must be -1 or +1")
-        if self.outcome.dtype.kind not in "iuf":
-            raise InvalidInputError(f"outcome entries must be numbers, got dtype {self.outcome.dtype}")
-        outcome = read_only(self.outcome, np.float64)
+        uptake = read_only(uptake, np.int8)
+        self._store(design, pack_uptake(uptake), outcome)
+        self.__dict__["uptake"] = uptake  # the caller's uptake is its own unpacking
+
+    @classmethod
+    def from_pattern(cls, design: FactorialDesign, pattern: np.ndarray, outcome: np.ndarray) -> "Population":
+        """A population from its (N, J) packed uptake pattern, whose entries must lie below 2^K."""
+        shape_ok = pattern.ndim == 2 and pattern.shape[1] == design.J and pattern.dtype.kind == "u"
+        if not shape_ok or pattern.max(initial=0) >> design.K:
+            raise InvalidInputError(f"pattern must be (N, {design.J}) unsigned integers below 2^{design.K}")
+        pop = object.__new__(cls)
+        pop._store(design, read_only(pattern.T, pattern_dtype(design.K)).T, outcome)
+        return pop
+
+    def _store(self, design: FactorialDesign, pattern: np.ndarray, outcome: np.ndarray) -> None:
+        if outcome.shape != pattern.shape:
+            raise InvalidInputError(f"outcome shape {outcome.shape} does not match uptake {pattern.shape}")
+        if pattern.shape[0] < 1:
+            raise InvalidInputError("population needs at least one unit")
+        if outcome.dtype.kind not in "iuf":
+            raise InvalidInputError(f"outcome entries must be numbers, got dtype {outcome.dtype}")
+        outcome = read_only(outcome, np.float64)
         if not np.isfinite(outcome).all():
             raise InvalidInputError("outcomes must be finite")
         if outcome.min() < 0.0 or outcome.max() > 1.0:
             raise InvalidInputError("outcomes must lie in [0, 1]")
-        object.__setattr__(self, "uptake", read_only(self.uptake, self.uptake.dtype))
-        object.__setattr__(self, "outcome", outcome)
+        self.__dict__.update(design=design, pattern=pattern, outcome=outcome)
+
+    @cached_property
+    def uptake(self) -> np.ndarray:
+        """(N, J, K) int8 uptake in {-1, +1}, unpacked from the pattern on first use."""
+        return frozen(self.design.levels.take(self.pattern, axis=0))[0]
 
     @cached_property
     def _memo(self) -> dict:
@@ -170,12 +210,7 @@ class Population:
 
     @property
     def N(self) -> int:
-        return int(self.uptake.shape[0])
-
-    @_memoized
-    def uptake_pattern(self) -> np.ndarray:
-        """pack_uptake(self.uptake); generation seeds it, and split hands each block its rows."""
-        return pack_uptake(self.uptake)
+        return int(self.pattern.shape[0])
 
     @_memoized
     def arm_outcome_means(self) -> np.ndarray:
@@ -186,30 +221,29 @@ class Population:
     def arm_uptake_means(self, k: int) -> np.ndarray:
         """Population mean uptake of factor k per arm, length J."""
         dsg.validate_factor(self.design, k)
-        return self.uptake[:, :, k - 1].mean(axis=0, dtype=np.float64)
+        taken = np.count_nonzero(self.pattern.T & (1 << (k - 1)), axis=1)  # per arm: units with D_k = +1
+        return (2 * taken - self.N) / self.N
 
     def clone(self, factor: int) -> "Population":
         """Stack `factor` copies of every unit; all population means persist."""
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
             raise InvalidInputError(f"clone factor must be a positive integer, got {factor!r}")
-        up, out = frozen(
-            np.concatenate([self.uptake] * factor).astype(np.int8, copy=False), np.concatenate([self.outcome] * factor)
-        )
-        return Population(design=self.design, uptake=up, outcome=out)
+        pattern, out = frozen(np.tile(self.pattern.T, factor), np.concatenate([self.outcome] * factor))
+        return Population.from_pattern(self.design, pattern.T, out)
 
     def split(self, R: int) -> tuple["Population", ...]:
         """The R equal blocks of units as populations of their own, read-only
-        views of this one; the compliance labels and uptake pattern already
-        computed here go onto each block's memo."""
+        views of this one; the compliance labels, and the unpacked uptake if
+        there is one, go onto each block."""
         n = self.N // R
-        split_by_rows = (Population.compliance, Population.uptake_pattern)
-        carried = [(key, v) for key, v in self._memo.items() if key[0] in split_by_rows]
+        by_rows = [name for name in ("pattern", "outcome", "uptake") if name in self.__dict__]
+        carried = [(key, v) for key, v in self._memo.items() if key[0] is Population.compliance]
         parts = []
         for rows in (slice(r * n, r * n + n) for r in range(R)):
             part = object.__new__(Population)  # a block of a checked population needs no second check
-            part.__dict__.update(design=self.design, uptake=self.uptake[rows], outcome=self.outcome[rows])
+            part.__dict__.update({name: self.__dict__[name][rows] for name in by_rows}, design=self.design)
             for key, v in carried:
-                part._memo[key] = v[rows] if isinstance(v, np.ndarray) else replace(v, labels=v.labels[rows])
+                part._memo[key] = replace(v, labels=v.labels[rows])
             parts.append(part)
         return tuple(parts)
 
@@ -238,7 +272,7 @@ def _factor_bits(pop: Population, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(C, N) 0/1 uptake of factor k under z_k = -1 and under z_k = +1, one
     row per context in canonical order, read off the packed pattern: arm
     j has the bits (hi, z_k, lo) and its context the bits (hi, lo)."""
-    on = pop.uptake_pattern().T >> (k - 1)
+    on = pop.pattern.T >> (k - 1)
     on &= 1
     on = on.reshape(-1, 2, 1 << (k - 1), pop.N)
     return on[:, 0].reshape(-1, pop.N), on[:, 1].reshape(-1, pop.N)
@@ -311,7 +345,7 @@ def check_weak_treatment_exclusion(pop: Population, R: int, k: int) -> list[list
     """
     contexts = dsg.contexts_for(pop.design, k)
     j_minus, j_plus = dsg.context_arms(pop.design, k)
-    pat = pop.uptake_pattern().T
+    pat = pop.pattern.T
     moved = pat[j_plus] ^ pat[j_minus]  # (C, N): the factors whose uptake differs
     hidden = ((moved & (1 << (k - 1))) == 0) & (moved != 0)
     found = lambda b: [(i, contexts[c]) for c, i in zip(*(a.tolist() for a in np.nonzero(b)))]  # context-major
@@ -322,7 +356,7 @@ def check_weak_treatment_exclusion(pop: Population, R: int, k: int) -> list[list
 def check_joint_least_compliant(pop: Population, R: int, k: int, k2: int) -> list[tuple[Context, ...]]:
     """Joint contexts where every unit's two-factor uptake response is smallest."""
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
-    pat = pop.uptake_pattern().T
+    pat = pop.pattern.T
     prod = 1 - 2 * (((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1).astype(np.int8)  # (J, N) D_k * D_k2
     p_mm, p_pm, p_mp, p_pp = (prod[j] for j in dsg.joint_context_arms(pop.design, k, k2))
     return _valid_contexts(contexts, p_pp - p_mp - p_pm + p_mm, R)
@@ -344,7 +378,7 @@ def check_conditional_treatment_exclusion(
         raise InvalidFactorError("conditional exclusion needs two distinct factors")
     contexts = dsg.joint_contexts_for(pop.design, k, k2)
     j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2)
-    pat = pop.uptake_pattern().T
+    pat = pop.pattern.T
     # factor k's uptake must not depend on z_k2 (arms differing only in k2),
     # and symmetrically for k2's uptake against z_k
     pairs = ((k, j_mm, j_mp), (k, j_pm, j_pp), (k2, j_mm, j_pm), (k2, j_mp, j_pp))
@@ -435,20 +469,9 @@ def fixture_p4() -> Population:
     indicator, so every effect is hand-checkable.
     """
     design = dsg.enumerate_assignments(2)
-    # canonical arms: (-1,-1), (+1,-1), (-1,+1), (+1,+1)
-    d1 = np.array(
-        [
-            [-1, 1, -1, 1],
-            [-1, 1, -1, 1],
-            [-1, -1, -1, 1],
-            [-1, -1, -1, -1],
-        ],
-        dtype=np.int8,
-    )
-    d2 = np.tile(np.array([-1, -1, 1, 1], dtype=np.int8), (4, 1))
-    uptake = np.stack([d1, d2], axis=2)
-    outcome = (d1.astype(np.float64) + 1.0) / 2.0
-    return Population(design=design, uptake=uptake, outcome=outcome)
+    # canonical arms (-1,-1), (+1,-1), (-1,+1), (+1,+1); bit 0 is D1 = +1, bit 1 is D2 = +1
+    pattern = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 2, 3], [0, 0, 2, 2]], dtype=np.uint8)
+    return Population.from_pattern(design, pattern, (pattern & 1).astype(np.float64))
 
 
 def to_dict(pop: Population) -> dict:
@@ -485,11 +508,9 @@ def from_dict(payload: dict) -> Population:
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     design = dsg.enumerate_assignments(K)
+    require_memory(N, K)
     uptake = _payload_array(payload["uptake"], "uptake", "iu", "integers")
     outcome = _payload_array(payload["outcome"], "outcome", "iuf", "numbers")
-    if not ((uptake == 1) | (uptake == -1)).all():  # before the int8 cast, which would wrap 255 to -1
-        raise InvalidInputError("uptake entries must be -1 or +1")
-    uptake, outcome = frozen(uptake.astype(np.int8), outcome.astype(np.float64))
     if uptake.ndim != 3:
         raise InvalidInputError(f"uptake must be N x J x K, got shape {uptake.shape}")
     if uptake.shape[0] != N:

@@ -49,11 +49,6 @@ from .population import (
     Population,
 )
 
-# uptake level by (type code, assigned level mapped to 0/1)
-_UPTAKE_TABLE = np.array(
-    [[-1, 1], [1, 1], [-1, -1], [1, -1]], dtype=np.int8
-)  # complier, always, never, defier
-
 _REQUIRE_TOKENS = (
     "monotone",
     "profile",
@@ -298,6 +293,7 @@ class ScenarioConfig(_Record):
     def __post_init__(self) -> None:
         super().__post_init__()
         design = enumerate_assignments(self.K)  # validates K
+        popmod.require_memory(self.N, self.K)
         if len(self.factors) != self.K:
             raise InvalidInputError(f"{len(self.factors)} factor specs for K={self.K}")
         for k, spec in enumerate(self.factors, start=1):
@@ -374,17 +370,16 @@ def _draws(rngs: list[np.random.Generator], draw) -> np.ndarray:
 
 
 def _draw_types(config: ScenarioConfig, design: FactorialDesign, rngs: list) -> np.ndarray:
-    """(R*N, K, C) types of R replications, each from its own generator."""
+    """(K, C, R*N) types of R replications, factor-major, each from its own generator."""
     N, K = config.N, config.K
-    C = 1 << (K - 1)
-    types = np.empty((len(rngs) * N, K, C), dtype=np.int8)
+    types = np.empty((K, 1 << (K - 1), len(rngs) * N), dtype=np.int8)
     for k in range(1, K + 1):
         spec = config.factors[k - 1]
         u = _draws(rngs, lambda rng: rng.random(N))
         base = np.where(
             u < spec.complier, COMPLIER, np.where(u < spec.complier + spec.always, ALWAYS_TAKER, NEVER_TAKER)
         ).astype(np.int8)
-        types[:, k - 1, :] = base[:, None]
+        types[k - 1] = base
         if spec.depends_on:
             worst = spec.worst_pattern()
             noncomplier = base != COMPLIER
@@ -393,42 +388,43 @@ def _draw_types(config: ScenarioConfig, design: FactorialDesign, rngs: list) -> 
                     continue
                 up = (_draws(rngs, lambda rng: rng.random(N)) < spec.upgrade) & noncomplier
                 if up.any():
-                    types[np.ix_(up, [k - 1], cols)] = COMPLIER
+                    types[k - 1, cols] = np.where(up, COMPLIER, base)
     return types
 
 
-def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np.ndarray) -> None:
-    """The violate tokens' surgeries on units 0 and 1 of every replication in the (R*N, K, C) types."""
+def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np.ndarray) -> np.ndarray:
+    """The violate tokens' surgeries on units 0 and 1 of every replication
+    in the (K, C, R*N) types, which it returns."""
     K, N = config.K, config.N
-    C = types.shape[2]
-    types = types.reshape(-1, N, K, C)  # a view: (replication, unit, factor, context)
+    C = types.shape[1]
+    units = types.reshape(K, C, -1, N)  # a view: (factor, context, replication, unit)
 
-    def gated(kk: int, by: int, want: int) -> np.ndarray:  # per factor-kk context: complier where z_by == want
-        return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1] == want, COMPLIER, NEVER_TAKER)
+    def gated(kk: int, by: int, want: int) -> np.ndarray:  # (C, 1) per factor-kk context: complier where z_by == want
+        return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1, None] == want, COMPLIER, NEVER_TAKER)
 
     for token in config.violate:
         name, ks = _parse_token(token, K, _VIOLATE_TOKENS)
         if name == "monotone":
             (k,) = ks
-            types[:, 0, k - 1, 0] = DEFIER
+            units[k - 1, 0, :, 0] = DEFIER
         elif name == "profile":
             (k,) = ks
             if C < 2 or N < 2:
                 raise GenerationError(f"{token}: needs K >= 2 and N >= 2 (no second context or unit)")
-            types[:, 0, k - 1, :] = NEVER_TAKER
-            types[:, 0, k - 1, 0] = COMPLIER
-            types[:, 1, k - 1, :] = COMPLIER
-            types[:, 1, k - 1, 0] = NEVER_TAKER
+            units[k - 1, :, :, 0] = NEVER_TAKER
+            units[k - 1, 0, :, 0] = COMPLIER
+            units[k - 1, :, :, 1] = COMPLIER
+            units[k - 1, 0, :, 1] = NEVER_TAKER
         elif name == "exclusion":
             (k,) = ks
             if K < 2:
                 raise GenerationError(f"{token}: needs a second factor")
             k2 = 1 if k != 1 else 2
-            types[:, 0, k - 1, :] = NEVER_TAKER
-            types[:, 0, k2 - 1, :] = gated(k2, k, 1)
+            units[k - 1, :, :, 0] = NEVER_TAKER
+            units[k2 - 1, :, :, 0] = gated(k2, k, 1)
         elif name == "cross_exclusion":
             k, k2 = ks
-            types[:, 0, k - 1, :] = gated(k, k2, 1)
+            units[k - 1, :, :, 0] = gated(k, k2, 1)
         elif name == "joint_profile":
             k, k2 = ks
             if K < 3:
@@ -438,22 +434,26 @@ def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np
             k3 = min(f for f in range(1, K + 1) if f not in (k, k2))
             for unit, want in ((0, -1), (1, 1)):
                 for kk in (k, k2):
-                    types[:, unit, kk - 1, :] = gated(kk, k3, want)
+                    units[kk - 1, :, :, unit] = gated(kk, k3, want)
+    return types
 
 
-def _materialize_uptake(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
-    """(N, J, K) uptake from the (N, K, C) types. Arm j has the bits (hi, z_k, lo)
-    and its context the bits (hi, lo), lo the k-1 bits below factor k, so factor
-    k's plane is its types looked up at z_k = -1 and +1, interleaved in place."""
-    N, K, C = types.shape
-    uptake = np.empty((N, design.J, K), dtype=np.int8)
+def _pack_types(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
+    """The read-only (N, J) uptake pattern of the (K, C, N) types, laid out
+    as pack_uptake's. Arm j has the bits (hi, z_k, lo) and its context the
+    bits (hi, lo), so the arms at z_k = -1 and at z_k = +1 each read factor
+    k's context rows in order. Complier 0, always 1, never 2 and defier 3
+    take D_k = +1 under z_k = -1 where t & 1, under z_k = +1 where (t >> 1) ^ 1."""
+    K, C, N = types.shape
+    pattern = np.zeros((design.J, N), dtype=popmod.pattern_dtype(K))  # arm-major
     for k in range(1, K + 1):
         lo = 1 << (k - 1)
-        t = types[:, k - 1, :].astype(np.intp).reshape(N, C // lo, 1, lo)
-        plane = uptake[:, :, k - 1].reshape(N, C // lo, 2, lo)  # a view: (hi, z_k, lo)
-        plane[:, :, :1] = _UPTAKE_TABLE[:, 0].take(t)
-        plane[:, :, 1:] = _UPTAKE_TABLE[:, 1].take(t)
-    return uptake
+        t = types[k - 1].view(np.uint8).astype(pattern.dtype, copy=False).reshape(C // lo, lo, N)
+        arms = pattern.reshape(C // lo, 2, lo, N)  # a view: (hi, z_k, lo, unit)
+        arms[:, 0] |= (t & 1) << (k - 1)
+        arms[:, 1] |= ((t >> 1) ^ 1) << (k - 1)
+    pattern.setflags(write=False)
+    return pattern.T
 
 
 def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.ndarray, rngs: list) -> np.ndarray:
@@ -518,15 +518,11 @@ def _generate(config: ScenarioConfig, reps) -> tuple[Population, tuple[Populatio
     found, todo = {}, list(reps)
     for attempt in range(_RETRY_CAP):
         rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, rep, attempt])) for rep in todo]
-        types = _draw_types(config, design, rngs)
-        _apply_violations(config, design, types)
-        uptake = _materialize_uptake(design, types)
-        pattern = popmod.pack_uptake(uptake)
-        uptake, outcome, _ = popmod.frozen(uptake, _draw_outcomes(config, design, pattern, rngs), pattern)
-        stack = Population(design=design, uptake=uptake, outcome=outcome)
-        popmod._seed_memo(stack, Population.uptake_pattern, (), pattern)
+        pattern = _pack_types(design, _apply_violations(config, design, _draw_types(config, design, rngs)))
+        (outcome,) = popmod.frozen(_draw_outcomes(config, design, pattern, rngs))
+        stack = Population.from_pattern(design, pattern, outcome)
         values = [_TOKEN_CHECKS[name][0].stacked(stack, len(todo), *ks) for _, _, name, ks in tokens]
-        parts = stack.split(len(todo))  # after the checks, so their labels and pattern carry over
+        parts = stack.split(len(todo))  # after the checks, so their labels carry over
         misses = [[] for _ in todo]
         for (label, want, name, ks), per_rep in zip(tokens, values):
             check, passes = _TOKEN_CHECKS[name]
@@ -540,8 +536,8 @@ def _generate(config: ScenarioConfig, reps) -> tuple[Population, tuple[Populatio
         todo, last_miss = [rep for rep, missed in zip(todo, misses) if missed], [m for m in misses if m]
         if not todo:
             pops = tuple(found[rep] for rep in reps)
-            up, out = popmod.frozen(np.concatenate([p.uptake for p in pops]), np.concatenate([p.outcome for p in pops]))
-            return Population(design=design, uptake=up, outcome=out), pops
+            pattern, outcome = np.concatenate([p.pattern for p in pops]), np.concatenate([p.outcome for p in pops])
+            return Population.from_pattern(design, pattern, outcome), pops
     raise GenerationError(
         f"no draw satisfied the toggles after {_RETRY_CAP} attempts; last miss: {'; '.join(last_miss[0])}"
     )
@@ -579,18 +575,19 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     if alloc.ndim not in (1, 2) or alloc.shape[-1] != pop.N:
         raise InvalidInputError(f"allocation shape {alloc.shape} does not cover N={pop.N} units")
     rows = (np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc).reshape(-1)  # unit i's row i*J + arm
-    uptake, outcome = popmod.frozen(pop.uptake.reshape(-1, pop.design.K)[rows], pop.outcome.reshape(-1)[rows])
+    taken = pop.pattern.T[alloc, np.arange(pop.N)].reshape(-1)  # each observed unit's pattern under its arm
+    uptake, outcome = popmod.frozen(pop.design.levels.take(taken, axis=0), pop.outcome.reshape(-1)[rows])
     return ObservedDataset(design=pop.design, arm=alloc.reshape(-1), uptake=uptake, outcome=outcome)
 
 
 def census_dataset(pop: Population) -> ObservedDataset:
     """Every unit observed in every arm; sample moments equal population
     moments exactly."""
-    J = pop.design.J
-    arm = np.repeat(np.arange(J, dtype=np.intp), pop.N)
-    uptake = np.concatenate([pop.uptake[:, j, :] for j in range(J)])
-    outcome = np.concatenate([pop.outcome[:, j] for j in range(J)])
-    popmod.frozen(arm, uptake, outcome)
+    arm, uptake, outcome = popmod.frozen(
+        np.repeat(np.arange(pop.design.J, dtype=np.intp), pop.N),
+        pop.design.levels.take(pop.pattern.T.ravel(), axis=0),
+        pop.outcome.T.ravel(),
+    )
     return ObservedDataset(design=pop.design, arm=arm, uptake=uptake, outcome=outcome)
 
 
@@ -748,6 +745,7 @@ def monte_carlo(
         for t in tlist:
             est.parse_target(design, t.factor, t.method, t.profile)
     mode = config.population_mode
+    popmod.require_memory(config.N * (config.clone_factor if mode == "clone" else 1), config.K)
     if base_population is not None and mode == "fresh":
         raise InvalidInputError("base_population requires population_mode fixed or clone")
     base = None

@@ -328,6 +328,17 @@ def test_simulate_bad_scenario_json(capsys, tmp_path):
     assert rc == 2
 
 
+def test_simulate_population_over_the_memory_budget_exits_2(capsys, tmp_path):
+    # K=10, N=200k would need a multi-GiB population: refused at load with
+    # the estimate, not a numpy MemoryError (exit 4)
+    path = tmp_path / "k10.json"
+    scenario = {"K": 10, "N": 200_000, "seed": 1, "factors": [{"complier": 0.5}] * 10}
+    path.write_text(json.dumps({**scenario, "targets": [{"factor": 1}]}))
+    rc, _, err = run(capsys, ["simulate", str(path), "-R", "1"])
+    assert rc == 2
+    assert "N=200000 units over 2^10 arms needs about 4.6 GiB, over the 4 GiB budget" in err
+
+
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 WELL_SEPARATED = json.loads((SCENARIOS / "well_separated.json").read_text())
 

@@ -31,12 +31,13 @@ from factorbounds.population import (
     from_dict,
     group_shares,
     load_population,
+    pack_uptake,
     require_least_compliant,
     require_monotonicity,
     save_population,
     to_dict,
 )
-from factorbounds.simulate import FactorSpec, ScenarioConfig, generate_population
+from factorbounds.simulate import FactorSpec, ScenarioConfig, _generate, generate_population
 
 from conftest import count_computations, random_population, strip_factor
 
@@ -186,7 +187,7 @@ def test_uptake_pattern_matches_bruteforce_bits():
     rng = np.random.default_rng(23)
     for K in range(1, 10):
         pop = random_population(rng, K, 3)
-        pattern = pop.uptake_pattern()
+        pattern = pop.pattern
         assert pattern.dtype == (np.uint8 if K <= 8 else np.uint16)
         assert pattern.shape == (3, pop.design.J)
         want = [
@@ -370,6 +371,60 @@ def test_population_validation():
         pop.uptake[0, 0, 0] = -1  # arrays are frozen
 
 
+@pytest.mark.parametrize("value", [0, 2, 255])
+def test_constructor_refuses_uptake_other_than_plus_minus_one(value):
+    uptake = np.ones((2, 2, 1), dtype=np.int16)
+    uptake[1, 0, 0] = value
+    with pytest.raises(InvalidInputError, match="uptake entries must be -1 or \\+1"):
+        Population(design=enumerate_assignments(1), uptake=uptake, outcome=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("K, dtype", [(2, np.uint8), (8, np.uint8), (9, np.uint16)])
+def test_pattern_with_a_bit_at_or_above_two_to_the_k_is_refused(K, dtype):
+    design = enumerate_assignments(K)
+    pattern = np.zeros((3, design.J), dtype=dtype)
+    pattern[2, 1] = (1 << K) - 1
+    pop = Population.from_pattern(design, pattern, np.zeros((3, design.J)))
+    assert pop.uptake[2, 1].tolist() == [1] * K
+    for bit in range(K, np.iinfo(dtype).bits):
+        pattern[2, 1] = 1 << bit
+        with pytest.raises(InvalidInputError, match=f"below 2\\^{K}"):
+            Population.from_pattern(design, pattern, np.zeros((3, design.J)))
+    with pytest.raises(InvalidInputError, match="unsigned"):
+        Population.from_pattern(design, pattern.astype(np.int16), np.zeros((3, design.J)))
+    with pytest.raises(InvalidInputError, match="outcomes must lie in"):
+        Population.from_pattern(design, np.zeros_like(pattern), np.full((3, design.J), 1.5))
+
+
+def test_split_clone_and_retry_patterns_pack_their_uptake():
+    # every path that builds a population from a pattern keeps the layout
+    # pack_uptake gives: arm-major rows, equal to a fresh pack of the uptake
+    def packed(pop):
+        assert pop.pattern.dtype == pack_uptake(pop.uptake).dtype
+        assert np.array_equal(pop.pattern, pack_uptake(pop.uptake))
+
+    p4 = fixture_p4()
+    for pop in (p4.clone(3), *p4.clone(3).split(3), *p4.split(2)):
+        packed(pop)
+    assert p4.clone(3).pattern.T.flags.c_contiguous
+    # rare constant compliers: some replications miss first_stage:1 and draw again
+    config = ScenarioConfig(
+        K=2,
+        N=24,
+        seed=1,
+        factors=(
+            FactorSpec(complier=0.1, upgrade=0.5, depends_on=(2,), worst=(-1,)),
+            FactorSpec(always=0.1, complier=0.6, upgrade=0.5, depends_on=(1,), worst=(-1,)),
+        ),
+        require=("monotone:1", "profile:1", "first_stage:1"),
+    )
+    stack, pops = _generate(config, range(40))
+    assert len({id(p.pattern.base) for p in pops}) > 1  # the stack was assembled after a retry
+    assert stack.pattern.T.flags.c_contiguous
+    for pop in (stack, *pops):
+        packed(pop)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
 def test_population_refuses_non_integer_uptake(dtype):
     p = fixture_p4()
@@ -483,6 +538,15 @@ def test_from_dict_refuses_mistyped_entries_before_casting(array, value, message
     entry[0] = value if array == "outcome" else [value, entry[0][1]]
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         from_dict(payload)
+
+
+def test_from_dict_refuses_an_oversized_population_before_reading_its_arrays():
+    # the declared K and N are enough: the empty arrays are never reached
+    with pytest.raises(InvalidInputError, match="over the 4 GiB budget"):
+        from_dict({"K": 10, "N": 200_000, "uptake": [], "outcome": []})
+    with pytest.raises(InvalidInputError) as refused:  # K=8 passes and reaches the arrays
+        from_dict({"K": 8, "N": 200_000, "uptake": [], "outcome": []})
+    assert "budget" not in str(refused.value)
 
 
 # ------------------------------------------------- the per-population memo

@@ -39,6 +39,24 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     assert (violating.K, violating.violate) == (3, ("exclusion:1",))
     k9 = ScenarioConfig.from_dict(written["k9_negative_eta.json"])
     assert (k9.K, k9.population_mode) == (9, "fresh") and k9.outcome.eta[0] < 0
-    paths = {name: Path(name) for name in [*written, "k5.csv"]}
+    paths = {name: Path(name) for name in [*written, "k5.csv", "k4_population.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json"} <= simulated
+    methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
+    assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
+
+
+def test_compared_population_has_every_compliance_group(tmp_path):
+    # the generated K=4 population the oracle reads holds always-takers,
+    # never-takers and conditional compliers, and every method's interval
+    from factorbounds import oracle, population
+
+    paths = report_bytes.write_inputs(tmp_path)
+    pop = population.load_population(paths["k4_population.json"])
+    for k in (1, 2):
+        labels = pop.compliance(k).labels
+        assert (labels == population.ALWAYS_TAKER).any() and (labels == population.NEVER_TAKER).any()
+        complies = labels == population.COMPLIER
+        assert (complies.any(axis=1) & ~complies.all(axis=1)).any()  # conditional compliers
+    for method in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2", "conservative:0.05"):
+        oracle.method_report(pop, 1, method, "min")  # raises where an assumption fails

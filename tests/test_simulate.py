@@ -3,10 +3,12 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from factorbounds import design as dsg
 from factorbounds import population as popmod
 from factorbounds import simulate
 from factorbounds.design import enumerate_assignments
@@ -18,6 +20,9 @@ from factorbounds.errors import (
 )
 from factorbounds.estimate import estimate_bounds
 from factorbounds.population import (
+    COMPLIER,
+    DEFIER,
+    NEVER_TAKER,
     Population,
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
@@ -33,7 +38,6 @@ from factorbounds.simulate import (
     OutcomeSpec,
     ScenarioConfig,
     TargetSpec,
-    _materialize_uptake,
     census_dataset,
     complete_randomization,
     config_hash,
@@ -220,7 +224,7 @@ def test_stacked_generation_equals_one_replication_at_a_time():
     for rep, pop in zip(range(3, 40), pops):
         alone = generate_population(config, rep=rep)
         assert np.array_equal(pop.uptake, alone.uptake) and np.array_equal(pop.outcome, alone.outcome)
-        assert pop.uptake.base is not None and not pop.uptake.base.flags.writeable
+        assert pop.pattern.base is not None and not pop.pattern.base.flags.writeable
         assert check_least_compliant_profile(pop, 1) == check_least_compliant_profile(alone, 1)
     assert np.array_equal(stack.uptake, np.concatenate([p.uptake for p in pops]))
 
@@ -267,20 +271,147 @@ def test_pattern_outcome_tables_equal_elementwise_formula(K, model):
 
 
 def test_generation_seeds_the_packed_pattern():
-    # the stack, its split parts and a replication redrawn after a miss all
-    # carry the pattern generation packed, equal to a fresh pack of the uptake
-    def seeded(pop):
-        assert any(key[0] is Population.uptake_pattern for key in pop._memo)
-        assert np.array_equal(pop.uptake_pattern(), popmod.pack_uptake(pop.uptake))
-
+    # the stack generation writes holds the pattern arm-major, and its split
+    # parts are views of it; each equals a fresh pack of its own uptake
     stack, parts = simulate._generate(basic_config(N=12, require=()), range(4))
+    assert stack.pattern.T.flags.c_contiguous and "uptake" not in stack.__dict__
     for pop in (stack, *parts):
-        seeded(pop)
-    config = basic_config(N=12, factors=(FactorSpec(complier=0.15), FactorSpec(complier=0.9)))
-    _, pops = simulate._generate(config, range(3, 40))
-    assert len({id(p.uptake.base) for p in pops}) > 1  # some replications come from a later attempt
-    for pop in pops:
-        seeded(pop)
+        assert np.array_equal(pop.pattern, popmod.pack_uptake(pop.uptake))
+    assert all(np.shares_memory(part.pattern, stack.pattern) for part in parts)
+
+
+# The generation kernels as they were before generation wrote the pattern
+# straight from factor-major types: (N, K, C) types, the violate surgeries on
+# that layout, the (N, J, K) uptake and then pack_uptake. They are the
+# reference the pattern kernels are checked against.
+_UPTAKE_TABLE = np.array([[-1, 1], [1, 1], [-1, -1], [1, -1]], dtype=np.int8)  # complier, always, never, defier
+
+
+def _reference_uptake(design, types):
+    """(N, J, K) uptake from the (N, K, C) types, one factor plane at a time."""
+    N, K, C = types.shape
+    uptake = np.empty((N, design.J, K), dtype=np.int8)
+    for k in range(1, K + 1):
+        lo = 1 << (k - 1)
+        t = types[:, k - 1, :].astype(np.intp).reshape(N, C // lo, 1, lo)
+        plane = uptake[:, :, k - 1].reshape(N, C // lo, 2, lo)  # a view: (hi, z_k, lo)
+        plane[:, :, :1] = _UPTAKE_TABLE[:, 0].take(t)
+        plane[:, :, 1:] = _UPTAKE_TABLE[:, 1].take(t)
+    return uptake
+
+
+def _reference_violations(config, design, types):
+    """The violate surgeries on units 0 and 1 of every replication of the (R*N, K, C) types, in place."""
+    K, N = config.K, config.N
+    types = types.reshape(-1, N, K, types.shape[2])
+
+    def gated(kk, by, want):
+        return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1] == want, COMPLIER, NEVER_TAKER)
+
+    for token in config.violate:
+        name, ks = simulate._parse_token(token, K, simulate._VIOLATE_TOKENS)
+        if name == "monotone":
+            types[:, 0, ks[0] - 1, 0] = DEFIER
+        elif name == "profile":
+            k = ks[0]
+            types[:, 0, k - 1, :] = NEVER_TAKER
+            types[:, 0, k - 1, 0] = COMPLIER
+            types[:, 1, k - 1, :] = COMPLIER
+            types[:, 1, k - 1, 0] = NEVER_TAKER
+        elif name == "exclusion":
+            k = ks[0]
+            k2 = 1 if k != 1 else 2
+            types[:, 0, k - 1, :] = NEVER_TAKER
+            types[:, 0, k2 - 1, :] = gated(k2, k, 1)
+        elif name == "cross_exclusion":
+            k, k2 = ks
+            types[:, 0, k - 1, :] = gated(k, k2, 1)
+        elif name == "joint_profile":
+            k, k2 = ks
+            k3 = min(f for f in range(1, K + 1) if f not in (k, k2))
+            for unit, want in ((0, -1), (1, 1)):
+                for kk in (k, k2):
+                    types[:, unit, kk - 1, :] = gated(kk, k3, want)
+
+
+def _violate_tokens(K):
+    """One token of each violate kind that K factors allow."""
+    pairs = ["profile:2", "exclusion:1", "cross_exclusion:2,1"]
+    return ["monotone:1"] + pairs * (K >= 2) + ["joint_profile:1,3"] * (K >= 3)
+
+
+@pytest.mark.parametrize("K", range(1, 10))
+def test_pattern_from_types_equals_packed_reference_uptake(K):
+    # random types hold all four codes, defiers included; each violate token
+    # is applied alone and then all of them in order
+    R, N = 3, 5
+    design = enumerate_assignments(K)
+    rng = np.random.default_rng(100 + K)
+    tokens = _violate_tokens(K)
+    for violate in [[], *([t] for t in tokens), tokens]:
+        config = ScenarioConfig(K=K, N=N, seed=0, factors=(FactorSpec(complier=0.5),) * K, violate=violate)
+        types = rng.integers(0, 4, size=(K, design.J // 2, R * N)).astype(np.int8)
+        old = types.transpose(2, 0, 1).copy()  # (R*N, K, C)
+        _reference_violations(config, design, old)
+        want = popmod.pack_uptake(_reference_uptake(design, old))
+        got = simulate._pack_types(design, simulate._apply_violations(config, design, types))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), violate
+        assert np.array_equal(got, want) and not got.flags.writeable
+
+
+def test_generated_population_unpacks_to_the_reference_uptake(tmp_path):
+    # the unpacked uptake, the observed rows, the census and the saved file
+    # of a generated population are those of the reference (N, J, K) uptake
+    config = ScenarioConfig(
+        K=4,
+        N=50,
+        seed=9,
+        factors=(
+            FactorSpec(complier=0.5, always=0.2, upgrade=0.5, depends_on=(2,)),
+            FactorSpec(complier=0.7, always=0.1),
+            FactorSpec(complier=0.6, upgrade=0.3, depends_on=(1, 4), worst=(1, -1)),
+            FactorSpec(complier=0.8),
+        ),
+        outcome=OutcomeSpec(eta=(-0.05, 0.05)),
+        violate=("monotone:3", "exclusion:2"),
+    )
+    K, N, J = 4, 50, 16
+    design = enumerate_assignments(K)
+    rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, 0, 0]))]  # rep 0, attempt 0
+    types = simulate._draw_types(config, design, rngs).transpose(2, 0, 1).copy()
+    _reference_violations(config, design, types)
+    uptake = _reference_uptake(design, types)
+    pop = generate_population(config)
+    assert pop.uptake.dtype == np.int8 and pop.uptake.tobytes() == uptake.tobytes()
+    alloc = np.stack([complete_randomization(N, config.resolved_arm_sizes(), seed) for seed in (1, 2)])
+    data = observe(pop, alloc)
+    rows = (np.arange(0, N * J, J) + alloc).reshape(-1)
+    assert data.uptake.tobytes() == uptake.reshape(-1, K)[rows].tobytes()
+    census = census_dataset(pop)
+    assert census.uptake.tobytes() == np.concatenate([uptake[:, j, :] for j in range(J)]).tobytes()
+    popmod.save_population(pop, tmp_path / "pop.json")
+    saved = {"K": K, "N": N, "uptake": uptake.tolist(), "outcome": pop.outcome.tolist()}
+    assert (tmp_path / "pop.json").read_text() == json.dumps(saved, sort_keys=True) + "\n"
+
+
+def test_memory_preflight_refuses_before_any_array_exists():
+    # K=10, N=200k is refused by its estimate (4.6 GiB) before a population
+    # is built; K=8, N=200k (1.0 GiB) passes; monte_carlo counts the clones
+    factors = lambda K: (FactorSpec(complier=0.5),) * K
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match=re.escape("needs about 4.6 GiB, over the 4 GiB budget")):
+            ScenarioConfig(K=10, N=200_000, seed=1, factors=factors(10))
+        ScenarioConfig(K=8, N=200_000, seed=1, factors=factors(8))
+        clones = ScenarioConfig(
+            K=8, N=600, seed=1, factors=factors(8), population_mode="clone", clone_factor=5000
+        )
+        with pytest.raises(InvalidInputError, match="N=3000000 units over 2\\^8 arms"):
+            monte_carlo(clones, R=1, targets=(TargetSpec(factor=1),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a population of either would take gigabytes
 
 
 def test_generation_honors_requires():
@@ -315,11 +446,11 @@ def test_uptake_from_types_classifies_back():
         K = int(rng.integers(1, 5))
         N = int(rng.integers(1, 7))
         design = enumerate_assignments(K)
-        types = rng.integers(0, 4, size=(N, K, design.J // 2)).astype(np.int8)
-        uptake = _materialize_uptake(design, types)
-        pop = Population(design=design, uptake=uptake, outcome=np.zeros((N, design.J)))
+        types = rng.integers(0, 4, size=(K, design.J // 2, N)).astype(np.int8)
+        pattern = simulate._pack_types(design, types)
+        pop = Population.from_pattern(design, pattern, np.zeros((N, design.J)))
         for k in range(1, K + 1):
-            assert np.array_equal(classify(pop, k).labels, types[:, k - 1, :])
+            assert np.array_equal(classify(pop, k).labels, types[k - 1].T)
         seen.update(np.unique(types).tolist())
     assert seen == {0, 1, 2, 3}
 
