@@ -16,7 +16,8 @@ fails and skipped oracle references, and a small-N K=9 one with negative
 pair terms takes generation through the uint16 uptake pattern. One K=4
 population with always-takers, never-takers and conditional compliers is
 generated and saved by this checkout's ``save_population(generate_population(...))``
-and read by ``oracle`` with every method. Every
+and read by ``oracle`` with every method; its scenario, with adjusted,
+exclusion and joint:2 targets, is also simulated in fixed mode. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -67,6 +68,8 @@ def scenarios() -> dict[str, dict]:
     found["k3_violate_exclusion.json"] = violating_scenario()
     found["k2_retry_weak.json"] = retry_scenario()
     found["k9_negative_eta.json"] = k9_scenario()
+    targets = [{"alpha": 0.05, "factor": 1, "method": m, "profile": "min"} for m in ("adjusted", "exclusion", "joint:2")]
+    found["k4_fixed.json"] = {**population_scenario(), "targets": targets}
     return found
 
 
@@ -204,6 +207,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["simulate", str(paths["k2_retry_weak.json"]), "-R", "40"],
         ["simulate", str(paths["k9_negative_eta.json"]), "-R", "2"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
+        ["simulate", str(paths["k4_fixed.json"]), "-R", "20"],
         ["oracle", "data/p4_population.json"],
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],
         ["oracle", "data/p4_defier.json"],

@@ -496,12 +496,9 @@ def im_critical_value(width_over_se: float, alpha: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def imbens_manski_ci(
-    est: BoundsEstimate, ses: tuple[float, float] | None = None, alpha: float = 0.05
-) -> ConfidenceInterval:
+def imbens_manski_ci(est: BoundsEstimate, alpha: float = 0.05) -> ConfidenceInterval:
     """CI on the raw endpoints, then intersected with [-1, 1]."""
-    se_lower, se_upper = ses if ses is not None else (est.se_lower, est.se_upper)
-    L, U = est.raw_lower, est.raw_upper
+    L, U, se_lower, se_upper = est.raw_lower, est.raw_upper, est.se_lower, est.se_upper
     for v in (L, U, se_lower, se_upper):
         if not np.isfinite(v):
             raise InvalidInputError(f"nonfinite input to the confidence interval: {v!r}")

@@ -268,13 +268,6 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Inte
     return _exclusion_interval(pop, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
 
 
-@_memoized
-def _joint_uptake_means(pop: Population, k: int, k2: int) -> np.ndarray:
-    """Population mean of the uptake product D_k * D_k2 per arm, length J."""
-    pat = pop.pattern.T  # below, per arm: the units with D_k != D_k2
-    return (pop.N - 2 * np.count_nonzero(((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1, axis=1)) / pop.N
-
-
 def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Interval:
     """Bounds for the two-factor interaction among joint constant compliers.
 
@@ -301,7 +294,7 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Inte
         raise AssumptionViolationError(
             f"factors ({k}, {k2}): {tilde_joint!r} is not a joint least-compliant profile; valid set {valid!r}"
         )
-    pbar = _joint_uptake_means(pop, k, k2)  # the first stage is its four-arm contrast
+    pbar = pop.arm_uptake_means(k, k2)  # the first stage is its four-arm contrast
     p_mm, p_pm, p_mp, p_pp = pbar[dsg.joint_context_arms(pop.design, k, k2)]
     nu_joint = (p_pp - p_mp - p_pm + p_mm) / 4.0
     nu_tilde = float(nu_joint[dsg.joint_context_index(pop.design, k, k2, tilde_joint)])

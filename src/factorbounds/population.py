@@ -26,7 +26,9 @@ no defiers).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -165,7 +167,7 @@ class Population:
         if not ((uptake == 1) | (uptake == -1)).all():  # before the int8 cast, which would wrap 255 to -1
             raise InvalidInputError("uptake entries must be -1 or +1")
         uptake = read_only(uptake, np.int8)
-        self._store(design, pack_uptake(uptake), outcome)
+        self._store(design, frozen(pack_uptake(uptake))[0], outcome)
         self.__dict__["uptake"] = uptake  # the caller's uptake is its own unpacking
 
     @classmethod
@@ -218,11 +220,15 @@ class Population:
         return self.outcome.mean(axis=0)
 
     @_memoized
-    def arm_uptake_means(self, k: int) -> np.ndarray:
-        """Population mean uptake of factor k per arm, length J."""
-        dsg.validate_factor(self.design, k)
-        taken = np.count_nonzero(self.pattern.T & (1 << (k - 1)), axis=1)  # per arm: units with D_k = +1
-        return (2 * taken - self.N) / self.N
+    def arm_uptake_means(self, *ks: int) -> np.ndarray:
+        """Population mean of the uptake product over factors ks per arm,
+        length J: of D_k for one factor, of D_k * D_k2 for a pair."""
+        for k in ks:
+            dsg.validate_factor(self.design, k)
+        pat = self.pattern.T  # below, per arm: the units taking an odd count of ks
+        odd = np.count_nonzero(functools.reduce(operator.xor, (pat >> (k - 1) for k in ks)) & 1, axis=1)
+        minus = odd if len(ks) % 2 == 0 else self.N - odd  # the units with an odd count of ks at -1, product -1
+        return (self.N - 2 * minus) / self.N
 
     def clone(self, factor: int) -> "Population":
         """Stack `factor` copies of every unit; all population means persist."""
@@ -233,15 +239,14 @@ class Population:
 
     def split(self, R: int) -> tuple["Population", ...]:
         """The R equal blocks of units as populations of their own, read-only
-        views of this one; the compliance labels, and the unpacked uptake if
-        there is one, go onto each block."""
+        views of this one; the compliance labels go onto each block, which
+        unpacks its uptake on request."""
         n = self.N // R
-        by_rows = [name for name in ("pattern", "outcome", "uptake") if name in self.__dict__]
         carried = [(key, v) for key, v in self._memo.items() if key[0] is Population.compliance]
         parts = []
         for rows in (slice(r * n, r * n + n) for r in range(R)):
             part = object.__new__(Population)  # a block of a checked population needs no second check
-            part.__dict__.update({name: self.__dict__[name][rows] for name in by_rows}, design=self.design)
+            part.__dict__.update(design=self.design, pattern=self.pattern[rows], outcome=self.outcome[rows])
             for key, v in carried:
                 part._memo[key] = replace(v, labels=v.labels[rows])
             parts.append(part)
@@ -486,13 +491,16 @@ def to_dict(pop: Population) -> dict:
 def _payload_array(values, name: str, kinds: str, what: str) -> np.ndarray:
     """A nested JSON list as an array, checked before any cast: numpy's
     inferred dtype kind must be in kinds, and no entry may be a boolean,
-    which numpy would read as 0 or 1 among numbers."""
+    which numpy would read as 0 or 1 among numbers. An accepted kind shows
+    the lists regular, arr.ndim deep, so their entries flatten by chaining."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:
         raise InvalidInputError(f"population arrays malformed: {exc}") from exc
-    entry_types = np.frompyfunc(type, 1, 1)(np.asarray(values, dtype=object))
-    if arr.dtype.kind not in kinds or np.any(entry_types == bool):
+    entries = [values]
+    for _ in range(arr.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if arr.dtype.kind not in kinds or bool in set(map(type, entries)):
         raise InvalidInputError(f"{name} entries must be {what}, not booleans, strings or nulls")
     return arr
 

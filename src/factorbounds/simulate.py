@@ -561,7 +561,7 @@ def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
         raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={N}")
     if min(sizes) < 2:
         raise InvalidDesignError("every arm needs at least 2 units")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator comes back as it is
     arm = np.empty(N, dtype=np.intp)
     arm[rng.permutation(N)] = np.repeat(np.arange(len(sizes)), sizes)  # the units at positions of arm j's run get j
     return arm
@@ -581,14 +581,12 @@ def observe(pop: Population, allocation) -> ObservedDataset:
 
 
 def census_dataset(pop: Population) -> ObservedDataset:
-    """Every unit observed in every arm; sample moments equal population
-    moments exactly."""
-    arm, uptake, outcome = popmod.frozen(
-        np.repeat(np.arange(pop.design.J, dtype=np.intp), pop.N),
-        pop.design.levels.take(pop.pattern.T.ravel(), axis=0),
-        pop.outcome.T.ravel(),
-    )
-    return ObservedDataset(design=pop.design, arm=arm, uptake=uptake, outcome=outcome)
+    """Every unit observed in every arm, arm by arm: the observation of the
+    J allocations that put all units in arm j. Sample moments equal
+    population moments exactly."""
+    J, N = pop.design.J, pop.N
+    (alloc,) = popmod.frozen(np.repeat(np.arange(J, dtype=np.intp), N).reshape(J, N))
+    return observe(pop, alloc)
 
 
 # --- Monte Carlo ----------------------------------------------------------------
@@ -721,40 +719,25 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
             acc[t].append((truth, *ends, ci.lower, ci.upper, *ref_ends))
 
 
-def monte_carlo(
-    config: ScenarioConfig,
-    R: int,
-    targets: tuple[TargetSpec, ...] | None = None,
-    base_population: Population | None = None,
-) -> CoverageReport:
+def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     """Replicate generate/randomize/observe/estimate and tally coverage.
 
     population_mode 'fresh' regenerates the population each replication
     (the superpopulation sampling model the SEs assume); 'fixed' draws one
     population and varies only the allocation; 'clone' additionally stacks
-    clone_factor copies of it. An explicit base_population substitutes for
-    the generated one in the fixed/clone modes.
+    clone_factor copies of it.
     """
     if R < 1:
         raise InvalidInputError(f"R must be >= 1, got {R}")
-    tlist = tuple(targets) if targets is not None else config.targets
+    tlist = config.targets
     if not tlist:
-        raise InvalidInputError("no targets: pass some or set them in the scenario")
-    if targets is not None:  # the scenario's own targets were checked when it was built
-        design = enumerate_assignments(config.K)
-        for t in tlist:
-            est.parse_target(design, t.factor, t.method, t.profile)
+        raise InvalidInputError("no targets: set them in the scenario")
     mode = config.population_mode
-    popmod.require_memory(config.N * (config.clone_factor if mode == "clone" else 1), config.K)
-    if base_population is not None and mode == "fresh":
-        raise InvalidInputError("base_population requires population_mode fixed or clone")
+    units = config.N * (config.clone_factor if mode == "clone" else 1)
+    popmod.require_memory(units, config.K)
     base = None
     if mode in ("fixed", "clone"):
-        base = base_population if base_population is not None else generate_population(config, rep=0)
-        if base.design.K != config.K:
-            raise InvalidInputError("base population K does not match the scenario")
-        if base.N != config.N:
-            raise InvalidInputError("base population N does not match the scenario")
+        base = generate_population(config, rep=0)
         if mode == "clone" and config.clone_factor > 1:
             base = base.clone(config.clone_factor)
     sizes = config.resolved_arm_sizes()
@@ -764,7 +747,6 @@ def monte_carlo(
     acc = {t: [] for t in tlist}
     # replications run in chunks of about _CHUNK_CELLS (unit, arm) cells, one
     # chunk alive at a time
-    units = base.N if base is not None else config.N
     chunk = max(1, _CHUNK_CELLS // (units * (1 << config.K)))
     for first in range(0, R, chunk):
         _run_chunk(config, range(first, min(R, first + chunk)), base, sizes, tlist, acc)

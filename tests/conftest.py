@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from factorbounds.design import enumerate_assignments
+from factorbounds.design import context_index, enumerate_assignments
 from factorbounds.errors import InvalidFactorError
 from factorbounds.population import Population, fixture_p4
 from factorbounds.simulate import census_dataset
@@ -37,6 +37,44 @@ def random_population(rng, K, N):
     design = enumerate_assignments(K)
     uptake = rng.choice(np.array([-1, 1], dtype=np.int8), size=(N, design.J, K))
     outcome = rng.random((N, design.J))
+    return Population(design=design, uptake=uptake, outcome=outcome)
+
+
+def assumption_population(rng, K, N, upgrade_factors=(1,)):
+    """Random population satisfying monotonicity with the all-minus context
+    least compliant.
+
+    Types (complier, always, never) are drawn at the all-minus context and
+    only ever upgraded toward compliance elsewhere, so the all-minus context
+    is least compliant for every unit. Factors outside `upgrade_factors`
+    keep context-invariant types, which preserves uptake exclusion for the
+    factors inside. Outcomes are per-unit functions of the realized uptake
+    vector alone. Unit 0 complies with everything everywhere, so first
+    stages and joint compliance never collapse.
+    """
+    C, A, NV = 0, 1, 2
+    design = enumerate_assignments(K)
+    J = design.J
+    base = rng.choice([C, A, NV], size=(N, K), p=[0.4, 0.2, 0.4])
+    base[0, :] = C
+    # one upgrade draw per (unit, context) so both arms of a context agree
+    lift_tbl = {
+        k: rng.random((N, J // 2)) < 0.5 for k in range(1, K + 1) if k in upgrade_factors
+    }
+    uptake = np.empty((N, J, K), dtype=np.int8)
+    for j, z in enumerate(design.assignments()):
+        for k in range(1, K + 1):
+            ctx = strip_factor(z, k)
+            t = base[:, k - 1].copy()
+            if k in upgrade_factors and ctx != tuple([-1] * (K - 1)):
+                lift = lift_tbl[k][:, context_index(design, k, ctx)]
+                t = np.where(lift & (t != C), C, t)
+            uptake[:, j, k - 1] = np.where(t == C, z[k - 1], np.where(t == A, 1, -1))
+    ymap = rng.random((N, J))
+    outcome = np.empty((N, J))
+    for j in range(J):
+        d_idx = ((uptake[:, j, :] + 1) // 2 * (1 << np.arange(K))).sum(axis=1)
+        outcome[:, j] = ymap[np.arange(N), d_idx]
     return Population(design=design, uptake=uptake, outcome=outcome)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from factorbounds import estimate as est
 from factorbounds.cli import main as cli_main
-from factorbounds.design import context_index, enumerate_assignments
+from factorbounds.design import enumerate_assignments
 from factorbounds.oracle import (
     adjusted_bounds,
     conservative_bounds,
@@ -30,54 +30,18 @@ from factorbounds.oracle import (
     simple_bounds,
     wald_ratio,
 )
-from factorbounds.population import Population
 from factorbounds.simulate import load_scenario, monte_carlo
 
-from conftest import strip_factor
+from conftest import assumption_population
 
 TOL = 1e-12
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-
-C, A, NV = 0, 1, 2
 
 
 def _report(tag, ok, detail):
     line = f"[acceptance] {tag}: {'PASS' if ok else 'FAIL'} | {detail}"
     print(line)
     assert ok, line
-
-
-def assumption_population(rng, K, N, upgrade_factors=(1,)):
-    """Random population with the all-minus context least compliant.
-
-    Types are drawn at the all-minus context and only upgraded toward
-    compliance elsewhere; factors outside `upgrade_factors` keep
-    context-invariant types. Outcomes depend on the realized uptake vector
-    alone. Unit 0 complies with everything everywhere, so first stages and
-    joint compliance never collapse.
-    """
-    design = enumerate_assignments(K)
-    J = design.J
-    base = rng.choice([C, A, NV], size=(N, K), p=[0.4, 0.2, 0.4])
-    base[0, :] = C
-    lift_tbl = {
-        k: rng.random((N, J // 2)) < 0.5 for k in range(1, K + 1) if k in upgrade_factors
-    }
-    uptake = np.empty((N, J, K), dtype=np.int8)
-    for j, z in enumerate(design.assignments()):
-        for k in range(1, K + 1):
-            ctx = strip_factor(z, k)
-            t = base[:, k - 1].copy()
-            if k in upgrade_factors and ctx != tuple([-1] * (K - 1)):
-                lift = lift_tbl[k][:, context_index(design, k, ctx)]
-                t = np.where(lift & (t != C), C, t)
-            uptake[:, j, k - 1] = np.where(t == C, z[k - 1], np.where(t == A, 1, -1))
-    ymap = rng.random((N, J))
-    outcome = np.empty((N, J))
-    for j in range(J):
-        d_idx = ((uptake[:, j, :] + 1) // 2 * (1 << np.arange(K))).sum(axis=1)
-        outcome[:, j] = ymap[np.arange(N), d_idx]
-    return Population(design=design, uptake=uptake, outcome=outcome)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -412,12 +413,12 @@ def test_ci_contains_raw_interval(p4_census):
 
 def test_ci_zero_se_path(p4_census):
     est = estimate_bounds(p4_census, 1, "exclusion")
-    ci = imbens_manski_ci(est, ses=(0.0, 0.0))
+    ci = imbens_manski_ci(dataclasses.replace(est, se_lower=0.0, se_upper=0.0))
     assert ci.lower == max(-1.0, est.raw_lower)
     assert ci.upper == min(1.0, est.raw_upper)
     assert abs(ci.critical_value - Z95) < 1e-9
     with pytest.raises(InvalidInputError):
-        imbens_manski_ci(est, ses=(-0.1, 0.1))
+        imbens_manski_ci(dataclasses.replace(est, se_lower=-0.1, se_upper=0.1))
     with pytest.raises(InvalidInputError):
         imbens_manski_ci(est, alpha=1.5)
 

@@ -41,49 +41,9 @@ from factorbounds.oracle import (
 from factorbounds.population import Population, check_least_compliant_profile, fixture_p4
 from factorbounds.simulate import census_dataset
 
-from conftest import count_computations, random_population, strip_factor
+from conftest import assumption_population, count_computations, random_population
 
 TOL = 1e-12
-
-C, A, NV = 0, 1, 2  # local type codes for the sweep builder
-
-
-def assumption_population(rng, K, N, upgrade_factors=(1,)):
-    """Random population satisfying monotonicity and a common worst context.
-
-    Types are drawn at the all-minus context and only ever upgraded toward
-    compliance elsewhere, so the all-minus context is least compliant for
-    every unit. Factors outside `upgrade_factors` keep context-invariant
-    types, which preserves uptake exclusion for the factors inside.
-    Outcomes are per-unit functions of the realized uptake vector alone.
-    Unit 0 complies with everything everywhere.
-    """
-    from factorbounds.design import context_index
-
-    design = enumerate_assignments(K)
-    J = design.J
-    base = rng.choice([C, A, NV], size=(N, K), p=[0.4, 0.2, 0.4])
-    base[0, :] = C
-    # one upgrade draw per (unit, context) so both arms of a context agree
-    lift_tbl = {
-        k: rng.random((N, J // 2)) < 0.5 for k in range(1, K + 1) if k in upgrade_factors
-    }
-    uptake = np.empty((N, J, K), dtype=np.int8)
-    for j, z in enumerate(design.assignments()):
-        for k in range(1, K + 1):
-            ctx = strip_factor(z, k)
-            t = base[:, k - 1].copy()
-            if k in upgrade_factors and ctx != tuple([-1] * (K - 1)):
-                lift = lift_tbl[k][:, context_index(design, k, ctx)]
-                t = np.where(lift & (t != C), C, t)
-            d = np.where(t == C, z[k - 1], np.where(t == A, 1, -1))
-            uptake[:, j, k - 1] = d
-    ymap = rng.random((N, J))
-    outcome = np.empty((N, J))
-    for j in range(J):
-        d_idx = ((uptake[:, j, :] + 1) // 2 * (1 << np.arange(K))).sum(axis=1)
-        outcome[:, j] = ymap[np.arange(N), d_idx]
-    return Population(design=design, uptake=uptake, outcome=outcome)
 
 
 # ---------------------------------------------------------------- P4 values
@@ -415,7 +375,7 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
 
 ORACLE_MEMOIZED = [
     (oracle._nu_arrays, (1,)),
-    (oracle._joint_uptake_means, (1, 2)),
+    (Population.arm_uptake_means, (1, 2)),
     (oracle._truth, (1, "main", ())),
     (oracle._truth, (1, "joint", (2,))),
     (method_interval, (1, "exclusion")),
@@ -442,7 +402,7 @@ def test_oracle_memo_keys_carry_types_and_refuse_writes(p4):
         with pytest.raises(InvalidFactorError):
             fn(p4, True, *args)
     _, nu_plus, nu_minus, nu = oracle._nu_arrays(p4, 1)
-    for arr in (nu_plus, nu_minus, nu, oracle._joint_uptake_means(p4, 1, 2)):
+    for arr in (nu_plus, nu_minus, nu, p4.arm_uptake_means(1, 2)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 

@@ -295,7 +295,8 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
                 want = [check(Population(design=p.design, uptake=p.uptake, outcome=p.outcome), *a) for p in parts]
                 assert check.stacked(stack, len(parts), *a) == want, (check.__name__, a)
         for part, block in zip(parts, stack.split(len(parts))):
-            assert np.shares_memory(block.uptake, stack.uptake) and not block.uptake.flags.writeable
+            assert np.shares_memory(block.pattern, stack.pattern) and not block.pattern.flags.writeable
+            assert "uptake" not in vars(block)  # unpacked on request, as any pattern-built population
             assert np.array_equal(block.uptake, part.uptake) and np.array_equal(block.outcome, part.outcome)
 
 
@@ -494,6 +495,23 @@ def test_compliance_profile_computed_once_and_read_only():
     with pytest.raises(InvalidFactorError):
         pop.compliance(True)  # not the cached factor-1 profile
     assert pop.clone(2).compliance(1) is not prof
+
+
+def test_arm_uptake_means_is_the_per_arm_mean_uptake_product():
+    # one factor keeps (2 * taken - N) / N, a pair the joint table's
+    # (N - 2 * count(D_k != D_k2)) / N, both against the unpacked product's mean
+    for K in (2, 3, 9):
+        pop = random_population(np.random.default_rng(K), K, 7)
+        pat, N = pop.pattern.T, pop.N
+        for k in range(1, K + 1):
+            taken = np.count_nonzero(pat & (1 << (k - 1)), axis=1)
+            assert pop.arm_uptake_means(k).tobytes() == ((2 * taken - N) / N).tobytes()
+        for k, k2 in itertools.combinations(range(1, K + 1), 2):
+            joint = (N - 2 * np.count_nonzero(((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1, axis=1)) / N
+            product = (pop.uptake[:, :, k - 1] * pop.uptake[:, :, k2 - 1]).mean(axis=0)
+            assert pop.arm_uptake_means(k, k2).tobytes() == joint.tobytes() == product.tobytes()
+    with pytest.raises(InvalidFactorError):
+        pop.arm_uptake_means(1, K + 1)
 
 
 def test_clone_preserves_means():

@@ -39,9 +39,12 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     assert (violating.K, violating.violate) == (3, ("exclusion:1",))
     k9 = ScenarioConfig.from_dict(written["k9_negative_eta.json"])
     assert (k9.K, k9.population_mode) == (9, "fresh") and k9.outcome.eta[0] < 0
+    fixed = ScenarioConfig.from_dict(written["k4_fixed.json"])
+    assert fixed.population_mode == "fixed"
+    assert [t.method for t in fixed.targets] == ["adjusted", "exclusion", "joint:2"]
     paths = {name: Path(name) for name in [*written, "k5.csv", "k4_population.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
-    assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json"} <= simulated
+    assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
     methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
     assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
 

@@ -106,12 +106,11 @@ def test_config_validation():
         FactorSpec(complier=0.5, always=0.6)
     with pytest.raises(InvalidInputError):
         OutcomeSpec(model="m3")
-    # targets get estimate_bounds' checks whether the scenario or the caller names them
-    oracle_only = (TargetSpec(factor=1, method="conservative:0.3"),)
+    # the scenario's targets get estimate_bounds' checks
     with pytest.raises(InvalidInputError, match="oracle"):
-        basic_config(targets=oracle_only)
-    with pytest.raises(InvalidInputError, match="oracle"):
-        monte_carlo(basic_config(), 2, targets=oracle_only)
+        basic_config(targets=(TargetSpec(factor=1, method="conservative:0.3"),))
+    with pytest.raises(InvalidInputError, match="no targets: set them in the scenario"):
+        monte_carlo(basic_config(), 2)
 
 
 def test_resolved_arm_sizes_near_equal():
@@ -394,6 +393,22 @@ def test_generated_population_unpacks_to_the_reference_uptake(tmp_path):
     assert (tmp_path / "pop.json").read_text() == json.dumps(saved, sort_keys=True) + "\n"
 
 
+def _census_by_arm(pop):
+    """The every-arm rows built directly: arm j's N units, arm by arm."""
+    arm = np.repeat(np.arange(pop.design.J, dtype=np.intp), pop.N)
+    return arm, pop.design.levels.take(pop.pattern.T.ravel(), axis=0), pop.outcome.T.ravel()
+
+
+@pytest.mark.parametrize("K", [2, 3, 9])
+def test_census_dataset_is_the_direct_every_arm_construction(K):
+    # K=9 packs its pattern in uint16
+    pop = fixture_p4() if K == 2 else random_population(np.random.default_rng(K), K, 5)
+    census = census_dataset(pop)
+    for got, want in zip((census.arm, census.uptake, census.outcome), _census_by_arm(pop)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (K < 9) == (pop.pattern.dtype == np.uint8)
+
+
 def test_memory_preflight_refuses_before_any_array_exists():
     # K=10, N=200k is refused by its estimate (4.6 GiB) before a population
     # is built; K=8, N=200k (1.0 GiB) passes; monte_carlo counts the clones
@@ -404,10 +419,16 @@ def test_memory_preflight_refuses_before_any_array_exists():
             ScenarioConfig(K=10, N=200_000, seed=1, factors=factors(10))
         ScenarioConfig(K=8, N=200_000, seed=1, factors=factors(8))
         clones = ScenarioConfig(
-            K=8, N=600, seed=1, factors=factors(8), population_mode="clone", clone_factor=5000
+            K=8,
+            N=600,
+            seed=1,
+            factors=factors(8),
+            population_mode="clone",
+            clone_factor=5000,
+            targets=(TargetSpec(factor=1),),
         )
         with pytest.raises(InvalidInputError, match="N=3000000 units over 2\\^8 arms"):
-            monte_carlo(clones, R=1, targets=(TargetSpec(factor=1),))
+            monte_carlo(clones, R=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -669,7 +690,6 @@ def test_monte_carlo_fixed_mode_reuses_population():
 
 
 def test_monte_carlo_clone_mode_scales():
-    base = generate_population(basic_config(N=12, arm_sizes=(3, 3, 3, 3), require=()))
     config = basic_config(
         N=12,
         arm_sizes=(3, 3, 3, 3),
@@ -678,7 +698,7 @@ def test_monte_carlo_clone_mode_scales():
         require=(),
         targets=(TargetSpec(factor=1, method="simple"),),
     )
-    rep = monte_carlo(config, 5, base_population=base)
+    rep = monte_carlo(config, 5)
     assert rep.targets[0].n_ok == 5
     assert rep.replications == 5
 
@@ -708,6 +728,19 @@ def test_monte_carlo_schema():
     assert d["config_hash"] == config_hash(config)
     assert len(d["targets"]) == 1
     json.dumps(d)  # serializable as given
+
+
+@pytest.mark.parametrize("mode", ["fresh", "fixed", "clone"])
+def test_coverage_report_reruns_from_its_own_config(mode):
+    # the report carries everything its run read, so its own config reruns it byte for byte
+    config = basic_config(
+        population_mode=mode,
+        clone_factor=3 if mode == "clone" else 1,
+        targets=(TargetSpec(factor=1, method="exclusion"), TargetSpec(factor=2, method="simple")),
+    )
+    report = monte_carlo(config, 6)
+    again = monte_carlo(ScenarioConfig.from_dict(report.to_dict()["config"]), 6)
+    assert again.to_json() == report.to_json()
 
 
 # ------------------------------------------------------------ shipped files
