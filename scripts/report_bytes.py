@@ -17,7 +17,10 @@ pair terms takes generation through the uint16 uptake pattern. One K=4
 population with always-takers, never-takers and conditional compliers is
 generated and saved by this checkout's ``save_population(generate_population(...))``
 and read by ``oracle`` with every method; its scenario, with adjusted,
-exclusion and joint:2 targets, is also simulated in fixed mode. Every
+exclusion and joint:2 targets, is also simulated in fixed mode. A K=3
+population drawn to violate the least-compliant profile of factor 1 and
+of the pair (1, 2) is saved the same way and read by ``oracle``, so both
+"no uniformly least compliant" errors are compared. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -172,6 +175,25 @@ def population_scenario() -> dict:
     }
 
 
+def no_profile_scenario() -> dict:
+    """A K=3 scenario whose population has no least-compliant context for
+    factor 1 and none for the pair (1, 2)."""
+    factor = {"always": 0.1, "complier": 0.7, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 3,
+        "N": 60,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [factor] * 3,
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.1, 0.2]] * 3, "eta": [-0.05, 0.05], "model": "m1"},
+        "population_mode": "fixed",
+        "require": ["monotone:1", "monotone:2"],
+        "seed": 5,
+        "targets": [],
+        "violate": ["profile:1", "joint_profile:1,2"],
+    }
+
+
 def write_inputs(out: Path) -> dict[str, Path]:
     """Write the generated inputs into out; returns their paths by name."""
     inputs = _load_inputs()
@@ -193,6 +215,9 @@ def write_inputs(out: Path) -> dict[str, Path]:
     paths["k4_population.json"] = out / "k4_population.json"
     config = simulate.ScenarioConfig.from_dict(population_scenario())
     population.save_population(simulate.generate_population(config), paths["k4_population.json"])
+    paths["k3_no_profile.json"] = out / "k3_no_profile.json"
+    config = simulate.ScenarioConfig.from_dict(no_profile_scenario())
+    population.save_population(simulate.generate_population(config), paths["k3_no_profile.json"])
     return paths
 
 
@@ -212,6 +237,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],
         ["oracle", "data/p4_defier.json"],
         ["oracle", str(paths["k4_population.json"]), "--method", ANALYZE_METHODS + ",conservative:0.05"],
+        ["oracle", str(paths["k3_no_profile.json"]), "--method", "adjusted,exclusion,joint:2", "--factor", "1"],
         ["analyze", "data/p4_census.csv"],
         ["analyze", "data/p4_census_binary.csv", "--binary-coding"],
         ["analyze", "data/p4_census_binary.csv"],  # -1/+1 expected: the error path

@@ -40,7 +40,6 @@ from .population import (
     Population,
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
-    check_joint_least_compliant,
     check_least_compliant_profile,
     check_weak_treatment_exclusion,
     classify,

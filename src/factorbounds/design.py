@@ -138,34 +138,45 @@ def _level_tuples(n: int) -> tuple[Context, ...]:
     return tuple(tuple(1 if (c >> m) & 1 else -1 for m in range(n)) for c in range(1 << n))
 
 
-def _tuple_index(context: Context, length: int, what: str) -> int:
-    """Inverse of _level_tuples for one tuple of the given length."""
-    if len(context) != length:
-        raise InvalidFactorError(f"{what} {context!r} has length {len(context)}, expected {length}")
-    c = 0
-    for m, level in enumerate(context):
-        if level == 1:
-            c |= 1 << m
-        elif level != -1:
-            raise InvalidDesignError(f"context levels must be -1 or +1, got {context!r}")
-    return c
+def _validate_factor_set(design: FactorialDesign, ks: tuple[int, ...]) -> None:
+    """ks must be one factor of the design or two distinct ones."""
+    if not 1 <= len(ks) <= 2:
+        raise InvalidFactorError(f"contexts need one factor or two distinct ones, got {ks!r}")
+    for k in ks:
+        validate_factor(design, k)
+    if len(ks) == 2 and ks[0] == ks[1]:
+        raise InvalidFactorError(f"joint contexts need two distinct factors, got {ks[0]} twice")
 
 
-def contexts_for(design: FactorialDesign, k: int) -> list[Context]:
-    """All contexts over the factors other than k, in canonical order.
+def contexts_for(design: FactorialDesign, *ks: int) -> list[Context]:
+    """All contexts over the factors outside ks (one factor or a pair), in
+    canonical order.
 
     Context index c sets the m-th remaining factor (ascending) to +1 when
     bit m-1 of c is set, mirroring the assignment enumeration.
     """
-    validate_factor(design, k)
-    return list(_level_tuples(design.K - 1))
+    _validate_factor_set(design, ks)
+    return list(_level_tuples(design.K - len(ks)))
 
 
-def context_arms(design: FactorialDesign, k: int) -> np.ndarray:
-    """(2, 2^(K-1)) intp arm indices: row 0 has z_k=-1, row 1 z_k=+1, and
-    column c is context index c."""
-    validate_factor(design, k)
-    return _context_arm_table(design.K, (k,))
+def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
+    """(2^len(ks), 2^(K-len(ks))) intp arm indices of _context_arm_table:
+    rows z_k = -1, +1 for one factor, (z_k, z_k2) = (-,-), (+,-), (-,+),
+    (+,+) for a pair; column c is context index c."""
+    _validate_factor_set(design, ks)
+    return _context_arm_table(design.K, ks)
+
+
+def context_contrast(rows: np.ndarray) -> np.ndarray:
+    """The contrast over a factor set of a table whose leading axis runs
+    over the rows of context_arms: a factor of the set at -1 flips a row's
+    sign, and the rows are summed from the all-plus row down, so one factor
+    gives plus - minus and a pair pp - mp - pm + mm, in that order."""
+    n = len(rows).bit_length() - 1  # factors in the set
+    total = rows[-1]
+    for r in range(len(rows) - 2, -1, -1):  # row r has factor i of the set at +1 where bit i of r is set
+        total = total - rows[r] if (n - r.bit_count()) % 2 else total + rows[r]
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -179,35 +190,3 @@ def _context_arm_table(K: int, ks: tuple[int, ...]) -> np.ndarray:
     arms = np.stack([base | sum(1 << (k - 1) for i, k in enumerate(ks) if r >> i & 1) for r in rows])
     arms.setflags(write=False)
     return arms
-
-
-def context_index(design: FactorialDesign, k: int, context: Context) -> int:
-    """Canonical index of a context tuple over the factors other than k."""
-    validate_factor(design, k)
-    return _tuple_index(context, design.K - 1, "context")
-
-
-def _validate_pair(design: FactorialDesign, k: int, k2: int) -> None:
-    validate_factor(design, k)
-    validate_factor(design, k2)
-    if k == k2:
-        raise InvalidFactorError(f"joint contexts need two distinct factors, got {k} twice")
-
-
-def joint_contexts_for(design: FactorialDesign, k: int, k2: int) -> list[Context]:
-    """Contexts over the factors other than k and k2, canonical order."""
-    _validate_pair(design, k, k2)
-    return list(_level_tuples(design.K - 2))
-
-
-def joint_context_arms(design: FactorialDesign, k: int, k2: int) -> np.ndarray:
-    """(4, 2^(K-2)) intp arm indices with rows (z_k, z_k2) = (-,-), (+,-),
-    (-,+), (+,+); column c is joint context index c."""
-    _validate_pair(design, k, k2)
-    return _context_arm_table(design.K, (k, k2))
-
-
-def joint_context_index(design: FactorialDesign, k: int, k2: int, context: Context) -> int:
-    if design.K < 2:
-        raise InvalidDesignError("joint contexts need K >= 2")
-    return _tuple_index(context, design.K - 2, "joint context")

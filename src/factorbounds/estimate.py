@@ -50,25 +50,24 @@ def _phi(x: float) -> float:
 
 
 def _first_stage_table(
-    design: FactorialDesign, k: int, k2: int | None, dbar: np.ndarray
+    design: FactorialDesign, ks: tuple[int, ...], dbar: np.ndarray
 ) -> tuple[tuple[Context, ...], np.ndarray]:
-    """First stage per context, canonical order, from per-arm means.
+    """First stage per context of the factor set ks, canonical order, from
+    per-arm means.
 
-    dbar holds the mean of d_k per arm (last axis; leading axes stack
-    datasets); for a joint partner k2 it holds the mean of d_k*d_k2 and the
-    first stage is the four-arm contrast.
+    dbar holds the mean of the uptake product over ks per arm (last axis;
+    leading axes stack datasets): of d_k for one factor, of d_k*d_k2 for a
+    pair. The first stage is its context_contrast over each context's arms
+    (d_plus - d_minus, p_pp - p_mp - p_pm + p_mm) divided by 2^len(ks).
     """
-    if k2 is None:
-        d_minus, d_plus = np.moveaxis(dbar[..., dsg.context_arms(design, k)], -2, 0)
-        return tuple(dsg.contexts_for(design, k)), (d_plus - d_minus) / 2.0
-    d_mm, d_pm, d_mp, d_pp = np.moveaxis(dbar[..., dsg.joint_context_arms(design, k, k2)], -2, 0)
-    return tuple(dsg.joint_contexts_for(design, k, k2)), (d_pp - d_mp - d_pm + d_mm) / 4.0
+    nu = dsg.context_contrast(np.moveaxis(dbar[..., dsg.context_arms(design, *ks)], -2, 0))
+    return tuple(dsg.contexts_for(design, *ks)), nu / 2.0 ** len(ks)
 
 
 def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
     """Estimated first stage per context of factor k, canonical order."""
     dsg.validate_factor(data.design, k)
-    return _first_stage_table(data.design, k, None, _arm_moments(data, k, None, 1)[0][0, :, 1])
+    return _first_stage_table(data.design, (k,), _arm_moments(data, k, None, 1)[0][0, :, 1])
 
 
 # --- method / profile grammar ------------------------------------------------
@@ -305,8 +304,8 @@ def _endpoint_functions(K: int, k: int, method: str, profile_index: int | None, 
     design = dsg.enumerate_assignments(K)
     J, m = design.J, design.J // 2
     p = 3 if kind == "adjusted" else 2
-    pair = (k, *extra) if kind == "joint" else None
-    g = (dsg.interaction_contrast(design, pair) if pair else dsg.main_effect_contrast(design, k)).signs
+    ks = (k, *extra) if kind == "joint" else (k,)
+    g = dsg.interaction_contrast(design, ks).signs
 
     num, den, b0 = np.zeros((J, p)), np.zeros((J, p)), 0.0
     num[:, 0] = dsg.interaction_contrast(design, extra).signs if kind == "interaction" else g
@@ -314,12 +313,9 @@ def _endpoint_functions(K: int, k: int, method: str, profile_index: int | None, 
         num[:, 2] = -g
     if t_value is not None:
         b0 = m * t_value
-    elif kind == "joint":
-        arms = dsg.joint_context_arms(design, *pair)[:, profile_index]
-        den[arms, 1] = g[arms] * (m / 4.0)
     else:
-        j_minus, j_plus = dsg.context_arms(design, k)[:, profile_index]
-        den[j_plus, 1], den[j_minus, 1] = m / 2.0, -m / 2.0
+        arms = dsg.context_arms(design, *ks)[:, profile_index]
+        den[arms, 1] = g[arms] * (m / len(arms))
     a, b = num.ravel(), den.ravel()
 
     def half(h):  # H = h.m + h0 - D without its constant h0 - b0
@@ -416,7 +412,7 @@ def estimate_stack(
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
     means, cov = _arm_moments(data, k, k2, R)
-    contexts, nu = _first_stage_table(data.design, k, k2, means[:, :, 1])
+    contexts, nu = _first_stage_table(data.design, (k,) if k2 is None else (k, k2), means[:, :, 1])
     if policy == "min":
         indexes = np.argmin(nu, axis=1).tolist()
     elif ctx in contexts:

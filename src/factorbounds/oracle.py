@@ -174,17 +174,16 @@ def joint_interaction_effect(pop: Population, k: int, k2: int) -> float:
     return _contrast_among(pop, mask, dsg.interaction_contrast(pop.design, (k, k2)))
 
 
-def _resolve_tilde(pop: Population, k: int, tilde: Context) -> tuple[int, float]:
-    """Validate the profile and return its index and nu(tilde) > 0."""
+def _resolve_tilde(pop: Population, k: int, tilde: Context) -> float:
+    """Validate the profile and return nu(tilde) > 0."""
     tilde = tuple(tilde)
     popmod.require_monotonicity(pop, k)
     popmod.require_least_compliant(pop, k, tilde)
-    _, _, _, nu = _nu_arrays(pop, k)
-    t_index = dsg.context_index(pop.design, k, tilde)
-    nu_tilde = float(nu[t_index])
+    contexts, _, _, nu = _nu_arrays(pop, k)
+    nu_tilde = float(nu[contexts.index(tilde)])
     if nu_tilde <= 0.0:
         raise NoCompliersError(f"factor {k}: first stage at {tilde!r} is {nu_tilde}, bounds undefined")
-    return t_index, nu_tilde
+    return nu_tilde
 
 
 def _require_weak_exclusion(pop: Population, k: int) -> None:
@@ -205,7 +204,7 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     are asymmetric: conditional-complier mass plus the always-taker share
     downward, plus the never-taker share upward.
     """
-    _, nu_tilde = _resolve_tilde(pop, k, tilde)
+    nu_tilde = _resolve_tilde(pop, k, tilde)
     contexts, nu_plus, nu_minus, nu = _nu_arrays(pop, k)
     m = len(contexts)
     ybar = pop.arm_outcome_means()
@@ -228,7 +227,7 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context) -> Interval:
 
 def simple_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     """Wald-style center with the coarse half-width (1 - nu(tilde)) / nu(tilde)."""
-    _, nu_tilde = _resolve_tilde(pop, k, tilde)
+    nu_tilde = _resolve_tilde(pop, k, tilde)
     m = 1 << (pop.design.K - 1)
     ybar = pop.arm_outcome_means()
     g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
@@ -250,7 +249,7 @@ def _exclusion_interval(pop: Population, k: int, contrast, t: float) -> Interval
 def exclusion_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     """Symmetric main-effect bounds under uptake-exclusion for noncompliers."""
     _require_weak_exclusion(pop, k)
-    _, nu_tilde = _resolve_tilde(pop, k, tilde)
+    nu_tilde = _resolve_tilde(pop, k, tilde)
     return _exclusion_interval(pop, k, dsg.main_effect_contrast(pop.design, k), nu_tilde)
 
 
@@ -264,7 +263,7 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Inte
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     _require_weak_exclusion(pop, k)
-    _, nu_tilde = _resolve_tilde(pop, k, tilde)
+    nu_tilde = _resolve_tilde(pop, k, tilde)
     return _exclusion_interval(pop, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
 
 
@@ -289,15 +288,15 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Inte
             f"factors ({k}, {k2}): uptake cross-dependence at {cross[:5]}"
             + ("..." if len(cross) > 5 else "")
         )
-    valid = popmod.check_joint_least_compliant(pop, k, k2)
+    valid = popmod.check_least_compliant_profile(pop, k, k2)
     if tilde_joint not in valid:
         raise AssumptionViolationError(
             f"factors ({k}, {k2}): {tilde_joint!r} is not a joint least-compliant profile; valid set {valid!r}"
         )
     pbar = pop.arm_uptake_means(k, k2)  # the first stage is its four-arm contrast
-    p_mm, p_pm, p_mp, p_pp = pbar[dsg.joint_context_arms(pop.design, k, k2)]
+    p_mm, p_pm, p_mp, p_pp = pbar[dsg.context_arms(pop.design, k, k2)]
     nu_joint = (p_pp - p_mp - p_pm + p_mm) / 4.0
-    nu_tilde = float(nu_joint[dsg.joint_context_index(pop.design, k, k2, tilde_joint)])
+    nu_tilde = float(nu_joint[dsg.contexts_for(pop.design, k, k2).index(tilde_joint)])
     if nu_tilde <= 0.0:
         raise NoCompliersError(
             f"factors ({k}, {k2}): joint first stage at {tilde_joint!r} is {nu_tilde}"
@@ -377,20 +376,15 @@ def method_interval(
     kind, args, policy, ctx = parse_request(pop.design.K, method, profile)
     if kind == "conservative":
         return conservative_bounds(pop, k, args[0]), None
-    if kind == "joint":
-        if policy == "min":
-            valid = popmod.check_joint_least_compliant(pop, k, args[0])
-            if not valid:
-                raise AssumptionViolationError(
-                    f"factors ({k}, {args[0]}): no uniformly least compliant joint context exists"
-                )
-            ctx = valid[0]
-        return joint_bounds(pop, k, args[0], ctx), ctx
+    ks = (k, *args) if kind == "joint" else (k,)
     if policy == "min":
-        valid = popmod.check_least_compliant_profile(pop, k)
+        valid = popmod.check_least_compliant_profile(pop, *ks)
         if not valid:
-            raise AssumptionViolationError(f"factor {k}: no uniformly least compliant context exists")
+            who, joint = (f"factor {k}", "") if len(ks) == 1 else (f"factors {ks}", "joint ")
+            raise AssumptionViolationError(f"{who}: no uniformly least compliant {joint}context exists")
         ctx = valid[0]
+    if kind == "joint":
+        return joint_bounds(pop, k, args[0], ctx), ctx
     if kind == "interaction":
         return interaction_bounds(pop, args, k, ctx), ctx
     # looked up per call, so a wrapper installed on the module attribute sees it

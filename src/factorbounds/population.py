@@ -241,6 +241,8 @@ class Population:
         """The R equal blocks of units as populations of their own, read-only
         views of this one; the compliance labels go onto each block, which
         unpacks its uptake on request."""
+        if not isinstance(R, int) or isinstance(R, bool) or R < 1 or self.N % R:
+            raise InvalidInputError(f"split needs a positive integer block count dividing N={self.N}, got {R!r}")
         n = self.N // R
         carried = [(key, v) for key, v in self._memo.items() if key[0] is Population.compliance]
         parts = []
@@ -328,16 +330,21 @@ def check_conditional_monotonicity(pop: Population, R: int, k: int) -> list[list
 
 
 @_stacked_check
-def check_least_compliant_profile(pop: Population, R: int, k: int) -> list[tuple[Context, ...]]:
-    """Contexts at which every unit's uptake response is weakly smallest.
+def check_least_compliant_profile(pop: Population, R: int, *ks: int) -> list[tuple[Context, ...]]:
+    """Contexts at which every unit's uptake response over ks is weakly smallest.
 
+    ks is one factor or a pair; the response at a context is the contrast
+    of the -1/+1 uptake product over ks across the context's arms
+    (D_k(+) - D_k(-) for one factor, the four-arm contrast for a pair).
     Returns the (possibly empty) tuple of valid least-compliant contexts in
     canonical order. A context is valid when no unit responds less anywhere
     else, i.e. its column attains the row minimum for every unit.
     """
-    contexts = dsg.contexts_for(pop.design, k)
-    minus, plus = _factor_bits(pop, k)
-    return _valid_contexts(contexts, plus.astype(np.int8) - minus.astype(np.int8), R)
+    contexts = dsg.contexts_for(pop.design, *ks)
+    pat = pop.pattern.T  # below, per arm and unit: 1 where an odd count of ks is at -1, as in arm_uptake_means
+    minus = (functools.reduce(operator.xor, (pat >> (k - 1) for k in ks)) ^ len(ks)) & 1
+    prod = 1 - 2 * minus.astype(np.int8)  # (J, N) uptake product over ks
+    return _valid_contexts(contexts, dsg.context_contrast(prod[dsg.context_arms(pop.design, *ks)]), R)
 
 
 @_stacked_check
@@ -358,16 +365,6 @@ def check_weak_treatment_exclusion(pop: Population, R: int, k: int) -> list[list
 
 
 @_stacked_check
-def check_joint_least_compliant(pop: Population, R: int, k: int, k2: int) -> list[tuple[Context, ...]]:
-    """Joint contexts where every unit's two-factor uptake response is smallest."""
-    contexts = dsg.joint_contexts_for(pop.design, k, k2)
-    pat = pop.pattern.T
-    prod = 1 - 2 * (((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1).astype(np.int8)  # (J, N) D_k * D_k2
-    p_mm, p_pm, p_mp, p_pp = (prod[j] for j in dsg.joint_context_arms(pop.design, k, k2))
-    return _valid_contexts(contexts, p_pp - p_mp - p_pm + p_mm, R)
-
-
-@_stacked_check
 def check_conditional_treatment_exclusion(
     pop: Population, R: int, k: int, k2: int
 ) -> list[list[tuple[int, int, Context]]]:
@@ -381,8 +378,8 @@ def check_conditional_treatment_exclusion(
     dsg.validate_factor(pop.design, k2)
     if k == k2:
         raise InvalidFactorError("conditional exclusion needs two distinct factors")
-    contexts = dsg.joint_contexts_for(pop.design, k, k2)
-    j_mm, j_pm, j_mp, j_pp = dsg.joint_context_arms(pop.design, k, k2)
+    contexts = dsg.contexts_for(pop.design, k, k2)
+    j_mm, j_pm, j_mp, j_pp = dsg.context_arms(pop.design, k, k2)
     pat = pop.pattern.T
     # factor k's uptake must not depend on z_k2 (arms differing only in k2),
     # and symmetrically for k2's uptake against z_k

@@ -495,7 +495,7 @@ _TOKEN_CHECKS = {
     "profile": (popmod.check_least_compliant_profile, bool),
     "exclusion": (popmod.check_weak_treatment_exclusion, operator.not_),
     "cross_exclusion": (popmod.check_conditional_treatment_exclusion, operator.not_),
-    "joint_profile": (popmod.check_joint_least_compliant, bool),
+    "joint_profile": (popmod.check_least_compliant_profile, bool),
     "first_stage": (popmod.constant_complier_count, bool),
     "joint_first_stage": (popmod.constant_complier_count, bool),
 }
@@ -727,8 +727,7 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     population and varies only the allocation; 'clone' additionally stacks
     clone_factor copies of it.
     """
-    if R < 1:
-        raise InvalidInputError(f"R must be >= 1, got {R}")
+    R = _within(_integer, lambda n: n >= 1, ">= 1")(R, "R")
     tlist = config.targets
     if not tlist:
         raise InvalidInputError("no targets: set them in the scenario")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from factorbounds.design import context_index, enumerate_assignments
+from factorbounds.design import contexts_for, enumerate_assignments
 from factorbounds.errors import InvalidFactorError
 from factorbounds.population import Population, fixture_p4
 from factorbounds.simulate import census_dataset
@@ -67,7 +67,7 @@ def assumption_population(rng, K, N, upgrade_factors=(1,)):
             ctx = strip_factor(z, k)
             t = base[:, k - 1].copy()
             if k in upgrade_factors and ctx != tuple([-1] * (K - 1)):
-                lift = lift_tbl[k][:, context_index(design, k, ctx)]
+                lift = lift_tbl[k][:, contexts_for(design, k).index(ctx)]
                 t = np.where(lift & (t != C), C, t)
             uptake[:, j, k - 1] = np.where(t == C, z[k - 1], np.where(t == A, 1, -1))
     ymap = rng.random((N, J))

@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from factorbounds.design import (
     contexts_for,
     context_arms,
-    context_index,
     enumerate_assignments,
     interaction_contrast,
-    joint_context_arms,
-    joint_context_index,
-    joint_contexts_for,
     main_effect_contrast,
 )
 from factorbounds.errors import InvalidDesignError, InvalidFactorError
@@ -111,7 +107,6 @@ def test_context_arms_agree_with_tuple_reconstruction(K, data):
         assert strip_factor(design.assignment(j_plus), k) == ctx
         assert design.assignment(j_minus)[k - 1] == -1
         assert design.assignment(j_plus)[k - 1] == 1
-        assert context_index(design, k, ctx) == c_index
 
 
 def test_every_arm_appears_once_per_factor():
@@ -125,9 +120,9 @@ def test_joint_context_arms_levels():
     for K in (2, 3, 4, 5):
         design = enumerate_assignments(K)
         for k, k2 in itertools.permutations(range(1, K + 1), 2):
-            contexts = joint_contexts_for(design, k, k2)
+            contexts = contexts_for(design, k, k2)
             assert len(contexts) == design.J // 4
-            arms = joint_context_arms(design, k, k2)
+            arms = context_arms(design, k, k2)
             assert arms.shape == (4, len(contexts)) and arms.dtype == np.intp
             assert sorted(arms.ravel().tolist()) == list(range(design.J))
             for c_index, ctx in enumerate(contexts):
@@ -137,14 +132,17 @@ def test_joint_context_arms_levels():
                     assert z[k2 - 1] == lk2
                     rest = strip_factor(strip_factor(z, max(k, k2)), min(k, k2))
                     assert rest == ctx
-                assert joint_context_index(design, k, k2, ctx) == c_index
 
 
 def test_joint_contexts_reject_same_factor():
-    design = enumerate_assignments(2)
-    with pytest.raises(InvalidFactorError):
-        joint_contexts_for(design, 1, 1)
-    assert joint_contexts_for(design, 1, 2) == [()]
+    design = enumerate_assignments(3)
+    with pytest.raises(InvalidFactorError, match="two distinct factors, got 1 twice"):
+        contexts_for(design, 1, 1)
+    assert contexts_for(design, 1, 2) == [(-1,), (1,)]
+    for fn in (contexts_for, context_arms):  # no factor, or more than two
+        for ks in ((), (1, 2, 3)):
+            with pytest.raises(InvalidFactorError, match="one factor or two"):
+                fn(design, *ks)
 
 
 def test_cached_tables_refuse_bool_and_float_keys():
@@ -155,11 +153,11 @@ def test_cached_tables_refuse_bool_and_float_keys():
             enumerate_assignments(bad)
     design = enumerate_assignments(2)
     context_arms(design, 1)
-    joint_context_arms(design, 1, 2)
+    context_arms(design, 1, 2)
     with pytest.raises(InvalidFactorError):
         context_arms(design, True)
     with pytest.raises(InvalidFactorError):
-        joint_context_arms(design, 1, 2.0)
+        context_arms(design, 1, 2.0)
     with pytest.raises(InvalidFactorError):
         main_effect_contrast(design, True)
     assert enumerate_assignments(3) is enumerate_assignments(3)
@@ -168,7 +166,7 @@ def test_cached_tables_refuse_bool_and_float_keys():
 def test_cached_tables_are_read_only():
     design = enumerate_assignments(3)
     assert context_arms(design, 2) is context_arms(design, 2)
-    for arms in (context_arms(design, 2), joint_context_arms(design, 1, 3)):
+    for arms in (context_arms(design, 2), context_arms(design, 1, 3)):
         with pytest.raises(ValueError):
             arms[0, 0] = 7
     with pytest.raises(ValueError):

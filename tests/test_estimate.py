@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorbounds.data import ObservedDataset
-from factorbounds.design import enumerate_assignments
+from factorbounds.design import context_arms, contexts_for, enumerate_assignments
 from factorbounds.errors import (
     InsufficientDataError,
     InvalidFactorError,
@@ -35,9 +36,10 @@ from factorbounds.oracle import (
     joint_bounds,
     simple_bounds,
 )
+from factorbounds.population import check_least_compliant_profile
 from factorbounds.simulate import census_dataset
 
-from conftest import count_computations
+from conftest import assumption_population, count_computations, random_population
 
 TOL = 1e-12
 
@@ -201,6 +203,41 @@ def test_census_wald_exact(p4_census):
     assert abs(w.point - 1.0) < TOL
     assert w.se == 0.0  # y = (d+1)/2 row by row, so the ratio is degenerate
     assert "exclusion" in w.label
+
+
+def test_factor_set_paths_match_the_old_formulas():
+    # the one- and two-factor calls of the least-compliant check and the
+    # first-stage table against the separate formulas they replaced: the
+    # 0/1 single-factor shift, the four-arm joint shift, (d_plus - d_minus)
+    # / 2 and (p_pp - p_mp - p_pm + p_mm) / 4, bit for bit
+    rng = np.random.default_rng(43)
+    found = 0
+    for K in (2, 3, 4, 5):
+        for make in (random_population, assumption_population) * 2:  # most random ones have no valid context
+            pop = make(rng, K, 9)
+            data = census_dataset(pop)
+            sets = [(k,) for k in range(1, K + 1)] + list(itertools.permutations(range(1, K + 1), 2))
+            for ks in sets:
+                arms, contexts = context_arms(pop.design, *ks), contexts_for(pop.design, *ks)
+                d = pop.uptake[:, :, ks[0] - 1]
+                dbar = _arm_moments(data, ks[0], ks[1] if len(ks) == 2 else None, 1)[0][:, :, 1]
+                rows = np.moveaxis(dbar[..., arms], -2, 0)
+                if len(ks) == 1:
+                    on = (d > 0).astype(np.int8)
+                    shift = on[:, arms[1]] - on[:, arms[0]]
+                    nu = (rows[1] - rows[0]) / 2.0
+                else:
+                    prod = d * pop.uptake[:, :, ks[1] - 1]
+                    p_mm, p_pm, p_mp, p_pp = (prod[:, a] for a in arms)
+                    shift = p_pp - p_mp - p_pm + p_mm
+                    nu = (rows[3] - rows[2] - rows[1] + rows[0]) / 4.0
+                valid = (shift == shift.min(axis=1, keepdims=True)).all(axis=0)
+                want = tuple(c for c, ok in zip(contexts, valid) if ok)
+                assert check_least_compliant_profile(pop, *ks) == want
+                found += bool(want)
+                got_contexts, got = estimate._first_stage_table(pop.design, ks, dbar)
+                assert got_contexts == tuple(contexts) and got.tobytes() == nu.tobytes(), ks
+    assert found > 50
 
 
 # ----------------------------------------------------------- derivatives

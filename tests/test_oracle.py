@@ -460,7 +460,7 @@ MEMO_CALLS = [
     lambda pop, k, k2: popmod.check_conditional_monotonicity(pop, k),
     lambda pop, k, k2: popmod.check_least_compliant_profile(pop, k),
     lambda pop, k, k2: popmod.check_weak_treatment_exclusion(pop, k),
-    lambda pop, k, k2: popmod.check_joint_least_compliant(pop, k, k2),
+    lambda pop, k, k2: popmod.check_least_compliant_profile(pop, k, k2),
     lambda pop, k, k2: popmod.check_conditional_treatment_exclusion(pop, k, k2),
     lambda pop, k, k2: oracle._nu_arrays(pop, k),
     lambda pop, k, k2: main_effect(pop, k),

@@ -10,8 +10,6 @@ from factorbounds.design import (
     context_arms,
     contexts_for,
     enumerate_assignments,
-    joint_context_arms,
-    joint_contexts_for,
 )
 from factorbounds.errors import AssumptionViolationError, InvalidFactorError, InvalidInputError
 from factorbounds.population import (
@@ -22,7 +20,6 @@ from factorbounds.population import (
     Population,
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
-    check_joint_least_compliant,
     check_least_compliant_profile,
     check_weak_treatment_exclusion,
     classify,
@@ -162,7 +159,7 @@ def test_conditional_exclusion_bruteforce_order():
         design = pop.design
         for k, k2 in itertools.permutations((1, 2, 3), 2):
             expected = []
-            for ctx in joint_contexts_for(design, k, k2):
+            for ctx in contexts_for(design, k, k2):
                 arm = {}
                 for z in design.assignments():
                     if strip_factor(strip_factor(z, max(k, k2)), min(k, k2)) == ctx:
@@ -209,8 +206,8 @@ def reference_weak_exclusion(pop, k):
 
 def reference_conditional_exclusion(pop, k, k2):
     """Four (N, C) comparisons of one factor's uptake column across an arm pair."""
-    contexts = joint_contexts_for(pop.design, k, k2)
-    j_mm, j_pm, j_mp, j_pp = joint_context_arms(pop.design, k, k2)
+    contexts = contexts_for(pop.design, k, k2)
+    j_mm, j_pm, j_mp, j_pp = context_arms(pop.design, k, k2)
     d, d2 = pop.uptake[:, :, k - 1], pop.uptake[:, :, k2 - 1]
     pairs = ((k, d, j_mm, j_mp), (k, d, j_pm, j_pp), (k2, d2, j_mm, j_pm), (k2, d2, j_mp, j_pp))
     moved = np.stack([u[:, lo] != u[:, hi] for _, u, lo, hi in pairs])
@@ -287,7 +284,7 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
             (check_least_compliant_profile, single),
             (check_weak_treatment_exclusion, single),
             (check_conditional_treatment_exclusion, pairs),
-            (check_joint_least_compliant, pairs),
+            (check_least_compliant_profile, pairs),
             (constant_complier_count, single + pairs),
         ]
         for check, arguments in checks:
@@ -307,7 +304,7 @@ def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
 
 
 def test_joint_least_compliant(k3_joint_pop):
-    assert check_joint_least_compliant(k3_joint_pop, 1, 2) == ((-1,),)
+    assert check_least_compliant_profile(k3_joint_pop, 1, 2) == ((-1,),)
 
 
 def test_p4_fixture_values():
@@ -525,6 +522,14 @@ def test_clone_preserves_means():
         pop.clone(0)
 
 
+def test_split_refuses_a_block_count_that_does_not_divide_n():
+    pop = fixture_p4()
+    for bad in (3, 0, True):  # 3 would drop unit 3, 0 divide by zero, True pass as one block
+        with pytest.raises(InvalidInputError, match="block count dividing N=4"):
+            pop.split(bad)
+    assert [part.N for part in pop.split(2)] == [2, 2]
+
+
 def test_population_io_roundtrip(tmp_path):
     pop = fixture_p4()
     path = tmp_path / "pop.json"
@@ -577,12 +582,17 @@ MEMOIZED = [
     (check_conditional_monotonicity, (1,)),
     (check_least_compliant_profile, (1,)),
     (check_weak_treatment_exclusion, (2,)),
-    (check_joint_least_compliant, (1, 2)),
+    (check_least_compliant_profile, (1, 2)),
     (check_conditional_treatment_exclusion, (1, 2)),
+]
+# the pair case checks the joint least-compliant profile of factors 1 and 2
+MEMOIZED_IDS = [
+    "check_joint_least_compliant" if fn is check_least_compliant_profile and len(args) == 2 else fn.__name__
+    for fn, args in MEMOIZED
 ]
 
 
-@pytest.mark.parametrize("fn, args", MEMOIZED, ids=[fn.__name__ for fn, _ in MEMOIZED])
+@pytest.mark.parametrize("fn, args", MEMOIZED, ids=MEMOIZED_IDS)
 def test_memoized_functions_compute_once_per_population_and_arguments(monkeypatch, fn, args):
     calls = count_computations(monkeypatch, fn)
     pop = fixture_p4()
@@ -600,7 +610,7 @@ def test_memoized_functions_compute_once_per_population_and_arguments(monkeypatc
 @pytest.mark.parametrize(
     "fn, args",
     [entry for entry in MEMOIZED if entry[1]],
-    ids=[fn.__name__ for fn, args in MEMOIZED if args],
+    ids=[name for name, (fn, args) in zip(MEMOIZED_IDS, MEMOIZED) if args],
 )
 def test_memo_keys_carry_argument_types(fn, args):
     pop = fixture_p4()

@@ -1,6 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from factorbounds.errors import AssumptionViolationError
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("report_bytes", ROOT / "scripts" / "report_bytes.py")
 report_bytes = importlib.util.module_from_spec(spec)
@@ -42,11 +46,13 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     fixed = ScenarioConfig.from_dict(written["k4_fixed.json"])
     assert fixed.population_mode == "fixed"
     assert [t.method for t in fixed.targets] == ["adjusted", "exclusion", "joint:2"]
-    paths = {name: Path(name) for name in [*written, "k5.csv", "k4_population.json"]}
+    paths = {name: Path(name) for name in [*written, "k5.csv", "k4_population.json", "k3_no_profile.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
     methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
     assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
+    no_profile = ["oracle", "k3_no_profile.json", "--method", "adjusted,exclusion,joint:2", "--factor", "1"]
+    assert no_profile in report_bytes.commands(paths)
 
 
 def test_compared_population_has_every_compliance_group(tmp_path):
@@ -63,3 +69,8 @@ def test_compared_population_has_every_compliance_group(tmp_path):
         assert (complies.any(axis=1) & ~complies.all(axis=1)).any()  # conditional compliers
     for method in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2", "conservative:0.05"):
         oracle.method_report(pop, 1, method, "min")  # raises where an assumption fails
+    # the K=3 population reaches both "no uniformly least compliant" errors
+    pop = population.load_population(paths["k3_no_profile.json"])
+    for method, message in (("adjusted", "factor 1: no"), ("joint:2", r"factors \(1, 2\): no .* joint context")):
+        with pytest.raises(AssumptionViolationError, match=message):
+            oracle.method_report(pop, 1, method, "min")

@@ -26,7 +26,6 @@ from factorbounds.population import (
     Population,
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
-    check_joint_least_compliant,
     check_least_compliant_profile,
     check_weak_treatment_exclusion,
     classify,
@@ -111,6 +110,15 @@ def test_config_validation():
         basic_config(targets=(TargetSpec(factor=1, method="conservative:0.3"),))
     with pytest.raises(InvalidInputError, match="no targets: set them in the scenario"):
         monte_carlo(basic_config(), 2)
+
+
+def test_monte_carlo_refuses_a_replication_count_that_is_not_a_positive_integer():
+    config = basic_config(targets=(TargetSpec(factor=1, method="exclusion"),))
+    with pytest.raises(InvalidInputError, match=re.escape("R must be >= 1, got 0")):
+        monte_carlo(config, 0)
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(InvalidInputError, match="R must be an integer"):
+            monte_carlo(config, bad)
 
 
 def test_resolved_arm_sizes_near_equal():
@@ -545,7 +553,7 @@ def test_violate_joint_profile():
         violate=("joint_profile:1,2",),
     )
     pop = generate_population(config)
-    assert check_joint_least_compliant(pop, 1, 2) == ()
+    assert check_least_compliant_profile(pop, 1, 2) == ()
 
 
 def test_unsatisfiable_requires_fail_loudly():
