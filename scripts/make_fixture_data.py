@@ -1,9 +1,10 @@
 """Regenerate the small fixture datasets under data/.
 
-Writes the four-unit two-factor population, its census CSV, and a
-variant with a defier so the assumption-check error paths have a file
-to point at.  Everything here is deterministic; re-running overwrites
-in place.
+Writes the four-unit two-factor population, its census CSV, a variant
+with a defier so the assumption-check error paths have a file to point
+at, and a four-unit population whose outcome moves with z1 where uptake
+does not (outcome exclusion fails).  Everything here is deterministic;
+re-running overwrites in place.
 """
 
 import pathlib
@@ -14,13 +15,26 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from factorbounds.data import ObservedDataset, save_csv
-from factorbounds.population import fixture_p4, save_population
+from factorbounds.design import enumerate_assignments
+from factorbounds.population import Population, fixture_p4, save_population
 from factorbounds.simulate import census_dataset
 
 
 def assignment_rows(data: ObservedDataset) -> np.ndarray:
     """(n, K) matrix of assigned levels, one row per unit."""
     return data.design.levels[data.arm]
+
+
+def outcome_exclusion_population() -> Population:
+    """Units 0-1 comply with factor 1 at both contexts and have Y = 0.5
+    everywhere; units 2-3 never take factor 1 and have Y = 1 under z1 = +1,
+    Y = 0 under z1 = -1. Nobody takes factor 2. The exclusion interval
+    alone would be [1, 1] against a true effect of 0."""
+    design = enumerate_assignments(2)
+    # canonical arms (-1,-1), (+1,-1), (-1,+1), (+1,+1); bit 0 is D1 = +1
+    pattern = np.array([[0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=np.uint8)
+    outcome = np.array([[0.5] * 4, [0.5] * 4, [0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    return Population.from_pattern(design, pattern, outcome)
 
 
 def main() -> None:
@@ -39,6 +53,8 @@ def main() -> None:
     bad = type(pop)(design=pop.design, uptake=uptake, outcome=pop.outcome)
     save_population(bad, out / "p4_defier.json")
     save_csv(census_dataset(bad), out / "p4_defier_census.csv")
+
+    save_population(outcome_exclusion_population(), out / "p4_outcome_exclusion.json")
 
     # a binary-coded copy of the census file, for exercising --binary-coding
     rows = []

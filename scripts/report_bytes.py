@@ -20,7 +20,11 @@ and read by ``oracle`` with every method; its scenario, with adjusted,
 exclusion and joint:2 targets, is also simulated in fixed mode. A K=3
 population drawn to violate the least-compliant profile of factor 1 and
 of the pair (1, 2) is saved the same way and read by ``oracle``, so both
-"no uniformly least compliant" errors are compared. Every
+"no uniformly least compliant" errors are compared, and so is a K=3
+population whose factor 1 breaks weak exclusion and whose pair (3, 2)
+breaks cross exclusion, so ``exclusion,joint:2`` reaches both messages.
+The committed ``data/p4_outcome_exclusion.json`` is copied there too, so
+both trees read the same file, though only this one may ship it. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -40,6 +44,7 @@ import difflib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -194,6 +199,31 @@ def no_profile_scenario() -> dict:
     }
 
 
+def exclusion_messages_scenario() -> dict:
+    """A K=3 scenario whose population breaks weak exclusion for factor 1
+    (its violate token) and cross exclusion for the pair (3, 2): factor 2's
+    uptake depends on z3, and everyone complies with factor 3, so weak
+    exclusion holds for both factors of the pair."""
+    factor = {"always": 0.1, "complier": 0.7, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 3,
+        "N": 60,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [
+            factor,
+            {**factor, "complier": 0.6, "depends_on": [3], "upgrade": 0.5, "worst": [-1]},
+            {**factor, "always": 0.0, "complier": 1.0},
+        ],
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.1, 0.2]] * 3, "eta": [-0.05, 0.05], "model": "m1"},
+        "population_mode": "fixed",
+        "require": ["monotone:2", "monotone:3", "exclusion:2", "exclusion:3", "joint_profile:3,2"],
+        "seed": 5,
+        "targets": [],
+        "violate": ["exclusion:1"],
+    }
+
+
 def write_inputs(out: Path) -> dict[str, Path]:
     """Write the generated inputs into out; returns their paths by name."""
     inputs = _load_inputs()
@@ -218,6 +248,11 @@ def write_inputs(out: Path) -> dict[str, Path]:
     paths["k3_no_profile.json"] = out / "k3_no_profile.json"
     config = simulate.ScenarioConfig.from_dict(no_profile_scenario())
     population.save_population(simulate.generate_population(config), paths["k3_no_profile.json"])
+    paths["k3_exclusion_messages.json"] = out / "k3_exclusion_messages.json"
+    config = simulate.ScenarioConfig.from_dict(exclusion_messages_scenario())
+    population.save_population(simulate.generate_population(config), paths["k3_exclusion_messages.json"])
+    paths["p4_outcome_exclusion.json"] = out / "p4_outcome_exclusion.json"
+    shutil.copyfile(ROOT / "data" / "p4_outcome_exclusion.json", paths["p4_outcome_exclusion.json"])
     return paths
 
 
@@ -238,6 +273,8 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["oracle", "data/p4_defier.json"],
         ["oracle", str(paths["k4_population.json"]), "--method", ANALYZE_METHODS + ",conservative:0.05"],
         ["oracle", str(paths["k3_no_profile.json"]), "--method", "adjusted,exclusion,joint:2", "--factor", "1"],
+        ["oracle", str(paths["k3_exclusion_messages.json"]), "--method", "exclusion,joint:2"],
+        ["oracle", str(paths["p4_outcome_exclusion.json"]), "--factor", "1", "--method", "adjusted,simple,exclusion"],
         ["analyze", "data/p4_census.csv"],
         ["analyze", "data/p4_census_binary.csv", "--binary-coding"],
         ["analyze", "data/p4_census_binary.csv"],  # -1/+1 expected: the error path

@@ -41,6 +41,7 @@ from .population import (
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
     check_least_compliant_profile,
+    check_outcome_exclusion,
     check_weak_treatment_exclusion,
     classify,
     fixture_p4,

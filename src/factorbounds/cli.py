@@ -126,12 +126,14 @@ def _oracle_factor_block(pop, k: int, methods: list[str], profile: str) -> tuple
     mono = popmod.check_conditional_monotonicity(pop, k)
     valid = popmod.check_least_compliant_profile(pop, k) if not mono else ()
     excl = popmod.check_weak_treatment_exclusion(pop, k) if not mono else []
+    outcome_excl = popmod.check_outcome_exclusion(pop, k)
     block: dict = {
         "factor": k,
         "checks": {
             "monotone": {"passes": not mono, "violations": [list(v) for v in mono[:10]]},
             "profile": {"passes": bool(valid), "valid_contexts": [list(c) for c in valid]},
             "exclusion": {"passes": not mono and not excl, "violations": [list(v) for v in excl[:10]]},
+            "outcome_exclusion": {"passes": not outcome_excl, "violations": [list(v) for v in outcome_excl[:10]]},
         },
     }
     if not mono:

@@ -138,13 +138,16 @@ def parse_profile(profile: str, context_len: int) -> tuple[str, Context | None]:
 
 
 def parse_request(K: int, method: str, profile) -> tuple[str, tuple, str, Context | None]:
-    """Method and profile grammar for a K-factor design.
+    """Method and profile grammar for a K-factor design, with the factors
+    a method names checked to lie in 1..K.
 
     profile is 'min', 'declared:<levels>', or a context tuple. Returns
     (kind, arguments, policy, context); joint contexts leave out both
     factors of the pair, so a declared joint profile lists K-2 levels.
     """
     kind, args = parse_method(method)
+    for f in args if kind in ("interaction", "joint") else ():
+        dsg.validate_factor(dsg.enumerate_assignments(K), f)
     if not isinstance(profile, str):
         return kind, args, "declared", tuple(profile)
     policy, ctx = parse_profile(profile, K - (2 if kind == "joint" else 1))
@@ -162,15 +165,10 @@ def parse_target(
             "conservative bounds need the true complier share; only the oracle computes them"
         )
     dsg.validate_factor(design, k)
-    if kind == "interaction":
-        if k not in args:
-            raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {args!r}")
-        for f in args:
-            dsg.validate_factor(design, f)
-    if kind == "joint":
-        dsg.validate_factor(design, args[0])
-        if args[0] == k:
-            raise InvalidFactorError("joint method needs a partner distinct from the anchor factor")
+    if kind == "interaction" and k not in args:
+        raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {args!r}")
+    if kind == "joint" and args[0] == k:
+        raise InvalidFactorError("joint method needs a partner distinct from the anchor factor")
     return kind, args, policy, ctx
 
 

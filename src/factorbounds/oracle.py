@@ -40,7 +40,6 @@ from . import population as popmod
 from .design import Context, FactorialDesign
 from .estimate import parse_method, parse_request, record_to_dict
 from .errors import (
-    AssumptionViolationError,
     InvalidFactorError,
     InvalidShareError,
     NoCompliersError,
@@ -112,7 +111,7 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     """ITT per context split into constant / conditional-complier /
     conditional-noncomplier contributions (group totals over N, so the
     three parts sum to gamma exactly)."""
-    popmod.require_monotonicity(pop, k)
+    popmod.require(pop, "monotone", k)
     contexts, nu_plus, nu_minus, nu = _nu_arrays(pop, k)
     prof = pop.compliance(k)
     complier = prof.complier_mask()
@@ -149,7 +148,7 @@ def _contrast_among(pop: Population, mask: np.ndarray, contrast) -> float:
 
 def main_effect(pop: Population, k: int) -> float:
     """Average over contexts of the constant-complier outcome contrast."""
-    popmod.require_constant_compliers(pop, k)
+    popmod.require(pop, "first_stage", k)
     constant = pop.compliance(k).constant_complier_mask()
     return _contrast_among(pop, constant, dsg.main_effect_contrast(pop.design, k))
 
@@ -159,7 +158,7 @@ def interaction_effect(pop: Population, factors, k: int) -> float:
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    popmod.require_constant_compliers(pop, k)
+    popmod.require(pop, "first_stage", k)
     constant = pop.compliance(k).constant_complier_mask()
     return _contrast_among(pop, constant, dsg.interaction_contrast(pop.design, fs))
 
@@ -168,31 +167,21 @@ def joint_interaction_effect(pop: Population, k: int, k2: int) -> float:
     """Two-factor interaction among units complying with both everywhere."""
     if k == k2:
         raise InvalidFactorError("joint interaction needs two distinct factors")
+    popmod.require(pop, "joint_first_stage", k, k2)
     mask = pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
-    if not mask.any():
-        raise NoCompliersError(f"no joint constant compliers for factors ({k}, {k2})")
     return _contrast_among(pop, mask, dsg.interaction_contrast(pop.design, (k, k2)))
 
 
 def _resolve_tilde(pop: Population, k: int, tilde: Context) -> float:
     """Validate the profile and return nu(tilde) > 0."""
     tilde = tuple(tilde)
-    popmod.require_monotonicity(pop, k)
-    popmod.require_least_compliant(pop, k, tilde)
+    popmod.require(pop, "monotone", k)
+    popmod.require_least_compliant(pop, tilde, k)
     contexts, _, _, nu = _nu_arrays(pop, k)
     nu_tilde = float(nu[contexts.index(tilde)])
     if nu_tilde <= 0.0:
         raise NoCompliersError(f"factor {k}: first stage at {tilde!r} is {nu_tilde}, bounds undefined")
     return nu_tilde
-
-
-def _require_weak_exclusion(pop: Population, k: int) -> None:
-    violations = popmod.check_weak_treatment_exclusion(pop, k)
-    if violations:
-        raise AssumptionViolationError(
-            f"factor {k}: uptake of other factors shifts for noncompliers at {violations[:5]}"
-            + ("..." if len(violations) > 5 else "")
-        )
 
 
 def adjusted_bounds(pop: Population, k: int, tilde: Context) -> Interval:
@@ -248,7 +237,8 @@ def _exclusion_interval(pop: Population, k: int, contrast, t: float) -> Interval
 
 def exclusion_bounds(pop: Population, k: int, tilde: Context) -> Interval:
     """Symmetric main-effect bounds under uptake-exclusion for noncompliers."""
-    _require_weak_exclusion(pop, k)
+    popmod.require(pop, "exclusion", k)
+    popmod.require(pop, "outcome_exclusion", k)
     nu_tilde = _resolve_tilde(pop, k, tilde)
     return _exclusion_interval(pop, k, dsg.main_effect_contrast(pop.design, k), nu_tilde)
 
@@ -262,7 +252,7 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context) -> Inte
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    _require_weak_exclusion(pop, k)
+    popmod.require(pop, "exclusion", k)
     nu_tilde = _resolve_tilde(pop, k, tilde)
     return _exclusion_interval(pop, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
 
@@ -278,21 +268,12 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context) -> Inte
     if k == k2:
         raise InvalidFactorError("joint bounds need two distinct factors")
     tilde_joint = tuple(tilde_joint)
-    popmod.require_monotonicity(pop, k)
-    popmod.require_monotonicity(pop, k2)
-    _require_weak_exclusion(pop, k)
-    _require_weak_exclusion(pop, k2)
-    cross = popmod.check_conditional_treatment_exclusion(pop, k, k2)
-    if cross:
-        raise AssumptionViolationError(
-            f"factors ({k}, {k2}): uptake cross-dependence at {cross[:5]}"
-            + ("..." if len(cross) > 5 else "")
-        )
-    valid = popmod.check_least_compliant_profile(pop, k, k2)
-    if tilde_joint not in valid:
-        raise AssumptionViolationError(
-            f"factors ({k}, {k2}): {tilde_joint!r} is not a joint least-compliant profile; valid set {valid!r}"
-        )
+    popmod.require(pop, "monotone", k)
+    popmod.require(pop, "monotone", k2)
+    popmod.require(pop, "exclusion", k)
+    popmod.require(pop, "exclusion", k2)
+    popmod.require(pop, "cross_exclusion", k, k2)
+    popmod.require_least_compliant(pop, tilde_joint, k, k2)
     pbar = pop.arm_uptake_means(k, k2)  # the first stage is its four-arm contrast
     p_mm, p_pm, p_mp, p_pp = pbar[dsg.context_arms(pop.design, k, k2)]
     nu_joint = (p_pp - p_mp - p_pm + p_mm) / 4.0
@@ -321,10 +302,9 @@ def conservative_bounds(pop: Population, k: int, t: float) -> Interval:
     """
     if not np.isfinite(t) or t <= 0.0:
         raise InvalidShareError(f"complier-share floor must be positive, got {t!r}")
-    popmod.require_monotonicity(pop, k)
-    if not popmod.check_least_compliant_profile(pop, k):
-        raise AssumptionViolationError(f"factor {k}: no least-compliant profile exists")
-    _require_weak_exclusion(pop, k)
+    popmod.require(pop, "monotone", k)
+    popmod.require(pop, "profile", k)
+    popmod.require(pop, "exclusion", k)
     rho = constant_complier_share(pop, k)
     if t > rho:
         raise InvalidShareError(
@@ -378,11 +358,7 @@ def method_interval(
         return conservative_bounds(pop, k, args[0]), None
     ks = (k, *args) if kind == "joint" else (k,)
     if policy == "min":
-        valid = popmod.check_least_compliant_profile(pop, *ks)
-        if not valid:
-            who, joint = (f"factor {k}", "") if len(ks) == 1 else (f"factors {ks}", "joint ")
-            raise AssumptionViolationError(f"{who}: no uniformly least compliant {joint}context exists")
-        ctx = valid[0]
+        ctx = popmod.require(pop, "joint_profile" if kind == "joint" else "profile", *ks)[0]
     if kind == "joint":
         return joint_bounds(pop, k, args[0], ctx), ctx
     if kind == "interaction":

@@ -5,8 +5,9 @@ A population stores, for each of N units, the uptake vector D_i(z) in
 2^K design. Uptake is stored as one (N, J) bit pattern (pack_uptake),
 which every check reads; the (N, J, K) array is unpacked only on request.
 Outcomes are indexed by assignment, so Y may depend on z other than
-through D (equal uptake vectors, different outcomes in two arms); no check
-here looks for that. simulate draws Y as a function of uptake.
+through D (equal uptake vectors, different outcomes in two arms);
+check_outcome_exclusion finds that between the two arms of a context.
+simulate draws Y as a function of uptake, so its populations pass it.
 
 For one factor k, a unit's behaviour at a context z_{-k} (the levels of
 the other factors) is classified by comparing its uptake of k under
@@ -29,6 +30,7 @@ import functools
 import itertools
 import json
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -392,10 +394,70 @@ def check_conditional_treatment_exclusion(
 
 
 @_stacked_check
+def check_outcome_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[int, Context]]]:
+    """Units whose outcome moves with z_k while their uptake does not: per
+    context, those whose full uptake vector is the same under z_k = +1 and
+    -1 but whose outcome differs. Empty list means the check passes."""
+    contexts = dsg.contexts_for(pop.design, k)
+    pat = pop.pattern.T.reshape(-1, 2, 1 << (k - 1), pop.N)  # views, as in _factor_bits: arm j has bits (hi, z_k, lo)
+    y = pop.outcome.reshape(pop.N, -1, 2, 1 << (k - 1))
+    hidden = (pat[:, 0] == pat[:, 1]).reshape(-1, pop.N) & (y[:, :, 0] != y[:, :, 1]).reshape(pop.N, -1).T
+    found = lambda b: [(i, contexts[c]) for c, i in zip(*(a.tolist() for a in np.nonzero(b)))]  # context-major
+    return _per_block(hidden, R, found)
+
+
+@_stacked_check
 def constant_complier_count(pop: Population, R: int, *ks: int) -> list[int]:
     """Units complying with every factor of ks at every context."""
     mask = np.logical_and.reduce([pop.compliance(k).constant_complier_mask() for k in ks])
     return mask.reshape(R, -1).sum(axis=1).tolist()
+
+
+# Every assumption a bound rests on, by token: the factor count and memoized check that test it, the rule a check
+# value must pass, and the error a miss raises, its text after _who's prefix ({} shows up to five findings).
+Assumption = namedtuple("Assumption", "factors check passes error text")
+ASSUMPTIONS = {
+    "monotone": Assumption(1, check_conditional_monotonicity, operator.not_, AssumptionViolationError,
+                           "defiers present at (unit, context) {}"),
+    "profile": Assumption(1, check_least_compliant_profile, bool, AssumptionViolationError,
+                          "no uniformly least compliant context exists"),
+    "exclusion": Assumption(1, check_weak_treatment_exclusion, operator.not_, AssumptionViolationError,
+                            "uptake of other factors shifts for noncompliers at {}"),
+    "cross_exclusion": Assumption(2, check_conditional_treatment_exclusion, operator.not_, AssumptionViolationError,
+                                  "uptake cross-dependence at {}"),
+    "joint_profile": Assumption(2, check_least_compliant_profile, bool, AssumptionViolationError,
+                                "no uniformly least compliant joint context exists"),
+    "first_stage": Assumption(1, constant_complier_count, bool, NoCompliersError, "no constant compliers"),
+    "joint_first_stage": Assumption(2, constant_complier_count, bool, NoCompliersError, "no joint constant compliers"),
+    "outcome_exclusion": Assumption(1, check_outcome_exclusion, operator.not_, AssumptionViolationError,
+                                    "outcome shifts with assignment at unchanged uptake for (unit, context) {}"),
+}
+
+
+def _who(ks: tuple[int, ...]) -> str:
+    """The prefix of an assumption error: one factor, or a pair."""
+    return f"factor {ks[0]}" if len(ks) == 1 else f"factors {ks}"
+
+
+def require(pop: Population, token: str, *ks: int):
+    """The value of the token's check on pop at factors ks; raises the
+    token's error, naming the factors, when that value does not pass."""
+    _, check, passes, error, text = ASSUMPTIONS[token]
+    value = check(pop, *ks)
+    if not passes(value):
+        shown = f"{value[:5]}" + ("..." if len(value) > 5 else "") if isinstance(value, list) else ""
+        raise error(f"{_who(ks)}: {text.format(shown)}")
+    return value
+
+
+def require_least_compliant(pop: Population, tilde: Context, *ks: int) -> None:
+    """Refuse a declared profile tilde that is not a least-compliant context of ks, one factor or a pair."""
+    valid = check_least_compliant_profile(pop, *ks)
+    if tilde not in valid:
+        joint = "joint " if len(ks) == 2 else ""
+        raise AssumptionViolationError(
+            f"{_who(ks)}: context {tilde!r} is not a {joint}least-compliant profile; valid set {valid!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -418,27 +480,10 @@ class GroupShares:
     rho_never: dict[Context, float]
 
 
-def require_monotonicity(pop: Population, k: int) -> None:
-    violations = check_conditional_monotonicity(pop, k)
-    if violations:
-        raise AssumptionViolationError(
-            f"factor {k}: defiers present at (unit, context) {violations[:5]}"
-            + ("..." if len(violations) > 5 else "")
-        )
-
-
-def require_least_compliant(pop: Population, k: int, tilde: Context) -> None:
-    valid = check_least_compliant_profile(pop, k)
-    if tilde not in valid:
-        raise AssumptionViolationError(
-            f"factor {k}: context {tilde!r} is not a least-compliant profile; valid set {valid!r}"
-        )
-
-
 def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
     """Exact compliance-group shares, anchored at a validated profile."""
-    require_monotonicity(pop, k)
-    require_least_compliant(pop, k, tilde)
+    require(pop, "monotone", k)
+    require_least_compliant(pop, tilde, k)
     prof = pop.compliance(k)
     complier = prof.complier_mask()
     constant = prof.constant_complier_mask()
@@ -455,11 +500,6 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
         rho_always=per_context(prof.labels == ALWAYS_TAKER),
         rho_never=per_context(prof.labels == NEVER_TAKER),
     )
-
-
-def require_constant_compliers(pop: Population, k: int) -> None:
-    if constant_complier_count(pop, k) == 0:
-        raise NoCompliersError(f"factor {k}: no constant compliers")
 
 
 def fixture_p4() -> Population:

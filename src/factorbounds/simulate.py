@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-import operator
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -49,15 +48,7 @@ from .population import (
     Population,
 )
 
-_REQUIRE_TOKENS = (
-    "monotone",
-    "profile",
-    "exclusion",
-    "cross_exclusion",
-    "joint_profile",
-    "first_stage",
-    "joint_first_stage",
-)
+_REQUIRE_TOKENS = tuple(popmod.ASSUMPTIONS)
 _VIOLATE_TOKENS = ("monotone", "profile", "exclusion", "cross_exclusion", "joint_profile")
 
 
@@ -254,7 +245,7 @@ def _parse_token(token: str, K: int, allowed: tuple[str, ...]) -> tuple[str, tup
         ks = tuple(int(v) for v in args.split(",")) if args else ()
     except ValueError:
         raise InvalidInputError(f"bad factor list in token {token!r}") from None
-    want = 2 if name in ("cross_exclusion", "joint_profile", "joint_first_stage") else 1
+    want = popmod.ASSUMPTIONS[name].factors
     if len(ks) != want or any(not 1 <= k <= K for k in ks) or len(set(ks)) != len(ks):
         raise InvalidInputError(f"token {token!r} needs {want} distinct factor(s) in 1..{K}")
     return name, ks
@@ -489,16 +480,6 @@ def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.
     return y
 
 
-# require/violate token -> (the population check it reads, whether a check value passes)
-_TOKEN_CHECKS = {
-    "monotone": (popmod.check_conditional_monotonicity, operator.not_),
-    "profile": (popmod.check_least_compliant_profile, bool),
-    "exclusion": (popmod.check_weak_treatment_exclusion, operator.not_),
-    "cross_exclusion": (popmod.check_conditional_treatment_exclusion, operator.not_),
-    "joint_profile": (popmod.check_least_compliant_profile, bool),
-    "first_stage": (popmod.constant_complier_count, bool),
-    "joint_first_stage": (popmod.constant_complier_count, bool),
-}
 _RETRY_CAP = 100
 _CHUNK_CELLS = 1 << 15  # (unit, arm) cells per chunk of replications: a float64 array over them is 256 KiB
 
@@ -521,11 +502,11 @@ def _generate(config: ScenarioConfig, reps) -> tuple[Population, tuple[Populatio
         pattern = _pack_types(design, _apply_violations(config, design, _draw_types(config, design, rngs)))
         (outcome,) = popmod.frozen(_draw_outcomes(config, design, pattern, rngs))
         stack = Population.from_pattern(design, pattern, outcome)
-        values = [_TOKEN_CHECKS[name][0].stacked(stack, len(todo), *ks) for _, _, name, ks in tokens]
+        values = [popmod.ASSUMPTIONS[name].check.stacked(stack, len(todo), *ks) for _, _, name, ks in tokens]
         parts = stack.split(len(todo))  # after the checks, so their labels carry over
         misses = [[] for _ in todo]
         for (label, want, name, ks), per_rep in zip(tokens, values):
-            check, passes = _TOKEN_CHECKS[name]
+            _, check, passes, *_ = popmod.ASSUMPTIONS[name]
             for part, value, missed in zip(parts, per_rep, misses):
                 popmod._seed_memo(part, check, ks, value)
                 if passes(value) != want:

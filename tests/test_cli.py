@@ -21,6 +21,7 @@ from factorbounds.simulate import (
 )
 
 TOL = 1e-12
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 @pytest.fixture
@@ -197,6 +198,25 @@ def test_oracle_joint_method(capsys, tmp_path, k3_joint_pop):
     assert abs(joint["true_delta"] - 0.125) < TOL
 
 
+def test_oracle_refuses_exclusion_where_the_outcome_moves_at_unchanged_uptake(capsys):
+    # units 2 and 3 never take factor 1, yet their outcome follows z1: the
+    # exclusion interval alone would be [1, 1] against a true effect of 0
+    path = DATA / "p4_outcome_exclusion.json"
+    rc, out, _ = run(capsys, ["oracle", str(path), "--factor", "1", "--method", "adjusted,simple,exclusion"])
+    assert rc == 3
+    block = json.loads(out)["factors"][0]
+    found = [[2, [-1]], [3, [-1]], [2, [1]], [3, [1]]]
+    assert block["checks"]["outcome_exclusion"] == {"passes": False, "violations": found}
+    assert block["checks"]["exclusion"]["passes"] is True
+    methods = block["methods"]
+    assert methods["exclusion"]["error"] == (
+        "AssumptionViolationError: factor 1: outcome shifts with assignment at unchanged uptake"
+        " for (unit, context) [(2, (-1,)), (3, (-1,)), (2, (1,)), (3, (1,))]"
+    )
+    for method in ("adjusted", "simple"):
+        assert (methods[method]["lower"], methods[method]["upper"], methods[method]["true_delta"]) == (0.0, 1.0, 0.0)
+
+
 def test_oracle_defier_population_exits_3(capsys, tmp_path, p4):
     uptake = p4.uptake.copy()
     uptake[0, 0, 0] = 1
@@ -242,6 +262,8 @@ def test_oracle_bad_conservative_share(capsys, p4_json):
         ["--method", "conservative:0"],
         ["--method", "conservative:-1"],
         ["--method", "conservative:nan"],
+        ["--method", "joint:9"],
+        ["--method", "interaction:1+9"],
     ],
 )
 def test_oracle_option_errors_exit_2(capsys, p4_json, option):

@@ -298,6 +298,20 @@ def test_no_compliers_at_profile():
         wald_ratio(pop, 1)
 
 
+def test_conservative_and_joint_truth_raise_the_assumption_table_errors():
+    # unit 0 complies with factor 1 only at z2 = -1, unit 1 only at z2 = +1:
+    # no context is least compliant for both, nobody complies everywhere
+    design = enumerate_assignments(2)
+    pattern = np.array([[0, 1, 2, 2], [0, 0, 2, 3]], dtype=np.uint8)
+    pop = Population.from_pattern(design, pattern, np.zeros((2, 4)))
+    with pytest.raises(AssumptionViolationError) as profile:
+        conservative_bounds(pop, 1, 0.1)
+    assert str(profile.value) == "factor 1: no uniformly least compliant context exists"
+    with pytest.raises(NoCompliersError) as joint:
+        joint_interaction_effect(pop, 1, 2)
+    assert str(joint.value) == "factors (1, 2): no joint constant compliers"
+
+
 def test_exclusion_requires_uptake_invariance():
     # unit 0 never takes factor 1, yet its factor-2 uptake flips with z1:
     # exactly the cross-move the exclusion bounds rule out
@@ -462,6 +476,7 @@ MEMO_CALLS = [
     lambda pop, k, k2: popmod.check_weak_treatment_exclusion(pop, k),
     lambda pop, k, k2: popmod.check_least_compliant_profile(pop, k, k2),
     lambda pop, k, k2: popmod.check_conditional_treatment_exclusion(pop, k, k2),
+    lambda pop, k, k2: popmod.check_outcome_exclusion(pop, k),
     lambda pop, k, k2: oracle._nu_arrays(pop, k),
     lambda pop, k, k2: main_effect(pop, k),
     lambda pop, k, k2: interaction_effect(pop, (1, 2), k),

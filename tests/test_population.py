@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from factorbounds.design import (
 )
 from factorbounds.errors import AssumptionViolationError, InvalidFactorError, InvalidInputError
 from factorbounds.population import (
+    ASSUMPTIONS,
     ALWAYS_TAKER,
     COMPLIER,
     DEFIER,
@@ -21,6 +23,7 @@ from factorbounds.population import (
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
     check_least_compliant_profile,
+    check_outcome_exclusion,
     check_weak_treatment_exclusion,
     classify,
     constant_complier_count,
@@ -29,14 +32,17 @@ from factorbounds.population import (
     group_shares,
     load_population,
     pack_uptake,
+    require,
     require_least_compliant,
-    require_monotonicity,
     save_population,
     to_dict,
 )
+from factorbounds import simulate
 from factorbounds.simulate import FactorSpec, ScenarioConfig, _generate, generate_population
 
-from conftest import count_computations, random_population, strip_factor
+from conftest import assumption_population, count_computations, random_population, strip_factor
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def bf_label(pop, unit, k, ctx):
@@ -245,6 +251,42 @@ def test_exclusion_checks_match_the_uptake_vector_formulation():
     assert weak > 50 and cond > 20  # both checks met populations that fail and that pass
 
 
+def reference_outcome_exclusion(pop, k):
+    """(unit, context) pairs, context-major, whose uptake vector is equal in
+    the two arms of the context and whose outcome is not, read off the
+    assignment tuples."""
+    design = pop.design
+    arm = {(strip_factor(z, k), z[k - 1]): j for j, z in enumerate(design.assignments())}
+    found = []
+    for ctx in contexts_for(design, k):
+        a, b = arm[ctx, -1], arm[ctx, 1]
+        for i in range(pop.N):
+            if (pop.uptake[i, a] == pop.uptake[i, b]).all() and pop.outcome[i, a] != pop.outcome[i, b]:
+                found.append((i, ctx))
+    return found
+
+
+def test_outcome_exclusion_matches_the_assignment_tuple_formulation():
+    # random outcomes move wherever uptake stays; outcomes that are a
+    # function of the uptake vector never do, nor do generated ones
+    rng = np.random.default_rng(41)
+    moving = [random_population(rng, K, 6) for K in (1, 2, 3, 4) for _ in range(5)]
+    moving.append(random_population(rng, 9, 2))  # a uint16 pattern
+    still = [assumption_population(rng, K, 6, upgrade_factors=range(1, K + 1)) for K in (2, 3) for _ in range(5)]
+    still += list(_violating_populations())
+    flagged = 0
+    for pop, can_move in [(pop, True) for pop in moving] + [(pop, False) for pop in still]:
+        for k in range(1, pop.design.K + 1):
+            want = reference_outcome_exclusion(pop, k)
+            assert check_outcome_exclusion(pop, k) == want
+            assert can_move or not want
+            flagged += bool(want)
+    assert flagged > 30
+    fixture = load_population(DATA / "p4_outcome_exclusion.json")
+    assert check_outcome_exclusion(fixture, 1) == [(2, (-1,)), (3, (-1,)), (2, (1,)), (3, (1,))]
+    assert check_outcome_exclusion(fixture, 2) == []
+
+
 def reference_labels_and_shift(pop, k):
     """Labels and least-compliant shift read off the strided (N, C) uptake columns of factor k."""
     j_minus, j_plus = context_arms(pop.design, k)
@@ -283,6 +325,7 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
             (check_conditional_monotonicity, single),
             (check_least_compliant_profile, single),
             (check_weak_treatment_exclusion, single),
+            (check_outcome_exclusion, single),
             (check_conditional_treatment_exclusion, pairs),
             (check_least_compliant_profile, pairs),
             (constant_complier_count, single + pairs),
@@ -342,16 +385,56 @@ def test_p4_group_shares():
     assert all(abs(v - 1.0) < 1e-15 for v in total.values())
 
 
-def test_require_helpers_raise():
-    pop = fixture_p4()
-    uptake = pop.uptake.copy()
-    uptake[0, 0, 0] = 1
-    uptake[0, 1, 0] = -1
-    bad = Population(design=pop.design, uptake=uptake, outcome=pop.outcome)
-    with pytest.raises(AssumptionViolationError):
-        require_monotonicity(bad, 1)
-    with pytest.raises(AssumptionViolationError):
-        require_least_compliant(fixture_p4(), 1, (1,))
+def _k3_population(*specs, **kw):
+    """A generated K=3, N=40 population; factors default to a 0.7 complier share."""
+    factors = (*specs, *(FactorSpec(complier=0.7),) * (3 - len(specs)))
+    return generate_population(ScenarioConfig(K=3, N=40, seed=3, factors=factors, **kw))
+
+
+def _failing_population(token, args):
+    """A population that fails the token's assumption at the factors args: a
+    violate surgery, a factor 1 that nobody complies with, or for outcome
+    exclusion the four-unit fixture whose outcome moves with untouched z1."""
+    if token == "outcome_exclusion":
+        return load_population(DATA / "p4_outcome_exclusion.json")
+    if token in simulate._VIOLATE_TOKENS:
+        return _k3_population(violate=(f"{token}:{args}",))
+    return _k3_population(FactorSpec(complier=0.0))
+
+
+@pytest.fixture(scope="module")
+def passing_population():
+    """A population drawn to pass every assumption at factors 1 and (1, 2)."""
+    return _k3_population(require=tuple(f"{t}:{'1,2' if row.factors == 2 else '1'}" for t, row in ASSUMPTIONS.items()))
+
+
+@pytest.mark.parametrize("token", list(ASSUMPTIONS))
+def test_require_reads_each_assumption_from_the_table(token, passing_population):
+    factors, check, _, error, _ = ASSUMPTIONS[token]
+    ks = (1, 2, 3)[:factors]
+    args = ",".join(map(str, ks))
+    # the scenario token asks for the table's factor count, no more and no fewer
+    assert simulate._parse_token(f"{token}:{args}", 3, simulate._REQUIRE_TOKENS) == (token, ks)
+    for wrong in ((1, 2, 3)[: factors + 1], (1, 2, 3)[: factors - 1]):
+        with pytest.raises(InvalidInputError, match=f"needs {factors} distinct factor"):
+            simulate._parse_token(f"{token}:{','.join(map(str, wrong))}", 3, simulate._REQUIRE_TOKENS)
+    # a population that fails it raises the table's error, naming the factors
+    with pytest.raises(error) as failed:
+        require(_failing_population(token, args), token, *ks)
+    assert type(failed.value) is error
+    assert str(failed.value).startswith("factor 1: " if factors == 1 else "factors (1, 2): ")
+    # one drawn to pass every token gets the check's own value back
+    assert require(passing_population, token, *ks) == check(passing_population, *ks)
+
+
+def test_require_least_compliant_names_the_factor_set_and_its_valid_set(k3_joint_pop):
+    with pytest.raises(AssumptionViolationError) as single:
+        require_least_compliant(fixture_p4(), (1,), 1)
+    assert str(single.value) == "factor 1: context (1,) is not a least-compliant profile; valid set ((-1,),)"
+    with pytest.raises(AssumptionViolationError) as joint:
+        require_least_compliant(k3_joint_pop, (1,), 1, 2)
+    assert str(joint.value) == "factors (1, 2): context (1,) is not a joint least-compliant profile; valid set ((-1,),)"
+    require_least_compliant(k3_joint_pop, (-1,), 1, 2)
 
 
 def test_population_validation():
@@ -584,6 +667,7 @@ MEMOIZED = [
     (check_weak_treatment_exclusion, (2,)),
     (check_least_compliant_profile, (1, 2)),
     (check_conditional_treatment_exclusion, (1, 2)),
+    (check_outcome_exclusion, (2,)),
 ]
 # the pair case checks the joint least-compliant profile of factors 1 and 2
 MEMOIZED_IDS = [

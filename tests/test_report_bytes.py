@@ -46,13 +46,17 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     fixed = ScenarioConfig.from_dict(written["k4_fixed.json"])
     assert fixed.population_mode == "fixed"
     assert [t.method for t in fixed.targets] == ["adjusted", "exclusion", "joint:2"]
-    paths = {name: Path(name) for name in [*written, "k5.csv", "k4_population.json", "k3_no_profile.json"]}
+    generated = ["k5.csv", "k4_population.json", "k3_no_profile.json", "k3_exclusion_messages.json"]
+    paths = {name: Path(name) for name in [*written, *generated, "p4_outcome_exclusion.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
     methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
     assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
     no_profile = ["oracle", "k3_no_profile.json", "--method", "adjusted,exclusion,joint:2", "--factor", "1"]
     assert no_profile in report_bytes.commands(paths)
+    assert ["oracle", "k3_exclusion_messages.json", "--method", "exclusion,joint:2"] in report_bytes.commands(paths)
+    outcome = ["oracle", "p4_outcome_exclusion.json", "--factor", "1", "--method", "adjusted,simple,exclusion"]
+    assert outcome in report_bytes.commands(paths)
 
 
 def test_compared_population_has_every_compliance_group(tmp_path):
@@ -74,3 +78,16 @@ def test_compared_population_has_every_compliance_group(tmp_path):
     for method, message in (("adjusted", "factor 1: no"), ("joint:2", r"factors \(1, 2\): no .* joint context")):
         with pytest.raises(AssumptionViolationError, match=message):
             oracle.method_report(pop, 1, method, "min")
+    # the K=3 population reaches the weak and the cross exclusion messages
+    pop = population.load_population(paths["k3_exclusion_messages.json"])
+    for k, method, message in (
+        (1, "exclusion", "factor 1: uptake of other factors shifts"),
+        (1, "joint:2", "factor 1: uptake of other factors shifts"),
+        (3, "joint:2", r"factors \(3, 2\): uptake cross-dependence"),
+    ):
+        with pytest.raises(AssumptionViolationError, match=message):
+            oracle.method_report(pop, k, method, "min")
+    # the copied outcome-exclusion population is the committed one
+    assert paths["p4_outcome_exclusion.json"].read_bytes() == (ROOT / "data" / "p4_outcome_exclusion.json").read_bytes()
+    with pytest.raises(AssumptionViolationError, match="factor 1: outcome shifts"):
+        oracle.method_report(population.load_population(paths["p4_outcome_exclusion.json"]), 1, "exclusion", "min")
