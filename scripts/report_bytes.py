@@ -9,11 +9,16 @@ checkout holding this script. The generated inputs are written once into a
 temporary directory, by the generators of this checkout's
 ``benchmark/inputs.py``: the 50k-row K=5 analyze CSV, the K=6 ``mc_wide``
 scenarios for seeds 1-3, an ``m2`` (binary outcome) variant of the seed-1
-one and ``clone_scaling`` at clone factor 1000. Two scenarios in the
-shipped files' form are written here: a K=3 one adds a ``violate`` token,
-and a small-N K=2 one has generation retries, replications whose estimate
-fails and skipped oracle references, and a small-N K=9 one with negative
-pair terms takes generation through the uint16 uptake pattern. One K=4
+one and ``clone_scaling`` at clone factor 1000. Scenarios in the shipped
+files' form are written here: a K=3 one adds a ``violate`` token, a
+small-N K=2 one has generation retries, replications whose estimate fails
+and skipped oracle references, and a small-N K=9 one with negative pair
+terms takes generation through the uint16 uptake pattern. A small-N K=3
+one puts 85 replications in a chunk, so the oracle answers many blocks at
+once for interaction, joint and declared-profile targets: about half of
+the blocks lose their reference to a chance failure of weak or cross
+exclusion, and a fourth target loses all of them to its ``violate`` token.
+One K=4
 population with always-takers, never-takers and conditional compliers is
 generated and saved by this checkout's ``save_population(generate_population(...))``
 and read by ``oracle`` with every method; its scenario, with adjusted,
@@ -76,6 +81,7 @@ def scenarios() -> dict[str, dict]:
     found["k3_violate_exclusion.json"] = violating_scenario()
     found["k2_retry_weak.json"] = retry_scenario()
     found["k9_negative_eta.json"] = k9_scenario()
+    found["k3_stacked_chunks.json"] = stacked_scenario()
     targets = [{"alpha": 0.05, "factor": 1, "method": m, "profile": "min"} for m in ("adjusted", "exclusion", "joint:2")]
     found["k4_fixed.json"] = {**population_scenario(), "targets": targets}
     return found
@@ -151,6 +157,39 @@ def k9_scenario() -> dict:
         "seed": 20261018,
         "targets": [{"alpha": 0.05, "factor": 2, "method": m, "profile": "min"} for m in ("exclusion", "adjusted")],
         "violate": [],
+    }
+
+
+def stacked_scenario() -> dict:
+    """A K=3 fresh scenario at N=48, 85 replications per chunk. Factors 1
+    and 2 each upgrade a few noncompliers where the other is at +1, so about
+    half of the replications break weak exclusion of factor 1 or cross
+    exclusion of the pair, and their interaction:1+2, joint:2 and declared
+    exclusion targets lose the oracle reference; the defier the violate
+    token puts on factor 3 takes every reference of the factor-3 target.
+    (A conservative target cannot be estimated, so none is listed.)"""
+    factor = {"always": 0.1, "complier": 0.7, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 3,
+        "N": 48,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [
+            {"always": 0.1, "complier": 0.6, "depends_on": [2], "upgrade": 0.02, "worst": [-1]},
+            {**factor, "complier": 0.75, "depends_on": [1], "upgrade": 0.02, "worst": [-1]},
+            factor,
+        ],
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.1, 0.3]] * 3, "eta": [-0.05, 0.05], "model": "m1"},
+        "population_mode": "fresh",
+        "require": ["monotone:1", "first_stage:1", "joint_first_stage:1,2"],
+        "seed": 20261019,
+        "targets": [
+            {"alpha": 0.05, "factor": 1, "method": "interaction:1+2", "profile": "min"},
+            {"alpha": 0.05, "factor": 1, "method": "joint:2", "profile": "min"},
+            {"alpha": 0.05, "factor": 1, "method": "exclusion", "profile": "declared:-1,-1"},
+            {"alpha": 0.05, "factor": 3, "method": "adjusted", "profile": "min"},
+        ],
+        "violate": ["monotone:3"],
     }
 
 
@@ -266,6 +305,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["simulate", str(paths["k3_violate_exclusion.json"]), "-R", "30"],
         ["simulate", str(paths["k2_retry_weak.json"]), "-R", "40"],
         ["simulate", str(paths["k9_negative_eta.json"]), "-R", "2"],
+        ["simulate", str(paths["k3_stacked_chunks.json"]), "-R", "120"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
         ["simulate", str(paths["k4_fixed.json"]), "-R", "20"],
         ["oracle", "data/p4_population.json"],

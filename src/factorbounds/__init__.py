@@ -32,7 +32,6 @@ from .oracle import (
     joint_interaction_effect,
     main_effect,
     simple_bounds,
-    wald_ratio,
 )
 from .population import (
     ComplianceProfile,

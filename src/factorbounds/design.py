@@ -138,7 +138,7 @@ def _level_tuples(n: int) -> tuple[Context, ...]:
     return tuple(tuple(1 if (c >> m) & 1 else -1 for m in range(n)) for c in range(1 << n))
 
 
-def _validate_factor_set(design: FactorialDesign, ks: tuple[int, ...]) -> None:
+def validate_factor_set(design: FactorialDesign, ks: tuple[int, ...]) -> None:
     """ks must be one factor of the design or two distinct ones."""
     if not 1 <= len(ks) <= 2:
         raise InvalidFactorError(f"contexts need one factor or two distinct ones, got {ks!r}")
@@ -155,7 +155,7 @@ def contexts_for(design: FactorialDesign, *ks: int) -> list[Context]:
     Context index c sets the m-th remaining factor (ascending) to +1 when
     bit m-1 of c is set, mirroring the assignment enumeration.
     """
-    _validate_factor_set(design, ks)
+    validate_factor_set(design, ks)
     return list(_level_tuples(design.K - len(ks)))
 
 
@@ -163,7 +163,7 @@ def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
     """(2^len(ks), 2^(K-len(ks))) intp arm indices of _context_arm_table:
     rows z_k = -1, +1 for one factor, (z_k, z_k2) = (-,-), (+,-), (-,+),
     (+,+) for a pair; column c is context index c."""
-    _validate_factor_set(design, ks)
+    validate_factor_set(design, ks)
     return _context_arm_table(design.K, ks)
 
 

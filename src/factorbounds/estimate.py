@@ -45,10 +45,6 @@ from .population import _memoized, frozen
 _SQRT2 = math.sqrt(2.0)
 
 
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
 def _first_stage_table(
     design: FactorialDesign, ks: tuple[int, ...], dbar: np.ndarray
 ) -> tuple[tuple[Context, ...], np.ndarray]:
@@ -463,6 +459,13 @@ class ConfidenceInterval:
     critical_value: float
 
 
+@lru_cache(maxsize=64)
+def _im_bracket(alpha: float) -> tuple[float, float]:
+    """The bisection's padded bracket: the one- and two-sided normal quantiles at alpha."""
+    nd = NormalDist()
+    return nd.inv_cdf(1.0 - alpha) - 0.1, nd.inv_cdf(1.0 - alpha / 2.0) + 0.1
+
+
 def im_critical_value(width_over_se: float, alpha: float) -> float:
     """Solve Phi(C + w) - Phi(-C) = 1 - alpha for C, w = (U-L)/max SE >= 0.
 
@@ -473,17 +476,11 @@ def im_critical_value(width_over_se: float, alpha: float) -> float:
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha!r}")
     if not np.isfinite(width_over_se) or width_over_se < 0.0:
         raise InvalidInputError(f"width/SE ratio must be finite and >= 0, got {width_over_se!r}")
-    nd = NormalDist()
-    lo = nd.inv_cdf(1.0 - alpha) - 0.1
-    hi = nd.inv_cdf(1.0 - alpha / 2.0) + 0.1
-    target = 1.0 - alpha
-
-    def f(c: float) -> float:
-        return _phi(c + width_over_se) - _phi(-c) - target
-
-    while hi - lo > 1e-10:
+    lo, hi = _im_bracket(alpha)
+    target, w, erf = 1.0 - alpha, width_over_se, math.erf
+    while hi - lo > 1e-10:  # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), written out: this loop is the CI's cost
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+        if 0.5 * (1.0 + erf((mid + w) / _SQRT2)) - 0.5 * (1.0 + erf(-mid / _SQRT2)) - target < 0.0:
             lo = mid
         else:
             hi = mid

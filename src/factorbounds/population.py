@@ -31,7 +31,7 @@ import itertools
 import json
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,6 @@ from . import design as dsg
 from .design import Context, FactorialDesign
 from .errors import (
     AssumptionViolationError,
-    InvalidFactorError,
     InvalidInputError,
     NoCompliersError,
 )
@@ -145,12 +144,6 @@ def _memoized(fn):
     return wrapper
 
 
-def _seed_memo(owner, memoized, args: tuple, value) -> None:
-    """Store value as the result of memoized(owner, *args), for a result
-    already computed elsewhere (for a stack of populations at once)."""
-    owner._memo[_memo_key(memoized, args, {})] = value
-
-
 @dataclass(frozen=True, init=False)
 class Population:
     """Potential uptake and outcomes for N units over a 2^K design, stored read-only as the
@@ -218,19 +211,14 @@ class Population:
 
     @_memoized
     def arm_outcome_means(self) -> np.ndarray:
-        """Population mean outcome per arm, length J."""
-        return self.outcome.mean(axis=0)
+        """Population mean outcome per arm, length J: arm_means' one block."""
+        return arm_means(self, 1)[0]
 
     @_memoized
     def arm_uptake_means(self, *ks: int) -> np.ndarray:
         """Population mean of the uptake product over factors ks per arm,
         length J: of D_k for one factor, of D_k * D_k2 for a pair."""
-        for k in ks:
-            dsg.validate_factor(self.design, k)
-        pat = self.pattern.T  # below, per arm: the units taking an odd count of ks
-        odd = np.count_nonzero(functools.reduce(operator.xor, (pat >> (k - 1) for k in ks)) & 1, axis=1)
-        minus = odd if len(ks) % 2 == 0 else self.N - odd  # the units with an odd count of ks at -1, product -1
-        return (self.N - 2 * minus) / self.N
+        return arm_means(self, 1, *ks)[0]
 
     def clone(self, factor: int) -> "Population":
         """Stack `factor` copies of every unit; all population means persist."""
@@ -239,22 +227,21 @@ class Population:
         pattern, out = frozen(np.tile(self.pattern.T, factor), np.concatenate([self.outcome] * factor))
         return Population.from_pattern(self.design, pattern.T, out)
 
-    def split(self, R: int) -> tuple["Population", ...]:
-        """The R equal blocks of units as populations of their own, read-only
-        views of this one; the compliance labels go onto each block, which
-        unpacks its uptake on request."""
-        if not isinstance(R, int) or isinstance(R, bool) or R < 1 or self.N % R:
-            raise InvalidInputError(f"split needs a positive integer block count dividing N={self.N}, got {R!r}")
-        n = self.N // R
-        carried = [(key, v) for key, v in self._memo.items() if key[0] is Population.compliance]
-        parts = []
-        for rows in (slice(r * n, r * n + n) for r in range(R)):
-            part = object.__new__(Population)  # a block of a checked population needs no second check
-            part.__dict__.update(design=self.design, pattern=self.pattern[rows], outcome=self.outcome[rows])
-            for key, v in carried:
-                part._memo[key] = replace(v, labels=v.labels[rows])
-            parts.append(part)
-        return tuple(parts)
+
+@_memoized
+def arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
+    """(R, J) arm means of each of pop's R equal unit blocks: of the outcome
+    without ks, of the uptake product over factors ks with them."""
+    n = pop.N // R
+    if not ks:
+        return pop.outcome.reshape(R, n, -1).mean(axis=1)
+    for k in ks:
+        dsg.validate_factor(pop.design, k)
+    pat = pop.pattern.T  # below, per arm and block: the units taking an odd count of ks
+    odd = functools.reduce(operator.xor, (pat >> (k - 1) for k in ks)) & 1
+    odd = np.ascontiguousarray(np.count_nonzero(odd.reshape(-1, R, n), axis=2).T)
+    minus = odd if len(ks) % 2 == 0 else n - odd  # the units with an odd count of ks at -1, product -1
+    return (n - 2 * minus) / n
 
 
 @dataclass(frozen=True)
@@ -299,8 +286,10 @@ def _stacked_check(stacked):
     """The memoized check of one population, written in its stacked form:
     stacked(pop, R, *args) answers for a population of R equal blocks of
     units (R populations stacked) with one value per block, and the check
-    is its R=1 call. simulate runs check.stacked on its generation chunks.
+    is its R=1 call. check.stacked is memoized as well, so the values that
+    simulate's generation takes on a chunk serve the oracle on that chunk.
     Masks are unit-last, (..., N), so every reduction runs along N."""
+    stacked = _memoized(stacked)
 
     def check(pop: Population, *args):
         return stacked(pop, 1, *args)[0]
@@ -376,10 +365,6 @@ def check_conditional_treatment_exclusion(
     one factor changes when the other factor's assignment flips, holding
     everything else fixed. Empty list means the check passes.
     """
-    dsg.validate_factor(pop.design, k)
-    dsg.validate_factor(pop.design, k2)
-    if k == k2:
-        raise InvalidFactorError("conditional exclusion needs two distinct factors")
     contexts = dsg.contexts_for(pop.design, k, k2)
     j_mm, j_pm, j_mp, j_pp = dsg.context_arms(pop.design, k, k2)
     pat = pop.pattern.T
@@ -408,7 +393,8 @@ def check_outcome_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[
 
 @_stacked_check
 def constant_complier_count(pop: Population, R: int, *ks: int) -> list[int]:
-    """Units complying with every factor of ks at every context."""
+    """Units complying with every factor of ks (one factor or a pair) at every context."""
+    dsg.validate_factor_set(pop.design, ks)
     mask = np.logical_and.reduce([pop.compliance(k).constant_complier_mask() for k in ks])
     return mask.reshape(R, -1).sum(axis=1).tolist()
 
@@ -442,17 +428,27 @@ def _who(ks: tuple[int, ...]) -> str:
 def require(pop: Population, token: str, *ks: int):
     """The value of the token's check on pop at factors ks; raises the
     token's error, naming the factors, when that value does not pass."""
+    return require_block(pop, 1, 0, token, *ks)
+
+
+def require_block(pop: Population, R: int, r: int, token: str, *ks: int):
+    """require on block r of pop's R equal unit blocks, the check run once, stacked, for all of them."""
     _, check, passes, error, text = ASSUMPTIONS[token]
-    value = check(pop, *ks)
+    value = check.stacked(pop, R, *ks)[r]
     if not passes(value):
         shown = f"{value[:5]}" + ("..." if len(value) > 5 else "") if isinstance(value, list) else ""
         raise error(f"{_who(ks)}: {text.format(shown)}")
-    return value
+    return list(value) if type(value) is list else value  # a fresh copy, as the memo hands out
 
 
 def require_least_compliant(pop: Population, tilde: Context, *ks: int) -> None:
     """Refuse a declared profile tilde that is not a least-compliant context of ks, one factor or a pair."""
-    valid = check_least_compliant_profile(pop, *ks)
+    require_least_compliant_block(pop, 1, 0, tilde, *ks)
+
+
+def require_least_compliant_block(pop: Population, R: int, r: int, tilde: Context, *ks: int) -> None:
+    """require_least_compliant on block r of pop's R equal unit blocks."""
+    valid = check_least_compliant_profile.stacked(pop, R, *ks)[r]
     if tilde not in valid:
         joint = "joint " if len(ks) == 2 else ""
         raise AssumptionViolationError(

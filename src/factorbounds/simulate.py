@@ -484,41 +484,39 @@ _RETRY_CAP = 100
 _CHUNK_CELLS = 1 << 15  # (unit, arm) cells per chunk of replications: a float64 array over them is 256 KiB
 
 
-def _generate(config: ScenarioConfig, reps) -> tuple[Population, tuple[Population, ...]]:
-    """The populations of replications reps, stacked as one population, and
-    each as a view of the stack it was drawn in. Replication rep draws
-    attempt a from its own substream [seed, 0, rep, a]; the require/violate
-    tokens run on the stack, their results go onto each replication's memo,
-    and only the replications that missed draw again, up to 100 attempts."""
+def _generate(config: ScenarioConfig, reps) -> Population:
+    """The populations of replications reps, stacked as one population of
+    len(reps) equal unit blocks. Replication rep draws attempt a from its
+    own substream [seed, 0, rep, attempt]; the require/violate tokens run
+    stacked on each attempt's chunk, whose memo keeps their values for the
+    oracle, and only the replications that missed draw again, up to 100
+    attempts. A chunk that needed a retry is stacked anew from its blocks."""
     design = enumerate_assignments(config.K)
     tokens = [(f"require {t}", True, *_parse_token(t, config.K, _REQUIRE_TOKENS)) for t in config.require]
     tokens += [
         (f"violate {t} (check still passes)", False, *_parse_token(t, config.K, _VIOLATE_TOKENS))
         for t in config.violate
     ]
-    found, todo = {}, list(reps)
+    found, todo, n = {}, list(reps), config.N
     for attempt in range(_RETRY_CAP):
         rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, rep, attempt])) for rep in todo]
         pattern = _pack_types(design, _apply_violations(config, design, _draw_types(config, design, rngs)))
         (outcome,) = popmod.frozen(_draw_outcomes(config, design, pattern, rngs))
         stack = Population.from_pattern(design, pattern, outcome)
-        values = [popmod.ASSUMPTIONS[name].check.stacked(stack, len(todo), *ks) for _, _, name, ks in tokens]
-        parts = stack.split(len(todo))  # after the checks, so their labels carry over
         misses = [[] for _ in todo]
-        for (label, want, name, ks), per_rep in zip(tokens, values):
+        for label, want, name, ks in tokens:
             _, check, passes, *_ = popmod.ASSUMPTIONS[name]
-            for part, value, missed in zip(parts, per_rep, misses):
-                popmod._seed_memo(part, check, ks, value)
+            for value, missed in zip(check.stacked(stack, len(todo), *ks), misses):
                 if passes(value) != want:
                     missed.append(label)
         if attempt == 0 and not any(misses):
-            return stack, parts
-        found.update((rep, part) for rep, part, missed in zip(todo, parts, misses) if not missed)
+            return stack
+        blocks = ((stack.pattern[i : i + n], stack.outcome[i : i + n]) for i in range(0, stack.N, n))
+        found.update((rep, block) for rep, block, missed in zip(todo, blocks, misses) if not missed)
         todo, last_miss = [rep for rep, missed in zip(todo, misses) if missed], [m for m in misses if m]
         if not todo:
-            pops = tuple(found[rep] for rep in reps)
-            pattern, outcome = np.concatenate([p.pattern for p in pops]), np.concatenate([p.outcome for p in pops])
-            return Population.from_pattern(design, pattern, outcome), pops
+            pattern, outcome = (np.concatenate(arrays) for arrays in zip(*(found[rep] for rep in reps)))
+            return Population.from_pattern(design, pattern, outcome)
     raise GenerationError(
         f"no draw satisfied the toggles after {_RETRY_CAP} attempts; last miss: {'; '.join(last_miss[0])}"
     )
@@ -528,7 +526,7 @@ def generate_population(config: ScenarioConfig, rep: int = 0) -> Population:
     """Draw a population honoring the config's require/violate toggles,
     deterministic given (config.seed, rep): the one-replication call of the
     generation monte_carlo runs in chunks. Toggles that can never hold fail loudly."""
-    return _generate(config, [rep])[1][0]
+    return _generate(config, [rep])
 
 
 def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
@@ -666,36 +664,35 @@ def _target_report(t: TargetSpec, R: int, rows: list) -> TargetReport:
 
 
 def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, sizes, tlist: tuple, acc: dict) -> None:
-    """Replications reps of monte_carlo: one generation, observation and
-    estimation pass for the chunk, then per replication, in order, the
-    oracle and the CI; each target's tallies go onto acc[target]."""
-    stack, pops = _generate(config, reps) if base is None else (base, (base,) * len(reps))
+    """Replications reps of monte_carlo: one generation, observation,
+    estimation and oracle pass for the chunk (the oracle's on the base
+    population in fixed and clone modes, where its memo makes it once per
+    monte_carlo), then per replication, in order, the CI; each target's
+    tallies go onto acc[target]."""
+    R = len(reps)
+    pop, blocks, spread = (_generate(config, reps), R, 1) if base is None else (base, 1, R)
     (alloc,) = popmod.frozen(
-        np.stack([complete_randomization(pops[0].N, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps])
+        np.stack([complete_randomization(pop.N // blocks, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps])
     )
-    data = observe(stack, alloc.reshape(-1, stack.N))
-    estimates = {}
+    data = observe(pop, alloc.reshape(-1, pop.N))
     for t in tlist:
         try:
-            estimates[t] = est.estimate_stack(data, len(reps), t.factor, t.method, t.profile)
+            estimates = est.estimate_stack(data, R, t.factor, t.method, t.profile)
         except FactorBoundsError as e:  # one error for the whole chunk, such as a short arm
-            estimates[t] = [e] * len(reps)
-    for r, pop in enumerate(pops):
-        for t in tlist:
-            try:
-                truth = oracle.method_truth(pop, t.factor, t.method)
-                e = estimates[t][r]
-                if isinstance(e, FactorBoundsError):
-                    raise e
-                ci = est.imbens_manski_ci(e, alpha=t.alpha)
-            except FactorBoundsError as error:
+            estimates = [e] * R
+        truths = oracle.truth_stack(pop, blocks, t.factor, t.method) * spread
+        refs = oracle.interval_stack(pop, blocks, t.factor, t.method, t.profile) * spread
+        for truth, e, ref in zip(truths, estimates, refs):
+            error = next((v for v in (truth, e) if isinstance(v, FactorBoundsError)), None)
+            try:  # the first error of truth, estimate and CI is the replication's tally
+                ci = None if error else est.imbens_manski_ci(e, alpha=t.alpha)
+            except FactorBoundsError as ci_error:
+                error = ci_error
+            if error:
                 acc[t].append(type(error).__name__)
                 continue
-            try:  # the oracle reference exists only where the method's assumptions hold; NaN where skipped
-                ref = oracle.method_interval(pop, t.factor, t.method, t.profile)[0]
-                ref_ends = (ref.raw_lower, ref.raw_upper)
-            except FactorBoundsError:
-                ref_ends = (np.nan, np.nan)
+            # the oracle reference exists only where the method's assumptions hold; NaN where skipped
+            ref_ends = (np.nan, np.nan) if isinstance(ref, FactorBoundsError) else (ref[0].raw_lower, ref[0].raw_upper)
             ends = (e.clipped_lower, e.clipped_upper, e.raw_lower, e.raw_upper, e.se_lower, e.se_upper)
             acc[t].append((truth, *ends, ci.lower, ci.upper, *ref_ends))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from factorbounds.design import contexts_for, enumerate_assignments
-from factorbounds.errors import InvalidFactorError
+from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast
+from factorbounds.errors import InvalidFactorError, NoCompliersError
 from factorbounds.population import Population, fixture_p4
 from factorbounds.simulate import census_dataset
 
@@ -12,6 +12,17 @@ def strip_factor(z, k):
     if not 1 <= k <= len(z):
         raise InvalidFactorError(f"factor {k} outside 1..{len(z)}")
     return tuple(z[:k - 1]) + tuple(z[k:])
+
+
+def wald_ratio(pop, k):
+    """Population ratio of the marginal outcome ITT to the marginal uptake ITT."""
+    g = main_effect_contrast(pop.design, k).signs.astype(np.float64)
+    m = 1 << (pop.design.K - 1)
+    itt_y = float(g @ pop.arm_outcome_means()) / m
+    itt_d = float(g @ pop.arm_uptake_means(k)) / (2 * m)
+    if itt_d == 0.0:
+        raise NoCompliersError(f"factor {k}: marginal uptake ITT is zero")
+    return itt_y / itt_d
 
 
 def build_population(K, uptake_rules, outcome_fn):

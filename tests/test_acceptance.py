@@ -28,11 +28,10 @@ from factorbounds.oracle import (
     joint_interaction_effect,
     main_effect,
     simple_bounds,
-    wald_ratio,
 )
 from factorbounds.simulate import load_scenario, monte_carlo
 
-from conftest import assumption_population
+from conftest import assumption_population, wald_ratio
 
 TOL = 1e-12
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

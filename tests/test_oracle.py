@@ -36,12 +36,18 @@ from factorbounds.oracle import (
     method_interval,
     method_truth,
     simple_bounds,
-    wald_ratio,
 )
 from factorbounds.population import Population, check_least_compliant_profile, fixture_p4
-from factorbounds.simulate import census_dataset
+from factorbounds.simulate import (
+    FactorSpec,
+    ScenarioConfig,
+    TargetSpec,
+    census_dataset,
+    generate_population,
+    monte_carlo,
+)
 
-from conftest import assumption_population, count_computations, random_population
+from conftest import assumption_population, count_computations, random_population, wald_ratio
 
 TOL = 1e-12
 
@@ -186,7 +192,7 @@ def test_identity_nu_decomposition():
     for _ in range(60):
         K = int(rng.integers(1, 4))
         pop = assumption_population(rng, K, int(rng.integers(2, 12)), upgrade_factors=(1,))
-        contexts, _, _, nu = _nu_arrays(pop, 1)
+        contexts, _, _, (nu,) = _nu_arrays(pop, 1)
         valid = check_least_compliant_profile(pop, 1)
         assert tuple([-1] * (K - 1)) in valid
         shares = group_shares(pop, 1, valid[0])
@@ -332,6 +338,20 @@ def test_exclusion_requires_uptake_invariance():
     simple_bounds(pop, 1, tilde)
 
 
+def test_a_refused_factor_pair_has_one_wording(p4):
+    # the truth, the interval under either profile policy and the check all
+    # refuse joint:2 at factor 2 with the factor-set check's own message
+    calls = (
+        lambda: method_truth(p4, 2, "joint:2"),
+        lambda: method_interval(p4, 2, "joint:2", "min"),
+        lambda: method_interval(p4, 2, "joint:2", ()),
+        lambda: popmod.check_conditional_treatment_exclusion(p4, 2, 2),
+    )
+    for call in calls:
+        with pytest.raises(InvalidFactorError, match=r"^joint contexts need two distinct factors, got 2 twice$"):
+            call()
+
+
 def test_interaction_anchor_must_be_member(p4):
     with pytest.raises(InvalidFactorError):
         interaction_bounds(p4, (2,), 1, (-1,))
@@ -382,6 +402,135 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
             pairs = ((iv.center, funcs.center), (iv.raw_lower, funcs.lower), (iv.raw_upper, funcs.upper))
             for a, f in pairs:
                 assert abs(a - f.value(mvec)) <= TOL, (t, k, a, f.value(mvec))
+
+
+# ------------------------------------------------------- the stacked oracle
+
+
+def _parts(rng, K, n, R):
+    """R populations of n units over one design, each passing or failing
+    different assumptions: unconstrained units, the constrained generator,
+    and generated ones whose violate surgery breaks one assumption."""
+    violations = [(), ("monotone:1",), ("exclusion:1",), ("profile:1",)] if K >= 2 else [(), ("monotone:1",)]
+    if K >= 3:
+        violations += [("cross_exclusion:1,2",), ("joint_profile:1,2",)]
+    factors = (FactorSpec(complier=0.5, always=0.2, upgrade=0.4, depends_on=(K,), worst=(-1,)),) if K >= 2 else ()
+    factors += (FactorSpec(complier=0.7, always=0.1),) * (K - len(factors))
+    parts = []
+    for r in range(R):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            parts.append(random_population(rng, K, n))
+        elif kind == 1:
+            parts.append(assumption_population(rng, K, n, upgrade_factors=(1,)))
+        else:
+            violate = violations[int(rng.integers(0, len(violations)))]
+            config = ScenarioConfig(K=K, N=n, factors=factors, seed=int(rng.integers(0, 2**31)), violate=violate)
+            parts.append(generate_population(config, rep=r))
+    return parts
+
+
+def _key(value):
+    """A comparison key equal only for bit-identical values or errors of one type and message."""
+    if isinstance(value, FactorBoundsError):
+        return ("raises", type(value).__name__, str(value))
+    return _canonical(value)
+
+
+def _answer(call):
+    """The key of a value or of the error it raises."""
+    try:
+        return _key(call())
+    except FactorBoundsError as exc:
+        return _key(exc)
+
+
+def _stacked_answers(stacked):
+    """The keys of a stacked answer, one per block, or of the error it raises for all of them."""
+    try:
+        return [_key(v) for v in stacked()]
+    except FactorBoundsError as exc:
+        return _key(exc)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("R", [1, 2, 5])
+def test_stacked_oracle_equals_its_one_block_calls(K, R):
+    # truth_stack and interval_stack on a stack of R populations answer per
+    # block as method_truth and method_interval on each population alone:
+    # the same floats bit for bit, or the same error type and message
+    rng = np.random.default_rng(1000 * K + R)
+    for trial in range(3):
+        parts = _parts(rng, K, 6 + 2 * trial, R)
+        design = parts[0].design
+        stack = Population.from_pattern(
+            design, np.concatenate([p.pattern for p in parts]), np.concatenate([p.outcome for p in parts])
+        )
+        fresh = [Population.from_pattern(design, p.pattern, p.outcome) for p in parts]
+        methods = ["adjusted", "simple", "exclusion", "conservative:0.05", "conservative:0.4"]
+        methods += ["interaction:1+2", "joint:2", "joint:1"] if K >= 2 else ["interaction:1+2", "joint:2"]
+        for k in range(1, K + 1):
+            for method in methods:
+                want = [_answer(lambda p=p: method_truth(p, k, method)) for p in fresh]
+                got = _stacked_answers(lambda: oracle.truth_stack(stack, R, k, method))
+                assert got == (want[0] if isinstance(got, tuple) else want), (K, R, k, method)
+                context_len = K - (2 if method.startswith("joint") else 1)
+                for profile in ("min", f"declared:{','.join(['-1'] * context_len)}", (1,) * max(context_len, 0)):
+                    want = [_answer(lambda p=p: method_interval(p, k, method, profile)) for p in fresh]
+                    got = _stacked_answers(lambda: oracle.interval_stack(stack, R, k, method, profile))
+                    if isinstance(got, tuple):  # a bad argument raises for the whole stack, as for each block
+                        assert all(w == got for w in want), (K, R, k, method, profile)
+                    else:
+                        assert got == want, (K, R, k, method, profile)
+
+
+def test_stacked_oracle_reaches_different_errors_within_one_stack():
+    # one stack whose blocks fail different assumptions reports each block's
+    # own first error, in the scalar order of checks
+    rng = np.random.default_rng(5)
+    parts = _parts(rng, 3, 10, 12)
+    stack = Population.from_pattern(
+        parts[0].design, np.concatenate([p.pattern for p in parts]), np.concatenate([p.outcome for p in parts])
+    )
+    methods = ("adjusted", "exclusion", "joint:2", "conservative:0.05")
+    answers = [v for method in methods for v in oracle.interval_stack(stack, 12, 1, method)]
+    errors = {str(v)[:40] for v in answers if isinstance(v, FactorBoundsError)}
+    assert len(errors) >= 4 and len(errors) < len(answers), errors  # defiers, no profile, weak and cross exclusion
+
+
+@pytest.mark.parametrize("mode", ["fixed", "clone"])
+def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode):
+    # one population serves every replication, so each formula runs once per
+    # monte_carlo call, as a one-block stack, however many chunks the
+    # replications take; the main-effect targets of factor 1 share one truth
+    targets = tuple(
+        TargetSpec(factor=1, method=m) for m in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2")
+    ) + (TargetSpec(factor=2, method="exclusion", profile="declared:-1"),)
+    config = ScenarioConfig(
+        K=2,
+        N=200,
+        seed=7,
+        factors=(FactorSpec(complier=0.6, always=0.1), FactorSpec(complier=0.8)),
+        require=("monotone:1", "profile:1", "first_stage:1"),
+        population_mode=mode,
+        clone_factor=3 if mode == "clone" else 1,
+        targets=targets,
+    )
+    calls = []
+    names = ("main_effect", "interaction_effect", "joint_interaction_effect", "adjusted_bounds", "simple_bounds")
+    names += ("exclusion_bounds", "interaction_bounds", "joint_bounds")
+    for name in names:
+        compute = getattr(oracle, name).block
+        wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append((_n, a[1])) or _f(*a, **kw)
+        monkeypatch.setattr(getattr(oracle, name), "block", wrapper)
+    report = monte_carlo(config, R=120)  # several chunks of replications
+    assert all(t.n_ok == 120 for t in report.targets)
+    assert sorted(calls) == sorted(
+        [("main_effect", 1), ("main_effect", 1), ("interaction_effect", 1), ("joint_interaction_effect", 1)]
+        + [("adjusted_bounds", 1)]
+        + [("simple_bounds", 1), ("exclusion_bounds", 1), ("exclusion_bounds", 1)]
+        + [("interaction_bounds", 1), ("joint_bounds", 1)]
+    )
 
 
 # ------------------------------------------------- the per-population memo

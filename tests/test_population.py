@@ -20,6 +20,7 @@ from factorbounds.population import (
     DEFIER,
     NEVER_TAKER,
     Population,
+    arm_means,
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
     check_least_compliant_profile,
@@ -334,10 +335,11 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
             for a in arguments:
                 want = [check(Population(design=p.design, uptake=p.uptake, outcome=p.outcome), *a) for p in parts]
                 assert check.stacked(stack, len(parts), *a) == want, (check.__name__, a)
-        for part, block in zip(parts, stack.split(len(parts))):
-            assert np.shares_memory(block.pattern, stack.pattern) and not block.pattern.flags.writeable
-            assert "uptake" not in vars(block)  # unpacked on request, as any pattern-built population
-            assert np.array_equal(block.uptake, part.uptake) and np.array_equal(block.outcome, part.outcome)
+        # the per-block arm means the stacked oracle reads are each part's own, bit for bit
+        for ks in [(), *single, *pairs]:
+            for part, means in zip(parts, arm_means(stack, len(parts), *ks)):
+                own = part.arm_uptake_means(*ks) if ks else part.arm_outcome_means()
+                assert means.tobytes() == own.tobytes(), ks
 
 
 def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
@@ -477,7 +479,7 @@ def test_pattern_with_a_bit_at_or_above_two_to_the_k_is_refused(K, dtype):
         Population.from_pattern(design, np.zeros_like(pattern), np.full((3, design.J), 1.5))
 
 
-def test_split_clone_and_retry_patterns_pack_their_uptake():
+def test_split_clone_and_retry_patterns_pack_their_uptake(monkeypatch):
     # every path that builds a population from a pattern keeps the layout
     # pack_uptake gives: arm-major rows, equal to a fresh pack of the uptake
     def packed(pop):
@@ -485,7 +487,9 @@ def test_split_clone_and_retry_patterns_pack_their_uptake():
         assert np.array_equal(pop.pattern, pack_uptake(pop.uptake))
 
     p4 = fixture_p4()
-    for pop in (p4.clone(3), *p4.clone(3).split(3), *p4.split(2)):
+    big = p4.clone(3)
+    blocks = [Population.from_pattern(p4.design, big.pattern[i : i + 4], big.outcome[i : i + 4]) for i in (0, 4, 8)]
+    for pop in (big, *blocks):  # a retry stacks the blocks of a chunk split this way
         packed(pop)
     assert p4.clone(3).pattern.T.flags.c_contiguous
     # rare constant compliers: some replications miss first_stage:1 and draw again
@@ -499,11 +503,13 @@ def test_split_clone_and_retry_patterns_pack_their_uptake():
         ),
         require=("monotone:1", "profile:1", "first_stage:1"),
     )
-    stack, pops = _generate(config, range(40))
-    assert len({id(p.pattern.base) for p in pops}) > 1  # the stack was assembled after a retry
+    draws = []
+    draw_types = simulate._draw_types
+    monkeypatch.setattr(simulate, "_draw_types", lambda *a: draws.append(a) or draw_types(*a))
+    stack = _generate(config, range(40))
+    assert len(draws) > 1  # the stack was assembled after a retry
     assert stack.pattern.T.flags.c_contiguous
-    for pop in (stack, *pops):
-        packed(pop)
+    packed(stack)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
@@ -603,14 +609,6 @@ def test_clone_preserves_means():
     assert constant_complier_count(big, 1) == 7 * constant_complier_count(pop, 1)
     with pytest.raises(InvalidInputError):
         pop.clone(0)
-
-
-def test_split_refuses_a_block_count_that_does_not_divide_n():
-    pop = fixture_p4()
-    for bad in (3, 0, True):  # 3 would drop unit 3, 0 divide by zero, True pass as one block
-        with pytest.raises(InvalidInputError, match="block count dividing N=4"):
-            pop.split(bad)
-    assert [part.N for part in pop.split(2)] == [2, 2]
 
 
 def test_population_io_roundtrip(tmp_path):
@@ -720,6 +718,9 @@ def test_memo_hands_out_read_only_arrays_and_fresh_lists():
     passed = check_weak_treatment_exclusion(pop, 1)
     passed.append((0, (-1,)))
     assert check_weak_treatment_exclusion(pop, 1) == []
+    passed = require(pop, "exclusion", 1)  # require reads the stacked memo and hands out a copy too
+    passed.append((0, (-1,)))
+    assert require(pop, "exclusion", 1) == [] and check_weak_treatment_exclusion.stacked(pop, 1, 1) == [[]]
     defiers = random_population(np.random.default_rng(2), 2, 20)
     found = check_conditional_monotonicity(defiers, 1)
     assert found

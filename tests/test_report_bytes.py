@@ -43,6 +43,12 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     assert (violating.K, violating.violate) == (3, ("exclusion:1",))
     k9 = ScenarioConfig.from_dict(written["k9_negative_eta.json"])
     assert (k9.K, k9.population_mode) == (9, "fresh") and k9.outcome.eta[0] < 0
+    stacked = ScenarioConfig.from_dict(written["k3_stacked_chunks.json"])
+    assert (stacked.K, stacked.population_mode, stacked.violate) == (3, "fresh", ("monotone:3",))
+    assert [(t.method, t.profile) for t in stacked.targets] == [
+        ("interaction:1+2", "min"), ("joint:2", "min"), ("exclusion", "declared:-1,-1"), ("adjusted", "min")
+    ]
+    assert (1 << 15) // (stacked.N * 2**stacked.K) > 1  # several replications in one chunk
     fixed = ScenarioConfig.from_dict(written["k4_fixed.json"])
     assert fixed.population_mode == "fixed"
     assert [t.method for t in fixed.targets] == ["adjusted", "exclusion", "joint:2"]
@@ -50,6 +56,7 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     paths = {name: Path(name) for name in [*written, *generated, "p4_outcome_exclusion.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
+    assert ["simulate", "k3_stacked_chunks.json", "-R", "120"] in report_bytes.commands(paths)
     methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
     assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
     no_profile = ["oracle", "k3_no_profile.json", "--method", "adjusted,exclusion,joint:2", "--factor", "1"]

@@ -224,16 +224,17 @@ def test_generation_pinned_bit_for_bit():
 
 def test_stacked_generation_equals_one_replication_at_a_time():
     # replications drawn together, some of them again after a miss, give the
-    # populations generate_population draws alone, as views of read-only stacks
+    # populations generate_population draws alone, as blocks of a read-only stack
     config = basic_config(N=12, factors=(FactorSpec(complier=0.15), FactorSpec(complier=0.9)))
-    stack, pops = simulate._generate(config, range(3, 40))
-    assert stack.N == 37 * 12
-    for rep, pop in zip(range(3, 40), pops):
+    stack = simulate._generate(config, range(3, 40))
+    assert stack.N == 37 * 12 and not stack.pattern.flags.writeable
+    valid = check_least_compliant_profile.stacked(stack, 37, 1)
+    for i, rep in enumerate(range(3, 40)):
         alone = generate_population(config, rep=rep)
-        assert np.array_equal(pop.uptake, alone.uptake) and np.array_equal(pop.outcome, alone.outcome)
-        assert pop.pattern.base is not None and not pop.pattern.base.flags.writeable
-        assert check_least_compliant_profile(pop, 1) == check_least_compliant_profile(alone, 1)
-    assert np.array_equal(stack.uptake, np.concatenate([p.uptake for p in pops]))
+        block = slice(i * 12, i * 12 + 12)
+        assert np.array_equal(stack.uptake[block], alone.uptake)
+        assert np.array_equal(stack.outcome[block], alone.outcome)
+        assert valid[i] == check_least_compliant_profile(alone, 1)
 
 
 def _elementwise_outcomes(config, uptake, rngs):
@@ -278,13 +279,11 @@ def test_pattern_outcome_tables_equal_elementwise_formula(K, model):
 
 
 def test_generation_seeds_the_packed_pattern():
-    # the stack generation writes holds the pattern arm-major, and its split
-    # parts are views of it; each equals a fresh pack of its own uptake
-    stack, parts = simulate._generate(basic_config(N=12, require=()), range(4))
+    # the stack generation writes holds the pattern arm-major, equal to a
+    # fresh pack of its own uptake
+    stack = simulate._generate(basic_config(N=12, require=()), range(4))
     assert stack.pattern.T.flags.c_contiguous and "uptake" not in stack.__dict__
-    for pop in (stack, *parts):
-        assert np.array_equal(pop.pattern, popmod.pack_uptake(pop.uptake))
-    assert all(np.shares_memory(part.pattern, stack.pattern) for part in parts)
+    assert np.array_equal(stack.pattern, popmod.pack_uptake(stack.uptake))
 
 
 # The generation kernels as they were before generation wrote the pattern
@@ -800,8 +799,9 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     assert [(t.factor, t.method) for t in config.targets] == [(1, "exclusion"), (1, "adjusted")]
     calls = []
     for name in ("main_effect", "exclusion_bounds", "adjusted_bounds"):
-        compute = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *a, _f=compute, _n=name: calls.append(_n) or _f(*a))
+        compute = getattr(oracle, name).block
+        wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+        monkeypatch.setattr(getattr(oracle, name), "block", wrapper)
     report = monte_carlo(config, R=5)
     assert all(t.n_ok == 5 and t.n_oracle == 5 for t in report.targets)
     assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect"]
