@@ -161,13 +161,15 @@ def k9_scenario() -> dict:
 
 
 def stacked_scenario() -> dict:
-    """A K=3 fresh scenario at N=48, 85 replications per chunk. Factors 1
-    and 2 each upgrade a few noncompliers where the other is at +1, so about
-    half of the replications break weak exclusion of factor 1 or cross
-    exclusion of the pair, and their interaction:1+2, joint:2 and declared
-    exclusion targets lose the oracle reference; the defier the violate
-    token puts on factor 3 takes every reference of the factor-3 target.
-    (A conservative target cannot be estimated, so none is listed.)"""
+    """A K=3 fresh scenario at N=48: 384 (unit, arm) cells per replication,
+    so 170 replications per chunk of simulate._CHUNK_CELLS = 1 << 16, and
+    -R 200 runs a full chunk and a partial one. Factors 1 and 2 each
+    upgrade a few noncompliers where the other is at +1, so about half of
+    the replications break weak exclusion of factor 1 or cross exclusion of
+    the pair, and their interaction:1+2, joint:2 and declared exclusion
+    targets lose the oracle reference; the defier the violate token puts on
+    factor 3 takes every reference of the factor-3 target. (A conservative
+    target cannot be estimated, so none is listed.)"""
     factor = {"always": 0.1, "complier": 0.7, "depends_on": [], "upgrade": 0.0, "worst": None}
     return {
         "K": 3,
@@ -305,7 +307,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["simulate", str(paths["k3_violate_exclusion.json"]), "-R", "30"],
         ["simulate", str(paths["k2_retry_weak.json"]), "-R", "40"],
         ["simulate", str(paths["k9_negative_eta.json"]), "-R", "2"],
-        ["simulate", str(paths["k3_stacked_chunks.json"]), "-R", "120"],
+        ["simulate", str(paths["k3_stacked_chunks.json"]), "-R", "200"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
         ["simulate", str(paths["k4_fixed.json"]), "-R", "20"],
         ["oracle", "data/p4_population.json"],

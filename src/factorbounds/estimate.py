@@ -40,7 +40,7 @@ from .errors import (
     InvalidShareError,
     WeakFirstStageError,
 )
-from .population import _memoized, frozen
+from .population import _memoized, _one_block, frozen
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -163,8 +163,8 @@ def parse_target(
     dsg.validate_factor(design, k)
     if kind == "interaction" and k not in args:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {args!r}")
-    if kind == "joint" and args[0] == k:
-        raise InvalidFactorError("joint method needs a partner distinct from the anchor factor")
+    if kind == "joint":
+        dsg.validate_factor_set(design, (k, *args))
     return kind, args, policy, ctx
 
 
@@ -183,12 +183,17 @@ class LinearFractional:
     def denominator(self, m: np.ndarray) -> float:
         return float(self.b @ m + self.b0)
 
+    def numerator(self, m: np.ndarray) -> float:
+        return float(self.a @ m + self.a0)
+
     def value(self, m: np.ndarray) -> float:
-        return float(self.a @ m + self.a0) / self.denominator(m)
+        return self.numerator(m) / self.denominator(m)
 
     def gradient(self, m: np.ndarray) -> np.ndarray:
-        den = self.denominator(m)
-        num = float(self.a @ m + self.a0)
+        return self.gradient_from(self.numerator(m), self.denominator(m))
+
+    def gradient_from(self, num: float, den: float) -> np.ndarray:
+        """The gradient at a point where the numerator is num and the denominator den."""
         return self.a / den - (num / den**2) * self.b
 
 
@@ -391,10 +396,7 @@ def estimate_bounds(
     interval is ordered then intersected with [-1, 1]; raw endpoints are the
     faithful plug-ins (a declared non-minimal profile can invert them).
     """
-    (estimate,) = estimate_stack(data, 1, k, method, profile)
-    if isinstance(estimate, WeakFirstStageError):
-        raise estimate
-    return estimate
+    return _one_block(estimate_stack(data, 1, k, method, profile))
 
 
 def estimate_stack(
@@ -416,7 +418,7 @@ def estimate_stack(
     out: list[BoundsEstimate | WeakFirstStageError] = []
     for r, c_index in enumerate(indexes):
         ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()
-        funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
+        funcs = _endpoint_functions(data.design.K, k, method, c_index, None)  # parse_target checked the arguments
         mvec, cov_r = means[r, :, : funcs.p].ravel(), cov[r, :, : funcs.p, : funcs.p]
         den = funcs.center.denominator(mvec)  # nu summed in another order: 0.0 where rounding left nu > 0
         if nu_r[c_index] <= 0.0 or den <= 0.0:
@@ -425,8 +427,10 @@ def estimate_stack(
                 f"factor {k}: estimated first stage at {ctx_r!r} is {why}; table {dict(zip(contexts, nu_r))!r}"
             ))
             continue
-        center, raw_lower, raw_upper = (f.value(mvec) for f in (funcs.center, funcs.lower, funcs.upper))
-        se_lower, se_upper = (_se_from_gradient(f.gradient(mvec), cov_r) for f in (funcs.lower, funcs.upper))
+        nums = [f.numerator(mvec) for f in (funcs.center, funcs.lower, funcs.upper)]  # one den serves all three
+        center, raw_lower, raw_upper = (num / den for num in nums)
+        se_lower = _se_from_gradient(funcs.lower.gradient_from(nums[1], den), cov_r)
+        se_upper = _se_from_gradient(funcs.upper.gradient_from(nums[2], den), cov_r)
         lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)
         out.append(BoundsEstimate(
             method=method,
@@ -536,7 +540,8 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     func = LinearFractional(num.ravel(), 0.0, den.ravel(), 0.0)
     means, cov = _arm_moments(data, k, None, 1)
     mvec = means[0, :, :2].ravel()
-    if func.denominator(mvec) == 0.0:
+    num, den = func.numerator(mvec), func.denominator(mvec)
+    if den == 0.0:
         raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
-    se = _se_from_gradient(func.gradient(mvec), cov[0, :, :2, :2])
-    return WaldEstimate(factor=k, point=func.value(mvec), se=se)
+    se = _se_from_gradient(func.gradient_from(num, den), cov[0, :, :2, :2])
+    return WaldEstimate(factor=k, point=num / den, se=se)

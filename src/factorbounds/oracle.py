@@ -28,10 +28,12 @@ contrast; the joint variant bounds the two-factor effect among units
 complying with both factors everywhere. The conservative variant replaces
 nu(tilde) with a declared floor t and widens monotonically as t shrinks.
 
-Each formula is written for one block of a stack of R populations
-(formula.block(pop, R, r, ...), reading arrays computed once for the
-stack) and is its call on the one block of a population; truth_stack and
-interval_stack answer a Monte Carlo chunk, per block the value or error.
+Each formula is written for a stack of R populations: it runs its checks
+and reads its arrays once for the stack, then takes its float steps block
+by block; formula(pop, ..., R=R) answers per block with the value or the
+error, and the plain call is the one-block case. A profile tilde is a
+context or "min", each block's first least-compliant context. truth_stack
+and interval_stack answer a Monte Carlo chunk.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     InvalidShareError,
     NoCompliersError,
 )
-from .population import Population, _memoized
+from .population import Population, _memoized, _one_block
 
 
 @dataclass(frozen=True)
@@ -103,31 +105,28 @@ class ITTReport:
     nu: dict[Context, float]
 
 
-def _blockwise(block):
-    """A formula of one population written for one block of a stack:
-    block(pop, R, r, *args) is the formula on block r of pop's R equal unit
-    blocks (R populations stacked), reading the stack's memoized arrays at
-    row r and raising the block's error, its checks run in the scalar
-    order. The formula is its call on the one block of pop; formula.block
-    is the block form, which truth_stack and interval_stack call."""
+def _blockwise(stacked):
+    """A formula of one population written for a stack of R populations:
+    stacked(pop, R, failed, *args) runs each check once for pop's R equal
+    unit blocks, in the scalar order, puts each block's first error in
+    failed[r], reads the stack's arrays and returns block(r), the float
+    steps of open block r; an error it raises is that of every block still
+    open. formula(pop, *args) is the one-block call, returning the value or
+    raising the error; formula(pop, *args, R=R) answers per block with the
+    value or the error."""
 
-    def formula(pop: Population, *args):
-        return block(pop, 1, 0, *args)
-
-    formula.__name__ = formula.__qualname__ = block.__name__
-    formula.__doc__, formula.block = block.__doc__, block
-    return formula
-
-
-def _each_block(R: int, value) -> list:
-    """value(r) for each of R unit blocks, or the FactorBoundsError it raises there."""
-    out = []
-    for r in range(R):
+    def formula(pop: Population, *args, R: int | None = None):
+        failed = [None] * (R or 1)
         try:
-            out.append(value(r))
-        except FactorBoundsError as error:
-            out.append(error.with_traceback(None))  # kept without the frames that hold the stack
-    return out
+            block = stacked(pop, R or 1, failed, *args)
+        except FactorBoundsError as error:  # kept without the frames that hold the stack
+            failed = [f or error.with_traceback(None) for f in failed]
+        answers = [f or block(r) for r, f in enumerate(failed)]
+        return answers if R is not None else _one_block(answers)
+
+    formula.__name__ = formula.__qualname__ = stacked.__name__
+    formula.__doc__ = stacked.__doc__
+    return formula
 
 
 @_memoized
@@ -174,49 +173,67 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     )
 
 
-def _contrast_among(pop: Population, R: int, r: int, mask: np.ndarray, contrast) -> float:
-    """g^T Ybar over block r's units in mask, per context (divided by 2^{K-1})."""
-    g, n = contrast.signs.astype(np.float64), pop.N // R
-    units = slice(r * n, r * n + n)
-    return float(g @ pop.outcome[units][mask[units]].mean(axis=0)) / (1 << (pop.design.K - 1))
+def _contrast_among(pop: Population, R: int, mask: np.ndarray, contrast):
+    """block(r): g^T Ybar over block r's units in mask, per context (divided by 2^{K-1})."""
+    g, n, m = contrast.signs.astype(np.float64), pop.N // R, 1 << (pop.design.K - 1)
+    y, mask = pop.outcome.reshape(R, n, -1), mask.reshape(R, n)
+    return lambda r: float(g @ y[r][mask[r]].mean(axis=0)) / m
 
 
 @_blockwise
-def main_effect(pop: Population, R: int, r: int, k: int) -> float:
+def main_effect(pop: Population, R: int, failed: list, k: int):
     """Average over contexts of the constant-complier outcome contrast."""
-    popmod.require_block(pop, R, r, "first_stage", k)
+    popmod.require_blocks(pop, R, failed, "first_stage", k)
     constant = pop.compliance(k).constant_complier_mask()
-    return _contrast_among(pop, R, r, constant, dsg.main_effect_contrast(pop.design, k))
+    return _contrast_among(pop, R, constant, dsg.main_effect_contrast(pop.design, k))
 
 
 @_blockwise
-def interaction_effect(pop: Population, R: int, r: int, factors, k: int) -> float:
+def interaction_effect(pop: Population, R: int, failed: list, factors, k: int):
     """Interaction contrast among constant compliers of factor k."""
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    popmod.require_block(pop, R, r, "first_stage", k)
+    popmod.require_blocks(pop, R, failed, "first_stage", k)
     constant = pop.compliance(k).constant_complier_mask()
-    return _contrast_among(pop, R, r, constant, dsg.interaction_contrast(pop.design, fs))
+    return _contrast_among(pop, R, constant, dsg.interaction_contrast(pop.design, fs))
 
 
 @_blockwise
-def joint_interaction_effect(pop: Population, R: int, r: int, k: int, k2: int) -> float:
+def joint_interaction_effect(pop: Population, R: int, failed: list, k: int, k2: int):
     """Two-factor interaction among units complying with both everywhere."""
-    popmod.require_block(pop, R, r, "joint_first_stage", k, k2)
+    popmod.require_blocks(pop, R, failed, "joint_first_stage", k, k2)
     mask = pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
-    return _contrast_among(pop, R, r, mask, dsg.interaction_contrast(pop.design, (k, k2)))
+    return _contrast_among(pop, R, mask, dsg.interaction_contrast(pop.design, (k, k2)))
 
 
-def _resolve_tilde(pop: Population, R: int, r: int, k: int, tilde: Context) -> float:
-    """Validate the profile and return nu(tilde) > 0 of block r."""
-    tilde = tuple(tilde)
-    popmod.require_block(pop, R, r, "monotone", k)
-    popmod.require_least_compliant_block(pop, R, r, tilde, k)
-    contexts, _, _, nu = _nu_arrays(pop, k, R)
-    nu_tilde = float(nu[r, contexts.index(tilde)])
-    if nu_tilde <= 0.0:
-        raise NoCompliersError(f"factor {k}: first stage at {tilde!r} is {nu_tilde}, bounds undefined")
+def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: int):
+    """Per block the first stage at its profile of ks, one factor or a pair:
+    tilde, or for "min" the block's first least-compliant context (that
+    check run first). The checks, (token, *factors) tuples, run before the
+    profile's own check, in order; a block whose first stage at its
+    profile is not positive fails."""
+    if isinstance(tilde, str) and tilde == "min":
+        token = "joint_profile" if len(ks) == 2 else "profile"
+        tildes = [valid[0] if valid else None for valid in popmod.require_blocks(pop, R, failed, token, *ks)]
+    else:
+        tildes = [tuple(tilde)] * R
+    for token, *factors in checks:
+        popmod.require_blocks(pop, R, failed, token, *factors)
+    popmod.require_least_compliant_blocks(pop, R, failed, tildes, *ks)
+    contexts = dsg.contexts_for(pop.design, *ks)
+    if len(ks) == 1:
+        nu = _nu_arrays(pop, ks[0], R)[3]
+    else:  # the four-arm contrast of the uptake product, pp - mp - pm + mm, over 4
+        nu = (dsg.context_contrast(popmod.arm_means(pop, R, *ks).T[dsg.context_arms(pop.design, *ks)]) / 4.0).T
+    nu_tilde = [None] * R
+    for r, tilde in enumerate(tildes):
+        if failed[r] is None:
+            nu_tilde[r] = value = float(nu[r, contexts.index(tilde)])
+            if value <= 0.0 and len(ks) == 1:
+                failed[r] = NoCompliersError(f"factor {ks[0]}: first stage at {tilde!r} is {value}, bounds undefined")
+            elif value <= 0.0:
+                failed[r] = NoCompliersError(f"factors {ks}: joint first stage at {tilde!r} is {value}")
     return nu_tilde
 
 
@@ -234,7 +251,7 @@ def _taker_terms(pop: Population, k: int, R: int) -> tuple[np.ndarray, np.ndarra
 
 
 @_blockwise
-def adjusted_bounds(pop: Population, R: int, r: int, k: int, tilde: Context) -> Interval:
+def adjusted_bounds(pop: Population, R: int, failed: list, k: int, tilde: Context | str):
     """Main-effect bounds using observable noncomplier outcome means.
 
     The center subtracts the never-taker mean under z_k=+1 and adds the
@@ -243,56 +260,61 @@ def adjusted_bounds(pop: Population, R: int, r: int, k: int, tilde: Context) -> 
     are asymmetric: conditional-complier mass plus the always-taker share
     downward, plus the never-taker share upward.
     """
-    nu_tilde = _resolve_tilde(pop, R, r, k, tilde)
+    nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
     contexts, nu_plus, nu_minus, nu = _nu_arrays(pop, k, R)
-    m = len(contexts)
-    ybar = popmod.arm_means(pop, R)[r]
+    m, ybar, (never, always) = len(contexts), popmod.arm_means(pop, R), _taker_terms(pop, k, R)
     g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
-    gamma_sum = float(g @ ybar)
-    never_term, always_term = (float(term[r]) for term in _taker_terms(pop, k, R))
-    S = float(nu[r].sum())
-    A = float(nu_minus[r].sum())
-    B = float(np.sum(1.0 - nu_plus[r]))
-    denom = m * nu_tilde
-    center = (gamma_sum - never_term + always_term) / denom
-    half_lower = (S + A - m * nu_tilde) / denom
-    half_upper = (S + B - m * nu_tilde) / denom
-    return _make_interval(center, half_lower, half_upper)
+
+    def block(r: int) -> Interval:
+        nu_t = nu_tilde[r]
+        gamma_sum = float(g @ ybar[r])
+        never_term, always_term = float(never[r]), float(always[r])
+        S = float(nu[r].sum())
+        A = float(nu_minus[r].sum())
+        B = float(np.sum(1.0 - nu_plus[r]))
+        denom = m * nu_t
+        center = (gamma_sum - never_term + always_term) / denom
+        half_lower = (S + A - m * nu_t) / denom
+        half_upper = (S + B - m * nu_t) / denom
+        return _make_interval(center, half_lower, half_upper)
+
+    return block
+
+
+def _symmetric(pop: Population, R: int, contrast, ts: list, half):
+    """block(r): the interval g^T Ybar / (m t) -+ half(r, t) at t = ts[r], g the contrast's signs, m = 2^{K-1}."""
+    g, m, ybar = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1), popmod.arm_means(pop, R)
+
+    def block(r: int) -> Interval:
+        h = half(r, ts[r])
+        return _make_interval(float(g @ ybar[r]) / (m * ts[r]), h, h)
+
+    return block
 
 
 @_blockwise
-def simple_bounds(pop: Population, R: int, r: int, k: int, tilde: Context) -> Interval:
+def simple_bounds(pop: Population, R: int, failed: list, k: int, tilde: Context | str):
     """Wald-style center with the coarse half-width (1 - nu(tilde)) / nu(tilde)."""
-    nu_tilde = _resolve_tilde(pop, R, r, k, tilde)
-    m = 1 << (pop.design.K - 1)
-    ybar = popmod.arm_means(pop, R)[r]
-    g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
-    center = float(g @ ybar) / (m * nu_tilde)
-    half = (1.0 - nu_tilde) / nu_tilde
-    return _make_interval(center, half, half)
+    nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
+    return _symmetric(pop, R, dsg.main_effect_contrast(pop.design, k), nu_tilde, lambda r, t: (1.0 - t) / t)
 
 
-def _exclusion_interval(pop: Population, R: int, r: int, k: int, contrast, t: float) -> Interval:
-    """Symmetric interval for g^T Ybar / (m t), half-width (sum of nu(c) - m t) / (m t), of block r."""
-    _, _, _, nu = _nu_arrays(pop, k, R)
-    m = nu.shape[1]
-    g = contrast.signs.astype(np.float64)
-    denom = m * t
-    half = (float(nu[r].sum()) - m * t) / denom
-    return _make_interval(float(g @ popmod.arm_means(pop, R)[r]) / denom, half, half)
+def _exclusion_interval(pop: Population, R: int, k: int, contrast, ts: list):
+    """block(r): the interval g^T Ybar / (m t) -+ (sum of nu(c) - m t) / (m t) at t = ts[r]."""
+    nu, m = _nu_arrays(pop, k, R)[3], 1 << (pop.design.K - 1)
+    return _symmetric(pop, R, contrast, ts, lambda r, t: (float(nu[r].sum()) - m * t) / (m * t))
 
 
 @_blockwise
-def exclusion_bounds(pop: Population, R: int, r: int, k: int, tilde: Context) -> Interval:
+def exclusion_bounds(pop: Population, R: int, failed: list, k: int, tilde: Context | str):
     """Symmetric main-effect bounds under uptake-exclusion for noncompliers."""
-    popmod.require_block(pop, R, r, "exclusion", k)
-    popmod.require_block(pop, R, r, "outcome_exclusion", k)
-    nu_tilde = _resolve_tilde(pop, R, r, k, tilde)
-    return _exclusion_interval(pop, R, r, k, dsg.main_effect_contrast(pop.design, k), nu_tilde)
+    checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]
+    nu_tilde = _resolve_tilde(pop, R, failed, tilde, checks, k)
+    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), nu_tilde)
 
 
 @_blockwise
-def interaction_bounds(pop: Population, R: int, r: int, factors, k: int, tilde: Context) -> Interval:
+def interaction_bounds(pop: Population, R: int, failed: list, factors, k: int, tilde: Context | str):
     """Bounds for an interaction contrast among factor-k constant compliers.
 
     Same half-width as the factor-k exclusion bounds; only the numerator
@@ -301,13 +323,12 @@ def interaction_bounds(pop: Population, R: int, r: int, factors, k: int, tilde: 
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    popmod.require_block(pop, R, r, "exclusion", k)
-    nu_tilde = _resolve_tilde(pop, R, r, k, tilde)
-    return _exclusion_interval(pop, R, r, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
+    nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("exclusion", k), ("monotone", k)], k)
+    return _exclusion_interval(pop, R, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
 
 
 @_blockwise
-def joint_bounds(pop: Population, R: int, r: int, k: int, k2: int, tilde_joint: Context) -> Interval:
+def joint_bounds(pop: Population, R: int, failed: list, k: int, k2: int, tilde_joint: Context | str):
     """Bounds for the two-factor interaction among joint constant compliers.
 
     Needs monotonicity and weak exclusion on both factors, a joint
@@ -315,26 +336,11 @@ def joint_bounds(pop: Population, R: int, r: int, k: int, k2: int, tilde_joint: 
     other's assignment. The first stage is the four-arm contrast of the
     uptake product; at the joint profile it equals the joint share.
     """
-    tilde_joint = tuple(tilde_joint)
-    popmod.require_block(pop, R, r, "monotone", k)
-    popmod.require_block(pop, R, r, "monotone", k2)
-    popmod.require_block(pop, R, r, "exclusion", k)
-    popmod.require_block(pop, R, r, "exclusion", k2)
-    popmod.require_block(pop, R, r, "cross_exclusion", k, k2)
-    popmod.require_least_compliant_block(pop, R, r, tilde_joint, k, k2)
-    pbar = popmod.arm_means(pop, R, k, k2)[r]  # the first stage is its four-arm contrast
-    p_mm, p_pm, p_mp, p_pp = pbar[dsg.context_arms(pop.design, k, k2)]
-    nu_joint = (p_pp - p_mp - p_pm + p_mm) / 4.0
-    nu_tilde = float(nu_joint[dsg.contexts_for(pop.design, k, k2).index(tilde_joint)])
-    if nu_tilde <= 0.0:
-        raise NoCompliersError(
-            f"factors ({k}, {k2}): joint first stage at {tilde_joint!r} is {nu_tilde}"
-        )
-    m = 1 << (pop.design.K - 1)
-    g = dsg.interaction_contrast(pop.design, (k, k2)).signs.astype(np.float64)
-    center = float(g @ popmod.arm_means(pop, R)[r]) / (m * nu_tilde)
-    half = (float(g @ pbar) / (2 * m) - nu_tilde) / nu_tilde
-    return _make_interval(center, half, half)
+    checks = [("monotone", k), ("monotone", k2), ("exclusion", k), ("exclusion", k2), ("cross_exclusion", k, k2)]
+    nu_tilde = _resolve_tilde(pop, R, failed, tilde_joint, checks, k, k2)
+    contrast, pbar = dsg.interaction_contrast(pop.design, (k, k2)), popmod.arm_means(pop, R, k, k2)
+    g, m = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1)
+    return _symmetric(pop, R, contrast, nu_tilde, lambda r, t: (float(g @ pbar[r]) / (2 * m) - t) / t)
 
 
 def constant_complier_share(pop: Population, k: int) -> float:
@@ -342,7 +348,7 @@ def constant_complier_share(pop: Population, k: int) -> float:
 
 
 @_blockwise
-def conservative_bounds(pop: Population, R: int, r: int, k: int, t: float) -> Interval:
+def conservative_bounds(pop: Population, R: int, failed: list, k: int, t: float):
     """Exclusion-style bounds anchored at a declared complier-share floor t.
 
     Valid for any 0 < t <= the constant-complier share; the interval widens
@@ -350,15 +356,13 @@ def conservative_bounds(pop: Population, R: int, r: int, k: int, t: float) -> In
     """
     if not np.isfinite(t) or t <= 0.0:
         raise InvalidShareError(f"complier-share floor must be positive, got {t!r}")
-    popmod.require_block(pop, R, r, "monotone", k)
-    popmod.require_block(pop, R, r, "profile", k)
-    popmod.require_block(pop, R, r, "exclusion", k)
-    rho = popmod.constant_complier_count.stacked(pop, R, k)[r] / (pop.N // R)
-    if t > rho:
-        raise InvalidShareError(
-            f"floor t={t} exceeds the constant-complier share {rho}"
-        )
-    return _exclusion_interval(pop, R, r, k, dsg.main_effect_contrast(pop.design, k), t)
+    for token in ("monotone", "profile", "exclusion"):
+        popmod.require_blocks(pop, R, failed, token, k)
+    counts, n = popmod.constant_complier_count.stacked(pop, R, k), pop.N // R
+    for r, count in enumerate(counts):
+        if failed[r] is None and t > count / n:
+            failed[r] = InvalidShareError(f"floor t={t} exceeds the constant-complier share {count / n}")
+    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), [t] * R)
 
 
 # --- method table ---------------------------------------------------------------
@@ -366,10 +370,7 @@ def conservative_bounds(pop: Population, R: int, r: int, k: int, t: float) -> In
 
 def method_truth(pop: Population, k: int, method: str) -> float:
     """The true effect a method's interval bounds: truth_stack's one block."""
-    (truth,) = truth_stack(pop, 1, k, method)
-    if isinstance(truth, FactorBoundsError):
-        raise truth.with_traceback(None)  # a stored error, raised afresh each time
-    return truth
+    return _one_block(truth_stack(pop, 1, k, method))
 
 
 def truth_stack(pop: Population, R: int, k: int, method: str) -> list:
@@ -383,9 +384,10 @@ def truth_stack(pop: Population, R: int, k: int, method: str) -> list:
 
 @_memoized
 def _truth(pop: Population, k: int, kind: str, args: tuple, R: int = 1) -> tuple:
+    # looked up per call, so a wrapper installed on the module attribute sees it
     formula = {"main": main_effect, "interaction": interaction_effect, "joint": joint_interaction_effect}[kind]
     lead = {"main": (k,), "interaction": (args, k), "joint": (k, *args)}[kind]
-    return tuple(_each_block(R, lambda r: formula.block(pop, R, r, *lead)))
+    return tuple(formula(pop, *lead, R=R))
 
 
 @_memoized
@@ -396,7 +398,7 @@ def method_interval(pop: Population, k: int, method: str, profile="min") -> tupl
     context (joint context for the joint method). The conservative method
     takes no profile and returns None for it.
     """
-    return _interval(pop, 1, 0, k, method, profile)
+    return _one_block(interval_stack(pop, 1, k, method, profile))
 
 
 @_memoized
@@ -404,23 +406,23 @@ def interval_stack(pop: Population, R: int, k: int, method: str, profile="min") 
     """method_interval for pop's R equal unit blocks (R populations stacked):
     per block the (interval, profile) pair, or the FactorBoundsError it
     raises there."""
-    return _each_block(R, lambda r: _interval(pop, R, r, k, method, profile))
-
-
-def _interval(pop: Population, R: int, r: int, k: int, method: str, profile) -> tuple[Interval, Context | None]:
     kind, args, policy, ctx = parse_request(pop.design.K, method, profile)
+    tilde = "min" if policy == "min" else ctx
+    # the formulas are looked up per call, so a wrapper installed on a module attribute sees the call
     if kind == "conservative":
-        return conservative_bounds.block(pop, R, r, k, args[0]), None
-    ks = (k, *args) if kind == "joint" else (k,)
-    if policy == "min":
-        ctx = popmod.require_block(pop, R, r, "joint_profile" if kind == "joint" else "profile", *ks)[0]
-    if kind == "joint":
-        return joint_bounds.block(pop, R, r, k, args[0], ctx), ctx
-    if kind == "interaction":
-        return interaction_bounds.block(pop, R, r, args, k, ctx), ctx
-    # looked up per call, so a wrapper installed on the module attribute sees it
-    bounds = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}[kind]
-    return bounds.block(pop, R, r, k, ctx), ctx
+        ivs, policy, ctx = conservative_bounds(pop, k, *args, R=R), None, None
+    elif kind == "joint":
+        ivs = joint_bounds(pop, k, *args, tilde, R=R)
+    elif kind == "interaction":
+        ivs = interaction_bounds(pop, args, k, tilde, R=R)
+    else:
+        main = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}[kind]
+        ivs = main(pop, k, tilde, R=R)
+    ctxs = [ctx] * R
+    if policy == "min" and not all(isinstance(iv, FactorBoundsError) for iv in ivs):  # else the check may not have run
+        ks = (k, *args) if kind == "joint" else (k,)
+        ctxs = [valid[0] if valid else None for valid in popmod.check_least_compliant_profile.stacked(pop, R, *ks)]
+    return [iv if isinstance(iv, FactorBoundsError) else (iv, c) for iv, c in zip(ivs, ctxs)]
 
 
 def method_report(pop: Population, k: int, method: str, profile="min") -> dict:

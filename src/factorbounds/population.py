@@ -40,6 +40,7 @@ from . import design as dsg
 from .design import Context, FactorialDesign
 from .errors import (
     AssumptionViolationError,
+    FactorBoundsError,
     InvalidInputError,
     NoCompliersError,
 )
@@ -260,8 +261,12 @@ class ComplianceProfile:
         return self.labels == COMPLIER
 
     def constant_complier_mask(self) -> np.ndarray:
-        """(N,) boolean: complies at every context."""
-        return (self.labels == COMPLIER).all(axis=1)
+        """(N,) boolean, read-only: complies at every context."""
+        return self._constant_compliers
+
+    @cached_property
+    def _constant_compliers(self) -> np.ndarray:  # computed once per profile
+        return frozen((self.labels == COMPLIER).all(axis=1))[0]
 
 
 def _factor_bits(pop: Population, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -425,35 +430,51 @@ def _who(ks: tuple[int, ...]) -> str:
     return f"factor {ks[0]}" if len(ks) == 1 else f"factors {ks}"
 
 
+def _one_block(answers: list):
+    """The answer of a one-block stack, an error raised afresh (kept without the frames that raised it)."""
+    (answer,) = answers
+    if isinstance(answer, FactorBoundsError):
+        raise answer.with_traceback(None)
+    return answer
+
+
 def require(pop: Population, token: str, *ks: int):
     """The value of the token's check on pop at factors ks; raises the
     token's error, naming the factors, when that value does not pass."""
-    return require_block(pop, 1, 0, token, *ks)
-
-
-def require_block(pop: Population, R: int, r: int, token: str, *ks: int):
-    """require on block r of pop's R equal unit blocks, the check run once, stacked, for all of them."""
-    _, check, passes, error, text = ASSUMPTIONS[token]
-    value = check.stacked(pop, R, *ks)[r]
-    if not passes(value):
-        shown = f"{value[:5]}" + ("..." if len(value) > 5 else "") if isinstance(value, list) else ""
-        raise error(f"{_who(ks)}: {text.format(shown)}")
+    failed = [None]
+    (value,) = require_blocks(pop, 1, failed, token, *ks)
+    _one_block(failed)  # raises the error, if any
     return list(value) if type(value) is list else value  # a fresh copy, as the memo hands out
+
+
+def require_blocks(pop: Population, R: int, failed: list, token: str, *ks: int) -> list:
+    """require on pop's R equal unit blocks, the check run once, stacked,
+    for all of them: returns its R values and puts require's error in
+    failed[r] for each block r still open (failed[r] None) that misses."""
+    _, check, passes, error, text = ASSUMPTIONS[token]
+    values = check.stacked(pop, R, *ks)
+    for r, value in enumerate(values):
+        if failed[r] is None and not passes(value):
+            shown = f"{value[:5]}" + ("..." if len(value) > 5 else "") if isinstance(value, list) else ""
+            failed[r] = error(f"{_who(ks)}: {text.format(shown)}")
+    return values
 
 
 def require_least_compliant(pop: Population, tilde: Context, *ks: int) -> None:
     """Refuse a declared profile tilde that is not a least-compliant context of ks, one factor or a pair."""
-    require_least_compliant_block(pop, 1, 0, tilde, *ks)
+    failed = [None]
+    require_least_compliant_blocks(pop, 1, failed, [tilde], *ks)
+    _one_block(failed)  # raises the error, if any
 
 
-def require_least_compliant_block(pop: Population, R: int, r: int, tilde: Context, *ks: int) -> None:
-    """require_least_compliant on block r of pop's R equal unit blocks."""
-    valid = check_least_compliant_profile.stacked(pop, R, *ks)[r]
-    if tilde not in valid:
-        joint = "joint " if len(ks) == 2 else ""
-        raise AssumptionViolationError(
-            f"{_who(ks)}: context {tilde!r} is not a {joint}least-compliant profile; valid set {valid!r}"
-        )
+def require_least_compliant_blocks(pop: Population, R: int, failed: list, tildes: list, *ks: int) -> None:
+    """require_least_compliant on each open block r of pop's R equal unit blocks, with its profile tildes[r]."""
+    joint = "joint " if len(ks) == 2 else ""
+    for r, valid in enumerate(check_least_compliant_profile.stacked(pop, R, *ks)):
+        if failed[r] is None and tildes[r] not in valid:
+            failed[r] = AssumptionViolationError(
+                f"{_who(ks)}: context {tildes[r]!r} is not a {joint}least-compliant profile; valid set {valid!r}"
+            )
 
 
 @dataclass(frozen=True)

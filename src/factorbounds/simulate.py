@@ -481,7 +481,7 @@ def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.
 
 
 _RETRY_CAP = 100
-_CHUNK_CELLS = 1 << 15  # (unit, arm) cells per chunk of replications: a float64 array over them is 256 KiB
+_CHUNK_CELLS = 1 << 16  # (unit, arm) cells per chunk of replications: a float64 array over them is 512 KiB
 
 
 def _generate(config: ScenarioConfig, reps) -> Population:

@@ -95,6 +95,8 @@ def test_analyze_methods_split_and_validate(capsys, census_csv):
     assert rc == 2 and "error" in err
     rc, _, err = run(capsys, ["analyze", str(census_csv), "--method", "conservative:0.4"])
     assert rc == 2 and "oracle" in err
+    rc, out, err = run(capsys, ["analyze", str(census_csv), "--method", "joint:2", "--factor", "2"])
+    assert (rc, out, err) == (2, "", "error: joint contexts need two distinct factors, got 2 twice\n")
 
 
 def test_analyze_non_utf8_input_exits_2(capsys, tmp_path):

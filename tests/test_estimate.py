@@ -503,8 +503,8 @@ def test_estimate_validates_factors(p4_census):
         estimate_bounds(p4_census, 3, "simple")
     with pytest.raises(InvalidFactorError):
         estimate_bounds(p4_census, 1, "interaction:2+3")
-    with pytest.raises(InvalidFactorError):
-        estimate_bounds(p4_census, 1, "joint:1")
+    with pytest.raises(InvalidFactorError, match=r"^joint contexts need two distinct factors, got 1 twice$"):
+        estimate_bounds(p4_census, 1, "joint:1")  # the oracle's wording for the same pair
 
 
 def test_to_dict_field_contract(p4_census):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -498,11 +499,58 @@ def test_stacked_oracle_reaches_different_errors_within_one_stack():
     assert len(errors) >= 4 and len(errors) < len(answers), errors  # defiers, no profile, weak and cross exclusion
 
 
+def test_each_block_reports_its_first_failing_check_in_the_scalar_order():
+    # a population failing monotonicity, the profile and weak and outcome
+    # exclusion of factor 1 reports, per method, the first failing check in
+    # the order the formula runs them, alone and as a block of a stack beside
+    # a population passing them; joint:1's refused factor pair comes after
+    # them, and is the other block's answer
+    bad = random_population(np.random.default_rng(0), 2, 12)
+    good = fixture_p4().clone(3)
+    stack = Population.from_pattern(bad.design, np.concatenate([bad.pattern, good.pattern]),
+                                    np.concatenate([bad.outcome, good.outcome]))
+    defiers, no_profile = "factor 1: defiers present", "factor 1: no uniformly least compliant context"
+    first = [
+        ("exclusion", (-1,), "factor 1: uptake of other factors shifts"),
+        ("exclusion", "min", no_profile),
+        ("interaction:1+2", (-1,), "factor 1: uptake of other factors shifts"),
+        ("adjusted", (-1,), defiers),
+        ("adjusted", "min", no_profile),
+        ("joint:2", (), defiers),
+        ("conservative:0.1", "min", defiers),
+        ("joint:1", (), defiers),
+    ]
+    for method, profile, message in first:
+        with pytest.raises(FactorBoundsError, match=f"^{re.escape(message)}"):
+            method_interval(bad, 1, method, profile)
+        failed, passed = oracle.interval_stack(stack, 2, 1, method, profile)
+        assert str(failed).startswith(message), (method, profile, failed)
+        assert _key(passed) == _answer(lambda: method_interval(good, 1, method, profile)), (method, profile)
+    assert str(passed) == "joint contexts need two distinct factors, got 1 twice"
+
+
+def test_the_min_profile_is_the_first_least_compliant_context():
+    # every unit responds to z1 alike at both contexts (always-takers at one
+    # are never-takers at the other), so both are least compliant; their
+    # first stages differ in the last bit, and min takes the first context
+    design = enumerate_assignments(2)
+    pattern = np.array([[0, 0, 2, 2], [0, 1, 2, 3], [0, 1, 2, 3], [1, 1, 2, 2], [1, 1, 3, 3], [0, 1, 2, 3]], np.uint8)
+    pop = Population.from_pattern(design, pattern, np.full((6, 4), 0.5))
+    assert check_least_compliant_profile(pop, 1) == ((-1,), (1,))
+    assert exclusion_bounds(pop, 1, (-1,)) != exclusion_bounds(pop, 1, (1,))
+    for method, formula in (("exclusion", exclusion_bounds), ("adjusted", adjusted_bounds)):
+        assert formula(pop, 1, "min") == formula(pop, 1, (-1,))
+        assert method_interval(pop, 1, method) == (formula(pop, 1, (-1,)), (-1,))
+    stack = Population.from_pattern(design, np.tile(pattern, (2, 1)), np.full((12, 4), 0.5))
+    assert oracle.interval_stack(stack, 2, 1, "exclusion") == [method_interval(pop, 1, "exclusion")] * 2
+
+
 @pytest.mark.parametrize("mode", ["fixed", "clone"])
 def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode):
     # one population serves every replication, so each formula runs once per
     # monte_carlo call, as a one-block stack, however many chunks the
-    # replications take; the main-effect targets of factor 1 share one truth
+    # replications take; the main-effect targets of factor 1 share one truth.
+    # The calls go through the module attributes, where a tracer sees them
     targets = tuple(
         TargetSpec(factor=1, method=m) for m in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2")
     ) + (TargetSpec(factor=2, method="exclusion", profile="declared:-1"),)
@@ -520,9 +568,9 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
     names = ("main_effect", "interaction_effect", "joint_interaction_effect", "adjusted_bounds", "simple_bounds")
     names += ("exclusion_bounds", "interaction_bounds", "joint_bounds")
     for name in names:
-        compute = getattr(oracle, name).block
-        wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append((_n, a[1])) or _f(*a, **kw)
-        monkeypatch.setattr(getattr(oracle, name), "block", wrapper)
+        compute = getattr(oracle, name)
+        wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append((_n, kw["R"])) or _f(*a, **kw)
+        monkeypatch.setattr(oracle, name, wrapper)
     report = monte_carlo(config, R=120)  # several chunks of replications
     assert all(t.n_ok == 120 for t in report.targets)
     assert sorted(calls) == sorted(

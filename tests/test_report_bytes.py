@@ -34,6 +34,7 @@ def test_type_and_sign_of_zero_count_as_differences():
 
 
 def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
+    from factorbounds import simulate
     from factorbounds.simulate import ScenarioConfig
 
     written = report_bytes.scenarios()
@@ -48,7 +49,8 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     assert [(t.method, t.profile) for t in stacked.targets] == [
         ("interaction:1+2", "min"), ("joint:2", "min"), ("exclusion", "declared:-1,-1"), ("adjusted", "min")
     ]
-    assert (1 << 15) // (stacked.N * 2**stacked.K) > 1  # several replications in one chunk
+    per_chunk = simulate._CHUNK_CELLS // (stacked.N << stacked.K)
+    assert 2 <= per_chunk <= 200 - 2  # -R 200 spans two chunks or more, each of several replications
     fixed = ScenarioConfig.from_dict(written["k4_fixed.json"])
     assert fixed.population_mode == "fixed"
     assert [t.method for t in fixed.targets] == ["adjusted", "exclusion", "joint:2"]
@@ -56,7 +58,7 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     paths = {name: Path(name) for name in [*written, *generated, "p4_outcome_exclusion.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
-    assert ["simulate", "k3_stacked_chunks.json", "-R", "120"] in report_bytes.commands(paths)
+    assert ["simulate", "k3_stacked_chunks.json", "-R", "200"] in report_bytes.commands(paths)
     methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
     assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
     no_profile = ["oracle", "k3_no_profile.json", "--method", "adjusted,exclusion,joint:2", "--factor", "1"]

@@ -799,12 +799,50 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     assert [(t.factor, t.method) for t in config.targets] == [(1, "exclusion"), (1, "adjusted")]
     calls = []
     for name in ("main_effect", "exclusion_bounds", "adjusted_bounds"):
-        compute = getattr(oracle, name).block
+        compute = getattr(oracle, name)
         wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
-        monkeypatch.setattr(getattr(oracle, name), "block", wrapper)
+        monkeypatch.setattr(oracle, name, wrapper)
     report = monte_carlo(config, R=5)
     assert all(t.n_ok == 5 and t.n_oracle == 5 for t in report.targets)
     assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect"]
+
+
+def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    # one replication per chunk, seven, the default chunk size and every
+    # replication in one chunk give the same report on a fresh scenario
+    # whose generation retries, whose violate token puts a defier on factor
+    # 2, and whose factor-1 exclusion target has an oracle reference in some
+    # replications only
+    config = ScenarioConfig.from_dict({
+        "K": 2,
+        "N": 24,
+        "factors": [
+            {"always": 0.0, "complier": 0.1, "depends_on": [2], "upgrade": 0.5, "worst": [-1]},
+            {"always": 0.1, "complier": 0.6},
+        ],
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.2, 0.4], [0.1, 0.2]], "model": "m1"},
+        "require": ["monotone:1", "profile:1", "first_stage:1"],
+        "violate": ["monotone:2"],
+        "seed": 4,
+        "targets": [
+            {"factor": 1, "method": "exclusion"},
+            {"factor": 1, "method": "adjusted"},
+            {"factor": 2, "method": "simple"},
+        ],
+    })
+    R, draws = 30, []
+    draw_types = simulate._draw_types
+    monkeypatch.setattr(simulate, "_draw_types", lambda c, d, rngs: draws.append(len(rngs)) or draw_types(c, d, rngs))
+    reports, cells = [], config.N << config.K  # per replication
+    for chunk_cells in (cells, 7 * cells, simulate._CHUNK_CELLS, R * cells):
+        monkeypatch.setattr(simulate, "_CHUNK_CELLS", chunk_cells)
+        draws.clear()
+        reports.append(monte_carlo(config, R).to_json())
+        assert len(draws) > -(-R // (chunk_cells // cells))  # some chunk drew again
+    assert len(set(reports)) == 1
+    exclusion, adjusted, defier = json.loads(reports[0])["targets"]
+    assert 0 < exclusion["n_oracle"] < exclusion["n_ok"]
+    assert defier["n_oracle"] == 0 and defier["n_ok"] > 0
 
 
 def test_retry_scenario_report_pinned():
