@@ -36,10 +36,11 @@ scenarios and ``data/`` files are each tree's own), BLAS on one thread and
 ``FB_SEED`` unset.
 
 For every command the exit code, stderr and stdout must be identical. When
-stdout differs and both sides are JSON, each differing field is printed
-with its path and the absolute difference of numbers; otherwise the first
-differing lines are shown. The exit status is 0 when every output is
-identical and 1 otherwise.
+stdout differs and both sides are JSON, one line gives how many fields
+differ and the largest absolute difference over all of them, and the first
+20 differing fields follow with their paths and the absolute difference of
+numbers; otherwise the first differing lines are shown. The exit status is
+0 when every output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -364,6 +365,18 @@ def json_diff(parent, change, path: str = "$") -> list[tuple[str, object, object
     return [(path, parent, change, gap)]
 
 
+def summary(found: list) -> str:
+    """How many fields of json_diff's list differ, and the largest |diff| over
+    all of them (those that are not two numbers are counted apart)."""
+    gaps = [gap for *_, gap in found if gap is not None]
+    line = f"{len(found)} JSON field(s) differ"
+    if gaps:
+        line += f", largest |diff| {max(gaps):.3g}"
+    if len(gaps) < len(found):
+        line += f", {len(found) - len(gaps)} not two numbers"
+    return line
+
+
 def describe(name: str, parent: str, change: str) -> list[str]:
     """Lines that show how one output stream differs."""
     try:
@@ -371,7 +384,7 @@ def describe(name: str, parent: str, change: str) -> list[str]:
     except ValueError:  # not JSON on both sides: show the text
         lines = list(difflib.unified_diff(parent.splitlines(), change.splitlines(), "parent", "change", lineterm=""))
         return [f"  {name}:"] + [f"    {line}" for line in lines[:SHOWN]]
-    out = [f"  {name}: {len(found)} JSON field(s) differ"]
+    out = [f"  {name}: {summary(found)}"]
     for path, p, c, gap in found[:SHOWN]:
         out.append(f"    {path}: parent {p!r} change {c!r}" + ("" if gap is None else f" |diff| {gap:.3g}"))
     if len(found) > SHOWN:

@@ -43,6 +43,7 @@ from .errors import (
 from .population import _memoized, _one_block, frozen
 
 _SQRT2 = math.sqrt(2.0)
+_NORMAL = NormalDist()
 
 
 def _first_stage_table(
@@ -466,8 +467,7 @@ class ConfidenceInterval:
 @lru_cache(maxsize=64)
 def _im_bracket(alpha: float) -> tuple[float, float]:
     """The bisection's padded bracket: the one- and two-sided normal quantiles at alpha."""
-    nd = NormalDist()
-    return nd.inv_cdf(1.0 - alpha) - 0.1, nd.inv_cdf(1.0 - alpha / 2.0) + 0.1
+    return _NORMAL.inv_cdf(1.0 - alpha) - 0.1, _NORMAL.inv_cdf(1.0 - alpha / 2.0) + 0.1
 
 
 def im_critical_value(width_over_se: float, alpha: float) -> float:
@@ -478,7 +478,7 @@ def im_critical_value(width_over_se: float, alpha: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not np.isfinite(width_over_se) or width_over_se < 0.0:
+    if not math.isfinite(width_over_se) or width_over_se < 0.0:
         raise InvalidInputError(f"width/SE ratio must be finite and >= 0, got {width_over_se!r}")
     lo, hi = _im_bracket(alpha)
     target, w, erf = 1.0 - alpha, width_over_se, math.erf
@@ -495,16 +495,15 @@ def imbens_manski_ci(est: BoundsEstimate, alpha: float = 0.05) -> ConfidenceInte
     """CI on the raw endpoints, then intersected with [-1, 1]."""
     L, U, se_lower, se_upper = est.raw_lower, est.raw_upper, est.se_lower, est.se_upper
     for v in (L, U, se_lower, se_upper):
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise InvalidInputError(f"nonfinite input to the confidence interval: {v!r}")
     if se_lower < 0.0 or se_upper < 0.0:
         raise InvalidInputError("standard errors must be nonnegative")
     if not (0.0 < alpha < 1.0):
         raise InvalidInputError(f"alpha must be in (0, 1), got {alpha!r}")
     max_se = max(se_lower, se_upper)
-    nd = NormalDist()
     if max_se == 0.0:
-        C = nd.inv_cdf(1.0 - alpha) if U > L else nd.inv_cdf(1.0 - alpha / 2.0)
+        C = _NORMAL.inv_cdf(1.0 - alpha) if U > L else _NORMAL.inv_cdf(1.0 - alpha / 2.0)
         lo, hi = (L, U) if L <= U else (U, L)
     else:
         width = max(0.0, U - L)

@@ -447,31 +447,44 @@ def _pack_types(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
     return pattern.T
 
 
+def _subset_sums(terms, out: np.ndarray) -> np.ndarray:
+    """Fill and return out, whose row p is the sum of terms[h] over the set
+    bits h of p, added lowest bit first from 0.0: row 2^h + q is row q plus
+    terms[h], a row or a (2^h, n) table, for q < 2^h."""
+    out[0] = 0.0
+    for h, term in enumerate(terms):
+        np.add(out[: 1 << h], term, out=out[1 << h : 2 << h])
+    return out
+
+
 def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.ndarray, rngs: list) -> np.ndarray:
     """(R*N, J) outcomes of the R replications stacked in the packed uptake
     pattern, each drawn from its own generator. An outcome depends on the arm
-    only through the pattern, so blocks of up to 2^15 (pattern, unit) cells
-    tabulate each unit's index over the J patterns and gather it through the
-    pattern: every cell takes the float steps of the cellwise formula."""
+    only through the pattern p, so blocks of up to 2^15 (pattern, unit) cells
+    tabulate each unit's outcome over the J patterns and gather it through
+    the pattern. Cell p sums, each sum from 0.0 in increasing factor order:
+    ((beta_k over the bits k of p) + alpha) + (over the bits h of p, eta(a, h)
+    over the bits a < h of p), then clips to [0, 1]."""
     spec = config.outcome
     n, K, J = config.N, config.K, design.J
     N = pattern.shape[0]
     alpha = _draws(rngs, lambda rng: rng.uniform(spec.alpha[0], spec.alpha[1], n))
     beta_ranges = spec.beta if spec.beta else tuple((0.2, 0.4) for _ in range(K))
-    beta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(lo, hi, n)) for lo, hi in beta_ranges])
-    bits = (np.arange(J)[:, None] >> np.arange(K) & 1).astype(np.float64)  # (pattern, factor)
-    both = [np.flatnonzero(bits[:, a] * bits[:, b]) for a, b in combinations(range(K), 2)]
-    if both:
-        eta = np.column_stack([_draws(rngs, lambda rng: rng.uniform(spec.eta[0], spec.eta[1], n)) for _ in both])
+    beta = np.stack([_draws(rngs, lambda rng: rng.uniform(lo, hi, n)) for lo, hi in beta_ranges])  # (K, N)
+    if K > 1:  # eta(a, h), drawn pair by pair, held grouped by the higher factor h: row h(h-1)/2 + a
+        drawn = {pair: _draws(rngs, lambda rng: rng.uniform(*spec.eta, n)) for pair in combinations(range(K), 2)}
+        eta = np.stack([drawn[a, h] for h in range(K) for a in range(h)])
     lin = np.empty((N, J))
-    rows = max(1, min(1 << 15, N * J // 4) // J)  # a block's table, index and gather stay under lin's size
+    rows = max(1, min(1 << 15, N * J // 4) // J)  # a block's tables, index and gather stay under lin's size
     for start in range(0, N, rows):
         units = slice(start, start + rows)
-        table = np.einsum("nk,pk->pn", beta[units], bits)  # not matmul: BLAS sums in another order
+        n_units = min(rows, N - start)  # table[p, i] sits at p * n_units + i
+        table = _subset_sums(beta[:, units], np.empty((J, n_units)))
         table += alpha[units]
-        for idx, patterns in enumerate(both):
-            table[patterns] += eta[units, idx]  # the cellwise formula added an exact 0.0 elsewhere
-        n_units = table.shape[1]  # table[p, i] sits at p * n_units + i
+        if K > 1:  # the pair table, from each h's table of eta(a, h) over its lower bits a
+            groups = (eta[h * (h - 1) // 2 : h * (h + 1) // 2, units] for h in range(K))
+            lower = [_subset_sums(terms, np.empty((1 << h, n_units))) for h, terms in enumerate(groups)]
+            table += _subset_sums(lower, np.empty((J, n_units)))
         lin[units] = table.ravel().take(pattern[units].astype(np.intp) * n_units + np.arange(n_units)[:, None])
     y = np.clip(lin, 0.0, 1.0, out=lin)
     if spec.model == "m2":

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,16 @@ def test_compared_population_has_every_compliance_group(tmp_path):
     assert paths["p4_outcome_exclusion.json"].read_bytes() == (ROOT / "data" / "p4_outcome_exclusion.json").read_bytes()
     with pytest.raises(AssumptionViolationError, match="factor 1: outcome shifts"):
         oracle.method_report(population.load_population(paths["p4_outcome_exclusion.json"]), 1, "exclusion", "min")
+
+
+def test_the_summary_bounds_every_differing_field_beyond_the_shown_ones():
+    # SHOWN + 5 fields differ, the largest of them last, past the listing's cap
+    shown = report_bytes.SHOWN
+    parent = {"n": 3, "x": [0.5] * (shown + 4)}
+    change = {"n": "3", "x": [0.5 + 2**-50] * (shown + 3) + [0.5 + 2**-40]}
+    lines = report_bytes.describe("stdout", json.dumps(parent), json.dumps(change))
+    assert lines[0] == f"  stdout: {shown + 5} JSON field(s) differ, largest |diff| {2**-40:.3g}, 1 not two numbers"
+    assert len(lines) == 1 + shown + 1 and lines[-1] == "    ... 5 more"
+    assert lines[1] == "    $.n: parent 3 change '3'"
+    one = report_bytes.describe("stdout", json.dumps(parent), json.dumps({**parent, "n": 4}))
+    assert one == ["  stdout: 1 JSON field(s) differ, largest |diff| 1", "    $.n: parent 3 change 4 |diff| 1"]

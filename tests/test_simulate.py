@@ -143,20 +143,22 @@ def test_generation_deterministic():
 
 # sha256 of uptake.tobytes() + outcome.tobytes() for reps 0 and 1, taken
 # before the generation kernels were rewritten; any change of an RNG draw,
-# its order or a floating-point step shows here
+# its order or a floating-point step shows here. K5_m1_eta and
+# K9_m1_negative_eta were re-taken when the outcome tables came to be built
+# by subset sums (simulate._subset_sums): that summation order moved some
+# m1 outcomes in the last bit, and it is the order _elementwise_outcomes states
 GENERATION_PINS = {
     "K5_m1_eta": (
-        "60fc7bc8c184e0a145920151dfe61621e007e2b034aa630d3875b8f040884d1b",
-        "1c84f85f0d8de4fc09efc2e45abece1165d0ea8fdc73fe8bf891021f2bcb5bf8",
+        "923d5d77dc59ec8b87a9289aff7af07c2f8969f4fd787a464da01b95fa3ec239",
+        "f701fd3f5af53a58cc47970f3f4ae4bf9cdd5b0dac1a1d4cb02d0e6e46c5e6d1",
     ),
     "K3_m2_violate": (
         "bef36931d5dfbf4e74a90b1036eaea682371473ee4f509ada5762af0f4a13d80",
         "842b55f90c0a883c84fd2d3f303d8943107f7bcaf6b06d69fa30416189a41481",
     ),
-    # taken before outcomes were gathered through the uptake pattern
     "K9_m1_negative_eta": (
-        "d020bd37de2ffb039c1a839e1314077bea1097f28b28f92352f21830c7741810",
-        "376beb9c5fa941cc207e40d1dff53218060197eb27cd13d7e1c47a9b7f818124",
+        "9a91e4c4f3a0770e34553e88c1f0b92cbd1f80fcdc742694fba0b589a279b7c5",
+        "faca170e9f8cfa4a0c373b5d877a8bb1ad4edd01aed48c47700e128f18bff49a",
     ),
     "K1_m2": (
         "129a4af5cf4a32a65cd7afcd2147371c7d25727b8c0ff179e163df1d545fb296",
@@ -237,21 +239,36 @@ def test_stacked_generation_equals_one_replication_at_a_time():
         assert valid[i] == check_least_compliant_profile(alone, 1)
 
 
-def _elementwise_outcomes(config, uptake, rngs):
+def _elementwise_outcomes(config, uptake, rngs, einsum=False):
     """The outcome formula cell by cell over (unit, arm) on the (R*N, J, K)
-    uptake, as generation computed it before the pattern tables: the same
-    draws from each replication's generator, the same float steps in order."""
+    uptake, with the draws of each replication's generator in generation's
+    order. Each sum starts from 0.0 and runs in increasing factor order:
+    the beta terms, then alpha, then the pair terms grouped by their higher
+    factor. einsum=True sums the beta terms by np.einsum and adds each pair
+    term in draw order, as generation did before the subset sums."""
     spec, n, K = config.outcome, config.N, config.K
     draws = lambda lo, hi: np.concatenate([rng.uniform(lo, hi, n) for rng in rngs])
     alpha = draws(*spec.alpha)
-    beta = np.column_stack([draws(lo, hi) for lo, hi in spec.beta])
-    pairs = list(itertools.combinations(range(K), 2))
-    eta = np.column_stack([draws(*spec.eta) for _ in pairs]) if pairs else None
-    on = (uptake > 0).astype(np.float64)
-    lin = np.einsum("nk,njk->nj", beta, on)
-    lin += alpha[:, None]
-    for idx, (a, b) in enumerate(pairs):
-        lin += eta[:, idx, None] * ((uptake[:, :, a] > 0) & (uptake[:, :, b] > 0))
+    beta = [draws(lo, hi) for lo, hi in spec.beta]
+    eta = {pair: draws(*spec.eta) for pair in itertools.combinations(range(K), 2)}
+    on = uptake > 0
+    if einsum:
+        lin = np.einsum("nk,njk->nj", np.column_stack(beta), on.astype(np.float64))
+        lin += alpha[:, None]
+        for (a, h), term in eta.items():
+            lin += term[:, None] * (on[:, :, a] & on[:, :, h])
+    else:
+        lin = np.zeros(on.shape[:2])
+        for k in range(K):
+            lin += beta[k][:, None] * on[:, :, k]  # an exact 0.0 or -0.0 where factor k is off
+        lin += alpha[:, None]
+        pairs = np.zeros_like(lin)
+        for h in range(K):
+            group = np.zeros_like(lin)
+            for a in range(h):
+                group += eta[a, h][:, None] * (on[:, :, a] & on[:, :, h])
+            pairs += group
+        lin += pairs
     y = np.clip(lin, 0.0, 1.0)
     if spec.model == "m2":
         y = (y >= draws(0.0, 1.0)[:, None]).astype(np.float64)
@@ -275,7 +292,55 @@ def test_pattern_outcome_tables_equal_elementwise_formula(K, model):
     uptake = np.where(np.random.default_rng(K).random((R * N, J, K)) < 0.5, -1, 1).astype(np.int8)
     rngs = lambda: [np.random.default_rng([K, rep]) for rep in range(R)]
     got = simulate._draw_outcomes(config, enumerate_assignments(K), popmod.pack_uptake(uptake), rngs())
-    assert got.tobytes() == _elementwise_outcomes(config, uptake, rngs()).tobytes()
+    want = _elementwise_outcomes(config, uptake, rngs())
+    assert got.tobytes() == want.tobytes()
+    if K <= 2:  # the subset sums keep the bits of the einsum generation used before them
+        assert want.tobytes() == _elementwise_outcomes(config, uptake, rngs(), einsum=True).tobytes()
+
+
+@pytest.mark.parametrize("K", range(1, 11))
+def test_subset_sums_add_each_patterns_terms_lowest_bit_first(K):
+    rng = np.random.default_rng([K, 99])
+    terms = rng.uniform(-1.0, 1.0, (K, 3))
+    got = simulate._subset_sums(terms, np.empty((1 << K, 3)))
+    for p in range(1 << K):
+        want = np.zeros(3)
+        for h in range(K):
+            if p >> h & 1:
+                want = want + terms[h]
+        assert got[p].tobytes() == want.tobytes()
+    # every unit takes every pattern once, so its J outcomes are its table:
+    # N = 21 units fill blocks of 5 units and a last one of 1 at every K;
+    # the terms are negative or positive, and K = 1 has no pair terms
+    N, J = 21, 1 << K
+    config = ScenarioConfig(
+        K=K,
+        N=N,
+        seed=0,
+        factors=(FactorSpec(complier=0.5),) * K,
+        outcome=OutcomeSpec(model="m1", alpha=(0.3, 0.6), beta=((-0.05, 0.06),) * K, eta=(-0.01, 0.01)),
+    )
+    pattern = np.broadcast_to(np.arange(J, dtype=popmod.pattern_dtype(K)), (N, J))
+    got = simulate._draw_outcomes(config, enumerate_assignments(K), pattern, [np.random.default_rng(K)])
+    rng = np.random.default_rng(K)
+    alpha = rng.uniform(*config.outcome.alpha, N)
+    beta = [rng.uniform(lo, hi, N) for lo, hi in config.outcome.beta]
+    eta = {pair: rng.uniform(*config.outcome.eta, N) for pair in itertools.combinations(range(K), 2)}
+    for p in range(J):
+        on = [k for k in range(K) if p >> k & 1]
+        lin = np.zeros(N)
+        for k in on:
+            lin = lin + beta[k]
+        lin = lin + alpha
+        pairs = np.zeros(N)
+        for h in on:
+            group = np.zeros(N)
+            for a in on:
+                if a < h:
+                    group = group + eta[a, h]
+            pairs = pairs + group
+        lin = lin + pairs
+        assert got[:, p].tobytes() == np.clip(lin, 0.0, 1.0).tobytes()
 
 
 def test_generation_seeds_the_packed_pattern():
