@@ -27,7 +27,8 @@ class ObservedDataset:
 
     Arms are indices into design.assignments(). Outcomes are on the analysis
     scale: when a load rescaled them into [0, 1], the affine map is kept in
-    ``rescale`` so reports can echo it.
+    ``rescale`` so reports can echo it. A frequency ``weight`` per row
+    counts it that many times in the arm moments; n and arm_counts count rows.
     """
 
     design: FactorialDesign
@@ -35,6 +36,7 @@ class ObservedDataset:
     uptake: np.ndarray
     outcome: np.ndarray
     rescale: tuple[float, float] | None = None
+    weight: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # values are checked before the casts, which would turn uptake 255 into -1, arm 0.7 into 0,
@@ -63,6 +65,11 @@ class ObservedDataset:
         object.__setattr__(self, "arm", arm)
         object.__setattr__(self, "uptake", uptake)
         object.__setattr__(self, "outcome", outcome)
+        if self.weight is not None:
+            weight = np.asarray(self.weight)
+            if weight.shape != (n,) or weight.dtype.kind not in "iuf" or not np.all((0 <= weight) & (weight < np.inf)):
+                raise InvalidInputError(f"weight must be {n} finite numbers >= 0, not {weight.dtype} {weight.shape}")
+            object.__setattr__(self, "weight", read_only(weight, np.float64))
 
     @property
     def n(self) -> int:
@@ -260,6 +267,8 @@ def load_csv(
 def save_csv(data: ObservedDataset, path) -> None:
     """Write in the load_csv schema with -1/+1 coding and csv.writer's CRLF
     line ends; floats via repr so a reload reproduces them bit-exactly."""
+    if data.weight is not None:
+        raise InvalidInputError("a weighted dataset has no CSV form: its rows would lose their counts")
     design = data.design
     bits = (data.uptake == 1) @ (1 << np.arange(design.K, dtype=np.int64))
     codes, row_code = np.unique(data.arm + design.J * bits, return_inverse=True)

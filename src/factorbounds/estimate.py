@@ -215,11 +215,12 @@ def _arm_moments(data: ObservedDataset, k: int, k2: int | None, R: int) -> tuple
 
     Every sum is one bincount over the rows in their original order, binned
     by rep*J + arm, so a mean is the sequential sum a masked per-arm mean of
-    one dataset takes, bit for bit.
+    one dataset takes, bit for bit; with a frequency weight, each term is
+    its row's value times its weight (for clones, over the base cells).
     """
-    J = data.design.J
+    J, w = data.design.J, data.weight
     group = data.arm if R == 1 else np.repeat(np.arange(0, R * J, J), data.n // R) + data.arm  # rep*J + arm
-    counts = np.bincount(group, minlength=R * J)
+    counts = np.bincount(group, weights=w, minlength=R * J)
     short = np.flatnonzero(counts < 2)
     if short.size:
         j = int(short[0])
@@ -233,8 +234,8 @@ def _arm_moments(data: ObservedDataset, k: int, k2: int | None, R: int) -> tuple
     else:
         cols = [y.copy(), (dk * data.uptake[:, k2 - 1]).astype(np.float64)]
 
-    def arm_sums(w: np.ndarray) -> np.ndarray:
-        return np.bincount(group, weights=w, minlength=R * J)
+    def arm_sums(v: np.ndarray) -> np.ndarray:
+        return np.bincount(group, weights=v if w is None else v * w, minlength=R * J)
 
     means = np.column_stack([arm_sums(c) for c in cols]) / counts[:, None]
     for c, mu in zip(cols, means.T):

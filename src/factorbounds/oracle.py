@@ -317,13 +317,14 @@ def exclusion_bounds(pop: Population, R: int, failed: list, k: int, tilde: Conte
 def interaction_bounds(pop: Population, R: int, failed: list, factors, k: int, tilde: Context | str):
     """Bounds for an interaction contrast among factor-k constant compliers.
 
-    Same half-width as the factor-k exclusion bounds; only the numerator
-    contrast changes.
+    Same assumptions and half-width as the factor-k exclusion bounds; only
+    the numerator contrast changes.
     """
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("exclusion", k), ("monotone", k)], k)
+    checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]
+    nu_tilde = _resolve_tilde(pop, R, failed, tilde, checks, k)
     return _exclusion_interval(pop, R, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
 
 
@@ -331,32 +332,30 @@ def interaction_bounds(pop: Population, R: int, failed: list, factors, k: int, t
 def joint_bounds(pop: Population, R: int, failed: list, k: int, k2: int, tilde_joint: Context | str):
     """Bounds for the two-factor interaction among joint constant compliers.
 
-    Needs monotonicity and weak exclusion on both factors, a joint
-    least-compliant profile, and uptake of each factor unmoved by the
+    Needs monotonicity, weak and outcome exclusion on both factors, a
+    joint least-compliant profile, and uptake of each factor unmoved by the
     other's assignment. The first stage is the four-arm contrast of the
     uptake product; at the joint profile it equals the joint share.
     """
-    checks = [("monotone", k), ("monotone", k2), ("exclusion", k), ("exclusion", k2), ("cross_exclusion", k, k2)]
+    checks = [("monotone", k), ("monotone", k2), ("exclusion", k), ("outcome_exclusion", k)]
+    checks += [("exclusion", k2), ("outcome_exclusion", k2), ("cross_exclusion", k, k2)]
     nu_tilde = _resolve_tilde(pop, R, failed, tilde_joint, checks, k, k2)
     contrast, pbar = dsg.interaction_contrast(pop.design, (k, k2)), popmod.arm_means(pop, R, k, k2)
     g, m = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1)
     return _symmetric(pop, R, contrast, nu_tilde, lambda r, t: (float(g @ pbar[r]) / (2 * m) - t) / t)
 
 
-def constant_complier_share(pop: Population, k: int) -> float:
-    return popmod.constant_complier_count(pop, k) / pop.N
-
-
 @_blockwise
 def conservative_bounds(pop: Population, R: int, failed: list, k: int, t: float):
     """Exclusion-style bounds anchored at a declared complier-share floor t.
 
-    Valid for any 0 < t <= the constant-complier share; the interval widens
-    monotonically as t decreases and contains the exclusion interval.
+    Valid for any 0 < t <= the constant-complier share, under the exclusion
+    bounds' assumptions; the interval widens monotonically as t decreases
+    and contains the exclusion interval.
     """
     if not np.isfinite(t) or t <= 0.0:
         raise InvalidShareError(f"complier-share floor must be positive, got {t!r}")
-    for token in ("monotone", "profile", "exclusion"):
+    for token in ("monotone", "profile", "exclusion", "outcome_exclusion"):
         popmod.require_blocks(pop, R, failed, token, k)
     counts, n = popmod.constant_complier_count.stacked(pop, R, k), pop.N // R
     for r, count in enumerate(counts):

@@ -210,17 +210,6 @@ class Population:
     def N(self) -> int:
         return int(self.pattern.shape[0])
 
-    @_memoized
-    def arm_outcome_means(self) -> np.ndarray:
-        """Population mean outcome per arm, length J: arm_means' one block."""
-        return arm_means(self, 1)[0]
-
-    @_memoized
-    def arm_uptake_means(self, *ks: int) -> np.ndarray:
-        """Population mean of the uptake product over factors ks per arm,
-        length J: of D_k for one factor, of D_k * D_k2 for a pair."""
-        return arm_means(self, 1, *ks)[0]
-
     def clone(self, factor: int) -> "Population":
         """Stack `factor` copies of every unit; all population means persist."""
         if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
@@ -337,7 +326,7 @@ def check_least_compliant_profile(pop: Population, R: int, *ks: int) -> list[tup
     else, i.e. its column attains the row minimum for every unit.
     """
     contexts = dsg.contexts_for(pop.design, *ks)
-    pat = pop.pattern.T  # below, per arm and unit: 1 where an odd count of ks is at -1, as in arm_uptake_means
+    pat = pop.pattern.T  # below, per arm and unit: 1 where an odd count of ks is at -1, as in arm_means
     minus = (functools.reduce(operator.xor, (pat >> (k - 1) for k in ks)) ^ len(ks)) & 1
     prod = 1 - 2 * minus.astype(np.int8)  # (J, N) uptake product over ks
     return _valid_contexts(contexts, dsg.context_contrast(prod[dsg.context_arms(pop.design, *ks)]), R)
@@ -388,10 +377,11 @@ def check_outcome_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[
     """Units whose outcome moves with z_k while their uptake does not: per
     context, those whose full uptake vector is the same under z_k = +1 and
     -1 but whose outcome differs. Empty list means the check passes."""
-    contexts = dsg.contexts_for(pop.design, k)
-    pat = pop.pattern.T.reshape(-1, 2, 1 << (k - 1), pop.N)  # views, as in _factor_bits: arm j has bits (hi, z_k, lo)
-    y = pop.outcome.reshape(pop.N, -1, 2, 1 << (k - 1))
-    hidden = (pat[:, 0] == pat[:, 1]).reshape(-1, pop.N) & (y[:, :, 0] != y[:, :, 1]).reshape(pop.N, -1).T
+    contexts, lo = dsg.contexts_for(pop.design, k), 1 << (k - 1)
+    pat = pop.pattern.T.reshape(-1, 2, lo, pop.N)  # views, as in _factor_bits: arm j has bits (hi, z_k, lo)
+    y = pop.outcome.reshape(-1)  # one flat pass, not inner loops of lo: moved[i*J + j] is y[i, j] != y[i, j + lo]
+    moved = np.append(y[lo:] != y[:-lo], np.zeros(lo, bool)).reshape(pop.N, -1, 2, lo)[:, :, 0].transpose(1, 2, 0)
+    hidden = np.logical_and(pat[:, 0] == pat[:, 1], moved, order="C").reshape(-1, pop.N)  # (hi, lo, N) at z_k = -1
     found = lambda b: [(i, contexts[c]) for c, i in zip(*(a.tolist() for a in np.nonzero(b)))]  # context-major
     return _per_block(hidden, R, found)
 

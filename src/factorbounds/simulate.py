@@ -23,7 +23,7 @@ import json
 import numbers
 import sys
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -572,6 +572,16 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     return ObservedDataset(design=pop.design, arm=alloc.reshape(-1), uptake=uptake, outcome=outcome)
 
 
+def _observe_clones(pop: Population, alloc: np.ndarray) -> ObservedDataset:
+    """observe of the (R, c*N) allocations of c clones of pop's N units, unit
+    i a copy of unit i % N as Population.clone tiles them: every base unit in
+    every arm, rep by rep, weighted by its copies the allocation puts there."""
+    R, (N, J) = alloc.shape[0], pop.pattern.shape
+    cells = (np.arange(0, R * J, J)[:, None] + alloc) * N + np.arange(alloc.shape[1]) % N  # (rep*J + arm)*N + base
+    rows = observe(pop, np.tile(np.arange(J).repeat(N), R).reshape(R * J, N))
+    return replace(rows, weight=np.bincount(cells.reshape(-1), minlength=R * J * N))
+
+
 def census_dataset(pop: Population) -> ObservedDataset:
     """Every unit observed in every arm, arm by arm: the observation of the
     J allocations that put all units in arm j. Sample moments equal
@@ -681,13 +691,14 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
     estimation and oracle pass for the chunk (the oracle's on the base
     population in fixed and clone modes, where its memo makes it once per
     monte_carlo), then per replication, in order, the CI; each target's
-    tallies go onto acc[target]."""
-    R = len(reps)
+    tallies go onto acc[target]. Arm sizes summing past the base
+    population's N allocate its clones, observed as counts."""
+    R, units = len(reps), sum(sizes)
     pop, blocks, spread = (_generate(config, reps), R, 1) if base is None else (base, 1, R)
     (alloc,) = popmod.frozen(
-        np.stack([complete_randomization(pop.N // blocks, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps])
+        np.stack([complete_randomization(units, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps])
     )
-    data = observe(pop, alloc.reshape(-1, pop.N))
+    data = observe(pop, alloc.reshape(-1, pop.N)) if units == pop.N // blocks else _observe_clones(pop, alloc)
     for t in tlist:
         try:
             estimates = est.estimate_stack(data, R, t.factor, t.method, t.profile)
@@ -716,7 +727,8 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     population_mode 'fresh' regenerates the population each replication
     (the superpopulation sampling model the SEs assume); 'fixed' draws one
     population and varies only the allocation; 'clone' additionally stacks
-    clone_factor copies of it.
+    clone_factor copies of it, observed as the base units with their copies
+    per arm, and the oracle reads the base population, whose means they share.
     """
     R = _within(_integer, lambda n: n >= 1, ">= 1")(R, "R")
     tlist = config.targets
@@ -728,8 +740,6 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     base = None
     if mode in ("fixed", "clone"):
         base = generate_population(config, rep=0)
-        if mode == "clone" and config.clone_factor > 1:
-            base = base.clone(config.clone_factor)
     sizes = config.resolved_arm_sizes()
     if mode == "clone":
         sizes = tuple(s * config.clone_factor for s in sizes)

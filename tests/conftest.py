@@ -3,8 +3,25 @@ import pytest
 
 from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast
 from factorbounds.errors import InvalidFactorError, NoCompliersError
-from factorbounds.population import Population, fixture_p4
+from factorbounds.population import Population, _memoized, arm_means, constant_complier_count, fixture_p4
 from factorbounds.simulate import census_dataset
+
+
+@_memoized
+def arm_outcome_means(pop):
+    """Population mean outcome per arm, length J: arm_means' one block."""
+    return arm_means(pop, 1)[0]
+
+
+@_memoized
+def arm_uptake_means(pop, *ks):
+    """Population mean of the uptake product over factors ks per arm,
+    length J: of D_k for one factor, of D_k * D_k2 for a pair."""
+    return arm_means(pop, 1, *ks)[0]
+
+
+def constant_complier_share(pop, k):
+    return constant_complier_count(pop, k) / pop.N
 
 
 def strip_factor(z, k):
@@ -18,8 +35,8 @@ def wald_ratio(pop, k):
     """Population ratio of the marginal outcome ITT to the marginal uptake ITT."""
     g = main_effect_contrast(pop.design, k).signs.astype(np.float64)
     m = 1 << (pop.design.K - 1)
-    itt_y = float(g @ pop.arm_outcome_means()) / m
-    itt_d = float(g @ pop.arm_uptake_means(k)) / (2 * m)
+    itt_y = float(g @ arm_outcome_means(pop)) / m
+    itt_d = float(g @ arm_uptake_means(pop, k)) / (2 * m)
     if itt_d == 0.0:
         raise NoCompliersError(f"factor {k}: marginal uptake ITT is zero")
     return itt_y / itt_d

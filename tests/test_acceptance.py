@@ -19,7 +19,6 @@ from factorbounds.design import enumerate_assignments
 from factorbounds.oracle import (
     adjusted_bounds,
     conservative_bounds,
-    constant_complier_share,
     exclusion_bounds,
     interaction_bounds,
     interaction_effect,
@@ -31,7 +30,7 @@ from factorbounds.oracle import (
 )
 from factorbounds.simulate import load_scenario, monte_carlo
 
-from conftest import assumption_population, wald_ratio
+from conftest import assumption_population, constant_complier_share, wald_ratio
 
 TOL = 1e-12
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -202,19 +202,23 @@ def test_oracle_joint_method(capsys, tmp_path, k3_joint_pop):
 
 def test_oracle_refuses_exclusion_where_the_outcome_moves_at_unchanged_uptake(capsys):
     # units 2 and 3 never take factor 1, yet their outcome follows z1: the
-    # exclusion interval alone would be [1, 1] against a true effect of 0
+    # exclusion interval alone would be [1, 1] against a true effect of 0,
+    # and so would conservative:0.5; every method resting on outcome
+    # exclusion is refused with the check's message
     path = DATA / "p4_outcome_exclusion.json"
-    rc, out, _ = run(capsys, ["oracle", str(path), "--factor", "1", "--method", "adjusted,simple,exclusion"])
+    methods = "adjusted,simple,exclusion,conservative:0.5,interaction:1+2,joint:2"
+    rc, out, _ = run(capsys, ["oracle", str(path), "--factor", "1", "--method", methods])
     assert rc == 3
     block = json.loads(out)["factors"][0]
     found = [[2, [-1]], [3, [-1]], [2, [1]], [3, [1]]]
     assert block["checks"]["outcome_exclusion"] == {"passes": False, "violations": found}
     assert block["checks"]["exclusion"]["passes"] is True
     methods = block["methods"]
-    assert methods["exclusion"]["error"] == (
-        "AssumptionViolationError: factor 1: outcome shifts with assignment at unchanged uptake"
-        " for (unit, context) [(2, (-1,)), (3, (-1,)), (2, (1,)), (3, (1,))]"
-    )
+    for method in ("exclusion", "conservative:0.5", "interaction:1+2", "joint:2"):
+        assert methods[method]["error"] == (
+            "AssumptionViolationError: factor 1: outcome shifts with assignment at unchanged uptake"
+            " for (unit, context) [(2, (-1,)), (3, (-1,)), (2, (1,)), (3, (1,))]"
+        )
     for method in ("adjusted", "simple"):
         assert (methods[method]["lower"], methods[method]["upper"], methods[method]["true_delta"]) == (0.0, 1.0, 0.0)
 

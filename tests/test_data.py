@@ -17,6 +17,8 @@ from factorbounds.design import enumerate_assignments
 from factorbounds.errors import InvalidInputError
 from factorbounds.simulate import census_dataset
 
+from conftest import arm_outcome_means, arm_uptake_means
+
 
 def test_expected_header():
     assert expected_header(2) == ["z1", "z2", "d1", "d2", "y"]
@@ -100,9 +102,9 @@ def test_census_dataset_means_match_population(p4):
     assert data.n == p4.N * p4.design.J
     for j in range(p4.design.J):
         rows = data.arm == j
-        assert data.outcome[rows].mean() == p4.arm_outcome_means()[j]
+        assert data.outcome[rows].mean() == arm_outcome_means(p4)[j]
         for k in (1, 2):
-            assert data.uptake[rows, k - 1].mean() == p4.arm_uptake_means(k)[j]
+            assert data.uptake[rows, k - 1].mean() == arm_uptake_means(p4, k)[j]
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from factorbounds.errors import (
 from factorbounds.oracle import (
     adjusted_bounds,
     conservative_bounds,
-    constant_complier_share,
     exclusion_bounds,
     interaction_bounds,
     interaction_effect,
@@ -48,7 +47,15 @@ from factorbounds.simulate import (
     monte_carlo,
 )
 
-from conftest import assumption_population, count_computations, random_population, wald_ratio
+from conftest import (
+    arm_outcome_means,
+    arm_uptake_means,
+    assumption_population,
+    constant_complier_share,
+    count_computations,
+    random_population,
+    wald_ratio,
+)
 
 TOL = 1e-12
 
@@ -339,6 +346,35 @@ def test_exclusion_requires_uptake_invariance():
     simple_bounds(pop, 1, tilde)
 
 
+def _three_units(takes, outcomes):
+    """A K=2 population of three units from their (d1, d2) and their outcome per arm, arms in canonical order."""
+    design = enumerate_assignments(2)
+    return Population(design=design, uptake=np.array(takes, dtype=np.int8), outcome=np.array(outcomes, dtype=float))
+
+
+ARMS = [(-1, -1), (1, -1), (-1, 1), (1, 1)]  # the assignments, so a full complier's uptake per arm
+
+
+def test_interaction_requires_outcome_exclusion_of_its_anchor():
+    # at z2 = +1 unit 2 takes (+1, -1) whatever z1 is, yet its outcome moves
+    # with z1: without the check the interval was [0, 0] against a true effect of 0.25
+    pop = _three_units([ARMS, ARMS, [(-1, 1), (-1, 1), (1, -1), (1, -1)]], [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 1, 0)])
+    assert popmod.check_outcome_exclusion(pop, 1) == [(2, (1,))] and popmod.check_outcome_exclusion(pop, 2) == []
+    assert method_truth(pop, 1, "interaction:1+2") == 0.25
+    with pytest.raises(AssumptionViolationError, match=r"^factor 1: outcome shifts with assignment"):
+        method_interval(pop, 1, "interaction:1+2")
+
+
+def test_joint_requires_outcome_exclusion_of_its_partner():
+    # unit 0 never takes factor 2 and its outcome moves with z2 at z1 = -1:
+    # without the check the interval was [0.5, 0.5] against a true effect of 0.25
+    pop = _three_units([[(-1, -1), (1, -1), (-1, -1), (1, -1)], ARMS, ARMS], [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1)])
+    assert popmod.check_outcome_exclusion(pop, 1) == [] and popmod.check_outcome_exclusion(pop, 2) == [(0, (-1,))]
+    assert method_truth(pop, 1, "joint:2") == 0.25
+    with pytest.raises(AssumptionViolationError, match=r"^factor 2: outcome shifts with assignment"):
+        method_interval(pop, 1, "joint:2")
+
+
 def test_a_refused_factor_pair_has_one_wording(p4):
     # the truth, the interval under either profile policy and the check all
     # refuse joint:2 at factor 2 with the factor-set check's own message
@@ -586,7 +622,7 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
 
 ORACLE_MEMOIZED = [
     (oracle._nu_arrays, (1,)),
-    (Population.arm_uptake_means, (1, 2)),
+    (arm_uptake_means, (1, 2)),
     (oracle._truth, (1, "main", ())),
     (oracle._truth, (1, "joint", (2,))),
     (method_interval, (1, "exclusion")),
@@ -613,7 +649,7 @@ def test_oracle_memo_keys_carry_types_and_refuse_writes(p4):
         with pytest.raises(InvalidFactorError):
             fn(p4, True, *args)
     _, nu_plus, nu_minus, nu = oracle._nu_arrays(p4, 1)
-    for arr in (nu_plus, nu_minus, nu, p4.arm_uptake_means(1, 2)):
+    for arr in (nu_plus, nu_minus, nu, arm_uptake_means(p4, 1, 2)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -666,8 +702,8 @@ def _canonical(value):
 
 MEMO_CALLS = [
     lambda pop, k, k2: pop.compliance(k),
-    lambda pop, k, k2: pop.arm_outcome_means(),
-    lambda pop, k, k2: pop.arm_uptake_means(k),
+    lambda pop, k, k2: arm_outcome_means(pop),
+    lambda pop, k, k2: arm_uptake_means(pop, k),
     lambda pop, k, k2: popmod.check_conditional_monotonicity(pop, k),
     lambda pop, k, k2: popmod.check_least_compliant_profile(pop, k),
     lambda pop, k, k2: popmod.check_weak_treatment_exclusion(pop, k),

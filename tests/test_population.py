@@ -41,7 +41,14 @@ from factorbounds.population import (
 from factorbounds import simulate
 from factorbounds.simulate import FactorSpec, ScenarioConfig, _generate, generate_population
 
-from conftest import assumption_population, count_computations, random_population, strip_factor
+from conftest import (
+    arm_outcome_means,
+    arm_uptake_means,
+    assumption_population,
+    count_computations,
+    random_population,
+    strip_factor,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -338,7 +345,7 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
         # the per-block arm means the stacked oracle reads are each part's own, bit for bit
         for ks in [(), *single, *pairs]:
             for part, means in zip(parts, arm_means(stack, len(parts), *ks)):
-                own = part.arm_uptake_means(*ks) if ks else part.arm_outcome_means()
+                own = arm_uptake_means(part, *ks) if ks else arm_outcome_means(part)
                 assert means.tobytes() == own.tobytes(), ks
 
 
@@ -355,7 +362,7 @@ def test_joint_least_compliant(k3_joint_pop):
 def test_p4_fixture_values():
     pop = fixture_p4()
     assert pop.N == 4 and pop.design.K == 2
-    assert np.allclose(pop.arm_outcome_means(), [0.0, 0.5, 0.0, 0.75])
+    assert np.allclose(arm_outcome_means(pop), [0.0, 0.5, 0.0, 0.75])
     d1 = pop.uptake[:, :, 0]
     assert (d1 == np.array([
         [-1, 1, -1, 1],
@@ -534,8 +541,8 @@ def test_population_stores_float64_outcome():
     p = fixture_p4()
     pop = Population(design=p.design, uptake=p.uptake.copy(), outcome=p.outcome.astype(np.float32))
     assert pop.outcome.dtype == np.float64 and not pop.outcome.flags.writeable
-    assert pop.arm_outcome_means().dtype == np.float64
-    assert np.array_equal(pop.arm_outcome_means(), p.arm_outcome_means())
+    assert arm_outcome_means(pop).dtype == np.float64
+    assert np.array_equal(arm_outcome_means(pop), arm_outcome_means(p))
 
 
 def test_caller_arrays_stay_writable_and_apart_from_the_population():
@@ -591,21 +598,21 @@ def test_arm_uptake_means_is_the_per_arm_mean_uptake_product():
         pat, N = pop.pattern.T, pop.N
         for k in range(1, K + 1):
             taken = np.count_nonzero(pat & (1 << (k - 1)), axis=1)
-            assert pop.arm_uptake_means(k).tobytes() == ((2 * taken - N) / N).tobytes()
+            assert arm_uptake_means(pop, k).tobytes() == ((2 * taken - N) / N).tobytes()
         for k, k2 in itertools.combinations(range(1, K + 1), 2):
             joint = (N - 2 * np.count_nonzero(((pat >> (k - 1)) ^ (pat >> (k2 - 1))) & 1, axis=1)) / N
             product = (pop.uptake[:, :, k - 1] * pop.uptake[:, :, k2 - 1]).mean(axis=0)
-            assert pop.arm_uptake_means(k, k2).tobytes() == joint.tobytes() == product.tobytes()
+            assert arm_uptake_means(pop, k, k2).tobytes() == joint.tobytes() == product.tobytes()
     with pytest.raises(InvalidFactorError):
-        pop.arm_uptake_means(1, K + 1)
+        arm_uptake_means(pop, 1, K + 1)
 
 
 def test_clone_preserves_means():
     pop = fixture_p4()
     big = pop.clone(7)
     assert big.N == 28
-    assert np.array_equal(big.arm_outcome_means(), pop.arm_outcome_means())
-    assert np.array_equal(big.arm_uptake_means(1), pop.arm_uptake_means(1))
+    assert np.array_equal(arm_outcome_means(big), arm_outcome_means(pop))
+    assert np.array_equal(arm_uptake_means(big, 1), arm_uptake_means(pop, 1))
     assert constant_complier_count(big, 1) == 7 * constant_complier_count(pop, 1)
     with pytest.raises(InvalidInputError):
         pop.clone(0)
@@ -658,8 +665,8 @@ def test_from_dict_refuses_an_oversized_population_before_reading_its_arrays():
 
 MEMOIZED = [
     (Population.compliance, (1,)),
-    (Population.arm_outcome_means, ()),
-    (Population.arm_uptake_means, (2,)),
+    (arm_outcome_means, ()),
+    (arm_uptake_means, (2,)),
     (check_conditional_monotonicity, (1,)),
     (check_least_compliant_profile, (1,)),
     (check_weak_treatment_exclusion, (2,)),
@@ -712,7 +719,7 @@ def test_memo_stores_nothing_for_a_raising_call(monkeypatch):
 
 def test_memo_hands_out_read_only_arrays_and_fresh_lists():
     pop = fixture_p4()
-    for arr in (pop.arm_outcome_means(), pop.arm_uptake_means(1)):
+    for arr in (arm_outcome_means(pop), arm_uptake_means(pop, 1)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
     passed = check_weak_treatment_exclusion(pop, 1)

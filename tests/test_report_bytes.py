@@ -65,7 +65,8 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     no_profile = ["oracle", "k3_no_profile.json", "--method", "adjusted,exclusion,joint:2", "--factor", "1"]
     assert no_profile in report_bytes.commands(paths)
     assert ["oracle", "k3_exclusion_messages.json", "--method", "exclusion,joint:2"] in report_bytes.commands(paths)
-    outcome = ["oracle", "p4_outcome_exclusion.json", "--factor", "1", "--method", "adjusted,simple,exclusion"]
+    methods = "adjusted,simple,exclusion,conservative:0.5,interaction:1+2,joint:2"
+    outcome = ["oracle", "p4_outcome_exclusion.json", "--factor", "1", "--method", methods]
     assert outcome in report_bytes.commands(paths)
 
 

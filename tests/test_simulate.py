@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pathlib
 import re
 import tracemalloc
 
@@ -9,11 +10,14 @@ import numpy as np
 import pytest
 
 from factorbounds import design as dsg
+from factorbounds import estimate as est
 from factorbounds import population as popmod
 from factorbounds import simulate
+from factorbounds.data import save_csv
 from factorbounds.design import enumerate_assignments
 from factorbounds.errors import (
     GenerationError,
+    InsufficientDataError,
     InvalidDesignError,
     InvalidInputError,
     WeakFirstStageError,
@@ -47,7 +51,7 @@ from factorbounds.simulate import (
     save_scenario,
 )
 
-from conftest import random_population
+from conftest import arm_outcome_means, random_population
 
 
 def basic_config(**over):
@@ -698,12 +702,80 @@ def test_arm_means_unbiased_over_allocations():
             m = data.outcome[data.arm == j].mean()
             sums[j] += m
             sq[j] += m * m
-    want = pop.arm_outcome_means()
+    want = arm_outcome_means(pop)
     for j in range(4):
         mean = sums[j] / reps
         sd = np.sqrt(sq[j] / reps - mean**2)
         mcse = sd / np.sqrt(reps)
         assert abs(mean - want[j]) < 3 * mcse + 1e-12, (j, mean, want[j], mcse)
+
+
+# ------------------------------------------------------------- clone counts
+
+
+CLONE_SCALING = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "clone_scaling.json"
+
+
+@pytest.mark.parametrize("c, R", [(1, 3), (3, 2), (1000, 1), (10, 81)])
+def test_clone_counts_give_the_moments_of_the_cloned_rows(c, R):
+    # the base cells weighted by their copies per arm give the arm moments
+    # of the observed clones' rows, for every layout; clone factor 10 runs
+    # 81 replications in one monte_carlo chunk
+    config = load_scenario(CLONE_SCALING)
+    base, sizes = generate_population(config), tuple(s * c for s in config.resolved_arm_sizes())
+    alloc = np.stack([complete_randomization(base.N * c, sizes, np.random.SeedSequence([5, 1, r])) for r in range(R)])
+    counted = simulate._observe_clones(base, alloc)
+    rows = observe(base.clone(c), alloc)
+    assert counted.n == R * base.N * base.design.J and counted.weight.sum() == rows.n
+    for k, k2 in ((1, None), (2, None), (1, 2)):
+        (m_counts, c_counts), (m_rows, c_rows) = (est._arm_moments(d, k, k2, R) for d in (counted, rows))
+        assert np.abs(m_counts - m_rows).max() <= 1e-12 and np.abs(c_counts - c_rows).max() <= 1e-12
+        if c == 1:  # one copy each: the same sums in the same order, bit for bit
+            assert m_counts.tobytes() == m_rows.tobytes() and c_counts.tobytes() == c_rows.tobytes()
+
+
+def test_clone_counts_refuse_a_short_arm_as_the_rows_do():
+    base = fixture_p4()
+    alloc = np.array([[0, 1, 1, 2, 2, 3, 3, 3]])  # arm 0 draws one of the 8 clones
+    messages = []
+    for data in (simulate._observe_clones(base, alloc), observe(base.clone(2), alloc)):
+        with pytest.raises(InsufficientDataError) as short:
+            estimate_bounds(data, 1, "simple")
+        messages.append(str(short.value))
+    assert messages[0] == messages[1] == "arm (-1, -1) has 1 row(s); need at least 2"
+
+
+def test_clone_mode_builds_no_clone(monkeypatch):
+    # the oracle and the moments read the 20-unit base population, not its 1000 copies
+    monkeypatch.setattr(Population, "clone", lambda *a: pytest.fail("clone mode built a clone population"))
+    config = dataclasses.replace(load_scenario(CLONE_SCALING), clone_factor=1000)
+    assert all(t.n_ok == t.n_oracle == 2 for t in monte_carlo(config, 2).targets)
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        (np.ones(3), "float64 (3,)"),
+        (np.ones((4, 1)), "float64 (4, 1)"),
+        (np.array([True] * 4), "bool (4,)"),
+        (np.array([1.0, -1.0, 1.0, 1.0]), "float64 (4,)"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "float64 (4,)"),
+        (np.array([1.0, np.inf, 1.0, 1.0]), "float64 (4,)"),
+        (np.array(["1"] * 4), "<U1 (4,)"),
+    ],
+    ids=["short", "column", "boolean", "negative", "nan", "inf", "string"],
+)
+def test_dataset_refuses_a_malformed_weight(weight, message):
+    rows = observe(fixture_p4(), [0, 1, 2, 3])
+    with pytest.raises(InvalidInputError, match=re.escape(f"weight must be 4 finite numbers >= 0, not {message}")):
+        dataclasses.replace(rows, weight=weight)
+
+
+def test_save_csv_refuses_a_weighted_dataset(tmp_path):
+    data = simulate._observe_clones(fixture_p4(), np.array([[0, 0, 1, 1, 2, 2, 3, 3]]))
+    with pytest.raises(InvalidInputError, match="weighted dataset"):
+        save_csv(data, tmp_path / "counts.csv")
+    assert not (tmp_path / "counts.csv").exists()
 
 
 # ---------------------------------------------------------------- outcomes
