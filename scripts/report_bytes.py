@@ -18,7 +18,8 @@ one puts 85 replications in a chunk, so the oracle answers many blocks at
 once for interaction, joint and declared-profile targets: about half of
 the blocks lose their reference to a chance failure of weak or cross
 exclusion, and a fourth target loses all of them to its ``violate`` token.
-One K=4
+The shipped ``clone_scaling`` runs 820 replications, two chunks of clone
+allocations counted as they are drawn (819 fit in one). One K=4
 population with always-takers, never-takers and conditional compliers is
 generated and saved by this checkout's ``save_population(generate_population(...))``
 and read by ``oracle`` with every method; its scenario, with adjusted,
@@ -313,6 +314,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["simulate", str(paths["k9_negative_eta.json"]), "-R", "2"],
         ["simulate", str(paths["k3_stacked_chunks.json"]), "-R", "200"],
         ["simulate", str(paths["clone1000.json"]), "-R", "3"],
+        ["simulate", "scenarios/clone_scaling.json", "-R", "820"],  # two chunks of clones
         ["simulate", str(paths["k4_fixed.json"]), "-R", "20"],
         ["oracle", "data/p4_population.json"],
         ["oracle", "data/p4_population.json", "--method", ANALYZE_METHODS + ",conservative:0.25"],

@@ -56,7 +56,6 @@ from .estimate import (
     estimate_bounds,
     im_critical_value,
     imbens_manski_ci,
-    nu_hat_table,
     wald_reference,
 )
 from .simulate import (
@@ -71,7 +70,6 @@ from .simulate import (
     load_scenario,
     monte_carlo,
     observe,
-    save_scenario,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -57,12 +58,21 @@ def _parse_rescale(text: str | None) -> tuple[float, float] | None:
         raise InvalidInputError(f"--rescale wants numeric 'min,max', got {text!r}") from None
 
 
-def _dump_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out_path is None or out_path == "-":
+def _report_to_stdout(out_path: str | None) -> bool:
+    """No --out, or --out -, sends the report to stdout and the human summary
+    to stderr; a report written to a file leaves stdout to the summary."""
+    return out_path in (None, "-")
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    if _report_to_stdout(out_path):
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text, encoding="utf-8")
+        Path(out_path).write_text(text, encoding="utf-8", newline="")
+
+
+def _dump_json(obj, out_path: str | None) -> None:
+    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def _fmt(x) -> str:
@@ -99,7 +109,7 @@ def cmd_analyze(args) -> int:
         "estimates": [e.to_dict() for e in estimates],
         "wald": [w.to_dict() for w in wald],
     }
-    table = sys.stdout if args.out else sys.stderr
+    table = sys.stderr if _report_to_stdout(args.out) else sys.stdout
     print(f"{'factor':>6} {'method':<18} {'interval':<22} {'ci':<22} {'se_l':>8} {'se_u':>8}", file=table)
     for e in estimates:
         iv = f"[{e.clipped_lower:+.4f}, {e.clipped_upper:+.4f}]"
@@ -210,8 +220,7 @@ def cmd_simulate(args) -> int:
     if seed != config.seed:
         config = dataclasses.replace(config, seed=seed)
     report = monte_carlo(config, args.replications)
-    text = report.to_json()
-    summary = sys.stdout if args.out else sys.stderr
+    summary = sys.stderr if _report_to_stdout(args.out) else sys.stdout
     for tr in report.targets:
         cov_b = "-" if tr.coverage_bounds is None else f"{tr.coverage_bounds:.3f} (mcse {tr.coverage_bounds_mcse:.3f})"
         cov_ci = "-" if tr.coverage_ci is None else f"{tr.coverage_ci:.3f} (mcse {tr.coverage_ci_mcse:.3f})"
@@ -222,10 +231,7 @@ def cmd_simulate(args) -> int:
         )
         for err, count in sorted(tr.failures.items()):
             print(f"{tr.label}: {count} replication(s) failed with {err}", file=summary)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json(), args.out)
     return 0
 
 
@@ -266,15 +272,12 @@ def cmd_plotdata(args) -> int:
     ks = {K for K, _ in reports}
     if len(ks) > 1:
         raise InvalidInputError(f"reports mix designs with K in {sorted(ks)}; cannot combine")
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["label", "lower", "upper", "ci_lower", "ci_upper", "point"])
-        for _, rows in reports:
-            writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["label", "lower", "upper", "ci_lower", "ci_upper", "point"])
+    for _, rows in reports:
+        writer.writerows(rows)
+    _emit(out.getvalue(), args.out)
     return 0
 
 
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05, help="CI significance level (default 0.05)")
     p.add_argument("--binary-coding", action="store_true", help="read z/d as 0/1 with 0 -> -1")
     p.add_argument("--rescale", help="min,max of the raw outcome; maps it into [0,1]")
-    p.add_argument("--out", help="write the JSON report here (default stdout)")
+    p.add_argument("--out", help="write the JSON report here (default or -: stdout)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("oracle", help="exact effects, checks, and intervals for a population file")
@@ -312,19 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list; additionally supports conservative:<share> (default the main trio)",
     )
     p.add_argument("--profile", default="min", help="min or declared:<levels> (default min)")
-    p.add_argument("--out", help="write the JSON report here (default stdout)")
+    p.add_argument("--out", help="write the JSON report here (default or -: stdout)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo coverage study from a scenario file")
     p.add_argument("scenario", help="scenario JSON")
     p.add_argument("-R", "--replications", type=int, default=100, help="replications (default 100)")
     p.add_argument("--seed", type=int, help="override the scenario seed (precedence: flag > FB_SEED > file)")
-    p.add_argument("--out", help="write the JSON report here (default stdout)")
+    p.add_argument("--out", help="write the JSON report here (default or -: stdout)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("plotdata", help="flatten analysis reports into a plot-ready CSV")
     p.add_argument("reports", nargs="+", help="one or more analyze JSON reports")
-    p.add_argument("--out", help="write the CSV here (default stdout)")
+    p.add_argument("--out", help="write the CSV here (default or -: stdout)")
     p.set_defaults(func=cmd_plotdata)
 
     return parser

@@ -61,12 +61,6 @@ def _first_stage_table(
     return tuple(dsg.contexts_for(design, *ks)), nu / 2.0 ** len(ks)
 
 
-def nu_hat_table(data: ObservedDataset, k: int) -> tuple[tuple[Context, ...], np.ndarray]:
-    """Estimated first stage per context of factor k, canonical order."""
-    dsg.validate_factor(data.design, k)
-    return _first_stage_table(data.design, (k,), _arm_moments(data, k, None, 1)[0][0, :, 1])
-
-
 # --- method / profile grammar ------------------------------------------------
 
 MAIN_METHODS = ("adjusted", "simple", "exclusion")

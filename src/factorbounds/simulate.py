@@ -330,12 +330,6 @@ def load_scenario(path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(d)
 
 
-def save_scenario(config: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def config_hash(config: ScenarioConfig) -> str:
     canon = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -494,7 +488,9 @@ def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.
 
 
 _RETRY_CAP = 100
-_CHUNK_CELLS = 1 << 16  # (unit, arm) cells per chunk of replications: a float64 array over them is 512 KiB
+# observed (unit, arm) cells per chunk of replications, the base population's
+# in clone mode: a float64 array over them is 512 KiB
+_CHUNK_CELLS = 1 << 16
 
 
 def _generate(config: ScenarioConfig, reps) -> Population:
@@ -572,14 +568,20 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     return ObservedDataset(design=pop.design, arm=alloc.reshape(-1), uptake=uptake, outcome=outcome)
 
 
-def _observe_clones(pop: Population, alloc: np.ndarray) -> ObservedDataset:
-    """observe of the (R, c*N) allocations of c clones of pop's N units, unit
-    i a copy of unit i % N as Population.clone tiles them: every base unit in
-    every arm, rep by rep, weighted by its copies the allocation puts there."""
-    R, (N, J) = alloc.shape[0], pop.pattern.shape
-    cells = (np.arange(0, R * J, J)[:, None] + alloc) * N + np.arange(alloc.shape[1]) % N  # (rep*J + arm)*N + base
-    rows = observe(pop, np.tile(np.arange(J).repeat(N), R).reshape(R * J, N))
-    return replace(rows, weight=np.bincount(cells.reshape(-1), minlength=R * J * N))
+def _observe_clones(pop: Population, allocations) -> ObservedDataset:
+    """observe of c clones of pop's N units under each allocation of their
+    c*N units that allocations yields, unit i a copy of unit i % N as
+    Population.clone tiles them: every base unit in every arm, rep by rep,
+    weighted by its copies the allocation puts there. Each allocation is
+    counted as it comes and dropped, so a generator of them keeps one alive."""
+    (N, J), counts, base_of = pop.pattern.shape, [], None
+    for alloc in allocations:
+        if base_of is None:  # unit i's base unit, built once
+            base_of = np.arange(alloc.size) % N
+        counts.append(np.bincount(alloc * N + base_of, minlength=J * N))  # arm*N + base
+        del alloc  # before the next draw
+    rows = observe(pop, np.tile(np.arange(J).repeat(N), len(counts)).reshape(-1, N))
+    return replace(rows, weight=np.concatenate(counts))
 
 
 def census_dataset(pop: Population) -> ObservedDataset:
@@ -692,13 +694,15 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
     population in fixed and clone modes, where its memo makes it once per
     monte_carlo), then per replication, in order, the CI; each target's
     tallies go onto acc[target]. Arm sizes summing past the base
-    population's N allocate its clones, observed as counts."""
+    population's N allocate its clones, each allocation counted as drawn."""
     R, units = len(reps), sum(sizes)
     pop, blocks, spread = (_generate(config, reps), R, 1) if base is None else (base, 1, R)
-    (alloc,) = popmod.frozen(
-        np.stack([complete_randomization(units, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps])
-    )
-    data = observe(pop, alloc.reshape(-1, pop.N)) if units == pop.N // blocks else _observe_clones(pop, alloc)
+    draws = (complete_randomization(units, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps)
+    if units == pop.N // blocks:
+        (alloc,) = popmod.frozen(np.stack(list(draws)))
+        data = observe(pop, alloc.reshape(-1, pop.N))
+    else:
+        data = _observe_clones(pop, draws)
     for t in tlist:
         try:
             estimates = est.estimate_stack(data, R, t.factor, t.method, t.profile)
@@ -745,9 +749,9 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
         sizes = tuple(s * config.clone_factor for s in sizes)
 
     acc = {t: [] for t in tlist}
-    # replications run in chunks of about _CHUNK_CELLS (unit, arm) cells, one
-    # chunk alive at a time
-    chunk = max(1, _CHUNK_CELLS // (units * (1 << config.K)))
+    # replications run in chunks of about _CHUNK_CELLS observed (unit, arm)
+    # cells, one chunk alive at a time; clone mode observes the base units
+    chunk = max(1, _CHUNK_CELLS // (config.N << config.K))
     for first in range(0, R, chunk):
         _run_chunk(config, range(first, min(R, first + chunk)), base, sizes, tlist, acc)
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast
+from factorbounds import estimate as est
+from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast, validate_factor
 from factorbounds.errors import InvalidFactorError, NoCompliersError
 from factorbounds.population import Population, _memoized, arm_means, constant_complier_count, fixture_p4
 from factorbounds.simulate import census_dataset
@@ -22,6 +25,19 @@ def arm_uptake_means(pop, *ks):
 
 def constant_complier_share(pop, k):
     return constant_complier_count(pop, k) / pop.N
+
+
+def nu_hat_table(data, k):
+    """Estimated first stage per context of factor k, canonical order."""
+    validate_factor(data.design, k)
+    return est._first_stage_table(data.design, (k,), est._arm_moments(data, k, None, 1)[0][0, :, 1])
+
+
+def save_scenario(config, path):
+    """Write a scenario in the shipped files' form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def strip_factor(z, k):

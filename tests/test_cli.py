@@ -17,8 +17,9 @@ from factorbounds.simulate import (
     ScenarioConfig,
     TargetSpec,
     load_scenario,
-    save_scenario,
 )
+
+from conftest import save_scenario
 
 TOL = 1e-12
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -568,6 +569,32 @@ def test_plotdata_rejects_mixed_k(capsys, tmp_path, census_csv):
 
 
 # -------------------------------------------------------------------- misc
+
+
+# -------------------------------------------------------------------- --out -
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "simulate", "plotdata"])
+def test_out_dash_is_stdout_for_every_subcommand(capsys, tmp_path, monkeypatch, command):
+    # --out - sends the report to stdout as no --out does, the human summary
+    # goes to stderr, and no file named - appears
+    report = tmp_path / "report.json"
+    assert run(capsys, ["analyze", str(DATA / "p4_census.csv"), "--out", str(report)])[0] == 0
+    argv = {
+        "analyze": ["analyze", str(DATA / "p4_census.csv")],
+        "oracle": ["oracle", str(DATA / "p4_population.json")],
+        "simulate": ["simulate", str(scenario_file(tmp_path)), "-R", "3"],
+        "plotdata": ["plotdata", str(report)],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, [*argv, "--out", "-"])
+    assert rc == 0 and not (tmp_path / "-").exists()
+    assert (rc, out, err) == run(capsys, argv)
+    if command == "plotdata":
+        assert list(csv.DictReader(io.StringIO(out)))[0]["label"] == "report/factor1:adjusted"
+    else:
+        assert json.loads(out)["schema"].startswith("factorbounds-")
+    assert ("factor" in err) == (command in ("analyze", "simulate"))  # the table, the coverage lines
 
 
 def test_usage_errors_exit_2():

@@ -24,7 +24,6 @@ from factorbounds.estimate import (
     estimate_bounds,
     im_critical_value,
     imbens_manski_ci,
-    nu_hat_table,
     parse_method,
     parse_profile,
     wald_reference,
@@ -39,7 +38,7 @@ from factorbounds.oracle import (
 from factorbounds.population import check_least_compliant_profile
 from factorbounds.simulate import census_dataset
 
-from conftest import assumption_population, count_computations, random_population
+from conftest import assumption_population, count_computations, nu_hat_table, random_population
 
 TOL = 1e-12
 

@@ -60,6 +60,10 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
     assert ["simulate", "k3_stacked_chunks.json", "-R", "200"] in report_bytes.commands(paths)
+    clone = simulate.load_scenario(ROOT / "scenarios" / "clone_scaling.json")
+    per_chunk = simulate._CHUNK_CELLS // (clone.N << clone.K)
+    assert (clone.population_mode, clone.clone_factor) == ("clone", 10) and 2 <= per_chunk < 820
+    assert ["simulate", "scenarios/clone_scaling.json", "-R", "820"] in report_bytes.commands(paths)
     methods = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
     assert ["oracle", "k4_population.json", "--method", methods] in report_bytes.commands(paths)
     no_profile = ["oracle", "k3_no_profile.json", "--method", "adjusted,exclusion,joint:2", "--factor", "1"]

@@ -5,6 +5,7 @@ import json
 import pathlib
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -48,10 +49,9 @@ from factorbounds.simulate import (
     load_scenario,
     monte_carlo,
     observe,
-    save_scenario,
 )
 
-from conftest import arm_outcome_means, random_population
+from conftest import arm_outcome_means, random_population, save_scenario
 
 
 def basic_config(**over):
@@ -719,8 +719,8 @@ CLONE_SCALING = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "clo
 @pytest.mark.parametrize("c, R", [(1, 3), (3, 2), (1000, 1), (10, 81)])
 def test_clone_counts_give_the_moments_of_the_cloned_rows(c, R):
     # the base cells weighted by their copies per arm give the arm moments
-    # of the observed clones' rows, for every layout; clone factor 10 runs
-    # 81 replications in one monte_carlo chunk
+    # of the observed clones' rows, for every layout; R=81 stacks 81 count
+    # tables, as a monte_carlo chunk of clones does
     config = load_scenario(CLONE_SCALING)
     base, sizes = generate_population(config), tuple(s * c for s in config.resolved_arm_sizes())
     alloc = np.stack([complete_randomization(base.N * c, sizes, np.random.SeedSequence([5, 1, r])) for r in range(R)])
@@ -980,6 +980,53 @@ def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
     exclusion, adjusted, defier = json.loads(reports[0])["targets"]
     assert 0 < exclusion["n_oracle"] < exclusion["n_ok"]
     assert defier["n_oracle"] == 0 and defier["n_ok"] > 0
+
+
+def _clone1000():
+    return dataclasses.replace(load_scenario(CLONE_SCALING), clone_factor=1000)
+
+
+def test_clone_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    # clone chunks are sized by the base population's cells: one replication
+    # per chunk, seven, the default chunk size and every replication in one
+    # chunk give the same report at clone factor 1000; at the default, 15
+    # replications observe 1200 cells, one chunk, though each allocates 20,000 clones
+    config, R, chunks, reports = _clone1000(), 15, [], []
+    run_chunk, cells = simulate._run_chunk, config.N << config.K  # per replication
+    monkeypatch.setattr(simulate, "_run_chunk", lambda c, reps, *a: chunks.append(reps) or run_chunk(c, reps, *a))
+    for chunk_cells in (cells, 7 * cells, simulate._CHUNK_CELLS, R * cells):
+        monkeypatch.setattr(simulate, "_CHUNK_CELLS", chunk_cells)
+        chunks.clear()
+        reports.append(monte_carlo(config, R).to_json())
+        assert len(chunks) == {cells: R, 7 * cells: 3}.get(chunk_cells, 1)
+    assert len(set(reports)) == 1 and chunks == [range(R)]
+
+
+def test_clone_counts_of_a_generator_equal_those_of_the_stacked_allocations():
+    config = load_scenario(CLONE_SCALING)
+    base, sizes = generate_population(config), tuple(s * 10 for s in config.resolved_arm_sizes())
+    draws = [complete_randomization(base.N * 10, sizes, np.random.SeedSequence([5, 1, r])) for r in range(4)]
+    stacked, drawn = simulate._observe_clones(base, np.stack(draws)), simulate._observe_clones(base, iter(draws))
+    for field in ("arm", "uptake", "outcome", "weight"):
+        a, b = getattr(stacked, field), getattr(drawn, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("R", [2, 40])
+def test_clone_chunk_keeps_one_allocation_alive(monkeypatch, R):
+    # each allocation of the 20,000 clones is counted as it is drawn and
+    # dropped, so when the next one is drawn none of the earlier is alive
+    alive, most, draw = [], [], simulate.complete_randomization
+
+    def tracked(*args):
+        alloc = draw(*args)
+        alive.append(weakref.ref(alloc))
+        most.append(sum(ref() is not None for ref in alive))
+        return alloc
+
+    monkeypatch.setattr(simulate, "complete_randomization", tracked)
+    assert all(t.n_ok == R for t in monte_carlo(_clone1000(), R).targets)
+    assert len(most) == R and max(most) == 1
 
 
 def test_retry_scenario_report_pinned():
