@@ -16,13 +16,27 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from factorbounds.data import ObservedDataset, save_csv
 from factorbounds.design import enumerate_assignments
-from factorbounds.population import Population, fixture_p4, save_population
+from factorbounds.population import Population, save_population
 from factorbounds.simulate import census_dataset
 
 
 def assignment_rows(data: ObservedDataset) -> np.ndarray:
     """(n, K) matrix of assigned levels, one row per unit."""
     return data.design.levels[data.arm]
+
+
+def fixture_p4() -> Population:
+    """Four-unit K=2 population, the worked example of the tests and README.
+
+    Factor 2 is taken by everyone exactly when assigned. Factor 1 has two
+    constant compliers, one unit complying only when factor 2 is at +1,
+    and one unit never taking. The outcome equals the factor-1 uptake
+    indicator, so every effect is hand-checkable.
+    """
+    design = enumerate_assignments(2)
+    # canonical arms (-1,-1), (+1,-1), (-1,+1), (+1,+1); bit 0 is D1 = +1, bit 1 is D2 = +1
+    pattern = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 2, 3], [0, 0, 2, 2]], dtype=np.uint8)
+    return Population.from_pattern(design, pattern, (pattern & 1).astype(np.float64))
 
 
 def outcome_exclusion_population() -> Population:

@@ -43,7 +43,6 @@ from .population import (
     check_outcome_exclusion,
     check_weak_treatment_exclusion,
     classify,
-    fixture_p4,
     group_shares,
     load_population,
     save_population,

@@ -40,7 +40,7 @@ from .errors import (
     InvalidShareError,
     WeakFirstStageError,
 )
-from .population import _memoized, _one_block, frozen
+from .population import _blockwise, _memoized, frozen
 
 _SQRT2 = math.sqrt(2.0)
 _NORMAL = NormalDist()
@@ -383,24 +383,18 @@ class BoundsEstimate:
     to_dict = record_to_dict
 
 
+@_blockwise
 def estimate_bounds(
-    data: ObservedDataset, k: int, method: str, *, profile="min"
-) -> BoundsEstimate:
+    data: ObservedDataset, k: int, method: str, *, profile="min", R: int, failed: list
+) -> list[BoundsEstimate | WeakFirstStageError]:
     """Plug-in interval for one factor and method.
 
     profile is 'min', 'declared:<levels>', or a context tuple. The clipped
     interval is ordered then intersected with [-1, 1]; raw endpoints are the
     faithful plug-ins (a declared non-minimal profile can invert them).
+    With R, data's R equal row blocks are R datasets: one moment pass
+    serves them all, and values and SEs stay scalar per dataset.
     """
-    return _one_block(estimate_stack(data, 1, k, method, profile))
-
-
-def estimate_stack(
-    data: ObservedDataset, R: int, k: int, method: str, profile="min"
-) -> list[BoundsEstimate | WeakFirstStageError]:
-    """estimate_bounds for the R datasets that are data's R equal row blocks:
-    per dataset the estimate, or the WeakFirstStageError it raises. One
-    moment pass serves the stack; values and SEs stay scalar per dataset."""
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
     means, cov = _arm_moments(data, k, k2, R)

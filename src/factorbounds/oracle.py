@@ -32,8 +32,7 @@ Each formula is written for a stack of R populations: it runs its checks
 and reads its arrays once for the stack, then takes its float steps block
 by block; formula(pop, ..., R=R) answers per block with the value or the
 error, and the plain call is the one-block case. A profile tilde is a
-context or "min", each block's first least-compliant context. truth_stack
-and interval_stack answer a Monte Carlo chunk.
+context or "min", each block's first least-compliant context.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .errors import (
     InvalidShareError,
     NoCompliersError,
 )
-from .population import Population, _memoized, _one_block
+from .population import Population, _blockwise, _memoized
 
 
 @dataclass(frozen=True)
@@ -103,30 +102,6 @@ class ITTReport:
     nu_plus: dict[Context, float]
     nu_minus: dict[Context, float]
     nu: dict[Context, float]
-
-
-def _blockwise(stacked):
-    """A formula of one population written for a stack of R populations:
-    stacked(pop, R, failed, *args) runs each check once for pop's R equal
-    unit blocks, in the scalar order, puts each block's first error in
-    failed[r], reads the stack's arrays and returns block(r), the float
-    steps of open block r; an error it raises is that of every block still
-    open. formula(pop, *args) is the one-block call, returning the value or
-    raising the error; formula(pop, *args, R=R) answers per block with the
-    value or the error."""
-
-    def formula(pop: Population, *args, R: int | None = None):
-        failed = [None] * (R or 1)
-        try:
-            block = stacked(pop, R or 1, failed, *args)
-        except FactorBoundsError as error:  # kept without the frames that hold the stack
-            failed = [f or error.with_traceback(None) for f in failed]
-        answers = [f or block(r) for r, f in enumerate(failed)]
-        return answers if R is not None else _one_block(answers)
-
-    formula.__name__ = formula.__qualname__ = stacked.__name__
-    formula.__doc__ = stacked.__doc__
-    return formula
 
 
 @_memoized
@@ -181,28 +156,28 @@ def _contrast_among(pop: Population, R: int, mask: np.ndarray, contrast):
 
 
 @_blockwise
-def main_effect(pop: Population, R: int, failed: list, k: int):
+def main_effect(pop: Population, k: int, *, R: int, failed: list):
     """Average over contexts of the constant-complier outcome contrast."""
-    popmod.require_blocks(pop, R, failed, "first_stage", k)
+    popmod._require(pop, "first_stage", k, R=R, failed=failed)
     constant = pop.compliance(k).constant_complier_mask()
     return _contrast_among(pop, R, constant, dsg.main_effect_contrast(pop.design, k))
 
 
 @_blockwise
-def interaction_effect(pop: Population, R: int, failed: list, factors, k: int):
+def interaction_effect(pop: Population, factors, k: int, *, R: int, failed: list):
     """Interaction contrast among constant compliers of factor k."""
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    popmod.require_blocks(pop, R, failed, "first_stage", k)
+    popmod._require(pop, "first_stage", k, R=R, failed=failed)
     constant = pop.compliance(k).constant_complier_mask()
     return _contrast_among(pop, R, constant, dsg.interaction_contrast(pop.design, fs))
 
 
 @_blockwise
-def joint_interaction_effect(pop: Population, R: int, failed: list, k: int, k2: int):
+def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed: list):
     """Two-factor interaction among units complying with both everywhere."""
-    popmod.require_blocks(pop, R, failed, "joint_first_stage", k, k2)
+    popmod._require(pop, "joint_first_stage", k, k2, R=R, failed=failed)
     mask = pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
     return _contrast_among(pop, R, mask, dsg.interaction_contrast(pop.design, (k, k2)))
 
@@ -210,17 +185,20 @@ def joint_interaction_effect(pop: Population, R: int, failed: list, k: int, k2: 
 def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: int):
     """Per block the first stage at its profile of ks, one factor or a pair:
     tilde, or for "min" the block's first least-compliant context (that
-    check run first). The checks, (token, *factors) tuples, run before the
-    profile's own check, in order; a block whose first stage at its
-    profile is not positive fails."""
-    if isinstance(tilde, str) and tilde == "min":
+    check run first). The checks, (token, *factors) tuples, run before a
+    declared profile's own check, in order; a block whose first stage at
+    its profile is not positive fails."""
+    minimal = isinstance(tilde, str) and tilde == "min"
+    if minimal:
         token = "joint_profile" if len(ks) == 2 else "profile"
-        tildes = [valid[0] if valid else None for valid in popmod.require_blocks(pop, R, failed, token, *ks)]
+        tildes = [valid[0] if valid else None for valid in popmod._require(pop, token, *ks, R=R, failed=failed)]
     else:
         tildes = [tuple(tilde)] * R
     for token, *factors in checks:
-        popmod.require_blocks(pop, R, failed, token, *factors)
-    popmod.require_least_compliant_blocks(pop, R, failed, tildes, *ks)
+        popmod._require(pop, token, *factors, R=R, failed=failed)
+    if not minimal:  # an open block's min profile is in its own least-compliant set
+        for r, error in enumerate(popmod.require_least_compliant(pop, tildes[0], *ks, R=R)):
+            failed[r] = failed[r] or error
     contexts = dsg.contexts_for(pop.design, *ks)
     if len(ks) == 1:
         nu = _nu_arrays(pop, ks[0], R)[3]
@@ -251,7 +229,7 @@ def _taker_terms(pop: Population, k: int, R: int) -> tuple[np.ndarray, np.ndarra
 
 
 @_blockwise
-def adjusted_bounds(pop: Population, R: int, failed: list, k: int, tilde: Context | str):
+def adjusted_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, failed: list):
     """Main-effect bounds using observable noncomplier outcome means.
 
     The center subtracts the never-taker mean under z_k=+1 and adds the
@@ -293,7 +271,7 @@ def _symmetric(pop: Population, R: int, contrast, ts: list, half):
 
 
 @_blockwise
-def simple_bounds(pop: Population, R: int, failed: list, k: int, tilde: Context | str):
+def simple_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, failed: list):
     """Wald-style center with the coarse half-width (1 - nu(tilde)) / nu(tilde)."""
     nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
     return _symmetric(pop, R, dsg.main_effect_contrast(pop.design, k), nu_tilde, lambda r, t: (1.0 - t) / t)
@@ -306,7 +284,7 @@ def _exclusion_interval(pop: Population, R: int, k: int, contrast, ts: list):
 
 
 @_blockwise
-def exclusion_bounds(pop: Population, R: int, failed: list, k: int, tilde: Context | str):
+def exclusion_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, failed: list):
     """Symmetric main-effect bounds under uptake-exclusion for noncompliers."""
     checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]
     nu_tilde = _resolve_tilde(pop, R, failed, tilde, checks, k)
@@ -314,7 +292,7 @@ def exclusion_bounds(pop: Population, R: int, failed: list, k: int, tilde: Conte
 
 
 @_blockwise
-def interaction_bounds(pop: Population, R: int, failed: list, factors, k: int, tilde: Context | str):
+def interaction_bounds(pop: Population, factors, k: int, tilde: Context | str, *, R: int, failed: list):
     """Bounds for an interaction contrast among factor-k constant compliers.
 
     Same assumptions and half-width as the factor-k exclusion bounds; only
@@ -329,7 +307,7 @@ def interaction_bounds(pop: Population, R: int, failed: list, factors, k: int, t
 
 
 @_blockwise
-def joint_bounds(pop: Population, R: int, failed: list, k: int, k2: int, tilde_joint: Context | str):
+def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context | str, *, R: int, failed: list):
     """Bounds for the two-factor interaction among joint constant compliers.
 
     Needs monotonicity, weak and outcome exclusion on both factors, a
@@ -346,7 +324,7 @@ def joint_bounds(pop: Population, R: int, failed: list, k: int, k2: int, tilde_j
 
 
 @_blockwise
-def conservative_bounds(pop: Population, R: int, failed: list, k: int, t: float):
+def conservative_bounds(pop: Population, k: int, t: float, *, R: int, failed: list):
     """Exclusion-style bounds anchored at a declared complier-share floor t.
 
     Valid for any 0 < t <= the constant-complier share, under the exclusion
@@ -356,8 +334,8 @@ def conservative_bounds(pop: Population, R: int, failed: list, k: int, t: float)
     if not np.isfinite(t) or t <= 0.0:
         raise InvalidShareError(f"complier-share floor must be positive, got {t!r}")
     for token in ("monotone", "profile", "exclusion", "outcome_exclusion"):
-        popmod.require_blocks(pop, R, failed, token, k)
-    counts, n = popmod.constant_complier_count.stacked(pop, R, k), pop.N // R
+        popmod._require(pop, token, k, R=R, failed=failed)
+    counts, n = popmod.constant_complier_count(pop, k, R=R), pop.N // R
     for r, count in enumerate(counts):
         if failed[r] is None and t > count / n:
             failed[r] = InvalidShareError(f"floor t={t} exceeds the constant-complier share {count / n}")
@@ -367,16 +345,10 @@ def conservative_bounds(pop: Population, R: int, failed: list, k: int, t: float)
 # --- method table ---------------------------------------------------------------
 
 
-def method_truth(pop: Population, k: int, method: str) -> float:
-    """The true effect a method's interval bounds: truth_stack's one block."""
-    return _one_block(truth_stack(pop, 1, k, method))
-
-
-def truth_stack(pop: Population, R: int, k: int, method: str) -> list:
-    """method_truth for pop's R equal unit blocks (R populations stacked):
-    per block the true effect, or the FactorBoundsError it raises there;
-    computed once per population, factor and contrast, so the main methods
-    share one."""
+@_blockwise
+def method_truth(pop: Population, k: int, method: str, *, R: int, failed: list) -> list:
+    """The true effect a method's interval bounds, computed once per
+    population, factor and contrast, so the main methods share one."""
     kind, args = parse_method(method)
     return list(_truth(pop, k, *((kind, args) if kind in ("interaction", "joint") else ("main", ())), R))
 
@@ -389,22 +361,14 @@ def _truth(pop: Population, k: int, kind: str, args: tuple, R: int = 1) -> tuple
     return tuple(formula(pop, *lead, R=R))
 
 
-@_memoized
-def method_interval(pop: Population, k: int, method: str, profile="min") -> tuple[Interval, Context | None]:
+@_blockwise(memo=True)
+def method_interval(pop: Population, k: int, method: str, profile="min", *, R: int, failed: list) -> list:
     """Exact interval for a method and the profile it was taken at.
 
     Under the min policy the profile is the first valid least-compliant
     context (joint context for the joint method). The conservative method
     takes no profile and returns None for it.
     """
-    return _one_block(interval_stack(pop, 1, k, method, profile))
-
-
-@_memoized
-def interval_stack(pop: Population, R: int, k: int, method: str, profile="min") -> list:
-    """method_interval for pop's R equal unit blocks (R populations stacked):
-    per block the (interval, profile) pair, or the FactorBoundsError it
-    raises there."""
     kind, args, policy, ctx = parse_request(pop.design.K, method, profile)
     tilde = "min" if policy == "min" else ctx
     # the formulas are looked up per call, so a wrapper installed on a module attribute sees the call
@@ -420,7 +384,7 @@ def interval_stack(pop: Population, R: int, k: int, method: str, profile="min") 
     ctxs = [ctx] * R
     if policy == "min" and not all(isinstance(iv, FactorBoundsError) for iv in ivs):  # else the check may not have run
         ks = (k, *args) if kind == "joint" else (k,)
-        ctxs = [valid[0] if valid else None for valid in popmod.check_least_compliant_profile.stacked(pop, R, *ks)]
+        ctxs = [valid[0] if valid else None for valid in popmod.check_least_compliant_profile(pop, *ks, R=R)]
     return [iv if isinstance(iv, FactorBoundsError) else (iv, c) for iv, c in zip(ivs, ctxs)]
 
 

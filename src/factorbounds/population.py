@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -93,16 +94,20 @@ def pack_uptake(uptake: np.ndarray) -> np.ndarray:
 MEMORY_BUDGET = 4 << 30  # bytes a population may take by require_memory's estimate
 
 
-def require_memory(N: int, K: int) -> None:
+def require_memory(N: int, K: int, clones: int = 0) -> None:
     """Refuse a population of N units over 2^K arms whose estimated size
     exceeds MEMORY_BUDGET, before any array of it is built. Each (unit,
     arm) cell costs its float64 outcome, its uint8/uint16 pattern entry,
     K/2 bytes of generation's (K, 2^(K-1), N) int8 types and the m2
-    model's thresholded copy (a bool and a float64)."""
-    need = (N << K) * (8 + np.dtype(pattern_dtype(K)).itemsize + K / 2 + 9)
+    model's thresholded copy (a bool and a float64). Each of a clone run's
+    clones units, whose population is never built, costs five intp arrays
+    as it is drawn and counted: the allocation, its permutation, the arm
+    runs it permutes, the unit's base unit and the bincount index."""
+    need = (N << K) * (8 + np.dtype(pattern_dtype(K)).itemsize + K / 2 + 9) + clones * 5 * np.dtype(np.intp).itemsize
     if need > MEMORY_BUDGET:
+        with_clones = f" with {clones} clone units" if clones else ""
         raise InvalidInputError(
-            f"a population of N={N} units over 2^{K} arms needs about {need / 2**30:.1f} GiB,"
+            f"a population of N={N} units over 2^{K} arms{with_clones} needs about {need / 2**30:.1f} GiB,"
             f" over the {MEMORY_BUDGET / 2**30:.0f} GiB budget"
         )
 
@@ -112,37 +117,80 @@ def _typed(value):
     return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
 
 
-def _memo_key(fn, args: tuple, kwargs: dict) -> tuple:
-    """fn with its typed arguments; flat positional arguments, the common
-    case, carry their types in one tuple beside them."""
+def _cached(owner, fn, args: tuple, kwargs: dict, compute):
+    """owner's memo entry for fn and its typed arguments, computed by compute() on a miss, its
+    arrays set read-only; the owner is a Population or an ObservedDataset, whose arrays never change.
+    A compute that raises stores nothing, a None result is a miss, and a list argument is uncached."""
     if kwargs or tuple in map(type, args):
-        return (fn, _typed((args, tuple(sorted(kwargs.items())))))
-    return (fn, args, tuple(map(type, args)))
+        key = (fn, _typed((args, tuple(sorted(kwargs.items())))))
+    else:  # flat positional arguments, the common case, carry their types in one tuple beside them
+        key = (fn, args, tuple(map(type, args)))
+    try:
+        value = owner._memo.get(key)
+    except TypeError:
+        return compute()
+    if value is None:
+        value = owner._memo[key] = compute()
+        for arr in value if type(value) is tuple else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+    return value
 
 
 def _memoized(fn):
     """fn(owner, ...) computed once per owner and typed arguments, kept in
-    owner._memo; the owner is a Population or an ObservedDataset, whose
-    arrays never change. A call that raises stores nothing and an unhashable
-    argument is computed uncached; arrays come back read-only and lists as
-    fresh copies (a None result counts as a miss)."""
+    owner._memo; lists come back as fresh copies."""
 
     @functools.wraps(fn)
     def wrapper(owner, *args, **kwargs):
         compute = wrapper.__wrapped__  # read per call, like a module attribute
-        key = _memo_key(wrapper, args, kwargs)
-        try:
-            value = owner._memo.get(key)
-        except TypeError:  # an unhashable argument, such as a list profile
-            return compute(owner, *args, **kwargs)
-        if value is None:
-            value = owner._memo[key] = compute(owner, *args, **kwargs)
-            for arr in value if type(value) is tuple else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
+        value = _cached(owner, wrapper, args, kwargs, lambda: compute(owner, *args, **kwargs))
         return list(value) if type(value) is list else value
 
     return wrapper
+
+
+def _blockwise(compute=None, *, memo: bool = False):
+    """One function for a question asked of an owner or of R stacked ones, its R equal blocks of
+    units or rows. compute(owner, *args, R=R, failed=failed) runs each check once for the R blocks,
+    in the plain call's order, puts each block's first error in failed[r] and returns the R answers,
+    or block with block(r) the answer of open block r; an error it raises is every open block's.
+    f(owner, *args) returns the one answer or raises its error; f(owner, *args, R=R) returns R
+    answers, each a value or a FactorBoundsError. With memo they are kept on the owner by R and
+    typed arguments, so a plain and an R=1 call share one entry; a list comes back as a fresh copy."""
+    if compute is None:
+        return functools.partial(_blockwise, memo=memo)
+
+    @functools.wraps(compute)
+    def f(owner, *args, R=None, **kwargs):
+        if R is None:
+            n = 1
+        else:  # a positive integer dividing the owner's units (a dataset's rows); an int is checked first, quickly
+            size = len(owner.pattern if isinstance(owner, Population) else owner.arm)
+            if type(R) is not int and (isinstance(R, bool) or not isinstance(R, numbers.Integral)) or R < 1 or size % R:
+                raise InvalidInputError(f"R must be a positive integer dividing {size}, got {R!r}")
+            n = int(R)
+
+        def answers() -> list:
+            failed = [None] * n
+            try:
+                block = f.__wrapped__(owner, *args, R=n, failed=failed, **kwargs)  # read per call, as _memoized's
+            except FactorBoundsError as error:  # kept without the frames that hold the stack
+                failed, block = [e or error.with_traceback(None) for e in failed], None
+            answer = block.__getitem__ if type(block) is list else block
+            got = [e or answer(r) for r, e in enumerate(failed)]
+            if R is None and isinstance(got[0], FactorBoundsError):
+                raise got[0]  # a plain call that raises stores nothing
+            return got
+
+        got = _cached(owner, f, (n, *args), kwargs, answers) if memo else answers()
+        if R is not None:
+            return list(got)
+        if isinstance(got[0], FactorBoundsError):  # kept by an R=1 call
+            raise got[0].with_traceback(None)
+        return list(got[0]) if type(got[0]) is list else got[0]
+
+    return f
 
 
 @dataclass(frozen=True, init=False)
@@ -210,13 +258,6 @@ class Population:
     def N(self) -> int:
         return int(self.pattern.shape[0])
 
-    def clone(self, factor: int) -> "Population":
-        """Stack `factor` copies of every unit; all population means persist."""
-        if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
-            raise InvalidInputError(f"clone factor must be a positive integer, got {factor!r}")
-        pattern, out = frozen(np.tile(self.pattern.T, factor), np.concatenate([self.outcome] * factor))
-        return Population.from_pattern(self.design, pattern.T, out)
-
 
 @_memoized
 def arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
@@ -276,23 +317,6 @@ def classify(pop: Population, k: int) -> ComplianceProfile:
     return ComplianceProfile(factor=k, contexts=contexts, labels=_LABEL_TABLE.take((minus << 1) | plus).T)
 
 
-def _stacked_check(stacked):
-    """The memoized check of one population, written in its stacked form:
-    stacked(pop, R, *args) answers for a population of R equal blocks of
-    units (R populations stacked) with one value per block, and the check
-    is its R=1 call. check.stacked is memoized as well, so the values that
-    simulate's generation takes on a chunk serve the oracle on that chunk.
-    Masks are unit-last, (..., N), so every reduction runs along N."""
-    stacked = _memoized(stacked)
-
-    def check(pop: Population, *args):
-        return stacked(pop, 1, *args)[0]
-
-    check.__name__ = check.__qualname__ = stacked.__name__
-    check.__doc__, check.stacked = stacked.__doc__, stacked
-    return _memoized(check)
-
-
 def _per_block(mask: np.ndarray, R: int, found) -> list:
     """found(block) for each of the R equal unit blocks of a unit-last mask that has an entry set, [] for the others."""
     n = mask.shape[-1] // R
@@ -306,16 +330,16 @@ def _valid_contexts(contexts, shift: np.ndarray, R: int) -> list[tuple[Context, 
     return [tuple(ctx for ctx, ok in zip(contexts, row) if ok) for row in valid.tolist()]
 
 
-@_stacked_check
-def check_conditional_monotonicity(pop: Population, R: int, k: int) -> list[list[tuple[int, Context]]]:
+@_blockwise(memo=True)
+def check_conditional_monotonicity(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Defier instances for factor k; empty list means the check passes."""
     prof = pop.compliance(k)
     found = lambda b: [(i, prof.contexts[c]) for i, c in zip(*(a.tolist() for a in np.nonzero(b.T)))]
     return _per_block(prof.labels.T == DEFIER, R, found)
 
 
-@_stacked_check
-def check_least_compliant_profile(pop: Population, R: int, *ks: int) -> list[tuple[Context, ...]]:
+@_blockwise(memo=True)
+def check_least_compliant_profile(pop: Population, *ks: int, R: int, failed: list) -> list[tuple[Context, ...]]:
     """Contexts at which every unit's uptake response over ks is weakly smallest.
 
     ks is one factor or a pair; the response at a context is the contrast
@@ -332,8 +356,8 @@ def check_least_compliant_profile(pop: Population, R: int, *ks: int) -> list[tup
     return _valid_contexts(contexts, dsg.context_contrast(prod[dsg.context_arms(pop.design, *ks)]), R)
 
 
-@_stacked_check
-def check_weak_treatment_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[int, Context]]]:
+@_blockwise(memo=True)
+def check_weak_treatment_exclusion(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Units whose untouched factor-k uptake hides a shift elsewhere.
 
     For each context, looks at units whose uptake of k is the same under
@@ -349,9 +373,9 @@ def check_weak_treatment_exclusion(pop: Population, R: int, k: int) -> list[list
     return _per_block(hidden, R, found)
 
 
-@_stacked_check
+@_blockwise(memo=True)
 def check_conditional_treatment_exclusion(
-    pop: Population, R: int, k: int, k2: int
+    pop: Population, k: int, k2: int, *, R: int, failed: list
 ) -> list[list[tuple[int, int, Context]]]:
     """Cross-dependence of uptake between two factors.
 
@@ -372,8 +396,8 @@ def check_conditional_treatment_exclusion(
     return _per_block(moved, R, found)
 
 
-@_stacked_check
-def check_outcome_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[int, Context]]]:
+@_blockwise(memo=True)
+def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Units whose outcome moves with z_k while their uptake does not: per
     context, those whose full uptake vector is the same under z_k = +1 and
     -1 but whose outcome differs. Empty list means the check passes."""
@@ -386,8 +410,8 @@ def check_outcome_exclusion(pop: Population, R: int, k: int) -> list[list[tuple[
     return _per_block(hidden, R, found)
 
 
-@_stacked_check
-def constant_complier_count(pop: Population, R: int, *ks: int) -> list[int]:
+@_blockwise(memo=True)
+def constant_complier_count(pop: Population, *ks: int, R: int, failed: list) -> list[int]:
     """Units complying with every factor of ks (one factor or a pair) at every context."""
     dsg.validate_factor_set(pop.design, ks)
     mask = np.logical_and.reduce([pop.compliance(k).constant_complier_mask() for k in ks])
@@ -420,29 +444,14 @@ def _who(ks: tuple[int, ...]) -> str:
     return f"factor {ks[0]}" if len(ks) == 1 else f"factors {ks}"
 
 
-def _one_block(answers: list):
-    """The answer of a one-block stack, an error raised afresh (kept without the frames that raised it)."""
-    (answer,) = answers
-    if isinstance(answer, FactorBoundsError):
-        raise answer.with_traceback(None)
-    return answer
-
-
-def require(pop: Population, token: str, *ks: int):
+@_blockwise
+def require(pop: Population, token: str, *ks: int, R: int, failed: list) -> list:
     """The value of the token's check on pop at factors ks; raises the
     token's error, naming the factors, when that value does not pass."""
-    failed = [None]
-    (value,) = require_blocks(pop, 1, failed, token, *ks)
-    _one_block(failed)  # raises the error, if any
-    return list(value) if type(value) is list else value  # a fresh copy, as the memo hands out
-
-
-def require_blocks(pop: Population, R: int, failed: list, token: str, *ks: int) -> list:
-    """require on pop's R equal unit blocks, the check run once, stacked,
-    for all of them: returns its R values and puts require's error in
-    failed[r] for each block r still open (failed[r] None) that misses."""
     _, check, passes, error, text = ASSUMPTIONS[token]
-    values = check.stacked(pop, R, *ks)
+    values = check(pop, *ks, R=R)
+    if isinstance(values[0], FactorBoundsError):  # a check answers per block only with values: a bad argument
+        raise values[0]
     for r, value in enumerate(values):
         if failed[r] is None and not passes(value):
             shown = f"{value[:5]}" + ("..." if len(value) > 5 else "") if isinstance(value, list) else ""
@@ -450,21 +459,22 @@ def require_blocks(pop: Population, R: int, failed: list, token: str, *ks: int) 
     return values
 
 
-def require_least_compliant(pop: Population, tilde: Context, *ks: int) -> None:
+_require = require.__wrapped__  # require's compute: a formula passes its own first-error list as failed
+
+
+@_blockwise
+def require_least_compliant(pop: Population, tilde: Context, *ks: int, R: int, failed: list) -> list:
     """Refuse a declared profile tilde that is not a least-compliant context of ks, one factor or a pair."""
-    failed = [None]
-    require_least_compliant_blocks(pop, 1, failed, [tilde], *ks)
-    _one_block(failed)  # raises the error, if any
-
-
-def require_least_compliant_blocks(pop: Population, R: int, failed: list, tildes: list, *ks: int) -> None:
-    """require_least_compliant on each open block r of pop's R equal unit blocks, with its profile tildes[r]."""
     joint = "joint " if len(ks) == 2 else ""
-    for r, valid in enumerate(check_least_compliant_profile.stacked(pop, R, *ks)):
-        if failed[r] is None and tildes[r] not in valid:
+    valid_sets = check_least_compliant_profile(pop, *ks, R=R)
+    if isinstance(valid_sets[0], FactorBoundsError):  # a bad argument, as in _require
+        raise valid_sets[0]
+    for r, valid in enumerate(valid_sets):
+        if failed[r] is None and tilde not in valid:
             failed[r] = AssumptionViolationError(
-                f"{_who(ks)}: context {tildes[r]!r} is not a {joint}least-compliant profile; valid set {valid!r}"
+                f"{_who(ks)}: context {tilde!r} is not a {joint}least-compliant profile; valid set {valid!r}"
             )
+    return [None] * R
 
 
 @dataclass(frozen=True)
@@ -507,20 +517,6 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
         rho_always=per_context(prof.labels == ALWAYS_TAKER),
         rho_never=per_context(prof.labels == NEVER_TAKER),
     )
-
-
-def fixture_p4() -> Population:
-    """Four-unit K=2 population used throughout the tests.
-
-    Factor 2 is taken by everyone exactly when assigned. Factor 1 has two
-    constant compliers, one unit complying only when factor 2 is at +1,
-    and one unit never taking. The outcome equals the factor-1 uptake
-    indicator, so every effect is hand-checkable.
-    """
-    design = dsg.enumerate_assignments(2)
-    # canonical arms (-1,-1), (+1,-1), (-1,+1), (+1,+1); bit 0 is D1 = +1, bit 1 is D2 = +1
-    pattern = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 2, 3], [0, 0, 2, 2]], dtype=np.uint8)
-    return Population.from_pattern(design, pattern, (pattern & 1).astype(np.float64))
 
 
 def to_dict(pop: Population) -> dict:

@@ -284,7 +284,7 @@ class ScenarioConfig(_Record):
     def __post_init__(self) -> None:
         super().__post_init__()
         design = enumerate_assignments(self.K)  # validates K
-        popmod.require_memory(self.N, self.K)
+        popmod.require_memory(self.N, self.K, self.N * self.clone_factor if self.population_mode == "clone" else 0)
         if len(self.factors) != self.K:
             raise InvalidInputError(f"{len(self.factors)} factor specs for K={self.K}")
         for k, spec in enumerate(self.factors, start=1):
@@ -515,7 +515,7 @@ def _generate(config: ScenarioConfig, reps) -> Population:
         misses = [[] for _ in todo]
         for label, want, name, ks in tokens:
             _, check, passes, *_ = popmod.ASSUMPTIONS[name]
-            for value, missed in zip(check.stacked(stack, len(todo), *ks), misses):
+            for value, missed in zip(check(stack, *ks, R=len(todo)), misses):
                 if passes(value) != want:
                     missed.append(label)
         if attempt == 0 and not any(misses):
@@ -704,12 +704,9 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
     else:
         data = _observe_clones(pop, draws)
     for t in tlist:
-        try:
-            estimates = est.estimate_stack(data, R, t.factor, t.method, t.profile)
-        except FactorBoundsError as e:  # one error for the whole chunk, such as a short arm
-            estimates = [e] * R
-        truths = oracle.truth_stack(pop, blocks, t.factor, t.method) * spread
-        refs = oracle.interval_stack(pop, blocks, t.factor, t.method, t.profile) * spread
+        estimates = est.estimate_bounds(data, t.factor, t.method, profile=t.profile, R=R)
+        truths = oracle.method_truth(pop, t.factor, t.method, R=blocks) * spread
+        refs = oracle.method_interval(pop, t.factor, t.method, t.profile, R=blocks) * spread
         for truth, e, ref in zip(truths, estimates, refs):
             error = next((v for v in (truth, e) if isinstance(v, FactorBoundsError)), None)
             try:  # the first error of truth, estimate and CI is the replication's tally
@@ -739,8 +736,6 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     if not tlist:
         raise InvalidInputError("no targets: set them in the scenario")
     mode = config.population_mode
-    units = config.N * (config.clone_factor if mode == "clone" else 1)
-    popmod.require_memory(units, config.K)
     base = None
     if mode in ("fixed", "clone"):
         base = generate_population(config, rep=0)

@@ -1,13 +1,23 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from factorbounds import estimate as est
 from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast, validate_factor
-from factorbounds.errors import InvalidFactorError, NoCompliersError
-from factorbounds.population import Population, _memoized, arm_means, constant_complier_count, fixture_p4
+from factorbounds.errors import InvalidFactorError, InvalidInputError, NoCompliersError
+from factorbounds.population import Population, _memoized, arm_means, constant_complier_count, frozen
 from factorbounds.simulate import census_dataset
+
+# the four-unit worked example is built by the script that writes it to data/
+_spec = importlib.util.spec_from_file_location(
+    "make_fixture_data", Path(__file__).resolve().parents[1] / "scripts" / "make_fixture_data.py"
+)
+_fixture_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_fixture_script)
+fixture_p4 = _fixture_script.fixture_p4
 
 
 @_memoized
@@ -21,6 +31,15 @@ def arm_uptake_means(pop, *ks):
     """Population mean of the uptake product over factors ks per arm,
     length J: of D_k for one factor, of D_k * D_k2 for a pair."""
     return arm_means(pop, 1, *ks)[0]
+
+
+def clone(pop, factor):
+    """Stack `factor` copies of every unit, unit i a copy of unit i % N; all
+    population means persist. The row path that clone mode's counts replace."""
+    if not isinstance(factor, int) or isinstance(factor, bool) or factor < 1:
+        raise InvalidInputError(f"clone factor must be a positive integer, got {factor!r}")
+    pattern, out = frozen(np.tile(pop.pattern.T, factor), np.concatenate([pop.outcome] * factor))
+    return Population.from_pattern(pop.design, pattern.T, out)
 
 
 def constant_complier_share(pop, k):

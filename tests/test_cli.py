@@ -10,7 +10,7 @@ from factorbounds.cli import main
 from factorbounds.data import save_csv
 from factorbounds.oracle import adjusted_bounds, exclusion_bounds
 from factorbounds.errors import InvalidInputError
-from factorbounds.population import Population, fixture_p4, save_population
+from factorbounds.population import Population, save_population
 from factorbounds.simulate import (
     FactorSpec,
     OutcomeSpec,
@@ -19,7 +19,7 @@ from factorbounds.simulate import (
     load_scenario,
 )
 
-from conftest import save_scenario
+from conftest import fixture_p4, save_scenario
 
 TOL = 1e-12
 DATA = Path(__file__).resolve().parents[1] / "data"

@@ -37,7 +37,7 @@ from factorbounds.oracle import (
     method_truth,
     simple_bounds,
 )
-from factorbounds.population import Population, check_least_compliant_profile, fixture_p4
+from factorbounds.population import Population, check_least_compliant_profile
 from factorbounds.simulate import (
     FactorSpec,
     ScenarioConfig,
@@ -51,8 +51,10 @@ from conftest import (
     arm_outcome_means,
     arm_uptake_means,
     assumption_population,
+    clone,
     constant_complier_share,
     count_computations,
+    fixture_p4,
     random_population,
     wald_ratio,
 )
@@ -493,7 +495,7 @@ def _stacked_answers(stacked):
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 @pytest.mark.parametrize("R", [1, 2, 5])
 def test_stacked_oracle_equals_its_one_block_calls(K, R):
-    # truth_stack and interval_stack on a stack of R populations answer per
+    # method_truth and method_interval with R= on a stack of R populations answer per
     # block as method_truth and method_interval on each population alone:
     # the same floats bit for bit, or the same error type and message
     rng = np.random.default_rng(1000 * K + R)
@@ -509,12 +511,12 @@ def test_stacked_oracle_equals_its_one_block_calls(K, R):
         for k in range(1, K + 1):
             for method in methods:
                 want = [_answer(lambda p=p: method_truth(p, k, method)) for p in fresh]
-                got = _stacked_answers(lambda: oracle.truth_stack(stack, R, k, method))
+                got = _stacked_answers(lambda: method_truth(stack, k, method, R=R))
                 assert got == (want[0] if isinstance(got, tuple) else want), (K, R, k, method)
                 context_len = K - (2 if method.startswith("joint") else 1)
                 for profile in ("min", f"declared:{','.join(['-1'] * context_len)}", (1,) * max(context_len, 0)):
                     want = [_answer(lambda p=p: method_interval(p, k, method, profile)) for p in fresh]
-                    got = _stacked_answers(lambda: oracle.interval_stack(stack, R, k, method, profile))
+                    got = _stacked_answers(lambda: method_interval(stack, k, method, profile, R=R))
                     if isinstance(got, tuple):  # a bad argument raises for the whole stack, as for each block
                         assert all(w == got for w in want), (K, R, k, method, profile)
                     else:
@@ -530,7 +532,7 @@ def test_stacked_oracle_reaches_different_errors_within_one_stack():
         parts[0].design, np.concatenate([p.pattern for p in parts]), np.concatenate([p.outcome for p in parts])
     )
     methods = ("adjusted", "exclusion", "joint:2", "conservative:0.05")
-    answers = [v for method in methods for v in oracle.interval_stack(stack, 12, 1, method)]
+    answers = [v for method in methods for v in method_interval(stack, 1, method, R=12)]
     errors = {str(v)[:40] for v in answers if isinstance(v, FactorBoundsError)}
     assert len(errors) >= 4 and len(errors) < len(answers), errors  # defiers, no profile, weak and cross exclusion
 
@@ -542,7 +544,7 @@ def test_each_block_reports_its_first_failing_check_in_the_scalar_order():
     # a population passing them; joint:1's refused factor pair comes after
     # them, and is the other block's answer
     bad = random_population(np.random.default_rng(0), 2, 12)
-    good = fixture_p4().clone(3)
+    good = clone(fixture_p4(), 3)
     stack = Population.from_pattern(bad.design, np.concatenate([bad.pattern, good.pattern]),
                                     np.concatenate([bad.outcome, good.outcome]))
     defiers, no_profile = "factor 1: defiers present", "factor 1: no uniformly least compliant context"
@@ -559,7 +561,7 @@ def test_each_block_reports_its_first_failing_check_in_the_scalar_order():
     for method, profile, message in first:
         with pytest.raises(FactorBoundsError, match=f"^{re.escape(message)}"):
             method_interval(bad, 1, method, profile)
-        failed, passed = oracle.interval_stack(stack, 2, 1, method, profile)
+        failed, passed = method_interval(stack, 1, method, profile, R=2)
         assert str(failed).startswith(message), (method, profile, failed)
         assert _key(passed) == _answer(lambda: method_interval(good, 1, method, profile)), (method, profile)
     assert str(passed) == "joint contexts need two distinct factors, got 1 twice"
@@ -578,7 +580,7 @@ def test_the_min_profile_is_the_first_least_compliant_context():
         assert formula(pop, 1, "min") == formula(pop, 1, (-1,))
         assert method_interval(pop, 1, method) == (formula(pop, 1, (-1,)), (-1,))
     stack = Population.from_pattern(design, np.tile(pattern, (2, 1)), np.full((12, 4), 0.5))
-    assert oracle.interval_stack(stack, 2, 1, "exclusion") == [method_interval(pop, 1, "exclusion")] * 2
+    assert method_interval(stack, 1, "exclusion", R=2) == [method_interval(pop, 1, "exclusion")] * 2
 
 
 @pytest.mark.parametrize("mode", ["fixed", "clone"])

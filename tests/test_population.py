@@ -28,7 +28,6 @@ from factorbounds.population import (
     check_weak_treatment_exclusion,
     classify,
     constant_complier_count,
-    fixture_p4,
     from_dict,
     group_shares,
     load_population,
@@ -38,14 +37,17 @@ from factorbounds.population import (
     save_population,
     to_dict,
 )
-from factorbounds import simulate
+from factorbounds import oracle, simulate
+from factorbounds.estimate import estimate_bounds
 from factorbounds.simulate import FactorSpec, ScenarioConfig, _generate, generate_population
 
 from conftest import (
     arm_outcome_means,
     arm_uptake_means,
     assumption_population,
+    clone,
     count_computations,
+    fixture_p4,
     random_population,
     strip_factor,
 )
@@ -341,12 +343,32 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
         for check, arguments in checks:
             for a in arguments:
                 want = [check(Population(design=p.design, uptake=p.uptake, outcome=p.outcome), *a) for p in parts]
-                assert check.stacked(stack, len(parts), *a) == want, (check.__name__, a)
+                assert check(stack, *a, R=len(parts)) == want, (check.__name__, a)
         # the per-block arm means the stacked oracle reads are each part's own, bit for bit
         for ks in [(), *single, *pairs]:
             for part, means in zip(parts, arm_means(stack, len(parts), *ks)):
                 own = arm_uptake_means(part, *ks) if ks else arm_outcome_means(part)
                 assert means.tobytes() == own.tobytes(), ks
+    # R, a keyword of every question, must be a positive integer dividing the
+    # units, or a dataset's rows; anything else is refused before any work
+    p4 = fixture_p4()
+    census = simulate.census_dataset(p4)  # 16 rows
+    calls = [
+        (lambda R: check_conditional_monotonicity(p4, 1, R=R), 4),
+        (lambda R: constant_complier_count(p4, 1, 2, R=R), 4),
+        (lambda R: require(p4, "monotone", 1, R=R), 4),
+        (lambda R: require_least_compliant(p4, (-1,), 1, R=R), 4),
+        (lambda R: oracle.method_truth(p4, 1, "adjusted", R=R), 4),
+        (lambda R: oracle.method_interval(p4, 1, "adjusted", R=R), 4),
+        (lambda R: oracle.exclusion_bounds(p4, 1, "min", R=R), 4),
+        (lambda R: estimate_bounds(census, 1, "exclusion", R=R), 16),
+    ]
+    for call, size in calls:
+        for R in (0, -2, 3, 2.5, 2.0, True, "2", [2]):
+            message = f"R must be a positive integer dividing {size}, got {R!r}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                call(R)
+        assert len(call(np.int64(2))) == 2
 
 
 def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
@@ -494,11 +516,11 @@ def test_split_clone_and_retry_patterns_pack_their_uptake(monkeypatch):
         assert np.array_equal(pop.pattern, pack_uptake(pop.uptake))
 
     p4 = fixture_p4()
-    big = p4.clone(3)
+    big = clone(p4, 3)
     blocks = [Population.from_pattern(p4.design, big.pattern[i : i + 4], big.outcome[i : i + 4]) for i in (0, 4, 8)]
     for pop in (big, *blocks):  # a retry stacks the blocks of a chunk split this way
         packed(pop)
-    assert p4.clone(3).pattern.T.flags.c_contiguous
+    assert clone(p4, 3).pattern.T.flags.c_contiguous
     # rare constant compliers: some replications miss first_stage:1 and draw again
     config = ScenarioConfig(
         K=2,
@@ -567,9 +589,9 @@ def test_read_only_view_of_writable_memory_is_copied():
     q = Population(design=pop.design, uptake=v, outcome=pop.outcome)
     u[0, 0, 0] = 1  # the caller still writes the memory under its read-only view
     assert q.uptake[0, 0, 0] == -1 and not np.shares_memory(q.uptake, u)
-    clone = pop.clone(3)  # the package's own arrays are kept: owned and frozen
-    assert clone.uptake.base is None and clone.outcome.base is None
-    assert Population(design=pop.design, uptake=clone.uptake, outcome=clone.outcome).uptake is clone.uptake
+    copies = clone(pop, 3)  # the package's own arrays are kept: owned and frozen
+    assert copies.uptake.base is None and copies.outcome.base is None
+    assert Population(design=pop.design, uptake=copies.uptake, outcome=copies.outcome).uptake is copies.uptake
 
 
 def test_read_only_arrays_are_stored_without_a_copy():
@@ -587,7 +609,7 @@ def test_compliance_profile_computed_once_and_read_only():
         prof.labels[0, 0] = DEFIER
     with pytest.raises(InvalidFactorError):
         pop.compliance(True)  # not the cached factor-1 profile
-    assert pop.clone(2).compliance(1) is not prof
+    assert clone(pop, 2).compliance(1) is not prof
 
 
 def test_arm_uptake_means_is_the_per_arm_mean_uptake_product():
@@ -609,13 +631,13 @@ def test_arm_uptake_means_is_the_per_arm_mean_uptake_product():
 
 def test_clone_preserves_means():
     pop = fixture_p4()
-    big = pop.clone(7)
+    big = clone(pop, 7)
     assert big.N == 28
     assert np.array_equal(arm_outcome_means(big), arm_outcome_means(pop))
     assert np.array_equal(arm_uptake_means(big, 1), arm_uptake_means(pop, 1))
     assert constant_complier_count(big, 1) == 7 * constant_complier_count(pop, 1)
     with pytest.raises(InvalidInputError):
-        pop.clone(0)
+        clone(pop, 0)
 
 
 def test_population_io_roundtrip(tmp_path):
@@ -727,7 +749,7 @@ def test_memo_hands_out_read_only_arrays_and_fresh_lists():
     assert check_weak_treatment_exclusion(pop, 1) == []
     passed = require(pop, "exclusion", 1)  # require reads the stacked memo and hands out a copy too
     passed.append((0, (-1,)))
-    assert require(pop, "exclusion", 1) == [] and check_weak_treatment_exclusion.stacked(pop, 1, 1) == [[]]
+    assert require(pop, "exclusion", 1) == [] and check_weak_treatment_exclusion(pop, 1, R=1) == [[]]
     defiers = random_population(np.random.default_rng(2), 2, 20)
     found = check_conditional_monotonicity(defiers, 1)
     assert found

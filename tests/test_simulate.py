@@ -35,7 +35,6 @@ from factorbounds.population import (
     check_weak_treatment_exclusion,
     classify,
     constant_complier_count,
-    fixture_p4,
 )
 from factorbounds.simulate import (
     FactorSpec,
@@ -51,7 +50,7 @@ from factorbounds.simulate import (
     observe,
 )
 
-from conftest import arm_outcome_means, random_population, save_scenario
+from conftest import arm_outcome_means, clone, fixture_p4, random_population, save_scenario
 
 
 def basic_config(**over):
@@ -234,7 +233,7 @@ def test_stacked_generation_equals_one_replication_at_a_time():
     config = basic_config(N=12, factors=(FactorSpec(complier=0.15), FactorSpec(complier=0.9)))
     stack = simulate._generate(config, range(3, 40))
     assert stack.N == 37 * 12 and not stack.pattern.flags.writeable
-    valid = check_least_compliant_profile.stacked(stack, 37, 1)
+    valid = check_least_compliant_profile(stack, 1, R=37)
     for i, rep in enumerate(range(3, 40)):
         alone = generate_population(config, rep=rep)
         block = slice(i * 12, i * 12 + 12)
@@ -485,30 +484,53 @@ def test_census_dataset_is_the_direct_every_arm_construction(K):
     assert (K < 9) == (pop.pattern.dtype == np.uint8)
 
 
+def _k8_clones(clone_factor):
+    """K=8, N=600 in clone mode: a base population of 600*256 cells."""
+    factors = (FactorSpec(complier=0.5),) * 8
+    return ScenarioConfig(
+        K=8,
+        N=600,
+        seed=1,
+        factors=factors,
+        population_mode="clone",
+        clone_factor=clone_factor,
+        targets=(TargetSpec(factor=1),),
+    )
+
+
 def test_memory_preflight_refuses_before_any_array_exists():
     # K=10, N=200k is refused by its estimate (4.6 GiB) before a population
-    # is built; K=8, N=200k (1.0 GiB) passes; monte_carlo counts the clones
+    # is built; K=8, N=200k (1.0 GiB) passes. A clone run is charged its
+    # base population and 40 bytes per clone unit for the allocation arrays
+    # a chunk draws: K=8, N=600 at clone factor 5000 (3M clone units, 0.1
+    # GiB) passes, and at 200,000 (120M clone units, 4.5 GiB) is refused
     factors = lambda K: (FactorSpec(complier=0.5),) * K
     tracemalloc.start()
     try:
         with pytest.raises(InvalidInputError, match=re.escape("needs about 4.6 GiB, over the 4 GiB budget")):
             ScenarioConfig(K=10, N=200_000, seed=1, factors=factors(10))
         ScenarioConfig(K=8, N=200_000, seed=1, factors=factors(8))
-        clones = ScenarioConfig(
-            K=8,
-            N=600,
-            seed=1,
-            factors=factors(8),
-            population_mode="clone",
-            clone_factor=5000,
-            targets=(TargetSpec(factor=1),),
-        )
-        with pytest.raises(InvalidInputError, match="N=3000000 units over 2\\^8 arms"):
-            monte_carlo(clones, R=1)
+        _k8_clones(5000)
+        with pytest.raises(InvalidInputError, match="N=600 units over 2\\^8 arms with 120000000 clone units"):
+            _k8_clones(200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # a population of either would take gigabytes
+
+
+def test_an_accepted_clone_run_stays_within_its_memory_charge():
+    # 3M clone units run, and the traced peak stays under the 40 bytes per
+    # clone unit the preflight charges for the allocation arrays
+    config = _k8_clones(5000)
+    tracemalloc.start()
+    try:
+        report = monte_carlo(config, R=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.targets[0].n_ok == 1
+    assert peak < config.N * config.clone_factor * 40
 
 
 def test_generation_honors_requires():
@@ -690,7 +712,7 @@ def test_observe_equals_fancy_index_read_off():
 def test_arm_means_unbiased_over_allocations():
     # complete randomization is unbiased for every arm mean on a fixed
     # population; check to 3 Monte Carlo SEs with a fixed seed
-    pop = fixture_p4().clone(2)  # N=8 so every arm gets 2 units
+    pop = clone(fixture_p4(), 2)  # N=8 so every arm gets 2 units
     sizes = (2, 2, 2, 2)
     reps = 10_000
     rng = np.random.default_rng(515)
@@ -725,7 +747,7 @@ def test_clone_counts_give_the_moments_of_the_cloned_rows(c, R):
     base, sizes = generate_population(config), tuple(s * c for s in config.resolved_arm_sizes())
     alloc = np.stack([complete_randomization(base.N * c, sizes, np.random.SeedSequence([5, 1, r])) for r in range(R)])
     counted = simulate._observe_clones(base, alloc)
-    rows = observe(base.clone(c), alloc)
+    rows = observe(clone(base, c), alloc)
     assert counted.n == R * base.N * base.design.J and counted.weight.sum() == rows.n
     for k, k2 in ((1, None), (2, None), (1, 2)):
         (m_counts, c_counts), (m_rows, c_rows) = (est._arm_moments(d, k, k2, R) for d in (counted, rows))
@@ -738,7 +760,7 @@ def test_clone_counts_refuse_a_short_arm_as_the_rows_do():
     base = fixture_p4()
     alloc = np.array([[0, 1, 1, 2, 2, 3, 3, 3]])  # arm 0 draws one of the 8 clones
     messages = []
-    for data in (simulate._observe_clones(base, alloc), observe(base.clone(2), alloc)):
+    for data in (simulate._observe_clones(base, alloc), observe(clone(base, 2), alloc)):
         with pytest.raises(InsufficientDataError) as short:
             estimate_bounds(data, 1, "simple")
         messages.append(str(short.value))
@@ -747,8 +769,15 @@ def test_clone_counts_refuse_a_short_arm_as_the_rows_do():
 
 def test_clone_mode_builds_no_clone(monkeypatch):
     # the oracle and the moments read the 20-unit base population, not its 1000 copies
-    monkeypatch.setattr(Population, "clone", lambda *a: pytest.fail("clone mode built a clone population"))
     config = dataclasses.replace(load_scenario(CLONE_SCALING), clone_factor=1000)
+    store = Population._store  # where either constructor keeps a population's arrays
+
+    def base_sized(pop, design, pattern, outcome):
+        if pattern.shape[0] > config.N:
+            pytest.fail("clone mode built a clone population")
+        store(pop, design, pattern, outcome)
+
+    monkeypatch.setattr(Population, "_store", base_sized)
     assert all(t.n_ok == t.n_oracle == 2 for t in monte_carlo(config, 2).targets)
 
 
