@@ -31,7 +31,11 @@ population whose factor 1 breaks weak exclusion and whose pair (3, 2)
 breaks cross exclusion, so ``exclusion,joint:2`` reaches both messages.
 The committed ``data/p4_outcome_exclusion.json`` is copied there too, so
 both trees read the same file, though only this one may ship it; ``oracle``
-reads it with the methods that need outcome exclusion and two that do not. Every
+reads it with the methods that need outcome exclusion and two that do not. A
+seeded K=3, N=12 population with uniformly random uptake and outcomes is
+saved and read by ``oracle`` with every method: it has defiers at several
+units and contexts of every factor, so the unit-major order of the defier
+lists is compared. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -286,7 +290,8 @@ def write_inputs(out: Path) -> dict[str, Path]:
     for name, scenario in scenarios().items():
         paths[name] = out / name
         paths[name].write_text(json.dumps(scenario, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    from factorbounds import population, simulate  # this checkout's: benchmark/inputs.py put its src/ on the path
+    # this checkout's package: benchmark/inputs.py put its src/ on the path
+    from factorbounds import design, population, simulate
 
     paths["k4_population.json"] = out / "k4_population.json"
     config = simulate.ScenarioConfig.from_dict(population_scenario())
@@ -299,6 +304,11 @@ def write_inputs(out: Path) -> dict[str, Path]:
     population.save_population(simulate.generate_population(config), paths["k3_exclusion_messages.json"])
     paths["p4_outcome_exclusion.json"] = out / "p4_outcome_exclusion.json"
     shutil.copyfile(ROOT / "data" / "p4_outcome_exclusion.json", paths["p4_outcome_exclusion.json"])
+    paths["k3_random_uptake.json"] = out / "k3_random_uptake.json"
+    rng = np.random.default_rng(7)
+    uptake, outcome = rng.choice(np.array([-1, 1]), size=(12, 8, 3)), rng.random((12, 8))
+    pop = population.Population(design.enumerate_assignments(3), uptake, outcome)
+    population.save_population(pop, paths["k3_random_uptake.json"])
     return paths
 
 
@@ -323,6 +333,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["oracle", str(paths["k3_no_profile.json"]), "--method", "adjusted,exclusion,joint:2", "--factor", "1"],
         ["oracle", str(paths["k3_exclusion_messages.json"]), "--method", "exclusion,joint:2"],
         ["oracle", str(paths["p4_outcome_exclusion.json"]), "--factor", "1", "--method", OUTCOME_EXCLUSION],
+        ["oracle", str(paths["k3_random_uptake.json"]), "--method", ANALYZE_METHODS + ",conservative:0.05"],
         ["analyze", "data/p4_census.csv"],
         ["analyze", "data/p4_census_binary.csv", "--binary-coding"],
         ["analyze", "data/p4_census_binary.csv"],  # -1/+1 expected: the error path

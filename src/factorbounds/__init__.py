@@ -34,7 +34,6 @@ from .oracle import (
     simple_bounds,
 )
 from .population import (
-    ComplianceProfile,
     GroupShares,
     Population,
     check_conditional_monotonicity,

@@ -24,6 +24,7 @@ intervals it tends to the one-sided value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from statistics import NormalDist
@@ -108,24 +109,29 @@ def parse_method(method: str) -> tuple[str, tuple]:
     )
 
 
-def parse_profile(profile: str, context_len: int) -> tuple[str, Context | None]:
-    """'min' or 'declared:<comma-separated +-1 levels>' -> (policy, context)."""
-    s = profile.strip()
-    if s == "min":
-        return "min", None
-    if s.startswith("declared:") or s == "declared":
-        tail = s[len("declared:"):] if s.startswith("declared:") else ""
-        parts = [t for t in tail.split(",") if t.strip()]
+def parse_profile(profile, context_len: int) -> tuple[str, Context | None]:
+    """'min', 'declared:<comma-separated +-1 levels>' or a sequence of levels
+    -> (policy, context). Declared levels are context_len integers, each -1
+    or +1; a boolean is no level."""
+    if isinstance(profile, str):
+        s = profile.strip()
+        if s == "min":
+            return "min", None
+        if not (s.startswith("declared:") or s == "declared"):
+            raise InvalidInputError(f"unknown profile policy {profile!r}; expected min or declared:<levels>")
         try:
-            ctx = tuple(int(t) for t in parts)
+            levels = [int(t) for t in s[len("declared:"):].split(",") if t.strip()]
         except ValueError:
             raise InvalidInputError(f"bad declared profile {profile!r}") from None
-        if len(ctx) != context_len or any(v not in (-1, 1) for v in ctx):
-            raise InvalidInputError(
-                f"declared profile {profile!r} must list {context_len} levels in -1/+1"
-            )
-        return "declared", ctx
-    raise InvalidInputError(f"unknown profile policy {profile!r}; expected min or declared:<levels>")
+    else:
+        try:
+            levels = list(profile)
+        except TypeError:
+            levels = [None]  # refused below
+    integers = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in levels)
+    if not integers or len(levels) != context_len or any(v not in (-1, 1) for v in levels):
+        raise InvalidInputError(f"declared profile {profile!r} must list {context_len} levels in -1/+1")
+    return "declared", tuple(map(int, levels))
 
 
 def parse_request(K: int, method: str, profile) -> tuple[str, tuple, str, Context | None]:
@@ -139,10 +145,7 @@ def parse_request(K: int, method: str, profile) -> tuple[str, tuple, str, Contex
     kind, args = parse_method(method)
     for f in args if kind in ("interaction", "joint") else ():
         dsg.validate_factor(dsg.enumerate_assignments(K), f)
-    if not isinstance(profile, str):
-        return kind, args, "declared", tuple(profile)
-    policy, ctx = parse_profile(profile, K - (2 if kind == "joint" else 1))
-    return kind, args, policy, ctx
+    return (kind, args, *parse_profile(profile, K - (2 if kind == "joint" else 1)))
 
 
 def parse_target(
@@ -401,10 +404,8 @@ def estimate_bounds(
     contexts, nu = _first_stage_table(data.design, (k,) if k2 is None else (k, k2), means[:, :, 1])
     if policy == "min":
         indexes = np.argmin(nu, axis=1).tolist()
-    elif ctx in contexts:
+    else:  # parse_target checked ctx to be a context of the design
         indexes = [contexts.index(ctx)] * R
-    else:
-        raise InvalidInputError(f"declared profile {ctx!r} is not a context of the design")
     out: list[BoundsEstimate | WeakFirstStageError] = []
     for r, c_index in enumerate(indexes):
         ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()

@@ -121,17 +121,15 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     three parts sum to gamma exactly)."""
     popmod.require(pop, "monotone", k)
     contexts, (nu_plus,), (nu_minus,), (nu,) = _nu_arrays(pop, k, 1)  # the formulas' key: built once
-    prof = pop.compliance(k)
-    complier = prof.complier_mask()
-    constant = prof.constant_complier_mask()
+    complier, constant = popmod.classify(pop, k) == popmod.COMPLIER, popmod.constant_compliers(pop, k)
     N = pop.N
     gamma: dict[Context, float] = {}
     components: dict[Context, tuple[float, float, float]] = {}
     j_minus, j_plus = dsg.context_arms(pop.design, k)
     for c_index, ctx in enumerate(contexts):
         diff = pop.outcome[:, j_plus[c_index]] - pop.outcome[:, j_minus[c_index]]
-        cc_mask = complier[:, c_index] & ~constant
-        cn_mask = ~complier[:, c_index]
+        cc_mask = complier[c_index] & ~constant
+        cn_mask = ~complier[c_index]
         part_constant = float(diff[constant].sum()) / N
         part_cc = float(diff[cc_mask].sum()) / N
         part_cn = float(diff[cn_mask].sum()) / N
@@ -159,8 +157,7 @@ def _contrast_among(pop: Population, R: int, mask: np.ndarray, contrast):
 def main_effect(pop: Population, k: int, *, R: int, failed: list):
     """Average over contexts of the constant-complier outcome contrast."""
     popmod._require(pop, "first_stage", k, R=R, failed=failed)
-    constant = pop.compliance(k).constant_complier_mask()
-    return _contrast_among(pop, R, constant, dsg.main_effect_contrast(pop.design, k))
+    return _contrast_among(pop, R, popmod.constant_compliers(pop, k), dsg.main_effect_contrast(pop.design, k))
 
 
 @_blockwise
@@ -170,15 +167,14 @@ def interaction_effect(pop: Population, factors, k: int, *, R: int, failed: list
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     popmod._require(pop, "first_stage", k, R=R, failed=failed)
-    constant = pop.compliance(k).constant_complier_mask()
-    return _contrast_among(pop, R, constant, dsg.interaction_contrast(pop.design, fs))
+    return _contrast_among(pop, R, popmod.constant_compliers(pop, k), dsg.interaction_contrast(pop.design, fs))
 
 
 @_blockwise
 def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed: list):
     """Two-factor interaction among units complying with both everywhere."""
     popmod._require(pop, "joint_first_stage", k, k2, R=R, failed=failed)
-    mask = pop.compliance(k).constant_complier_mask() & pop.compliance(k2).constant_complier_mask()
+    mask = popmod.constant_compliers(pop, k) & popmod.constant_compliers(pop, k2)
     return _contrast_among(pop, R, mask, dsg.interaction_contrast(pop.design, (k, k2)))
 
 

@@ -46,13 +46,8 @@ from .errors import (
     NoCompliersError,
 )
 
-COMPLIER = 0
-ALWAYS_TAKER = 1
-NEVER_TAKER = 2
-DEFIER = 3
-
-# compliance label by (uptake under z_k=-1, uptake under z_k=+1), levels mapped to 0/1
-_LABEL_TABLE = np.array([[NEVER_TAKER, COMPLIER], [DEFIER, ALWAYS_TAKER]], dtype=np.int8)
+# a compliance type is the code 2*D_k(-) + D_k(+), uptake under z_k = -1 and +1 mapped to 0/1
+NEVER_TAKER, COMPLIER, DEFIER, ALWAYS_TAKER = range(4)
 
 
 def read_only(value, dtype) -> np.ndarray:
@@ -248,12 +243,6 @@ class Population:
         """Results of the _memoized functions of this population, filled on first use."""
         return {}
 
-    @_memoized
-    def compliance(self, k: int) -> "ComplianceProfile":
-        """classify(self, k), computed once per population and factor."""
-        dsg.validate_factor(self.design, k)
-        return classify(self, k)
-
     @property
     def N(self) -> int:
         return int(self.pattern.shape[0])
@@ -275,46 +264,23 @@ def arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
     return (n - 2 * minus) / n
 
 
-@dataclass(frozen=True)
-class ComplianceProfile:
-    """Per-unit, per-context compliance labels for one factor."""
-
-    factor: int
-    contexts: tuple[Context, ...]
-    labels: np.ndarray  # (N, n_contexts) int8 with the codes above
-
-    def __post_init__(self) -> None:
-        self.labels.setflags(write=False)
-
-    def complier_mask(self) -> np.ndarray:
-        """(N, C) boolean: complies with the factor at each context."""
-        return self.labels == COMPLIER
-
-    def constant_complier_mask(self) -> np.ndarray:
-        """(N,) boolean, read-only: complies at every context."""
-        return self._constant_compliers
-
-    @cached_property
-    def _constant_compliers(self) -> np.ndarray:  # computed once per profile
-        return frozen((self.labels == COMPLIER).all(axis=1))[0]
-
-
-def _factor_bits(pop: Population, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, N) 0/1 uptake of factor k under z_k = -1 and under z_k = +1, one
-    row per context in canonical order, read off the packed pattern: arm
-    j has the bits (hi, z_k, lo) and its context the bits (hi, lo)."""
+@_memoized
+def classify(pop: Population, k: int) -> np.ndarray:
+    """(C, N) int8 compliance type of every unit at every context of factor
+    k, contexts in canonical order, stored context-major so per-unit
+    reductions run along N. Read off the packed pattern: arm j has the bits
+    (hi, z_k, lo) and its context the bits (hi, lo)."""
+    dsg.validate_factor(pop.design, k)
     on = pop.pattern.T >> (k - 1)
     on &= 1
     on = on.reshape(-1, 2, 1 << (k - 1), pop.N)
-    return on[:, 0].reshape(-1, pop.N), on[:, 1].reshape(-1, pop.N)
+    return ((on[:, 0] << 1) | on[:, 1]).astype(np.int8).reshape(-1, pop.N)
 
 
-def classify(pop: Population, k: int) -> ComplianceProfile:
-    """Compliance type of every unit at every context of factor k; the
-    labels are stored context-major, so per-unit reductions run along N."""
-    contexts = tuple(dsg.contexts_for(pop.design, k))
-    minus, plus = _factor_bits(pop, k)
-    return ComplianceProfile(factor=k, contexts=contexts, labels=_LABEL_TABLE.take((minus << 1) | plus).T)
+@_memoized
+def constant_compliers(pop: Population, k: int) -> np.ndarray:
+    """(N,) mask of the units complying with factor k at every context."""
+    return (classify(pop, k) == COMPLIER).all(axis=0)
 
 
 def _per_block(mask: np.ndarray, R: int, found) -> list:
@@ -333,9 +299,9 @@ def _valid_contexts(contexts, shift: np.ndarray, R: int) -> list[tuple[Context, 
 @_blockwise(memo=True)
 def check_conditional_monotonicity(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Defier instances for factor k; empty list means the check passes."""
-    prof = pop.compliance(k)
-    found = lambda b: [(i, prof.contexts[c]) for i, c in zip(*(a.tolist() for a in np.nonzero(b.T)))]
-    return _per_block(prof.labels.T == DEFIER, R, found)
+    contexts = dsg.contexts_for(pop.design, k)
+    found = lambda b: [(i, contexts[c]) for i, c in zip(*(a.tolist() for a in np.nonzero(b.T)))]  # unit-major
+    return _per_block(classify(pop, k) == DEFIER, R, found)
 
 
 @_blockwise(memo=True)
@@ -402,7 +368,7 @@ def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) ->
     context, those whose full uptake vector is the same under z_k = +1 and
     -1 but whose outcome differs. Empty list means the check passes."""
     contexts, lo = dsg.contexts_for(pop.design, k), 1 << (k - 1)
-    pat = pop.pattern.T.reshape(-1, 2, lo, pop.N)  # views, as in _factor_bits: arm j has bits (hi, z_k, lo)
+    pat = pop.pattern.T.reshape(-1, 2, lo, pop.N)  # views, as in classify: arm j has bits (hi, z_k, lo)
     y = pop.outcome.reshape(-1)  # one flat pass, not inner loops of lo: moved[i*J + j] is y[i, j] != y[i, j + lo]
     moved = np.append(y[lo:] != y[:-lo], np.zeros(lo, bool)).reshape(pop.N, -1, 2, lo)[:, :, 0].transpose(1, 2, 0)
     hidden = np.logical_and(pat[:, 0] == pat[:, 1], moved, order="C").reshape(-1, pop.N)  # (hi, lo, N) at z_k = -1
@@ -414,7 +380,7 @@ def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) ->
 def constant_complier_count(pop: Population, *ks: int, R: int, failed: list) -> list[int]:
     """Units complying with every factor of ks (one factor or a pair) at every context."""
     dsg.validate_factor_set(pop.design, ks)
-    mask = np.logical_and.reduce([pop.compliance(k).constant_complier_mask() for k in ks])
+    mask = np.logical_and.reduce([constant_compliers(pop, k) for k in ks])
     return mask.reshape(R, -1).sum(axis=1).tolist()
 
 
@@ -501,21 +467,20 @@ def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
     """Exact compliance-group shares, anchored at a validated profile."""
     require(pop, "monotone", k)
     require_least_compliant(pop, tilde, k)
-    prof = pop.compliance(k)
-    complier = prof.complier_mask()
-    constant = prof.constant_complier_mask()
+    types, constant = classify(pop, k), constant_compliers(pop, k)
+    complier = types == COMPLIER
 
     def per_context(mask: np.ndarray) -> dict[Context, float]:
-        return dict(zip(prof.contexts, (mask.sum(axis=0) / pop.N).tolist()))
+        return dict(zip(dsg.contexts_for(pop.design, k), (mask.sum(axis=1) / pop.N).tolist()))
 
     return GroupShares(
         factor=k,
         tilde=tilde,
         rho_constant=float(np.sum(constant)) / pop.N,
-        rho_conditional_complier=per_context(complier & ~constant[:, None]),
+        rho_conditional_complier=per_context(complier & ~constant),
         rho_conditional_noncomplier=per_context(~complier),
-        rho_always=per_context(prof.labels == ALWAYS_TAKER),
-        rho_never=per_context(prof.labels == NEVER_TAKER),
+        rho_always=per_context(types == ALWAYS_TAKER),
+        rho_never=per_context(types == NEVER_TAKER),
     )
 
 

@@ -55,10 +55,15 @@ _VIOLATE_TOKENS = ("monotone", "profile", "exclusion", "cross_exclusion", "joint
 # --- scenario records -----------------------------------------------------------
 
 
+def _whole(value) -> bool:
+    """An integer or an integral float: booleans, strings and fractions are not."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    return whole and not isinstance(value, bool)
+
+
 def _integer(value, path: str) -> int:
     """Booleans, strings and fractions are refused, not truncated."""
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
+    if not _whole(value):
         raise InvalidInputError(f"{path} must be an integer, got {value!r}")
     return int(value)
 
@@ -427,16 +432,16 @@ def _pack_types(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
     """The read-only (N, J) uptake pattern of the (K, C, N) types, laid out
     as pack_uptake's. Arm j has the bits (hi, z_k, lo) and its context the
     bits (hi, lo), so the arms at z_k = -1 and at z_k = +1 each read factor
-    k's context rows in order. Complier 0, always 1, never 2 and defier 3
-    take D_k = +1 under z_k = -1 where t & 1, under z_k = +1 where (t >> 1) ^ 1."""
+    k's context rows in order. A type code t is 2*D_k(-) + D_k(+), so
+    D_k = +1 under z_k = -1 where t >> 1, under z_k = +1 where t & 1."""
     K, C, N = types.shape
     pattern = np.zeros((design.J, N), dtype=popmod.pattern_dtype(K))  # arm-major
     for k in range(1, K + 1):
         lo = 1 << (k - 1)
         t = types[k - 1].view(np.uint8).astype(pattern.dtype, copy=False).reshape(C // lo, lo, N)
         arms = pattern.reshape(C // lo, 2, lo, N)  # a view: (hi, z_k, lo, unit)
-        arms[:, 0] |= (t & 1) << (k - 1)
-        arms[:, 1] |= ((t >> 1) ^ 1) << (k - 1)
+        arms[:, 0] |= (t >> 1) << (k - 1)
+        arms[:, 1] |= (t & 1) << (k - 1)
     pattern.setflags(write=False)
     return pattern.T
 
@@ -544,7 +549,10 @@ def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
     Returns the arm index per unit. seed may be an int, SeedSequence, or
     Generator.
     """
-    sizes = tuple(int(v) for v in arm_sizes)
+    sizes = tuple(arm_sizes)
+    if not sizes or not all(map(_whole, sizes)):  # refused, not truncated, as _integer refuses
+        raise InvalidDesignError(f"arm sizes must be a nonempty list of integers, got {arm_sizes!r}")
+    sizes = tuple(map(int, sizes))
     if sum(sizes) != N:
         raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={N}")
     if min(sizes) < 2:
@@ -559,9 +567,13 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     """Read off each unit's realized row under its assigned arm. An (R, N)
     allocation holds R allocations of the same units and gives R*N rows,
     allocation by allocation."""
-    alloc = np.asarray(allocation, dtype=np.intp)
+    alloc = np.asarray(allocation)
     if alloc.ndim not in (1, 2) or alloc.shape[-1] != pop.N:
         raise InvalidInputError(f"allocation shape {alloc.shape} does not cover N={pop.N} units")
+    # checked before the cast and the gather, as ObservedDataset checks its arms: 1.7 is no arm 1, J no row
+    if alloc.dtype.kind not in "iu" or alloc.min(initial=0) < 0 or alloc.max(initial=0) >= pop.design.J:
+        raise InvalidInputError(f"allocation entries must be arm indices in 0..{pop.design.J - 1}")
+    alloc = alloc.astype(np.intp, copy=False)
     rows = (np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc).reshape(-1)  # unit i's row i*J + arm
     taken = pop.pattern.T[alloc, np.arange(pop.N)].reshape(-1)  # each observed unit's pattern under its arm
     uptake, outcome = popmod.frozen(pop.design.levels.take(taken, axis=0), pop.outcome.reshape(-1)[rows])

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from factorbounds.oracle import (
     exclusion_bounds,
     interaction_bounds,
     joint_bounds,
+    method_interval,
     simple_bounds,
 )
 from factorbounds.population import check_least_compliant_profile
@@ -145,6 +147,19 @@ def test_parse_profile():
     for bad in ("declared:-1", "declared:0,1", "smallest"):
         with pytest.raises(InvalidInputError):
             parse_profile(bad, 2)
+
+
+@pytest.mark.parametrize("profile", [(0,), (1, -1), (), 5, None, (True,), (1.0,), ["1"]])
+@pytest.mark.parametrize("caller", ["method_interval", "estimate_bounds"])
+def test_a_declared_sequence_profile_is_checked_as_a_string_one(p4, p4_census, caller, profile):
+    # one level in -1/+1, an integer and not a boolean, or the string profile's refusal, from either caller
+    ask = {
+        "method_interval": lambda levels: method_interval(p4, 1, "exclusion", levels),
+        "estimate_bounds": lambda levels: estimate_bounds(p4_census, 1, "exclusion", profile=levels),
+    }[caller]
+    with pytest.raises(InvalidInputError, match=re.escape(f"declared profile {profile!r} must list 1 levels in -1/+1")):
+        ask(profile)
+    assert ask([-1]) == ask(np.array([-1])) == ask((-1,)) == ask("declared:-1")
 
 
 # ------------------------------------------------------ census equalities

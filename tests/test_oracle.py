@@ -703,7 +703,8 @@ def _canonical(value):
 
 
 MEMO_CALLS = [
-    lambda pop, k, k2: pop.compliance(k),
+    lambda pop, k, k2: popmod.classify(pop, k),
+    lambda pop, k, k2: popmod.constant_compliers(pop, k),
     lambda pop, k, k2: arm_outcome_means(pop),
     lambda pop, k, k2: arm_uptake_means(pop, k),
     lambda pop, k, k2: popmod.check_conditional_monotonicity(pop, k),

@@ -28,6 +28,7 @@ from factorbounds.population import (
     check_weak_treatment_exclusion,
     classify,
     constant_complier_count,
+    constant_compliers,
     from_dict,
     group_shares,
     load_population,
@@ -83,10 +84,10 @@ def test_classify_matches_bruteforce_random():
         K = int(rng.integers(1, 4))
         pop = random_population(rng, K, int(rng.integers(1, 9)))
         for k in range(1, K + 1):
-            prof = classify(pop, k)
+            types = classify(pop, k)
             for i in range(pop.N):
-                for c_index, ctx in enumerate(prof.contexts):
-                    assert prof.labels[i, c_index] == bf_label(pop, i, k, ctx)
+                for c_index, ctx in enumerate(contexts_for(pop.design, k)):
+                    assert types[c_index, i] == bf_label(pop, i, k, ctx)
 
 
 def test_monotonicity_check_lists_defiers():
@@ -94,12 +95,12 @@ def test_monotonicity_check_lists_defiers():
     for _ in range(40):
         pop = random_population(rng, 2, 5)
         viol = check_conditional_monotonicity(pop, 1)
-        prof = classify(pop, 1)
+        types, contexts = classify(pop, 1), contexts_for(pop.design, 1)
         expected = [  # unit-major
-            (i, prof.contexts[c])
+            (i, contexts[c])
             for i in range(pop.N)
-            for c in range(len(prof.contexts))
-            if prof.labels[i, c] == DEFIER
+            for c in range(len(contexts))
+            if types[c, i] == DEFIER
         ]
         assert viol == expected
 
@@ -111,15 +112,14 @@ def test_least_compliant_profile_bruteforce():
         pop = random_population(rng, 2, 4)
         if check_conditional_monotonicity(pop, 1):
             continue
-        prof = classify(pop, 1)
-        comp = prof.complier_mask().astype(int)
+        comp = (classify(pop, 1) == COMPLIER).astype(int)
         # unit-level minimizer sets, then intersect
         valid = None
         for i in range(pop.N):
-            row = comp[i]
+            row = comp[:, i]
             mins = {c for c in range(row.size) if row[c] == row.min()}
             valid = mins if valid is None else (valid & mins)
-        expected = tuple(prof.contexts[c] for c in sorted(valid))
+        expected = tuple(contexts_for(pop.design, 1)[c] for c in sorted(valid))
         assert check_least_compliant_profile(pop, 1) == expected
         hits += bool(expected)
     assert hits > 10  # the sweep saw real valid profiles, not only empties
@@ -135,8 +135,7 @@ def test_weak_exclusion_bruteforce():
         design = pop.design
         viol = check_weak_treatment_exclusion(pop, 1)
         expected = []
-        prof = classify(pop, 1)
-        for ctx in prof.contexts:  # context-major
+        for ctx in contexts_for(pop.design, 1):  # context-major
             for i in range(pop.N):
                 z_minus = None
                 z_plus = None
@@ -312,7 +311,7 @@ def test_labels_and_profiles_from_the_pattern_match_the_uptake_columns():
             pop = random_population(rng, K, N)
             for k in range(1, K + 1):
                 labels, shift = reference_labels_and_shift(pop, k)
-                assert np.array_equal(classify(pop, k).labels, labels)
+                assert np.array_equal(classify(pop, k), labels.T)
                 valid = (shift == shift.min(axis=1, keepdims=True)).all(axis=0)
                 want = tuple(ctx for ctx, ok in zip(contexts_for(pop.design, k), valid) if ok)
                 assert check_least_compliant_profile(pop, k) == want
@@ -602,14 +601,17 @@ def test_read_only_arrays_are_stored_without_a_copy():
 
 def test_compliance_profile_computed_once_and_read_only():
     pop = fixture_p4()
-    prof = pop.compliance(1)
-    assert pop.compliance(1) is prof
-    assert np.array_equal(prof.labels, classify(pop, 1).labels)
-    with pytest.raises(ValueError):
-        prof.labels[0, 0] = DEFIER
+    types = classify(pop, 1)
+    assert classify(pop, 1) is types and types.dtype == np.int8
+    constant = constant_compliers(pop, 1)
+    assert constant_compliers(pop, 1) is constant
+    assert np.array_equal(constant, (types == COMPLIER).all(axis=0))
+    for arr in (types, constant):
+        with pytest.raises(ValueError):
+            arr[0] = 1
     with pytest.raises(InvalidFactorError):
-        pop.compliance(True)  # not the cached factor-1 profile
-    assert clone(pop, 2).compliance(1) is not prof
+        classify(pop, True)  # not the cached factor-1 types
+    assert classify(clone(pop, 2), 1) is not types
 
 
 def test_arm_uptake_means_is_the_per_arm_mean_uptake_product():
@@ -686,7 +688,8 @@ def test_from_dict_refuses_an_oversized_population_before_reading_its_arrays():
 
 
 MEMOIZED = [
-    (Population.compliance, (1,)),
+    (classify, (1,)),
+    (constant_compliers, (1,)),
     (arm_outcome_means, ()),
     (arm_uptake_means, (2,)),
     (check_conditional_monotonicity, (1,)),

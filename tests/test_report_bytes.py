@@ -55,7 +55,9 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     fixed = ScenarioConfig.from_dict(written["k4_fixed.json"])
     assert fixed.population_mode == "fixed"
     assert [t.method for t in fixed.targets] == ["adjusted", "exclusion", "joint:2"]
-    generated = ["k5.csv", "k4_population.json", "k3_no_profile.json", "k3_exclusion_messages.json"]
+    generated = [
+        "k5.csv", "k4_population.json", "k3_no_profile.json", "k3_exclusion_messages.json", "k3_random_uptake.json"
+    ]
     paths = {name: Path(name) for name in [*written, *generated, "p4_outcome_exclusion.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
@@ -72,6 +74,8 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     methods = "adjusted,simple,exclusion,conservative:0.5,interaction:1+2,joint:2"
     outcome = ["oracle", "p4_outcome_exclusion.json", "--factor", "1", "--method", methods]
     assert outcome in report_bytes.commands(paths)
+    every = "adjusted,simple,exclusion,interaction:1+2,joint:2,conservative:0.05"
+    assert ["oracle", "k3_random_uptake.json", "--method", every] in report_bytes.commands(paths)
 
 
 def test_compared_population_has_every_compliance_group(tmp_path):
@@ -82,10 +86,10 @@ def test_compared_population_has_every_compliance_group(tmp_path):
     paths = report_bytes.write_inputs(tmp_path)
     pop = population.load_population(paths["k4_population.json"])
     for k in (1, 2):
-        labels = pop.compliance(k).labels
-        assert (labels == population.ALWAYS_TAKER).any() and (labels == population.NEVER_TAKER).any()
-        complies = labels == population.COMPLIER
-        assert (complies.any(axis=1) & ~complies.all(axis=1)).any()  # conditional compliers
+        types = population.classify(pop, k)  # (context, unit)
+        assert (types == population.ALWAYS_TAKER).any() and (types == population.NEVER_TAKER).any()
+        complies = types == population.COMPLIER
+        assert (complies.any(axis=0) & ~complies.all(axis=0)).any()  # conditional compliers
     for method in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2", "conservative:0.05"):
         oracle.method_report(pop, 1, method, "min")  # raises where an assumption fails
     # the K=3 population reaches both "no uniformly least compliant" errors
@@ -102,6 +106,12 @@ def test_compared_population_has_every_compliance_group(tmp_path):
     ):
         with pytest.raises(AssumptionViolationError, match=message):
             oracle.method_report(pop, k, method, "min")
+    # the random-uptake population has defiers at two or more units and two or more contexts of every
+    # factor, so the compared defier lists show their unit-major order
+    pop = population.load_population(paths["k3_random_uptake.json"])
+    for k in (1, 2, 3):
+        defier = population.classify(pop, k) == population.DEFIER  # (context, unit)
+        assert defier.any(axis=0).sum() >= 2 and defier.any(axis=1).sum() >= 2
     # the copied outcome-exclusion population is the committed one
     assert paths["p4_outcome_exclusion.json"].read_bytes() == (ROOT / "data" / "p4_outcome_exclusion.json").read_bytes()
     with pytest.raises(AssumptionViolationError, match="factor 1: outcome shifts"):

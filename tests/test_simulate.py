@@ -25,6 +25,7 @@ from factorbounds.errors import (
 )
 from factorbounds.estimate import estimate_bounds
 from factorbounds.population import (
+    ALWAYS_TAKER,
     COMPLIER,
     DEFIER,
     NEVER_TAKER,
@@ -35,6 +36,7 @@ from factorbounds.population import (
     check_weak_treatment_exclusion,
     classify,
     constant_complier_count,
+    constant_compliers,
 )
 from factorbounds.simulate import (
     FactorSpec,
@@ -50,7 +52,7 @@ from factorbounds.simulate import (
     observe,
 )
 
-from conftest import arm_outcome_means, clone, fixture_p4, random_population, save_scenario
+from conftest import arm_outcome_means, clone, count_computations, fixture_p4, random_population, save_scenario
 
 
 def basic_config(**over):
@@ -358,7 +360,8 @@ def test_generation_seeds_the_packed_pattern():
 # straight from factor-major types: (N, K, C) types, the violate surgeries on
 # that layout, the (N, J, K) uptake and then pack_uptake. They are the
 # reference the pattern kernels are checked against.
-_UPTAKE_TABLE = np.array([[-1, 1], [1, 1], [-1, -1], [1, -1]], dtype=np.int8)  # complier, always, never, defier
+_UPTAKE_TABLE = np.empty((4, 2), dtype=np.int8)  # by type code: D_k under z_k = -1 and under z_k = +1
+_UPTAKE_TABLE[[COMPLIER, ALWAYS_TAKER, NEVER_TAKER, DEFIER]] = [[-1, 1], [1, 1], [-1, -1], [1, -1]]
 
 
 def _reference_uptake(design, types):
@@ -569,7 +572,7 @@ def test_uptake_from_types_classifies_back():
         pattern = simulate._pack_types(design, types)
         pop = Population.from_pattern(design, pattern, np.zeros((N, design.J)))
         for k in range(1, K + 1):
-            assert np.array_equal(classify(pop, k).labels, types[k - 1].T)
+            assert np.array_equal(classify(pop, k), types[k - 1])
         seen.update(np.unique(types).tolist())
     assert seen == {0, 1, 2, 3}
 
@@ -582,7 +585,7 @@ def test_compliance_rates_close_to_spec():
     )
     pop = generate_population(config)
     for k, want in ((1, 0.63), (2, 0.98)):
-        share = classify(pop, k).constant_complier_mask().mean()
+        share = constant_compliers(pop, k).mean()
         assert abs(share - want) < 0.03
 
 
@@ -597,12 +600,11 @@ def test_worst_pattern_is_least_compliant():
 def test_upgrade_raises_marginal_compliance():
     config = basic_config(N=6000, require=())
     pop = generate_population(config)
-    prof = classify(pop, 1)
-    comp = prof.complier_mask()
+    comp = classify(pop, 1) == COMPLIER
     # context (z2=-1) is worst; (z2=+1) collects upgraded units
-    i_worst = prof.contexts.index((-1,))
-    i_best = prof.contexts.index((1,))
-    assert comp[:, i_best].mean() > comp[:, i_worst].mean() + 0.05
+    i_worst = dsg.contexts_for(pop.design, 1).index((-1,))
+    i_best = dsg.contexts_for(pop.design, 1).index((1,))
+    assert comp[i_best].mean() > comp[i_worst].mean() + 0.05
 
 
 # -------------------------------------------------------------- violations
@@ -683,6 +685,11 @@ def test_randomization_respects_sizes_and_seed():
         complete_randomization(10, (5, 4), 1)
     with pytest.raises(InvalidDesignError):
         complete_randomization(3, (2, 1), 1)
+    # empty, boolean and fractional sizes are refused, not truncated
+    for N, sizes in ((4, [2.7, 2.3]), (0, []), (4, [True, 3]), (4, (2, "2")), (5, [2.5, 2.5])):
+        with pytest.raises(InvalidDesignError, match="arm sizes must be a nonempty list of integers"):
+            complete_randomization(N, sizes, 1)
+    assert np.array_equal(complete_randomization(4, [2.0, np.int64(2)], 1), complete_randomization(4, (2, 2), 1))
 
 
 def test_observe_reads_assigned_rows():
@@ -696,6 +703,11 @@ def test_observe_reads_assigned_rows():
         assert data.arm[i] == j
     with pytest.raises(InvalidInputError):
         observe(pop, np.array([0, 1, 2], dtype=np.intp))
+    # entries are checked before the cast and the gather: a fraction is no arm, J and -1 are out of range
+    for bad in ([0, 1, 2, 1.7], [0, 1, 2, 4], [0, -1, 2, 3], [True, False, True, False], [[0, 1, 2, 3], [0, 1, 4, 3]]):
+        with pytest.raises(InvalidInputError, match="arm indices in 0..3"):
+            observe(pop, bad)
+    assert np.array_equal(observe(pop, np.array([0, 1, 2, 3], dtype=np.uint8)).arm, alloc)
 
 
 def test_observe_equals_fancy_index_read_off():
@@ -944,9 +956,7 @@ def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
     from factorbounds import population as popmod
 
     config = load_scenario(pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "well_separated.json")
-    calls = []
-    classify_ = popmod.classify
-    monkeypatch.setattr(popmod, "classify", lambda pop, k: calls.append(k) or classify_(pop, k))
+    calls = count_computations(monkeypatch, popmod.classify)  # classify is memoized: its computations
     report = monte_carlo(config, R=5)
     assert all(t.n_ok == 5 for t in report.targets)
     assert 0 < len(calls) <= 2 * 5  # one fresh population per replication, K=2
