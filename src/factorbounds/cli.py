@@ -250,10 +250,13 @@ def _plot_rows(path: str) -> tuple[int, list[list[str]]]:
         raise InvalidInputError(f"{path}: not an analysis report")
     stem = Path(path).stem
     try:
-        K = rep["K"]
-        wald_by_factor = {w["factor"]: w["point"] for w in rep.get("wald", [])}
+        K, estimates, wald = rep["K"], rep["estimates"], rep.get("wald", [])
+        for name, field in (("estimates", estimates), ("wald", wald)):
+            if not isinstance(field, list):  # iterating a dict or string would read no rows, or its keys
+                raise InvalidInputError(f"{path}: {name} must be a list, got {field!r}")
+        wald_by_factor = {w["factor"]: w["point"] for w in wald}
         rows = []
-        for e in rep["estimates"]:
+        for e in estimates:
             point = wald_by_factor.get(e["factor"])
             values = (e["clipped_lower"], e["clipped_upper"], e["ci_lower"], e["ci_upper"], point)
             label = f"{stem}/factor{e['factor']}:{e['method']}"

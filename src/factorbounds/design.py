@@ -27,9 +27,10 @@ Assignment = tuple[int, ...]
 Context = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorialDesign:
-    """Complete enumeration of a 2^K design in canonical order."""
+    """Complete enumeration of a 2^K design in canonical order, one per K,
+    compared and hashed by identity so the design tables can key on it."""
 
     K: int
     levels: np.ndarray  # (J, K) int8, row j = assignment j
@@ -80,22 +81,19 @@ class ContrastVector:
             )
 
 
+@lru_cache(maxsize=None, typed=True)
 def enumerate_assignments(K: int) -> FactorialDesign:
     """The canonical 2^K design, built once per K.
 
     K must be between 1 and MAX_FACTORS; beyond that the dense enumeration
-    is no longer a sensible representation. K, like every factor number,
-    is checked before a cache is reached: lru_cache takes True == 1 == 1.0.
+    is no longer a sensible representation. The design tables are typed
+    caches, so True, 1 and 1.0 are three keys, and a refused argument
+    raises before anything is kept.
     """
     if not isinstance(K, int) or isinstance(K, bool):
         raise InvalidDesignError(f"K must be an integer, got {K!r}")
     if not 1 <= K <= MAX_FACTORS:
         raise InvalidDesignError(f"K must be in 1..{MAX_FACTORS}, got {K}")
-    return _design(K)
-
-
-@lru_cache(maxsize=None)
-def _design(K: int) -> FactorialDesign:
     bits = (np.arange(1 << K, dtype=np.int64)[:, None] >> np.arange(K)) & 1
     levels = np.where(bits == 1, 1, -1).astype(np.int8)
     return FactorialDesign(K=K, levels=levels)
@@ -106,14 +104,10 @@ def validate_factor(design: FactorialDesign, k: int) -> None:
         raise InvalidFactorError(f"factor {k!r} outside 1..{design.K}")
 
 
+@lru_cache(maxsize=None, typed=True)
 def main_effect_contrast(design: FactorialDesign, k: int) -> ContrastVector:
     validate_factor(design, k)
-    return _main_effect_contrast(design.K, k)
-
-
-@lru_cache(maxsize=None)
-def _main_effect_contrast(K: int, k: int) -> ContrastVector:
-    return ContrastVector(factors=(k,), signs=_design(K).levels[:, k - 1].copy())
+    return ContrastVector(factors=(k,), signs=design.levels[:, k - 1].copy())
 
 
 def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
@@ -159,12 +153,20 @@ def contexts_for(design: FactorialDesign, *ks: int) -> list[Context]:
     return list(_level_tuples(design.K - len(ks)))
 
 
+@lru_cache(maxsize=None, typed=True)
 def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
-    """(2^len(ks), 2^(K-len(ks))) intp arm indices of _context_arm_table:
+    """(2^len(ks), 2^(K-len(ks))) read-only intp arm indices: row r sets
+    factor ks[i] to +1 when bit i of r is set, the others of ks to -1, so
     rows z_k = -1, +1 for one factor, (z_k, z_k2) = (-,-), (+,-), (-,+),
     (+,+) for a pair; column c is context index c."""
     validate_factor_set(design, ks)
-    return _context_arm_table(design.K, ks)
+    base = np.arange(1 << (design.K - len(ks)), dtype=np.intp)
+    for pos in sorted(k - 1 for k in ks):  # insert a 0 bit at each position, ascending
+        base = ((base >> pos) << (pos + 1)) | (base & ((1 << pos) - 1))
+    rows = range(1 << len(ks))
+    arms = np.stack([base | sum(1 << (k - 1) for i, k in enumerate(ks) if r >> i & 1) for r in rows])
+    arms.setflags(write=False)
+    return arms
 
 
 def context_contrast(rows: np.ndarray) -> np.ndarray:
@@ -177,16 +179,3 @@ def context_contrast(rows: np.ndarray) -> np.ndarray:
     for r in range(len(rows) - 2, -1, -1):  # row r has factor i of the set at +1 where bit i of r is set
         total = total - rows[r] if (n - r.bit_count()) % 2 else total + rows[r]
     return total
-
-
-@lru_cache(maxsize=None)
-def _context_arm_table(K: int, ks: tuple[int, ...]) -> np.ndarray:
-    """Read-only arm indices: row r sets factor ks[i] to +1 when bit i of r
-    is set, the others of ks to -1; column c is context index c."""
-    base = np.arange(1 << (K - len(ks)), dtype=np.intp)
-    for pos in sorted(k - 1 for k in ks):  # insert a 0 bit at each position, ascending
-        base = ((base >> pos) << (pos + 1)) | (base & ((1 << pos) - 1))
-    rows = range(1 << len(ks))
-    arms = np.stack([base | sum(1 << (k - 1) for i, k in enumerate(ks) if r >> i & 1) for r in rows])
-    arms.setflags(write=False)
-    return arms

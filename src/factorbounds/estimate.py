@@ -261,6 +261,7 @@ class EndpointFunctions:
     upper: LinearFractional
 
 
+@lru_cache(maxsize=256, typed=True)
 def endpoint_functions(
     design: FactorialDesign,
     k: int,
@@ -287,19 +288,13 @@ def endpoint_functions(
     by g; t_value replaces D by the constant m*t (the conservative variant).
     Exactly one of profile_index and t_value must be given. Coefficients
     are (J, p) tables like the moment table, raveled at the end; the maps
-    are built once per design, factor, method and profile, and read-only.
+    are built once per design, factor, method and profile (a typed cache,
+    which keeps no refused argument), and read-only.
     """
-    parse_method(method)
+    kind, extra = parse_method(method)
     dsg.validate_factor(design, k)
     if (profile_index is None) == (t_value is None):
         raise InvalidInputError("endpoint maps need exactly one of profile_index and t_value")
-    return _endpoint_functions(design.K, k, method, profile_index, t_value)
-
-
-@lru_cache(maxsize=256)
-def _endpoint_functions(K: int, k: int, method: str, profile_index: int | None, t_value: float | None):
-    kind, extra = parse_method(method)
-    design = dsg.enumerate_assignments(K)
     J, m = design.J, design.J // 2
     p = 3 if kind == "adjusted" else 2
     ks = (k, *extra) if kind == "joint" else (k,)
@@ -409,7 +404,7 @@ def estimate_bounds(
     out: list[BoundsEstimate | WeakFirstStageError] = []
     for r, c_index in enumerate(indexes):
         ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()
-        funcs = _endpoint_functions(data.design.K, k, method, c_index, None)  # parse_target checked the arguments
+        funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
         mvec, cov_r = means[r, :, : funcs.p].ravel(), cov[r, :, : funcs.p, : funcs.p]
         den = funcs.center.denominator(mvec)  # nu summed in another order: 0.0 where rounding left nu > 0
         if nu_r[c_index] <= 0.0 or den <= 0.0:

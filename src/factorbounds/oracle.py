@@ -343,21 +343,15 @@ def conservative_bounds(pop: Population, k: int, t: float, *, R: int, failed: li
 
 @_blockwise
 def method_truth(pop: Population, k: int, method: str, *, R: int, failed: list) -> list:
-    """The true effect a method's interval bounds, computed once per
-    population, factor and contrast, so the main methods share one."""
+    """The true effect a method's interval bounds; the main methods share main_effect's one entry."""
     kind, args = parse_method(method)
-    return list(_truth(pop, k, *((kind, args) if kind in ("interaction", "joint") else ("main", ())), R))
+    # the effects are looked up per call, so a wrapper installed on a module attribute sees the call
+    if kind == "joint":
+        return joint_interaction_effect(pop, k, *args, R=R)
+    return interaction_effect(pop, args, k, R=R) if kind == "interaction" else main_effect(pop, k, R=R)
 
 
-@_memoized
-def _truth(pop: Population, k: int, kind: str, args: tuple, R: int = 1) -> tuple:
-    # looked up per call, so a wrapper installed on the module attribute sees it
-    formula = {"main": main_effect, "interaction": interaction_effect, "joint": joint_interaction_effect}[kind]
-    lead = {"main": (k,), "interaction": (args, k), "joint": (k, *args)}[kind]
-    return tuple(formula(pop, *lead, R=R))
-
-
-@_blockwise(memo=True)
+@_blockwise
 def method_interval(pop: Population, k: int, method: str, profile="min", *, R: int, failed: list) -> list:
     """Exact interval for a method and the profile it was taken at.
 

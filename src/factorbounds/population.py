@@ -29,11 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import numbers
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -133,40 +133,35 @@ def _cached(owner, fn, args: tuple, kwargs: dict, compute):
 
 
 def _memoized(fn):
-    """fn(owner, ...) computed once per owner and typed arguments, kept in
-    owner._memo; lists come back as fresh copies."""
+    """fn(owner, ...) computed once per owner and typed arguments, kept in owner._memo."""
 
     @functools.wraps(fn)
     def wrapper(owner, *args, **kwargs):
         compute = wrapper.__wrapped__  # read per call, like a module attribute
-        value = _cached(owner, wrapper, args, kwargs, lambda: compute(owner, *args, **kwargs))
-        return list(value) if type(value) is list else value
+        return _cached(owner, wrapper, args, kwargs, lambda: compute(owner, *args, **kwargs))
 
     return wrapper
 
 
-def _blockwise(compute=None, *, memo: bool = False):
+def _blockwise(compute):
     """One function for a question asked of an owner or of R stacked ones, its R equal blocks of
     units or rows. compute(owner, *args, R=R, failed=failed) runs each check once for the R blocks,
     in the plain call's order, puts each block's first error in failed[r] and returns the R answers,
     or block with block(r) the answer of open block r; an error it raises is every open block's.
     f(owner, *args) returns the one answer or raises its error; f(owner, *args, R=R) returns R
-    answers, each a value or a FactorBoundsError. With memo they are kept on the owner by R and
-    typed arguments, so a plain and an R=1 call share one entry; a list comes back as a fresh copy."""
-    if compute is None:
-        return functools.partial(_blockwise, memo=memo)
+    answers, each a value or a FactorBoundsError. The answers are kept on the owner by R and typed
+    arguments, looked up before R is checked, so a plain and an R=1 call share one entry and a hit
+    costs one lookup; a refused R is never stored, and a list answer comes back as a fresh copy."""
 
     @functools.wraps(compute)
     def f(owner, *args, R=None, **kwargs):
-        if R is None:
+        def answers() -> list:  # on a miss only
             n = 1
-        else:  # a positive integer dividing the owner's units (a dataset's rows); an int is checked first, quickly
-            size = len(owner.pattern if isinstance(owner, Population) else owner.arm)
-            if type(R) is not int and (isinstance(R, bool) or not isinstance(R, numbers.Integral)) or R < 1 or size % R:
-                raise InvalidInputError(f"R must be a positive integer dividing {size}, got {R!r}")
-            n = int(R)
-
-        def answers() -> list:
+            if R is not None:  # a positive integer dividing the owner's units (a dataset's rows); an int first
+                size = len(owner.pattern if isinstance(owner, Population) else owner.arm)
+                if type(R) is not int and (isinstance(R, bool) or not isinstance(R, Integral)) or R < 1 or size % R:
+                    raise InvalidInputError(f"R must be a positive integer dividing {size}, got {R!r}")
+                n = int(R)
             failed = [None] * n
             try:
                 block = f.__wrapped__(owner, *args, R=n, failed=failed, **kwargs)  # read per call, as _memoized's
@@ -178,7 +173,7 @@ def _blockwise(compute=None, *, memo: bool = False):
                 raise got[0]  # a plain call that raises stores nothing
             return got
 
-        got = _cached(owner, f, (n, *args), kwargs, answers) if memo else answers()
+        got = _cached(owner, f, (1 if R is None else R, *args), kwargs, answers)
         if R is not None:
             return list(got)
         if isinstance(got[0], FactorBoundsError):  # kept by an R=1 call
@@ -296,7 +291,7 @@ def _valid_contexts(contexts, shift: np.ndarray, R: int) -> list[tuple[Context, 
     return [tuple(ctx for ctx, ok in zip(contexts, row) if ok) for row in valid.tolist()]
 
 
-@_blockwise(memo=True)
+@_blockwise
 def check_conditional_monotonicity(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Defier instances for factor k; empty list means the check passes."""
     contexts = dsg.contexts_for(pop.design, k)
@@ -304,7 +299,7 @@ def check_conditional_monotonicity(pop: Population, k: int, *, R: int, failed: l
     return _per_block(classify(pop, k) == DEFIER, R, found)
 
 
-@_blockwise(memo=True)
+@_blockwise
 def check_least_compliant_profile(pop: Population, *ks: int, R: int, failed: list) -> list[tuple[Context, ...]]:
     """Contexts at which every unit's uptake response over ks is weakly smallest.
 
@@ -322,7 +317,7 @@ def check_least_compliant_profile(pop: Population, *ks: int, R: int, failed: lis
     return _valid_contexts(contexts, dsg.context_contrast(prod[dsg.context_arms(pop.design, *ks)]), R)
 
 
-@_blockwise(memo=True)
+@_blockwise
 def check_weak_treatment_exclusion(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Units whose untouched factor-k uptake hides a shift elsewhere.
 
@@ -339,7 +334,7 @@ def check_weak_treatment_exclusion(pop: Population, k: int, *, R: int, failed: l
     return _per_block(hidden, R, found)
 
 
-@_blockwise(memo=True)
+@_blockwise
 def check_conditional_treatment_exclusion(
     pop: Population, k: int, k2: int, *, R: int, failed: list
 ) -> list[list[tuple[int, int, Context]]]:
@@ -362,7 +357,7 @@ def check_conditional_treatment_exclusion(
     return _per_block(moved, R, found)
 
 
-@_blockwise(memo=True)
+@_blockwise
 def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) -> list[list[tuple[int, Context]]]:
     """Units whose outcome moves with z_k while their uptake does not: per
     context, those whose full uptake vector is the same under z_k = +1 and
@@ -376,7 +371,7 @@ def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) ->
     return _per_block(hidden, R, found)
 
 
-@_blockwise(memo=True)
+@_blockwise
 def constant_complier_count(pop: Population, *ks: int, R: int, failed: list) -> list[int]:
     """Units complying with every factor of ks (one factor or a pair) at every context."""
     dsg.validate_factor_set(pop.design, ks)

@@ -289,6 +289,10 @@ class ScenarioConfig(_Record):
     def __post_init__(self) -> None:
         super().__post_init__()
         design = enumerate_assignments(self.K)  # validates K
+        if self.clone_factor != 1 and self.population_mode != "clone":  # else it would be echoed, never drawn
+            raise InvalidInputError(
+                f"clone_factor must be 1 outside clone mode, got {self.clone_factor} in {self.population_mode} mode"
+            )
         popmod.require_memory(self.N, self.K, self.N * self.clone_factor if self.population_mode == "clone" else 0)
         if len(self.factors) != self.K:
             raise InvalidInputError(f"{len(self.factors)} factor specs for K={self.K}")
@@ -583,7 +587,7 @@ def observe(pop: Population, allocation) -> ObservedDataset:
 def _observe_clones(pop: Population, allocations) -> ObservedDataset:
     """observe of c clones of pop's N units under each allocation of their
     c*N units that allocations yields, unit i a copy of unit i % N as
-    Population.clone tiles them: every base unit in every arm, rep by rep,
+    tests/conftest.clone tiles them: every base unit in every arm, rep by rep,
     weighted by its copies the allocation puts there. Each allocation is
     counted as it comes and dropped, so a generator of them keeps one alive."""
     (N, J), counts, base_of = pop.pattern.shape, [], None

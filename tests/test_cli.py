@@ -401,6 +401,8 @@ MALFORMED_SCENARIOS = [
     ({"factors": {"complier": 0.5}}, "factors"),
     ({"outcome": None}, "outcome"),
     ({"factors": [F0, {k: v for k, v in F1.items() if k != "complier"}]}, "factors[1].complier"),
+    ({"clone_factor": 3}, "clone_factor"),  # fresh mode draws no clones
+    ({"clone_factor": 3, "population_mode": "fixed"}, "clone_factor"),
 ]
 
 
@@ -528,8 +530,12 @@ def test_plotdata_rejects_wrong_schema(capsys, tmp_path):
         lambda rep: rep.pop("K"),
         lambda rep: rep["estimates"][0].pop("method"),
         lambda rep: rep.update(K=[2]),
+        lambda rep: rep.update(estimates={}),
+        lambda rep: rep.update(estimates=""),
+        lambda rep: rep.update(wald={}),
+        lambda rep: rep.update(wald=""),
     ],
-    ids=["no_K", "estimate_without_method", "K_list"],
+    ids=["no_K", "estimate_without_method", "K_list", "estimates_dict", "estimates_str", "wald_dict", "wald_str"],
 )
 def test_plotdata_malformed_report_exits_2(capsys, census_csv, tmp_path, breakage):
     path = tmp_path / "report.json"

@@ -13,6 +13,7 @@ from factorbounds.design import (
     main_effect_contrast,
 )
 from factorbounds.errors import InvalidDesignError, InvalidFactorError
+from factorbounds.estimate import endpoint_functions
 
 from conftest import strip_factor
 
@@ -146,12 +147,18 @@ def test_joint_contexts_reject_same_factor():
 
 
 def test_cached_tables_refuse_bool_and_float_keys():
-    # lru_cache takes True == 1 == 1.0 as one key, so validation must come first
+    # the tables are typed caches: True, 1 and 1.0 are three keys, so a bool
+    # or float argument equal to a cached one still reaches the validation
     assert enumerate_assignments(1).K == 1
     for bad in (True, 1.0):
         with pytest.raises(InvalidDesignError):
             enumerate_assignments(bad)
     design = enumerate_assignments(2)
+    with pytest.raises(InvalidDesignError):
+        enumerate_assignments(2.0)
+    endpoint_functions(design, 1, "exclusion", profile_index=0)
+    with pytest.raises(InvalidFactorError):
+        endpoint_functions(design, True, "exclusion", profile_index=0)
     context_arms(design, 1)
     context_arms(design, 1, 2)
     with pytest.raises(InvalidFactorError):

@@ -588,7 +588,8 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
     # one population serves every replication, so each formula runs once per
     # monte_carlo call, as a one-block stack, however many chunks the
     # replications take; the main-effect targets of factor 1 share one truth.
-    # The calls go through the module attributes, where a tracer sees them
+    # The calls go through the module attributes, where a tracer sees them;
+    # a computation is a call that passes the memo to the formula's compute
     targets = tuple(
         TargetSpec(factor=1, method=m) for m in ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2")
     ) + (TargetSpec(factor=2, method="exclusion", profile="declared:-1"),)
@@ -602,15 +603,17 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
         clone_factor=3 if mode == "clone" else 1,
         targets=targets,
     )
-    calls = []
+    calls, reached = [], set()
     names = ("main_effect", "interaction_effect", "joint_interaction_effect", "adjusted_bounds", "simple_bounds")
     names += ("exclusion_bounds", "interaction_bounds", "joint_bounds")
     for name in names:
-        compute = getattr(oracle, name)
-        wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append((_n, kw["R"])) or _f(*a, **kw)
-        monkeypatch.setattr(oracle, name, wrapper)
+        formula = getattr(oracle, name)
+        compute = lambda *a, _f=formula.__wrapped__, _n=name, **kw: calls.append((_n, kw["R"])) or _f(*a, **kw)
+        monkeypatch.setattr(formula, "__wrapped__", compute)
+        monkeypatch.setattr(oracle, name, lambda *a, _f=formula, _n=name, **kw: reached.add(_n) or _f(*a, **kw))
     report = monte_carlo(config, R=120)  # several chunks of replications
     assert all(t.n_ok == 120 for t in report.targets)
+    assert reached == set(names)
     assert sorted(calls) == sorted(
         [("main_effect", 1), ("main_effect", 1), ("interaction_effect", 1), ("joint_interaction_effect", 1)]
         + [("adjusted_bounds", 1)]
@@ -625,8 +628,8 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
 ORACLE_MEMOIZED = [
     (oracle._nu_arrays, (1,)),
     (arm_uptake_means, (1, 2)),
-    (oracle._truth, (1, "main", ())),
-    (oracle._truth, (1, "joint", (2,))),
+    (oracle.main_effect, (1,)),
+    (oracle.joint_interaction_effect, (1, 2)),
     (method_interval, (1, "exclusion")),
     (method_interval, (2, "interaction:1+2", "min")),
 ]

@@ -370,6 +370,48 @@ def test_stacked_checks_answer_per_block_as_the_scalar_checks():
         assert len(call(np.int64(2))) == 2
 
 
+def test_a_stored_answer_is_looked_up_first_and_a_refused_R_is_never_kept(monkeypatch):
+    # the memo is read before R is checked; its keys carry their types, so
+    # with R=2 and a plain call stored, an R that equals 2 or 1 as a float
+    # or a boolean still misses, is refused and stores nothing
+    p4 = fixture_p4()
+    one = simulate.census_dataset(p4)
+    census = ObservedDataset(  # two censuses, 32 rows: each block of R=2 has every arm
+        design=p4.design, arm=np.tile(one.arm, 2), uptake=np.tile(one.uptake, (2, 1)), outcome=np.tile(one.outcome, 2)
+    )
+    questions = [
+        (check_conditional_monotonicity, (p4, 1), 4),
+        (oracle.method_interval, (p4, 1, "adjusted"), 4),
+        (estimate_bounds, (census, 1, "exclusion"), 32),
+    ]
+    for fn, (owner, *args), size in questions:
+        stored = fn(owner, *args, R=2), fn(owner, *args)
+        kept, computed = dict(owner._memo), count_computations(monkeypatch, fn)
+        for R in (2.0, True, np.float64(2)):
+            message = f"R must be a positive integer dividing {size}, got {R!r}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                fn(owner, *args, R=R)
+        assert owner._memo.keys() == kept.keys()
+        assert (fn(owner, *args, R=2), fn(owner, *args)) == stored
+        assert computed == []  # every answer above was a kept one
+
+
+def test_a_plain_call_reads_the_answer_an_R_1_call_kept(monkeypatch):
+    p4 = fixture_p4()
+    calls = count_computations(monkeypatch, oracle.main_effect)
+    [value] = oracle.main_effect(p4, 1, R=1)
+    assert oracle.main_effect(p4, 1) == value
+    assert calls == [(1,)]  # the plain call computed nothing
+    # an error the R=1 call kept is the plain call's: raised, not recomputed
+    calls = count_computations(monkeypatch, oracle.adjusted_bounds)
+    [error] = oracle.adjusted_bounds(p4, 1, (1,), R=1)
+    assert isinstance(error, AssumptionViolationError)
+    with pytest.raises(AssumptionViolationError) as raised:
+        oracle.adjusted_bounds(p4, 1, (1,))
+    assert raised.value is error
+    assert calls == [(1, (1,))]
+
+
 def test_conditional_treatment_exclusion_detects_cross_moves(k3_joint_pop):
     # in the joint fixture unit 1 switches factor-1 uptake with z3, not z2
     assert check_conditional_treatment_exclusion(k3_joint_pop, 1, 2) == []

@@ -965,7 +965,8 @@ def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
 def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     # one population serves every replication, so each target's oracle
     # interval is computed once, not once per replication, and the two
-    # main-effect targets share one truth
+    # main-effect targets share one truth; a computation is a call that
+    # passes the memo, and every formula is reached through its module attribute
     import pathlib
 
     from factorbounds import oracle
@@ -973,13 +974,16 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     config = load_scenario(pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "clone_scaling.json")
     assert config.population_mode == "clone"
     assert [(t.factor, t.method) for t in config.targets] == [(1, "exclusion"), (1, "adjusted")]
-    calls = []
-    for name in ("main_effect", "exclusion_bounds", "adjusted_bounds"):
-        compute = getattr(oracle, name)
-        wrapper = lambda *a, _f=compute, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
-        monkeypatch.setattr(oracle, name, wrapper)
+    calls, reached = [], set()
+    names = ("main_effect", "exclusion_bounds", "adjusted_bounds")
+    for name in names:
+        formula = getattr(oracle, name)
+        compute = lambda *a, _f=formula.__wrapped__, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
+        monkeypatch.setattr(formula, "__wrapped__", compute)
+        monkeypatch.setattr(oracle, name, lambda *a, _f=formula, _n=name, **kw: reached.add(_n) or _f(*a, **kw))
     report = monte_carlo(config, R=5)
     assert all(t.n_ok == 5 and t.n_oracle == 5 for t in report.targets)
+    assert reached == set(names)
     assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect"]
 
 
