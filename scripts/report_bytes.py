@@ -45,8 +45,12 @@ For every command the exit code, stderr and stdout must be identical. When
 stdout differs and both sides are JSON, one line gives how many fields
 differ and the largest absolute difference over all of them, and the first
 20 differing fields follow with their paths and the absolute difference of
-numbers; otherwise the first differing lines are shown. The exit status is
-0 when every output is identical and 1 otherwise.
+numbers; otherwise the first differing lines are shown. When any command
+differs, a closing table lists every JSON field that differs in any
+command, its list indices collapsed to ``[*]``, with its largest absolute
+difference across all commands (``-`` where no two numbers differed
+there). The exit status is 0 when every output is identical and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ import difflib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -393,13 +398,34 @@ def summary(found: list) -> str:
     return line
 
 
-def describe(name: str, parent: str, change: str) -> list[str]:
-    """Lines that show how one output stream differs."""
+def fold_fields(found: list, fields: dict) -> None:
+    """Fold json_diff's list into fields: each path, its list indices
+    collapsed to [*], maps to the largest |diff| seen there, or None while
+    no two numbers have differed there."""
+    for path, *_, gap in found:
+        key = re.sub(r"\[\d+\]", "[*]", path)
+        seen = fields.get(key)
+        fields[key] = gap if seen is None else seen if gap is None else max(seen, gap)
+
+
+def field_table(fields: dict) -> list[str]:
+    """fold_fields' table as lines, one per field in path order."""
+    if not fields:
+        return ["no JSON field differs"]
+    width = max(map(len, fields))
+    head = [f"{len(fields)} differing JSON field(s), largest |diff| over every command:"]
+    return head + [f"  {key:<{width}}  " + ("-" if gap is None else f"{gap:.3g}") for key, gap in sorted(fields.items())]
+
+
+def describe(name: str, parent: str, change: str, fields: dict) -> list[str]:
+    """Lines that show how one output stream differs; a JSON one's fields
+    are also folded into fields."""
     try:
         found = json_diff(json.loads(parent), json.loads(change))
     except ValueError:  # not JSON on both sides: show the text
         lines = list(difflib.unified_diff(parent.splitlines(), change.splitlines(), "parent", "change", lineterm=""))
         return [f"  {name}:"] + [f"    {line}" for line in lines[:SHOWN]]
+    fold_fields(found, fields)
     out = [f"  {name}: {summary(found)}"]
     for path, p, c, gap in found[:SHOWN]:
         out.append(f"    {path}: parent {p!r} change {c!r}" + ("" if gap is None else f" |diff| {gap:.3g}"))
@@ -414,7 +440,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, default=ROOT, help="the change's source tree (default this one)")
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
-    differing = 0
+    differing, fields = 0, {}
     with tempfile.TemporaryDirectory(prefix="report_bytes-") as tmp:
         for cmd in commands(write_inputs(Path(tmp))):
             label = " ".join(Path(a).name if a.startswith(tmp) else a for a in cmd)
@@ -423,15 +449,19 @@ def main(argv=None) -> int:
             if p_code != c_code:
                 lines.append(f"  exit code: parent {p_code} change {c_code}")
             if p_err != c_err:
-                lines += describe("stderr", p_err, c_err)
+                lines += describe("stderr", p_err, c_err, fields)
             if p_out != c_out:
-                lines += describe("stdout", p_out, c_out)
+                lines += describe("stdout", p_out, c_out, fields)
             print(("DIFF  " if lines else "same  ") + f"{label}  (exit {c_code})")
             for line in lines:
                 print(line)
             differing += bool(lines)
-    print(f"{differing} command(s) differ" if differing else "every output is identical")
-    return 1 if differing else 0
+    if not differing:
+        print("every output is identical")
+        return 0
+    print(f"{differing} command(s) differ")
+    print("\n".join(field_table(fields)))
+    return 1
 
 
 if __name__ == "__main__":

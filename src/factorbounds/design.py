@@ -15,7 +15,7 @@ has exactly J/2 entries of each sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -81,14 +81,48 @@ class ContrastVector:
             )
 
 
-@lru_cache(maxsize=None, typed=True)
+def _hashable(key) -> bool:
+    try:
+        hash(key)
+    except TypeError:
+        return False
+    return True
+
+
+def typed_cache(maxsize: int | None = None):
+    """A typed lru_cache in front of a function that checks its own
+    arguments, so True, 1 and 1.0 are three keys and a refused argument
+    raises before anything is kept. An argument the cache cannot hash (a
+    list) goes past it to the function, whose checks raise the package's
+    error for it rather than a bare TypeError; any other TypeError is the
+    function's own and propagates from its one call."""
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize, typed=True)(fn)
+
+        @wraps(fn)
+        def f(*args, **kwargs):
+            try:
+                return cached(*args, **kwargs)
+            except TypeError:
+                if _hashable((args, tuple(kwargs.values()))):
+                    raise
+            # an unhashable argument, outside the except block so fn's error carries no hashing context
+            return fn(*args, **kwargs)
+
+        f.cache_info = cached.cache_info
+        return f
+
+    return decorate
+
+
+@typed_cache()
 def enumerate_assignments(K: int) -> FactorialDesign:
     """The canonical 2^K design, built once per K.
 
     K must be between 1 and MAX_FACTORS; beyond that the dense enumeration
-    is no longer a sensible representation. The design tables are typed
-    caches, so True, 1 and 1.0 are three keys, and a refused argument
-    raises before anything is kept.
+    is no longer a sensible representation. The design tables are
+    typed_cache functions.
     """
     if not isinstance(K, int) or isinstance(K, bool):
         raise InvalidDesignError(f"K must be an integer, got {K!r}")
@@ -104,7 +138,7 @@ def validate_factor(design: FactorialDesign, k: int) -> None:
         raise InvalidFactorError(f"factor {k!r} outside 1..{design.K}")
 
 
-@lru_cache(maxsize=None, typed=True)
+@typed_cache()
 def main_effect_contrast(design: FactorialDesign, k: int) -> ContrastVector:
     validate_factor(design, k)
     return ContrastVector(factors=(k,), signs=design.levels[:, k - 1].copy())
@@ -153,7 +187,7 @@ def contexts_for(design: FactorialDesign, *ks: int) -> list[Context]:
     return list(_level_tuples(design.K - len(ks)))
 
 
-@lru_cache(maxsize=None, typed=True)
+@typed_cache()
 def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
     """(2^len(ks), 2^(K-len(ks))) read-only intp arm indices: row r sets
     factor ks[i] to +1 when bit i of r is set, the others of ks to -1, so

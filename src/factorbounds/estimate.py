@@ -261,7 +261,7 @@ class EndpointFunctions:
     upper: LinearFractional
 
 
-@lru_cache(maxsize=256, typed=True)
+@dsg.typed_cache(maxsize=256)
 def endpoint_functions(
     design: FactorialDesign,
     k: int,

@@ -147,10 +147,11 @@ def itt_report(pop: Population, k: int) -> ITTReport:
 
 
 def _contrast_among(pop: Population, R: int, mask: np.ndarray, contrast):
-    """block(r): g^T Ybar over block r's units in mask, per context (divided by 2^{K-1})."""
+    """block(r): g^T Ybar over block r's units in mask, per context (divided by 2^{K-1}); each
+    arm's mean sums its row as arm_means does, so a block whose mask holds every unit gets its bits."""
     g, n, m = contrast.signs.astype(np.float64), pop.N // R, 1 << (pop.design.K - 1)
-    y, mask = pop.outcome.reshape(R, n, -1), mask.reshape(R, n)
-    return lambda r: float(g @ y[r][mask[r]].mean(axis=0)) / m
+    y, mask = pop.outcome.T.reshape(-1, R, n), mask.reshape(R, n)
+    return lambda r: float(g @ y[:, r].compress(mask[r], axis=1).mean(axis=1)) / m
 
 
 @_blockwise

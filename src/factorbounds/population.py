@@ -4,6 +4,9 @@ A population stores, for each of N units, the uptake vector D_i(z) in
 {-1, +1}^K and the outcome Y_i(z) in [0, 1] for every assignment z of a
 2^K design. Uptake is stored as one (N, J) bit pattern (pack_uptake),
 which every check reads; the (N, J, K) array is unpacked only on request.
+Pattern and outcome are both stored arm-major (F-contiguous), so the rows
+of .T, one per arm, run contiguously over the units, and every per-arm
+read or reduction walks one such row.
 Outcomes are indexed by assignment, so Y may depend on z other than
 through D (equal uptake vectors, different outcomes in two arms);
 check_outcome_exclusion finds that between the two arms of a context.
@@ -50,15 +53,16 @@ from .errors import (
 NEVER_TAKER, COMPLIER, DEFIER, ALWAYS_TAKER = range(4)
 
 
-def read_only(value, dtype) -> np.ndarray:
-    """value as a read-only C-contiguous dtype array no caller can write
-    through: one that is read-only down to the array owning its memory is
-    kept, anything else (a writable array, or a view of one) copied."""
+def read_only(value, dtype, order: str = "C") -> np.ndarray:
+    """value as a read-only dtype array, C- or F-contiguous by order, that no
+    caller can write through: one that is read-only down to the array owning
+    its memory is kept, anything else (a writable array, or a view of one)
+    copied."""
     arr = base = np.asarray(value)
     while isinstance(base, np.ndarray) and not base.flags.writeable and base.base is not None:
         base = base.base
     shared = not isinstance(base, np.ndarray) or base.flags.writeable
-    arr = np.array(arr, dtype=dtype, order="C", copy=True if shared else None)
+    arr = np.array(arr, dtype=dtype, order=order, copy=True if shared else None)
     arr.setflags(write=False)
     return arr
 
@@ -186,12 +190,12 @@ def _blockwise(compute):
 @dataclass(frozen=True, init=False)
 class Population:
     """Potential uptake and outcomes for N units over a 2^K design, stored read-only as the
-    packed uptake pattern and the outcomes, finite and in [0, 1]. The constructor checks and
-    packs (N, J, K) uptake of -1/+1; from_pattern takes the pattern itself."""
+    packed uptake pattern and the outcomes, finite and in [0, 1], both arm-major. The
+    constructor checks and packs (N, J, K) uptake of -1/+1; from_pattern takes the pattern itself."""
 
     design: FactorialDesign
     pattern: np.ndarray  # (N, J) pack_uptake bits, rows of .T contiguous
-    outcome: np.ndarray  # (N, J) float64 in [0, 1]
+    outcome: np.ndarray  # (N, J) float64 in [0, 1], F-contiguous: rows of .T contiguous
 
     def __init__(self, design: FactorialDesign, uptake: np.ndarray, outcome: np.ndarray) -> None:
         if uptake.ndim != 3 or uptake.shape[1:] != (design.J, design.K):
@@ -211,7 +215,7 @@ class Population:
         if not shape_ok or pattern.max(initial=0) >> design.K:
             raise InvalidInputError(f"pattern must be (N, {design.J}) unsigned integers below 2^{design.K}")
         pop = object.__new__(cls)
-        pop._store(design, read_only(pattern.T, pattern_dtype(design.K)).T, outcome)
+        pop._store(design, read_only(pattern, pattern_dtype(design.K), order="F"), outcome)
         return pop
 
     def _store(self, design: FactorialDesign, pattern: np.ndarray, outcome: np.ndarray) -> None:
@@ -221,7 +225,7 @@ class Population:
             raise InvalidInputError("population needs at least one unit")
         if outcome.dtype.kind not in "iuf":
             raise InvalidInputError(f"outcome entries must be numbers, got dtype {outcome.dtype}")
-        outcome = read_only(outcome, np.float64)
+        outcome = read_only(outcome, np.float64, order="F")
         if not np.isfinite(outcome).all():
             raise InvalidInputError("outcomes must be finite")
         if outcome.min() < 0.0 or outcome.max() > 1.0:
@@ -248,8 +252,8 @@ def arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
     """(R, J) arm means of each of pop's R equal unit blocks: of the outcome
     without ks, of the uptake product over factors ks with them."""
     n = pop.N // R
-    if not ks:
-        return pop.outcome.reshape(R, n, -1).mean(axis=1)
+    if not ks:  # pairwise sums along each arm's units; C order, so g @ row rounds as on _contrast_among's means
+        return np.ascontiguousarray(pop.outcome.T.reshape(-1, R, n).mean(axis=2).T)
     for k in ks:
         dsg.validate_factor(pop.design, k)
     pat = pop.pattern.T  # below, per arm and block: the units taking an odd count of ks
@@ -364,9 +368,8 @@ def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) ->
     -1 but whose outcome differs. Empty list means the check passes."""
     contexts, lo = dsg.contexts_for(pop.design, k), 1 << (k - 1)
     pat = pop.pattern.T.reshape(-1, 2, lo, pop.N)  # views, as in classify: arm j has bits (hi, z_k, lo)
-    y = pop.outcome.reshape(-1)  # one flat pass, not inner loops of lo: moved[i*J + j] is y[i, j] != y[i, j + lo]
-    moved = np.append(y[lo:] != y[:-lo], np.zeros(lo, bool)).reshape(pop.N, -1, 2, lo)[:, :, 0].transpose(1, 2, 0)
-    hidden = np.logical_and(pat[:, 0] == pat[:, 1], moved, order="C").reshape(-1, pop.N)  # (hi, lo, N) at z_k = -1
+    y = pop.outcome.T.reshape(-1, 2, lo, pop.N)
+    hidden = ((pat[:, 0] == pat[:, 1]) & (y[:, 0] != y[:, 1])).reshape(-1, pop.N)  # (hi, lo, N) at z_k = -1
     found = lambda b: [(i, contexts[c]) for c, i in zip(*(a.tolist() for a in np.nonzero(b)))]  # context-major
     return _per_block(hidden, R, found)
 

@@ -24,6 +24,7 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -312,12 +313,16 @@ class ScenarioConfig(_Record):
                 raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={self.N}")
             if min(sizes) < 2:
                 raise InvalidDesignError("every arm needs at least 2 units")
-        for token in self.require:
-            _parse_token(token, self.K, _REQUIRE_TOKENS)
-        for token in self.violate:
-            _parse_token(token, self.K, _VIOLATE_TOKENS)
+        self.toggles  # parsed now, so a bad token is refused with the config
         for t in self.targets:
             est.parse_target(design, t.factor, t.method, t.profile)
+
+    @cached_property
+    def toggles(self) -> tuple[tuple[str, bool, str, tuple[int, ...]], ...]:
+        """(token, want, name, factors) of each require token (want True: its check
+        must pass) and then each violate token (want False), parsed once."""
+        wants = [(t, True, _REQUIRE_TOKENS) for t in self.require] + [(t, False, _VIOLATE_TOKENS) for t in self.violate]
+        return tuple((token, want, *_parse_token(token, self.K, allowed)) for token, want, allowed in wants)
 
     def resolved_arm_sizes(self) -> tuple[int, ...]:
         J = 1 << self.K
@@ -347,15 +352,15 @@ def config_hash(config: ScenarioConfig) -> str:
 # --- population generation -----------------------------------------------------
 
 
-def _pattern_columns(design: FactorialDesign, k: int, dep: tuple[int, ...]):
-    """Group factor-k context indices by the levels of the dep factors.
-
-    Yields (pattern, column indices) in lexicographic pattern order.
-    """
+@lru_cache(maxsize=None)
+def _pattern_columns(design: FactorialDesign, k: int, dep: tuple[int, ...]) -> tuple:
+    """Factor-k context indices grouped by the levels of the dep factors, built
+    once per design, factor and dep: (pattern, column indices) pairs in
+    lexicographic pattern order."""
     levels = design.levels[dsg.context_arms(design, k)[0]][:, [f - 1 for f in dep]]  # (C, len(dep))
     patterns, group = np.unique(levels, axis=0, return_inverse=True)
-    for i, pat in enumerate(patterns.tolist()):
-        yield tuple(pat), np.flatnonzero(group.ravel() == i).tolist()
+    columns = popmod.frozen(*(np.flatnonzero(group.ravel() == i) for i in range(len(patterns))))
+    return tuple(zip(map(tuple, patterns.tolist()), columns))
 
 
 def _draws(rngs: list[np.random.Generator], draw) -> np.ndarray:
@@ -396,8 +401,9 @@ def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np
     def gated(kk: int, by: int, want: int) -> np.ndarray:  # (C, 1) per factor-kk context: complier where z_by == want
         return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1, None] == want, COMPLIER, NEVER_TAKER)
 
-    for token in config.violate:
-        name, ks = _parse_token(token, K, _VIOLATE_TOKENS)
+    for token, want, name, ks in config.toggles:
+        if want:  # a require token
+            continue
         if name == "monotone":
             (k,) = ks
             units[k - 1, 0, :, 0] = DEFIER
@@ -461,8 +467,8 @@ def _subset_sums(terms, out: np.ndarray) -> np.ndarray:
 
 
 def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.ndarray, rngs: list) -> np.ndarray:
-    """(R*N, J) outcomes of the R replications stacked in the packed uptake
-    pattern, each drawn from its own generator. An outcome depends on the arm
+    """(R*N, J) arm-major outcomes of the R replications stacked in the packed
+    uptake pattern, each drawn from its own generator. An outcome depends on the arm
     only through the pattern p, so blocks of up to 2^15 (pattern, unit) cells
     tabulate each unit's outcome over the J patterns and gather it through
     the pattern. Cell p sums, each sum from 0.0 in increasing factor order:
@@ -477,7 +483,7 @@ def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.
     if K > 1:  # eta(a, h), drawn pair by pair, held grouped by the higher factor h: row h(h-1)/2 + a
         drawn = {pair: _draws(rngs, lambda rng: rng.uniform(*spec.eta, n)) for pair in combinations(range(K), 2)}
         eta = np.stack([drawn[a, h] for h in range(K) for a in range(h)])
-    lin = np.empty((N, J))
+    lin = np.empty((N, J), order="F")  # arm-major, as the population stores it: written through lin.T
     rows = max(1, min(1 << 15, N * J // 4) // J)  # a block's tables, index and gather stay under lin's size
     for start in range(0, N, rows):
         units = slice(start, start + rows)
@@ -488,11 +494,11 @@ def _draw_outcomes(config: ScenarioConfig, design: FactorialDesign, pattern: np.
             groups = (eta[h * (h - 1) // 2 : h * (h + 1) // 2, units] for h in range(K))
             lower = [_subset_sums(terms, np.empty((1 << h, n_units))) for h, terms in enumerate(groups)]
             table += _subset_sums(lower, np.empty((J, n_units)))
-        lin[units] = table.ravel().take(pattern[units].astype(np.intp) * n_units + np.arange(n_units)[:, None])
+        lin.T[:, units] = table.ravel().take(pattern.T[:, units].astype(np.intp) * n_units + np.arange(n_units))
     y = np.clip(lin, 0.0, 1.0, out=lin)
     if spec.model == "m2":
         tau = _draws(rngs, lambda rng: rng.uniform(0.0, 1.0, n))
-        y = (y >= tau[:, None]).astype(np.float64)
+        y = (y >= tau[:, None]).astype(np.float64, order="F")
     return y
 
 
@@ -510,11 +516,6 @@ def _generate(config: ScenarioConfig, reps) -> Population:
     oracle, and only the replications that missed draw again, up to 100
     attempts. A chunk that needed a retry is stacked anew from its blocks."""
     design = enumerate_assignments(config.K)
-    tokens = [(f"require {t}", True, *_parse_token(t, config.K, _REQUIRE_TOKENS)) for t in config.require]
-    tokens += [
-        (f"violate {t} (check still passes)", False, *_parse_token(t, config.K, _VIOLATE_TOKENS))
-        for t in config.violate
-    ]
     found, todo, n = {}, list(reps), config.N
     for attempt in range(_RETRY_CAP):
         rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, rep, attempt])) for rep in todo]
@@ -522,11 +523,11 @@ def _generate(config: ScenarioConfig, reps) -> Population:
         (outcome,) = popmod.frozen(_draw_outcomes(config, design, pattern, rngs))
         stack = Population.from_pattern(design, pattern, outcome)
         misses = [[] for _ in todo]
-        for label, want, name, ks in tokens:
+        for token, want, name, ks in config.toggles:
             _, check, passes, *_ = popmod.ASSUMPTIONS[name]
             for value, missed in zip(check(stack, *ks, R=len(todo)), misses):
                 if passes(value) != want:
-                    missed.append(label)
+                    missed.append(f"require {token}" if want else f"violate {token} (check still passes)")
         if attempt == 0 and not any(misses):
             return stack
         blocks = ((stack.pattern[i : i + n], stack.outcome[i : i + n]) for i in range(0, stack.N, n))
@@ -578,9 +579,9 @@ def observe(pop: Population, allocation) -> ObservedDataset:
     if alloc.dtype.kind not in "iu" or alloc.min(initial=0) < 0 or alloc.max(initial=0) >= pop.design.J:
         raise InvalidInputError(f"allocation entries must be arm indices in 0..{pop.design.J - 1}")
     alloc = alloc.astype(np.intp, copy=False)
-    rows = (np.arange(0, pop.N * pop.design.J, pop.design.J) + alloc).reshape(-1)  # unit i's row i*J + arm
-    taken = pop.pattern.T[alloc, np.arange(pop.N)].reshape(-1)  # each observed unit's pattern under its arm
-    uptake, outcome = popmod.frozen(pop.design.levels.take(taken, axis=0), pop.outcome.reshape(-1)[rows])
+    cells = (alloc * pop.N + np.arange(pop.N)).reshape(-1)  # arm-major: unit i's cell in arm a is a*N + i
+    taken = pop.pattern.T.reshape(-1)[cells]  # each observed unit's pattern under its arm
+    uptake, outcome = popmod.frozen(pop.design.levels.take(taken, axis=0), pop.outcome.T.reshape(-1)[cells])
     return ObservedDataset(design=pop.design, arm=alloc.reshape(-1), uptake=uptake, outcome=outcome)
 
 

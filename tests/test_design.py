@@ -11,6 +11,7 @@ from factorbounds.design import (
     enumerate_assignments,
     interaction_contrast,
     main_effect_contrast,
+    typed_cache,
 )
 from factorbounds.errors import InvalidDesignError, InvalidFactorError
 from factorbounds.estimate import endpoint_functions
@@ -169,6 +170,48 @@ def test_cached_tables_refuse_bool_and_float_keys():
         main_effect_contrast(design, True)
     assert enumerate_assignments(3) is enumerate_assignments(3)
 
+
+def test_enumerate_assignments_refuses_a_list_with_the_package_error():
+    with pytest.raises(InvalidDesignError, match=r"K must be an integer, got \[2\]"):
+        enumerate_assignments([2])
+
+
+def test_main_effect_contrast_refuses_a_list_with_the_package_error():
+    with pytest.raises(InvalidFactorError, match=r"factor \[1\] outside 1..2"):
+        main_effect_contrast(enumerate_assignments(2), [1])
+
+
+def test_context_arms_refuses_a_list_with_the_package_error():
+    design = enumerate_assignments(3)
+    for ks in (([1],), (1, [2])):
+        with pytest.raises(InvalidFactorError, match=r"factor \[\d\] outside 1..3"):
+            context_arms(design, *ks)
+
+
+def test_endpoint_functions_refuses_a_list_with_the_package_error():
+    misses = endpoint_functions.cache_info().misses
+    with pytest.raises(InvalidFactorError, match=r"factor \[1\] outside 1..2"):
+        endpoint_functions(enumerate_assignments(2), [1], "exclusion", profile_index=0)
+    assert endpoint_functions.cache_info().misses == misses  # past the cache, nothing kept
+
+
+
+def test_typed_cache_runs_a_function_that_raises_type_error_once():
+    calls = []
+
+    @typed_cache()
+    def fails(x):
+        calls.append(x)
+        raise TypeError("the function's own error")
+
+    with pytest.raises(TypeError, match="the function's own error"):
+        fails(1)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        fails(1, y=2)  # a wrong keyword never reaches the body
+    assert calls == [1]
+    with pytest.raises(TypeError, match="the function's own error"):
+        fails([1])  # unhashable: past the cache, to the body once
+    assert calls == [1, [1]]
 
 def test_cached_tables_are_read_only():
     design = enumerate_assignments(3)

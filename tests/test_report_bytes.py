@@ -123,9 +123,47 @@ def test_the_summary_bounds_every_differing_field_beyond_the_shown_ones():
     shown = report_bytes.SHOWN
     parent = {"n": 3, "x": [0.5] * (shown + 4)}
     change = {"n": "3", "x": [0.5 + 2**-50] * (shown + 3) + [0.5 + 2**-40]}
-    lines = report_bytes.describe("stdout", json.dumps(parent), json.dumps(change))
+    lines = report_bytes.describe("stdout", json.dumps(parent), json.dumps(change), {})
     assert lines[0] == f"  stdout: {shown + 5} JSON field(s) differ, largest |diff| {2**-40:.3g}, 1 not two numbers"
     assert len(lines) == 1 + shown + 1 and lines[-1] == "    ... 5 more"
     assert lines[1] == "    $.n: parent 3 change '3'"
-    one = report_bytes.describe("stdout", json.dumps(parent), json.dumps({**parent, "n": 4}))
+    one = report_bytes.describe("stdout", json.dumps(parent), json.dumps({**parent, "n": 4}), {})
     assert one == ["  stdout: 1 JSON field(s) differ, largest |diff| 1", "    $.n: parent 3 change 4 |diff| 1"]
+
+
+def test_fields_fold_every_command_by_collapsed_path_with_the_largest_difference():
+    fields = {}
+    first = {"targets": [{"truth_mean": 0.5, "label": "a"}, {"truth_mean": 0.25, "label": "b"}]}
+    moved = {"targets": [{"truth_mean": 0.5 + 2**-50, "label": "a"}, {"truth_mean": 0.25 + 2**-45, "label": "c"}]}
+    report_bytes.describe("stdout", json.dumps(first), json.dumps(moved), fields)
+    second = {"n": 3, "targets": [{"truth_mean": 0.5, "label": "a"}]}
+    report_bytes.describe("stdout", json.dumps(second), json.dumps({**second, "n": 4}), fields)
+    report_bytes.describe("stderr", "text", "other text", fields)  # not JSON: nothing to fold
+    assert fields == {"$.targets[*].truth_mean": 2**-45, "$.targets[*].label": None, "$.n": 1}
+    lines = report_bytes.field_table(fields)
+    assert lines[0] == "3 differing JSON field(s), largest |diff| over every command:"
+    assert [line.split() for line in lines[1:]] == [
+        ["$.n", "1"], ["$.targets[*].label", "-"], ["$.targets[*].truth_mean", f"{2**-45:.3g}"]
+    ]
+    assert report_bytes.field_table({}) == ["no JSON field differs"]
+
+
+def test_main_ends_with_the_field_table_only_when_a_command_differs(monkeypatch, capsys, tmp_path):
+    outputs = {"same": json.dumps(DOC), "moved": json.dumps({**DOC, "n": 4})}
+    monkeypatch.setattr(report_bytes, "write_inputs", lambda out: {})
+    monkeypatch.setattr(report_bytes, "commands", lambda paths: [["analyze", "same"], ["oracle", "moved"]])
+    parent, change = tmp_path / "parent", tmp_path / "change"
+
+    def run(tree, argv):  # the change moves the output of "moved" only
+        key = argv[1]
+        return 0, json.dumps(DOC) if tree == parent else outputs[key], ""
+
+    monkeypatch.setattr(report_bytes, "run", run)
+    assert report_bytes.main(["--parent", str(parent), "--change", str(change)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "same  analyze same  (exit 0)" and out[1] == "DIFF  oracle moved  (exit 0)"
+    assert out[-3:] == [
+        "1 command(s) differ", "1 differing JSON field(s), largest |diff| over every command:", "  $.n  1"
+    ]
+    assert report_bytes.main(["--parent", str(parent), "--change", str(parent)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "every output is identical"

@@ -12,11 +12,13 @@ import pytest
 
 from factorbounds import design as dsg
 from factorbounds import estimate as est
+from factorbounds import oracle
 from factorbounds import population as popmod
 from factorbounds import simulate
 from factorbounds.data import save_csv
 from factorbounds.design import enumerate_assignments
 from factorbounds.errors import (
+    FactorBoundsError,
     GenerationError,
     InsufficientDataError,
     InvalidDesignError,
@@ -33,6 +35,7 @@ from factorbounds.population import (
     check_conditional_monotonicity,
     check_conditional_treatment_exclusion,
     check_least_compliant_profile,
+    check_outcome_exclusion,
     check_weak_treatment_exclusion,
     classify,
     constant_complier_count,
@@ -52,7 +55,15 @@ from factorbounds.simulate import (
     observe,
 )
 
-from conftest import arm_outcome_means, clone, count_computations, fixture_p4, random_population, save_scenario
+from conftest import (
+    arm_outcome_means,
+    assumption_population,
+    clone,
+    count_computations,
+    fixture_p4,
+    random_population,
+    save_scenario,
+)
 
 
 def basic_config(**over):
@@ -1155,3 +1166,74 @@ def test_nested_cross_field_error_names_the_record():
         ScenarioConfig.from_dict(d)
     with pytest.raises(InvalidInputError, match=r"^complier \+ always"):
         FactorSpec(complier=0.9, always=0.5)
+
+
+# ----------------------------------------------------------------- arm-major outcomes
+
+
+def _stored_arm_major(pop):
+    out = pop.outcome
+    return out.flags.f_contiguous and out.flags.owndata and not out.flags.writeable and out.dtype == np.float64
+
+
+@pytest.mark.parametrize("model", ["m1", "m2"])
+def test_generated_outcomes_are_stored_arm_major_owned_and_read_only(model):
+    config = basic_config(outcome=OutcomeSpec(model=model), N=24)
+    pop = generate_population(config)
+    assert _stored_arm_major(pop) and pop.outcome.T.flags.c_contiguous
+    stack = simulate._generate(config, range(3))  # three replications in one chunk
+    assert _stored_arm_major(stack) and stack.N == 3 * config.N
+
+
+def test_constructed_outcomes_are_stored_arm_major_owned_and_read_only():
+    pop = fixture_p4()
+    for outcome in (np.ascontiguousarray(pop.outcome), np.asfortranarray(pop.outcome), pop.outcome.tolist()):
+        built = Population(design=pop.design, uptake=pop.uptake, outcome=np.asarray(outcome))
+        assert _stored_arm_major(built) and np.array_equal(built.outcome, pop.outcome)
+        assert _stored_arm_major(Population.from_pattern(pop.design, pop.pattern, np.asarray(outcome)))
+    assert _stored_arm_major(clone(pop, 3))
+
+
+def _answers(pop, methods):
+    """Each method's oracle report, or its error's type and message, at every factor."""
+    found = []
+    for k in range(1, pop.design.K + 1):
+        for method in methods:
+            try:
+                found.append(oracle.method_report(pop, k, method))
+            except FactorBoundsError as error:
+                found.append((type(error).__name__, str(error)))
+    return found
+
+
+@pytest.mark.parametrize("make", [assumption_population, random_population])
+def test_c_and_f_ordered_outcomes_give_the_same_population(make):
+    pop = make(np.random.default_rng(11), 3, 40)
+    c_order = np.ascontiguousarray(pop.outcome)
+    assert c_order.flags.c_contiguous and not c_order.flags.f_contiguous
+    from_c = Population(design=pop.design, uptake=pop.uptake, outcome=c_order)
+    from_f = Population(design=pop.design, uptake=pop.uptake, outcome=np.asfortranarray(c_order))
+    alloc = np.stack([complete_randomization(40, [5] * 8, seed) for seed in (1, 2)])
+    for a, b in ((observe(from_c, alloc), observe(from_f, alloc)), (census_dataset(from_c), census_dataset(from_f))):
+        assert np.array_equal(a.arm, b.arm) and np.array_equal(a.uptake, b.uptake)
+        assert np.array_equal(a.outcome, b.outcome)
+    for k in (1, 2, 3):
+        assert check_outcome_exclusion(from_c, k) == check_outcome_exclusion(from_f, k)
+    methods = ("adjusted", "simple", "exclusion", "interaction:1+2", "joint:2", "conservative:0.05")
+    assert _answers(from_c, methods) == _answers(from_f, methods)
+    if make is random_population:  # uptake unmoved and outcome moved at some (unit, context) of every factor
+        assert all(len(check_outcome_exclusion(from_c, k)) >= 2 for k in (1, 2, 3))
+    else:  # factor 1 keeps uptake exclusion: every method but joint:2, whose pair has no joint profile, answers
+        answered = [isinstance(answer, dict) for answer in _answers(from_c, methods)[: len(methods)]]
+        assert answered == [method != "joint:2" for method in methods]
+
+
+def test_full_compliance_truths_equal_their_collapsed_intervals_bit_for_bit():
+    # the truth's per-arm means sum each arm's units as arm_means does, so where everyone complies
+    # the truth and both raw ends are one float, block by block of a stacked chunk
+    config = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios" / "full_compliance.json")
+    stack = simulate._generate(config, range(4))
+    for k, method in itertools.product((1, 2), ("adjusted", "simple", "exclusion", "interaction:1+2")):
+        truths = oracle.method_truth(stack, k, method, R=4)
+        for truth, (iv, _) in zip(truths, oracle.method_interval(stack, k, method, R=4)):
+            assert truth == iv.center == iv.raw_lower == iv.raw_upper
