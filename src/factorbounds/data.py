@@ -25,7 +25,7 @@ from .population import frozen, read_only
 class ObservedDataset:
     """One row per unit: realized arm, uptake vector, outcome.
 
-    Arms are indices into design.assignments(). Outcomes are on the analysis
+    Arms index the rows of design.levels. Outcomes are on the analysis
     scale: when a load rescaled them into [0, 1], the affine map is kept in
     ``rescale`` so reports can echo it. A frequency ``weight`` per row
     counts it that many times in the arm moments; n and arm_counts count rows.

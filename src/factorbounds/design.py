@@ -15,7 +15,7 @@ has exactly J/2 entries of each sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -27,10 +27,49 @@ Assignment = tuple[int, ...]
 Context = tuple[int, ...]
 
 
+def _typed(value):
+    """value with every entry's type beside it, so True never matches 1 in a memo key."""
+    return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
+
+
+def _cached(owner, fn, args: tuple, kwargs: dict, compute):
+    """owner's memo entry for fn and its typed arguments, computed by compute() on a miss, its
+    arrays set read-only; the owner is a FactorialDesign, a Population or an ObservedDataset,
+    whose arrays never change. A compute that raises stores nothing, a None result is a miss,
+    and a list argument is uncached, so the function's own checks refuse it."""
+    if kwargs or tuple in map(type, args):
+        key = (fn, _typed((args, tuple(sorted(kwargs.items())))))
+    else:  # flat positional arguments, the common case, carry their types in one tuple beside them
+        key = (fn, args, tuple(map(type, args)))
+    try:
+        value = owner._memo.get(key)
+    except TypeError:
+        return compute()
+    if value is None:
+        value = owner._memo[key] = compute()
+        for arr in value if type(value) is tuple else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+    return value
+
+
+def _memoized(fn):
+    """fn(owner, ...) computed once per owner and typed arguments, kept in owner._memo."""
+
+    @wraps(fn)
+    def wrapper(owner, *args, **kwargs):
+        compute = wrapper.__wrapped__  # read per call, like a module attribute
+        return _cached(owner, wrapper, args, kwargs, lambda: compute(owner, *args, **kwargs))
+
+    return wrapper
+
+
 @dataclass(frozen=True, eq=False)
 class FactorialDesign:
-    """Complete enumeration of a 2^K design in canonical order, one per K,
-    compared and hashed by identity so the design tables can key on it."""
+    """Complete enumeration of a 2^K design in canonical order, one per K
+    (enumerate_assignments), compared by identity. Its tables (contrasts,
+    context arms, endpoint maps) are kept on its _memo, as a population's
+    and a dataset's derived arrays are on theirs."""
 
     K: int
     levels: np.ndarray  # (J, K) int8, row j = assignment j
@@ -42,13 +81,15 @@ class FactorialDesign:
     def J(self) -> int:
         return 1 << self.K
 
-    def assignment(self, j: int) -> Assignment:
-        if not 0 <= j < self.J:
-            raise InvalidDesignError(f"assignment index {j} outside 0..{self.J - 1}")
-        return tuple(int(v) for v in self.levels[j])
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of the _memoized functions of this design, filled on first use."""
+        return {}
 
-    def assignments(self) -> list[Assignment]:
-        return [self.assignment(j) for j in range(self.J)]
+    def assignment(self, j: int) -> Assignment:
+        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.J:
+            raise InvalidDesignError(f"assignment index must be an integer in 0..{self.J - 1}, got {j!r}")
+        return tuple(int(v) for v in self.levels[j])
 
     def index(self, z: Assignment) -> int:
         """Canonical index of an assignment tuple."""
@@ -56,10 +97,9 @@ class FactorialDesign:
             raise InvalidDesignError(f"assignment {z!r} has length {len(z)}, design has K={self.K}")
         j = 0
         for k, level in enumerate(z):
-            if level == 1:
-                j |= 1 << k
-            elif level != -1:
+            if not isinstance(level, int) or isinstance(level, bool) or level not in (-1, 1):
                 raise InvalidDesignError(f"assignment levels must be -1 or +1, got {z!r}")
+            j |= (level == 1) << k
         return j
 
 
@@ -81,56 +121,26 @@ class ContrastVector:
             )
 
 
-def _hashable(key) -> bool:
-    try:
-        hash(key)
-    except TypeError:
-        return False
-    return True
+_DESIGNS: dict[int, FactorialDesign] = {}  # one design per K, so its memo serves every caller
 
 
-def typed_cache(maxsize: int | None = None):
-    """A typed lru_cache in front of a function that checks its own
-    arguments, so True, 1 and 1.0 are three keys and a refused argument
-    raises before anything is kept. An argument the cache cannot hash (a
-    list) goes past it to the function, whose checks raise the package's
-    error for it rather than a bare TypeError; any other TypeError is the
-    function's own and propagates from its one call."""
-
-    def decorate(fn):
-        cached = lru_cache(maxsize=maxsize, typed=True)(fn)
-
-        @wraps(fn)
-        def f(*args, **kwargs):
-            try:
-                return cached(*args, **kwargs)
-            except TypeError:
-                if _hashable((args, tuple(kwargs.values()))):
-                    raise
-            # an unhashable argument, outside the except block so fn's error carries no hashing context
-            return fn(*args, **kwargs)
-
-        f.cache_info = cached.cache_info
-        return f
-
-    return decorate
-
-
-@typed_cache()
 def enumerate_assignments(K: int) -> FactorialDesign:
     """The canonical 2^K design, built once per K.
 
     K must be between 1 and MAX_FACTORS; beyond that the dense enumeration
-    is no longer a sensible representation. The design tables are
-    typed_cache functions.
+    is no longer a sensible representation. The design tables are kept on
+    the design's memo.
     """
     if not isinstance(K, int) or isinstance(K, bool):
         raise InvalidDesignError(f"K must be an integer, got {K!r}")
     if not 1 <= K <= MAX_FACTORS:
         raise InvalidDesignError(f"K must be in 1..{MAX_FACTORS}, got {K}")
-    bits = (np.arange(1 << K, dtype=np.int64)[:, None] >> np.arange(K)) & 1
-    levels = np.where(bits == 1, 1, -1).astype(np.int8)
-    return FactorialDesign(K=K, levels=levels)
+    design = _DESIGNS.get(K)
+    if design is None:
+        bits = (np.arange(1 << K, dtype=np.int64)[:, None] >> np.arange(K)) & 1
+        levels = np.where(bits == 1, 1, -1).astype(np.int8)
+        design = _DESIGNS[K] = FactorialDesign(K=K, levels=levels)
+    return design
 
 
 def validate_factor(design: FactorialDesign, k: int) -> None:
@@ -138,7 +148,7 @@ def validate_factor(design: FactorialDesign, k: int) -> None:
         raise InvalidFactorError(f"factor {k!r} outside 1..{design.K}")
 
 
-@typed_cache()
+@_memoized
 def main_effect_contrast(design: FactorialDesign, k: int) -> ContrastVector:
     validate_factor(design, k)
     return ContrastVector(factors=(k,), signs=design.levels[:, k - 1].copy())
@@ -187,7 +197,7 @@ def contexts_for(design: FactorialDesign, *ks: int) -> list[Context]:
     return list(_level_tuples(design.K - len(ks)))
 
 
-@typed_cache()
+@_memoized
 def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
     """(2^len(ks), 2^(K-len(ks))) read-only intp arm indices: row r sets
     factor ks[i] to +1 when bit i of r is set, the others of ks to -1, so
@@ -198,9 +208,7 @@ def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
     for pos in sorted(k - 1 for k in ks):  # insert a 0 bit at each position, ascending
         base = ((base >> pos) << (pos + 1)) | (base & ((1 << pos) - 1))
     rows = range(1 << len(ks))
-    arms = np.stack([base | sum(1 << (k - 1) for i, k in enumerate(ks) if r >> i & 1) for r in rows])
-    arms.setflags(write=False)
-    return arms
+    return np.stack([base | sum(1 << (k - 1) for i, k in enumerate(ks) if r >> i & 1) for r in rows])
 
 
 def context_contrast(rows: np.ndarray) -> np.ndarray:

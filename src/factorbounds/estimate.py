@@ -261,7 +261,7 @@ class EndpointFunctions:
     upper: LinearFractional
 
 
-@dsg.typed_cache(maxsize=256)
+@_memoized
 def endpoint_functions(
     design: FactorialDesign,
     k: int,
@@ -288,8 +288,8 @@ def endpoint_functions(
     by g; t_value replaces D by the constant m*t (the conservative variant).
     Exactly one of profile_index and t_value must be given. Coefficients
     are (J, p) tables like the moment table, raveled at the end; the maps
-    are built once per design, factor, method and profile (a typed cache,
-    which keeps no refused argument), and read-only.
+    are read-only and kept on the design's memo, once per factor, method
+    and profile.
     """
     kind, extra = parse_method(method)
     dsg.validate_factor(design, k)
@@ -401,10 +401,12 @@ def estimate_bounds(
         indexes = np.argmin(nu, axis=1).tolist()
     else:  # parse_target checked ctx to be a context of the design
         indexes = [contexts.index(ctx)] * R
+    # one memo lookup per profile the blocks chose, not one per block
+    maps = {c: endpoint_functions(data.design, k, method, profile_index=c) for c in set(indexes)}
     out: list[BoundsEstimate | WeakFirstStageError] = []
     for r, c_index in enumerate(indexes):
         ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()
-        funcs = endpoint_functions(data.design, k, method, profile_index=c_index)
+        funcs = maps[c_index]
         mvec, cov_r = means[r, :, : funcs.p].ravel(), cov[r, :, : funcs.p, : funcs.p]
         den = funcs.center.denominator(mvec)  # nu summed in another order: 0.0 where rounding left nu > 0
         if nu_r[c_index] <= 0.0 or den <= 0.0:

@@ -41,7 +41,7 @@ from numbers import Integral
 import numpy as np
 
 from . import design as dsg
-from .design import Context, FactorialDesign
+from .design import Context, FactorialDesign, _cached, _memoized
 from .errors import (
     AssumptionViolationError,
     FactorBoundsError,
@@ -109,42 +109,6 @@ def require_memory(N: int, K: int, clones: int = 0) -> None:
             f"a population of N={N} units over 2^{K} arms{with_clones} needs about {need / 2**30:.1f} GiB,"
             f" over the {MEMORY_BUDGET / 2**30:.0f} GiB budget"
         )
-
-
-def _typed(value):
-    """value with every entry's type beside it, so True never matches 1 in a memo key."""
-    return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
-
-
-def _cached(owner, fn, args: tuple, kwargs: dict, compute):
-    """owner's memo entry for fn and its typed arguments, computed by compute() on a miss, its
-    arrays set read-only; the owner is a Population or an ObservedDataset, whose arrays never change.
-    A compute that raises stores nothing, a None result is a miss, and a list argument is uncached."""
-    if kwargs or tuple in map(type, args):
-        key = (fn, _typed((args, tuple(sorted(kwargs.items())))))
-    else:  # flat positional arguments, the common case, carry their types in one tuple beside them
-        key = (fn, args, tuple(map(type, args)))
-    try:
-        value = owner._memo.get(key)
-    except TypeError:
-        return compute()
-    if value is None:
-        value = owner._memo[key] = compute()
-        for arr in value if type(value) is tuple else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
-    return value
-
-
-def _memoized(fn):
-    """fn(owner, ...) computed once per owner and typed arguments, kept in owner._memo."""
-
-    @functools.wraps(fn)
-    def wrapper(owner, *args, **kwargs):
-        compute = wrapper.__wrapped__  # read per call, like a module attribute
-        return _cached(owner, wrapper, args, kwargs, lambda: compute(owner, *args, **kwargs))
-
-    return wrapper
 
 
 def _blockwise(compute):

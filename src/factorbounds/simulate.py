@@ -24,7 +24,7 @@ import numbers
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +34,7 @@ from . import estimate as est
 from . import oracle
 from . import population as popmod
 from .data import ObservedDataset
-from .design import FactorialDesign, enumerate_assignments
+from .design import FactorialDesign, _memoized, enumerate_assignments
 from .errors import (
     FactorBoundsError,
     GenerationError,
@@ -306,13 +306,9 @@ class ScenarioConfig(_Record):
         if self.outcome.beta and len(self.outcome.beta) != self.K:
             raise InvalidInputError("outcome beta needs one range per factor")
         if self.arm_sizes is not None:
-            sizes = self.arm_sizes
-            if len(sizes) != design.J:
-                raise InvalidDesignError(f"{len(sizes)} arm sizes for J={design.J}")
-            if sum(sizes) != self.N:
-                raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={self.N}")
-            if min(sizes) < 2:
-                raise InvalidDesignError("every arm needs at least 2 units")
+            if len(self.arm_sizes) != design.J:
+                raise InvalidDesignError(f"{len(self.arm_sizes)} arm sizes for J={design.J}")
+            _check_arm_sizes(self.arm_sizes, self.N)
         self.toggles  # parsed now, so a bad token is refused with the config
         for t in self.targets:
             est.parse_target(design, t.factor, t.method, t.profile)
@@ -352,11 +348,11 @@ def config_hash(config: ScenarioConfig) -> str:
 # --- population generation -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def _pattern_columns(design: FactorialDesign, k: int, dep: tuple[int, ...]) -> tuple:
-    """Factor-k context indices grouped by the levels of the dep factors, built
-    once per design, factor and dep: (pattern, column indices) pairs in
-    lexicographic pattern order."""
+    """Factor-k context indices grouped by the levels of the dep factors, kept
+    on the design's memo once per factor and dep: (pattern, column indices)
+    pairs in lexicographic pattern order."""
     levels = design.levels[dsg.context_arms(design, k)[0]][:, [f - 1 for f in dep]]  # (C, len(dep))
     patterns, group = np.unique(levels, axis=0, return_inverse=True)
     columns = popmod.frozen(*(np.flatnonzero(group.ravel() == i) for i in range(len(patterns))))
@@ -548,6 +544,14 @@ def generate_population(config: ScenarioConfig, rep: int = 0) -> Population:
     return _generate(config, [rep])
 
 
+def _check_arm_sizes(sizes: tuple[int, ...], N: int) -> None:
+    """Arm sizes must sum to N and give every arm at least 2 units."""
+    if sum(sizes) != N:
+        raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={N}")
+    if min(sizes) < 2:
+        raise InvalidDesignError("every arm needs at least 2 units")
+
+
 def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
     """Uniformly random partition of N units into arms with fixed sizes.
 
@@ -558,10 +562,7 @@ def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
     if not sizes or not all(map(_whole, sizes)):  # refused, not truncated, as _integer refuses
         raise InvalidDesignError(f"arm sizes must be a nonempty list of integers, got {arm_sizes!r}")
     sizes = tuple(map(int, sizes))
-    if sum(sizes) != N:
-        raise InvalidDesignError(f"arm sizes sum to {sum(sizes)}, not N={N}")
-    if min(sizes) < 2:
-        raise InvalidDesignError("every arm needs at least 2 units")
+    _check_arm_sizes(sizes, N)
     rng = np.random.default_rng(seed)  # a Generator comes back as it is
     arm = np.empty(N, dtype=np.intp)
     arm[rng.permutation(N)] = np.repeat(np.arange(len(sizes)), sizes)  # the units at positions of arm j's run get j

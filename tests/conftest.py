@@ -59,6 +59,11 @@ def save_scenario(config, path):
         fh.write("\n")
 
 
+def assignments(design):
+    """The design's assignments as level tuples, in canonical order."""
+    return list(map(tuple, design.levels.tolist()))
+
+
 def strip_factor(z, k):
     """Drop factor k's coordinate of an assignment, leaving the context over the others."""
     if not 1 <= k <= len(z):
@@ -88,7 +93,7 @@ def build_population(K, uptake_rules, outcome_fn):
     uptake = np.empty((N, design.J, K), dtype=np.int8)
     outcome = np.empty((N, design.J), dtype=np.float64)
     for i, rule in enumerate(uptake_rules):
-        for j, z in enumerate(design.assignments()):
+        for j, z in enumerate(assignments(design)):
             d = rule(z)
             uptake[i, j, :] = d
             outcome[i, j] = outcome_fn(i, z, d)
@@ -125,7 +130,7 @@ def assumption_population(rng, K, N, upgrade_factors=(1,)):
         k: rng.random((N, J // 2)) < 0.5 for k in range(1, K + 1) if k in upgrade_factors
     }
     uptake = np.empty((N, J, K), dtype=np.int8)
-    for j, z in enumerate(design.assignments()):
+    for j, z in enumerate(assignments(design)):
         for k in range(1, K + 1):
             ctx = strip_factor(z, k)
             t = base[:, k - 1].copy()

@@ -1,31 +1,35 @@
+import importlib
 import itertools
+import pkgutil
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factorbounds
 from factorbounds.design import (
+    _memoized,
     contexts_for,
     context_arms,
     enumerate_assignments,
     interaction_contrast,
     main_effect_contrast,
-    typed_cache,
 )
 from factorbounds.errors import InvalidDesignError, InvalidFactorError
 from factorbounds.estimate import endpoint_functions
 
-from conftest import strip_factor
+from conftest import assignments, strip_factor
 
 
 def test_canonical_order_k2():
     design = enumerate_assignments(2)
-    assert design.assignments() == [(-1, -1), (1, -1), (-1, 1), (1, 1)]
+    assert assignments(design) == [(-1, -1), (1, -1), (-1, 1), (1, 1)]
 
 
 def test_canonical_order_k1_k3():
-    assert enumerate_assignments(1).assignments() == [(-1,), (1,)]
+    assert assignments(enumerate_assignments(1)) == [(-1,), (1,)]
     d3 = enumerate_assignments(3)
     # factor 1 flips fastest, factor 3 slowest
     assert d3.assignment(0) == (-1, -1, -1)
@@ -41,6 +45,20 @@ def test_index_roundtrip(K, data):
     assert design.index(design.assignment(j)) == j
 
 
+@pytest.mark.parametrize("j", [True, 1.0])
+def test_assignment_refuses_a_non_integer_index(j):
+    message = f"assignment index must be an integer in 0..3, got {j!r}"
+    with pytest.raises(InvalidDesignError, match=re.escape(message)):
+        enumerate_assignments(2).assignment(j)
+
+
+@pytest.mark.parametrize("level", [True, 1.0])
+def test_index_refuses_a_non_integer_level(level):
+    # both equal 1, which once read as the +1 level and gave index 1
+    with pytest.raises(InvalidDesignError, match="levels must be -1 or"):
+        enumerate_assignments(2).index((level, -1))
+
+
 def test_bad_k_rejected():
     for bad in (0, -1, 17, 2.0, True, "2"):
         with pytest.raises(InvalidDesignError):
@@ -51,7 +69,7 @@ def test_main_contrast_matches_levels():
     design = enumerate_assignments(3)
     for k in (1, 2, 3):
         g = main_effect_contrast(design, k)
-        for j, z in enumerate(design.assignments()):
+        for j, z in enumerate(design.levels):
             assert g.signs[j] == z[k - 1]
         assert g.signs.sum() == 0
 
@@ -148,8 +166,8 @@ def test_joint_contexts_reject_same_factor():
 
 
 def test_cached_tables_refuse_bool_and_float_keys():
-    # the tables are typed caches: True, 1 and 1.0 are three keys, so a bool
-    # or float argument equal to a cached one still reaches the validation
+    # memo keys carry their types: True, 1 and 1.0 are three keys, so a bool
+    # or float argument equal to a kept one still reaches the validation
     assert enumerate_assignments(1).K == 1
     for bad in (True, 1.0):
         with pytest.raises(InvalidDesignError):
@@ -189,29 +207,44 @@ def test_context_arms_refuses_a_list_with_the_package_error():
 
 
 def test_endpoint_functions_refuses_a_list_with_the_package_error():
-    misses = endpoint_functions.cache_info().misses
+    design = enumerate_assignments(2)
+    kept = dict(design._memo)
     with pytest.raises(InvalidFactorError, match=r"factor \[1\] outside 1..2"):
-        endpoint_functions(enumerate_assignments(2), [1], "exclusion", profile_index=0)
-    assert endpoint_functions.cache_info().misses == misses  # past the cache, nothing kept
+        endpoint_functions(design, [1], "exclusion", profile_index=0)
+    assert design._memo.keys() == kept.keys()  # past the memo, nothing kept
 
 
-
-def test_typed_cache_runs_a_function_that_raises_type_error_once():
+def test_memoized_runs_a_function_that_raises_type_error_once():
     calls = []
 
-    @typed_cache()
-    def fails(x):
+    @_memoized
+    def fails(design, x):
         calls.append(x)
         raise TypeError("the function's own error")
 
+    design = enumerate_assignments(2)
+    kept = dict(design._memo)
     with pytest.raises(TypeError, match="the function's own error"):
-        fails(1)
+        fails(design, 1)
     with pytest.raises(TypeError, match="unexpected keyword"):
-        fails(1, y=2)  # a wrong keyword never reaches the body
+        fails(design, 1, y=2)  # a wrong keyword never reaches the body
     assert calls == [1]
     with pytest.raises(TypeError, match="the function's own error"):
-        fails([1])  # unhashable: past the cache, to the body once
+        fails(design, [1])  # unhashable: past the memo, to the body once
     assert calls == [1, [1]]
+    assert design._memo.keys() == kept.keys()
+
+
+def test_lru_cache_is_left_to_the_scalar_keyed_functions():
+    # tables keyed by a design, population or dataset live on its _memo
+    found = set()
+    for info in pkgutil.iter_modules(factorbounds.__path__):
+        module = importlib.import_module(f"factorbounds.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                found.add(f"{info.name}.{name}")
+    assert found == {"design._level_tuples", "estimate._im_bracket"}
+
 
 def test_cached_tables_are_read_only():
     design = enumerate_assignments(3)

@@ -175,7 +175,7 @@ def test_joint_full_compliance_point_identifies():
     # overwrite: everyone complies with both factors
     design = pop.design
     uptake = np.empty_like(pop.uptake)
-    for j, z in enumerate(design.assignments()):
+    for j, z in enumerate(design.levels):
         uptake[:, j, 0] = z[0]
         uptake[:, j, 1] = z[1]
     pop = Population(design=design, uptake=uptake, outcome=pop.outcome)
@@ -333,7 +333,7 @@ def test_exclusion_requires_uptake_invariance():
     # exactly the cross-move the exclusion bounds rule out
     design = enumerate_assignments(2)
     uptake = np.empty((2, 4, 2), dtype=np.int8)
-    for j, z in enumerate(design.assignments()):
+    for j, z in enumerate(design.levels):
         uptake[0, j, 0] = -1
         uptake[0, j, 1] = z[0]
         uptake[1, j, 0] = z[0]

@@ -45,6 +45,7 @@ from factorbounds.simulate import FactorSpec, ScenarioConfig, _generate, generat
 from conftest import (
     arm_outcome_means,
     arm_uptake_means,
+    assignments,
     assumption_population,
     clone,
     count_computations,
@@ -61,7 +62,7 @@ def bf_label(pop, unit, k, ctx):
     design = pop.design
     z_plus = None
     z_minus = None
-    for z in design.assignments():
+    for z in assignments(design):
         if strip_factor(z, k) == ctx:
             if z[k - 1] == 1:
                 z_plus = z
@@ -139,7 +140,7 @@ def test_weak_exclusion_bruteforce():
             for i in range(pop.N):
                 z_minus = None
                 z_plus = None
-                for z in design.assignments():
+                for z in assignments(design):
                     if strip_factor(z, 1) == ctx:
                         if z[0] == 1:
                             z_plus = z
@@ -176,7 +177,7 @@ def test_conditional_exclusion_bruteforce_order():
             expected = []
             for ctx in contexts_for(design, k, k2):
                 arm = {}
-                for z in design.assignments():
+                for z in assignments(design):
                     if strip_factor(strip_factor(z, max(k, k2)), min(k, k2)) == ctx:
                         arm[(z[k - 1], z[k2 - 1])] = design.index(z)
                 for f, lo, hi in (
@@ -265,7 +266,7 @@ def reference_outcome_exclusion(pop, k):
     the two arms of the context and whose outcome is not, read off the
     assignment tuples."""
     design = pop.design
-    arm = {(strip_factor(z, k), z[k - 1]): j for j, z in enumerate(design.assignments())}
+    arm = {(strip_factor(z, k), z[k - 1]): j for j, z in enumerate(assignments(design))}
     found = []
     for ctx in contexts_for(design, k):
         a, b = arm[ctx, -1], arm[ctx, 1]

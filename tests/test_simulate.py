@@ -111,8 +111,10 @@ def test_config_validation():
         basic_config(require=("monotone:5",))
     with pytest.raises(InvalidInputError):
         basic_config(require=("flatness:1",))
-    with pytest.raises(InvalidDesignError):
+    with pytest.raises(InvalidDesignError, match="arm sizes sum to 41, not N=40"):
         basic_config(arm_sizes=(10, 10, 10, 11))
+    with pytest.raises(InvalidDesignError, match="every arm needs at least 2 units"):
+        basic_config(arm_sizes=(1, 13, 13, 13))
     with pytest.raises(InvalidDesignError):
         basic_config(N=7).resolved_arm_sizes()  # 4 arms cannot all get 2 units
     with pytest.raises(InvalidInputError):
@@ -565,7 +567,7 @@ def test_one_sided_monotone_by_construction():
     config = basic_config(require=())
     pop = generate_population(config)
     design = pop.design
-    for j, z in enumerate(design.assignments()):
+    for j, z in enumerate(design.levels):
         for k in (1, 2):
             if z[k - 1] == -1:
                 assert (pop.uptake[:, j, k - 1] == -1).all()
@@ -692,9 +694,9 @@ def test_randomization_respects_sizes_and_seed():
     assert np.array_equal(arm, again)
     other = complete_randomization(10, (3, 3, 2, 2), 100)
     assert not np.array_equal(arm, other)
-    with pytest.raises(InvalidDesignError):
+    with pytest.raises(InvalidDesignError, match="arm sizes sum to 9, not N=10"):
         complete_randomization(10, (5, 4), 1)
-    with pytest.raises(InvalidDesignError):
+    with pytest.raises(InvalidDesignError, match="every arm needs at least 2 units"):
         complete_randomization(3, (2, 1), 1)
     # empty, boolean and fractional sizes are refused, not truncated
     for N, sizes in ((4, [2.7, 2.3]), (0, []), (4, [True, 3]), (4, (2, "2")), (5, [2.5, 2.5])):
