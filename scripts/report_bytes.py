@@ -10,7 +10,8 @@ temporary directory, by the generators of this checkout's
 ``benchmark/inputs.py``: the 50k-row K=5 analyze CSV, the K=6 ``mc_wide``
 scenarios for seeds 1-3, an ``m2`` (binary outcome) variant of the seed-1
 one and ``clone_scaling`` at clone factor 1000. Scenarios in the shipped
-files' form are written here: a K=3 one adds a ``violate`` token, a
+files' form are written here: a K=3 one adds a ``violate`` token, another
+K=3 one the ``cross_exclusion`` token no other input carries, a
 small-N K=2 one has generation retries, replications whose estimate fails
 and skipped oracle references, and a small-N K=9 one with negative pair
 terms takes generation through the uint16 uptake pattern. A small-N K=3
@@ -93,6 +94,7 @@ def scenarios() -> dict[str, dict]:
     found["wide_m2.json"] = {**wide, "outcome": {**wide["outcome"], "model": "m2"}}
     found["clone1000.json"] = inputs.clone_scenario(ROOT / "scenarios" / "clone_scaling.json", 1000)
     found["k3_violate_exclusion.json"] = violating_scenario()
+    found["k3_violate_cross_exclusion.json"] = cross_exclusion_scenario()
     found["k2_retry_weak.json"] = retry_scenario()
     found["k9_negative_eta.json"] = k9_scenario()
     found["k3_stacked_chunks.json"] = stacked_scenario()
@@ -123,6 +125,33 @@ def violating_scenario() -> dict:
             {"alpha": 0.05, "factor": 1, "method": m, "profile": "min"} for m in ("exclusion", "adjusted")
         ],
         "violate": ["exclusion:1"],
+    }
+
+
+def cross_exclusion_scenario() -> dict:
+    """A K=3 fresh scenario whose violate token makes unit 0's uptake of
+    factor 2 follow z1, so cross exclusion of the pair (1, 2) breaks in
+    every replication: the joint:2 target of factor 1 has no oracle
+    reference. Weak exclusion of factor 1 breaks too where unit 0 is a
+    factor-1 noncomplier, so its exclusion target loses the reference in
+    about one replication in seven and keeps it in the others."""
+    factor = {"always": 0.1, "complier": 0.7, "depends_on": [], "upgrade": 0.0, "worst": None}
+    return {
+        "K": 3,
+        "N": 400,
+        "arm_sizes": None,
+        "clone_factor": 1,
+        "factors": [{**factor, "always": 0.05, "complier": 0.85}, factor, {**factor, "complier": 0.8}],
+        "outcome": {"alpha": [0.1, 0.3], "beta": [[0.1, 0.3]] * 3, "eta": [-0.05, 0.05], "model": "m1"},
+        "population_mode": "fresh",
+        "require": ["monotone:2", "exclusion:2"],
+        "seed": 20261020,
+        "targets": [
+            {"alpha": 0.05, "factor": 1, "method": "exclusion", "profile": "min"},
+            {"alpha": 0.05, "factor": 1, "method": "joint:2", "profile": "min"},
+            {"alpha": 0.05, "factor": 2, "method": "adjusted", "profile": "min"},
+        ],
+        "violate": ["cross_exclusion:2,1"],
     }
 
 
@@ -325,6 +354,7 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         *(["simulate", str(paths[f"wide_seed{s}.json"]), "-R", "2"] for s in (1, 2, 3)),
         ["simulate", str(paths["wide_m2.json"]), "-R", "2"],
         ["simulate", str(paths["k3_violate_exclusion.json"]), "-R", "30"],
+        ["simulate", str(paths["k3_violate_cross_exclusion.json"]), "-R", "30"],
         ["simulate", str(paths["k2_retry_weak.json"]), "-R", "40"],
         ["simulate", str(paths["k9_negative_eta.json"]), "-R", "2"],
         ["simulate", str(paths["k3_stacked_chunks.json"]), "-R", "200"],

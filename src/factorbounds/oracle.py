@@ -123,18 +123,13 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     contexts, (nu_plus,), (nu_minus,), (nu,) = _nu_arrays(pop, k, 1)  # the formulas' key: built once
     complier, constant = popmod.classify(pop, k) == popmod.COMPLIER, popmod.constant_compliers(pop, k)
     N = pop.N
+    y = pop.outcome.T.reshape(-1, 2, 1 << (k - 1), N)  # views, as in classify: arm j has bits (hi, z_k, lo)
+    diff = (y[:, 1] - y[:, 0]).reshape(-1, N)  # (C, N): each context's outcome contrast, contexts in order
     gamma: dict[Context, float] = {}
     components: dict[Context, tuple[float, float, float]] = {}
-    j_minus, j_plus = dsg.context_arms(pop.design, k)
-    for c_index, ctx in enumerate(contexts):
-        diff = pop.outcome[:, j_plus[c_index]] - pop.outcome[:, j_minus[c_index]]
-        cc_mask = complier[c_index] & ~constant
-        cn_mask = ~complier[c_index]
-        part_constant = float(diff[constant].sum()) / N
-        part_cc = float(diff[cc_mask].sum()) / N
-        part_cn = float(diff[cn_mask].sum()) / N
-        gamma[ctx] = float(diff.sum()) / N
-        components[ctx] = (part_constant, part_cc, part_cn)
+    for ctx, d, complies in zip(contexts, diff, complier):  # constant, conditional-complier, -noncomplier parts
+        gamma[ctx] = float(d.sum()) / N
+        components[ctx] = tuple(float(d[mask].sum()) / N for mask in (constant, complies & ~constant, ~complies))
     return ITTReport(
         factor=k,
         contexts=contexts,
@@ -146,19 +141,32 @@ def itt_report(pop: Population, k: int) -> ITTReport:
     )
 
 
-def _contrast_among(pop: Population, R: int, mask: np.ndarray, contrast):
-    """block(r): g^T Ybar over block r's units in mask, per context (divided by 2^{K-1}); each
-    arm's mean sums its row as arm_means does, so a block whose mask holds every unit gets its bits."""
-    g, n, m = contrast.signs.astype(np.float64), pop.N // R, 1 << (pop.design.K - 1)
-    y, mask = pop.outcome.T.reshape(-1, R, n), mask.reshape(R, n)
-    return lambda r: float(g @ y[:, r].compress(mask[r], axis=1).mean(axis=1)) / m
+@_memoized
+def _masked_arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
+    """(R, J) arm means of each of pop's R equal unit blocks over its units complying with every factor
+    of ks at every context, NaN for a block without one; each arm's mean sums its compressed row as
+    arm_means does, so where every unit of a block complies its row is arm_means' bit for bit."""
+    n = pop.N // R
+    y = pop.outcome.T.reshape(-1, R, n)
+    mask = np.logical_and.reduce([popmod.constant_compliers(pop, k) for k in ks]).reshape(R, n)
+    means = np.full((R, pop.design.J), np.nan)
+    for r in np.flatnonzero(mask.any(axis=1)).tolist():
+        means[r] = y[:, r].compress(mask[r], axis=1).mean(axis=1)
+    return means
+
+
+def _contrast_among(pop: Population, R: int, contrast, *ks: int):
+    """block(r): g^T Ybar over block r's units complying with every factor of ks at every context,
+    per context (divided by 2^{K-1})."""
+    g, means, m = contrast.signs.astype(np.float64), _masked_arm_means(pop, R, *ks), 1 << (pop.design.K - 1)
+    return lambda r: float(g @ means[r]) / m
 
 
 @_blockwise
 def main_effect(pop: Population, k: int, *, R: int, failed: list):
     """Average over contexts of the constant-complier outcome contrast."""
     popmod._require(pop, "first_stage", k, R=R, failed=failed)
-    return _contrast_among(pop, R, popmod.constant_compliers(pop, k), dsg.main_effect_contrast(pop.design, k))
+    return _contrast_among(pop, R, dsg.main_effect_contrast(pop.design, k), k)
 
 
 @_blockwise
@@ -168,15 +176,14 @@ def interaction_effect(pop: Population, factors, k: int, *, R: int, failed: list
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     popmod._require(pop, "first_stage", k, R=R, failed=failed)
-    return _contrast_among(pop, R, popmod.constant_compliers(pop, k), dsg.interaction_contrast(pop.design, fs))
+    return _contrast_among(pop, R, dsg.interaction_contrast(pop.design, fs), k)
 
 
 @_blockwise
 def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed: list):
     """Two-factor interaction among units complying with both everywhere."""
     popmod._require(pop, "joint_first_stage", k, k2, R=R, failed=failed)
-    mask = popmod.constant_compliers(pop, k) & popmod.constant_compliers(pop, k2)
-    return _contrast_among(pop, R, mask, dsg.interaction_contrast(pop.design, (k, k2)))
+    return _contrast_among(pop, R, dsg.interaction_contrast(pop.design, (k, k2)), k, k2)
 
 
 def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: int):
@@ -218,10 +225,10 @@ def _taker_terms(pop: Population, k: int, R: int) -> tuple[np.ndarray, np.ndarra
     always-taker term under z_k=-1 (each weighted by its exact share): per
     context a mean over the block's units, then summed context by context
     in order."""
-    j_minus, j_plus = dsg.context_arms(pop.design, k)
-    pat, y, bit = pop.pattern.T, pop.outcome.T, 1 << (k - 1)
-    never = (y[j_plus] * ((pat[j_plus] & bit) == 0)).reshape(len(j_plus), R, -1).mean(axis=2)
-    always = (y[j_minus] * ((pat[j_minus] & bit) != 0)).reshape(len(j_minus), R, -1).mean(axis=2)
+    bit = 1 << (k - 1)
+    pat, y = (a.T.reshape(-1, 2, bit, pop.N) for a in (pop.pattern, pop.outcome))  # views: arm j has bits (hi, z_k, lo)
+    never = (y[:, 1] * ((pat[:, 1] & bit) == 0)).reshape(-1, R, pop.N // R).mean(axis=2)  # (C, R) at z_k = +1
+    always = (y[:, 0] * ((pat[:, 0] & bit) != 0)).reshape(-1, R, pop.N // R).mean(axis=2)  # at z_k = -1
     return np.add.accumulate(never)[-1], np.add.accumulate(always)[-1]
 
 

@@ -3,7 +3,8 @@
 A population stores, for each of N units, the uptake vector D_i(z) in
 {-1, +1}^K and the outcome Y_i(z) in [0, 1] for every assignment z of a
 2^K design. Uptake is stored as one (N, J) bit pattern (pack_uptake),
-which every check reads; the (N, J, K) array is unpacked only on request.
+which every check reads and simulate writes straight from its draws; the
+(N, J, K) array is unpacked only on request.
 Pattern and outcome are both stored arm-major (F-contiguous), so the rows
 of .T, one per arm, run contiguously over the units, and every per-arm
 read or reduction walks one such row.
@@ -97,11 +98,12 @@ def require_memory(N: int, K: int, clones: int = 0) -> None:
     """Refuse a population of N units over 2^K arms whose estimated size
     exceeds MEMORY_BUDGET, before any array of it is built. Each (unit,
     arm) cell costs its float64 outcome, its uint8/uint16 pattern entry,
-    K/2 bytes of generation's (K, 2^(K-1), N) int8 types and the m2
-    model's thresholded copy (a bool and a float64). Each of a clone run's
-    clones units, whose population is never built, costs five intp arrays
-    as it is drawn and counted: the allocation, its permutation, the arm
-    runs it permutes, the unit's base unit and the bincount index."""
+    K/2 bytes of the (2^(K-1), N) int8 type codes classify keeps for each
+    of the K factors and the m2 model's thresholded copy (a bool and a
+    float64). Each of a clone run's clones units, whose population is never
+    built, costs five intp arrays as it is drawn and counted: the
+    allocation, its permutation, the arm runs it permutes, the unit's base
+    unit and the bincount index."""
     need = (N << K) * (8 + np.dtype(pattern_dtype(K)).itemsize + K / 2 + 9) + clones * 5 * np.dtype(np.intp).itemsize
     if need > MEMORY_BUDGET:
         with_clones = f" with {clones} clone units" if clones else ""
@@ -190,10 +192,9 @@ class Population:
         if outcome.dtype.kind not in "iuf":
             raise InvalidInputError(f"outcome entries must be numbers, got dtype {outcome.dtype}")
         outcome = read_only(outcome, np.float64, order="F")
-        if not np.isfinite(outcome).all():
-            raise InvalidInputError("outcomes must be finite")
-        if outcome.min() < 0.0 or outcome.max() > 1.0:
-            raise InvalidInputError("outcomes must lie in [0, 1]")
+        if not (outcome.min() >= 0.0 and outcome.max() <= 1.0):  # NaN and infinities fail it too
+            finite = np.isfinite(outcome).all()  # only to name the error
+            raise InvalidInputError("outcomes must lie in [0, 1]" if finite else "outcomes must be finite")
         self.__dict__.update(design=design, pattern=pattern, outcome=outcome)
 
     @cached_property

@@ -6,7 +6,7 @@ on, and noncompliers there can only upgrade to compliers elsewhere. That
 construction gives monotonicity (no defiers drawn) and a uniform least
 compliant profile for free; weak exclusion for factor k holds whenever no
 other factor lists k in depends_on. Assumption violations are deterministic
-surgeries on the type tensor, and every generated population is re-verified
+surgeries on the uptake bits, and every generated population is re-verified
 against the config's require/violate tokens before it is returned, with a
 bounded retry for the stochastic requirements (e.g. a positive share of
 constant compliers at small N).
@@ -42,7 +42,6 @@ from .errors import (
     InvalidInputError,
 )
 from .population import (
-    ALWAYS_TAKER,
     COMPLIER,
     DEFIER,
     NEVER_TAKER,
@@ -364,63 +363,78 @@ def _draws(rngs: list[np.random.Generator], draw) -> np.ndarray:
     return np.concatenate([draw(rng) for rng in rngs])
 
 
-def _draw_types(config: ScenarioConfig, design: FactorialDesign, rngs: list) -> np.ndarray:
-    """(K, C, R*N) types of R replications, factor-major, each from its own generator."""
+def _draw_pattern(config: ScenarioConfig, design: FactorialDesign, rngs: list) -> np.ndarray:
+    """The read-only (R*N, J) uptake pattern of R replications, laid out as
+    pack_uptake's, each drawn from its own generator factor by factor. Arm j
+    has the bits (hi, z_k, lo) and factor k's context the bits (hi, lo), so
+    a unit's type, the code 2*D_k(-) + D_k(+), sets bit k-1 of its arms at
+    z_k = -1 to D_k(-) and at z_k = +1 to D_k(+). A draw u < complier is a
+    complier, u < complier + always an always-taker, any other a never-taker;
+    at each non-worst pattern of its depends_on factors a noncomplier may
+    upgrade to complier. The violate tokens' surgeries then run."""
     N, K = config.N, config.K
-    types = np.empty((K, 1 << (K - 1), len(rngs) * N), dtype=np.int8)
+    pattern = np.zeros((design.J, len(rngs) * N), dtype=popmod.pattern_dtype(K))  # arm-major
     for k in range(1, K + 1):
-        spec = config.factors[k - 1]
+        spec, lo = config.factors[k - 1], 1 << (k - 1)
         u = _draws(rngs, lambda rng: rng.random(N))
-        base = np.where(
-            u < spec.complier, COMPLIER, np.where(u < spec.complier + spec.always, ALWAYS_TAKER, NEVER_TAKER)
-        ).astype(np.int8)
-        types[k - 1] = base
+        plus = u < spec.complier + spec.always
+        minus = plus & (u >= spec.complier)
+        arms = pattern.reshape(-1, 2, lo, pattern.shape[1])  # a view: (hi, z_k, lo, unit)
+        arms[:, 0] |= np.left_shift(minus, k - 1, dtype=pattern.dtype)
+        arms[:, 1] |= np.left_shift(plus, k - 1, dtype=pattern.dtype)
         if spec.depends_on:
-            worst = spec.worst_pattern()
-            noncomplier = base != COMPLIER
+            worst, noncomplier = spec.worst_pattern(), minus | ~plus
+            j_minus, j_plus = dsg.context_arms(design, k)
             for pat, cols in _pattern_columns(design, k, spec.depends_on):
                 if pat == worst:
                     continue
                 up = (_draws(rngs, lambda rng: rng.random(N)) < spec.upgrade) & noncomplier
                 if up.any():
-                    types[k - 1, cols] = np.where(up, COMPLIER, base)
-    return types
+                    bits = np.left_shift(up, k - 1, dtype=pattern.dtype)
+                    pattern[j_minus[cols]] &= ~bits
+                    pattern[j_plus[cols]] |= bits
+    _apply_violations(config, design, pattern)
+    pattern.setflags(write=False)
+    return pattern.T
 
 
-def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np.ndarray) -> np.ndarray:
+def _apply_violations(config: ScenarioConfig, design: FactorialDesign, pattern: np.ndarray) -> None:
     """The violate tokens' surgeries on units 0 and 1 of every replication
-    in the (K, C, R*N) types, which it returns."""
+    in the (J, R*N) arm-major pattern, in place: each writes type codes."""
     K, N = config.K, config.N
-    C = types.shape[1]
-    units = types.reshape(K, C, -1, N)  # a view: (factor, context, replication, unit)
+    C = design.J // 2
+    units = pattern.reshape(design.J, -1, N)  # a view: (arm, replication, unit)
 
-    def gated(kk: int, by: int, want: int) -> np.ndarray:  # (C, 1) per factor-kk context: complier where z_by == want
-        return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1, None] == want, COMPLIER, NEVER_TAKER)
+    def put(k: int, unit: int, codes, contexts=slice(None)) -> None:  # factor k's type codes, one per context
+        codes, keep = np.asarray(codes, dtype=pattern.dtype).reshape(-1, 1), ~pattern.dtype.type(1 << (k - 1))
+        for arms, on in zip(dsg.context_arms(design, k), (codes >> 1, codes & 1)):  # D_k(-), then D_k(+)
+            arms = arms[contexts]
+            units[arms, :, unit] = units[arms, :, unit] & keep | on << (k - 1)
+
+    def gated(kk: int, by: int, want: int) -> np.ndarray:  # per factor-kk context: complier where z_by == want
+        return np.where(design.levels[dsg.context_arms(design, kk)[0], by - 1] == want, COMPLIER, NEVER_TAKER)
 
     for token, want, name, ks in config.toggles:
         if want:  # a require token
             continue
         if name == "monotone":
-            (k,) = ks
-            units[k - 1, 0, :, 0] = DEFIER
+            put(ks[0], 0, DEFIER, [0])
         elif name == "profile":
             (k,) = ks
             if C < 2 or N < 2:
                 raise GenerationError(f"{token}: needs K >= 2 and N >= 2 (no second context or unit)")
-            units[k - 1, :, :, 0] = NEVER_TAKER
-            units[k - 1, 0, :, 0] = COMPLIER
-            units[k - 1, :, :, 1] = COMPLIER
-            units[k - 1, 0, :, 1] = NEVER_TAKER
+            put(k, 0, [COMPLIER] + [NEVER_TAKER] * (C - 1))
+            put(k, 1, [NEVER_TAKER] + [COMPLIER] * (C - 1))
         elif name == "exclusion":
             (k,) = ks
             if K < 2:
                 raise GenerationError(f"{token}: needs a second factor")
             k2 = 1 if k != 1 else 2
-            units[k - 1, :, :, 0] = NEVER_TAKER
-            units[k2 - 1, :, :, 0] = gated(k2, k, 1)
+            put(k, 0, [NEVER_TAKER] * C)
+            put(k2, 0, gated(k2, k, 1))
         elif name == "cross_exclusion":
             k, k2 = ks
-            units[k - 1, :, :, 0] = gated(k, k2, 1)
+            put(k, 0, gated(k, k2, 1))
         elif name == "joint_profile":
             k, k2 = ks
             if K < 3:
@@ -430,26 +444,7 @@ def _apply_violations(config: ScenarioConfig, design: FactorialDesign, types: np
             k3 = min(f for f in range(1, K + 1) if f not in (k, k2))
             for unit, want in ((0, -1), (1, 1)):
                 for kk in (k, k2):
-                    units[kk - 1, :, :, unit] = gated(kk, k3, want)
-    return types
-
-
-def _pack_types(design: FactorialDesign, types: np.ndarray) -> np.ndarray:
-    """The read-only (N, J) uptake pattern of the (K, C, N) types, laid out
-    as pack_uptake's. Arm j has the bits (hi, z_k, lo) and its context the
-    bits (hi, lo), so the arms at z_k = -1 and at z_k = +1 each read factor
-    k's context rows in order. A type code t is 2*D_k(-) + D_k(+), so
-    D_k = +1 under z_k = -1 where t >> 1, under z_k = +1 where t & 1."""
-    K, C, N = types.shape
-    pattern = np.zeros((design.J, N), dtype=popmod.pattern_dtype(K))  # arm-major
-    for k in range(1, K + 1):
-        lo = 1 << (k - 1)
-        t = types[k - 1].view(np.uint8).astype(pattern.dtype, copy=False).reshape(C // lo, lo, N)
-        arms = pattern.reshape(C // lo, 2, lo, N)  # a view: (hi, z_k, lo, unit)
-        arms[:, 0] |= (t >> 1) << (k - 1)
-        arms[:, 1] |= (t & 1) << (k - 1)
-    pattern.setflags(write=False)
-    return pattern.T
+                    put(kk, unit, gated(kk, k3, want))
 
 
 def _subset_sums(terms, out: np.ndarray) -> np.ndarray:
@@ -515,7 +510,7 @@ def _generate(config: ScenarioConfig, reps) -> Population:
     found, todo, n = {}, list(reps), config.N
     for attempt in range(_RETRY_CAP):
         rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, rep, attempt])) for rep in todo]
-        pattern = _pack_types(design, _apply_violations(config, design, _draw_types(config, design, rngs)))
+        pattern = _draw_pattern(config, design, rngs)
         (outcome,) = popmod.frozen(_draw_outcomes(config, design, pattern, rngs))
         stack = Population.from_pattern(design, pattern, outcome)
         misses = [[] for _ in todo]

@@ -76,6 +76,23 @@ def test_p4_itt_and_first_stage(p4):
         assert abs(sum(rep.components[ctx]) - rep.gamma[ctx]) < TOL
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_itt_report_sums_each_context_over_its_arm_pair_bit_for_bit(K):
+    # a context's contrast is the difference of its two arms' outcome
+    # columns, found by their assignments, summed over all units and over
+    # each compliance group's, bit for bit
+    pop = assumption_population(np.random.default_rng(60 + K), K, 37, upgrade_factors=tuple(range(1, K + 1)))
+    for k in range(1, K + 1):
+        rep, complies = itt_report(pop, k), popmod.classify(pop, k) == popmod.COMPLIER
+        constant = complies.all(axis=0)
+        for ctx, here in zip(rep.contexts, complies):
+            j_minus, j_plus = (pop.design.index((*ctx[: k - 1], z, *ctx[k - 1 :])) for z in (-1, 1))
+            diff = pop.outcome[:, j_plus] - pop.outcome[:, j_minus]
+            assert rep.gamma[ctx] == float(diff.sum()) / pop.N
+            parts = tuple(float(diff[mask].sum()) / pop.N for mask in (constant, here & ~constant, ~here))
+            assert rep.components[ctx] == parts
+
+
 def test_p4_truth_and_shares(p4):
     assert main_effect(p4, 1) == 1.0
     assert constant_complier_share(p4, 1) == 0.5
@@ -646,6 +663,27 @@ def test_oracle_memo_computes_once_per_population_and_arguments(monkeypatch, fn,
     assert calls == [args]
     fn(fixture_p4(), *args)
     assert calls == [args, args]
+
+
+def test_effects_of_one_factor_share_its_masked_arm_means(monkeypatch):
+    # main_effect and interaction_effect of factor 1 compress the outcome rows
+    # of its constant compliers once per (population, R, factors); the joint
+    # effect's pair has its own entry. In p4 units 0 and 1 comply with factor
+    # 1 everywhere, so of two blocks only the first has a row of means
+    calls = count_computations(monkeypatch, oracle._masked_arm_means)
+    p4 = fixture_p4()
+    for R in (None, 2):
+        kw = {} if R is None else {"R": R}
+        main_effect(p4, 1, **kw)
+        interaction_effect(p4, (1, 2), 1, **kw)
+        joint_interaction_effect(p4, 1, 2, **kw)
+        main_effect(p4, 2, **kw)
+    assert calls == [(1, 1), (1, 1, 2), (1, 2), (2, 1), (2, 1, 2), (2, 2)]
+    means = oracle._masked_arm_means(p4, 2, 1)
+    assert means[0].tobytes() == p4.outcome[:2].mean(axis=0).tobytes() and np.isnan(means[1]).all()
+    assert isinstance(main_effect(p4, 1, R=2)[1], NoCompliersError) and not means.flags.writeable
+    fn = oracle._masked_arm_means  # computed once per population
+    assert fn(p4, 1, 1) is fn(p4, 1, 1) and fn(fixture_p4(), 1, 1) is not fn(p4, 1, 1)
 
 
 def test_oracle_memo_keys_carry_types_and_refuse_writes(p4):

@@ -533,6 +533,26 @@ def test_constructor_refuses_uptake_other_than_plus_minus_one(value):
         Population(design=enumerate_assignments(1), uptake=uptake, outcome=np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(np.nan, "outcomes must be finite"), (np.inf, "outcomes must be finite"), (-np.inf, "outcomes must be finite"),
+     (-0.1, "outcomes must lie in \\[0, 1\\]"), (1.5, "outcomes must lie in \\[0, 1\\]")],
+)
+def test_both_constructors_refuse_an_outcome_that_is_not_finite_or_outside_the_unit_interval(value, message):
+    # one bad cell among valid ones, in the middle of the array: the range
+    # check fails first and the finiteness check only names the error
+    p = fixture_p4()
+    outcome = p.outcome.copy()
+    outcome[2, 1] = value
+    with pytest.raises(InvalidInputError, match=message):
+        Population(design=p.design, uptake=p.uptake.copy(), outcome=outcome)
+    with pytest.raises(InvalidInputError, match=message):
+        Population.from_pattern(p.design, p.pattern, outcome)
+    outcome[2, 1] = 1.0  # the bounds themselves are accepted
+    outcome[0, 0] = 0.0
+    assert Population.from_pattern(p.design, p.pattern, outcome).outcome.tobytes() == outcome.tobytes()
+
+
 @pytest.mark.parametrize("K, dtype", [(2, np.uint8), (8, np.uint8), (9, np.uint16)])
 def test_pattern_with_a_bit_at_or_above_two_to_the_k_is_refused(K, dtype):
     design = enumerate_assignments(K)
@@ -575,8 +595,8 @@ def test_split_clone_and_retry_patterns_pack_their_uptake(monkeypatch):
         require=("monotone:1", "profile:1", "first_stage:1"),
     )
     draws = []
-    draw_types = simulate._draw_types
-    monkeypatch.setattr(simulate, "_draw_types", lambda *a: draws.append(a) or draw_types(*a))
+    draw_pattern = simulate._draw_pattern
+    monkeypatch.setattr(simulate, "_draw_pattern", lambda *a: draws.append(a) or draw_pattern(*a))
     stack = _generate(config, range(40))
     assert len(draws) > 1  # the stack was assembled after a retry
     assert stack.pattern.T.flags.c_contiguous

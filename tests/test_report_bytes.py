@@ -43,6 +43,12 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     assert (wide.K, wide.outcome.model) == (6, "m2")
     violating = ScenarioConfig.from_dict(written["k3_violate_exclusion.json"])
     assert (violating.K, violating.violate) == (3, ("exclusion:1",))
+    cross = ScenarioConfig.from_dict(written["k3_violate_cross_exclusion.json"])
+    assert (cross.K, cross.violate) == (3, ("cross_exclusion:2,1",))
+    # every violate surgery of generation is compared: the simulated scenarios and the saved populations list them all
+    saved = [report_bytes.no_profile_scenario(), report_bytes.exclusion_messages_scenario()]
+    listed = {token.partition(":")[0] for d in [*written.values(), *saved] for token in d["violate"]}
+    assert listed == set(simulate._VIOLATE_TOKENS)
     k9 = ScenarioConfig.from_dict(written["k9_negative_eta.json"])
     assert (k9.K, k9.population_mode) == (9, "fresh") and k9.outcome.eta[0] < 0
     stacked = ScenarioConfig.from_dict(written["k3_stacked_chunks.json"])
@@ -61,6 +67,7 @@ def test_compared_scenarios_reach_the_binary_outcome_and_a_violation():
     paths = {name: Path(name) for name in [*written, *generated, "p4_outcome_exclusion.json"]}
     simulated = {Path(cmd[1]).name for cmd in report_bytes.commands(paths) if cmd[0] == "simulate"}
     assert {"wide_m2.json", "k3_violate_exclusion.json", "k9_negative_eta.json", "k4_fixed.json"} <= simulated
+    assert "k3_violate_cross_exclusion.json" in simulated
     assert ["simulate", "k3_stacked_chunks.json", "-R", "200"] in report_bytes.commands(paths)
     clone = simulate.load_scenario(ROOT / "scenarios" / "clone_scaling.json")
     per_chunk = simulate._CHUNK_CELLS // (clone.N << clone.K)

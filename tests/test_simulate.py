@@ -369,12 +369,44 @@ def test_generation_seeds_the_packed_pattern():
     assert np.array_equal(stack.pattern, popmod.pack_uptake(stack.uptake))
 
 
-# The generation kernels as they were before generation wrote the pattern
-# straight from factor-major types: (N, K, C) types, the violate surgeries on
-# that layout, the (N, J, K) uptake and then pack_uptake. They are the
-# reference the pattern kernels are checked against.
+# Generation spelled out in type codes: (N, K, C) types drawn in the
+# generator's order, the violate surgeries on that layout, the (N, J, K)
+# uptake and then pack_uptake. They are the reference _draw_pattern, which
+# writes the bits straight from its draws, is checked against.
 _UPTAKE_TABLE = np.empty((4, 2), dtype=np.int8)  # by type code: D_k under z_k = -1 and under z_k = +1
 _UPTAKE_TABLE[[COMPLIER, ALWAYS_TAKER, NEVER_TAKER, DEFIER]] = [[-1, 1], [1, 1], [-1, -1], [1, -1]]
+
+
+def _reference_types(config, design, rngs):
+    """(R*N, K, C) types of the R replications of rngs, drawn factor by factor: one
+    uniform per unit of each replication gives a complier below complier, an
+    always-taker below complier + always, else a never-taker; then, at each
+    non-worst pattern of the depends_on levels in lexicographic order, one more
+    upgrades a noncomplier below upgrade to complier at that pattern's contexts."""
+    N, K, C = config.N, config.K, design.J // 2
+    types = np.empty((len(rngs) * N, K, C), dtype=np.int8)
+    draw = lambda: np.concatenate([rng.random(N) for rng in rngs])
+    for k, spec in enumerate(config.factors, start=1):
+        u = draw()
+        noncomplier = np.where(u < spec.complier + spec.always, ALWAYS_TAKER, NEVER_TAKER)
+        base = np.where(u < spec.complier, COMPLIER, noncomplier)
+        types[:, k - 1, :] = base[:, None]
+        levels = design.levels[dsg.context_arms(design, k)[0]][:, [f - 1 for f in spec.depends_on]]  # (C, len(dep))
+        for pat in sorted(set(map(tuple, levels.tolist()))) if spec.depends_on else ():
+            if pat != spec.worst_pattern():
+                up = (draw() < spec.upgrade) & (base != COMPLIER)
+                types[np.ix_(up, [k - 1], (levels == pat).all(axis=1))] = COMPLIER
+    return types
+
+
+def _reference_factors(K):
+    """K factors with always-takers and upgrades: factor 1 depends on two others where K >= 3, factor K on factor 1."""
+    first = FactorSpec(complier=0.4, always=0.2, upgrade=0.5, depends_on=tuple(range(2, min(K, 3) + 1)))
+    if K >= 3:
+        first = dataclasses.replace(first, worst=(1, -1))
+    rest = [FactorSpec(complier=0.5 + 0.04 * k, always=0.1 * (k % 2)) for k in range(2, K)]
+    last = [FactorSpec(complier=0.5, always=0.15, upgrade=0.6, depends_on=(1,), worst=(1,))] * (K >= 2)
+    return (first, *rest, *last)
 
 
 def _reference_uptake(design, types):
@@ -430,23 +462,23 @@ def _violate_tokens(K):
     return ["monotone:1"] + pairs * (K >= 2) + ["joint_profile:1,3"] * (K >= 3)
 
 
+@pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("K", range(1, 10))
-def test_pattern_from_types_equals_packed_reference_uptake(K):
-    # random types hold all four codes, defiers included; each violate token
-    # is applied alone and then all of them in order
-    R, N = 3, 5
-    design = enumerate_assignments(K)
-    rng = np.random.default_rng(100 + K)
-    tokens = _violate_tokens(K)
+def test_drawn_pattern_equals_packed_reference_uptake(K, R):
+    # always-takers, upgrades at a factor depending on two others and each
+    # violate token alone and then all of them in order, from the same draws
+    N, design, tokens = 6, enumerate_assignments(K), _violate_tokens(K)
+    rngs = lambda: [np.random.default_rng(np.random.SeedSequence([100 + K, 0, r, 0])) for r in range(R)]
     for violate in [[], *([t] for t in tokens), tokens]:
-        config = ScenarioConfig(K=K, N=N, seed=0, factors=(FactorSpec(complier=0.5),) * K, violate=violate)
-        types = rng.integers(0, 4, size=(K, design.J // 2, R * N)).astype(np.int8)
-        old = types.transpose(2, 0, 1).copy()  # (R*N, K, C)
-        _reference_violations(config, design, old)
-        want = popmod.pack_uptake(_reference_uptake(design, old))
-        got = simulate._pack_types(design, simulate._apply_violations(config, design, types))
+        config = ScenarioConfig(K=K, N=N, seed=0, factors=_reference_factors(K), violate=violate)
+        types = _reference_types(config, design, rngs())
+        if not violate:  # the draws reach always-takers, and upgrades where a factor depends on others
+            assert (types == ALWAYS_TAKER).any() and (K == 1 or (types[:, 0] != types[:, 0, :1]).any())
+        _reference_violations(config, design, types)
+        want = popmod.pack_uptake(_reference_uptake(design, types))
+        got = simulate._draw_pattern(config, design, rngs())
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), violate
-        assert np.array_equal(got, want) and not got.flags.writeable
+        assert np.array_equal(got, want) and not got.flags.writeable and got.T.flags.c_contiguous
 
 
 def test_generated_population_unpacks_to_the_reference_uptake(tmp_path):
@@ -468,7 +500,7 @@ def test_generated_population_unpacks_to_the_reference_uptake(tmp_path):
     K, N, J = 4, 50, 16
     design = enumerate_assignments(K)
     rngs = [np.random.default_rng(np.random.SeedSequence([config.seed, 0, 0, 0]))]  # rep 0, attempt 0
-    types = simulate._draw_types(config, design, rngs).transpose(2, 0, 1).copy()
+    types = _reference_types(config, design, rngs)
     _reference_violations(config, design, types)
     uptake = _reference_uptake(design, types)
     pop = generate_population(config)
@@ -574,18 +606,18 @@ def test_one_sided_monotone_by_construction():
 
 
 def test_uptake_from_types_classifies_back():
-    # types -> uptake -> labels is the identity for every factor, all four codes
+    # types -> uptake -> pattern -> types is the identity for every factor, all four codes
     rng = np.random.default_rng(23)
     seen = set()
     for _ in range(60):
         K = int(rng.integers(1, 5))
         N = int(rng.integers(1, 7))
         design = enumerate_assignments(K)
-        types = rng.integers(0, 4, size=(K, design.J // 2, N)).astype(np.int8)
-        pattern = simulate._pack_types(design, types)
+        types = rng.integers(0, 4, size=(N, K, design.J // 2)).astype(np.int8)
+        pattern = popmod.pack_uptake(_reference_uptake(design, types))
         pop = Population.from_pattern(design, pattern, np.zeros((N, design.J)))
         for k in range(1, K + 1):
-            assert np.array_equal(classify(pop, k), types[k - 1])
+            assert np.array_equal(classify(pop, k), types[:, k - 1].T)
         seen.update(np.unique(types).tolist())
     assert seen == {0, 1, 2, 3}
 
@@ -1024,8 +1056,8 @@ def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
         ],
     })
     R, draws = 30, []
-    draw_types = simulate._draw_types
-    monkeypatch.setattr(simulate, "_draw_types", lambda c, d, rngs: draws.append(len(rngs)) or draw_types(c, d, rngs))
+    draw_pattern = simulate._draw_pattern
+    monkeypatch.setattr(simulate, "_draw_pattern", lambda *a: draws.append(len(a[2])) or draw_pattern(*a))
     reports, cells = [], config.N << config.K  # per replication
     for chunk_cells in (cells, 7 * cells, simulate._CHUNK_CELLS, R * cells):
         monkeypatch.setattr(simulate, "_CHUNK_CELLS", chunk_cells)
