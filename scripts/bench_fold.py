@@ -20,6 +20,14 @@ whether the change's median stays within the regression bound
 the parent's quartile distance). Traced runs give the per-layer metrics,
 the median over runs when a side has several. Machine and environment
 fields are copied from the runs and must agree between the sides.
+
+Put both trees in the same bytecode state before running the pairs. With
+``PYTHONDONTWRITEBYTECODE=1`` set, a tree whose ``__pycache__`` is stale
+(a copied tree, say) compiles its modules again in every benchmark
+process, and that shows as set-up time and memory: on ``mc_clone`` it
+read about +10% ``setup_s`` and +0.9 MiB ``peak_rss_mib`` over 4 pairs.
+Run ``python3 -m compileall -q src benchmark`` in both trees, or clear
+both trees' caches.
 """
 
 from __future__ import annotations

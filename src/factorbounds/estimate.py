@@ -12,6 +12,15 @@ central second-moment matrix divided by the arm size. One pass of per-arm
 sums over a dataset's rows gives every mean and block of a factor, for
 every layout at once, kept on the dataset's memo.
 
+A stack of R datasets is evaluated as arrays, and every value equals its
+one-dataset call bit for bit. That rests on three rules. A dot product is
+taken as a stacked (1, n) @ (n, 1) matmul (_stacked_dot), which numpy
+sends to the same vector dot as a 1-D a @ m; a 2-D M @ a, M @ A.T or an
+einsum dot adds in another order and differs in the last bit for many
+rows. A square is np.float_power(d, 2.0), the C pow that Python's d ** 2
+calls; numpy's d ** 2 is d * d, which can differ by an ulp. And the SEs'
+einsum over a stack sums each row as the one-row einsum does.
+
 Confidence intervals for the partially identified effect use a critical
 value between the one-sided and two-sided normal quantiles, solving
 
@@ -58,7 +67,7 @@ def _first_stage_table(
     pair. The first stage is its context_contrast over each context's arms
     (d_plus - d_minus, p_pp - p_mp - p_pm + p_mm) divided by 2^len(ks).
     """
-    nu = dsg.context_contrast(np.moveaxis(dbar[..., dsg.context_arms(design, *ks)], -2, 0))
+    nu = dsg.context_contrast(dbar.T[dsg.context_arms(design, *ks)]).T
     return tuple(dsg.contexts_for(design, *ks)), nu / 2.0 ** len(ks)
 
 
@@ -169,30 +178,44 @@ def parse_target(
 # --- linear-fractional endpoint machinery -------------------------------------
 
 
+def _stacked_dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a . m over the last axis, the leading axes of a and m broadcast:
+    each product is a (1, n) @ (n, 1) matmul, which numpy takes by the
+    vector dot of a 1-D a @ m, so each value equals that dot bit for bit.
+    One (n,) row against one (n,) row gives a 0-d value."""
+    return (m[..., None, :] @ a[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class LinearFractional:
-    """f(m) = (a.m + a0) / (b.m + b0) over the stacked arm-moment vector."""
+    """f(m) = (a.m + a0) / (b.m + b0) over the stacked arm-moment vector;
+    m is one (n,) vector or an (R, n) stack of them, one value per row.
+    The coefficients may stack maps too, their leading axes broadcast."""
 
     a: np.ndarray
     a0: float
     b: np.ndarray
     b0: float
 
-    def denominator(self, m: np.ndarray) -> float:
-        return float(self.b @ m + self.b0)
+    def denominator(self, m: np.ndarray) -> np.ndarray:
+        return _stacked_dot(self.b, m) + self.b0
 
-    def numerator(self, m: np.ndarray) -> float:
-        return float(self.a @ m + self.a0)
+    def numerator(self, m: np.ndarray) -> np.ndarray:
+        return _stacked_dot(self.a, m) + self.a0
 
-    def value(self, m: np.ndarray) -> float:
+    def value(self, m: np.ndarray) -> np.ndarray:
         return self.numerator(m) / self.denominator(m)
 
     def gradient(self, m: np.ndarray) -> np.ndarray:
         return self.gradient_from(self.numerator(m), self.denominator(m))
 
-    def gradient_from(self, num: float, den: float) -> np.ndarray:
-        """The gradient at a point where the numerator is num and the denominator den."""
-        return self.a / den - (num / den**2) * self.b
+    def gradient_from(self, num, den) -> np.ndarray:
+        """The gradient at points where the numerator is num and the
+        denominator den, one row per point, broadcast against a stack of
+        coefficients: (R,) arrays give (R, n). den^2 is the C pow that
+        Python's den ** 2 takes."""
+        num, den = np.asarray(num)[..., None], np.asarray(den)[..., None]
+        return self.a / den - num / np.float_power(den, 2.0) * self.b
 
 
 @_memoized
@@ -245,20 +268,29 @@ def _arm_moments(data: ObservedDataset, k: int, k2: int | None, R: int) -> tuple
     return means.reshape(R, J, p), cov.reshape(R, J, p, p)
 
 
-def _se_from_gradient(grad: np.ndarray, cov: np.ndarray) -> float:
-    """Delta-method SE of the stacked arm moments: sqrt(sum_j g_j' C_j g_j)."""
-    G = grad.reshape(cov.shape[:2])
-    return math.sqrt(max(float(np.einsum("jp,jpq,jq->", G, cov, G)), 0.0))
+def _se_from_gradient(grad: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Delta-method SE of the stacked arm moments, sqrt(sum_j g_j' C_j g_j),
+    per row: (..., n) gradients against (..., J, p, p) blocks, the leading
+    axes broadcast, so one (n,) gradient against (J, p, p) gives one SE."""
+    G = grad.reshape(grad.shape[:-1] + cov.shape[-3:-1])
+    return np.sqrt(np.maximum(np.einsum("...jp,...jpq,...jq->...", G, cov, G), 0.0))
 
 
 @dataclass(frozen=True)
 class EndpointFunctions:
-    """center/lower/upper endpoint maps over the moment vector means[:, :p].ravel()."""
+    """center/lower/upper endpoint maps over the moment vector means[:, :p].ravel().
+
+    The three share one denominator. table stacks its coefficients and the
+    numerators', (b, center a, lower a, upper a), and offsets their
+    constants, (b0, center a0, lower a0, upper a0), so one stacked dot
+    evaluates all four."""
 
     p: int
     center: LinearFractional
     lower: LinearFractional
     upper: LinearFractional
+    table: np.ndarray
+    offsets: np.ndarray
 
 
 @_memoized
@@ -328,12 +360,15 @@ def endpoint_functions(
         h0 = -0.0  # so the constant h0 - b0 is -b0, sign of zero included
     c0 = h0 - b0
     a_lo, a_up = a - H_lo, a + H_up
-    frozen(a, b, a_lo, a_up)
+    table, offsets = np.stack([b, a, a_lo, a_up]), np.array([b0, 0.0, -c0, c0])
+    frozen(a, b, a_lo, a_up, table, offsets)
     return EndpointFunctions(
         p=p,
         center=LinearFractional(a, 0.0, b, b0),
         lower=LinearFractional(a_lo, -c0, b, b0),
         upper=LinearFractional(a_up, c0, b, b0),
+        table=table,
+        offsets=offsets,
     )
 
 
@@ -391,34 +426,40 @@ def estimate_bounds(
     interval is ordered then intersected with [-1, 1]; raw endpoints are the
     faithful plug-ins (a declared non-minimal profile can invert them).
     With R, data's R equal row blocks are R datasets: one moment pass
-    serves them all, and values and SEs stay scalar per dataset.
+    serves them all, and their values and SEs are taken as arrays, each
+    its one-dataset call's bit for bit.
     """
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
     means, cov = _arm_moments(data, k, k2, R)
     contexts, nu = _first_stage_table(data.design, (k,) if k2 is None else (k, k2), means[:, :, 1])
     if policy == "min":
-        indexes = np.argmin(nu, axis=1).tolist()
+        indexes = nu.argmin(axis=1).tolist()
     else:  # parse_target checked ctx to be a context of the design
         indexes = [contexts.index(ctx)] * R
-    # one memo lookup per profile the blocks chose, not one per block
+    # one memo lookup per profile the blocks chose; each block's maps at its profile are a row
     maps = {c: endpoint_functions(data.design, k, method, profile_index=c) for c in set(indexes)}
+    table, offsets = np.array([maps[c].table for c in indexes]), np.array([maps[c].offsets for c in indexes])
+    p = maps[indexes[0]].p
+    # per block the shared denominator and the center, lower and upper numerators
+    terms = _stacked_dot(table, means[:, :, :p].reshape(R, 1, -1)) + offsets
+    dens = terms[:, :1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a block that fails below, den may be 0 or less
+        values = terms[:, 1:] / dens  # one den serves all three
+        bounds = LinearFractional(table[:, 2:], offsets[:, 2:], table[:, :1], offsets[:, :1])  # lower, upper
+        grads = bounds.gradient_from(terms[:, 2:], dens)
+        ses = _se_from_gradient(grads, cov[:, None, :, :p, :p])
     out: list[BoundsEstimate | WeakFirstStageError] = []
-    for r, c_index in enumerate(indexes):
-        ctx_r, nu_r = contexts[c_index] if policy == "min" else ctx, nu[r].tolist()
-        funcs = maps[c_index]
-        mvec, cov_r = means[r, :, : funcs.p].ravel(), cov[r, :, : funcs.p, : funcs.p]
-        den = funcs.center.denominator(mvec)  # nu summed in another order: 0.0 where rounding left nu > 0
-        if nu_r[c_index] <= 0.0 or den <= 0.0:
+    for c_index, nu_r, den, (center, raw_lower, raw_upper), (se_lower, se_upper) in zip(
+        indexes, nu.tolist(), terms[:, 0].tolist(), values.tolist(), ses.tolist()
+    ):
+        ctx_r = contexts[c_index] if policy == "min" else ctx
+        if nu_r[c_index] <= 0.0 or den <= 0.0:  # nu summed in another order: den is 0.0 where rounding left nu > 0
             why = f"{nu_r[c_index]}" + ("" if nu_r[c_index] <= 0.0 else f" (endpoint denominator {den})")
             out.append(WeakFirstStageError(
                 f"factor {k}: estimated first stage at {ctx_r!r} is {why}; table {dict(zip(contexts, nu_r))!r}"
             ))
             continue
-        nums = [f.numerator(mvec) for f in (funcs.center, funcs.lower, funcs.upper)]  # one den serves all three
-        center, raw_lower, raw_upper = (num / den for num in nums)
-        se_lower = _se_from_gradient(funcs.lower.gradient_from(nums[1], den), cov_r)
-        se_upper = _se_from_gradient(funcs.upper.gradient_from(nums[2], den), cov_r)
         lo, hi = (raw_lower, raw_upper) if raw_lower <= raw_upper else (raw_upper, raw_lower)
         out.append(BoundsEstimate(
             method=method,
@@ -526,8 +567,8 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     func = LinearFractional(num.ravel(), 0.0, den.ravel(), 0.0)
     means, cov = _arm_moments(data, k, None, 1)
     mvec = means[0, :, :2].ravel()
-    num, den = func.numerator(mvec), func.denominator(mvec)
+    num, den = float(func.numerator(mvec)), float(func.denominator(mvec))
     if den == 0.0:
         raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
-    se = _se_from_gradient(func.gradient_from(num, den), cov[0, :, :2, :2])
+    se = float(_se_from_gradient(func.gradient_from(num, den), cov[0, :, :2, :2]))
     return WaldEstimate(factor=k, point=num / den, se=se)

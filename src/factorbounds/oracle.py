@@ -29,10 +29,14 @@ complying with both factors everywhere. The conservative variant replaces
 nu(tilde) with a declared floor t and widens monotonically as t shrinks.
 
 Each formula is written for a stack of R populations: it runs its checks
-and reads its arrays once for the stack, then takes its float steps block
-by block; formula(pop, ..., R=R) answers per block with the value or the
-error, and the plain call is the one-block case. A profile tilde is a
-context or "min", each block's first least-compliant context.
+and reads its arrays once for the stack, then takes its float steps on
+(R,) arrays, each step the one a single population's floats take, so a
+block's answer is its plain call's bit for bit; formula(pop, ..., R=R)
+answers per block with the value or the error, and the plain call is the
+one-block case. A dot product is estimate's stacked dot, and a row sum
+reads a C-ordered copy: numpy sums a C row pairwise, as it sums one
+population's row. A profile tilde is a context or "min", each block's
+first least-compliant context.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from . import design as dsg
 from . import population as popmod
 from .design import Context, FactorialDesign
-from .estimate import parse_method, parse_request, record_to_dict
+from .estimate import _stacked_dot, parse_method, parse_request, record_to_dict
 from .errors import (
     FactorBoundsError,
     InvalidFactorError,
@@ -71,6 +75,17 @@ class Interval:
 
 def _clip(x: float) -> float:
     return min(1.0, max(-1.0, x))
+
+
+def _intervals(center: np.ndarray, half_lower: np.ndarray, half_upper: np.ndarray) -> list[Interval]:
+    """One interval per block from (R,) centers and half-widths."""
+    return list(map(_make_interval, center.tolist(), half_lower.tolist(), half_upper.tolist()))
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """(R,) sums of an (R, C) table's rows, each pairwise as one row's sum: a
+    stack's tables can be F-ordered, and numpy sums their rows sequentially."""
+    return np.ascontiguousarray(a).sum(axis=1)
 
 
 def _make_interval(center: float, half_lower: float, half_upper: float) -> Interval:
@@ -155,11 +170,11 @@ def _masked_arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
     return means
 
 
-def _contrast_among(pop: Population, R: int, contrast, *ks: int):
-    """block(r): g^T Ybar over block r's units complying with every factor of ks at every context,
-    per context (divided by 2^{K-1})."""
+def _contrast_among(pop: Population, R: int, contrast, *ks: int) -> list[float]:
+    """Per block g^T Ybar over its units complying with every factor of ks at every context,
+    per context (divided by 2^{K-1}); NaN for a block without such units."""
     g, means, m = contrast.signs.astype(np.float64), _masked_arm_means(pop, R, *ks), 1 << (pop.design.K - 1)
-    return lambda r: float(g @ means[r]) / m
+    return (_stacked_dot(g, means) / m).tolist()
 
 
 @_blockwise
@@ -187,11 +202,12 @@ def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed
 
 
 def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: int):
-    """Per block the first stage at its profile of ks, one factor or a pair:
-    tilde, or for "min" the block's first least-compliant context (that
-    check run first). The checks, (token, *factors) tuples, run before a
-    declared profile's own check, in order; a block whose first stage at
-    its profile is not positive fails."""
+    """(R,) first stage of each block at its profile of ks, one factor or a
+    pair: tilde, or for "min" the block's first least-compliant context
+    (that check run first). The checks, (token, *factors) tuples, run
+    before a declared profile's own check, in order; a block whose first
+    stage at its profile is not positive fails. A failed block reads NaN,
+    so the formulas' array steps divide by no zero."""
     minimal = isinstance(tilde, str) and tilde == "min"
     if minimal:
         token = "joint_profile" if len(ks) == 2 else "profile"
@@ -208,14 +224,16 @@ def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: in
         nu = _nu_arrays(pop, ks[0], R)[3]
     else:  # the four-arm contrast of the uptake product, pp - mp - pm + mm, over 4
         nu = (dsg.context_contrast(popmod.arm_means(pop, R, *ks).T[dsg.context_arms(pop.design, *ks)]) / 4.0).T
-    nu_tilde = [None] * R
+    nu_tilde = np.full(R, np.nan)
     for r, tilde in enumerate(tildes):
         if failed[r] is None:
-            nu_tilde[r] = value = float(nu[r, contexts.index(tilde)])
+            value = float(nu[r, contexts.index(tilde)])
             if value <= 0.0 and len(ks) == 1:
                 failed[r] = NoCompliersError(f"factor {ks[0]}: first stage at {tilde!r} is {value}, bounds undefined")
             elif value <= 0.0:
                 failed[r] = NoCompliersError(f"factors {ks}: joint first stage at {tilde!r} is {value}")
+            else:
+                nu_tilde[r] = value
     return nu_tilde
 
 
@@ -242,49 +260,34 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, fa
     are asymmetric: conditional-complier mass plus the always-taker share
     downward, plus the never-taker share upward.
     """
-    nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
+    nu_t = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
     contexts, nu_plus, nu_minus, nu = _nu_arrays(pop, k, R)
     m, ybar, (never, always) = len(contexts), popmod.arm_means(pop, R), _taker_terms(pop, k, R)
     g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
-
-    def block(r: int) -> Interval:
-        nu_t = nu_tilde[r]
-        gamma_sum = float(g @ ybar[r])
-        never_term, always_term = float(never[r]), float(always[r])
-        S = float(nu[r].sum())
-        A = float(nu_minus[r].sum())
-        B = float(np.sum(1.0 - nu_plus[r]))
-        denom = m * nu_t
-        center = (gamma_sum - never_term + always_term) / denom
-        half_lower = (S + A - m * nu_t) / denom
-        half_upper = (S + B - m * nu_t) / denom
-        return _make_interval(center, half_lower, half_upper)
-
-    return block
+    S, A, B = _row_sums(nu), _row_sums(nu_minus), _row_sums(1.0 - nu_plus)
+    denom = m * nu_t
+    center = (_stacked_dot(g, ybar) - never + always) / denom
+    return _intervals(center, (S + A - m * nu_t) / denom, (S + B - m * nu_t) / denom)
 
 
-def _symmetric(pop: Population, R: int, contrast, ts: list, half):
-    """block(r): the interval g^T Ybar / (m t) -+ half(r, t) at t = ts[r], g the contrast's signs, m = 2^{K-1}."""
+def _symmetric(pop: Population, R: int, contrast, t: np.ndarray, half: np.ndarray) -> list[Interval]:
+    """Per block the interval g^T Ybar / (m t) -+ half at its entry of the (R,) t and half, g the
+    contrast's signs, m = 2^{K-1}."""
     g, m, ybar = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1), popmod.arm_means(pop, R)
-
-    def block(r: int) -> Interval:
-        h = half(r, ts[r])
-        return _make_interval(float(g @ ybar[r]) / (m * ts[r]), h, h)
-
-    return block
+    return _intervals(_stacked_dot(g, ybar) / (m * t), half, half)
 
 
 @_blockwise
 def simple_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, failed: list):
     """Wald-style center with the coarse half-width (1 - nu(tilde)) / nu(tilde)."""
-    nu_tilde = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
-    return _symmetric(pop, R, dsg.main_effect_contrast(pop.design, k), nu_tilde, lambda r, t: (1.0 - t) / t)
+    t = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
+    return _symmetric(pop, R, dsg.main_effect_contrast(pop.design, k), t, (1.0 - t) / t)
 
 
-def _exclusion_interval(pop: Population, R: int, k: int, contrast, ts: list):
-    """block(r): the interval g^T Ybar / (m t) -+ (sum of nu(c) - m t) / (m t) at t = ts[r]."""
-    nu, m = _nu_arrays(pop, k, R)[3], 1 << (pop.design.K - 1)
-    return _symmetric(pop, R, contrast, ts, lambda r, t: (float(nu[r].sum()) - m * t) / (m * t))
+def _exclusion_interval(pop: Population, R: int, k: int, contrast, t: np.ndarray) -> list[Interval]:
+    """Per block the interval g^T Ybar / (m t) -+ (sum of nu(c) - m t) / (m t) at its entry of the (R,) t."""
+    S, m = _row_sums(_nu_arrays(pop, k, R)[3]), 1 << (pop.design.K - 1)
+    return _symmetric(pop, R, contrast, t, (S - m * t) / (m * t))
 
 
 @_blockwise
@@ -321,10 +324,10 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context | str, *
     """
     checks = [("monotone", k), ("monotone", k2), ("exclusion", k), ("outcome_exclusion", k)]
     checks += [("exclusion", k2), ("outcome_exclusion", k2), ("cross_exclusion", k, k2)]
-    nu_tilde = _resolve_tilde(pop, R, failed, tilde_joint, checks, k, k2)
+    t = _resolve_tilde(pop, R, failed, tilde_joint, checks, k, k2)
     contrast, pbar = dsg.interaction_contrast(pop.design, (k, k2)), popmod.arm_means(pop, R, k, k2)
     g, m = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1)
-    return _symmetric(pop, R, contrast, nu_tilde, lambda r, t: (float(g @ pbar[r]) / (2 * m) - t) / t)
+    return _symmetric(pop, R, contrast, t, (_stacked_dot(g, pbar) / (2 * m) - t) / t)
 
 
 @_blockwise
@@ -343,7 +346,7 @@ def conservative_bounds(pop: Population, k: int, t: float, *, R: int, failed: li
     for r, count in enumerate(counts):
         if failed[r] is None and t > count / n:
             failed[r] = InvalidShareError(f"floor t={t} exceeds the constant-complier share {count / n}")
-    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), [t] * R)
+    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), np.full(R, t))
 
 
 # --- method table ---------------------------------------------------------------

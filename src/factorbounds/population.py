@@ -116,8 +116,8 @@ def require_memory(N: int, K: int, clones: int = 0) -> None:
 def _blockwise(compute):
     """One function for a question asked of an owner or of R stacked ones, its R equal blocks of
     units or rows. compute(owner, *args, R=R, failed=failed) runs each check once for the R blocks,
-    in the plain call's order, puts each block's first error in failed[r] and returns the R answers,
-    or block with block(r) the answer of open block r; an error it raises is every open block's.
+    in the plain call's order, puts each block's first error in failed[r] and returns the list of R
+    answers, read at the open blocks only; an error it raises is every open block's.
     f(owner, *args) returns the one answer or raises its error; f(owner, *args, R=R) returns R
     answers, each a value or a FactorBoundsError. The answers are kept on the owner by R and typed
     arguments, looked up before R is checked, so a plain and an R=1 call share one entry and a hit
@@ -134,11 +134,10 @@ def _blockwise(compute):
                 n = int(R)
             failed = [None] * n
             try:
-                block = f.__wrapped__(owner, *args, R=n, failed=failed, **kwargs)  # read per call, as _memoized's
+                values = f.__wrapped__(owner, *args, R=n, failed=failed, **kwargs)  # read per call, as _memoized's
             except FactorBoundsError as error:  # kept without the frames that hold the stack
-                failed, block = [e or error.with_traceback(None) for e in failed], None
-            answer = block.__getitem__ if type(block) is list else block
-            got = [e or answer(r) for r, e in enumerate(failed)]
+                failed, values = [e or error.with_traceback(None) for e in failed], None
+            got = [e or values[r] for r, e in enumerate(failed)]
             if R is None and isinstance(got[0], FactorBoundsError):
                 raise got[0]  # a plain call that raises stores nothing
             return got

@@ -547,20 +547,32 @@ def _check_arm_sizes(sizes: tuple[int, ...], N: int) -> None:
         raise InvalidDesignError("every arm needs at least 2 units")
 
 
-def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
-    """Uniformly random partition of N units into arms with fixed sizes.
-
-    Returns the arm index per unit. seed may be an int, SeedSequence, or
-    Generator.
-    """
+def _allocations(N: int, arm_sizes, seeds):
+    """complete_randomization's partition for each of seeds, in order, drawn
+    as the caller iterates: the sizes are checked, and the arm runs built,
+    once, before any draw; each seed draws its own generator and permutation."""
     sizes = tuple(arm_sizes)
     if not sizes or not all(map(_whole, sizes)):  # refused, not truncated, as _integer refuses
         raise InvalidDesignError(f"arm sizes must be a nonempty list of integers, got {arm_sizes!r}")
     sizes = tuple(map(int, sizes))
     _check_arm_sizes(sizes, N)
-    rng = np.random.default_rng(seed)  # a Generator comes back as it is
-    arm = np.empty(N, dtype=np.intp)
-    arm[rng.permutation(N)] = np.repeat(np.arange(len(sizes)), sizes)  # the units at positions of arm j's run get j
+    runs = np.repeat(np.arange(len(sizes)), sizes)
+
+    def draw(seed) -> np.ndarray:
+        arm = np.empty(N, dtype=np.intp)
+        arm[np.random.default_rng(seed).permutation(N)] = runs  # the units at positions of arm j's run get j
+        return arm
+
+    return map(draw, seeds)
+
+
+def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
+    """Uniformly random partition of N units into arms with fixed sizes.
+
+    Returns the arm index per unit. seed may be an int, SeedSequence, or
+    Generator (a Generator is drawn from as it is).
+    """
+    (arm,) = _allocations(N, arm_sizes, [seed])
     return arm
 
 
@@ -710,7 +722,7 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
     population's N allocate its clones, each allocation counted as drawn."""
     R, units = len(reps), sum(sizes)
     pop, blocks, spread = (_generate(config, reps), R, 1) if base is None else (base, 1, R)
-    draws = (complete_randomization(units, sizes, np.random.SeedSequence([config.seed, 1, rep])) for rep in reps)
+    draws = _allocations(units, sizes, (np.random.SeedSequence([config.seed, 1, rep]) for rep in reps))
     if units == pop.N // blocks:
         (alloc,) = popmod.frozen(np.stack(list(draws)))
         data = observe(pop, alloc.reshape(-1, pop.N))

@@ -500,6 +500,95 @@ def test_min_policy_is_widest_per_draw():
         assert width_min >= width_dec - TOL
 
 
+def _hex_key(value):
+    """An estimate's fields with every float as (type, hex), or an error's type and message."""
+    if isinstance(value, Exception):
+        return ("raises", type(value).__name__, str(value))
+    if isinstance(value, float):
+        return (type(value).__name__, value.hex())
+    if isinstance(value, tuple):
+        return tuple(map(_hex_key, value))
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _hex_key(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return value
+
+
+def _stacked_datasets(rng, K, R, per_arm):
+    """R datasets of per_arm shuffled rows per arm and their stack. Uptake
+    follows the assignment with a strength drawn per block and factor, so
+    blocks choose different min contexts and some first stages are weak."""
+    design = enumerate_assignments(K)
+    blocks = []
+    for _ in range(R):
+        arm = rng.permutation(np.repeat(np.arange(design.J, dtype=np.intp), per_arm))
+        follow = rng.random((arm.size, K)) < rng.uniform(0.0, 0.9, K)
+        noise = rng.choice(np.array([-1, 1], dtype=np.int8), size=(arm.size, K))
+        uptake = np.where(follow, design.levels[arm], noise).astype(np.int8)
+        blocks.append(ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=rng.random(arm.size)))
+    stack = ObservedDataset(
+        design=design,
+        arm=np.concatenate([b.arm for b in blocks]),
+        uptake=np.concatenate([b.uptake for b in blocks]),
+        outcome=np.concatenate([b.outcome for b in blocks]),
+    )
+    return blocks, stack
+
+
+@pytest.mark.filterwarnings("error")  # a failed block's array steps warn of nothing
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("R", [1, 2, 5])
+def test_stacked_estimates_equal_their_one_dataset_calls(K, R):
+    # estimate_bounds(stack, ..., R=R) takes its values and SEs as arrays over
+    # the R datasets; each block's estimate equals the plain call on that
+    # dataset alone field by field, bit for bit, or raises its error
+    rng = np.random.default_rng(2900 + 10 * K + R)
+    methods = ["adjusted", "simple", "exclusion"] + (["interaction:1+2", "joint:2"] if K >= 2 else [])
+    chosen = set()
+    for trial in range(2):
+        blocks, stack = _stacked_datasets(rng, K, R, per_arm=3 + 2 * trial)
+        for k, method in itertools.product(range(1, K + 1), methods):
+            context_len = K - (2 if method.startswith("joint") else 1)
+            for profile in ("min", "declared:" + ",".join(["1"] * context_len)):
+                want = []
+                for block in blocks:
+                    try:
+                        want.append(_hex_key(estimate_bounds(block, k, method, profile=profile)))
+                    except (InvalidFactorError, WeakFirstStageError) as exc:
+                        want.append(_hex_key(exc))
+                try:
+                    got = [_hex_key(v) for v in estimate_bounds(stack, k, method, profile=profile, R=R)]
+                except InvalidFactorError as exc:  # a bad argument raises for the stack, as for each block
+                    got = [_hex_key(exc)] * R
+                assert got == want, (K, R, k, method, profile)
+                if profile == "min":
+                    chosen.add(tuple(None if w[0] == "raises" else dict(w)["profile_context"] for w in want))
+    if R == 5 and K > 1:  # some stack's open blocks chose different contexts
+        assert any(len(set(c) - {None}) > 1 for c in chosen), chosen
+
+
+def test_stacked_primitives_equal_the_one_row_arithmetic():
+    # the array form rests on two numpy facts: a stacked (1, n) @ (n, 1)
+    # matmul takes the vector dot of a 1-D a @ m, bit for bit, and
+    # np.float_power(d, 2.0) is the C pow of Python's d ** 2; at this d the
+    # product d * d, numpy's d ** 2, is an ulp away on glibc
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4, 7, 8, 16, 17, 64, 96, 128, 192, 256, 512, 1024, 1536):
+        a, M = rng.standard_normal(n), rng.standard_normal((9, n))
+        stacked = (M[:, None, :] @ a[:, None])[:, 0, 0]
+        assert [v.hex() for v in stacked.tolist()] == [float(a @ m).hex() for m in M], n
+    d = float.fromhex("0x1.cf104c6386548p-3")
+    assert float(np.float_power(np.array([d]), 2.0)[0]).hex() == (d**2).hex()
+
+
+def test_stacked_gradient_squares_its_denominator_as_python_does():
+    # at this d numpy's d ** 2, the product d * d, is an ulp from Python's
+    # d ** 2 on glibc; a stack's gradients take Python's, as one row's do
+    d = float.fromhex("0x1.cf104c6386548p-3")
+    f = estimate.LinearFractional(np.zeros(1), 0.0, np.ones(1), 0.0)
+    stacked = f.gradient_from(np.array([1.0, 1.0]), np.array([d, d]))
+    assert [g.hex() for g in stacked[:, 0].tolist()] == [(0.0 / d - (1.0 / d**2) * 1.0).hex()] * 2
+
+
 def test_weak_first_stage_raises():
     design = enumerate_assignments(1)
     data = ObservedDataset(

@@ -1104,23 +1104,26 @@ def test_clone_counts_of_a_generator_equal_those_of_the_stacked_allocations():
 def test_clone_chunk_keeps_one_allocation_alive(monkeypatch, R):
     # each allocation of the 20,000 clones is counted as it is drawn and
     # dropped, so when the next one is drawn none of the earlier is alive
-    alive, most, draw = [], [], simulate.complete_randomization
+    alive, most, allocations = [], [], simulate._allocations
 
     def tracked(*args):
-        alloc = draw(*args)
-        alive.append(weakref.ref(alloc))
-        most.append(sum(ref() is not None for ref in alive))
-        return alloc
+        for alloc in allocations(*args):
+            alive.append(weakref.ref(alloc))
+            most.append(sum(ref() is not None for ref in alive))
+            yield alloc
 
-    monkeypatch.setattr(simulate, "complete_randomization", tracked)
+    monkeypatch.setattr(simulate, "_allocations", tracked)
     assert all(t.n_ok == R for t in monte_carlo(_clone1000(), R).targets)
     assert len(most) == R and max(most) == 1
 
 
+@pytest.mark.filterwarnings("error")
 def test_retry_scenario_report_pinned():
     # report_bytes' small-N scenario: generation retries, replications whose
     # estimate fails with WeakFirstStageError and skipped oracle references;
-    # sha256 of its report taken when every replication still ran alone
+    # sha256 of its report taken when every replication still ran alone. A
+    # chunk's array steps run over its failed blocks too, and warn of no
+    # division by their first stage: a warning is an error here
     import importlib.util
     import pathlib
 
@@ -1136,6 +1139,7 @@ def test_retry_scenario_report_pinned():
     )
 
 
+@pytest.mark.filterwarnings("error")
 def test_joint_zero_denominator_is_a_weak_first_stage():
     # the joint first-stage table leaves nu = 2.8e-17 at the chosen profile
     # of replications 0 and 24 while the endpoint maps' denominator, summed
