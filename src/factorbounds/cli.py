@@ -26,6 +26,7 @@ from .data import load_csv
 from .errors import FactorBoundsError, InvalidInputError
 from .estimate import (
     MAIN_METHODS,
+    check_alpha,
     estimate_bounds,
     imbens_manski_ci,
     parse_request,
@@ -83,6 +84,7 @@ def _fmt(x) -> str:
 
 
 def cmd_analyze(args) -> int:
+    check_alpha(args.alpha, "--alpha")
     rescale = _parse_rescale(args.rescale)
     data = load_csv(args.input, binary_coding=args.binary_coding, rescale=rescale)
     K = data.design.K
@@ -244,7 +246,7 @@ def _plot_rows(path: str) -> tuple[int, list[list[str]]]:
     try:
         with open(path, encoding="utf-8") as fh:
             rep = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, not UTF-8, or an integer past the int-string digit limit
         raise InvalidInputError(f"{path}: invalid JSON ({e})") from None
     if not isinstance(rep, dict) or rep.get("schema") != "factorbounds-analysis-v1":
         raise InvalidInputError(f"{path}: not an analysis report")
@@ -263,7 +265,7 @@ def _plot_rows(path: str) -> tuple[int, list[list[str]]]:
             rows.append([label] + ["" if v is None else repr(float(v)) for v in values])
     except KeyError as e:
         raise InvalidInputError(f"{path}: analysis report has no field {e}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # OverflowError: an integer too large for a float
         raise InvalidInputError(f"{path}: malformed analysis report ({e})") from None
     if not isinstance(K, int) or isinstance(K, bool):
         raise InvalidInputError(f"{path}: K must be an integer, got {K!r}")

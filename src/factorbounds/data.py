@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
-from .design import MAX_FACTORS, FactorialDesign, enumerate_assignments
+from .design import MAX_FACTORS, FactorialDesign, _MemoOwner, enumerate_assignments
 from .errors import InvalidInputError
 from .population import frozen, read_only
 
 
 @dataclass(frozen=True)
-class ObservedDataset:
+class ObservedDataset(_MemoOwner):
     """One row per unit: realized arm, uptake vector, outcome.
 
     Arms index the rows of design.levels. Outcomes are on the analysis
@@ -77,11 +76,6 @@ class ObservedDataset:
 
     def arm_counts(self) -> np.ndarray:
         return np.bincount(self.arm, minlength=self.design.J)
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Results of the _memoized functions (estimate's arm moments), filled on first use."""
-        return {}
 
 
 def expected_header(K: int) -> list[str]:
@@ -173,7 +167,8 @@ def _load_canonical(
     y = np.concatenate(outcomes)
     if rescale is not None:
         lo, hi = rescale
-        y = (y - lo) / (hi - lo)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, for the row parser to word
+            y = (y - lo) / (hi - lo)
     if not np.isfinite(y).all() or y.min() < 0.0 or y.max() > 1.0:
         return None
     arm, uptake, y = frozen(code & (design.J - 1), design.levels[code >> design.K], y)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidDesignError, InvalidFactorError
+from .errors import FactorBoundsError, InvalidDesignError, InvalidFactorError, InvalidInputError
 
 MAX_FACTORS = 16
 
@@ -64,8 +65,64 @@ def _memoized(fn):
     return wrapper
 
 
+def _blockwise(compute):
+    """One function for a question asked of an owner or of R stacked ones, its R equal blocks of
+    units or rows. compute(owner, *args, R=R, failed=failed) runs each check once for the R blocks,
+    in the plain call's order, puts each block's first error in failed[r] and returns the list of R
+    answers, read at the open blocks only; an error it raises is every open block's.
+    f(owner, *args) returns the one answer or raises its error; f(owner, *args, R=R) returns R
+    answers, each a value or a FactorBoundsError. The answers are kept on the owner by R and typed
+    arguments, looked up before R is checked, so a plain and an R=1 call share one entry and a hit
+    costs one lookup; a refused R is never stored, and a list answer comes back as a fresh copy."""
+
+    @wraps(compute)
+    def f(owner, *args, R=None, **kwargs):
+        def answers() -> list:  # on a miss only
+            n = 1
+            if R is not None:  # a positive integer dividing the owner's units (a dataset's rows); an int first
+                size = len(owner.outcome)  # outcome's axis 0 runs over a population's units, a dataset's rows
+                if type(R) is not int and (isinstance(R, bool) or not isinstance(R, Integral)) or R < 1 or size % R:
+                    raise InvalidInputError(f"R must be a positive integer dividing {size}, got {R!r}")
+                n = int(R)
+            failed = [None] * n
+            try:
+                values = f.__wrapped__(owner, *args, R=n, failed=failed, **kwargs)  # read per call, as _memoized's
+            except FactorBoundsError as error:  # kept without the frames that hold the stack
+                failed, values = [e or error.with_traceback(None) for e in failed], None
+            got = [e or values[r] for r, e in enumerate(failed)]
+            if R is None and isinstance(got[0], FactorBoundsError):
+                raise got[0]  # a plain call that raises stores nothing
+            return got
+
+        got = _cached(owner, f, (1 if R is None else R, *args), kwargs, answers)
+        if R is not None:
+            return list(got)
+        if isinstance(got[0], FactorBoundsError):  # kept by an R=1 call
+            raise got[0].with_traceback(None)
+        return list(got[0]) if type(got[0]) is list else got[0]
+
+    return f
+
+
+def _merge(failed: list, answers: list) -> list:
+    """A nested question's R answers by the one rule: an error goes to failed[r] unless one is there, and reads None."""
+    for r, answer in enumerate(answers):
+        if isinstance(answer, FactorBoundsError):
+            failed[r] = failed[r] or answer
+    return [None if isinstance(answer, FactorBoundsError) else answer for answer in answers]
+
+
+class _MemoOwner:
+    """An owner of memoized answers: a design, a population or a dataset, whose arrays never change."""
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Results of the _memoized and _blockwise functions of this owner, filled on first use."""
+        return {}
+
+
 @dataclass(frozen=True, eq=False)
-class FactorialDesign:
+class FactorialDesign(_MemoOwner):
     """Complete enumeration of a 2^K design in canonical order, one per K
     (enumerate_assignments), compared by identity. Its tables (contrasts,
     context arms, endpoint maps) are kept on its _memo, as a population's
@@ -80,11 +137,6 @@ class FactorialDesign:
     @property
     def J(self) -> int:
         return 1 << self.K
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Results of the _memoized functions of this design, filled on first use."""
-        return {}
 
     def assignment(self, j: int) -> Assignment:
         if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < self.J:
@@ -148,21 +200,20 @@ def validate_factor(design: FactorialDesign, k: int) -> None:
         raise InvalidFactorError(f"factor {k!r} outside 1..{design.K}")
 
 
-@_memoized
 def main_effect_contrast(design: FactorialDesign, k: int) -> ContrastVector:
-    validate_factor(design, k)
-    return ContrastVector(factors=(k,), signs=design.levels[:, k - 1].copy())
+    return interaction_contrast(design, (k,))
 
 
+@_memoized
 def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
-    """Entrywise product of main-effect contrasts over a factor set."""
+    """Entrywise product of main-effect contrasts over a factor set, kept on the design's memo."""
     fs = tuple(factors)
     if len(fs) == 0:
         raise InvalidFactorError("interaction needs at least one factor")
+    for k in fs:  # before the duplicate check, which would hash a list
+        validate_factor(design, k)
     if len(set(fs)) != len(fs):
         raise InvalidFactorError(f"duplicate factors in {fs!r}")
-    for k in fs:
-        validate_factor(design, k)
     fs = tuple(sorted(fs))
     signs = np.ones(design.J, dtype=np.int8)
     for k in fs:

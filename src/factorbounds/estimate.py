@@ -13,13 +13,15 @@ sums over a dataset's rows gives every mean and block of a factor, for
 every layout at once, kept on the dataset's memo.
 
 A stack of R datasets is evaluated as arrays, and every value equals its
-one-dataset call bit for bit. That rests on three rules. A dot product is
-taken as a stacked (1, n) @ (n, 1) matmul (_stacked_dot), which numpy
-sends to the same vector dot as a 1-D a @ m; a 2-D M @ a, M @ A.T or an
-einsum dot adds in another order and differs in the last bit for many
-rows. A square is np.float_power(d, 2.0), the C pow that Python's d ** 2
-calls; numpy's d ** 2 is d * d, which can differ by an ulp. And the SEs'
-einsum over a stack sums each row as the one-row einsum does.
+one-dataset call bit for bit. That rests on four rules, which the oracle's
+stacked formulas keep too. A dot product is a stacked (1, n) @ (n, 1)
+matmul (_stacked_dot), which numpy sends to the vector dot of a 1-D a @ m;
+a 2-D M @ a, M @ A.T or an einsum dot adds in another order and differs in
+the last bit for many rows. A square is np.float_power(d, 2.0), the C pow
+of Python's d ** 2; numpy's d ** 2 is d * d, an ulp away for some d. A row
+sum reads a C-ordered copy, whose rows numpy sums pairwise as one row, not
+sequentially as an F-ordered stack's. And the SEs' einsum over a stack
+sums each row as the one-row einsum does.
 
 Confidence intervals for the partially identified effect use a critical
 value between the one-sided and two-sided normal quantiles, solving
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import design as dsg
 from .data import ObservedDataset
-from .design import Context, FactorialDesign
+from .design import Context, FactorialDesign, _blockwise, _memoized
 from .errors import (
     InsufficientDataError,
     InvalidFactorError,
@@ -50,7 +52,7 @@ from .errors import (
     InvalidShareError,
     WeakFirstStageError,
 )
-from .population import _blockwise, _memoized, frozen
+from .population import frozen
 
 _SQRT2 = math.sqrt(2.0)
 _NORMAL = NormalDist()
@@ -74,6 +76,7 @@ def _first_stage_table(
 # --- method / profile grammar ------------------------------------------------
 
 MAIN_METHODS = ("adjusted", "simple", "exclusion")
+SHARE_FLOOR_MIN = float(np.finfo(np.float64).tiny)  # the least normal float: from it up, 1/t and every bound are finite
 
 
 def parse_method(method: str) -> tuple[str, tuple]:
@@ -107,9 +110,9 @@ def parse_method(method: str) -> tuple[str, tuple]:
                 raise InvalidInputError(
                     f"conservative method wants conservative:<share>, got {method!r}"
                 ) from None
-            if not (math.isfinite(t) and t > 0.0):
+            if not (math.isfinite(t) and t >= SHARE_FLOOR_MIN):
                 raise InvalidShareError(
-                    f"complier-share floor must be positive and finite, got {method!r}"
+                    f"complier-share floor must be finite and at least {SHARE_FLOOR_MIN!r}, got {method!r}"
                 )
             return "conservative", (t,)
     raise InvalidInputError(
@@ -179,10 +182,8 @@ def parse_target(
 
 
 def _stacked_dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a . m over the last axis, the leading axes of a and m broadcast:
-    each product is a (1, n) @ (n, 1) matmul, which numpy takes by the
-    vector dot of a 1-D a @ m, so each value equals that dot bit for bit.
-    One (n,) row against one (n,) row gives a 0-d value."""
+    """a . m over the last axis, the leading axes of a and m broadcast, by the module
+    docstring's dot rule; one (n,) row against one (n,) row gives a 0-d value."""
     return (m[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
@@ -427,7 +428,7 @@ def estimate_bounds(
     faithful plug-ins (a declared non-minimal profile can invert them).
     With R, data's R equal row blocks are R datasets: one moment pass
     serves them all, and their values and SEs are taken as arrays, each
-    its one-dataset call's bit for bit.
+    its one-dataset call's bit for bit by the module docstring's rules.
     """
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
@@ -498,14 +499,20 @@ def _im_bracket(alpha: float) -> tuple[float, float]:
     return _NORMAL.inv_cdf(1.0 - alpha) - 0.1, _NORMAL.inv_cdf(1.0 - alpha / 2.0) + 0.1
 
 
+def check_alpha(alpha: float, name: str = "alpha") -> float:
+    """alpha, refused unless 0 < alpha < 1 and 1 - alpha/2 rounds below 1, so the CI's normal quantiles are finite."""
+    if not (alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):  # the second holds only for alpha > 0
+        raise InvalidInputError(f"{name} must be in (0, 1) with 1 - alpha/2 rounding below 1, got {alpha!r}")
+    return alpha
+
+
 def im_critical_value(width_over_se: float, alpha: float) -> float:
     """Solve Phi(C + w) - Phi(-C) = 1 - alpha for C, w = (U-L)/max SE >= 0.
 
     The root lies between the one-sided and two-sided quantiles; bisection
     runs on a slightly padded bracket to tolerance 1e-10.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     if not math.isfinite(width_over_se) or width_over_se < 0.0:
         raise InvalidInputError(f"width/SE ratio must be finite and >= 0, got {width_over_se!r}")
     lo, hi = _im_bracket(alpha)
@@ -527,8 +534,7 @@ def imbens_manski_ci(est: BoundsEstimate, alpha: float = 0.05) -> ConfidenceInte
             raise InvalidInputError(f"nonfinite input to the confidence interval: {v!r}")
     if se_lower < 0.0 or se_upper < 0.0:
         raise InvalidInputError("standard errors must be nonnegative")
-    if not (0.0 < alpha < 1.0):
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     max_se = max(se_lower, se_upper)
     if max_se == 0.0:
         C = _NORMAL.inv_cdf(1.0 - alpha) if U > L else _NORMAL.inv_cdf(1.0 - alpha / 2.0)

@@ -31,12 +31,10 @@ nu(tilde) with a declared floor t and widens monotonically as t shrinks.
 Each formula is written for a stack of R populations: it runs its checks
 and reads its arrays once for the stack, then takes its float steps on
 (R,) arrays, each step the one a single population's floats take, so a
-block's answer is its plain call's bit for bit; formula(pop, ..., R=R)
-answers per block with the value or the error, and the plain call is the
-one-block case. A dot product is estimate's stacked dot, and a row sum
-reads a C-ordered copy: numpy sums a C row pairwise, as it sums one
-population's row. A profile tilde is a context or "min", each block's
-first least-compliant context.
+block's answer is its plain call's bit for bit, by the rules of estimate's
+module docstring; formula(pop, ..., R=R) answers per block with the value
+or the error, and the plain call is the one-block case. A profile tilde
+is a context or "min", each block's first least-compliant context.
 """
 
 from __future__ import annotations
@@ -47,15 +45,14 @@ import numpy as np
 
 from . import design as dsg
 from . import population as popmod
-from .design import Context, FactorialDesign
-from .estimate import _stacked_dot, parse_method, parse_request, record_to_dict
+from .design import Context, FactorialDesign, _blockwise, _memoized, _merge
+from .estimate import SHARE_FLOOR_MIN, _stacked_dot, parse_method, parse_request, record_to_dict
 from .errors import (
-    FactorBoundsError,
     InvalidFactorError,
     InvalidShareError,
     NoCompliersError,
 )
-from .population import Population, _blockwise, _memoized
+from .population import Population
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,7 @@ def _intervals(center: np.ndarray, half_lower: np.ndarray, half_upper: np.ndarra
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """(R,) sums of an (R, C) table's rows, each pairwise as one row's sum: a
-    stack's tables can be F-ordered, and numpy sums their rows sequentially."""
+    """(R,) sums of an (R, C) table's rows, by estimate's row-sum rule."""
     return np.ascontiguousarray(a).sum(axis=1)
 
 
@@ -180,7 +176,7 @@ def _contrast_among(pop: Population, R: int, contrast, *ks: int) -> list[float]:
 @_blockwise
 def main_effect(pop: Population, k: int, *, R: int, failed: list):
     """Average over contexts of the constant-complier outcome contrast."""
-    popmod._require(pop, "first_stage", k, R=R, failed=failed)
+    _merge(failed, popmod.require(pop, "first_stage", k, R=R))
     return _contrast_among(pop, R, dsg.main_effect_contrast(pop.design, k), k)
 
 
@@ -190,14 +186,14 @@ def interaction_effect(pop: Population, factors, k: int, *, R: int, failed: list
     fs = tuple(sorted(set(factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    popmod._require(pop, "first_stage", k, R=R, failed=failed)
+    _merge(failed, popmod.require(pop, "first_stage", k, R=R))
     return _contrast_among(pop, R, dsg.interaction_contrast(pop.design, fs), k)
 
 
 @_blockwise
 def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed: list):
     """Two-factor interaction among units complying with both everywhere."""
-    popmod._require(pop, "joint_first_stage", k, k2, R=R, failed=failed)
+    _merge(failed, popmod.require(pop, "joint_first_stage", k, k2, R=R))
     return _contrast_among(pop, R, dsg.interaction_contrast(pop.design, (k, k2)), k, k2)
 
 
@@ -211,14 +207,13 @@ def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: in
     minimal = isinstance(tilde, str) and tilde == "min"
     if minimal:
         token = "joint_profile" if len(ks) == 2 else "profile"
-        tildes = [valid[0] if valid else None for valid in popmod._require(pop, token, *ks, R=R, failed=failed)]
+        tildes = [valid[0] if valid else None for valid in _merge(failed, popmod.require(pop, token, *ks, R=R))]
     else:
         tildes = [tuple(tilde)] * R
     for token, *factors in checks:
-        popmod._require(pop, token, *factors, R=R, failed=failed)
+        _merge(failed, popmod.require(pop, token, *factors, R=R))
     if not minimal:  # an open block's min profile is in its own least-compliant set
-        for r, error in enumerate(popmod.require_least_compliant(pop, tildes[0], *ks, R=R)):
-            failed[r] = failed[r] or error
+        _merge(failed, popmod.require_least_compliant(pop, tildes[0], *ks, R=R))
     contexts = dsg.contexts_for(pop.design, *ks)
     if len(ks) == 1:
         nu = _nu_arrays(pop, ks[0], R)[3]
@@ -338,23 +333,23 @@ def conservative_bounds(pop: Population, k: int, t: float, *, R: int, failed: li
     bounds' assumptions; the interval widens monotonically as t decreases
     and contains the exclusion interval.
     """
-    if not np.isfinite(t) or t <= 0.0:
-        raise InvalidShareError(f"complier-share floor must be positive, got {t!r}")
+    if not np.isfinite(t) or t < SHARE_FLOOR_MIN:
+        raise InvalidShareError(f"complier-share floor must be finite and at least {SHARE_FLOOR_MIN!r}, got {t!r}")
     for token in ("monotone", "profile", "exclusion", "outcome_exclusion"):
-        popmod._require(pop, token, k, R=R, failed=failed)
-    counts, n = popmod.constant_complier_count(pop, k, R=R), pop.N // R
+        _merge(failed, popmod.require(pop, token, k, R=R))
+    counts, n = _merge(failed, popmod.constant_complier_count(pop, k, R=R)), pop.N // R
     for r, count in enumerate(counts):
         if failed[r] is None and t > count / n:
             failed[r] = InvalidShareError(f"floor t={t} exceeds the constant-complier share {count / n}")
-    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), np.full(R, t))
+    t_open = np.array([np.nan if error else t for error in failed])  # a failed block reads NaN, as in _resolve_tilde
+    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), t_open)
 
 
 # --- method table ---------------------------------------------------------------
 
 
-@_blockwise
-def method_truth(pop: Population, k: int, method: str, *, R: int, failed: list) -> list:
-    """The true effect a method's interval bounds; the main methods share main_effect's one entry."""
+def method_truth(pop: Population, k: int, method: str, *, R: int | None = None):
+    """The true effect a method's interval bounds, asked of its effect question (main_effect for the main methods)."""
     kind, args = parse_method(method)
     # the effects are looked up per call, so a wrapper installed on a module attribute sees the call
     if kind == "joint":
@@ -382,11 +377,11 @@ def method_interval(pop: Population, k: int, method: str, profile="min", *, R: i
     else:
         main = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}[kind]
         ivs = main(pop, k, tilde, R=R)
-    ctxs = [ctx] * R
-    if policy == "min" and not all(isinstance(iv, FactorBoundsError) for iv in ivs):  # else the check may not have run
+    ivs, ctxs = _merge(failed, ivs), [ctx] * R
+    if policy == "min":  # each open block's first least-compliant context, which its formula checked
         ks = (k, *args) if kind == "joint" else (k,)
-        ctxs = [valid[0] if valid else None for valid in popmod.check_least_compliant_profile(pop, *ks, R=R)]
-    return [iv if isinstance(iv, FactorBoundsError) else (iv, c) for iv, c in zip(ivs, ctxs)]
+        ctxs = [v[0] if v else None for v in _merge(failed, popmod.check_least_compliant_profile(pop, *ks, R=R))]
+    return list(zip(ivs, ctxs))
 
 
 def method_report(pop: Population, k: int, method: str, profile="min") -> dict:

@@ -37,15 +37,13 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from . import design as dsg
-from .design import Context, FactorialDesign, _cached, _memoized
+from .design import Context, FactorialDesign, _blockwise, _memoized, _MemoOwner, _merge
 from .errors import (
     AssumptionViolationError,
-    FactorBoundsError,
     InvalidInputError,
     NoCompliersError,
 )
@@ -104,56 +102,20 @@ def require_memory(N: int, K: int, clones: int = 0) -> None:
     built, costs five intp arrays as it is drawn and counted: the
     allocation, its permutation, the arm runs it permutes, the unit's base
     unit and the bincount index."""
-    need = (N << K) * (8 + np.dtype(pattern_dtype(K)).itemsize + K / 2 + 9) + clones * 5 * np.dtype(np.intp).itemsize
+    need = (N << K) * (8 + np.dtype(pattern_dtype(K)).itemsize + 9) + (N << K >> 1) * K  # all integers: no overflow
+    need += clones * 5 * np.dtype(np.intp).itemsize
     if need > MEMORY_BUDGET:
         with_clones = f" with {clones} clone units" if clones else ""
+        tenths, rest = divmod(need * 10, 1 << 30)  # need in GiB to one decimal, rounded half to even as :.1f rounds
+        tenths += rest > 1 << 29 or (rest == 1 << 29 and tenths % 2)
         raise InvalidInputError(
-            f"a population of N={N} units over 2^{K} arms{with_clones} needs about {need / 2**30:.1f} GiB,"
+            f"a population of N={N} units over 2^{K} arms{with_clones} needs about {tenths // 10}.{tenths % 10} GiB,"
             f" over the {MEMORY_BUDGET / 2**30:.0f} GiB budget"
         )
 
 
-def _blockwise(compute):
-    """One function for a question asked of an owner or of R stacked ones, its R equal blocks of
-    units or rows. compute(owner, *args, R=R, failed=failed) runs each check once for the R blocks,
-    in the plain call's order, puts each block's first error in failed[r] and returns the list of R
-    answers, read at the open blocks only; an error it raises is every open block's.
-    f(owner, *args) returns the one answer or raises its error; f(owner, *args, R=R) returns R
-    answers, each a value or a FactorBoundsError. The answers are kept on the owner by R and typed
-    arguments, looked up before R is checked, so a plain and an R=1 call share one entry and a hit
-    costs one lookup; a refused R is never stored, and a list answer comes back as a fresh copy."""
-
-    @functools.wraps(compute)
-    def f(owner, *args, R=None, **kwargs):
-        def answers() -> list:  # on a miss only
-            n = 1
-            if R is not None:  # a positive integer dividing the owner's units (a dataset's rows); an int first
-                size = len(owner.pattern if isinstance(owner, Population) else owner.arm)
-                if type(R) is not int and (isinstance(R, bool) or not isinstance(R, Integral)) or R < 1 or size % R:
-                    raise InvalidInputError(f"R must be a positive integer dividing {size}, got {R!r}")
-                n = int(R)
-            failed = [None] * n
-            try:
-                values = f.__wrapped__(owner, *args, R=n, failed=failed, **kwargs)  # read per call, as _memoized's
-            except FactorBoundsError as error:  # kept without the frames that hold the stack
-                failed, values = [e or error.with_traceback(None) for e in failed], None
-            got = [e or values[r] for r, e in enumerate(failed)]
-            if R is None and isinstance(got[0], FactorBoundsError):
-                raise got[0]  # a plain call that raises stores nothing
-            return got
-
-        got = _cached(owner, f, (1 if R is None else R, *args), kwargs, answers)
-        if R is not None:
-            return list(got)
-        if isinstance(got[0], FactorBoundsError):  # kept by an R=1 call
-            raise got[0].with_traceback(None)
-        return list(got[0]) if type(got[0]) is list else got[0]
-
-    return f
-
-
 @dataclass(frozen=True, init=False)
-class Population:
+class Population(_MemoOwner):
     """Potential uptake and outcomes for N units over a 2^K design, stored read-only as the
     packed uptake pattern and the outcomes, finite and in [0, 1], both arm-major. The
     constructor checks and packs (N, J, K) uptake of -1/+1; from_pattern takes the pattern itself."""
@@ -200,11 +162,6 @@ class Population:
     def uptake(self) -> np.ndarray:
         """(N, J, K) int8 uptake in {-1, +1}, unpacked from the pattern on first use."""
         return frozen(self.design.levels.take(self.pattern, axis=0))[0]
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Results of the _memoized functions of this population, filled on first use."""
-        return {}
 
     @property
     def N(self) -> int:
@@ -377,9 +334,7 @@ def require(pop: Population, token: str, *ks: int, R: int, failed: list) -> list
     """The value of the token's check on pop at factors ks; raises the
     token's error, naming the factors, when that value does not pass."""
     _, check, passes, error, text = ASSUMPTIONS[token]
-    values = check(pop, *ks, R=R)
-    if isinstance(values[0], FactorBoundsError):  # a check answers per block only with values: a bad argument
-        raise values[0]
+    values = _merge(failed, check(pop, *ks, R=R))
     for r, value in enumerate(values):
         if failed[r] is None and not passes(value):
             shown = f"{value[:5]}" + ("..." if len(value) > 5 else "") if isinstance(value, list) else ""
@@ -387,17 +342,11 @@ def require(pop: Population, token: str, *ks: int, R: int, failed: list) -> list
     return values
 
 
-_require = require.__wrapped__  # require's compute: a formula passes its own first-error list as failed
-
-
 @_blockwise
 def require_least_compliant(pop: Population, tilde: Context, *ks: int, R: int, failed: list) -> list:
     """Refuse a declared profile tilde that is not a least-compliant context of ks, one factor or a pair."""
     joint = "joint " if len(ks) == 2 else ""
-    valid_sets = check_least_compliant_profile(pop, *ks, R=R)
-    if isinstance(valid_sets[0], FactorBoundsError):  # a bad argument, as in _require
-        raise valid_sets[0]
-    for r, valid in enumerate(valid_sets):
+    for r, valid in enumerate(_merge(failed, check_least_compliant_profile(pop, *ks, R=R))):
         if failed[r] is None and tilde not in valid:
             failed[r] = AssumptionViolationError(
                 f"{_who(ks)}: context {tilde!r} is not a {joint}least-compliant profile; valid set {valid!r}"
@@ -499,7 +448,7 @@ def load_population(path: str) -> Population:
             payload = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read population file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past the int-string digit limit
         raise InvalidInputError(f"population file {path} is not valid JSON: {exc}") from exc
     return from_dict(payload)
 

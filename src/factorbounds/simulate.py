@@ -234,7 +234,7 @@ class TargetSpec(_Record):
         "factor": _integer,
         "method": _string,
         "profile": _string,
-        "alpha": _within(_number, lambda a: 0.0 < a < 1.0, "in (0, 1)"),
+        "alpha": lambda value, path: est.check_alpha(_number(value, path), path),
     }
 
     @property
@@ -334,7 +334,7 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, not UTF-8, or an integer past the int-string digit limit
             raise InvalidInputError(f"{path}: invalid JSON ({e})") from None
     return ScenarioConfig.from_dict(d)
 

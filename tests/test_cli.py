@@ -1,4 +1,5 @@
 import csv
+import decimal
 import io
 import json
 from pathlib import Path
@@ -366,6 +367,93 @@ def test_simulate_population_over_the_memory_budget_exits_2(capsys, tmp_path):
     rc, _, err = run(capsys, ["simulate", str(path), "-R", "1"])
     assert rc == 2
     assert "N=200000 units over 2^10 arms needs about 4.6 GiB, over the 4 GiB budget" in err
+
+
+def _gib(need: int) -> str:
+    """need bytes in GiB to one decimal, rounded half to even, by exact decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 500
+        return str((decimal.Decimal(need) / (1 << 30)).quantize(decimal.Decimal("0.1"), decimal.ROUND_HALF_EVEN))
+
+
+@pytest.mark.parametrize(
+    "command, base, N",
+    [("simulate", "scenarios/well_separated.json", 1e308), ("simulate", "scenarios/well_separated.json", 10**400),
+     ("oracle", "data/p4_population.json", 10**400)],
+    ids=["simulate-1e308", "simulate-10**400", "oracle-10**400"],
+)
+def test_huge_N_exits_2_with_the_memory_estimate(capsys, tmp_path, command, base, N):
+    # the charge is integer arithmetic, so an N past the float range is refused
+    # by the budget, not by an OverflowError (exit 4)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**json.loads((DATA.parent / base).read_text()), "N": N}))
+    need = int(N) * 4 * (8 + 1 + 9) + int(N) * 2 * 2  # K=2: 4 cells a unit, and K/2 bytes of type codes a cell
+    want = f"error: a population of N={int(N)} units over 2^2 arms needs about {_gib(need)} GiB,"
+    want += " over the 4 GiB budget\n"
+    assert run(capsys, [command, str(path)] + (["-R", "3"] if command == "simulate" else [])) == (2, "", want)
+
+
+TINY_ALPHA = "must be in (0, 1) with 1 - alpha/2 rounding below 1, got 1e-17\n"
+
+
+def test_analyze_tiny_alpha_exits_2_before_any_estimate(capsys, monkeypatch):
+    # 1 - 1e-17/2 rounds to 1.0, where the normal quantile is infinite
+    monkeypatch.setattr("factorbounds.cli.estimate_bounds", lambda *a, **kw: pytest.fail("estimated"))
+    rc, out, err = run(capsys, ["analyze", str(DATA / "p4_census.csv"), "--alpha", "1e-17"])
+    assert (rc, out, err) == (2, "", "error: --alpha " + TINY_ALPHA)
+
+
+def test_simulate_tiny_target_alpha_exits_2(capsys, tmp_path):
+    scenario = json.loads((SCENARIOS / "well_separated.json").read_text())
+    scenario["targets"][0]["alpha"] = 1e-17
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(scenario))
+    assert run(capsys, ["simulate", str(path), "-R", "3"]) == (2, "", "error: targets[0].alpha " + TINY_ALPHA)
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would end in exit 4
+def test_analyze_rescale_overflow_exits_2_without_a_warning(capsys):
+    # the array parse's division overflows under errstate, declines, and the row parser words the error
+    rc, out, err = run(capsys, ["analyze", str(DATA / "p4_census.csv"), "--rescale", "0,1e-320"])
+    assert (rc, out, err) == (2, "", "error: line 6, column y: value inf outside [0, 1] after rescale\n")
+
+
+def test_plotdata_integer_past_the_float_range_exits_2(capsys, census_csv, tmp_path):
+    path = tmp_path / "report.json"
+    assert run(capsys, ["analyze", str(census_csv), "--method", "simple", "--out", str(path)])[0] == 0
+    report = json.loads(path.read_text())
+    report["estimates"][0]["ci_lower"] = 10**400
+    path.write_text(json.dumps(report))
+    rc, out, err = run(capsys, ["plotdata", str(path)])
+    assert (rc, out, err) == (2, "", f"error: {path}: malformed analysis report (int too large to convert to float)\n")
+
+
+def test_oracle_share_floors_whose_bounds_overflow(capsys):
+    # a floor below the least normal float would make the bounds infinite: refused;
+    # a floor above every share fails per method, and its failed block computes nothing that warns
+    population = str(DATA / "p4_population.json")
+    rc, out, err = run(capsys, ["oracle", population, "--method", "conservative:1e-320"])
+    assert (rc, out) == (2, "")
+    floor = "must be finite and at least 2.2250738585072014e-308"
+    assert err == f"error: complier-share floor {floor}, got 'conservative:1e-320'\n"
+    rc, out, _ = run(capsys, ["oracle", population, "--factor", "1", "--method", "conservative:1e308"])
+    assert rc == 3
+    assert "InvalidShareError" in json.loads(out)["factors"][0]["methods"]["conservative:1e308"]["error"]
+
+
+# bytes that are not UTF-8, and an integer past Python's int-string digit limit (4300 digits by
+# default): json.load raises ValueError for each, not JSONDecodeError
+UNREADABLE_JSON = {"latin1": b'{"K": 2, "N": \xff}', "5001-digits": b'{"K": 2, "N": 1' + b"0" * 5000 + b"}"}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_JSON)
+@pytest.mark.parametrize("command", ["oracle", "simulate", "plotdata"])
+def test_json_inputs_that_python_cannot_read_exit_2(capsys, tmp_path, command, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    rc, out, err = run(capsys, [command, str(path)] + (["-R", "2"] if command == "simulate" else []))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err, err
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
