@@ -23,29 +23,35 @@ import numpy as np
 from .errors import FactorBoundsError, InvalidDesignError, InvalidFactorError, InvalidInputError
 
 MAX_FACTORS = 16
+_KEYABLE = frozenset((type(None), bool, int, float, str))  # with tuples of these, what a memo key is built from
 
 Assignment = tuple[int, ...]
 Context = tuple[int, ...]
 
 
 def _typed(value):
-    """value with every entry's type beside it, so True never matches 1 in a memo key."""
-    return (tuple, tuple(map(_typed, value))) if type(value) is tuple else (type(value), value)
+    """value with every entry's type beside it, so True never matches 1 in a memo key; TypeError off _KEYABLE."""
+    if type(value) is tuple:
+        return (tuple, tuple(map(_typed, value)))
+    if type(value) not in _KEYABLE:
+        raise TypeError(f"{type(value).__name__} is not a memo key")
+    return (type(value), value)
 
 
 def _cached(owner, fn, args: tuple, kwargs: dict, compute):
     """owner's memo entry for fn and its typed arguments, computed by compute() on a miss, its
     arrays set read-only; the owner is a FactorialDesign, a Population or an ObservedDataset,
-    whose arrays never change. A compute that raises stores nothing, a None result is a miss,
-    and a list argument is uncached, so the function's own checks refuse it."""
-    if kwargs or tuple in map(type, args):
-        key = (fn, _typed((args, tuple(sorted(kwargs.items())))))
-    else:  # flat positional arguments, the common case, carry their types in one tuple beside them
-        key = (fn, args, tuple(map(type, args)))
-    try:
-        value = owner._memo.get(key)
-    except TypeError:
-        return compute()
+    whose arrays never change. A compute that raises stores nothing, a None result is a miss, and
+    an argument not built from _KEYABLE (a list, an iterator) is uncached, so it leaves no key."""
+    types = tuple(map(type, args))
+    if not kwargs and _KEYABLE.issuperset(types):  # flat positional arguments, the common case
+        key = (fn, args, types)
+    else:
+        try:
+            key = (fn, _typed((args, tuple(sorted(kwargs.items())))))
+        except TypeError:
+            return compute()
+    value = owner._memo.get(key)
     if value is None:
         value = owner._memo[key] = compute()
         for arr in value if type(value) is tuple else (value,):

@@ -23,7 +23,7 @@ import json
 import numbers
 import sys
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -120,22 +120,25 @@ _range = _within(
 )
 
 
+def _field(convert, default=MISSING):
+    """A record field whose JSON value convert checks; default is its JSON default."""
+    return field(default=default, metadata={"convert": convert})
+
+
 class _Record:
-    """A scenario record: a frozen dataclass whose _FIELDS table maps each JSON
-    field to a converter, and whose defaults are the JSON defaults.
+    """A scenario record: a frozen dataclass whose fields each carry a converter
+    (declared with _field) and whose defaults are the JSON defaults.
 
     A converter takes (value, path), returns the value in its stored form,
     and names the path (factors[0].complier, outcome.beta[1][0]) when it
-    refuses the value. from_dict and __post_init__ run the same table, so a
-    file and a record built in Python are checked alike; subclasses add only
+    refuses the value. from_dict and __post_init__ run the same converters, so
+    a file and a record built in Python are checked alike; subclasses add only
     cross-field checks.
     """
 
-    _FIELDS: dict  # field name -> converter
-
     def __post_init__(self) -> None:
-        for name, convert in self._FIELDS.items():
-            object.__setattr__(self, name, convert(getattr(self, name), name))
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.metadata["convert"](getattr(self, f.name), f.name))
 
     to_dict = est.record_to_dict
 
@@ -144,14 +147,15 @@ class _Record:
         """Build the record from parsed JSON found at path ("" for a whole file)."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"{path or 'scenario'} must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - set(cls._FIELDS))
+        declared = fields(cls)
+        unknown = sorted(set(d) - {f.name for f in declared})
         if unknown:
             raise InvalidInputError(f"{path or 'scenario'} has unknown keys {unknown!r}")
         values = {}
-        for f in fields(cls):
+        for f in declared:
             where = f"{path}.{f.name}" if path else f.name
             if f.name in d:
-                values[f.name] = cls._FIELDS[f.name](d[f.name], where)
+                values[f.name] = f.metadata["convert"](d[f.name], where)
             elif f.default is MISSING:
                 raise InvalidInputError(f"{where} is required")
         try:
@@ -173,19 +177,11 @@ class FactorSpec(_Record):
     ``upgrade``; worst-pattern compliers comply everywhere.
     """
 
-    complier: float
-    always: float = 0.0
-    upgrade: float = 0.0
-    depends_on: tuple[int, ...] = ()
-    worst: tuple[int, ...] | None = None
-
-    _FIELDS = {
-        "complier": _probability,
-        "always": _probability,
-        "upgrade": _probability,
-        "depends_on": _list(_integer),
-        "worst": _optional(_list(_level)),
-    }
+    complier: float = _field(_probability)
+    always: float = _field(_probability, 0.0)
+    upgrade: float = _field(_probability, 0.0)
+    depends_on: tuple[int, ...] = _field(_list(_integer), ())
+    worst: tuple[int, ...] | None = _field(_optional(_list(_level)), None)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -207,17 +203,10 @@ class OutcomeSpec(_Record):
     indicators (plus optional pairwise products); m2 thresholds the m1 value
     against a per-unit uniform cut for binary outcomes."""
 
-    model: str = "m1"
-    alpha: tuple[float, float] = (0.2, 0.4)
-    beta: tuple[tuple[float, float], ...] = ()
-    eta: tuple[float, float] = (0.0, 0.0)
-
-    _FIELDS = {
-        "model": _within(_string, lambda m: m in ("m1", "m2"), "m1 or m2"),
-        "alpha": _range,
-        "beta": _list(_range),
-        "eta": _range,
-    }
+    model: str = _field(_within(_string, lambda m: m in ("m1", "m2"), "m1 or m2"), "m1")
+    alpha: tuple[float, float] = _field(_range, (0.2, 0.4))
+    beta: tuple[tuple[float, float], ...] = _field(_list(_range), ())
+    eta: tuple[float, float] = _field(_range, (0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -225,17 +214,10 @@ class TargetSpec(_Record):
     """One (factor, method, profile policy) combination to track in a study;
     ScenarioConfig and monte_carlo check it with estimate.parse_target."""
 
-    factor: int
-    method: str = "exclusion"
-    profile: str = "min"
-    alpha: float = 0.05
-
-    _FIELDS = {
-        "factor": _integer,
-        "method": _string,
-        "profile": _string,
-        "alpha": lambda value, path: est.check_alpha(_number(value, path), path),
-    }
+    factor: int = _field(_integer)
+    method: str = _field(_string, "exclusion")
+    profile: str = _field(_string, "min")
+    alpha: float = _field(lambda value, path: est.check_alpha(_number(value, path), path), 0.05)
 
     @property
     def label(self) -> str:
@@ -258,33 +240,19 @@ def _parse_token(token: str, K: int, allowed: tuple[str, ...]) -> tuple[str, tup
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig(_Record):
-    K: int
-    N: int
-    factors: tuple[FactorSpec, ...]
-    outcome: OutcomeSpec = OutcomeSpec()
-    seed: int
-    arm_sizes: tuple[int, ...] | None = None
-    require: tuple[str, ...] = ()
-    violate: tuple[str, ...] = ()
-    population_mode: str = "fresh"
-    clone_factor: int = 1
-    targets: tuple[TargetSpec, ...] = ()
-
-    _FIELDS = {
-        "K": _integer,
-        "N": _within(_integer, lambda n: n >= 1, ">= 1"),
-        "factors": _list(_record(FactorSpec)),
-        "outcome": _record(OutcomeSpec),
-        "seed": _within(_integer, lambda n: n >= 0, ">= 0"),
-        "arm_sizes": _optional(_list(_integer)),
-        "require": _list(_string),
-        "violate": _list(_string),
-        "population_mode": _within(
-            _string, lambda m: m in ("fresh", "fixed", "clone"), "fresh, fixed or clone"
-        ),
-        "clone_factor": _within(_integer, lambda n: n >= 1, ">= 1"),
-        "targets": _list(_record(TargetSpec)),
-    }
+    K: int = _field(_integer)
+    N: int = _field(_within(_integer, lambda n: n >= 1, ">= 1"))
+    factors: tuple[FactorSpec, ...] = _field(_list(_record(FactorSpec)))
+    outcome: OutcomeSpec = _field(_record(OutcomeSpec), OutcomeSpec())
+    seed: int = _field(_within(_integer, lambda n: n >= 0, ">= 0"))
+    arm_sizes: tuple[int, ...] | None = _field(_optional(_list(_integer)), None)
+    require: tuple[str, ...] = _field(_list(_string), ())
+    violate: tuple[str, ...] = _field(_list(_string), ())
+    population_mode: str = _field(
+        _within(_string, lambda m: m in ("fresh", "fixed", "clone"), "fresh, fixed or clone"), "fresh"
+    )
+    clone_factor: int = _field(_within(_integer, lambda n: n >= 1, ">= 1"), 1)
+    targets: tuple[TargetSpec, ...] = _field(_list(_record(TargetSpec)), ())
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -713,12 +681,12 @@ def _target_report(t: TargetSpec, R: int, rows: list) -> TargetReport:
     )
 
 
-def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, sizes, tlist: tuple, acc: dict) -> None:
+def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, sizes, tlist: tuple, acc: list) -> None:
     """Replications reps of monte_carlo: one generation, observation,
     estimation and oracle pass for the chunk (the oracle's on the base
     population in fixed and clone modes, where its memo makes it once per
-    monte_carlo), then per replication, in order, the CI; each target's
-    tallies go onto acc[target]. Arm sizes summing past the base
+    monte_carlo), then per replication, in order, the CI; target i's
+    tallies go onto acc[i]. Arm sizes summing past the base
     population's N allocate its clones, each allocation counted as drawn."""
     R, units = len(reps), sum(sizes)
     pop, blocks, spread = (_generate(config, reps), R, 1) if base is None else (base, 1, R)
@@ -728,7 +696,7 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
         data = observe(pop, alloc.reshape(-1, pop.N))
     else:
         data = _observe_clones(pop, draws)
-    for t in tlist:
+    for t, tallies in zip(tlist, acc):
         estimates = est.estimate_bounds(data, t.factor, t.method, profile=t.profile, R=R)
         truths = oracle.method_truth(pop, t.factor, t.method, R=blocks) * spread
         refs = oracle.method_interval(pop, t.factor, t.method, t.profile, R=blocks) * spread
@@ -739,12 +707,12 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
             except FactorBoundsError as ci_error:
                 error = ci_error
             if error:
-                acc[t].append(type(error).__name__)
+                tallies.append(type(error).__name__)
                 continue
             # the oracle reference exists only where the method's assumptions hold; NaN where skipped
             ref_ends = (np.nan, np.nan) if isinstance(ref, FactorBoundsError) else (ref[0].raw_lower, ref[0].raw_upper)
             ends = (e.clipped_lower, e.clipped_upper, e.raw_lower, e.raw_upper, e.se_lower, e.se_upper)
-            acc[t].append((truth, *ends, ci.lower, ci.upper, *ref_ends))
+            tallies.append((truth, *ends, ci.lower, ci.upper, *ref_ends))
 
 
 def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
@@ -760,19 +728,17 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     tlist = config.targets
     if not tlist:
         raise InvalidInputError("no targets: set them in the scenario")
-    mode = config.population_mode
     base = None
-    if mode in ("fixed", "clone"):
+    if config.population_mode in ("fixed", "clone"):
         base = generate_population(config, rep=0)
-    sizes = config.resolved_arm_sizes()
-    if mode == "clone":
-        sizes = tuple(s * config.clone_factor for s in sizes)
+    sizes = tuple(s * config.clone_factor for s in config.resolved_arm_sizes())  # clone_factor is 1 outside clone mode
 
-    acc = {t: [] for t in tlist}
+    acc = [[] for _ in tlist]  # by position: equal targets keep their own tallies
     # replications run in chunks of about _CHUNK_CELLS observed (unit, arm)
     # cells, one chunk alive at a time; clone mode observes the base units
     chunk = max(1, _CHUNK_CELLS // (config.N << config.K))
     for first in range(0, R, chunk):
         _run_chunk(config, range(first, min(R, first + chunk)), base, sizes, tlist, acc)
 
-    return CoverageReport(config=config, replications=R, targets=tuple(_target_report(t, R, acc[t]) for t in tlist))
+    reports = tuple(_target_report(t, R, rows) for t, rows in zip(tlist, acc))
+    return CoverageReport(config=config, replications=R, targets=reports)

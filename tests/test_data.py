@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorbounds import cli
 from factorbounds.data import (
     ObservedDataset,
     _load_canonical,
@@ -228,6 +231,17 @@ def _result(load, path, binary, rescale):
     )
 
 
+def _analyze(path, binary, rescale):
+    """The exit code and stderr of cli analyze on path with the same coding and rescale options."""
+    argv = ["analyze", str(path)] + ["--binary-coding"] * binary
+    if rescale is not None:
+        argv.append(f"--rescale={rescale[0]!r},{rescale[1]!r}")  # = keeps "-3.0,7.0" from reading as an option
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
 @given(case=csv_cases())
 @settings(max_examples=300, deadline=None)
 def test_fast_path_matches_row_parser(case, tmp_path_factory):
@@ -241,6 +255,12 @@ def test_fast_path_matches_row_parser(case, tmp_path_factory):
     assert got == want
     if mutation in ("none", "lf", "cr") and not isinstance(want, str):
         assert _load_canonical(path, binary, rescale) is not None
+    if draws.draw(st.booleans(), label="through analyze"):  # about half the cases also run the command
+        rc, err = _analyze(path, binary, rescale)
+        assert rc in (0, 2, 3) and "internal error" not in err
+        assert (rc == 2) == isinstance(want, str)  # exit 2 exactly where the file is refused
+        if isinstance(want, str):
+            assert err == f"error: {want}\n"
 
 
 def test_error_line_and_column_in_large_file(tmp_path):

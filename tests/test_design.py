@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import pathlib
 import pkgutil
 import re
 
@@ -235,6 +236,15 @@ def test_memoized_runs_a_function_that_raises_type_error_once():
     assert design._memo.keys() == kept.keys()
 
 
+def test_memo_keeps_no_entry_for_an_iterator_argument():
+    design = enumerate_assignments(3)
+    interaction_contrast(design, (1, 2))
+    size = len(design._memo)
+    for _ in range(1000):
+        assert interaction_contrast(design, iter((1, 2))).factors == (1, 2)
+    assert len(design._memo) == size
+
+
 def test_lru_cache_is_left_to_the_scalar_keyed_functions():
     # tables keyed by a design, population or dataset live on its _memo
     found = set()
@@ -244,6 +254,13 @@ def test_lru_cache_is_left_to_the_scalar_keyed_functions():
             if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
                 found.add(f"{info.name}.{name}")
     assert found == {"design._level_tuples", "estimate._im_bracket"}
+
+
+def test_no_source_line_is_longer_than_120_characters():
+    # so a shorter package cannot come from joining statements onto long lines
+    for path in sorted(pathlib.Path(factorbounds.__file__).parent.glob("*.py")):
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            assert len(line) <= 120, f"{path.name}:{n} has {len(line)} characters"
 
 
 def test_cached_tables_are_read_only():
