@@ -79,6 +79,13 @@ MAIN_METHODS = ("adjusted", "simple", "exclusion")
 SHARE_FLOOR_MIN = float(np.finfo(np.float64).tiny)  # the least normal float: from it up, 1/t and every bound are finite
 
 
+def check_share_floor(t, shown) -> float:
+    """t if a real number (not a boolean) in [SHARE_FLOOR_MIN, inf), compared exactly; else the error, quoting shown."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not SHARE_FLOOR_MIN <= t < math.inf:
+        raise InvalidShareError(f"complier-share floor must be finite and at least {SHARE_FLOOR_MIN!r}, got {shown!r}")
+    return t
+
+
 def parse_method(method: str) -> tuple[str, tuple]:
     """'adjusted' | 'simple' | 'exclusion' | 'interaction:1+2' | 'joint:2' |
     'conservative:0.3' -> (kind, arguments); the arguments are the
@@ -110,11 +117,7 @@ def parse_method(method: str) -> tuple[str, tuple]:
                 raise InvalidInputError(
                     f"conservative method wants conservative:<share>, got {method!r}"
                 ) from None
-            if not (math.isfinite(t) and t >= SHARE_FLOOR_MIN):
-                raise InvalidShareError(
-                    f"complier-share floor must be finite and at least {SHARE_FLOOR_MIN!r}, got {method!r}"
-                )
-            return "conservative", (t,)
+            return "conservative", (check_share_floor(t, method),)
     raise InvalidInputError(
         f"unknown method {method!r}; expected adjusted|simple|exclusion|interaction:<f+f..>"
         "|joint:<factor>|conservative:<share>"
@@ -194,7 +197,7 @@ class LinearFractional:
     The coefficients may stack maps too, their leading axes broadcast."""
 
     a: np.ndarray
-    a0: float
+    a0: np.ndarray | float
     b: np.ndarray
     b0: float
 
@@ -277,23 +280,6 @@ def _se_from_gradient(grad: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.einsum("...jp,...jpq,...jq->...", G, cov, G), 0.0))
 
 
-@dataclass(frozen=True)
-class EndpointFunctions:
-    """center/lower/upper endpoint maps over the moment vector means[:, :p].ravel().
-
-    The three share one denominator. table stacks its coefficients and the
-    numerators', (b, center a, lower a, upper a), and offsets their
-    constants, (b0, center a0, lower a0, upper a0), so one stacked dot
-    evaluates all four."""
-
-    p: int
-    center: LinearFractional
-    lower: LinearFractional
-    upper: LinearFractional
-    table: np.ndarray
-    offsets: np.ndarray
-
-
 @_memoized
 def endpoint_functions(
     design: FactorialDesign,
@@ -302,8 +288,9 @@ def endpoint_functions(
     *,
     profile_index: int | None = None,
     t_value: float | None = None,
-) -> EndpointFunctions:
-    """Endpoint maps of a method over the arm-moment vector, by one rule.
+) -> LinearFractional:
+    """A method's center, lower and upper endpoint maps, by one rule: the
+    numerator rows of one map over their shared denominator.
 
     The center is C/D, an outcome contrast C over D = m*nu, m = J/2 times
     the first stage at the profile. A half-width triple (h_lo, h_up, h0)
@@ -320,9 +307,10 @@ def endpoint_functions(
     D reads the profile's two arms (a joint profile's four), each signed
     by g; t_value replaces D by the constant m*t (the conservative variant).
     Exactly one of profile_index and t_value must be given. Coefficients
-    are (J, p) tables like the moment table, raveled at the end; the maps
-    are read-only and kept on the design's memo, once per factor, method
-    and profile.
+    are (J, p) tables like the moment table, raveled at the end; the map
+    is read-only and kept on the design's memo, once per factor, method
+    and profile. At a profile, b0 is 0 and a0 is (0, -h0, h0), so every
+    profile's map of a method has the same a0 and b0.
     """
     kind, extra = parse_method(method)
     dsg.validate_factor(design, k)
@@ -360,17 +348,8 @@ def endpoint_functions(
         H_lo = H_up = half(g / 2.0)
         h0 = -0.0  # so the constant h0 - b0 is -b0, sign of zero included
     c0 = h0 - b0
-    a_lo, a_up = a - H_lo, a + H_up
-    table, offsets = np.stack([b, a, a_lo, a_up]), np.array([b0, 0.0, -c0, c0])
-    frozen(a, b, a_lo, a_up, table, offsets)
-    return EndpointFunctions(
-        p=p,
-        center=LinearFractional(a, 0.0, b, b0),
-        lower=LinearFractional(a_lo, -c0, b, b0),
-        upper=LinearFractional(a_up, c0, b, b0),
-        table=table,
-        offsets=offsets,
-    )
+    coefs = frozen(np.stack([a, a - H_lo, a + H_up]), np.array([0.0, -c0, c0]), b)  # the memo skips a record's arrays
+    return LinearFractional(*coefs, b0)
 
 
 # --- estimates ----------------------------------------------------------------
@@ -426,9 +405,10 @@ def estimate_bounds(
     profile is 'min', 'declared:<levels>', or a context tuple. The clipped
     interval is ordered then intersected with [-1, 1]; raw endpoints are the
     faithful plug-ins (a declared non-minimal profile can invert them).
-    With R, data's R equal row blocks are R datasets: one moment pass
-    serves them all, and their values and SEs are taken as arrays, each
-    its one-dataset call's bit for bit by the module docstring's rules.
+    The values and SEs are those of endpoint_functions' map at the chosen
+    profile. With R, data's R equal row blocks are R datasets: one moment
+    pass serves them all, and their values and SEs are taken as arrays,
+    each its one-dataset call's bit for bit by the module docstring's rules.
     """
     kind, args, policy, ctx = parse_target(data.design, k, method, profile)
     k2 = args[0] if kind == "joint" else None
@@ -438,21 +418,21 @@ def estimate_bounds(
         indexes = nu.argmin(axis=1).tolist()
     else:  # parse_target checked ctx to be a context of the design
         indexes = [contexts.index(ctx)] * R
-    # one memo lookup per profile the blocks chose; each block's maps at its profile are a row
+    # one memo lookup per profile the blocks chose; a0 and b0 are the method's, the same at every profile
     maps = {c: endpoint_functions(data.design, k, method, profile_index=c) for c in set(indexes)}
-    table, offsets = np.array([maps[c].table for c in indexes]), np.array([maps[c].offsets for c in indexes])
-    p = maps[indexes[0]].p
-    # per block the shared denominator and the center, lower and upper numerators
-    terms = _stacked_dot(table, means[:, :, :p].reshape(R, 1, -1)) + offsets
-    dens = terms[:, :1]
+    one = maps[indexes[0]]
+    p = one.b.size // data.design.J
+    a, b = np.array([maps[c].a for c in indexes]), np.array([maps[c].b for c in indexes])[:, None]
+    ends = LinearFractional(a, one.a0, b, one.b0)  # each block's map at its profile
+    mvec = means[:, :, :p].reshape(R, 1, -1)
+    # per block the center, lower and upper numerators and their shared denominator
+    nums, dens = ends.numerator(mvec), ends.denominator(mvec)
     with np.errstate(divide="ignore", invalid="ignore"):  # at a block that fails below, den may be 0 or less
-        values = terms[:, 1:] / dens  # one den serves all three
-        bounds = LinearFractional(table[:, 2:], offsets[:, 2:], table[:, :1], offsets[:, :1])  # lower, upper
-        grads = bounds.gradient_from(terms[:, 2:], dens)
-        ses = _se_from_gradient(grads, cov[:, None, :, :p, :p])
+        values = nums / dens  # one den serves all three
+        ses = _se_from_gradient(ends.gradient_from(nums, dens)[:, 1:], cov[:, None, :, :p, :p])  # lower, upper
     out: list[BoundsEstimate | WeakFirstStageError] = []
     for c_index, nu_r, den, (center, raw_lower, raw_upper), (se_lower, se_upper) in zip(
-        indexes, nu.tolist(), terms[:, 0].tolist(), values.tolist(), ses.tolist()
+        indexes, nu.tolist(), dens[:, 0].tolist(), values.tolist(), ses.tolist()
     ):
         ctx_r = contexts[c_index] if policy == "min" else ctx
         if nu_r[c_index] <= 0.0 or den <= 0.0:  # nu summed in another order: den is 0.0 where rounding left nu > 0

@@ -34,7 +34,8 @@ and reads its arrays once for the stack, then takes its float steps on
 block's answer is its plain call's bit for bit, by the rules of estimate's
 module docstring; formula(pop, ..., R=R) answers per block with the value
 or the error, and the plain call is the one-block case. A profile tilde
-is a context or "min", each block's first least-compliant context.
+is "min" (each block's first least-compliant context), "declared:<levels>"
+or a context, refused as estimate_bounds refuses it (estimate.parse_profile).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from . import design as dsg
 from . import population as popmod
 from .design import Context, FactorialDesign, _blockwise, _memoized, _merge
-from .estimate import SHARE_FLOOR_MIN, _stacked_dot, parse_method, parse_request, record_to_dict
+from .estimate import _stacked_dot, check_share_floor, parse_method, parse_profile, parse_request, record_to_dict
 from .errors import (
     InvalidFactorError,
     InvalidShareError,
@@ -199,20 +200,19 @@ def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed
 
 def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: int):
     """(R,) first stage of each block at its profile of ks, one factor or a
-    pair: tilde, or for "min" the block's first least-compliant context
-    (that check run first). The checks, (token, *factors) tuples, run
-    before a declared profile's own check, in order; a block whose first
-    stage at its profile is not positive fails. A failed block reads NaN,
-    so the formulas' array steps divide by no zero."""
-    minimal = isinstance(tilde, str) and tilde == "min"
-    if minimal:
+    pair: tilde (read by estimate.parse_profile), or for "min" the block's
+    first least-compliant context (that check run first). The checks,
+    (token, *factors) tuples, run before a declared profile's own check, in
+    order; a block whose first stage at its profile is not positive fails.
+    A failed block reads NaN, so the formulas' array steps divide by no zero."""
+    _, declared = parse_profile(tilde, pop.design.K - len(ks))
+    tildes = [declared] * R
+    if declared is None:  # "min"
         token = "joint_profile" if len(ks) == 2 else "profile"
         tildes = [valid[0] if valid else None for valid in _merge(failed, popmod.require(pop, token, *ks, R=R))]
-    else:
-        tildes = [tuple(tilde)] * R
     for token, *factors in checks:
         _merge(failed, popmod.require(pop, token, *factors, R=R))
-    if not minimal:  # an open block's min profile is in its own least-compliant set
+    if declared is not None:  # an open block's min profile is in its own least-compliant set
         _merge(failed, popmod.require_least_compliant(pop, tildes[0], *ks, R=R))
     contexts = dsg.contexts_for(pop.design, *ks)
     if len(ks) == 1:
@@ -333,8 +333,7 @@ def conservative_bounds(pop: Population, k: int, t: float, *, R: int, failed: li
     bounds' assumptions; the interval widens monotonically as t decreases
     and contains the exclusion interval.
     """
-    if not np.isfinite(t) or t < SHARE_FLOOR_MIN:
-        raise InvalidShareError(f"complier-share floor must be finite and at least {SHARE_FLOOR_MIN!r}, got {t!r}")
+    check_share_floor(t, t)
     for token in ("monotone", "profile", "exclusion", "outcome_exclusion"):
         _merge(failed, popmod.require(pop, token, k, R=R))
     counts, n = _merge(failed, popmod.constant_complier_count(pop, k, R=R)), pop.N // R

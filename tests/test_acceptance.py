@@ -284,9 +284,9 @@ def test_criterion_07_se_gradients_and_mc_calibration(separated_mc):
     worst = 0.0
     for i in range(100):
         fam = families[i % len(families)]
-        fn = (fam.center, fam.lower, fam.upper)[i % 3]
+        fn = est.LinearFractional(fam.a[i % 3], fam.a0[i % 3], fam.b, fam.b0)
         while True:
-            m = rng.uniform(-1.0, 1.0, size=fam.p * d2.J)
+            m = rng.uniform(-1.0, 1.0, size=fam.b.size)
             if abs(fn.denominator(m)) >= 0.3:
                 break
         fd = _fd_gradient(fn, m)

@@ -2,6 +2,7 @@ import csv
 import decimal
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -755,3 +756,16 @@ def test_console_script_installed(tmp_path):
     installed = {ep.name: ep.value for ep in dist.entry_points if ep.group == "console_scripts"}
     assert installed == scripts
     assert shutil.which("factorbounds") is not None
+
+
+def test_readme_library_example_runs_as_commented(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0], re.S)
+    monkeypatch.chdir(root)  # the example reads data/ relative to the repository root
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    pop, want = scope["pop"], exclusion_bounds(scope["pop"], 1, (-1,))
+    assert scope["oracle"].method_interval(pop, 1, "exclusion") == (want, (-1,))
+    assert scope["oracle"].exclusion_bounds(pop, 1, "declared:-1") == want
+    assert scope["est"].center == want.center

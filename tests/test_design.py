@@ -271,6 +271,11 @@ def test_cached_tables_are_read_only():
             arms[0, 0] = 7
     with pytest.raises(ValueError):
         main_effect_contrast(design, 1).signs[0] = 1
+    ends = endpoint_functions(design, 1, "exclusion", profile_index=2)
+    assert endpoint_functions(design, 1, "exclusion", profile_index=2) is ends
+    for coefficients in (ends.a, ends.a0, ends.b):  # a record's arrays: the map freezes its own
+        with pytest.raises(ValueError):
+            coefficients[..., 0] = 7.0
     contexts = contexts_for(design, 1)
     contexts.clear()  # a fresh list each call; the cached table is untouched
     assert len(contexts_for(design, 1)) == 4

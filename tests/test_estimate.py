@@ -19,6 +19,7 @@ from factorbounds.errors import (
 )
 from factorbounds import estimate
 from factorbounds.estimate import (
+    LinearFractional,
     _arm_moments,
     _se_from_gradient,
     endpoint_functions,
@@ -258,12 +259,16 @@ def test_factor_set_paths_match_the_old_formulas():
 
 
 def _random_moment_vector(rng, funcs):
-    J = funcs.center.a.size // funcs.p
-    m = rng.uniform(-1.0, 1.0, size=funcs.p * J)
+    m = rng.uniform(-1.0, 1.0, size=funcs.b.size)
     # keep the denominator away from zero so the quotient is smooth
-    while abs(funcs.center.denominator(m)) < 0.3:
-        m = rng.uniform(-1.0, 1.0, size=funcs.p * J)
+    while abs(funcs.denominator(m)) < 0.3:
+        m = rng.uniform(-1.0, 1.0, size=funcs.b.size)
     return m
+
+
+def _ends(funcs):
+    """The center, lower and upper rows of an endpoint map, each a one-row map."""
+    return [LinearFractional(a, a0, funcs.b, funcs.b0) for a, a0 in zip(funcs.a, funcs.a0)]
 
 
 def fd_gradient(f, m, h=1e-6):
@@ -290,7 +295,7 @@ def test_gradients_match_finite_differences():
     ]
     worst = 0.0
     for funcs in built:
-        for f in (funcs.center, funcs.lower, funcs.upper):
+        for f in _ends(funcs):
             for _ in range(8):
                 m = _random_moment_vector(rng, funcs)
                 g = f.gradient(m)
@@ -360,12 +365,53 @@ def test_endpoint_maps_pinned_bit_for_bit():
     for (K, k, method, arg), want in ENDPOINT_PINS.items():
         option = {"t_value": arg} if isinstance(arg, float) else {"profile_index": arg}
         funcs = endpoint_functions(enumerate_assignments(K), k, method, **option)
-        m = _pinned_moments(K)[:, : funcs.p].ravel()
-        maps = (funcs.center, funcs.lower, funcs.upper)
-        got = tuple(f.value(m).hex() for f in maps) + (_hex_digest(f.gradient(m) for f in maps),)
+        m = _pinned_moments(K)[:, : funcs.b.size // 2**K].ravel()
+        got = tuple(v.hex() for v in funcs.value(m).tolist()) + (_hex_digest(funcs.gradient(m)),)
         if got != want:
             drifted.append(((K, k, method, arg), got))
     assert drifted == []
+
+
+def _following_dataset(rng, K, per_arm=8):
+    """Uptake that follows each arm's assignment at a random rate per arm and factor, else a coin:
+    first stages are mostly positive, and the least of them falls at a random context."""
+    design = enumerate_assignments(K)
+    arm = np.repeat(np.arange(design.J, dtype=np.intp), per_arm)
+    z = np.asarray(design.levels, dtype=np.int8)[arm]
+    follow = rng.random(z.shape) < rng.uniform(0.3, 0.9, size=(design.J, K))[arm]
+    uptake = np.where(follow, z, rng.choice(np.array([-1, 1], dtype=np.int8), size=z.shape))
+    return ObservedDataset(design=design, arm=arm, uptake=uptake, outcome=rng.random(arm.size))
+
+
+def test_estimates_evaluate_the_endpoint_maps_bit_for_bit():
+    # the maps the pins and gradient tests check are the ones estimate_bounds reads
+    rng = np.random.default_rng(41)
+    checked = 0
+    for K in range(1, 5):
+        data = _following_dataset(rng, K)
+        for k in sorted({1, K}):
+            partner = K if k == 1 else 1
+            methods = ["adjusted", "simple", "exclusion"]
+            methods += [f"interaction:{'+'.join(map(str, range(1, K + 1)))}", f"joint:{partner}"] if K > 1 else []
+            for method in methods:
+                k2 = partner if method.startswith("joint") else None
+                contexts = contexts_for(data.design, k) if k2 is None else contexts_for(data.design, k, k2)
+                maps = [endpoint_functions(data.design, k, method, profile_index=c) for c in range(len(contexts))]
+                # estimate_bounds reads a0 and b0 off one profile's map: every profile's map has the same
+                assert {f.a0.tobytes() for f in maps} == {maps[0].a0.tobytes()}, (K, k, method)
+                assert {np.float64(f.b0).tobytes() for f in maps} == {np.float64(0.0).tobytes()}, (K, k, method)
+                means, cov = _arm_moments(data, k, k2, 1)
+                p = maps[0].b.size // data.design.J
+                mvec, cov = means[0, :, :p].ravel(), cov[0, :, :p, :p]
+                for profile in ["min", *contexts]:  # every first stage is positive at this seed
+                    est = estimate_bounds(data, k, method, profile=profile)
+                    funcs = maps[contexts.index(est.profile_context)]
+                    want = np.array([est.center, est.raw_lower, est.raw_upper])
+                    assert funcs.value(mvec).tobytes() == want.tobytes(), (K, k, method, profile)
+                    ses = _se_from_gradient(funcs.gradient(mvec)[1:], cov)
+                    assert ses.tobytes() == np.array([est.se_lower, est.se_upper]).tobytes(), (K, k, method, profile)
+                    checked += 1
+    assert checked == 162
 
 
 def test_duplicating_rows_scales_ses_by_sqrt2(p4_census):

@@ -20,6 +20,7 @@ from factorbounds.errors import (
     AssumptionViolationError,
     FactorBoundsError,
     InvalidFactorError,
+    InvalidInputError,
     InvalidShareError,
     NoCompliersError,
 )
@@ -151,6 +152,47 @@ def test_p4_conservative(p4):
         conservative_bounds(p4, 1, 0.0)
 
 
+def _formulas(pop):
+    """Each method's formula over factor 1 as a function of its profile."""
+    return {
+        "adjusted": lambda tilde: adjusted_bounds(pop, 1, tilde),
+        "simple": lambda tilde: simple_bounds(pop, 1, tilde),
+        "exclusion": lambda tilde: exclusion_bounds(pop, 1, tilde),
+        "interaction:1+2": lambda tilde: interaction_bounds(pop, (1, 2), 1, tilde),
+        "joint:2": lambda tilde: joint_bounds(pop, 1, 2, tilde),
+    }
+
+
+@pytest.mark.parametrize("bad", [(2,), (1, 1), (True,), (-1.0,), "declared:2", "maximal"], ids=repr)
+def test_formulas_refuse_a_malformed_profile_as_the_estimator_does(p4, bad):
+    # the joint formula reads K-2 = 0 levels, so each of these is malformed there too
+    data = census_dataset(p4)
+    for method, formula in _formulas(p4).items():
+        with pytest.raises(InvalidInputError) as want:
+            estimate_bounds(data, 1, method, profile=bad)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(want.value))}$"):
+            formula(bad)
+
+
+def test_formulas_read_a_declared_profile_in_every_spelling(p4):
+    for method, formula in _formulas(p4).items():
+        if method != "joint:2":  # p4's pair breaks cross exclusion
+            want = formula((-1,))
+            for spelling in ("declared:-1", " declared:-1 ", [-1], np.array([-1]), (np.int64(-1),)):
+                assert formula(spelling) == want, (method, spelling)
+
+
+@pytest.mark.parametrize("t", ["0.3", True, None, 1j, float("nan"), float("inf"), -0.5], ids=repr)
+def test_conservative_refuses_a_floor_that_is_no_real_number_in_range(p4, t):
+    with pytest.raises(InvalidShareError, match=f"finite and at least .*, got {re.escape(repr(t))}$"):
+        conservative_bounds(p4, 1, t)
+
+
+def test_conservative_compares_an_int_floor_exactly(p4):
+    with pytest.raises(InvalidShareError, match="exceeds the constant-complier share"):
+        conservative_bounds(p4, 1, 10**400)  # past the float range, so never converted to one
+
+
 def test_p4_wald(p4):
     assert abs(wald_ratio(p4, 1) - 1.0) < TOL
 
@@ -203,8 +245,8 @@ def test_joint_full_compliance_point_identifies():
 
 def test_joint_requires_cross_exclusion(k3_joint_pop):
     # factors (1, 3): unit 1's factor-1 uptake moves with z3
-    with pytest.raises(AssumptionViolationError):
-        joint_bounds(k3_joint_pop, 1, 3, ())
+    with pytest.raises(AssumptionViolationError, match="uptake cross-dependence"):
+        joint_bounds(k3_joint_pop, 1, 3, (-1,))
 
 
 # ------------------------------------------------------- property sweeps
@@ -455,9 +497,8 @@ def test_method_table_matches_census_estimator(K, N, upgrade, seed):
             iv, ctx = method_interval(pop, k, f"conservative:{t!r}")
             assert ctx is None
             funcs = endpoint_functions(pop.design, k, "exclusion", t_value=t)
-            pairs = ((iv.center, funcs.center), (iv.raw_lower, funcs.lower), (iv.raw_upper, funcs.upper))
-            for a, f in pairs:
-                assert abs(a - f.value(mvec)) <= TOL, (t, k, a, f.value(mvec))
+            for a, v in zip((iv.center, iv.raw_lower, iv.raw_upper), funcs.value(mvec).tolist()):
+                assert abs(a - v) <= TOL, (t, k, a, v)
 
 
 # ------------------------------------------------------- the stacked oracle
