@@ -36,7 +36,10 @@ reads it with the methods that need outcome exclusion and two that do not. A
 seeded K=3, N=12 population with uniformly random uptake and outcomes is
 saved and read by ``oracle`` with every method: it has defiers at several
 units and contexts of every factor, so the unit-major order of the defier
-lists is compared. Every
+lists is compared. ``oracle`` reads ``data/p4_population.json`` and
+``analyze`` reads ``data/p4_census.csv`` at declared profiles too: at
+``declared:1``, no least-compliant context of factor 1, the oracle's
+formulas refuse it (exit 3); at ``declared:-1`` every command answers. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
@@ -76,6 +79,8 @@ SHOWN = 20  # differences printed per command
 ANALYZE_METHODS = "adjusted,simple,exclusion,interaction:1+2,joint:2"
 # the methods resting on outcome exclusion are refused where it breaks; adjusted and simple still answer
 OUTCOME_EXCLUSION = "adjusted,simple,exclusion,conservative:0.5,interaction:1+2,joint:2"
+# read at a declared profile: p4's (1,) is no least-compliant context of factor 1, (-1,) is
+DECLARED = "adjusted,simple,exclusion,interaction:1+2,conservative:0.25"
 
 
 def _load_inputs():
@@ -369,7 +374,10 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
         ["oracle", str(paths["k3_exclusion_messages.json"]), "--method", "exclusion,joint:2"],
         ["oracle", str(paths["p4_outcome_exclusion.json"]), "--factor", "1", "--method", OUTCOME_EXCLUSION],
         ["oracle", str(paths["k3_random_uptake.json"]), "--method", ANALYZE_METHODS + ",conservative:0.05"],
+        ["oracle", "data/p4_population.json", "--profile", "declared:1", "--method", DECLARED],
+        ["oracle", "data/p4_population.json", "--profile", "declared:-1", "--method", DECLARED],
         ["analyze", "data/p4_census.csv"],
+        ["analyze", "data/p4_census.csv", "--profile", "declared:-1"],
         ["analyze", "data/p4_census_binary.csv", "--binary-coding"],
         ["analyze", "data/p4_census_binary.csv"],  # -1/+1 expected: the error path
         ["analyze", "data/p4_defier_census.csv"],

@@ -123,7 +123,7 @@ def cmd_analyze(args) -> int:
     for w in wald:
         print(
             f"{w.factor:>6} {'wald (reference)':<18} {_fmt(w.point):<22} "
-            f"{'(' + w.label + ')':<22} {w.se:>8.4f}",
+            f"{'(' + w.label + ')':<22} {'-' if w.se is None else f'{w.se:.4f}':>8}",
             file=table,
         )
     _dump_json(report, args.out)

@@ -254,6 +254,31 @@ def contexts_for(design: FactorialDesign, *ks: int) -> list[Context]:
     return list(_level_tuples(design.K - len(ks)))
 
 
+def parse_profile(profile, context_len: int) -> tuple[str, Context | None]:
+    """'min', 'declared:<comma-separated +-1 levels>' or a sequence of levels
+    -> (policy, context). Declared levels are context_len integers, each -1
+    or +1; a boolean is no level."""
+    if isinstance(profile, str):
+        s = profile.strip()
+        if s == "min":
+            return "min", None
+        if not (s.startswith("declared:") or s == "declared"):
+            raise InvalidInputError(f"unknown profile policy {profile!r}; expected min or declared:<levels>")
+        try:
+            levels = [int(t) for t in s[len("declared:"):].split(",") if t.strip()]
+        except ValueError:
+            raise InvalidInputError(f"bad declared profile {profile!r}") from None
+    else:
+        try:
+            levels = list(profile)
+        except TypeError:
+            levels = [None]  # refused below
+    integers = all(isinstance(v, Integral) and not isinstance(v, bool) for v in levels)
+    if not integers or len(levels) != context_len or any(v not in (-1, 1) for v in levels):
+        raise InvalidInputError(f"declared profile {profile!r} must list {context_len} levels in -1/+1")
+    return "declared", tuple(map(int, levels))
+
+
 @_memoized
 def context_arms(design: FactorialDesign, *ks: int) -> np.ndarray:
     """(2^len(ks), 2^(K-len(ks))) read-only intp arm indices: row r sets

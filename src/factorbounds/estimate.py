@@ -44,7 +44,7 @@ import numpy as np
 
 from . import design as dsg
 from .data import ObservedDataset
-from .design import Context, FactorialDesign, _blockwise, _memoized
+from .design import Context, FactorialDesign, _blockwise, _memoized, parse_profile
 from .errors import (
     InsufficientDataError,
     InvalidFactorError,
@@ -122,31 +122,6 @@ def parse_method(method: str) -> tuple[str, tuple]:
         f"unknown method {method!r}; expected adjusted|simple|exclusion|interaction:<f+f..>"
         "|joint:<factor>|conservative:<share>"
     )
-
-
-def parse_profile(profile, context_len: int) -> tuple[str, Context | None]:
-    """'min', 'declared:<comma-separated +-1 levels>' or a sequence of levels
-    -> (policy, context). Declared levels are context_len integers, each -1
-    or +1; a boolean is no level."""
-    if isinstance(profile, str):
-        s = profile.strip()
-        if s == "min":
-            return "min", None
-        if not (s.startswith("declared:") or s == "declared"):
-            raise InvalidInputError(f"unknown profile policy {profile!r}; expected min or declared:<levels>")
-        try:
-            levels = [int(t) for t in s[len("declared:"):].split(",") if t.strip()]
-        except ValueError:
-            raise InvalidInputError(f"bad declared profile {profile!r}") from None
-    else:
-        try:
-            levels = list(profile)
-        except TypeError:
-            levels = [None]  # refused below
-    integers = all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in levels)
-    if not integers or len(levels) != context_len or any(v not in (-1, 1) for v in levels):
-        raise InvalidInputError(f"declared profile {profile!r} must list {context_len} levels in -1/+1")
-    return "declared", tuple(map(int, levels))
 
 
 def parse_request(K: int, method: str, profile) -> tuple[str, tuple, str, Context | None]:
@@ -537,15 +512,16 @@ def imbens_manski_ci(est: BoundsEstimate, alpha: float = 0.05) -> ConfidenceInte
 @dataclass(frozen=True)
 class WaldEstimate:
     factor: int
-    point: float
-    se: float
+    point: float | None
+    se: float | None
     label: str = "requires strong treatment exclusion"
 
     to_dict = record_to_dict
 
 
 def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
-    """Ratio of the marginal outcome ITT to the marginal uptake ITT."""
+    """Ratio of the marginal outcome ITT to the marginal uptake ITT, a reference only: where the
+    uptake ITT is zero the ratio is undefined, and point and se are None rather than an error."""
     dsg.validate_factor(data.design, k)
     g = dsg.main_effect_contrast(data.design, k).signs
     num, den = np.zeros((data.design.J, 2)), np.zeros((data.design.J, 2))
@@ -555,6 +531,6 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     mvec = means[0, :, :2].ravel()
     num, den = float(func.numerator(mvec)), float(func.denominator(mvec))
     if den == 0.0:
-        raise WeakFirstStageError(f"factor {k}: marginal uptake ITT is zero")
+        return WaldEstimate(factor=k, point=None, se=None)
     se = float(_se_from_gradient(func.gradient_from(num, den), cov[0, :, :2, :2]))
     return WaldEstimate(factor=k, point=num / den, se=se)

@@ -24,8 +24,11 @@ The main-effect interval families:
                 symmetric half-width (sum of nu(c) - nu(tilde)) / (m nu(tilde))
 
 Interaction variants reuse the exclusion machinery with an interaction
-contrast; the joint variant bounds the two-factor effect among units
-complying with both factors everywhere. The conservative variant replaces
+contrast (exclusion_bounds is interaction_bounds at the set (k,)); the
+joint variant bounds the two-factor effect among units complying with
+both factors everywhere. Every true effect is interaction_effect(pop,
+factors, *ks), the contrast of factors among the units complying with
+every factor of ks everywhere. The conservative variant replaces
 nu(tilde) with a declared floor t and widens monotonically as t shrinks.
 
 Each formula is written for a stack of R populations: it runs its checks
@@ -35,7 +38,7 @@ block's answer is its plain call's bit for bit, by the rules of estimate's
 module docstring; formula(pop, ..., R=R) answers per block with the value
 or the error, and the plain call is the one-block case. A profile tilde
 is "min" (each block's first least-compliant context), "declared:<levels>"
-or a context, refused as estimate_bounds refuses it (estimate.parse_profile).
+or a context, refused as estimate_bounds refuses it (design.parse_profile).
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ import numpy as np
 
 from . import design as dsg
 from . import population as popmod
-from .design import Context, FactorialDesign, _blockwise, _memoized, _merge
-from .estimate import _stacked_dot, check_share_floor, parse_method, parse_profile, parse_request, record_to_dict
+from .design import Context, FactorialDesign, _blockwise, _memoized, _merge, parse_profile
+from .estimate import _stacked_dot, check_share_floor, parse_method, parse_request, record_to_dict
 from .errors import (
     InvalidFactorError,
     InvalidShareError,
@@ -160,47 +163,38 @@ def _masked_arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
     arm_means does, so where every unit of a block complies its row is arm_means' bit for bit."""
     n = pop.N // R
     y = pop.outcome.T.reshape(-1, R, n)
-    mask = np.logical_and.reduce([popmod.constant_compliers(pop, k) for k in ks]).reshape(R, n)
+    mask = popmod.constant_compliers(pop, *ks).reshape(R, n)
     means = np.full((R, pop.design.J), np.nan)
     for r in np.flatnonzero(mask.any(axis=1)).tolist():
         means[r] = y[:, r].compress(mask[r], axis=1).mean(axis=1)
     return means
 
 
-def _contrast_among(pop: Population, R: int, contrast, *ks: int) -> list[float]:
-    """Per block g^T Ybar over its units complying with every factor of ks at every context,
-    per context (divided by 2^{K-1}); NaN for a block without such units."""
-    g, means, m = contrast.signs.astype(np.float64), _masked_arm_means(pop, R, *ks), 1 << (pop.design.K - 1)
-    return (_stacked_dot(g, means) / m).tolist()
-
-
 @_blockwise
-def main_effect(pop: Population, k: int, *, R: int, failed: list):
-    """Average over contexts of the constant-complier outcome contrast."""
-    _merge(failed, popmod.require(pop, "first_stage", k, R=R))
-    return _contrast_among(pop, R, dsg.main_effect_contrast(pop.design, k), k)
+def interaction_effect(pop: Population, factors, *ks: int, R: int, failed: list):
+    """Per block g^T Ybar of the contrast of factors over the units complying with every factor of ks (one
+    of the set, or a pair) at every context, per context (over 2^{K-1}); NaN for a block without such units."""
+    fs = tuple(sorted(set(factors))) if len(ks) == 1 else factors  # a pair's contrast keyed as the caller gave it
+    if len(ks) == 1 and ks[0] not in fs:
+        raise InvalidFactorError(f"anchor factor {ks[0]} must belong to the interaction set {fs!r}")
+    _merge(failed, popmod.require(pop, "first_stage" if len(ks) == 1 else "joint_first_stage", *ks, R=R))
+    g, means = dsg.interaction_contrast(pop.design, fs).signs.astype(np.float64), _masked_arm_means(pop, R, *ks)
+    return (_stacked_dot(g, means) / (1 << (pop.design.K - 1))).tolist()
 
 
-@_blockwise
-def interaction_effect(pop: Population, factors, k: int, *, R: int, failed: list):
-    """Interaction contrast among constant compliers of factor k."""
-    fs = tuple(sorted(set(factors)))
-    if k not in fs:
-        raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
-    _merge(failed, popmod.require(pop, "first_stage", k, R=R))
-    return _contrast_among(pop, R, dsg.interaction_contrast(pop.design, fs), k)
+def main_effect(pop: Population, k: int, *, R: int | None = None):
+    """Average over contexts of the constant-complier outcome contrast: the one-factor interaction effect."""
+    return interaction_effect(pop, (k,), k, R=R)
 
 
-@_blockwise
-def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int, failed: list):
+def joint_interaction_effect(pop: Population, k: int, k2: int, *, R: int | None = None):
     """Two-factor interaction among units complying with both everywhere."""
-    _merge(failed, popmod.require(pop, "joint_first_stage", k, k2, R=R))
-    return _contrast_among(pop, R, dsg.interaction_contrast(pop.design, (k, k2)), k, k2)
+    return interaction_effect(pop, (k, k2), k, k2, R=R)
 
 
 def _resolve_tilde(pop: Population, R: int, failed: list, tilde, checks, *ks: int):
     """(R,) first stage of each block at its profile of ks, one factor or a
-    pair: tilde (read by estimate.parse_profile), or for "min" the block's
+    pair: tilde (read by design.parse_profile), or for "min" the block's
     first least-compliant context (that check run first). The checks,
     (token, *factors) tuples, run before a declared profile's own check, in
     order; a block whose first stage at its profile is not positive fails.
@@ -286,19 +280,11 @@ def _exclusion_interval(pop: Population, R: int, k: int, contrast, t: np.ndarray
 
 
 @_blockwise
-def exclusion_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, failed: list):
-    """Symmetric main-effect bounds under uptake-exclusion for noncompliers."""
-    checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]
-    nu_tilde = _resolve_tilde(pop, R, failed, tilde, checks, k)
-    return _exclusion_interval(pop, R, k, dsg.main_effect_contrast(pop.design, k), nu_tilde)
-
-
-@_blockwise
 def interaction_bounds(pop: Population, factors, k: int, tilde: Context | str, *, R: int, failed: list):
-    """Bounds for an interaction contrast among factor-k constant compliers.
+    """Bounds for the contrast of a factor set among factor-k constant compliers.
 
-    Same assumptions and half-width as the factor-k exclusion bounds; only
-    the numerator contrast changes.
+    Same assumptions and half-width as the factor-k exclusion bounds, which
+    are these bounds at the set (k,); only the numerator contrast changes.
     """
     fs = tuple(sorted(set(factors)))
     if k not in fs:
@@ -306,6 +292,11 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context | str, *
     checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]
     nu_tilde = _resolve_tilde(pop, R, failed, tilde, checks, k)
     return _exclusion_interval(pop, R, k, dsg.interaction_contrast(pop.design, fs), nu_tilde)
+
+
+def exclusion_bounds(pop: Population, k: int, tilde: Context | str, *, R: int | None = None):
+    """Symmetric main-effect bounds under uptake-exclusion for noncompliers: the one-factor interaction bounds."""
+    return interaction_bounds(pop, (k,), k, tilde, R=R)
 
 
 @_blockwise
@@ -348,12 +339,11 @@ def conservative_bounds(pop: Population, k: int, t: float, *, R: int, failed: li
 
 
 def method_truth(pop: Population, k: int, method: str, *, R: int | None = None):
-    """The true effect a method's interval bounds, asked of its effect question (main_effect for the main methods)."""
+    """The true effect a method's interval bounds: one interaction_effect call, its factor set among its compliers."""
     kind, args = parse_method(method)
-    # the effects are looked up per call, so a wrapper installed on a module attribute sees the call
-    if kind == "joint":
-        return joint_interaction_effect(pop, k, *args, R=R)
-    return interaction_effect(pop, args, k, R=R) if kind == "interaction" else main_effect(pop, k, R=R)
+    ks = (k, *args) if kind == "joint" else (k,)
+    # the effect is looked up per call, so a wrapper installed on a module attribute sees the call
+    return interaction_effect(pop, args if kind == "interaction" else ks, *ks, R=R)
 
 
 @_blockwise
@@ -371,11 +361,10 @@ def method_interval(pop: Population, k: int, method: str, profile="min", *, R: i
         ivs, policy, ctx = conservative_bounds(pop, k, *args, R=R), None, None
     elif kind == "joint":
         ivs = joint_bounds(pop, k, *args, tilde, R=R)
-    elif kind == "interaction":
-        ivs = interaction_bounds(pop, args, k, tilde, R=R)
+    elif kind in ("interaction", "exclusion"):  # exclusion bounds are the one-factor interaction bounds
+        ivs = interaction_bounds(pop, args if kind == "interaction" else (k,), k, tilde, R=R)
     else:
-        main = {"adjusted": adjusted_bounds, "simple": simple_bounds, "exclusion": exclusion_bounds}[kind]
-        ivs = main(pop, k, tilde, R=R)
+        ivs = (adjusted_bounds if kind == "adjusted" else simple_bounds)(pop, k, tilde, R=R)
     ivs, ctxs = _merge(failed, ivs), [ctx] * R
     if policy == "min":  # each open block's first least-compliant context, which its formula checked
         ks = (k, *args) if kind == "joint" else (k,)

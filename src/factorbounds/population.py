@@ -173,7 +173,7 @@ def arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
     """(R, J) arm means of each of pop's R equal unit blocks: of the outcome
     without ks, of the uptake product over factors ks with them."""
     n = pop.N // R
-    if not ks:  # pairwise sums along each arm's units; C order, so g @ row rounds as on _contrast_among's means
+    if not ks:  # pairwise sums along each arm's units; C order, so g @ row rounds as on interaction_effect's means
         return np.ascontiguousarray(pop.outcome.T.reshape(-1, R, n).mean(axis=2).T)
     for k in ks:
         dsg.validate_factor(pop.design, k)
@@ -198,9 +198,10 @@ def classify(pop: Population, k: int) -> np.ndarray:
 
 
 @_memoized
-def constant_compliers(pop: Population, k: int) -> np.ndarray:
-    """(N,) mask of the units complying with factor k at every context."""
-    return (classify(pop, k) == COMPLIER).all(axis=0)
+def constant_compliers(pop: Population, *ks: int) -> np.ndarray:
+    """(N,) mask of the units complying with every factor of ks (one factor or a pair) at every context."""
+    dsg.validate_factor_set(pop.design, ks)
+    return np.logical_and.reduce([(classify(pop, k) == COMPLIER).all(axis=0) for k in ks])
 
 
 def _per_block(mask: np.ndarray, R: int, found) -> list:
@@ -298,9 +299,7 @@ def check_outcome_exclusion(pop: Population, k: int, *, R: int, failed: list) ->
 @_blockwise
 def constant_complier_count(pop: Population, *ks: int, R: int, failed: list) -> list[int]:
     """Units complying with every factor of ks (one factor or a pair) at every context."""
-    dsg.validate_factor_set(pop.design, ks)
-    mask = np.logical_and.reduce([constant_compliers(pop, k) for k in ks])
-    return mask.reshape(R, -1).sum(axis=1).tolist()
+    return constant_compliers(pop, *ks).reshape(R, -1).sum(axis=1).tolist()
 
 
 # Every assumption a bound rests on, by token: the factor count and memoized check that test it, the rule a check
@@ -344,7 +343,9 @@ def require(pop: Population, token: str, *ks: int, R: int, failed: list) -> list
 
 @_blockwise
 def require_least_compliant(pop: Population, tilde: Context, *ks: int, R: int, failed: list) -> list:
-    """Refuse a declared profile tilde that is not a least-compliant context of ks, one factor or a pair."""
+    """Refuse a declared profile tilde, read by design.parse_profile, that is not a least-compliant
+    context of ks, one factor or a pair."""
+    _, tilde = dsg.parse_profile(tilde, pop.design.K - len(ks))
     joint = "joint " if len(ks) == 2 else ""
     for r, valid in enumerate(_merge(failed, check_least_compliant_profile(pop, *ks, R=R))):
         if failed[r] is None and tilde not in valid:
@@ -374,9 +375,11 @@ class GroupShares:
     rho_never: dict[Context, float]
 
 
-def group_shares(pop: Population, k: int, tilde: Context) -> GroupShares:
-    """Exact compliance-group shares, anchored at a validated profile."""
+def group_shares(pop: Population, k: int, tilde: Context | str) -> GroupShares:
+    """Exact compliance-group shares, anchored at a validated profile read as the formulas read it, "min" too."""
+    _, tilde = dsg.parse_profile(tilde, pop.design.K - 1)  # a malformed profile is refused before any check
     require(pop, "monotone", k)
+    tilde = require(pop, "profile", k)[0] if tilde is None else tilde
     require_least_compliant(pop, tilde, k)
     types, constant = classify(pop, k), constant_compliers(pop, k)
     complier = types == COMPLIER

@@ -162,6 +162,51 @@ def test_analyze_weak_first_stage_exit_code(capsys, tmp_path):
     assert rc == 3 and "WeakFirstStageError" in err
 
 
+@pytest.mark.parametrize(
+    "options, header_only, message",
+    [
+        (["--profile", "declared:x"], False, "bad declared profile 'declared:x'"),
+        (["--rescale", "a,b"], False, "--rescale wants numeric 'min,max', got 'a,b'"),
+        ([], True, "{path}: no data rows"),
+    ],
+    ids=["declared-x", "rescale-a-b", "header-only"],
+)
+def test_analyze_input_errors_exit_2_with_their_message(capsys, tmp_path, options, header_only, message):
+    path = DATA / "p4_census.csv"
+    if header_only:
+        path = tmp_path / "header.csv"
+        path.write_text("z1,z2,d1,d2,y\n")
+    rc, out, err = run(capsys, ["analyze", str(path), *options])
+    assert (rc, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+def test_analyze_reports_an_undefined_wald_reference_as_null(capsys, tmp_path):
+    # two rows per arm; d1 is -1, +1, +1, -1 over arms (-,-), (+,-), (-,+), (+,+), so factor 1's marginal
+    # uptake ITT is zero while its first stage at the declared profile (-1,) is 1; d2 follows z2
+    path = tmp_path / "wald_zero.csv"
+    rows = [(z1, z2, d1, z2, y) for (z1, z2, d1), ys in zip(
+        [(-1, -1, -1), (1, -1, 1), (-1, 1, 1), (1, 1, -1)], [(0.2, 0.4), (0.5, 0.9), (0.3, 0.6), (0.1, 0.7)]
+    ) for y in ys]
+    path.write_text("z1,z2,d1,d2,y\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    report_path = tmp_path / "report.json"
+    argv = ["analyze", str(path), "--profile", "declared:-1", "--method", "simple", "--out", str(report_path)]
+    rc, table, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    report = json.loads(report_path.read_text())
+    assert [e["factor"] for e in report["estimates"]] == [1, 2]
+    assert report["wald"][0] == {
+        "factor": 1, "label": "requires strong treatment exclusion", "point": None, "se": None
+    }
+    assert report["wald"][1]["point"] is not None and report["wald"][1]["se"] is not None
+    wald_1 = [line for line in table.splitlines() if "wald (reference)" in line][0]
+    assert wald_1.split() == ["1", "wald", "(reference)", "-", "(requires", "strong", "treatment", "exclusion)", "-"]
+    rc, out, _ = run(capsys, ["plotdata", str(report_path)])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows[1:]] == ["report/factor1:simple", "report/factor2:simple"]
+    assert rows[1][-1] == "" and rows[2][-1] != ""  # no reference point for factor 1
+
+
 # ------------------------------------------------------------------ oracle
 
 
@@ -293,6 +338,32 @@ def test_oracle_malformed_population_exits_2(capsys, tmp_path, p4_json, change):
     assert out == ""
     name, value = next(iter(change.items()))
     assert err.startswith(f"error: {name} must be an integer, got {value!r}")
+
+
+P4_PAYLOAD = json.loads((DATA / "p4_population.json").read_text())
+MALFORMED_POPULATIONS = {  # a payload and the message loading it must give
+    "not-an-object": ([1, 2], "population payload must be a JSON object"),
+    "missing-field": (
+        {k: v for k, v in P4_PAYLOAD.items() if k != "outcome"}, "population payload missing field 'outcome'"
+    ),
+    "2d-uptake": ({**P4_PAYLOAD, "uptake": [[1, 1]] * 4}, "uptake must be N x J x K, got shape (4, 2)"),
+    "N-unequal": ({**P4_PAYLOAD, "N": 5}, "declared N=5 but uptake has 4 units"),
+    "inner-shape": ({**P4_PAYLOAD, "uptake": [[[1, 1, 1]] * 4] * 4}, "uptake shape (4, 4, 3) does not match (N, 4, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_POPULATIONS)
+def test_oracle_population_file_errors_exit_2_with_their_message(capsys, tmp_path, name):
+    payload, message = MALFORMED_POPULATIONS[name]
+    path = tmp_path / "population.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, ["oracle", str(path)]) == (2, "", f"error: {message}\n")
+
+
+def test_oracle_missing_population_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    message = f"cannot read population file {path}: [Errno 2] No such file or directory: {str(path)!r}"
+    assert run(capsys, ["oracle", str(path)]) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------- simulate
@@ -560,6 +631,76 @@ def test_simulate_rejects_bad_target_at_load(capsys, tmp_path, monkeypatch, targ
     rc, out, err = run(capsys, ["simulate", str(path), "-R", "3"])
     assert rc == 2
     assert out == "" and err.startswith("error: ")
+
+
+K1 = {**WELL_SEPARATED, "K": 1, "factors": [F1], "require": ["monotone:1"]}
+K1["outcome"] = {**WELL_SEPARATED["outcome"], "beta": [[0.2, 0.4]]}
+# (scenario, FB_SEED, exit code, the error line)
+SIMULATE_ERRORS = {
+    "FB_SEED-negative": (WELL_SEPARATED, "-1", 2, "FB_SEED must be nonnegative"),
+    "depends_on-unsorted": (
+        {**WELL_SEPARATED, "factors": [dict(F0, depends_on=[2, 1], worst=[-1, -1]), F1]}, None, 2,
+        "factors[0]: depends_on must be sorted and duplicate-free",
+    ),
+    "worst-length": (
+        {**WELL_SEPARATED, "factors": [dict(F0, worst=[-1, 1]), F1]}, None, 2,
+        "factors[0]: worst pattern must give one -1/+1 level per depends_on factor",
+    ),
+    "depends_on-itself": (
+        {**WELL_SEPARATED, "factors": [dict(F0, depends_on=[1]), F1]}, None, 2,
+        "factor 1: depends_on entry 1 must name a different factor in 1..2",
+    ),
+    "beta-length": (
+        {**WELL_SEPARATED, "outcome": {**WELL_SEPARATED["outcome"], "beta": [[0.2, 0.4]]}}, None, 2,
+        "outcome beta needs one range per factor",
+    ),
+    "arm_sizes-length": ({**WELL_SEPARATED, "arm_sizes": [500, 500, 1000]}, None, 2, "3 arm sizes for J=4"),
+    "token-monotone-x": (
+        {**WELL_SEPARATED, "require": ["monotone:x"]}, None, 2, "bad factor list in token 'monotone:x'"
+    ),
+    "violate-exclusion-K1": (
+        {**K1, "violate": ["exclusion:1"]}, None, 3, "GenerationError: exclusion:1: needs a second factor"
+    ),
+    "violate-profile-K1": (
+        {**K1, "violate": ["profile:1"]}, None, 3,
+        "GenerationError: profile:1: needs K >= 2 and N >= 2 (no second context or unit)",
+    ),
+    "violate-joint_profile-K2": (
+        {**WELL_SEPARATED, "violate": ["joint_profile:1,2"]}, None, 3,
+        "GenerationError: joint_profile:1,2: needs a third factor to vary the joint profile",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SIMULATE_ERRORS)
+def test_simulate_errors_exit_with_their_code_and_message(capsys, tmp_path, monkeypatch, name):
+    scenario, seed, code, message = SIMULATE_ERRORS[name]
+    if seed is not None:
+        monkeypatch.setenv("FB_SEED", seed)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert run(capsys, ["simulate", str(path), "-R", "2"]) == (code, "", f"error: {message}\n")
+
+
+def test_simulate_summary_counts_the_failed_replications(capsys, tmp_path):
+    # factor 1's rare constant compliers leave most small-N estimates without a positive first stage
+    scenario = {
+        "K": 2,
+        "N": 24,
+        "seed": 1,
+        "factors": [
+            {"always": 0.0, "complier": 0.1, "depends_on": [2], "upgrade": 0.5, "worst": [-1]},
+            {"always": 0.1, "complier": 0.6},
+        ],
+        "require": ["monotone:1", "profile:1", "first_stage:1"],
+        "targets": [{"factor": 1, "method": "simple"}],
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    rc, out, err = run(capsys, ["simulate", str(path), "-R", "8"])
+    target = json.loads(out)["targets"][0]
+    assert rc == 0 and target["failures"] == {"WeakFirstStageError": 6}
+    assert err.splitlines()[1:] == ["factor1:simple[min]: 6 replication(s) failed with WeakFirstStageError"]
 
 
 # ---------------------------------------------------------------- plotdata

@@ -38,7 +38,7 @@ from factorbounds.oracle import (
     method_truth,
     simple_bounds,
 )
-from factorbounds.population import Population, check_least_compliant_profile
+from factorbounds.population import Population, check_least_compliant_profile, group_shares
 from factorbounds.simulate import (
     FactorSpec,
     ScenarioConfig,
@@ -167,7 +167,8 @@ def _formulas(pop):
 def test_formulas_refuse_a_malformed_profile_as_the_estimator_does(p4, bad):
     # the joint formula reads K-2 = 0 levels, so each of these is malformed there too
     data = census_dataset(p4)
-    for method, formula in _formulas(p4).items():
+    shares = ("exclusion", lambda tilde: group_shares(p4, 1, tilde))  # read as the one-factor estimator reads it
+    for method, formula in [*_formulas(p4).items(), shares]:
         with pytest.raises(InvalidInputError) as want:
             estimate_bounds(data, 1, method, profile=bad)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(str(want.value))}$"):
@@ -175,11 +176,12 @@ def test_formulas_refuse_a_malformed_profile_as_the_estimator_does(p4, bad):
 
 
 def test_formulas_read_a_declared_profile_in_every_spelling(p4):
-    for method, formula in _formulas(p4).items():
+    for method, formula in [*_formulas(p4).items(), ("shares", lambda tilde: group_shares(p4, 1, tilde))]:
         if method != "joint:2":  # p4's pair breaks cross exclusion
             want = formula((-1,))
             for spelling in ("declared:-1", " declared:-1 ", [-1], np.array([-1]), (np.int64(-1),)):
                 assert formula(spelling) == want, (method, spelling)
+    assert group_shares(p4, 1, "min") == group_shares(p4, 1, (-1,))  # (-1,) is factor 1's one least-compliant context
 
 
 @pytest.mark.parametrize("t", ["0.3", True, None, 1j, float("nan"), float("inf"), -0.5], ids=repr)
@@ -665,8 +667,7 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
         targets=targets,
     )
     calls, reached = [], set()
-    names = ("main_effect", "interaction_effect", "joint_interaction_effect", "adjusted_bounds", "simple_bounds")
-    names += ("exclusion_bounds", "interaction_bounds", "joint_bounds")
+    names = ("interaction_effect", "adjusted_bounds", "simple_bounds", "interaction_bounds", "joint_bounds")
     for name in names:
         formula = getattr(oracle, name)
         compute = lambda *a, _f=formula.__wrapped__, _n=name, **kw: calls.append((_n, kw["R"])) or _f(*a, **kw)
@@ -676,9 +677,9 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
     assert all(t.n_ok == 120 for t in report.targets)
     assert reached == set(names)
     assert sorted(calls) == sorted(
-        [("main_effect", 1), ("main_effect", 1), ("interaction_effect", 1), ("joint_interaction_effect", 1)]
+        [("interaction_effect", 1)] * 4  # main effects of factors 1 and 2, interaction:1+2, joint:2
         + [("adjusted_bounds", 1)]
-        + [("simple_bounds", 1), ("exclusion_bounds", 1), ("exclusion_bounds", 1)]
+        + [("simple_bounds", 1), ("interaction_bounds", 1), ("interaction_bounds", 1)]  # both exclusion targets
         + [("interaction_bounds", 1), ("joint_bounds", 1)]
     )
 
@@ -689,8 +690,8 @@ def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode
 ORACLE_MEMOIZED = [
     (oracle._nu_arrays, (1,)),
     (arm_uptake_means, (1, 2)),
-    (oracle.main_effect, (1,)),
-    (oracle.joint_interaction_effect, (1, 2)),
+    (oracle.interaction_effect, ((1,), 1)),
+    (oracle.interaction_effect, ((1, 2), 1, 2)),
     (method_interval, (1, "exclusion")),
     (method_interval, (2, "interaction:1+2", "min")),
 ]
@@ -707,6 +708,34 @@ def test_oracle_memo_computes_once_per_population_and_arguments(monkeypatch, fn,
     assert calls == [args]
     fn(fixture_p4(), *args)
     assert calls == [args, args]
+
+
+FOLDED = {  # a folded name, the question it asks, and calls that must read that question's one entry
+    "main_effect": ("interaction_effect", ((1,), 1), [
+        lambda pop: main_effect(pop, 1), lambda pop: main_effect(pop, 1, R=1)[0],
+        lambda pop: method_truth(pop, 1, "adjusted"), lambda pop: method_truth(pop, 1, "exclusion"),
+    ]),
+    "joint_interaction_effect": ("interaction_effect", ((1, 2), 1, 2), [
+        lambda pop: joint_interaction_effect(pop, 1, 2), lambda pop: method_truth(pop, 1, "joint:2"),
+    ]),
+    "exclusion_bounds": ("interaction_bounds", ((1,), 1, "min"), [
+        lambda pop: exclusion_bounds(pop, 1, "min"), lambda pop: exclusion_bounds(pop, 1, "min", R=1)[0],
+    ]),
+}
+
+
+@pytest.mark.parametrize("folded", FOLDED)
+def test_folded_names_compute_nothing_of_their_own(monkeypatch, folded):
+    # main_effect, joint_interaction_effect and exclusion_bounds (and method_truth) are one call of the
+    # question they fold into: after that question, they compute nothing and add no memo entry
+    name, args, calls_of_it = FOLDED[folded]
+    calls = count_computations(monkeypatch, getattr(oracle, name))
+    pop = fixture_p4()
+    want = getattr(oracle, name)(pop, *args)
+    entries = len(pop._memo)
+    for call in calls_of_it:
+        assert call(pop) == want
+    assert calls == [args] and len(pop._memo) == entries
 
 
 def test_effects_of_one_factor_share_its_masked_arm_means(monkeypatch):

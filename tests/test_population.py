@@ -399,10 +399,10 @@ def test_a_stored_answer_is_looked_up_first_and_a_refused_R_is_never_kept(monkey
 
 def test_a_plain_call_reads_the_answer_an_R_1_call_kept(monkeypatch):
     p4 = fixture_p4()
-    calls = count_computations(monkeypatch, oracle.main_effect)
-    [value] = oracle.main_effect(p4, 1, R=1)
-    assert oracle.main_effect(p4, 1) == value
-    assert calls == [(1,)]  # the plain call computed nothing
+    calls = count_computations(monkeypatch, oracle.interaction_effect)
+    [value] = oracle.interaction_effect(p4, (1,), 1, R=1)
+    assert oracle.interaction_effect(p4, (1,), 1) == value
+    assert calls == [((1,), 1)]  # the plain call computed nothing
     # an error the R=1 call kept is the plain call's: raised, not recomputed
     calls = count_computations(monkeypatch, oracle.adjusted_bounds)
     [error] = oracle.adjusted_bounds(p4, 1, (1,), R=1)

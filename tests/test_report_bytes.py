@@ -1,5 +1,6 @@
 import importlib.util
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -174,3 +175,15 @@ def test_main_ends_with_the_field_table_only_when_a_command_differs(monkeypatch,
     ]
     assert report_bytes.main(["--parent", str(parent), "--change", str(parent)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "every output is identical"
+
+
+def test_compared_commands_read_declared_profiles():
+    # the oracle at a refused and an accepted declared profile, and analyze at the accepted one
+    commands = report_bytes.commands(defaultdict(lambda: Path("generated.json")))
+    declared = [cmd for cmd in commands if "--profile" in cmd]
+    methods = "adjusted,simple,exclusion,interaction:1+2,conservative:0.25"
+    assert declared == [
+        ["oracle", "data/p4_population.json", "--profile", "declared:1", "--method", methods],
+        ["oracle", "data/p4_population.json", "--profile", "declared:-1", "--method", methods],
+        ["analyze", "data/p4_census.csv", "--profile", "declared:-1"],
+    ]

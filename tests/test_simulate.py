@@ -1029,7 +1029,7 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     assert config.population_mode == "clone"
     assert [(t.factor, t.method) for t in config.targets] == [(1, "exclusion"), (1, "adjusted")]
     calls, reached = [], set()
-    names = ("main_effect", "exclusion_bounds", "adjusted_bounds")
+    names = ("interaction_effect", "interaction_bounds", "adjusted_bounds")
     for name in names:
         formula = getattr(oracle, name)
         compute = lambda *a, _f=formula.__wrapped__, _n=name, **kw: calls.append(_n) or _f(*a, **kw)
@@ -1038,7 +1038,7 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     report = monte_carlo(config, R=5)
     assert all(t.n_ok == 5 and t.n_oracle == 5 for t in report.targets)
     assert reached == set(names)
-    assert sorted(calls) == ["adjusted_bounds", "exclusion_bounds", "main_effect"]
+    assert sorted(calls) == ["adjusted_bounds", "interaction_bounds", "interaction_effect"]
 
 
 def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
