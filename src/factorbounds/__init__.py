@@ -1,7 +1,6 @@
 """Partial-identification bounds for complier effects in 2^K factorial designs."""
 
 from .design import (
-    ContrastVector,
     FactorialDesign,
     enumerate_assignments,
     interaction_contrast,

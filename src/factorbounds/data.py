@@ -20,7 +20,7 @@ from .errors import InvalidInputError
 from .population import frozen, read_only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedDataset(_MemoOwner):
     """One row per unit: realized arm, uptake vector, outcome.
 

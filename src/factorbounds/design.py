@@ -5,11 +5,11 @@ factor 1 on the fastest-varying bit: assignment j (0-based) has factor k
 at +1 exactly when bit k-1 of j is set. For K=2 the order is
 (-1,-1), (+1,-1), (-1,+1), (+1,+1).
 
-Contrast vectors are length-J sign vectors. The main-effect contrast for
-factor k carries the level of factor k in each assignment; an interaction
-contrast is the entrywise product of the main-effect contrasts of its
-factor set. Any two distinct contrasts are orthogonal, and every contrast
-has exactly J/2 entries of each sign.
+Contrast vectors are (J,) float64 arrays of -1 and +1. The main-effect
+contrast for factor k carries the level of factor k in each assignment; an
+interaction contrast is the entrywise product of the main-effect contrasts
+of its factor set. Any two distinct contrasts are orthogonal, and every
+contrast has exactly J/2 entries of each sign.
 """
 
 from __future__ import annotations
@@ -161,24 +161,6 @@ class FactorialDesign(_MemoOwner):
         return j
 
 
-@dataclass(frozen=True)
-class ContrastVector:
-    """Signs over the J arms for one factorial effect."""
-
-    factors: tuple[int, ...]
-    signs: np.ndarray  # (J,) int8
-
-    def __post_init__(self) -> None:
-        self.signs.setflags(write=False)
-        total = int(self.signs.size)
-        plus = int(np.sum(self.signs == 1))
-        minus = int(np.sum(self.signs == -1))
-        if plus != minus or plus + minus != total:
-            raise InvalidDesignError(
-                f"contrast for factors {self.factors} is unbalanced: {plus} plus, {minus} minus of {total}"
-            )
-
-
 _DESIGNS: dict[int, FactorialDesign] = {}  # one design per K, so its memo serves every caller
 
 
@@ -206,13 +188,13 @@ def validate_factor(design: FactorialDesign, k: int) -> None:
         raise InvalidFactorError(f"factor {k!r} outside 1..{design.K}")
 
 
-def main_effect_contrast(design: FactorialDesign, k: int) -> ContrastVector:
+def main_effect_contrast(design: FactorialDesign, k: int) -> np.ndarray:
     return interaction_contrast(design, (k,))
 
 
 @_memoized
-def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
-    """Entrywise product of main-effect contrasts over a factor set, kept on the design's memo."""
+def interaction_contrast(design: FactorialDesign, factors) -> np.ndarray:
+    """The read-only (J,) float64 contrast of a factor set, its main-effect contrasts' product, on the design's memo."""
     fs = tuple(factors)
     if len(fs) == 0:
         raise InvalidFactorError("interaction needs at least one factor")
@@ -220,11 +202,11 @@ def interaction_contrast(design: FactorialDesign, factors) -> ContrastVector:
         validate_factor(design, k)
     if len(set(fs)) != len(fs):
         raise InvalidFactorError(f"duplicate factors in {fs!r}")
-    fs = tuple(sorted(fs))
-    signs = np.ones(design.J, dtype=np.int8)
-    for k in fs:
-        signs = (signs * design.levels[:, k - 1]).astype(np.int8)
-    return ContrastVector(factors=fs, signs=signs)
+    g = np.ones(design.J)
+    for k in sorted(fs):
+        g *= design.levels[:, k - 1]
+    g.setflags(write=False)  # also when a list or an iterator leaves it uncached
+    return g
 
 
 @lru_cache(maxsize=None)

@@ -165,7 +165,7 @@ def _stacked_dot(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m[..., None, :] @ a[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFractional:
     """f(m) = (a.m + a0) / (b.m + b0) over the stacked arm-moment vector;
     m is one (n,) vector or an (R, n) stack of them, one value per row.
@@ -228,8 +228,7 @@ def _arm_moments(data: ObservedDataset, k: int, k2: int | None, R: int) -> tuple
         )
     arm, y, dk = data.arm, data.outcome, data.uptake[:, k - 1]
     if k2 is None:
-        g = dsg.main_effect_contrast(data.design, k).signs
-        cols = [y.copy(), dk.astype(np.float64), y * (dk == -g[arm])]
+        cols = [y.copy(), dk.astype(np.float64), y * (dk == -data.design.levels[arm, k - 1])]
     else:
         cols = [y.copy(), (dk * data.uptake[:, k2 - 1]).astype(np.float64)]
 
@@ -294,10 +293,10 @@ def endpoint_functions(
     J, m = design.J, design.J // 2
     p = 3 if kind == "adjusted" else 2
     ks = (k, *extra) if kind == "joint" else (k,)
-    g = dsg.interaction_contrast(design, ks).signs
+    g = dsg.interaction_contrast(design, ks)
 
     num, den, b0 = np.zeros((J, p)), np.zeros((J, p)), 0.0
-    num[:, 0] = dsg.interaction_contrast(design, extra).signs if kind == "interaction" else g
+    num[:, 0] = dsg.interaction_contrast(design, extra) if kind == "interaction" else g
     if kind == "adjusted":
         num[:, 2] = -g
     if t_value is not None:
@@ -523,7 +522,7 @@ def wald_reference(data: ObservedDataset, k: int) -> WaldEstimate:
     """Ratio of the marginal outcome ITT to the marginal uptake ITT, a reference only: where the
     uptake ITT is zero the ratio is undefined, and point and se are None rather than an error."""
     dsg.validate_factor(data.design, k)
-    g = dsg.main_effect_contrast(data.design, k).signs
+    g = dsg.main_effect_contrast(data.design, k)
     num, den = np.zeros((data.design.J, 2)), np.zeros((data.design.J, 2))
     num[:, 0], den[:, 1] = 2.0 * g, g
     func = LinearFractional(num.ravel(), 0.0, den.ravel(), 0.0)

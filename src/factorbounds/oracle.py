@@ -11,7 +11,7 @@ Notation used throughout (for one factor k and its 2^{K-1} contexts):
     nu_minus(c) same under z_k = -1
     nu(c)       nu_plus(c) - nu_minus(c), the first-stage at context c
     tilde       a validated least-compliant context, nu(tilde) = rho_constant
-    Gamma       g^T Ybar for the relevant contrast vector g
+    Gamma       g^T Ybar for the relevant contrast g, a (J,) array of -1/+1
 
 The main-effect interval families:
 
@@ -174,11 +174,14 @@ def _masked_arm_means(pop: Population, R: int, *ks: int) -> np.ndarray:
 def interaction_effect(pop: Population, factors, *ks: int, R: int, failed: list):
     """Per block g^T Ybar of the contrast of factors over the units complying with every factor of ks (one
     of the set, or a pair) at every context, per context (over 2^{K-1}); NaN for a block without such units."""
-    fs = tuple(sorted(set(factors))) if len(ks) == 1 else factors  # a pair's contrast keyed as the caller gave it
+    fs = tuple(factors)
+    for f in fs:  # before the set, which would hash a list
+        dsg.validate_factor(pop.design, f)
+    fs = tuple(sorted(set(fs))) if len(ks) == 1 else fs  # a pair's contrast keyed in the caller's order
     if len(ks) == 1 and ks[0] not in fs:
         raise InvalidFactorError(f"anchor factor {ks[0]} must belong to the interaction set {fs!r}")
     _merge(failed, popmod.require(pop, "first_stage" if len(ks) == 1 else "joint_first_stage", *ks, R=R))
-    g, means = dsg.interaction_contrast(pop.design, fs).signs.astype(np.float64), _masked_arm_means(pop, R, *ks)
+    g, means = dsg.interaction_contrast(pop.design, fs), _masked_arm_means(pop, R, *ks)
     return (_stacked_dot(g, means) / (1 << (pop.design.K - 1))).tolist()
 
 
@@ -252,17 +255,16 @@ def adjusted_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, fa
     nu_t = _resolve_tilde(pop, R, failed, tilde, [("monotone", k)], k)
     contexts, nu_plus, nu_minus, nu = _nu_arrays(pop, k, R)
     m, ybar, (never, always) = len(contexts), popmod.arm_means(pop, R), _taker_terms(pop, k, R)
-    g = dsg.main_effect_contrast(pop.design, k).signs.astype(np.float64)
+    g = dsg.main_effect_contrast(pop.design, k)
     S, A, B = _row_sums(nu), _row_sums(nu_minus), _row_sums(1.0 - nu_plus)
     denom = m * nu_t
     center = (_stacked_dot(g, ybar) - never + always) / denom
     return _intervals(center, (S + A - m * nu_t) / denom, (S + B - m * nu_t) / denom)
 
 
-def _symmetric(pop: Population, R: int, contrast, t: np.ndarray, half: np.ndarray) -> list[Interval]:
-    """Per block the interval g^T Ybar / (m t) -+ half at its entry of the (R,) t and half, g the
-    contrast's signs, m = 2^{K-1}."""
-    g, m, ybar = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1), popmod.arm_means(pop, R)
+def _symmetric(pop: Population, R: int, g: np.ndarray, t: np.ndarray, half: np.ndarray) -> list[Interval]:
+    """Per block the interval g^T Ybar / (m t) -+ half at its entry of the (R,) t and half, m = 2^{K-1}."""
+    m, ybar = 1 << (pop.design.K - 1), popmod.arm_means(pop, R)
     return _intervals(_stacked_dot(g, ybar) / (m * t), half, half)
 
 
@@ -273,10 +275,10 @@ def simple_bounds(pop: Population, k: int, tilde: Context | str, *, R: int, fail
     return _symmetric(pop, R, dsg.main_effect_contrast(pop.design, k), t, (1.0 - t) / t)
 
 
-def _exclusion_interval(pop: Population, R: int, k: int, contrast, t: np.ndarray) -> list[Interval]:
+def _exclusion_interval(pop: Population, R: int, k: int, g: np.ndarray, t: np.ndarray) -> list[Interval]:
     """Per block the interval g^T Ybar / (m t) -+ (sum of nu(c) - m t) / (m t) at its entry of the (R,) t."""
     S, m = _row_sums(_nu_arrays(pop, k, R)[3]), 1 << (pop.design.K - 1)
-    return _symmetric(pop, R, contrast, t, (S - m * t) / (m * t))
+    return _symmetric(pop, R, g, t, (S - m * t) / (m * t))
 
 
 @_blockwise
@@ -286,7 +288,10 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context | str, *
     Same assumptions and half-width as the factor-k exclusion bounds, which
     are these bounds at the set (k,); only the numerator contrast changes.
     """
-    fs = tuple(sorted(set(factors)))
+    fs = tuple(factors)
+    for f in fs:  # before the set, which would hash a list
+        dsg.validate_factor(pop.design, f)
+    fs = tuple(sorted(set(fs)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]
@@ -311,9 +316,9 @@ def joint_bounds(pop: Population, k: int, k2: int, tilde_joint: Context | str, *
     checks = [("monotone", k), ("monotone", k2), ("exclusion", k), ("outcome_exclusion", k)]
     checks += [("exclusion", k2), ("outcome_exclusion", k2), ("cross_exclusion", k, k2)]
     t = _resolve_tilde(pop, R, failed, tilde_joint, checks, k, k2)
-    contrast, pbar = dsg.interaction_contrast(pop.design, (k, k2)), popmod.arm_means(pop, R, k, k2)
-    g, m = contrast.signs.astype(np.float64), 1 << (pop.design.K - 1)
-    return _symmetric(pop, R, contrast, t, (_stacked_dot(g, pbar) / (2 * m) - t) / t)
+    g, pbar = dsg.interaction_contrast(pop.design, (k, k2)), popmod.arm_means(pop, R, k, k2)
+    m = 1 << (pop.design.K - 1)
+    return _symmetric(pop, R, g, t, (_stacked_dot(g, pbar) / (2 * m) - t) / t)
 
 
 @_blockwise

@@ -114,7 +114,7 @@ def require_memory(N: int, K: int, clones: int = 0) -> None:
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Population(_MemoOwner):
     """Potential uptake and outcomes for N units over a 2^K design, stored read-only as the
     packed uptake pattern and the outcomes, finite and in [0, 1], both arm-major. The

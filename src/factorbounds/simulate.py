@@ -470,10 +470,10 @@ _CHUNK_CELLS = 1 << 16
 def _generate(config: ScenarioConfig, reps) -> Population:
     """The populations of replications reps, stacked as one population of
     len(reps) equal unit blocks. Replication rep draws attempt a from its
-    own substream [seed, 0, rep, attempt]; the require/violate tokens run
-    stacked on each attempt's chunk, whose memo keeps their values for the
-    oracle, and only the replications that missed draw again, up to 100
-    attempts. A chunk that needed a retry is stacked anew from its blocks."""
+    own substream [seed, 0, rep, attempt]; population.require answers the
+    require/violate tokens on each attempt's chunk, its memo keeping them
+    for the oracle, and only the replications that missed draw again, up to
+    100 attempts. A chunk that needed a retry is stacked anew from its blocks."""
     design = enumerate_assignments(config.K)
     found, todo, n = {}, list(reps), config.N
     for attempt in range(_RETRY_CAP):
@@ -482,10 +482,9 @@ def _generate(config: ScenarioConfig, reps) -> Population:
         (outcome,) = popmod.frozen(_draw_outcomes(config, design, pattern, rngs))
         stack = Population.from_pattern(design, pattern, outcome)
         misses = [[] for _ in todo]
-        for token, want, name, ks in config.toggles:
-            _, check, passes, *_ = popmod.ASSUMPTIONS[name]
-            for value, missed in zip(check(stack, *ks, R=len(todo)), misses):
-                if passes(value) != want:
+        for token, want, name, ks in config.toggles:  # a violate token wants its check refused
+            for answer, missed in zip(popmod.require(stack, name, *ks, R=len(todo)), misses):
+                if isinstance(answer, FactorBoundsError) == want:
                     missed.append(f"require {token}" if want else f"violate {token} (check still passes)")
         if attempt == 0 and not any(misses):
             return stack

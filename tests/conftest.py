@@ -73,7 +73,7 @@ def strip_factor(z, k):
 
 def wald_ratio(pop, k):
     """Population ratio of the marginal outcome ITT to the marginal uptake ITT."""
-    g = main_effect_contrast(pop.design, k).signs.astype(np.float64)
+    g = main_effect_contrast(pop.design, k)
     m = 1 << (pop.design.K - 1)
     itt_y = float(g @ arm_outcome_means(pop)) / m
     itt_d = float(g @ arm_uptake_means(pop, k)) / (2 * m)

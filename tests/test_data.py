@@ -282,3 +282,10 @@ def test_error_line_and_column_in_large_file(tmp_path):
     with pytest.raises(InvalidInputError) as err:
         load_csv(path)
     assert str(err.value) == "line 40000, column d2: 2 is not -1/+1"
+
+
+def test_a_dataset_compares_and_hashes_by_identity(p4):
+    data = census_dataset(p4)
+    assert data == data
+    assert data != census_dataset(p4)
+    assert {data: 1}[data] == 1

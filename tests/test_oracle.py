@@ -869,3 +869,19 @@ def test_memo_results_match_a_fresh_population_in_any_call_order(seed, K, constr
         k, k2 = min(k, K), min(k2, K)
         fresh = Population(design=pop.design, uptake=pop.uptake.copy(), outcome=pop.outcome.copy())
         assert _result(MEMO_CALLS[index], pop, k, k2) == _result(MEMO_CALLS[index], fresh, k, k2)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda pop: main_effect(pop, [1]),
+        lambda pop: exclusion_bounds(pop, [1], "min"),
+        lambda pop: interaction_bounds(pop, ([1], 2), 1, "min"),
+        lambda pop: interaction_effect(pop, ([1], 2), 1),
+    ],
+    ids=["main_effect", "exclusion_bounds", "interaction_bounds", "interaction_effect"],
+)
+def test_an_unhashable_factor_is_refused_with_the_package_error(p4, ask):
+    # each factor is checked before the factor set is hashed
+    with pytest.raises(InvalidFactorError, match=r"^factor \[1\] outside 1\.\.2$"):
+        ask(p4)

@@ -822,3 +822,10 @@ def test_memo_hands_out_read_only_arrays_and_fresh_lists():
     want = list(found)
     found.clear()
     assert check_conditional_monotonicity(defiers, 1) == want
+
+
+def test_a_population_compares_and_hashes_by_identity():
+    pop = load_population(DATA / "p4_population.json")
+    assert pop == pop
+    assert pop != load_population(DATA / "p4_population.json")
+    assert {pop: 1}[pop] == 1
