@@ -192,9 +192,8 @@ def main_effect_contrast(design: FactorialDesign, k: int) -> np.ndarray:
     return interaction_contrast(design, (k,))
 
 
-@_memoized
-def interaction_contrast(design: FactorialDesign, factors) -> np.ndarray:
-    """The read-only (J,) float64 contrast of a factor set, its main-effect contrasts' product, on the design's memo."""
+def validate_factors(design: FactorialDesign, factors) -> tuple[int, ...]:
+    """factors as a tuple: at least one factor of the design, none repeated."""
     fs = tuple(factors)
     if len(fs) == 0:
         raise InvalidFactorError("interaction needs at least one factor")
@@ -202,6 +201,13 @@ def interaction_contrast(design: FactorialDesign, factors) -> np.ndarray:
         validate_factor(design, k)
     if len(set(fs)) != len(fs):
         raise InvalidFactorError(f"duplicate factors in {fs!r}")
+    return fs
+
+
+@_memoized
+def interaction_contrast(design: FactorialDesign, factors) -> np.ndarray:
+    """The read-only (J,) float64 contrast of a factor set, its main-effect contrasts' product, on the design's memo."""
+    fs = validate_factors(design, factors)
     g = np.ones(design.J)
     for k in sorted(fs):
         g *= design.levels[:, k - 1]

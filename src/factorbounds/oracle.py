@@ -175,11 +175,13 @@ def interaction_effect(pop: Population, factors, *ks: int, R: int, failed: list)
     """Per block g^T Ybar of the contrast of factors over the units complying with every factor of ks (one
     of the set, or a pair) at every context, per context (over 2^{K-1}); NaN for a block without such units."""
     fs = tuple(factors)
-    for f in fs:  # before the set, which would hash a list
-        dsg.validate_factor(pop.design, f)
-    fs = tuple(sorted(set(fs))) if len(ks) == 1 else fs  # a pair's contrast keyed in the caller's order
-    if len(ks) == 1 and ks[0] not in fs:
-        raise InvalidFactorError(f"anchor factor {ks[0]} must belong to the interaction set {fs!r}")
+    if len(ks) == 1:
+        fs = tuple(sorted(dsg.validate_factors(pop.design, fs)))
+        if ks[0] not in fs:
+            raise InvalidFactorError(f"anchor factor {ks[0]} must belong to the interaction set {fs!r}")
+    else:  # a pair's contrast, keyed in the caller's order; the pair check refuses a repeated pair
+        for f in fs:
+            dsg.validate_factor(pop.design, f)
     _merge(failed, popmod.require(pop, "first_stage" if len(ks) == 1 else "joint_first_stage", *ks, R=R))
     g, means = dsg.interaction_contrast(pop.design, fs), _masked_arm_means(pop, R, *ks)
     return (_stacked_dot(g, means) / (1 << (pop.design.K - 1))).tolist()
@@ -288,10 +290,7 @@ def interaction_bounds(pop: Population, factors, k: int, tilde: Context | str, *
     Same assumptions and half-width as the factor-k exclusion bounds, which
     are these bounds at the set (k,); only the numerator contrast changes.
     """
-    fs = tuple(factors)
-    for f in fs:  # before the set, which would hash a list
-        dsg.validate_factor(pop.design, f)
-    fs = tuple(sorted(set(fs)))
+    fs = tuple(sorted(dsg.validate_factors(pop.design, factors)))
     if k not in fs:
         raise InvalidFactorError(f"anchor factor {k} must belong to the interaction set {fs!r}")
     checks = [("exclusion", k), ("outcome_exclusion", k), ("monotone", k)]

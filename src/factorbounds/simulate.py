@@ -18,9 +18,13 @@ and replications are independent.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import numbers
+import os
+import pickle
+import signal
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -714,6 +718,68 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
             tallies.append((truth, *ends, ci.lower, ci.upper, *ref_ends))
 
 
+def _split(reps: range, n: int) -> list[range]:
+    """reps cut into n contiguous ranges whose lengths differ by at most one."""
+    size, extra = divmod(len(reps), n)
+    ends = [reps.start + i * size + min(i, extra) for i in range(n + 1)]
+    return [range(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _workers(R: int, chunk: int) -> int:
+    """How many ranges of at least one chunk monte_carlo runs at once, one per
+    usable CPU: only on Linux and from a process the OS counts one thread in,
+    since forking one with other threads can deadlock the child."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            single = ["Threads:", "1"] in (line.split() for line in fh)
+    except OSError:
+        return 1
+    return max(1, min(_usable_cpus(), R // chunk)) if single else 1
+
+
+def _fork(run, reps: range, live: dict) -> int | None:
+    """The pid of a worker that pickles run(reps) into a pipe, kept as live[pid],
+    and exits 0 once it is written whole; None if no worker started. The worker
+    closes the other workers' pipes and never returns into the caller's stack."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (r, *live.values()):
+                os.close(fd)
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(run(reps), pipe)
+            status = 0
+        finally:
+            os._exit(status)  # no atexit handler or stdio flush: the parent owns those
+    os.close(w)
+    live[pid] = r
+    return pid
+
+
+def _result(pid: int, live: dict):
+    """Worker pid's result, its pipe read to EOF before the worker is reaped;
+    None unless the worker exited 0 and the result unpickles."""
+    with os.fdopen(live[pid], "rb", closefd=False) as pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    os.close(live.pop(pid))
+    if status == 0:
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a short result
+            return pickle.loads(data)
+    return None
+
+
 def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     """Replicate generate/randomize/observe/estimate and tally coverage.
 
@@ -722,6 +788,9 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     population and varies only the allocation; 'clone' additionally stacks
     clone_factor copies of it, observed as the base units with their copies
     per arm, and the oracle reads the base population, whose means they share.
+
+    Ranges of replications run in forked workers (see _workers) and merge in
+    replication order; a range whose worker failed runs here, as serially.
     """
     R = _within(_integer, lambda n: n >= 1, ">= 1")(R, "R")
     tlist = config.targets
@@ -730,14 +799,36 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     base = None
     if config.population_mode in ("fixed", "clone"):
         base = generate_population(config, rep=0)
+        for t in tlist:  # answered before any fork, so every worker inherits the memo
+            oracle.method_truth(base, t.factor, t.method, R=1)
+            oracle.method_interval(base, t.factor, t.method, t.profile, R=1)
     sizes = tuple(s * config.clone_factor for s in config.resolved_arm_sizes())  # clone_factor is 1 outside clone mode
 
-    acc = [[] for _ in tlist]  # by position: equal targets keep their own tallies
-    # replications run in chunks of about _CHUNK_CELLS observed (unit, arm)
-    # cells, one chunk alive at a time; clone mode observes the base units
+    # replications run in equal chunks of at most _CHUNK_CELLS observed (unit,
+    # arm) cells, one chunk alive at a time; clone mode observes the base units
     chunk = max(1, _CHUNK_CELLS // (config.N << config.K))
-    for first in range(0, R, chunk):
-        _run_chunk(config, range(first, min(R, first + chunk)), base, sizes, tlist, acc)
+
+    def run(reps: range) -> list:
+        acc = [[] for _ in tlist]  # by position: equal targets keep their own tallies
+        for piece in _split(reps, -(-len(reps) // chunk)):
+            _run_chunk(config, piece, base, sizes, tlist, acc)
+        return acc
+
+    first, *rest = _split(range(R), _workers(R, chunk))
+    live = {}  # the pipe of each worker not yet reaped, by pid
+    try:
+        pids = [_fork(run, reps, live) for reps in rest]
+        acc = run(first)
+        for reps, pid in zip(rest, pids):
+            part = _result(pid, live) if pid else None
+            for rows, more in zip(acc, part or run(reps)):  # a failed worker's range runs here, in order
+                rows.extend(more)
+    finally:
+        for pid, fd in live.items():  # monte_carlo raised: no worker outlives it
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(fd)
 
     reports = tuple(_target_report(t, R, rows) for t, rows in zip(tlist, acc))
     return CoverageReport(config=config, replications=R, targets=reports)

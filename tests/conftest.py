@@ -1,11 +1,20 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+# hypothesis imports its failure-report helper (and libcst, which warns of a
+# deprecation) when a @given test first fails; under filterwarnings = error that
+# warning would end the run in INTERNALERROR, so the helper is imported here once
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
+
 from factorbounds import estimate as est
+from factorbounds import simulate
 from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast, validate_factor
 from factorbounds.errors import InvalidFactorError, InvalidInputError, NoCompliersError
 from factorbounds.population import Population, _memoized, arm_means, constant_complier_count, frozen
@@ -153,6 +162,13 @@ def count_computations(monkeypatch, memoized):
     compute = memoized.__wrapped__
     monkeypatch.setattr(memoized, "__wrapped__", lambda pop, *a, **kw: calls.append(a) or compute(pop, *a, **kw))
     return calls
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """monte_carlo runs every replication in this process, where the calls a
+    test records through monkeypatched module attributes happen."""
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture

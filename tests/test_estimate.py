@@ -520,6 +520,24 @@ def test_ci_zero_se_path(p4_census):
         imbens_manski_ci(est, alpha=1.5)
 
 
+@pytest.mark.parametrize(
+    "se_lower, se_upper, lower, upper",
+    [(0.05, 0.10, 0.0176927226, 0.4646145548), (0.10, 0.05, -0.0646145548, 0.3823072774)],
+)
+def test_ci_moves_each_end_by_its_own_se(p4_census, se_lower, se_upper, lower, upper):
+    # Imbens & Manski (2004) at L = 0.1, U = 0.3, alpha = 0.05: w = (U - L) / max SE = 2, and
+    # C = 1.6461455482 solves Phi(C + 2) - Phi(-C) = 0.95; the CI is [L - se_L * C, U + se_U * C]
+    est = dataclasses.replace(
+        estimate_bounds(p4_census, 1, "exclusion"), raw_lower=0.1, raw_upper=0.3, se_lower=se_lower, se_upper=se_upper
+    )
+    ci = imbens_manski_ci(est, alpha=0.05)
+    C = ci.critical_value
+    assert abs(C - 1.6461455482) < 1e-9
+    assert abs(0.5 * (math.erf((C + 2.0) / math.sqrt(2.0)) - math.erf(-C / math.sqrt(2.0))) - 0.95) < 1e-10
+    assert abs(ci.lower - (0.1 - se_lower * C)) < TOL and abs(ci.upper - (0.3 + se_upper * C)) < TOL
+    assert abs(ci.lower - lower) < 1e-9 and abs(ci.upper - upper) < 1e-9
+
+
 # ------------------------------------------------------------ profile policy
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorbounds import design as dsg
 from factorbounds.design import enumerate_assignments
 from factorbounds.estimate import (
     _arm_moments,
@@ -647,7 +648,7 @@ def test_the_min_profile_is_the_first_least_compliant_context():
 
 
 @pytest.mark.parametrize("mode", ["fixed", "clone"])
-def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode):
+def test_fixed_and_clone_runs_compute_each_oracle_formula_once(monkeypatch, mode, serial):
     # one population serves every replication, so each formula runs once per
     # monte_carlo call, as a one-block stack, however many chunks the
     # replications take; the main-effect targets of factor 1 share one truth.
@@ -884,4 +885,20 @@ def test_memo_results_match_a_fresh_population_in_any_call_order(seed, K, constr
 def test_an_unhashable_factor_is_refused_with_the_package_error(p4, ask):
     # each factor is checked before the factor set is hashed
     with pytest.raises(InvalidFactorError, match=r"^factor \[1\] outside 1\.\.2$"):
+        ask(p4)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda pop: interaction_bounds(pop, (1, 1), 1, "min"),
+        lambda pop: interaction_effect(pop, (1, 1), 1),
+        lambda pop: interaction_bounds(pop, [1, 2, 1], 1, "min"),
+        lambda pop: dsg.interaction_contrast(pop.design, (1, 1)),
+    ],
+    ids=["interaction_bounds", "interaction_effect", "interaction_bounds-list", "interaction_contrast"],
+)
+def test_a_repeated_factor_is_refused_as_the_design_refuses_it(p4, ask):
+    # the set of (1, 1) is factor 1 alone, whose exclusion interval and main effect were answered
+    with pytest.raises(InvalidFactorError, match=r"^duplicate factors in \(1, (2, )?1\)$"):
         ask(p4)

@@ -824,7 +824,7 @@ def test_clone_counts_refuse_a_short_arm_as_the_rows_do():
     assert messages[0] == messages[1] == "arm (-1, -1) has 1 row(s); need at least 2"
 
 
-def test_clone_mode_builds_no_clone(monkeypatch):
+def test_clone_mode_builds_no_clone(monkeypatch, serial):
     # the oracle and the moments read the 20-unit base population, not its 1000 copies
     config = dataclasses.replace(load_scenario(CLONE_SCALING), clone_factor=1000)
     store = Population._store  # where either constructor keeps a population's arrays
@@ -995,7 +995,7 @@ def test_shipped_scenarios_load_and_run(tmp_path):
         assert (tmp_path / name).read_bytes() == (root / name).read_bytes()
 
 
-def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch):
+def test_monte_carlo_classifies_once_per_population_and_factor(monkeypatch, serial):
     import pathlib
 
     from factorbounds import population as popmod
@@ -1016,7 +1016,7 @@ def test_monte_carlo_keeps_a_repeated_target_s_tallies_apart():
     assert report.targets[0] == report.targets[1]
 
 
-def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
+def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch, serial):
     # one population serves every replication, so each target's oracle
     # interval is computed once, not once per replication, and the two
     # main-effect targets share one truth; a computation is a call that
@@ -1041,7 +1041,7 @@ def test_monte_carlo_clone_mode_computes_each_oracle_answer_once(monkeypatch):
     assert sorted(calls) == ["adjusted_bounds", "interaction_bounds", "interaction_effect"]
 
 
-def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+def test_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, serial):
     # one replication per chunk, seven, the default chunk size and every
     # replication in one chunk give the same report on a fresh scenario
     # whose generation retries, whose violate token puts a defier on factor
@@ -1083,7 +1083,7 @@ def _clone1000():
     return dataclasses.replace(load_scenario(CLONE_SCALING), clone_factor=1000)
 
 
-def test_clone_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+def test_clone_report_bytes_do_not_depend_on_the_chunk_size(monkeypatch, serial):
     # clone chunks are sized by the base population's cells: one replication
     # per chunk, seven, the default chunk size and every replication in one
     # chunk give the same report at clone factor 1000; at the default, 15
@@ -1110,7 +1110,7 @@ def test_clone_counts_of_a_generator_equal_those_of_the_stacked_allocations():
 
 
 @pytest.mark.parametrize("R", [2, 40])
-def test_clone_chunk_keeps_one_allocation_alive(monkeypatch, R):
+def test_clone_chunk_keeps_one_allocation_alive(monkeypatch, R, serial):
     # each allocation of the 20,000 clones is counted as it is drawn and
     # dropped, so when the next one is drawn none of the earlier is alive
     alive, most, allocations = [], [], simulate._allocations
