@@ -43,7 +43,11 @@ formulas refuse it (exit 3); at ``declared:-1`` every command answers. Every
 command of ``commands()`` then runs in both trees, as a subprocess with
 ``PYTHONPATH=<tree>/src`` and the tree as working directory (so the shipped
 scenarios and ``data/`` files are each tree's own), BLAS on one thread and
-``FB_SEED`` unset.
+``FB_SEED`` unset. A single-threaded process forks workers for simulate's
+replication ranges and analyze's byte ranges, so each command also runs a
+second time in the change's tree with its CPU affinity set to one CPU, which
+keeps it serial; that run is compared with the change's first run as the
+trees are compared with each other.
 
 For every command the exit code, stderr and stdout must be identical. When
 stdout differs and both sides are JSON, one line gives how many fields
@@ -386,13 +390,25 @@ def commands(paths: dict[str, Path]) -> list[list[str]]:
     ]
 
 
-def run(tree: Path, argv: list[str]) -> tuple[int, str, str]:
+def one_cpu() -> None:
+    """Restrict the calling process, a child about to run a command, to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run(tree: Path, argv: list[str], pin=None) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of the CLI on argv in tree; pin, if
+    given, runs in the child before the command (see one_cpu)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     env.pop("FB_SEED", None)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     done = subprocess.run(
-        [sys.executable, "-m", "factorbounds.cli", *argv], cwd=tree, env=env, capture_output=True, text=True
+        [sys.executable, "-m", "factorbounds.cli", *argv],
+        cwd=tree,
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=pin,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -455,21 +471,34 @@ def field_table(fields: dict) -> list[str]:
     return head + [f"  {key:<{width}}  " + ("-" if gap is None else f"{gap:.3g}") for key, gap in sorted(fields.items())]
 
 
-def describe(name: str, parent: str, change: str, fields: dict) -> list[str]:
-    """Lines that show how one output stream differs; a JSON one's fields
-    are also folded into fields."""
+def describe(name: str, parent: str, change: str, fields: dict, sides=("parent", "change")) -> list[str]:
+    """Lines that show how one output stream differs between the two sides
+    named; a JSON one's fields are also folded into fields."""
     try:
         found = json_diff(json.loads(parent), json.loads(change))
     except ValueError:  # not JSON on both sides: show the text
-        lines = list(difflib.unified_diff(parent.splitlines(), change.splitlines(), "parent", "change", lineterm=""))
+        lines = list(difflib.unified_diff(parent.splitlines(), change.splitlines(), *sides, lineterm=""))
         return [f"  {name}:"] + [f"    {line}" for line in lines[:SHOWN]]
     fold_fields(found, fields)
     out = [f"  {name}: {summary(found)}"]
     for path, p, c, gap in found[:SHOWN]:
-        out.append(f"    {path}: parent {p!r} change {c!r}" + ("" if gap is None else f" |diff| {gap:.3g}"))
+        out.append(f"    {path}: {sides[0]} {p!r} {sides[1]} {c!r}" + ("" if gap is None else f" |diff| {gap:.3g}"))
     if len(found) > SHOWN:
         out.append(f"    ... {len(found) - SHOWN} more")
     return out
+
+
+def compare(a: tuple[int, str, str], b: tuple[int, str, str], fields: dict, sides=("parent", "change")) -> list[str]:
+    """Lines that show how two runs' (exit code, stdout, stderr) differ, empty if they do not."""
+    (a_code, a_out, a_err), (b_code, b_out, b_err) = a, b
+    lines = []
+    if a_code != b_code:
+        lines.append(f"  exit code: {sides[0]} {a_code} {sides[1]} {b_code}")
+    if a_err != b_err:
+        lines += describe("stderr", a_err, b_err, fields, sides)
+    if a_out != b_out:
+        lines += describe("stdout", a_out, b_out, fields, sides)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -482,15 +511,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="report_bytes-") as tmp:
         for cmd in commands(write_inputs(Path(tmp))):
             label = " ".join(Path(a).name if a.startswith(tmp) else a for a in cmd)
-            (p_code, p_out, p_err), (c_code, c_out, c_err) = run(parent, cmd), run(change, cmd)
-            lines = []
-            if p_code != c_code:
-                lines.append(f"  exit code: parent {p_code} change {c_code}")
-            if p_err != c_err:
-                lines += describe("stderr", p_err, c_err, fields)
-            if p_out != c_out:
-                lines += describe("stdout", p_out, c_out, fields)
-            print(("DIFF  " if lines else "same  ") + f"{label}  (exit {c_code})")
+            changed = run(change, cmd)
+            lines = compare(run(parent, cmd), changed, fields)
+            lines += compare(changed, run(change, cmd, one_cpu), fields, ("change", "change at one CPU"))
+            print(("DIFF  " if lines else "same  ") + f"{label}  (exit {changed[0]})")
             for line in lines:
                 print(line)
             differing += bool(lines)

@@ -9,12 +9,15 @@ number (header is line 1) and the column name.
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
+from . import _workers
 from .design import MAX_FACTORS, FactorialDesign, _MemoOwner, enumerate_assignments
 from .errors import InvalidInputError
 from .population import frozen, read_only
@@ -119,34 +122,38 @@ def _prefix_code(design: FactorialDesign, text: str, names: tuple[str, str]) -> 
     return sum(1 << i for i, tok in enumerate(tokens) if tok == names[1])
 
 
-def _load_canonical(
-    path, binary_coding: bool, rescale: tuple[float, float] | None
-) -> ObservedDataset | None:
-    """Array parse of a file in the form save_csv writes (any line ends; 0/1
-    levels under binary coding); None on anything else.
+# the least bytes of lines a range holds: forking a worker for fewer costs more than it saves
+_MIN_RANGE = 1 << 20
 
-    Reads blocks of about 256 KiB of lines, splits each line once at its last
-    comma, decodes each distinct z/d prefix once and converts y with float(),
-    so every row it accepts reads exactly as the row parser reads it. It
-    never raises on file content: whatever it does not accept (a header
-    other than the exact one, any other level token or field count, quotes,
-    blank lines, a line over the csv field limit, a y outside [0, 1], bytes
-    that are not UTF-8) is left to the row parser, which alone words the
-    errors.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
+
+def _ranges(path, start: int, size: int) -> list[tuple[int, int]]:
+    """Bytes start..size of path as (begin, end) ranges, one per worker of
+    _workers.count, each cut right after a newline byte: always a line
+    boundary under newline="" and a UTF-8 character boundary."""
+    cuts = {size}
+    with open(path, "rb") as fh:
+        for piece in _workers._split(range(start, size), _workers.count((size - start) // _MIN_RANGE))[1:]:
+            fh.seek(piece.start)
+            cuts.add(piece.start + len(fh.readline()))  # past the next newline, or at the end
+    ends = sorted(cuts)
+    return list(zip([start, *ends], ends))
+
+
+def _parse_range(path, design: FactorialDesign, names: tuple[str, str], span: tuple[int, int]):
+    """(codes, outcomes) of the lines in byte range span of path; None on any
+    line _load_canonical does not accept."""
+    start, stop = span
+    table: dict[str, int] = {}
+    codes, outcomes = [], []
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         try:
-            header = fh.readline().rstrip("\r\n").split(",")
-            K = len(header) // 2
-            if not 1 <= K <= MAX_FACTORS or header != expected_header(K):
-                return None
-            design = enumerate_assignments(K)
-            names = ("0", "1") if binary_coding else ("-1", "1")
-            limit = csv.field_size_limit()
-            table: dict[str, int] = {}
-            codes, outcomes = [], []
-            while lines := fh.readlines(1 << 18):
-                if max(map(len, lines)) > limit:
+            while start < stop and (lines := fh.readlines(min(stop - start, 1 << 18))):
+                start += len("".join(lines).encode())
+                while start > stop:  # lines past stop, where readlines' hint reaches, are the next range's
+                    start -= len(lines.pop().encode())
+                if max(map(len, lines)) > csv.field_size_limit():
                     return None
                 parts = list(map(str.rpartition, lines, repeat(",")))
                 prefixes = list(map(itemgetter(0), parts))
@@ -161,10 +168,39 @@ def _load_canonical(
                 del lines, parts, prefixes, ys  # free this block's strings before the next read
         except ValueError:  # a y that float() refuses, or bytes that are not UTF-8
             return None
-    if not codes:
+    return np.concatenate(codes), np.concatenate(outcomes)
+
+
+def _load_canonical(
+    path, binary_coding: bool, rescale: tuple[float, float] | None
+) -> ObservedDataset | None:
+    """Array parse of a file in the form save_csv writes (any line ends; 0/1
+    levels under binary coding); None on anything else.
+
+    The lines after the header are cut into byte ranges (_ranges), parsed
+    at once by _workers.run_all and joined in file order. A range is read in
+    blocks of about 256 KiB of lines: each line is split once at its last
+    comma, each distinct z/d prefix decoded once and y converted with
+    float(), so every row it accepts reads exactly as the row parser reads
+    it. It never raises on file content: whatever a range does not accept (a
+    header other than the exact one, any other level token or field count,
+    quotes, blank lines, a line over the csv field limit, a y outside [0, 1],
+    bytes that are not UTF-8) leaves the file to the row parser, which alone
+    words the errors.
+    """
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:  # a byte that is not UTF-8 fits no header
+        line = fh.readline()
+    size = os.path.getsize(path)
+    header = line.rstrip("\r\n").split(",")
+    K = len(header) // 2
+    if not 1 <= K <= MAX_FACTORS or header != expected_header(K) or len(line) == size:  # the header is ASCII
         return None
-    code = np.concatenate(codes)
-    y = np.concatenate(outcomes)
+    design = enumerate_assignments(K)
+    names = ("0", "1") if binary_coding else ("-1", "1")
+    parts = _workers.run_all(lambda span: _parse_range(path, design, names, span), _ranges(path, len(line), size))
+    if any(part is None for part in parts):
+        return None
+    code, y = map(np.concatenate, zip(*parts))
     if rescale is not None:
         lo, hi = rescale
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, for the row parser to word
@@ -248,8 +284,10 @@ def load_csv(
     rescale: tuple[float, float] | None = None,
 ) -> ObservedDataset:
     """Read a CSV in the schema above. A file in save_csv's form takes the
-    array parse; any other file is read again by the row parser, which
-    gives the same dataset or the error with its line and column."""
+    array parse, which splits a file of two or more 1 MiB byte ranges across
+    the usable CPUs (see _load_canonical); any other file is read again by
+    the row parser, which gives the same dataset or the error with its line
+    and column."""
     if rescale is not None:
         lo, hi = float(rescale[0]), float(rescale[1])
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from statistics import NormalDist
@@ -454,8 +455,8 @@ def _im_bracket(alpha: float) -> tuple[float, float]:
 
 
 def check_alpha(alpha: float, name: str = "alpha") -> float:
-    """alpha, refused unless 0 < alpha < 1 and 1 - alpha/2 rounds below 1, so the CI's normal quantiles are finite."""
-    if not (alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):  # the second holds only for alpha > 0
+    """alpha, refused unless a real 0 < alpha < 1 whose 1 - alpha/2 rounds below 1: the CI's quantiles are finite."""
+    if not (isinstance(alpha, numbers.Real) and alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):  # the last needs alpha > 0
         raise InvalidInputError(f"{name} must be in (0, 1) with 1 - alpha/2 rounding below 1, got {alpha!r}")
     return alpha
 
@@ -467,7 +468,7 @@ def im_critical_value(width_over_se: float, alpha: float) -> float:
     runs on a slightly padded bracket to tolerance 1e-10.
     """
     check_alpha(alpha)
-    if not math.isfinite(width_over_se) or width_over_se < 0.0:
+    if not (isinstance(width_over_se, numbers.Real) and 0.0 <= width_over_se <= sys.float_info.max):  # exact for an int
         raise InvalidInputError(f"width/SE ratio must be finite and >= 0, got {width_over_se!r}")
     lo, hi = _im_bracket(alpha)
     target, w, erf = 1.0 - alpha, width_over_se, math.erf

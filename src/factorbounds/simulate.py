@@ -18,25 +18,23 @@ and replications are independent.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import numbers
-import os
-import pickle
-import signal
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
+from . import _workers
 from . import design as dsg
 from . import estimate as est
 from . import oracle
 from . import population as popmod
+from ._workers import _split
 from .data import ObservedDataset
 from .design import FactorialDesign, _memoized, enumerate_assignments
 from .errors import (
@@ -119,6 +117,7 @@ def _within(convert, ok, bound: str):
 
 _probability = _within(_number, lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
 _level = _within(_integer, lambda v: v in (-1, 1), "-1 or +1")
+_seed = _within(_integer, lambda n: n >= 0, ">= 0")
 _range = _within(
     _list(_number), lambda r: len(r) == 2 and r[0] <= r[1], "a [lo, hi] range with hi >= lo"
 )
@@ -248,7 +247,7 @@ class ScenarioConfig(_Record):
     N: int = _field(_within(_integer, lambda n: n >= 1, ">= 1"))
     factors: tuple[FactorSpec, ...] = _field(_list(_record(FactorSpec)))
     outcome: OutcomeSpec = _field(_record(OutcomeSpec), OutcomeSpec())
-    seed: int = _field(_within(_integer, lambda n: n >= 0, ">= 0"))
+    seed: int = _field(_seed)
     arm_sizes: tuple[int, ...] | None = _field(_optional(_list(_integer)), None)
     require: tuple[str, ...] = _field(_list(_string), ())
     violate: tuple[str, ...] = _field(_list(_string), ())
@@ -540,9 +539,11 @@ def _allocations(N: int, arm_sizes, seeds):
 def complete_randomization(N: int, arm_sizes, seed) -> np.ndarray:
     """Uniformly random partition of N units into arms with fixed sizes.
 
-    Returns the arm index per unit. seed may be an int, SeedSequence, or
+    Returns the arm index per unit. seed may be an int >= 0, SeedSequence, or
     Generator (a Generator is drawn from as it is).
     """
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        seed = _seed(seed, "seed")
     (arm,) = _allocations(N, arm_sizes, [seed])
     return arm
 
@@ -718,68 +719,6 @@ def _run_chunk(config: ScenarioConfig, reps: range, base: Population | None, siz
             tallies.append((truth, *ends, ci.lower, ci.upper, *ref_ends))
 
 
-def _split(reps: range, n: int) -> list[range]:
-    """reps cut into n contiguous ranges whose lengths differ by at most one."""
-    size, extra = divmod(len(reps), n)
-    ends = [reps.start + i * size + min(i, extra) for i in range(n + 1)]
-    return [range(a, b) for a, b in zip(ends, ends[1:])]
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
-
-
-def _workers(R: int, chunk: int) -> int:
-    """How many ranges of at least one chunk monte_carlo runs at once, one per
-    usable CPU: only on Linux and from a process the OS counts one thread in,
-    since forking one with other threads can deadlock the child."""
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            single = ["Threads:", "1"] in (line.split() for line in fh)
-    except OSError:
-        return 1
-    return max(1, min(_usable_cpus(), R // chunk)) if single else 1
-
-
-def _fork(run, reps: range, live: dict) -> int | None:
-    """The pid of a worker that pickles run(reps) into a pipe, kept as live[pid],
-    and exits 0 once it is written whole; None if no worker started. The worker
-    closes the other workers' pipes and never returns into the caller's stack."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (r, *live.values()):
-                os.close(fd)
-            with os.fdopen(w, "wb") as pipe:
-                pickle.dump(run(reps), pipe)
-            status = 0
-        finally:
-            os._exit(status)  # no atexit handler or stdio flush: the parent owns those
-    os.close(w)
-    live[pid] = r
-    return pid
-
-
-def _result(pid: int, live: dict):
-    """Worker pid's result, its pipe read to EOF before the worker is reaped;
-    None unless the worker exited 0 and the result unpickles."""
-    with os.fdopen(live[pid], "rb", closefd=False) as pipe:
-        data = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    os.close(live.pop(pid))
-    if status == 0:
-        with contextlib.suppress(EOFError, pickle.UnpicklingError):  # a short result
-            return pickle.loads(data)
-    return None
-
-
 def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
     """Replicate generate/randomize/observe/estimate and tally coverage.
 
@@ -814,21 +753,6 @@ def monte_carlo(config: ScenarioConfig, R: int) -> CoverageReport:
             _run_chunk(config, piece, base, sizes, tlist, acc)
         return acc
 
-    first, *rest = _split(range(R), _workers(R, chunk))
-    live = {}  # the pipe of each worker not yet reaped, by pid
-    try:
-        pids = [_fork(run, reps, live) for reps in rest]
-        acc = run(first)
-        for reps, pid in zip(rest, pids):
-            part = _result(pid, live) if pid else None
-            for rows, more in zip(acc, part or run(reps)):  # a failed worker's range runs here, in order
-                rows.extend(more)
-    finally:
-        for pid, fd in live.items():  # monte_carlo raised: no worker outlives it
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            os.close(fd)
-
-    reports = tuple(_target_report(t, R, rows) for t, rows in zip(tlist, acc))
+    parts = _workers.run_all(run, _split(range(R), _workers.count(R // chunk)))  # each part's tallies by target
+    reports = tuple(_target_report(t, R, list(chain(*rows))) for t, rows in zip(tlist, zip(*parts)))
     return CoverageReport(config=config, replications=R, targets=reports)

@@ -13,8 +13,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
+from factorbounds import _workers
 from factorbounds import estimate as est
-from factorbounds import simulate
 from factorbounds.design import contexts_for, enumerate_assignments, main_effect_contrast, validate_factor
 from factorbounds.errors import InvalidFactorError, InvalidInputError, NoCompliersError
 from factorbounds.population import Population, _memoized, arm_means, constant_complier_count, frozen
@@ -168,7 +168,7 @@ def count_computations(monkeypatch, memoized):
 def serial(monkeypatch):
     """monte_carlo runs every replication in this process, where the calls a
     test records through monkeypatched module attributes happen."""
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorbounds import cli
+from factorbounds import _workers, cli, data as data_module
 from factorbounds.data import (
     ObservedDataset,
     _load_canonical,
@@ -242,6 +243,21 @@ def _analyze(path, binary, rescale):
     return rc, err.getvalue()
 
 
+@contextlib.contextmanager
+def ranged(n):
+    """load_csv cuts a file's lines into n byte ranges, or as many as it finds
+    newlines to cut at, and parses every range in this process, in order."""
+
+    def refused():
+        raise OSError("no fork: the ranges run here")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_MIN_RANGE", 1)
+        mp.setattr(_workers, "count", lambda most: min(n, most))
+        mp.setattr(os, "fork", refused)
+        yield
+
+
 @given(case=csv_cases())
 @settings(max_examples=300, deadline=None)
 def test_fast_path_matches_row_parser(case, tmp_path_factory):
@@ -251,16 +267,17 @@ def test_fast_path_matches_row_parser(case, tmp_path_factory):
     text = _mutated_text(path.read_bytes().decode(), data.design.K, binary, mutation, draws.draw)
     path.write_bytes(text.encode())
     want = _result(_load_rows, path, binary, rescale)
-    got = _result(lambda p, b, r: load_csv(p, binary_coding=b, rescale=r), path, binary, rescale)
-    assert got == want
-    if mutation in ("none", "lf", "cr") and not isinstance(want, str):
-        assert _load_canonical(path, binary, rescale) is not None
-    if draws.draw(st.booleans(), label="through analyze"):  # about half the cases also run the command
-        rc, err = _analyze(path, binary, rescale)
-        assert rc in (0, 2, 3) and "internal error" not in err
-        assert (rc == 2) == isinstance(want, str)  # exit 2 exactly where the file is refused
-        if isinstance(want, str):
-            assert err == f"error: {want}\n"
+    with ranged(draws.draw(st.integers(1, 3), label="ranges")):  # a mutation can land in a later range
+        got = _result(lambda p, b, r: load_csv(p, binary_coding=b, rescale=r), path, binary, rescale)
+        assert got == want
+        if mutation in ("none", "lf", "cr") and not isinstance(want, str):
+            assert _load_canonical(path, binary, rescale) is not None
+        if draws.draw(st.booleans(), label="through analyze"):  # about half the cases also run the command
+            rc, err = _analyze(path, binary, rescale)
+            assert rc in (0, 2, 3) and "internal error" not in err
+            assert (rc == 2) == isinstance(want, str)  # exit 2 exactly where the file is refused
+            if isinstance(want, str):
+                assert err == f"error: {want}\n"
 
 
 def test_error_line_and_column_in_large_file(tmp_path):
@@ -274,6 +291,10 @@ def test_error_line_and_column_in_large_file(tmp_path):
     )
     path = tmp_path / "large.csv"
     save_csv(data, path)
+    with ranged(2):  # two ranges of several 256 KiB blocks read back every saved row
+        back = _load_canonical(path, False, None)
+    assert back.arm.tolist() == data.arm.tolist() and back.uptake.tolist() == data.uptake.tolist()
+    assert back.outcome.view(np.int64).tolist() == data.outcome.view(np.int64).tolist()
     lines = path.read_bytes().split(b"\r\n")
     fields = lines[39_999].split(b",")  # line 40 000; the header is line 1
     fields[3] = b"2"
@@ -281,6 +302,12 @@ def test_error_line_and_column_in_large_file(tmp_path):
     path.write_bytes(b"\r\n".join(lines))
     with pytest.raises(InvalidInputError) as err:
         load_csv(path)
+    assert str(err.value) == "line 40000, column d2: 2 is not -1/+1"
+    with ranged(2):  # line 40 000 falls in the second range
+        (_, cut), _ = data_module._ranges(path, len(lines[0]) + 2, path.stat().st_size)
+        assert cut < sum(map(len, lines[:39_999])) + 2 * 39_999
+        with pytest.raises(InvalidInputError) as err:
+            load_csv(path)
     assert str(err.value) == "line 40000, column d2: 2 is not -1/+1"
 
 

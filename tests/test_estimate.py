@@ -22,6 +22,7 @@ from factorbounds.estimate import (
     LinearFractional,
     _arm_moments,
     _se_from_gradient,
+    check_alpha,
     endpoint_functions,
     estimate_bounds,
     im_critical_value,
@@ -478,6 +479,18 @@ def test_im_critical_value_limits():
     assert abs(im_critical_value(0.0, 0.05) - Z975) < 1e-8
     assert abs(im_critical_value(100.0, 0.05) - Z95) < 1e-6
     assert abs(im_critical_value(0.0, 0.10) - 1.6448536269773764) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", ["0.05", None, 0.05j, [0.05], b"0"])
+def test_check_alpha_refuses_a_non_real_value(alpha):
+    with pytest.raises(InvalidInputError, match="alpha must be in"):
+        check_alpha(alpha)
+
+
+@pytest.mark.parametrize("width, alpha", [("1", 0.05), (None, 0.05), (1j, 0.05), (10**400, 0.05), (0.5, "0.05"), (0.5, None)])
+def test_im_critical_value_refuses_a_non_real_value(width, alpha):
+    with pytest.raises(InvalidInputError):
+        im_critical_value(width, alpha)
 
 
 def test_im_critical_value_monotone_and_consistent():

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -162,7 +165,7 @@ def test_main_ends_with_the_field_table_only_when_a_command_differs(monkeypatch,
     monkeypatch.setattr(report_bytes, "commands", lambda paths: [["analyze", "same"], ["oracle", "moved"]])
     parent, change = tmp_path / "parent", tmp_path / "change"
 
-    def run(tree, argv):  # the change moves the output of "moved" only
+    def run(tree, argv, pin=None):  # the change moves the output of "moved" only
         key = argv[1]
         return 0, json.dumps(DOC) if tree == parent else outputs[key], ""
 
@@ -175,6 +178,30 @@ def test_main_ends_with_the_field_table_only_when_a_command_differs(monkeypatch,
     ]
     assert report_bytes.main(["--parent", str(parent), "--change", str(parent)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "every output is identical"
+
+
+def test_main_compares_the_change_at_one_cpu_with_the_change(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(report_bytes, "write_inputs", lambda out: {})
+    monkeypatch.setattr(report_bytes, "commands", lambda paths: [["analyze", "a.csv"]])
+    pinned = []
+
+    def run(tree, argv, pin=None):  # at one CPU the change fails where both trees answer
+        pinned.append(pin)
+        return (3, "", "error: serial\n") if pin else (0, json.dumps(DOC), "")
+
+    monkeypatch.setattr(report_bytes, "run", run)
+    assert report_bytes.main(["--parent", str(tmp_path), "--change", str(tmp_path)]) == 1
+    assert pinned == [None, None, report_bytes.one_cpu]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["DIFF  analyze a.csv  (exit 0)", "  exit code: change 0 change at one CPU 3", "  stderr:"]
+    assert "    +error: serial" in out and out[-2:] == ["1 command(s) differ", "no JSON field differs"]
+
+
+def test_one_cpu_restricts_only_the_child():
+    before = os.sched_getaffinity(0)
+    argv = [sys.executable, "-c", "import os; print(len(os.sched_getaffinity(0)))"]
+    child = subprocess.run(argv, capture_output=True, text=True, preexec_fn=report_bytes.one_cpu)
+    assert child.stdout == "1\n" and os.sched_getaffinity(0) == before
 
 
 def test_compared_commands_read_declared_profiles():

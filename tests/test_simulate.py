@@ -737,6 +737,12 @@ def test_randomization_respects_sizes_and_seed():
     assert np.array_equal(complete_randomization(4, [2.0, np.int64(2)], 1), complete_randomization(4, (2, 2), 1))
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, [1, 2]])
+def test_randomization_refuses_a_bad_seed_before_numpy_sees_it(seed):
+    with pytest.raises(InvalidInputError, match="^seed must be"):
+        complete_randomization(8, (2, 2, 2, 2), seed)
+
+
 def test_observe_reads_assigned_rows():
     pop = fixture_p4()
     alloc = np.array([0, 1, 2, 3], dtype=np.intp)

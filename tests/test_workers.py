@@ -1,9 +1,11 @@
-"""monte_carlo's replication ranges in forked workers give the serial report and errors.
+"""monte_carlo's replication ranges and load_csv's byte ranges in forked
+workers give the serial report, dataset and errors.
 
 Workers start only in a process the OS counts one thread in, and a default
 OpenBLAS keeps a thread pool, so the fork checks run in a subprocess with
 BLAS pinned to one thread: this file, run as a script. It asserts that the
-forks happened, and that none is left when monte_carlo returns or raises.
+forks happened, and that none is left when monte_carlo or load_csv returns
+or raises.
 """
 
 import contextlib
@@ -18,9 +20,12 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
-from factorbounds import cli, simulate
+from factorbounds import _workers, cli, data, simulate
+from factorbounds.data import ObservedDataset, _load_rows, load_csv, save_csv
+from factorbounds.design import enumerate_assignments
 from factorbounds.errors import FactorBoundsError
 from factorbounds.simulate import ScenarioConfig, load_scenario, monte_carlo
 
@@ -66,9 +71,9 @@ def test_forked_workers_give_the_serial_reports_and_errors():
 # --------------------------------------------------- the script's checks
 
 
-forks, here = [], []  # the workers started, and the replications the parent ran
-PARENT, RUN_CHUNK, FORK = os.getpid(), simulate._run_chunk, os.fork
-killing = False  # whether a worker kills itself before its first chunk
+forks, here = [], []  # the workers started, and the replications or byte ranges the parent ran
+PARENT, RUN_CHUNK, PARSE_RANGE, FORK = os.getpid(), simulate._run_chunk, data._parse_range, os.fork
+killing = False  # whether a worker kills itself before its first chunk or byte range
 descriptors = 0  # the parent's open descriptors before the study
 
 
@@ -77,6 +82,10 @@ def counted_fork():
     if pid:
         forks.append(pid)
     return pid
+
+
+def refused():
+    raise OSError("no fork")
 
 
 def watched_chunk(config, reps, *args):
@@ -91,27 +100,47 @@ def watched_chunk(config, reps, *args):
     RUN_CHUNK(config, reps, *args)
 
 
-def study(config, R, workers, argv=None):
-    """(the report, or the error's type and message; the number of forks; the
-    replications the parent ran) at `workers` usable CPUs; given argv, the
-    report is the CLI's (exit code, stderr)."""
+def watched_parse(path, design, names, span):
+    """_parse_range, recording the parent's byte ranges; a worker that holds
+    a descriptor besides its pipe exits 1, and one that is killing dies."""
+    if os.getpid() == PARENT:
+        here.append(span)
+    elif killing:
+        os.kill(os.getpid(), signal.SIGKILL)
+    elif len(os.listdir("/proc/self/fd")) != descriptors + 1:
+        os._exit(1)
+    return PARSE_RANGE(path, design, names, span)
+
+
+def watch(call, workers):
+    """(call()'s result, or its error's type and message; the number of
+    forks; what the parent ran) at `workers` usable CPUs."""
     global descriptors
-    simulate._usable_cpus = lambda: workers
+    _workers._usable_cpus = lambda: workers
     forks.clear()
     here.clear()
     descriptors = len(os.listdir("/proc/self/fd"))
     try:
-        if argv:
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                out = (cli.main(argv), err.getvalue())
-        else:
-            out = monte_carlo(config, R).to_json()
+        out = call()
     except FactorBoundsError as e:
         out = (type(e).__name__, str(e))
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
     return out, len(forks), list(here)
+
+
+def run_cli(argv):
+    """The CLI's exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv), err.getvalue()
+
+
+def study(config, R, workers, argv=None):
+    """(the report, or the error's type and message; the number of forks; the
+    replications the parent ran) at `workers` usable CPUs; given argv, the
+    report is the CLI's (exit code, stderr)."""
+    return watch(lambda: run_cli(argv) if argv else monte_carlo(config, R).to_json(), workers)
 
 
 def same_for_workers(config, R, workers=(2, 3), argv=None):
@@ -169,9 +198,6 @@ def check_failed_workers() -> None:
     serial, _, _ = study(config, 30, 1)
     every = list(range(30))
 
-    def refused():
-        raise OSError("no fork")
-
     os.fork = refused
     assert study(config, 30, 3) == (serial, 0, every)
     os.fork = counted_fork
@@ -204,12 +230,80 @@ def check_failed_workers() -> None:
     simulate._CHUNK_CELLS = 1 << 16
 
 
+def arrays(loaded):
+    """Every array of a dataset, bit for bit."""
+    return loaded.arm.tolist(), loaded.uptake.tolist(), loaded.outcome.view(np.int64).tolist()
+
+
+def fast(path):
+    """The array parse's dataset of path: it must accept the file."""
+    return arrays(data._load_canonical(path, False, None))
+
+
+def ranges(path, workers):
+    """The byte ranges of path's lines at `workers` usable CPUs."""
+    _workers._usable_cpus = lambda: workers
+    return data._ranges(path, len("z1,z2,d1,d2,y\r\n"), path.stat().st_size)
+
+
+def check_loads(tmp: pathlib.Path) -> None:
+    global killing
+    data._MIN_RANGE = 1 << 12  # the 2000 rows, about 60 KiB, take one range per worker
+    rng = np.random.default_rng(3)
+    n = 2000
+    uptake = rng.choice(np.array([-1, 1], dtype=np.int8), (n, 2))
+    path = tmp / "rows.csv"
+    save_csv(ObservedDataset(enumerate_assignments(2), rng.integers(0, 4, n), uptake, rng.random(n)), path)
+    want = arrays(_load_rows(path, False, None))
+    every = ranges(path, 3)
+    for w in (1, 2, 3):
+        assert len(ranges(path, w)) == w
+        assert watch(lambda: fast(path), w) == (want, w - 1, ranges(path, w)[:1]), w
+
+    # a bad token in the last worker's range leaves the whole file to the row parser
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1990] = b"1,1,1,2," + lines[1990].rsplit(b",", 1)[1]  # line 1991; the header is line 1
+    bad = tmp / "bad.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    assert ranges(bad, 3)[2][0] < sum(map(len, lines[:1990])) + 2 * 1990
+    message = "line 1991, column d2: 2 is not -1/+1"
+    for w in (1, 2, 3):
+        assert watch(lambda: arrays(load_csv(bad)), w) == (("InvalidInputError", message), w - 1, ranges(bad, w)[:1]), w
+        assert watch(lambda: run_cli(["analyze", str(bad)]), w)[:2] == ((2, f"error: {message}\n"), w - 1), w
+
+    # a fork that fails, a worker killed before it writes and a short result each leave the range to run here
+    os.fork = refused
+    assert watch(lambda: fast(path), 3) == (want, 0, every)
+    os.fork = counted_fork
+    killing = True
+    assert watch(lambda: fast(path), 3) == (want, 2, every)
+    killing = False
+    dump = pickle.dump
+    pickle.dump = lambda obj, pipe: pipe.write(pickle.dumps(obj)[:-9])
+    assert watch(lambda: fast(path), 3) == (want, 2, every)
+    pickle.dump = dump
+
+    # a live second thread keeps the parse serial: one range, parsed here
+    os.fork = lambda: pytest.fail("forked from a process with two threads")
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, daemon=True)
+    thread.start()
+    try:
+        assert watch(lambda: fast(path), 3) == (want, 0, ranges(path, 1))
+    finally:
+        done.set()
+        thread.join()
+    os.fork = counted_fork
+    data._MIN_RANGE = 1 << 20
+
+
 if __name__ == "__main__":
     import tempfile
 
     print(MARKER)  # held in stdout's buffer, which a worker must not flush
-    os.fork, simulate._run_chunk = counted_fork, watched_chunk
+    os.fork, simulate._run_chunk, data._parse_range = counted_fork, watched_chunk, watched_parse
     check_reports()
     with tempfile.TemporaryDirectory() as tmp:
         check_errors(pathlib.Path(tmp))
+        check_loads(pathlib.Path(tmp))
     check_failed_workers()
