@@ -25,12 +25,14 @@ def count(most: int) -> int:
     """How many pieces, at most `most`, to run at once, one per usable CPU:
     only on Linux and from a process the OS counts one thread in, since
     forking one with other threads can deadlock the child."""
+    if most < 2:
+        return 1
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             single = ["Threads:", "1"] in (line.split() for line in fh)
     except OSError:
         return 1
-    return max(1, min(_usable_cpus(), most)) if single else 1
+    return min(_usable_cpus(), most) if single else 1
 
 
 def _fork(run, piece, live: dict) -> int | None:

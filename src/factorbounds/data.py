@@ -131,8 +131,8 @@ def _ranges(path, start: int, size: int) -> list[tuple[int, int]]:
     _workers.count, each cut right after a newline byte: always a line
     boundary under newline="" and a UTF-8 character boundary."""
     cuts = {size}
-    with open(path, "rb") as fh:
-        for piece in _workers._split(range(start, size), _workers.count((size - start) // _MIN_RANGE))[1:]:
+    for piece in _workers._split(range(start, size), _workers.count((size - start) // _MIN_RANGE))[1:]:
+        with open(path, "rb") as fh:
             fh.seek(piece.start)
             cuts.add(piece.start + len(fh.readline()))  # past the next newline, or at the end
     ends = sorted(cuts)
