@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import stat
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -188,9 +189,12 @@ def _load_canonical(
     bytes that are not UTF-8) leaves the file to the row parser, which alone
     words the errors.
     """
+    found = os.stat(path)
+    if not stat.S_ISREG(found.st_mode):  # a pipe can be read only once: the row parser reads it
+        return None
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:  # a byte that is not UTF-8 fits no header
         line = fh.readline()
-    size = os.path.getsize(path)
+    size = found.st_size
     header = line.rstrip("\r\n").split(",")
     K = len(header) // 2
     if not 1 <= K <= MAX_FACTORS or header != expected_header(K) or len(line) == size:  # the header is ASCII

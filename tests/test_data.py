@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -309,6 +310,19 @@ def test_error_line_and_column_in_large_file(tmp_path):
         with pytest.raises(InvalidInputError) as err:
             load_csv(path)
     assert str(err.value) == "line 40000, column d2: 2 is not -1/+1"
+
+
+def test_a_fifo_reads_as_the_file(tmp_path, p4_census):
+    # a pipe can be read only once, so it is not cut into ranges
+    path, fifo = tmp_path / "census.csv", tmp_path / "census.fifo"
+    save_csv(p4_census, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    got = _result(lambda p, b, r: load_csv(p), fifo, False, None)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _result(_load_rows, path, False, None)
 
 
 def test_a_dataset_compares_and_hashes_by_identity(p4):
